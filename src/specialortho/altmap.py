@@ -20,7 +20,7 @@ on the same QuadraticSpace object.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .errors import ArityMismatch, ShapeMismatch, SingularPairing
@@ -76,12 +76,6 @@ class PairingSpec:
         """k x V -> V, scalar multiplication."""
         table = [[space.basis_vector(j) for j in range(space.dim)]]
         return cls(scalar, space, space, table, name="scalar action")
-
-    @classmethod
-    def multiply_scalar(cls, space: QuadraticSpace, scalar: QuadraticSpace) -> "PairingSpec":
-        """V x k -> V, scalar multiplication on the right."""
-        table = [[space.basis_vector(i)] for i in range(space.dim)]
-        return cls(space, scalar, space, table, name="scalar action")
 
     @classmethod
     def scalar_scalar(cls, scalar: QuadraticSpace) -> "PairingSpec":
@@ -160,20 +154,6 @@ class AltMap:
             for index, vec in coeffs.items():
                 if any(c.num for c in vec):
                     self.coeffs[tuple(index)] = list(vec)
-
-    @classmethod
-    def from_function(
-        cls,
-        domain: QuadraticSpace,
-        codomain: QuadraticSpace,
-        degree: int,
-        fn: Callable[[MultiIndex], Sequence[Frac]],
-        name: str = "",
-    ) -> "AltMap":
-        coeffs = {}
-        for index in all_multi_indices(domain.dim, degree):
-            coeffs[index] = list(fn(index))
-        return cls(domain, codomain, degree, coeffs, name=name)
 
     @classmethod
     def identity(cls, space: QuadraticSpace, name: str = "Id") -> "AltMap":
@@ -260,27 +240,12 @@ class AltMap:
                     out[k] = out[k] + d * x
         return out
 
-    def dump_lines(self) -> list[str]:
-        lines = []
-        labels = self.codomain.labels
-        for index in sorted(self.coeffs):
-            vec = self.coeffs[index]
-            parts = [
-                f"{c.render()}*{labels[k]}" for k, c in enumerate(vec) if c.num
-            ]
-            lines.append(f"{render_multi_index(index)} -> " + " + ".join(parts))
-        return lines
-
     def __repr__(self) -> str:
         return (
             f"<AltMap {self.name or '?'}: degree {self.degree}, "
             f"{self.domain.name} -> {self.codomain.name}, "
             f"{len(self.coeffs)} nonzero values>"
         )
-
-
-def identity_altmap(space: QuadraticSpace) -> AltMap:
-    return AltMap.identity(space)
 
 
 def _shuffle_sign(positions: Sequence[int], p: int) -> int:

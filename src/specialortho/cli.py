@@ -119,13 +119,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
         sa = from_quad_rep(ws.so7_rep, "so7")
         params = lam
     elif args.algebra == "g3":
-        sa = build_tilde(ws.g2_rep, ws.cov_im.mu, "G3")
+        sa = build_tilde(ws.cov_im, "G3")
         params = lam
     elif args.algebra == "f4":
-        sa = build_tilde(ws.so7_rep, ws.cov_oct.mu, "F4")
+        sa = build_tilde(ws.cov_oct, "F4")
         params = lam
     elif args.algebra == "d21":
-        sa = build_tilde(ws.family_rep, ws.cov_family.mu, "D(2,1;a)")
+        sa = build_tilde(ws.cov_family, "D(2,1;a)")
         params = {"a": render(ws.alpha), "b": render(ws.beta)}
     else:
         raise ParseError(
@@ -211,9 +211,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--alpha V`` and ``--beta V`` as ``--alpha=V`` and ``--beta=V``.
+
+    argparse reads a separate value such as ``-1/2`` as an unknown flag; the
+    attached spelling is always read as the value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--alpha", "--beta"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except SpecialOrthoError as err:

@@ -134,7 +134,8 @@ class CliffordAlgebra:
         return CliffordElement(self, {0: c})
 
     def generator(self, i: int) -> CliffordElement:
-        assert 1 <= i <= 7
+        if not 1 <= i <= 7:
+            raise ShapeMismatch(f"generator index {i} is outside 1..7")
         return CliffordElement(self, {1 << (i - 1): ONE})
 
     def monomial(self, indices: Sequence[int]) -> CliffordElement:
@@ -333,22 +334,3 @@ class CliffordAlgebra:
             out.append(CliffordElement(self, coeffs))
         return out
 
-
-def clifford_multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a.algebra.multiply(a, b)
-
-
-def super_bracket(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a.algebra.super_bracket(a, b)
-
-
-def quantize(algebra: CliffordAlgebra, x: ExteriorElement) -> CliffordElement:
-    return algebra.quantize(x)
-
-
-def dequantize(algebra: CliffordAlgebra, c: CliffordElement) -> ExteriorElement:
-    return algebra.dequantize(c)
-
-
-def spinor_action(algebra: CliffordAlgebra, c: CliffordElement) -> Matrix:
-    return algebra.spinor_action(c)

@@ -24,6 +24,10 @@ class ParseError(SpecialOrthoError, ValueError):
     """Malformed scalar expression text."""
 
 
+class InexactDivision(SpecialOrthoError, ArithmeticError):
+    """An exact polynomial division had a nonzero remainder."""
+
+
 class SingularMatrix(SpecialOrthoError, ArithmeticError):
     """Exact linear solve hit a structurally singular matrix."""
 

@@ -76,7 +76,8 @@ class QuadraticSpace:
 
     def q_product(self, index: MultiIndex) -> Frac:
         """Product of diagonal form values over a 1-based multi-index."""
-        assert self.is_diagonal, "q_product needs a diagonal gram"
+        if not self.is_diagonal:
+            raise ShapeMismatch("q_product needs a diagonal gram")
         out = ONE
         for i in index:
             out = out * self.diag[i - 1]

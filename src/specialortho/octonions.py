@@ -95,17 +95,12 @@ class OctonionAlgebra:
 
     def imaginary_unit(self, k: int) -> "Octonion":
         """The imaginary basis unit e_k for k in 1..7."""
-        assert 1 <= k <= 7
+        if not 1 <= k <= 7:
+            raise ShapeMismatch(f"imaginary unit index {k} is outside 1..7")
         return self.unit(k)
 
     def from_coeffs(self, coeffs: Sequence[Frac]) -> "Octonion":
         return Octonion(self, list(coeffs))
-
-    def from_imaginary(self, coeffs: Sequence[Frac]) -> "Octonion":
-        """Build an octonion from a 7-vector of imaginary coordinates."""
-        if len(coeffs) != 7:
-            raise ShapeMismatch("expected 7 imaginary coordinates")
-        return Octonion(self, [ZERO] + list(coeffs))
 
     def __repr__(self) -> str:
         rendered = ", ".join(p.render() for p in self.params)
@@ -118,7 +113,8 @@ class Octonion:
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra: OctonionAlgebra, coeffs: Sequence[Frac]):
-        assert len(coeffs) == 8
+        if len(coeffs) != 8:
+            raise ShapeMismatch(f"an octonion has 8 coordinates, got {len(coeffs)}")
         self.algebra = algebra
         self.coeffs = list(coeffs)
 
@@ -330,7 +326,8 @@ def fano_lines(algebra: OctonionAlgebra) -> list[tuple[int, int, int]]:
                 continue
             prod = algebra.table[i][j]
             coeff = prod[k]
-            assert coeff.num, "product must land on the xor index"
+            if not coeff.num:
+                raise ShapeMismatch("product must land on the xor index")
             if coeff.lead_sign() > 0:
                 seen.add(key)
                 lines.append((i, j, k))

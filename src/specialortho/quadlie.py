@@ -9,7 +9,9 @@ map is special orthogonal when
 
 and in that case the degree-3 covariant psi and the degree-4 invariant Q
 close the ladder of identities checked by mathews_status: the wedge and
-composition identities relating mu, psi, Q, and the identity map.
+composition identities relating mu, psi, Q, and the identity map.  Each
+identity is reported as a CheckRecord, built by run_check (timed) or
+vacuous_check; the verification suites use the same two helpers.
 
 The module also carries the closed-form values of these covariants on the
 imaginary octonions and on the full octonions, and the decompositions of the
@@ -19,14 +21,15 @@ affine planes of the parallelepiped spanned by the three doubling steps.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from . import linalg
 from .altmap import AltMap, PairingSpec, compose, wedge_rel
 from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS
-from .errors import ShapeMismatch, WrongDimension
+from .errors import NotImaginary, ShapeMismatch, WrongDimension
 from .exterior import QuadraticSpace, all_multi_indices, complement_index
 from .octonions import (
     OctonionAlgebra,
@@ -108,21 +111,6 @@ class QuadLieRep:
         """Action of algebra basis element a on module basis vector k."""
         m = self.action[a]
         return [m[r][k] for r in range(self.space.dim)]
-
-    def act(self, coords: Sequence[Frac], vec: Sequence[Frac]) -> Vector:
-        out = [ZERO] * self.space.dim
-        for a, c in enumerate(coords):
-            if not c.num:
-                continue
-            m = self.action[a]
-            for r in range(self.space.dim):
-                row = m[r]
-                acc = out[r]
-                for k, v in enumerate(vec):
-                    if v.num and row[k].num:
-                        acc = acc + c * row[k] * v
-                out[r] = acc
-        return out
 
     def act_sparse(self, coords: dict, vec: Sequence[Frac]) -> Vector:
         out = [ZERO] * self.space.dim
@@ -339,6 +327,13 @@ def moment_equivariance_witness(rep: QuadLieRep, mu: AltMap) -> Optional[str]:
     return None
 
 
+def mu_act(rep: QuadLieRep, mu: AltMap, i: int, j: int, k: int) -> Vector:
+    """mu(e_i, e_j) e_k on 0-based basis indices of the module."""
+    space = rep.space
+    value = mu.evaluate([space.basis_vector(i), space.basis_vector(j)])
+    return rep.act_sparse({t: c for t, c in enumerate(value) if c.num}, space.basis_vector(k))
+
+
 def check_special(rep: QuadLieRep, mu: AltMap) -> tuple[bool, Optional[str]]:
     """Special orthogonality of the moment map, with the first witness.
 
@@ -348,20 +343,12 @@ def check_special(rep: QuadLieRep, mu: AltMap) -> tuple[bool, Optional[str]]:
     space = rep.space
     n = space.dim
     gram = space.gram
-    basis = [space.basis_vector(k) for k in range(n)]
     for i in range(n):
         for j in range(n):
-            mu_ij = mu.evaluate([basis[i], basis[j]])
-            mu_ij_sparse = {k: c for k, c in enumerate(mu_ij) if c.num}
             for k in range(j, n):
-                mu_ik = mu.evaluate([basis[i], basis[k]])
-                mu_ik_sparse = {t: c for t, c in enumerate(mu_ik) if c.num}
                 lhs = [
                     p + q
-                    for p, q in zip(
-                        rep.act_sparse(mu_ij_sparse, basis[k]),
-                        rep.act_sparse(mu_ik_sparse, basis[j]),
-                    )
+                    for p, q in zip(mu_act(rep, mu, i, j, k), mu_act(rep, mu, i, k, j))
                 ]
                 rhs = [ZERO] * n
                 if gram[i][j].num:
@@ -380,7 +367,10 @@ def check_special(rep: QuadLieRep, mu: AltMap) -> tuple[bool, Optional[str]]:
 
 @dataclass
 class Covariants:
-    """The moment map with its derived covariants on one representation."""
+    """The moment map with its derived covariants on one representation.
+
+    ``special`` and ``witness`` are the result of check_special on ``mu``.
+    """
 
     rep: QuadLieRep
     mu: AltMap
@@ -395,9 +385,11 @@ def covariants(rep: QuadLieRep, scalar: QuadraticSpace, mu: Optional[AltMap] = N
     """Moment map, degree-3 covariant, and degree-4 invariant of rep.
 
     psi(v1,v2,v3) = mu(v1,v2) v3 + mu(v3,v1) v2 + mu(v2,v3) v1 and Q is the
-    alternating sum of (v, psi(...)) over the four cyclic deletions.  When the
-    moment map is special the closed shortcuts psi = 3(mu - mu_can) and
-    Q = 4 (v1, psi(v2,v3,v4)) are asserted against the definitions.
+    alternating sum of (v, psi(...)) over the four cyclic deletions.  The
+    special orthogonality of mu is checked once here and carried in the
+    result.  On a special moment map the closed shortcuts psi = 3(mu - mu_can)
+    and Q = 4 (v1, psi(v2,v3,v4)) hold; the suites verify them as reported
+    checks.
     """
     space = rep.space
     n = space.dim
@@ -405,16 +397,16 @@ def covariants(rep: QuadLieRep, scalar: QuadraticSpace, mu: Optional[AltMap] = N
         mu = moment_map(rep)
     basis = [space.basis_vector(k) for k in range(n)]
 
-    def mu_act(i: int, j: int, k: int) -> Vector:
-        coords = {t: c for t, c in enumerate(mu.evaluate([basis[i], basis[j]])) if c.num}
-        return rep.act_sparse(coords, basis[k])
-
     psi_coeffs = {}
     for index in all_multi_indices(n, 3):
         i, j, k = (t - 1 for t in index)
         val = [
             a + b + c
-            for a, b, c in zip(mu_act(i, j, k), mu_act(k, i, j), mu_act(j, k, i))
+            for a, b, c in zip(
+                mu_act(rep, mu, i, j, k),
+                mu_act(rep, mu, k, i, j),
+                mu_act(rep, mu, j, k, i),
+            )
         ]
         psi_coeffs[index] = val
     psi = AltMap(space, space, 3, psi_coeffs, name=f"psi[{rep.name}]")
@@ -432,23 +424,80 @@ def covariants(rep: QuadLieRep, scalar: QuadraticSpace, mu: Optional[AltMap] = N
     quad = AltMap(space, scalar, 4, quad_coeffs, name=f"Q[{rep.name}]")
 
     special, witness = check_special(rep, mu)
-    if special:
-        three = rat(3)
-        for index in all_multi_indices(n, 3):
-            i, j, k = (t - 1 for t in index)
-            shortcut = [
-                three * (x - y)
-                for x, y in zip(mu_act(i, j, k), mu_can_value(space, i, j, k))
-            ]
-            assert psi.value(index) == shortcut, "psi shortcut failed"
-        four = rat(4)
-        for index in all_multi_indices(n, 4):
-            i, j, k, l = (t - 1 for t in index)
-            shortcut = four * space.pair(
-                basis[i], psi.evaluate([basis[j], basis[k], basis[l]])
-            )
-            assert quad.value(index) == [shortcut], "Q shortcut failed"
     return Covariants(rep, mu, psi, quad, special, witness, scalar)
+
+
+# ---------------------------------------------------------------------------
+# check records
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CheckRecord:
+    """One verified identity: status plus optional witness and constant.
+
+    ``elapsed`` is wall time in seconds; it is kept for interactive use and
+    deliberately excluded from every serialized form so that reports stay
+    byte-identical across runs.
+    """
+
+    name: str
+    statement: str
+    status: str  # "holds" | "fails" | "vacuous"
+    witness: Optional[str] = None
+    constant: Optional[str] = None
+    elapsed: float = 0.0
+
+    def as_dict(self) -> dict:
+        doc: dict = {
+            "name": self.name,
+            "statement": self.statement,
+            "status": self.status,
+        }
+        if self.witness is not None:
+            doc["witness"] = self.witness
+        if self.constant is not None:
+            doc["constant"] = self.constant
+        return doc
+
+    def as_line(self) -> str:
+        line = f"  [{self.status:<7}] {self.name}: {self.statement}"
+        if self.constant is not None:
+            line += f" | constant: {self.constant}"
+        if self.witness is not None:
+            line += f" | witness: {self.witness}"
+        return line
+
+
+Outcome = Union[Optional[str], tuple[Optional[str], Optional[str]]]
+
+
+def run_check(name: str, statement: str, fn: Callable[[], Outcome]) -> CheckRecord:
+    """Run one check under a timer and record its outcome.
+
+    ``fn`` returns the first witness, or None when the identity holds; a check
+    that also finds an exact constant returns the pair (witness, constant).
+    All the work of the check happens inside ``fn``, so ``elapsed`` is its
+    full cost.
+    """
+    t0 = time.perf_counter()
+    outcome = fn()
+    elapsed = time.perf_counter() - t0
+    witness, constant = outcome if isinstance(outcome, tuple) else (outcome, None)
+    return CheckRecord(
+        name,
+        statement,
+        "fails" if witness else "holds",
+        witness=witness or None,
+        constant=constant,
+        elapsed=elapsed,
+    )
+
+
+def vacuous_check(name: str, statement: str, reason: Optional[str] = None) -> CheckRecord:
+    """A check that does not apply at this binding; ``reason``, if given, is
+    reported as its witness."""
+    return CheckRecord(name, statement, "vacuous", witness=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -456,72 +505,61 @@ def covariants(rep: QuadLieRep, scalar: QuadraticSpace, mu: Optional[AltMap] = N
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LadderCheck:
-    name: str
-    statement: str
-    status: str  # "holds" | "fails" | "vacuous"
-    detail: str = ""
+def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
+    """The four identities tying mu, psi, Q, and Id, with vacuity reporting.
 
-
-def mathews_status(cov: Covariants) -> list[LadderCheck]:
-    """The four identities tying mu, psi, Q, and Id, with vacuity reporting."""
+    A rung whose degree exceeds the dimension of the module is vacuous and
+    carries no witness.  Each record is named ``prefix`` plus the rung name.
+    """
     rep, mu, psi, quad = cov.rep, cov.mu, cov.psi, cov.quad
     space, scalar = rep.space, cov.scalar
-    n = space.dim
     ident = AltMap.identity(space)
     act_pair = PairingSpec.action(rep.algebra_space, space, rep.action)
     k_v = PairingSpec.scalar_multiply(scalar, space)
     k_g = PairingSpec.scalar_multiply(scalar, rep.algebra_space)
     k_k = PairingSpec.scalar_scalar(scalar)
-    out = []
 
-    def record(name: str, statement: str, degree: int, fn: Callable[[], bool]):
-        if degree > n:
-            out.append(
-                LadderCheck(
-                    name,
-                    statement,
-                    "vacuous",
-                    "vacuously true (degree exceeds dimension)",
-                )
-            )
-            return
-        ok = fn()
-        out.append(LadderCheck(name, statement, "holds" if ok else "fails"))
-
-    record(
-        "wedge-mu-psi",
-        "mu ^_rho psi = -(3/2) Q ^ Id",
-        5,
-        lambda: wedge_rel(mu, psi, act_pair)
-        == wedge_rel(quad, ident, k_v).scale(rat(-3, 2)),
-    )
-    record(
-        "compose-mu-psi",
-        "mu o psi = 3 Q ^ mu",
-        6,
-        lambda: compose(mu, psi) == wedge_rel(quad, mu, k_g).scale(rat(3)),
-    )
+    def rung(name: str, statement: str, degree: int, holds: Callable[[], bool]) -> CheckRecord:
+        if degree > space.dim:
+            return vacuous_check(prefix + name, statement)
+        return run_check(
+            prefix + name,
+            statement,
+            lambda: None if holds() else "the two sides differ",
+        )
 
     def quad_quad() -> AltMap:
         return wedge_rel(quad, quad, k_k)
 
-    record(
-        "compose-psi-psi",
-        "psi o psi = -(27/2) Q ^ Q ^ Id",
-        9,
-        lambda: compose(psi, psi)
-        == wedge_rel(quad_quad(), ident, k_v).scale(rat(-27, 2)),
-    )
-    record(
-        "compose-quad-psi",
-        "Q o psi = -54 Q ^ Q ^ Q",
-        12,
-        lambda: compose(quad, psi)
-        == wedge_rel(quad_quad(), quad, k_k).scale(rat(-54)),
-    )
-    return out
+    return [
+        rung(
+            "wedge-mu-psi",
+            "mu ^_rho psi = -(3/2) Q ^ Id",
+            5,
+            lambda: wedge_rel(mu, psi, act_pair)
+            == wedge_rel(quad, ident, k_v).scale(rat(-3, 2)),
+        ),
+        rung(
+            "compose-mu-psi",
+            "mu o psi = 3 Q ^ mu",
+            6,
+            lambda: compose(mu, psi) == wedge_rel(quad, mu, k_g).scale(rat(3)),
+        ),
+        rung(
+            "compose-psi-psi",
+            "psi o psi = -(27/2) Q ^ Q ^ Id",
+            9,
+            lambda: compose(psi, psi)
+            == wedge_rel(quad_quad(), ident, k_v).scale(rat(-27, 2)),
+        ),
+        rung(
+            "compose-quad-psi",
+            "Q o psi = -54 Q ^ Q ^ Q",
+            12,
+            lambda: compose(quad, psi)
+            == wedge_rel(quad_quad(), quad, k_k).scale(rat(-54)),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +677,8 @@ def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordEleme
     mats = []
     for x in kernel:
         full = cliff.spinor_action(x)
-        for t in range(8):
-            assert full[0][t].is_zero() and full[t][0].is_zero(), (
-                "kernel element does not preserve the imaginary space"
-            )
+        if any(full[0][t].num or full[t][0].num for t in range(8)):
+            raise WrongDimension("kernel element does not preserve the imaginary space")
         mats.append([[full[r][c] for c in range(1, 8)] for r in range(1, 8)])
     rep = QuadLieRep("g2-im", algebra_space, table, mats, octs.space_im)
     return rep, kernel
@@ -659,7 +695,8 @@ def psi_im_expected(octs: OctonionAlgebra) -> AltMap:
     for index in all_multi_indices(7, 3):
         u, v, w = (octs.imaginary_unit(t) for t in index)
         val = associator(u, v, w).scale(rat(-3, 4))
-        assert val.is_imaginary(), "associator of imaginaries must be imaginary"
+        if not val.is_imaginary():
+            raise NotImaginary("associator of imaginaries must be imaginary")
         coeffs[index] = val.imaginary_coeffs()
     return AltMap(octs.space_im, octs.space_im, 3, coeffs, name="psi_im_closed")
 
@@ -715,22 +752,12 @@ def mu_im_pointwise_witness(octs: OctonionAlgebra, rep: QuadLieRep, mu: AltMap) 
         u = octs.imaginary_unit(i)
         for j in range(1, 8):
             v = octs.imaginary_unit(j)
-            coords = {
-                t: c
-                for t, c in enumerate(
-                    mu.evaluate(
-                        [octs.space_im.basis_vector(i - 1), octs.space_im.basis_vector(j - 1)]
-                    )
-                )
-                if c.num
-            }
             for k in range(1, 8):
                 w = octs.imaginary_unit(k)
-                got = rep.act_sparse(coords, octs.space_im.basis_vector(k - 1))
                 expect = (
                     commutator(w, commutator(u, v)) + associator(u, v, w).scale(rat(3))
                 ).scale(rat(-1, 4))
-                if got != expect.imaginary_coeffs():
+                if mu_act(rep, mu, i - 1, j - 1, k - 1) != expect.imaginary_coeffs():
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
 
@@ -744,16 +771,8 @@ def mu_im_canonical_split_witness(
         u = octs.imaginary_unit(i)
         for j in range(1, 8):
             v = octs.imaginary_unit(j)
-            coords = {
-                t: c
-                for t, c in enumerate(
-                    mu.evaluate([space.basis_vector(i - 1), space.basis_vector(j - 1)])
-                )
-                if c.num
-            }
             for k in range(1, 8):
                 w = octs.imaginary_unit(k)
-                got = rep.act_sparse(coords, space.basis_vector(k - 1))
                 canonical = mu_can_apply(
                     space,
                     space.basis_vector(i - 1),
@@ -765,7 +784,7 @@ def mu_im_canonical_split_witness(
                     rat(3, 2) * c + e
                     for c, e in zip(canonical, expect_oct.imaginary_coeffs())
                 ]
-                if got != expect:
+                if mu_act(rep, mu, i - 1, j - 1, k - 1) != expect:
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
 

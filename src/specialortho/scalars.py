@@ -20,9 +20,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .errors import DenominatorVanishes, DivisionByZero, ParseError, SingularMatrix
+from .errors import (
+    DenominatorVanishes,
+    DivisionByZero,
+    InexactDivision,
+    ParseError,
+    SingularMatrix,
+)
 
 VARS = ("l1", "l2", "l3", "a")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -138,7 +144,8 @@ def _p_divexact(num: dict, den: dict) -> dict:
             return dict(num)
         out = {}
         for k, c in num.items():
-            assert _key_divides(kd, k) and c % cd == 0, "inexact division"
+            if not (_key_divides(kd, k) and c % cd == 0):
+                raise InexactDivision("inexact division")
             out[k - kd] = c // cd
         return out
     kd = _lead_key(den)
@@ -148,7 +155,8 @@ def _p_divexact(num: dict, den: dict) -> dict:
     while r:
         kr = _lead_key(r)
         cr = r[kr]
-        assert _key_divides(kd, kr) and cr % cd == 0, "inexact division"
+        if not (_key_divides(kd, kr) and cr % cd == 0):
+            raise InexactDivision("inexact division")
         k = kr - kd
         c = cr // cd
         q[k] = c
@@ -590,21 +598,6 @@ def rat(p: int, q: int = 1) -> Frac:
     return Frac.from_fraction(Fraction(p, q))
 
 
-def arith(a: ScalarLike, b: ScalarLike, op: str) -> Frac:
-    """Field operation dispatcher; op is one of '+', '-', '*', '/'."""
-    a = Frac._coerce(a)
-    b = Frac._coerce(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ParseError(f"unknown operation {op!r}")
-
-
 def is_zero(x: ScalarLike) -> bool:
     return Frac._coerce(x).is_zero()
 
@@ -847,12 +840,3 @@ def solve_linear(
             x[i] = s / Frac(aug[i][i], _P_ONE)
         solutions.append(x)
     return solutions[0] if single else solutions
-
-
-def lcm_den(values: Iterable[Frac]) -> dict:
-    """Least common multiple of the denominators, as an integer polynomial."""
-    out = _P_ONE
-    for f in values:
-        if f.den != _P_ONE:
-            out = _p_lcm(out, f.den)
-    return out

@@ -10,15 +10,15 @@ A check either holds, fails (with a witness string naming the first offending
 basis tuple), or is vacuous (the identity has higher degree than the space
 has dimensions, or it only makes sense on the special locus and the current
 bindings are off it).  Proportionality checks additionally record the exact
-constant they found.
+constant they found.  Every record comes from ``quadlie.run_check``, which
+times the whole check, or from ``quadlie.vacuous_check``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from .altmap import (
@@ -31,7 +31,7 @@ from .altmap import (
 )
 from .clifford import CliffordAlgebra
 from .errors import NotSpecial, UnknownSuite
-from .exterior import QuadraticSpace, all_multi_indices, scalar_codomain
+from .exterior import all_multi_indices, scalar_codomain
 from .family import (
     build_family,
     mu_family_expected,
@@ -49,7 +49,9 @@ from .octonions import (
     phi_as_altmap,
 )
 from .quadlie import (
+    CheckRecord,
     Covariants,
+    Outcome,
     QuadLieRep,
     build_g2_rep,
     build_spinor_rep,
@@ -60,6 +62,7 @@ from .quadlie import (
     g2_cyclic_witness,
     mathews_status,
     moment_equivariance_witness,
+    mu_act,
     mu_can_value,
     mu_im_canonical_split_witness,
     mu_im_pointwise_witness,
@@ -68,51 +71,16 @@ from .quadlie import (
     psi_oct_expected,
     quad_im_expected,
     quad_oct_expected,
+    run_check,
     spinor_cyclic_witness,
+    vacuous_check,
 )
-from .scalars import ALPHA, Frac, L1, L2, L3, ONE, ZERO, parse, rat, render
-from .superalg import SuperAlgebra, build_tilde, from_quad_rep
+from .scalars import ALPHA, Frac, L1, L2, L3, ZERO, parse, rat, render
+from .superalg import build_tilde
 
 SUITE_NAMES = ("g2", "f4", "d21", "mathews", "hodge", "decompositions")
 
 _SECTOR_ORDER = ("EEE", "EEO", "EOO", "OOO")
-
-
-@dataclass
-class CheckRecord:
-    """One verified identity: status plus optional witness and constant.
-
-    ``elapsed`` is wall time in seconds; it is kept for interactive use and
-    deliberately excluded from every serialized form so that reports stay
-    byte-identical across runs.
-    """
-
-    name: str
-    statement: str
-    status: str  # "holds" | "fails" | "vacuous"
-    witness: Optional[str] = None
-    constant: Optional[str] = None
-    elapsed: float = 0.0
-
-    def as_dict(self) -> dict:
-        doc: dict = {
-            "name": self.name,
-            "statement": self.statement,
-            "status": self.status,
-        }
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        if self.constant is not None:
-            doc["constant"] = self.constant
-        return doc
-
-    def as_line(self) -> str:
-        line = f"  [{self.status:<7}] {self.name}: {self.statement}"
-        if self.constant is not None:
-            line += f" | constant: {self.constant}"
-        if self.witness is not None:
-            line += f" | witness: {self.witness}"
-        return line
 
 
 @dataclass
@@ -238,38 +206,18 @@ class Workspace:
         return cross_as_altmap(self.octs)
 
 
-def _check(name: str, statement: str, fn: Callable[[], Optional[str]]) -> CheckRecord:
-    t0 = time.perf_counter()
-    witness = fn()
-    elapsed = time.perf_counter() - t0
-    return CheckRecord(
-        name,
-        statement,
-        "fails" if witness else "holds",
-        witness=witness or None,
-        elapsed=elapsed,
-    )
-
-
 def _equal(got: AltMap, want: AltMap, mismatch: str) -> Optional[str]:
     return None if got == want else mismatch
 
 
 def _psi_shortcut_witness(cov: Covariants) -> Optional[str]:
     rep, space = cov.rep, cov.rep.space
-    basis = [space.basis_vector(k) for k in range(space.dim)]
     three = rat(3)
     for index in all_multi_indices(space.dim, 3):
         i, j, k = (t - 1 for t in index)
-        coords = {
-            t: c
-            for t, c in enumerate(cov.mu.evaluate([basis[i], basis[j]]))
-            if c.num
-        }
-        mu_act = rep.act_sparse(coords, basis[k])
         want = [
             three * (x - y)
-            for x, y in zip(mu_act, mu_can_value(space, i, j, k))
+            for x, y in zip(mu_act(rep, cov.mu, i, j, k), mu_can_value(space, i, j, k))
         ]
         if cov.psi.value(index) != want:
             return f"(v1,v2,v3) = e{index[0]}, e{index[1]}, e{index[2]}"
@@ -290,28 +238,22 @@ def _quad_shortcut_witness(cov: Covariants) -> Optional[str]:
     return None
 
 
-def _superalgebra_record(
+def _superalgebra_outcome(
+    cov: Covariants,
     name: str,
-    statement: str,
-    builder: Callable[[], SuperAlgebra],
     even_dim: int,
     odd_dim: int,
     not_special_extra: Optional[Callable[[], str]] = None,
-) -> CheckRecord:
-    t0 = time.perf_counter()
+) -> Outcome:
+    """Build the superalgebra of cov and check its dimensions, the graded
+    Jacobi identity per sector, and invariance of its form."""
     try:
-        sa = builder()
+        sa = build_tilde(cov, name)
     except NotSpecial as err:
         witness = str(err)
         if not_special_extra is not None:
             witness += "; " + not_special_extra()
-        return CheckRecord(
-            name,
-            statement,
-            "fails",
-            witness=witness,
-            elapsed=time.perf_counter() - t0,
-        )
+        return witness, None
     problems = []
     if (sa.even_dim, sa.odd_dim) != (even_dim, odd_dim):
         problems.append(f"dimension {sa.even_dim}|{sa.odd_dim}")
@@ -323,34 +265,27 @@ def _superalgebra_record(
     if form is not None:
         problems.append(form)
     constant = render(sa.odd_odd_scale) if sa.odd_odd_scale is not None else None
-    return CheckRecord(
-        name,
-        statement,
-        "fails" if problems else "holds",
-        witness="; ".join(problems) or None,
-        constant=constant,
-        elapsed=time.perf_counter() - t0,
-    )
+    return "; ".join(problems) or None, constant
 
 
 def _rep_structure_records(prefix: str, rep: QuadLieRep) -> list[CheckRecord]:
     return [
-        _check(
+        run_check(
             f"{prefix}-jacobi",
             "bracket table satisfies the Jacobi identity",
             rep.check_jacobi,
         ),
-        _check(
+        run_check(
             f"{prefix}-invariant-form",
             "B_g([x,y], z) = B_g(x, [y,z]) on all basis triples",
             rep.check_form_invariance,
         ),
-        _check(
+        run_check(
             f"{prefix}-representation",
             "action matrices realize the bracket table",
             rep.check_rep_property,
         ),
-        _check(
+        run_check(
             f"{prefix}-skew-action",
             "(x v, w) + (v, x w) = 0 for the module form",
             rep.check_action_skew,
@@ -365,58 +300,44 @@ def _rep_structure_records(prefix: str, rep: QuadLieRep) -> list[CheckRecord]:
 
 def _suite_g2(ws: Workspace) -> list[CheckRecord]:
     rep, cov, octs = ws.g2_rep, ws.cov_im, ws.octs
-    out = [
-        _check(
+    return [
+        run_check(
             "g2-dimension",
             "annihilator of the unit in the degree-two component has dimension 14",
             lambda: None if rep.dim == 14 else f"dim = {rep.dim}",
-        )
-    ]
-    out.extend(_rep_structure_records("g2", rep))
-    out.append(
-        _check(
+        ),
+        *_rep_structure_records("g2", rep),
+        run_check(
             "g2-equivariance",
             "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
             lambda: moment_equivariance_witness(rep, cov.mu),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "g2-special",
             "mu(u,v)w + mu(u,w)v = (u,v)w + (u,w)v - 2(v,w)u",
             lambda: None if cov.special else cov.witness,
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "g2-moment-closed-form",
             "mu(u,v)w = -1/4 ([w,[u,v]] + 3 (u,v,w))",
             lambda: mu_im_pointwise_witness(octs, rep, cov.mu),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "g2-moment-split",
             "mu(u,v)w = (3/2) mu_can(u,v)w + (1/8) [w,[u,v]]",
             lambda: mu_im_canonical_split_witness(octs, rep, cov.mu),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "g2-cyclic-vanishing",
             "mu(u,v)w + mu(v,w)u + mu(w,u)v = 0",
             lambda: g2_cyclic_witness(octs, cov.mu),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "g2-psi-closed-form",
             "psi(v1,v2,v3) = -3/4 (v1,v2,v3)",
             lambda: _equal(cov.psi, psi_im_expected(octs), "psi != -3/4 associator"),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "g2-quad-closed-form",
             "Q(v1,v2,v3,v4) = -3 B(v1, (v2,v3,v4))",
             lambda: _equal(
@@ -424,46 +345,28 @@ def _suite_g2(ws: Workspace) -> list[CheckRecord]:
                 quad_im_expected(octs, ws.scalar),
                 "Q != -3 B(v1, associator)",
             ),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "g2-psi-shortcut",
             "psi = 3 (mu - mu_can)",
             lambda: _psi_shortcut_witness(cov),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "g2-quad-shortcut",
             "Q(v1,v2,v3,v4) = 4 (v1, psi(v2,v3,v4))",
             lambda: _quad_shortcut_witness(cov),
-        )
-    )
-    out.append(
-        _superalgebra_record(
+        ),
+        run_check(
             "g3-superalgebra",
             "g + sl2 + Im(O) (x) k^2 closes as a quadratic superalgebra, dimension 17|14",
-            lambda: build_tilde(rep, cov.mu, "G3"),
-            17,
-            14,
-        )
-    )
-    return out
+            lambda: _superalgebra_outcome(cov, "G3", 17, 14),
+        ),
+    ]
 
 
 def _suite_f4(ws: Workspace) -> list[CheckRecord]:
     octs, cliff = ws.octs, ws.cliff
     rep, cov = ws.so7_rep, ws.cov_oct
-    out = [
-        _check(
-            "clifford-pair-dimension",
-            "degree-two component of the even Clifford algebra has dimension 21",
-            lambda: None
-            if len(cliff.pair_basis()) == 21
-            else f"dim = {len(cliff.pair_basis())}",
-        )
-    ]
 
     def splitting() -> Optional[str]:
         kernel = ws.g2_kernel
@@ -476,24 +379,6 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
                     return "Tr(rho(x) rho(c_u)) != 0 for a kernel element"
         return None
 
-    out.append(
-        _check(
-            "clifford-splitting",
-            "C2 = g (+) W with dimensions 14 + 7, orthogonal under Tr(rho . rho .)",
-            splitting,
-        )
-    )
-    out.append(
-        _check(
-            "clifford-forms-nonsingular",
-            "the trace forms on g and on C2/g-part are nondegenerate",
-            lambda: None
-            if det(ws.g2_rep.algebra_space.gram).num
-            and det(rep.algebra_space.gram).num
-            else "a Gram determinant vanishes",
-        )
-    )
-
     def omega_action() -> Optional[str]:
         one = octs.one()
         if cliff.apply_to_octonion(cliff.omega(), one) != one.scale(rat(-7)):
@@ -503,14 +388,6 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
             if cliff.apply_to_octonion(cliff.omega(), u) != u:
                 return f"rho(Omega)(e{i}) != e{i}"
         return None
-
-    out.append(
-        _check(
-            "clifford-omega-spin",
-            "rho(Omega) = -7 on the unit and +1 on every imaginary unit",
-            omega_action,
-        )
-    )
 
     def c_action() -> Optional[str]:
         one = octs.one()
@@ -528,14 +405,6 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
                     return f"rho(c_e{i})(e{j}) != 2 e{i} x e{j} + 6 B(e{i},e{j})"
         return None
 
-    out.append(
-        _check(
-            "clifford-c-action",
-            "rho(c_u)(1) = -6u and rho(c_u)(v) = 2 u x v + 6 B(u,v)",
-            c_action,
-        )
-    )
-
     def trace_form() -> Optional[str]:
         for i in range(1, 8):
             u = octs.imaginary_unit(i)
@@ -546,61 +415,6 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
                     return f"(u,v) = (e{i}, e{j})"
         return None
 
-    out.append(
-        _check(
-            "clifford-trace-form",
-            "Tr(rho(c_u) rho(c_v)) = -96 B(u,v)",
-            trace_form,
-        )
-    )
-    out.extend(_rep_structure_records("spin", rep))
-    out.append(
-        _check(
-            "spin-equivariance",
-            "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
-            lambda: moment_equivariance_witness(rep, cov.mu),
-        )
-    )
-    out.append(
-        _check(
-            "spin-special",
-            "mu(u,v)w + mu(u,w)v = (u,v)w + (u,w)v - 2(v,w)u",
-            lambda: None if cov.special else cov.witness,
-        )
-    )
-    out.append(
-        _check(
-            "spin-moment-from-g2",
-            "mu_O(u,v) = (8/9) mu_Im(u,v) + (1/18) c_{u x v} and mu_O(u,1) = (1/6) c_u",
-            lambda: mu_oct_from_mu_im_witness(
-                octs, cliff, ws.g2_kernel, ws.cov_im.mu, cov.mu
-            ),
-        )
-    )
-    out.append(
-        _check(
-            "spin-cyclic",
-            "sum_cyc mu(u,v)w = (u,v)w + (u,w)v + (v,w)u - 3 B(u x v, w)",
-            lambda: spinor_cyclic_witness(octs, cov.mu),
-        )
-    )
-    out.append(
-        _check(
-            "spin-psi-closed-form",
-            "psi = -(1/2)(u,v,w) + phi(u,v,w) 1 on imaginaries; psi(v1,v2,1) = -v1 x v2",
-            lambda: _equal(cov.psi, psi_oct_expected(octs), "psi differs"),
-        )
-    )
-    out.append(
-        _check(
-            "spin-quad-closed-form",
-            "Q on imaginaries = (2/3) Q_Im; unit slot reduces to -4 phi",
-            lambda: _equal(
-                cov.quad, quad_oct_expected(octs, ws.scalar), "Q differs"
-            ),
-        )
-    )
-
     def quad_restriction() -> Optional[str]:
         two_thirds = rat(2, 3)
         for index in all_multi_indices(7, 4):
@@ -610,14 +424,6 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
             if got != want:
                 return f"index {shifted}"
         return None
-
-    out.append(
-        _check(
-            "spin-quad-restriction",
-            "Q_O(v1,v2,v3,v4) = (2/3) Q_Im(v1,v2,v3,v4) on imaginaries",
-            quad_restriction,
-        )
-    )
 
     def quad_unit() -> Optional[str]:
         minus_four = rat(-4)
@@ -630,53 +436,131 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
                 return f"index {index}"
         return None
 
-    out.append(
-        _check(
+    return [
+        run_check(
+            "clifford-pair-dimension",
+            "degree-two component of the even Clifford algebra has dimension 21",
+            lambda: None
+            if len(cliff.pair_basis()) == 21
+            else f"dim = {len(cliff.pair_basis())}",
+        ),
+        run_check(
+            "clifford-splitting",
+            "C2 = g (+) W with dimensions 14 + 7, orthogonal under Tr(rho . rho .)",
+            splitting,
+        ),
+        run_check(
+            "clifford-forms-nonsingular",
+            "the trace forms on g and on C2/g-part are nondegenerate",
+            lambda: None
+            if det(ws.g2_rep.algebra_space.gram).num
+            and det(rep.algebra_space.gram).num
+            else "a Gram determinant vanishes",
+        ),
+        run_check(
+            "clifford-omega-spin",
+            "rho(Omega) = -7 on the unit and +1 on every imaginary unit",
+            omega_action,
+        ),
+        run_check(
+            "clifford-c-action",
+            "rho(c_u)(1) = -6u and rho(c_u)(v) = 2 u x v + 6 B(u,v)",
+            c_action,
+        ),
+        run_check(
+            "clifford-trace-form",
+            "Tr(rho(c_u) rho(c_v)) = -96 B(u,v)",
+            trace_form,
+        ),
+        *_rep_structure_records("spin", rep),
+        run_check(
+            "spin-equivariance",
+            "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
+            lambda: moment_equivariance_witness(rep, cov.mu),
+        ),
+        run_check(
+            "spin-special",
+            "mu(u,v)w + mu(u,w)v = (u,v)w + (u,w)v - 2(v,w)u",
+            lambda: None if cov.special else cov.witness,
+        ),
+        run_check(
+            "spin-moment-from-g2",
+            "mu_O(u,v) = (8/9) mu_Im(u,v) + (1/18) c_{u x v} and mu_O(u,1) = (1/6) c_u",
+            lambda: mu_oct_from_mu_im_witness(
+                octs, cliff, ws.g2_kernel, ws.cov_im.mu, cov.mu
+            ),
+        ),
+        run_check(
+            "spin-cyclic",
+            "sum_cyc mu(u,v)w = (u,v)w + (u,w)v + (v,w)u - 3 B(u x v, w)",
+            lambda: spinor_cyclic_witness(octs, cov.mu),
+        ),
+        run_check(
+            "spin-psi-closed-form",
+            "psi = -(1/2)(u,v,w) + phi(u,v,w) 1 on imaginaries; psi(v1,v2,1) = -v1 x v2",
+            lambda: _equal(cov.psi, psi_oct_expected(octs), "psi differs"),
+        ),
+        run_check(
+            "spin-quad-closed-form",
+            "Q on imaginaries = (2/3) Q_Im; unit slot reduces to -4 phi",
+            lambda: _equal(
+                cov.quad, quad_oct_expected(octs, ws.scalar), "Q differs"
+            ),
+        ),
+        run_check(
+            "spin-quad-restriction",
+            "Q_O(v1,v2,v3,v4) = (2/3) Q_Im(v1,v2,v3,v4) on imaginaries",
+            quad_restriction,
+        ),
+        run_check(
             "spin-quad-unit",
             "Q_O(v1,v2,v3,1) = -4 phi(v1,v2,v3)",
             quad_unit,
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "spin-psi-shortcut",
             "psi = 3 (mu - mu_can)",
             lambda: _psi_shortcut_witness(cov),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "spin-quad-shortcut",
             "Q(v1,v2,v3,v4) = 4 (v1, psi(v2,v3,v4))",
             lambda: _quad_shortcut_witness(cov),
-        )
-    )
-    out.append(
-        _superalgebra_record(
+        ),
+        run_check(
             "f4-superalgebra",
             "g + sl2 + O (x) k^2 closes as a quadratic superalgebra, dimension 24|16",
-            lambda: build_tilde(rep, cov.mu, "F4"),
-            24,
-            16,
-        )
-    )
-    return out
+            lambda: _superalgebra_outcome(cov, "F4", 24, 16),
+        ),
+    ]
 
 
 def _suite_d21(ws: Workspace) -> list[CheckRecord]:
     rep, cov = ws.family_rep, ws.cov_family
-    out = [
-        _check(
+
+    def on_locus(name: str, statement: str, fn: Callable[[], Outcome]) -> CheckRecord:
+        if cov.special:
+            return run_check(name, statement, fn)
+        return vacuous_check(
+            name, statement, "stated on the special locus beta = -1 - alpha only"
+        )
+
+    def forced_detail() -> str:
+        forced = build_tilde(cov, "D(2,1)", force=True)
+        sector = forced.super_jacobi_check()["OOO"]
+        return f"forced assembly violates the graded Jacobi identity, sector OOO: {sector}"
+
+    midpoint = ws.alpha == rat(-1, 2) and cov.special
+    return [
+        run_check(
             "d21-dimensions",
             "algebra sl2 (+) sl2 has dimension 6 acting on the 4-dimensional V (x) W",
             lambda: None
             if (rep.dim, rep.space.dim) == (6, 4)
             else f"dims {rep.dim}, {rep.space.dim}",
-        )
-    ]
-    out.extend(_rep_structure_records("d21", rep))
-    out.append(
-        _check(
+        ),
+        *_rep_structure_records("d21", rep),
+        run_check(
             "d21-moment-closed-form",
             "mu(v1 (x) w1, v2 (x) w2) = omega(w1,w2)/(2 alpha) mu_V + omega(v1,v2)/(2 beta) mu_W",
             lambda: _equal(
@@ -684,140 +568,83 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
                 mu_family_expected(rep, ws.alpha, ws.beta),
                 "solver disagrees with the displayed moment map",
             ),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "d21-equivariance",
             "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
             lambda: moment_equivariance_witness(rep, cov.mu),
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "d21-special",
             "special orthogonality holds exactly when beta = -1 - alpha",
             lambda: None if cov.special else cov.witness,
-        )
-    )
-    special = cov.special
-    if special:
-        out.append(
-            _check(
-                "d21-psi-closed-form",
-                "psi = 3 (2 alpha + 1) (omega-weighted projector difference)",
-                lambda: _equal(
-                    cov.psi,
-                    psi_family_expected(rep, ws.alpha),
-                    "psi differs from the displayed form",
-                ),
-            )
-        )
-        out.append(
-            _check(
-                "d21-quad-closed-form",
-                "Q = -12 (2 alpha + 1) omega (x) omega-symmetrization",
-                lambda: _equal(
-                    cov.quad,
-                    quad_family_expected(rep, ws.alpha, ws.scalar),
-                    "Q differs from the displayed form",
-                ),
-            )
-        )
-    else:
-        for name, statement in (
-            (
-                "d21-psi-closed-form",
-                "psi = 3 (2 alpha + 1) (omega-weighted projector difference)",
+        ),
+        on_locus(
+            "d21-psi-closed-form",
+            "psi = 3 (2 alpha + 1) (omega-weighted projector difference)",
+            lambda: _equal(
+                cov.psi,
+                psi_family_expected(rep, ws.alpha),
+                "psi differs from the displayed form",
             ),
-            (
-                "d21-quad-closed-form",
-                "Q = -12 (2 alpha + 1) omega (x) omega-symmetrization",
+        ),
+        on_locus(
+            "d21-quad-closed-form",
+            "Q = -12 (2 alpha + 1) omega (x) omega-symmetrization",
+            lambda: _equal(
+                cov.quad,
+                quad_family_expected(rep, ws.alpha, ws.scalar),
+                "Q differs from the displayed form",
             ),
-        ):
-            out.append(
-                CheckRecord(
-                    name,
-                    statement,
-                    "vacuous",
-                    witness="stated on the special locus beta = -1 - alpha only",
+        ),
+        *(
+            [
+                run_check(
+                    "d21-covariants-vanish",
+                    "psi and Q vanish identically at alpha = -1/2",
+                    lambda: None
+                    if cov.psi.is_zero() and cov.quad.is_zero()
+                    else "a covariant survives at the midpoint",
                 )
-            )
-    if ws.alpha == rat(-1, 2) and special:
-        out.append(
-            _check(
-                "d21-covariants-vanish",
-                "psi and Q vanish identically at alpha = -1/2",
-                lambda: None
-                if cov.psi.is_zero() and cov.quad.is_zero()
-                else "a covariant survives at the midpoint",
-            )
-        )
-    out.append(
-        _check(
+            ]
+            if midpoint
+            else []
+        ),
+        run_check(
             "d21-swap-symmetry",
             "swapping the tensor factors exchanges (alpha, beta) up to the flip sign",
             lambda: swap_family_witness(ws.alpha, ws.beta),
-        )
-    )
-
-    def forced_detail() -> str:
-        forced = build_tilde(rep, cov.mu, "D(2,1)", force=True)
-        sector = forced.super_jacobi_check()["OOO"]
-        return f"forced assembly violates the graded Jacobi identity, sector OOO: {sector}"
-
-    out.append(
-        _superalgebra_record(
+        ),
+        run_check(
             "d21-superalgebra",
             "sl2 (+) sl2 (+) sl2-plane assembly closes, dimension 9|8",
-            lambda: build_tilde(rep, cov.mu, "D(2,1;a)"),
-            9,
-            8,
-            not_special_extra=forced_detail,
-        )
-    )
-    return out
+            lambda: _superalgebra_outcome(cov, "D(2,1;a)", 9, 8, forced_detail),
+        ),
+    ]
 
 
 def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
-    out: list[CheckRecord] = []
-    for label, cov in (
-        ("im", ws.cov_im),
-        ("oct", ws.cov_oct),
-        ("family", ws.cov_family),
-    ):
-        for lc in mathews_status(cov):
-            t0 = time.perf_counter()
-            out.append(
-                CheckRecord(
-                    f"mathews-{label}-{lc.name}",
-                    lc.statement,
-                    lc.status,
-                    witness=lc.detail if lc.status == "fails" else None,
-                    elapsed=time.perf_counter() - t0,
-                )
-            )
     cov = ws.cov_im
     k_g = PairingSpec.scalar_multiply(ws.scalar, cov.rep.algebra_space)
-    out.append(
-        _check(
+    return [
+        *mathews_status(cov, "mathews-im-"),
+        *mathews_status(ws.cov_oct, "mathews-oct-"),
+        *mathews_status(ws.cov_family, "mathews-family-"),
+        run_check(
             "mathews-im-compose-zero",
             "mu o psi = 0 on the seven-dimensional module",
             lambda: None
             if compose(cov.mu, cov.psi).is_zero()
             else "mu o psi != 0",
-        )
-    )
-    out.append(
-        _check(
+        ),
+        run_check(
             "mathews-im-wedge-zero",
             "Q ^ mu = 0 on the seven-dimensional module",
             lambda: None
             if wedge_rel(cov.quad, cov.mu, k_g).is_zero()
             else "Q ^ mu != 0",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -825,18 +652,35 @@ def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
+_NOT_PROPORTIONAL = "dual is not a multiple of the target"
+
+
 @dataclass
 class HodgeRow:
+    """One claim star(f) = c * target, with the published value of c if any.
+
+    ``computed`` is the exact c, or None when the dual is not a multiple of
+    the target.  The dual and the target are computed on first access.
+    """
+
     name: str
     statement: str
-    computed: Optional[Frac]
     reference: Optional[str]
-    witness: Optional[str] = None
+    solve: Callable[[], Optional[Frac]] = field(repr=False)
+
+    @cached_property
+    def computed(self) -> Optional[Frac]:
+        return self.solve()
+
+    def outcome(self) -> Outcome:
+        if self.computed is None:
+            return _NOT_PROPORTIONAL, None
+        return None, render(self.computed)
 
     @property
     def note(self) -> str:
         if self.computed is None:
-            return self.witness or "not proportional"
+            return _NOT_PROPORTIONAL
         if self.reference is None:
             return "no reference value given"
         ref = parse(self.reference)
@@ -861,22 +705,28 @@ def _proportionality(star: AltMap, target: AltMap) -> Optional[Frac]:
 
 
 def hodge_rows(ws: Workspace) -> list[HodgeRow]:
+    """The Hodge claims on the seven- and eight-dimensional modules.
+
+    No dual is taken here: each row computes its dual and target when its
+    constant is first read, and the volume form of a module is computed
+    once, by the first row that needs it.
+    """
     scalar = ws.scalar
     k_k = PairingSpec.scalar_scalar(scalar)
     rows: list[HodgeRow] = []
 
-    def add(name: str, statement: str, f: AltMap, volume: AltMap, target: AltMap, reference: Optional[str]):
-        star = hodge_dual(f, volume, scalar)
-        c = _proportionality(star, target)
-        rows.append(
-            HodgeRow(
-                name,
-                statement,
-                c,
-                reference,
-                witness=None if c is not None else "dual is not a multiple of the target",
-            )
-        )
+    def add(
+        name: str,
+        statement: str,
+        f: AltMap,
+        volume: Callable[[], AltMap],
+        target: Callable[[], AltMap],
+        reference: Optional[str],
+    ) -> None:
+        def solve() -> Optional[Frac]:
+            return _proportionality(hodge_dual(f, volume(), scalar), target())
+
+        rows.append(HodgeRow(name, statement, reference, solve))
 
     # seven-dimensional module: volume phi ^ Q
     rep, cov = ws.g2_rep, ws.cov_im
@@ -885,13 +735,13 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     act = PairingSpec.action(rep.algebra_space, im, rep.action)
     k_v = PairingSpec.scalar_multiply(scalar, im)
     k_g = PairingSpec.scalar_multiply(scalar, rep.algebra_space)
-    vol = wedge_rel(ws.phi, cov.quad, k_k)
+    vol = cache(lambda: wedge_rel(ws.phi, cov.quad, k_k))
     add(
         "hodge-im-cross-quad-id",
         "star(cross) = c (Q ^ Id) on the seven-dimensional module",
         ws.cross,
         vol,
-        wedge_rel(cov.quad, ident, k_v),
+        lambda: wedge_rel(cov.quad, ident, k_v),
         "147/8",
     )
     add(
@@ -899,7 +749,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(cross) = c (mu ^_rho psi) on the seven-dimensional module",
         ws.cross,
         vol,
-        wedge_rel(cov.mu, cov.psi, act),
+        lambda: wedge_rel(cov.mu, cov.psi, act),
         "-49/4",
     )
     add(
@@ -907,7 +757,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(Id) = c (phi ^ psi)",
         ident,
         vol,
-        wedge_rel(ws.phi, cov.psi, k_v),
+        lambda: wedge_rel(ws.phi, cov.psi, k_v),
         None,
     )
     add(
@@ -915,7 +765,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(mu) = c (phi ^ mu)",
         cov.mu,
         vol,
-        wedge_rel(ws.phi, cov.mu, k_g),
+        lambda: wedge_rel(ws.phi, cov.mu, k_g),
         None,
     )
     add(
@@ -923,7 +773,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(psi) = c (phi ^ Id)",
         cov.psi,
         vol,
-        wedge_rel(ws.phi, ident, k_v),
+        lambda: wedge_rel(ws.phi, ident, k_v),
         None,
     )
 
@@ -934,13 +784,13 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     act8 = PairingSpec.action(rep8.algebra_space, oc, rep8.action)
     k_v8 = PairingSpec.scalar_multiply(scalar, oc)
     k_g8 = PairingSpec.scalar_multiply(scalar, rep8.algebra_space)
-    vol8 = wedge_rel(cov8.quad, cov8.quad, k_k)
+    vol8 = cache(lambda: wedge_rel(cov8.quad, cov8.quad, k_k))
     add(
         "hodge-oct-psi-quad-id",
         "star(psi) = c (Q ^ Id) on the eight-dimensional module",
         cov8.psi,
         vol8,
-        wedge_rel(cov8.quad, ident8, k_v8),
+        lambda: wedge_rel(cov8.quad, ident8, k_v8),
         "-56",
     )
     add(
@@ -948,7 +798,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(psi) = c (mu ^_rho psi) on the eight-dimensional module",
         cov8.psi,
         vol8,
-        wedge_rel(cov8.mu, cov8.psi, act8),
+        lambda: wedge_rel(cov8.mu, cov8.psi, act8),
         "112/3",
     )
     add(
@@ -956,7 +806,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(mu) = c (Q ^ mu) on the eight-dimensional module",
         cov8.mu,
         vol8,
-        wedge_rel(cov8.quad, cov8.mu, k_g8),
+        lambda: wedge_rel(cov8.quad, cov8.mu, k_g8),
         "-56",
     )
     add(
@@ -964,7 +814,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(mu) = c (mu o psi) on the eight-dimensional module",
         cov8.mu,
         vol8,
-        compose(cov8.mu, cov8.psi),
+        lambda: compose(cov8.mu, cov8.psi),
         "-56/3",
     )
     add(
@@ -972,7 +822,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(Id) = c (Q ^ psi)",
         ident8,
         vol8,
-        wedge_rel(cov8.quad, cov8.psi, k_v8),
+        lambda: wedge_rel(cov8.quad, cov8.psi, k_v8),
         None,
     )
     return rows
@@ -981,19 +831,9 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
 def _suite_hodge(ws: Workspace) -> list[CheckRecord]:
     out = []
     for row in hodge_rows(ws):
-        t0 = time.perf_counter()
-        if row.computed is None:
-            record = CheckRecord(
-                row.name, row.statement, "fails", witness=row.witness
-            )
-        else:
-            record = CheckRecord(
-                row.name,
-                f"{row.statement} [{row.note}]",
-                "holds",
-                constant=render(row.computed),
-            )
-        record.elapsed = time.perf_counter() - t0
+        record = run_check(row.name, row.statement, row.outcome)
+        if record.status == "holds":
+            record.statement += f" [{row.note}]"
         out.append(record)
     return out
 
@@ -1088,65 +928,46 @@ def _decomposition_witness(ws, terms, reference) -> Optional[str]:
 
 def _suite_decompositions(ws: Workspace) -> list[CheckRecord]:
     octs, scalar = ws.octs, ws.scalar
-    out = [
-        _check(
+    k_k = PairingSpec.scalar_scalar(scalar)
+
+    def top(f: AltMap, g: AltMap, coeff_text: str) -> Outcome:
+        got = volume_constant(wedge_rel(f, g, k_k))
+        want = parse(coeff_text).substitute(_lambda_bindings(ws))
+        return (None if got == want else f"got {render(got)}"), render(got)
+
+    return [
+        run_check(
             "dec-phi",
             "eta^-1(phi) has the published seven terms, one per line",
             lambda: _decomposition_witness(
                 ws, decompose_phi_dual(octs, scalar), PHI_DUAL_REFERENCE
             ),
         ),
-        _check(
+        run_check(
             "dec-quad-im",
             "eta^-1(Q_Im) has the published seven terms on line complements",
             lambda: _decomposition_witness(
                 ws, decompose_quad_im(octs, ws.cov_im.quad), QUAD_IM_REFERENCE
             ),
         ),
-        _check(
+        run_check(
             "dec-quad-oct",
             "eta^-1(Q_O) has the published fourteen terms on affine planes",
             lambda: _decomposition_witness(
                 ws, decompose_quad_oct(octs, ws.cov_oct.quad), QUAD_OCT_REFERENCE
             ),
         ),
-    ]
-    k_k = PairingSpec.scalar_scalar(scalar)
-
-    def top(form: AltMap, coeff_text: str) -> tuple[Optional[str], str]:
-        got = volume_constant(form)
-        want = parse(coeff_text).substitute(_lambda_bindings(ws))
-        return (None if got == want else f"got {render(got)}"), render(got)
-
-    t0 = time.perf_counter()
-    witness, constant = top(
-        wedge_rel(ws.phi, ws.cov_im.quad, k_k), "-42*l1^2*l2^2*l3^2"
-    )
-    out.append(
-        CheckRecord(
+        run_check(
             "dec-top-phi-quad",
             "phi ^ Q (e1,...,e7) = -42 l1^2 l2^2 l3^2",
-            "fails" if witness else "holds",
-            witness=witness,
-            constant=constant,
-            elapsed=time.perf_counter() - t0,
-        )
-    )
-    t0 = time.perf_counter()
-    witness, constant = top(
-        wedge_rel(ws.cov_oct.quad, ws.cov_oct.quad, k_k), "-224*l1^2*l2^2*l3^2"
-    )
-    out.append(
-        CheckRecord(
+            lambda: top(ws.phi, ws.cov_im.quad, "-42*l1^2*l2^2*l3^2"),
+        ),
+        run_check(
             "dec-top-quad-quad",
             "Q ^ Q (e1,...,e8) = -224 l1^2 l2^2 l3^2",
-            "fails" if witness else "holds",
-            witness=witness,
-            constant=constant,
-            elapsed=time.perf_counter() - t0,
-        )
-    )
-    return out
+            lambda: top(ws.cov_oct.quad, ws.cov_oct.quad, "-224*l1^2*l2^2*l3^2"),
+        ),
+    ]
 
 
 _SUITES: dict[str, Callable[[Workspace], list[CheckRecord]]] = {

@@ -20,7 +20,6 @@ import hashlib
 import json
 from typing import Optional, Sequence
 
-from .altmap import AltMap
 from .errors import NotSpecial, ParseError, ShapeMismatch
 from .family import (
     mu_plane,
@@ -29,7 +28,7 @@ from .family import (
     sl2_half_trace_gram,
     sl2_plane_action,
 )
-from .quadlie import QuadLieRep, check_special
+from .quadlie import Covariants, QuadLieRep
 from .scalars import Frac, ONE, ZERO, parse as parse_scalar
 
 Vector = list[Frac]
@@ -176,23 +175,23 @@ class SuperAlgebra:
 
 
 def build_tilde(
-    rep: QuadLieRep,
-    mu: AltMap,
+    cov: Covariants,
     name: str,
     force: bool = False,
     sl2_form_scale: Frac = ONE,
 ) -> SuperAlgebra:
-    """Assemble g + sl2 + V (x) k^2 from a representation and moment map.
+    """Assemble g + sl2 + V (x) k^2 from a representation's covariants.
 
-    Raises NotSpecial unless the moment map satisfies the special condition;
-    force=True builds anyway (the all-odd Jacobi sector then records the
-    failure).  sl2_form_scale perturbs the sl2 block of the form and exists
-    for sensitivity controls; any value other than 1 must be caught by
-    form_invariance_witness.
+    Raises NotSpecial, naming cov.witness, unless cov.special holds; the
+    special orthogonality of the moment map was already decided when the
+    covariants were computed.  force=True builds anyway (the all-odd Jacobi
+    sector then records the failure).  sl2_form_scale perturbs the sl2 block
+    of the form and exists for sensitivity controls; any value other than 1
+    must be caught by form_invariance_witness.
     """
-    special, witness = check_special(rep, mu)
-    if not special and not force:
-        raise NotSpecial(f"moment map is not special orthogonal at {witness}")
+    if not cov.special and not force:
+        raise NotSpecial(f"moment map is not special orthogonal at {cov.witness}")
+    rep, mu = cov.rep, cov.mu
     g_dim = rep.dim
     v_dim = rep.space.dim
     even_dim = g_dim + 3

@@ -341,12 +341,12 @@ def test_criterion_09_spin_facts(ws):
 def test_criterion_10_superalgebras(ws, control):
     failures = []
     builds = (
-        ("D(2,1;a)", ws.family_rep, ws.cov_family.mu, 9, 8),
-        ("G3", ws.g2_rep, ws.cov_im.mu, 17, 14),
-        ("F4", ws.so7_rep, ws.cov_oct.mu, 24, 16),
+        ("D(2,1;a)", ws.cov_family, 9, 8),
+        ("G3", ws.cov_im, 17, 14),
+        ("F4", ws.cov_oct, 24, 16),
     )
-    for name, rep, mu, even, odd in builds:
-        sa = build_tilde(rep, mu, name)
+    for name, cov, even, odd in builds:
+        sa = build_tilde(cov, name)
         if (sa.even_dim, sa.odd_dim) != (even, odd):
             failures.append(f"{name}: dimension {sa.even_dim}|{sa.odd_dim}")
         for sector, witness in sa.super_jacobi_check().items():
@@ -356,14 +356,15 @@ def test_criterion_10_superalgebras(ws, control):
         if got is not None:
             failures.append(f"{name} form invariance: {got}")
     rep11, mu11 = control
+    cov11 = covariants(rep11, ws.scalar, mu11)
     try:
-        build_tilde(rep11, mu11, "control")
+        build_tilde(cov11, "control")
         failures.append("(1,1) control assembled without complaint")
         sectors = {}
     except NotSpecial as err:
         if not str(err):
             failures.append("(1,1) rejection carries no witness")
-        sectors = build_tilde(rep11, mu11, "control", force=True).super_jacobi_check()
+        sectors = build_tilde(cov11, "control", force=True).super_jacobi_check()
     odd_failures = [s for s in ("EOO", "OOO") if sectors.get(s)]
     if sectors and not odd_failures:
         failures.append("forced (1,1) control passes the graded Jacobi identity")

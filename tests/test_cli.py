@@ -1,6 +1,10 @@
 """Exit codes, flag parsing, and output determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,42 @@ def test_bad_at_exits_2(capsys):
     code, _, err = run(capsys, "verify", "g2", "--at", "l1=2,bogus=1")
     assert code == 2
     assert "--at" in err
+
+
+@pytest.mark.parametrize(
+    "separate,attached",
+    [
+        (["--alpha", "-1/2"], ["--alpha=-1/2"]),
+        (["--alpha", "2", "--beta", "-3"], ["--alpha=2", "--beta=-3"]),
+    ],
+)
+def test_negative_values_in_either_spelling(capsys, separate, attached):
+    code_a, out_a, _ = run(capsys, "verify", "d21", *separate)
+    code_b, out_b, _ = run(capsys, "verify", "d21", *attached)
+    assert (code_a, code_b) == (0, 0)
+    assert out_a == out_b
+
+
+def test_checks_survive_python_O():
+    # no check may be an assert: with -O the reports and exit codes are the same
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def cli(*flags):
+        argv = [sys.executable, *flags, "-m", "specialortho.cli"]
+        return [
+            subprocess.run(argv + args, capture_output=True, text=True, env=env)
+            for args in (
+                ["verify", "d21", "--alpha=-1/2"],
+                ["verify", "d21", "--alpha", "1", "--beta", "1"],
+            )
+        ]
+
+    plain, optimized = cli(), cli("-O")
+    assert [(p.returncode, p.stdout) for p in plain] == [
+        (p.returncode, p.stdout) for p in optimized
+    ]
+    assert [p.returncode for p in plain] == [0, 1]
 
 
 def test_non_rational_alpha_exits_2(capsys):

@@ -81,10 +81,11 @@ def test_covariants_vanish_at_midpoint(scalar):
 
 
 def test_identity_ladder_is_vacuous(special_rep, scalar):
+    # every rung has degree above four; the report prints them with no witness
     cov = ql.covariants(special_rep, scalar)
     checks = ql.mathews_status(cov)
     assert [c.status for c in checks] == ["vacuous"] * 4
-    assert all("degree exceeds dimension" in c.detail for c in checks)
+    assert all(c.witness is None for c in checks)
 
 
 def test_swap_symmetry():

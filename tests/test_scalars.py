@@ -12,6 +12,7 @@ from specialortho.errors import (
     DenominatorVanishes,
     DivisionByZero,
     ParseError,
+    SpecialOrthoError,
     SingularMatrix,
 )
 from specialortho.scalars import (
@@ -22,7 +23,7 @@ from specialortho.scalars import (
     L3,
     ONE,
     ZERO,
-    arith,
+    _p_divexact,
     is_zero,
     parse,
     rat,
@@ -33,7 +34,7 @@ from specialortho.scalars import (
 
 
 def test_rational_constants():
-    assert arith(rat(1, 2), rat(1, 3), "+") == rat(5, 6)
+    assert rat(1, 2) + rat(1, 3) == rat(5, 6)
     assert rat(2, 4) == rat(1, 2)
     assert rat(-3, -6) == rat(1, 2)
     assert rat(3, -6) == rat(-1, 2)
@@ -82,7 +83,16 @@ def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         ONE / ZERO
     with pytest.raises(DivisionByZero):
-        arith(L1, ZERO, "/")
+        L1 / ZERO
+
+
+def test_inexact_division_is_a_library_error():
+    # a monomial divisor (3*l1 into 2*l1 over the integers) and a longer one
+    # (l1 + 1 into l1) both raise a typed error, not an assertion
+    with pytest.raises(SpecialOrthoError):
+        _p_divexact((rat(2) * L1).num, (rat(3) * L1).num)
+    with pytest.raises(SpecialOrthoError):
+        _p_divexact(L1.num, (L1 + ONE).num)
 
 
 def test_partial_fraction_identity():

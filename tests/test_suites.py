@@ -9,6 +9,8 @@ from specialortho.scalars import parse, rat, render
 from specialortho.suites import (
     SUITE_NAMES,
     Workspace,
+    _psi_shortcut_witness,
+    _quad_shortcut_witness,
     hodge_report,
     hodge_rows,
     run_suite,
@@ -103,6 +105,15 @@ def test_hodge_report_table(ws):
     lines = text.splitlines()
     assert lines[0].split() == ["claim", "computed", "reference", "note"]
     assert len(lines) == 11
+
+
+def test_shortcuts_on_the_special_family(ws):
+    # psi = 3 (mu - mu_can) and Q = 4 (v1, psi(v2,v3,v4)) at symbolic alpha;
+    # no suite reports these two shortcuts for the family
+    cov = ws.cov_family
+    assert cov.special and not cov.psi.is_zero()
+    assert _psi_shortcut_witness(cov) is None
+    assert _quad_shortcut_witness(cov) is None
 
 
 def test_d21_failure_witness():

@@ -6,6 +6,7 @@ import pytest
 
 from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import NotSpecial, ParseError, ShapeMismatch
+from specialortho.exterior import scalar_codomain
 from specialortho.octonions import build_algebra
 from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat
 from specialortho import family as fam
@@ -23,22 +24,26 @@ def cliff(octs):
     return CliffordAlgebra(octs)
 
 
+def cov_of(rep):
+    return ql.covariants(rep, scalar_codomain())
+
+
 @pytest.fixture(scope="module")
 def d21():
     rep = fam.build_family(ALPHA, -ONE - ALPHA)
-    return sup.build_tilde(rep, ql.moment_map(rep), "D(2,1;a)")
+    return sup.build_tilde(cov_of(rep), "D(2,1;a)")
 
 
 @pytest.fixture(scope="module")
 def g3(cliff):
     rep, _ = ql.build_g2_rep(cliff)
-    return sup.build_tilde(rep, ql.moment_map(rep), "G3")
+    return sup.build_tilde(cov_of(rep), "G3")
 
 
 @pytest.fixture(scope="module")
 def f4(cliff):
     rep = ql.build_spinor_rep(cliff)
-    return sup.build_tilde(rep, ql.moment_map(rep), "F4")
+    return sup.build_tilde(cov_of(rep), "F4")
 
 
 @pytest.mark.parametrize(
@@ -75,16 +80,18 @@ def test_odd_bracket_needs_no_rescaling(fixture_name, request):
 
 
 def test_not_special_is_refused():
-    rep = fam.build_family(rat(1), rat(1))
-    mu = ql.moment_map(rep)
-    with pytest.raises(NotSpecial):
-        sup.build_tilde(rep, mu, "refused")
+    cov = cov_of(fam.build_family(rat(1), rat(1)))
+    assert not cov.special
+    with pytest.raises(NotSpecial) as err:
+        sup.build_tilde(cov, "refused")
+    # the refusal names the witness found when the covariants were computed
+    assert cov.witness in str(err.value)
+    assert str(err.value) == f"moment map is not special orthogonal at {cov.witness}"
 
 
 def test_forced_build_fails_only_in_odd_sector():
-    rep = fam.build_family(rat(1), rat(1))
-    mu = ql.moment_map(rep)
-    sa = sup.build_tilde(rep, mu, "forced", force=True)
+    cov = cov_of(fam.build_family(rat(1), rat(1)))
+    sa = sup.build_tilde(cov, "forced", force=True)
     sectors = sa.super_jacobi_check()
     assert sectors["EEE"] is None
     assert sectors["EEO"] is None
@@ -93,9 +100,8 @@ def test_forced_build_fails_only_in_odd_sector():
 
 
 def test_perturbed_sl2_block_breaks_invariance():
-    rep = fam.build_family(ALPHA, -ONE - ALPHA)
-    mu = ql.moment_map(rep)
-    sa = sup.build_tilde(rep, mu, "scaled", sl2_form_scale=rat(2))
+    cov = cov_of(fam.build_family(ALPHA, -ONE - ALPHA))
+    sa = sup.build_tilde(cov, "scaled", sl2_form_scale=rat(2))
     witness = sa.form_invariance_witness()
     assert witness is not None and "B(" in witness
 
@@ -164,8 +170,7 @@ def test_import_rejects_tampering(d21):
 
 
 def test_export_specialized_parameters():
-    rep = fam.build_family(rat(3), rat(-4))
-    sa = sup.build_tilde(rep, ql.moment_map(rep), "D(2,1;3)")
+    sa = sup.build_tilde(cov_of(fam.build_family(rat(3), rat(-4))), "D(2,1;3)")
     text = sup.export_superalgebra(sa, {"a": "3"})
     back = sup.import_superalgebra(text)
     assert back._imported_parameters == {"a": "3"}
