@@ -1,9 +1,11 @@
 """Alternating multilinear maps and the operations that combine them.
 
 An AltMap of degree p on a quadratic space V with values in a codomain U is
-stored by its values on strictly increasing basis multi-indices.  The three
-structural operations follow the shuffle conventions without factorial
-normalization:
+stored by its values on strictly increasing basis multi-indices.  A
+scalar-valued AltMap is also the one type for alternating forms and for the
+coefficient tables of elements of Lambda^p(V); eta_inv raises the indices of
+the one into the other on a diagonal space.  The three structural operations
+follow the shuffle conventions without factorial normalization:
 
   wedge_rel(f, g, pairing): (p, q)-shuffle sum of pairing(f(...), g(...)),
   compose(f, g): (q, ..., q)-shuffle sum of f(g(...), ..., g(...)),
@@ -25,14 +27,13 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import ArityMismatch, ShapeMismatch, SingularPairing
 from .exterior import (
-    ExteriorElement,
     MultiIndex,
     QuadraticSpace,
     all_multi_indices,
     complement_index,
     render_multi_index,
 )
-from .scalars import Frac, ONE, ZERO, solve_linear
+from .scalars import Frac, ONE, ZERO
 
 Vector = list[Frac]
 
@@ -368,6 +369,21 @@ def b_alt(f: AltMap, g: AltMap) -> Frac:
     return total
 
 
+def eta_inv(f: AltMap) -> AltMap:
+    """Raise the indices of a scalar-valued map on a diagonal space.
+
+    The result is the coefficient table of eta^-1(f) in Lambda^p(V): its
+    value on e_I is f(e_I) / q(e_I).
+    """
+    if f.codomain.dim != 1:
+        raise ShapeMismatch("eta_inv needs a scalar-valued map")
+    if not f.domain.is_diagonal:
+        raise ShapeMismatch("eta_inv requires a diagonal domain gram")
+    q_product = f.domain.q_product
+    coeffs = {I: [vec[0] / q_product(I)] for I, vec in f.coeffs.items()}
+    return AltMap(f.domain, f.codomain, f.degree, coeffs)
+
+
 def volume_constant(volume: AltMap) -> Frac:
     """Coefficient of the full multi-index of a top-degree scalar form."""
     n = volume.domain.dim
@@ -385,11 +401,12 @@ def hodge_dual(f: AltMap, volume: AltMap, scalar: QuadraticSpace) -> AltMap:
 
     alpha runs over degree-p maps into the codomain of f, the wedge pairs
     codomain values through the codomain form, and volume is a fixed
-    top-degree scalar covariant.  Solved one codomain coordinate at a time
-    (the coefficient matrix is the same signed pairing matrix for each), then
-    the codomain Gram matrix is inverted on each multi-index.  The defining
-    identity is re-verified for every basis alpha before returning; failure
-    raises SingularPairing.
+    top-degree scalar covariant.  At alpha = e_I x u only the shuffle of I
+    with its complement J reaches the full multi-index, so the identity reads
+    sign(I) B(u, g(e_J)) = B(u, f(e_I)) vol / q(e_I) for every u: each value
+    g(e_J) = sign(I) vol / q(e_I) f(e_I) is read off, with no solve and no
+    use of the codomain form.  The defining identity is re-verified for
+    every basis alpha before returning; failure raises SingularPairing.
     """
     space = f.domain
     if volume.domain is not space:
@@ -398,47 +415,16 @@ def hodge_dual(f: AltMap, volume: AltMap, scalar: QuadraticSpace) -> AltMap:
         raise ShapeMismatch("hodge_dual requires a diagonal domain gram")
     n, p = space.dim, f.degree
     vol = volume_constant(volume)
-    cod = f.codomain
-    udim = cod.dim
-    p_indices = all_multi_indices(n, p)
-    c_indices = all_multi_indices(n, n - p)
-    col_of = {J: t for t, J in enumerate(c_indices)}
-    m = len(p_indices)
-    # coefficient matrix: row I, column J = complement(I); entry = merge sign
-    coeff = [[ZERO] * m for _ in range(m)]
-    for r, I in enumerate(p_indices):
-        J = complement_index(I, n)
-        total = sum(I) - (p * (p + 1)) // 2
-        coeff[r][col_of[J]] = Frac.from_int(-1 if total % 2 else 1)
-    # right-hand sides: one column per codomain coordinate b, entries over I
-    gram = cod.gram
-    rhs_columns = []
-    for b in range(udim):
-        column = []
-        for I in p_indices:
-            fI = f.coeffs.get(I)
-            if fI is None:
-                column.append(ZERO)
-                continue
-            inner = ZERO
-            row = gram[b]
-            for k, x in enumerate(fI):
-                if x.num and row[k].num:
-                    inner = inner + row[k] * x
-            column.append(inner * vol / space.q_product(I))
-        rhs_columns.append(column)
-    solved = solve_linear(coeff, rhs_columns)
-    # solved[b][t] = <e_b, g(J_t)>; invert the codomain gram per multi-index
-    lowered_columns = [[solved[b][t] for b in range(udim)] for t in range(len(c_indices))]
-    if cod.dim == 1:
-        raised = [[c / gram[0][0] for c in col] for col in lowered_columns]
-    else:
-        raised = solve_linear(gram, lowered_columns)
-    star = AltMap(space, cod, n - p)
-    for t, J in enumerate(c_indices):
-        vec = raised[t]
-        if any(c.num for c in vec):
-            star.coeffs[J] = list(vec)
+    star = AltMap(space, f.codomain, n - p)
+    for J in all_multi_indices(n, n - p):
+        I = complement_index(J, n)
+        fI = f.coeffs.get(I)
+        if fI is None:
+            continue
+        scale = vol / space.q_product(I)
+        if (sum(I) - p * (p + 1) // 2) % 2:
+            scale = -scale
+        star.coeffs[J] = [scale * x for x in fI]
     _verify_hodge(f, star, volume, vol, scalar)
     return star
 
@@ -537,22 +523,3 @@ def _perm_sign(perm: Sequence[int]) -> int:
             if perm[i] > perm[j]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-# -- scalar-valued maps as dual exterior elements -----------------------------
-
-
-def as_dual_element(f: AltMap) -> ExteriorElement:
-    """View a scalar-valued AltMap as an element of Lambda^p(V*)."""
-    if f.codomain.dim != 1:
-        raise ShapeMismatch("only scalar-valued maps are dual exterior elements")
-    coeffs = {index: vec[0] for index, vec in f.coeffs.items()}
-    return ExteriorElement(f.domain, f.degree, coeffs, dual=True)
-
-
-def from_dual_element(x: ExteriorElement, scalar: QuadraticSpace) -> AltMap:
-    """Inverse of as_dual_element."""
-    if not x.dual:
-        raise ShapeMismatch("expected a dual exterior element")
-    coeffs = {index: [c] for index, c in x.coeffs.items()}
-    return AltMap(x.space, scalar, x.degree, coeffs)

@@ -9,7 +9,8 @@ full octonions, an 8x8 matrix.
 
 quantize identifies the exterior algebra of the imaginary space with the
 Clifford algebra as filtered vector spaces by sending an increasing wedge
-monomial to the ordered product of its generators.
+monomial to the ordered product of its generators; an exterior element is
+given as its coefficient table, a scalar-valued AltMap on the imaginaries.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import DegreeMismatch, NotImaginary, ShapeMismatch, WrongDimension
-from .exterior import ExteriorElement
-from .octonions import Octonion, OctonionAlgebra
+from .altmap import AltMap, eta_inv
+from .errors import NotImaginary, ShapeMismatch, WrongDimension
+from .exterior import scalar_codomain
+from .octonions import Octonion, OctonionAlgebra, phi_as_altmap
 from .scalars import Frac, ONE, ZERO
 
 Vector = list[Frac]
@@ -207,26 +209,17 @@ class CliffordAlgebra:
 
     # -- exterior identification ---------------------------------------------
 
-    def quantize(self, x: ExteriorElement) -> CliffordElement:
+    def quantize(self, x: AltMap) -> CliffordElement:
         """Ordered product of generators on each increasing wedge monomial."""
-        if x.space is not self.octonions.space_im or x.dual:
-            raise ShapeMismatch("quantize expects a primal element of ImO")
+        if x.domain is not self.octonions.space_im or x.codomain.dim != 1:
+            raise ShapeMismatch("quantize expects a scalar-valued map on ImO")
         out = {}
-        for index, c in x.coeffs.items():
+        for index, vec in x.coeffs.items():
             mask = 0
             for i in index:
                 mask |= 1 << (i - 1)
-            out[mask] = c
+            out[mask] = vec[0]
         return CliffordElement(self, out)
-
-    def dequantize(self, c: CliffordElement) -> ExteriorElement:
-        """Inverse of quantize on elements of a single degree."""
-        degs = c.degrees()
-        if len(degs) > 1:
-            raise DegreeMismatch("dequantize needs a homogeneous-degree element")
-        degree = degs.pop() if degs else 0
-        coeffs = {_mask_to_tuple(m): v for m, v in c.coeffs.items()}
-        return ExteriorElement(self.octonions.space_im, degree, coeffs)
 
     # -- spin representation ----------------------------------------------------
 
@@ -286,14 +279,8 @@ class CliffordAlgebra:
     def omega(self) -> CliffordElement:
         """Quantization of the index-raised associative form."""
         if self._omega is None:
-            from .altmap import as_dual_element
-            from .exterior import eta_inv, scalar_codomain
-            from .octonions import phi_as_altmap
-
-            scalar = scalar_codomain()
-            phi = phi_as_altmap(self.octonions, scalar)
-            raised = eta_inv(as_dual_element(phi))
-            self._omega = self.quantize(raised)
+            phi = phi_as_altmap(self.octonions, scalar_codomain())
+            self._omega = self.quantize(eta_inv(phi))
         return self._omega
 
     def c_of(self, u: Octonion) -> CliffordElement:

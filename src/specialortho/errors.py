@@ -28,12 +28,12 @@ class InexactDivision(SpecialOrthoError, ArithmeticError):
     """An exact polynomial division had a nonzero remainder."""
 
 
+class ExponentOverflow(SpecialOrthoError, OverflowError):
+    """A power would exceed the largest exponent a monomial key can hold."""
+
+
 class SingularMatrix(SpecialOrthoError, ArithmeticError):
     """Exact linear solve hit a structurally singular matrix."""
-
-
-class DegreeMismatch(SpecialOrthoError, ValueError):
-    """Exterior elements of different degrees (or spaces) were combined."""
 
 
 class ArityMismatch(SpecialOrthoError, ValueError):
@@ -50,10 +50,6 @@ class DegenerateParameter(SpecialOrthoError, ValueError):
 
 class NotImaginary(SpecialOrthoError, ValueError):
     """An operation restricted to imaginary octonions received a real part."""
-
-
-class BadGenerators(SpecialOrthoError, ValueError):
-    """Proposed generator triple violates the orthogonality conditions."""
 
 
 class WrongDimension(SpecialOrthoError, ValueError):

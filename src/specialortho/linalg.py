@@ -1,8 +1,9 @@
 """Dense exact linear algebra over the scalar field.
 
-Small helper layer on top of scalars.solve_linear: reduced row echelon form,
-rank, nullspace, determinants, and coordinates with respect to a fixed
-independent spanning set.  Matrices are plain lists of lists of Frac.
+Matrix arithmetic, and the reduced row echelon form, rank, nullspace,
+determinant and subspace coordinates built on scalars.eliminate, the
+fraction-free elimination that scalars.solve_linear also uses.  Matrices are
+plain lists of lists of Frac.
 """
 
 from __future__ import annotations
@@ -10,17 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import SingularMatrix
-from .scalars import (
-    _p_divexact,
-    _p_int_mul,
-    _p_lcm,
-    _p_mul,
-    _p_sub,
-    _P_ONE,
-    Frac,
-    ONE,
-    ZERO,
-)
+from .scalars import Frac, ONE, ZERO, eliminate
 
 Matrix = list[list[Frac]]
 Vector = list[Frac]
@@ -92,27 +83,18 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 def rref(rows: Sequence[Sequence[Frac]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    R = [list(r) for r in rows]
-    m = len(R)
-    n = len(R[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if not R[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = R[r][c]
-        if not inv.is_one():
-            R[r] = [x / inv for x in R[r]]
-        for i in range(m):
-            if i != r and not R[i][c].is_zero():
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    polys, pivots, _, _ = eliminate(rows)
+    n = len(rows[0]) if rows else 0
+    R = [[ZERO] * n for _ in rows]
+    for r, c in enumerate(pivots):
+        pk = polys[r][c]
+        R[r][c:] = [Frac(x, pk) if x else ZERO for x in polys[r][c:]]
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        for i in range(r):
+            f = R[i][c]
+            if f.num:
+                R[i] = [a - f * b if b.num else a for a, b in zip(R[i], R[r])]
     return R, pivots
 
 
@@ -139,39 +121,15 @@ def nullspace(rows: Sequence[Sequence[Frac]]) -> list[Vector]:
 
 
 def det(matrix: Sequence[Sequence[Frac]]) -> Frac:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant: the last fraction-free pivot over the cleared rows."""
     n = len(matrix)
     if n == 0:
         return ONE
-    rows = []
-    den_product = _P_ONE
-    for row in matrix:
-        lcm = _P_ONE
-        for f in row:
-            if f.den != _P_ONE:
-                lcm = _p_lcm(lcm, f.den)
-        if lcm == _P_ONE:
-            rows.append([f.num for f in row])
-        else:
-            rows.append([_p_mul(f.num, _p_divexact(lcm, f.den)) for f in row])
-            den_product = _p_mul(den_product, lcm)
-    sign = 1
-    prev = _P_ONE
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if rows[r][k]), None)
-        if piv is None:
-            return ZERO
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            for j in range(k + 1, n):
-                num = _p_sub(_p_mul(pk, rows[i][j]), _p_mul(rik, rows[k][j])) if rik else _p_mul(pk, rows[i][j])
-                rows[i][j] = _p_divexact(num, prev) if prev != _P_ONE else num
-        prev = pk
-    return Frac(_p_int_mul(rows[n - 1][n - 1], sign), den_product)
+    rows, pivots, sign, den = eliminate(matrix, square=True)
+    if len(pivots) < n:
+        return ZERO
+    d = Frac(rows[n - 1][n - 1], den)
+    return d if sign > 0 else -d
 
 
 class SubspaceCoords:

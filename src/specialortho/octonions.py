@@ -10,10 +10,10 @@ on the seven imaginary units follows xor: e_i e_j = (sign) (monomial) e_{i xor j
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .altmap import AltMap
-from .errors import BadGenerators, DegenerateParameter, NotImaginary, ShapeMismatch
+from .errors import DegenerateParameter, NotImaginary, ShapeMismatch
 from .exterior import QuadraticSpace, all_multi_indices
 from .scalars import Frac, ONE, ZERO, rat
 
@@ -183,14 +183,6 @@ def build_algebra(l1: Frac, l2: Frac, l3: Frac) -> OctonionAlgebra:
     return OctonionAlgebra(l1, l2, l3)
 
 
-def multiply(x: Octonion, y: Octonion) -> Octonion:
-    return x * y
-
-
-def conjugate(x: Octonion) -> Octonion:
-    return x.conjugate()
-
-
 def norm_q(x: Octonion) -> Frac:
     """The multiplicative norm q(x) = x conj(x)."""
     return (x * x.conjugate()).real_part()
@@ -216,15 +208,6 @@ def commutator(x: Octonion, y: Octonion) -> Octonion:
 
 def associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
     return (x * y) * z - x * (y * z)
-
-
-def jacobi_tensor(u: Octonion, v: Octonion, w: Octonion) -> Octonion:
-    """J(u, v, w) = [u,[v,w]] + [v,[w,u]] + [w,[u,v]]."""
-    return (
-        commutator(u, commutator(v, w))
-        + commutator(v, commutator(w, u))
-        + commutator(w, commutator(u, v))
-    )
 
 
 def cross_product(u: Octonion, v: Octonion) -> Octonion:
@@ -264,53 +247,6 @@ def cross_as_altmap(algebra: OctonionAlgebra) -> AltMap:
     return AltMap(algebra.space_im, algebra.space_im, 2, coeffs, name="cross")
 
 
-def malcev_check(u: Octonion, v: Octonion, w: Octonion) -> bool:
-    """u x (v x w) + v x (u x w) = B(v,w) u + B(u,w) v - 2 B(u,v) w."""
-    for x in (u, v, w):
-        if not x.is_imaginary():
-            raise NotImaginary("the cross-product identity lives on imaginaries")
-    lhs = cross_product(u, cross_product(v, w)) + cross_product(v, cross_product(u, w))
-    rhs = (
-        u.scale(bilinear_B(v, w))
-        + v.scale(bilinear_B(u, w))
-        - w.scale(bilinear_B(u, v) * Frac.from_int(2))
-    )
-    return (lhs - rhs).is_zero()
-
-
-def generate_labeled_basis(
-    algebra: OctonionAlgebra,
-    generators: Sequence[Octonion],
-    include_unit: bool = False,
-) -> list[Octonion]:
-    """Basis from three admissible anticommuting generators (g1, g2, g3):
-
-    returns [g1, g2, g1 g2, g3, g1 g3, g2 g3, (g1 g2) g3], optionally with the
-    unit in front.  Raises BadGenerators when a generator is not imaginary or
-    anisotropic, two generators fail to be orthogonal, or the third lies in
-    the subalgebra generated by the first two (detected by B(g3, g1 g2) = 0
-    failing).
-    """
-    if len(generators) != 3:
-        raise BadGenerators("exactly three generators are required")
-    g1, g2, g3 = generators
-    for g in generators:
-        if not g.is_imaginary():
-            raise BadGenerators("generators must be imaginary")
-        if norm_q(g).is_zero():
-            raise BadGenerators("generators must be anisotropic")
-    for a, b in ((g1, g2), (g1, g3), (g2, g3)):
-        if not bilinear_B(a, b).is_zero():
-            raise BadGenerators("generators must be pairwise orthogonal")
-    g12 = g1 * g2
-    if not bilinear_B(g3, g12).is_zero():
-        raise BadGenerators("third generator lies in the quaternion subalgebra")
-    basis = [g1, g2, g12, g3, g1 * g3, g2 * g3, g12 * g3]
-    if include_unit:
-        return [algebra.one()] + basis
-    return basis
-
-
 def fano_lines(algebra: OctonionAlgebra) -> list[tuple[int, int, int]]:
     """The seven oriented index triples (i, j, i xor j) with e_i e_j a
     positive multiple of e_{i xor j}."""
@@ -332,13 +268,3 @@ def fano_lines(algebra: OctonionAlgebra) -> list[tuple[int, int, int]]:
                 seen.add(key)
                 lines.append((i, j, k))
     return sorted(lines)
-
-
-def imaginary_product_monomial(algebra: OctonionAlgebra, i: int, j: int) -> Optional[Frac]:
-    """Coefficient c with e_i e_j = c e_{i xor j} for distinct i, j in 1..7."""
-    prod = algebra.table[i][j]
-    k = i ^ j
-    for t, c in enumerate(prod):
-        if t != k and c.num:
-            return None
-    return prod[k]

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from . import linalg
-from .altmap import AltMap, PairingSpec, compose, wedge_rel
+from .altmap import AltMap, PairingSpec, compose, eta_inv, wedge_rel
 from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS
 from .errors import NotImaginary, ShapeMismatch, WrongDimension
 from .exterior import QuadraticSpace, all_multi_indices, complement_index
@@ -38,6 +38,8 @@ from .octonions import (
     bilinear_B,
     commutator,
     cross_product,
+    fano_lines,
+    phi_as_altmap,
 )
 from .scalars import Frac, ONE, ZERO, rat, solve_linear
 
@@ -891,19 +893,14 @@ class DecompositionTerm:
 
 def decompose_phi_dual(octs: OctonionAlgebra, scalar: QuadraticSpace) -> list[DecompositionTerm]:
     """The seven terms of the index-raised associative form, one per line."""
-    from .altmap import as_dual_element
-    from .exterior import eta_inv
-    from .octonions import fano_lines, phi_as_altmap
-
     lines = {frozenset(l) for l in fano_lines(octs)}
-    phi = phi_as_altmap(octs, scalar)
-    raised = eta_inv(as_dual_element(phi))
+    raised = eta_inv(phi_as_altmap(octs, scalar))
     out = []
     for index in sorted(raised.coeffs):
         if frozenset(index) not in lines:
             raise WrongDimension(f"support {index} is not a line")
         out.append(
-            DecompositionTerm(index, raised.coeffs[index], "line {%s}" % ",".join(map(str, index)))
+            DecompositionTerm(index, raised.coeffs[index][0], "line {%s}" % ",".join(map(str, index)))
         )
     if len(out) != 7:
         raise WrongDimension(f"expected 7 terms, found {len(out)}")
@@ -915,12 +912,8 @@ def decompose_quad_im(
 ) -> list[DecompositionTerm]:
     """The seven terms of the raised imaginary Q; supports are complements of
     lines."""
-    from .exterior import eta_inv
-    from .altmap import as_dual_element
-    from .octonions import fano_lines
-
     lines = {frozenset(l) for l in fano_lines(octs)}
-    raised = eta_inv(as_dual_element(quad))
+    raised = eta_inv(quad)
     out = []
     for index in sorted(raised.coeffs):
         comp = complement_index(index, 7)
@@ -929,7 +922,7 @@ def decompose_quad_im(
         out.append(
             DecompositionTerm(
                 index,
-                raised.coeffs[index],
+                raised.coeffs[index][0],
                 "complement of line {%s}" % ",".join(map(str, comp)),
             )
         )
@@ -943,17 +936,14 @@ def decompose_quad_oct(
 ) -> list[DecompositionTerm]:
     """The fourteen terms of the raised octonion Q; supports are the affine
     planes of the doubling parallelepiped."""
-    from .exterior import eta_inv
-    from .altmap import as_dual_element
-
-    raised = eta_inv(as_dual_element(quad))
+    raised = eta_inv(quad)
     out = []
     for index in sorted(raised.coeffs):
         if not is_affine_plane(index):
             raise WrongDimension(f"support {index} is not an affine plane")
         out.append(
             DecompositionTerm(
-                index, raised.coeffs[index], "affine plane {%s}" % ",".join(map(str, index))
+                index, raised.coeffs[index][0], "affine plane {%s}" % ",".join(map(str, index))
             )
         )
     if len(out) != 14:

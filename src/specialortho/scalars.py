@@ -10,6 +10,13 @@ nonzero int coefficient.  The key packs the four exponents in 16-bit slots,
 integer addition of keys.  Monomials are ordered by total degree, ties broken
 by the packed key itself (which makes ``a`` weigh heaviest, then l3, l2, l1).
 
+Exponent bound.  A slot holds exponents up to 65535.  ``parse`` refuses a
+larger exponent (ParseError) and ``Frac.__pow__`` refuses a power whose
+exponent in some variable would pass it (ExponentOverflow).  The bound is not
+checked in the polynomial product itself: multiplying two polynomials whose
+exponents in one variable sum past 65535 would carry into the next slot.
+Nothing in the library comes near that; its exponents stay in single digits.
+
 Canonical form.  gcd(num, den) is a unit, and the leading coefficient of the
 denominator is positive.  Two Fracs are equal in the field iff their dicts
 are equal, so ``==`` and ``hash`` are structural.
@@ -25,6 +32,7 @@ from typing import Mapping, Sequence, Union
 from .errors import (
     DenominatorVanishes,
     DivisionByZero,
+    ExponentOverflow,
     InexactDivision,
     ParseError,
     SingularMatrix,
@@ -69,6 +77,10 @@ def _key_min(k1: int, k2: int) -> int:
     for sh in (0, 16, 32, 48):
         out |= min((k1 >> sh) & _MASK, (k2 >> sh) & _MASK) << sh
     return out
+
+
+def _p_max_exponent(p: dict) -> int:
+    return max(((k >> sh) & _MASK for k in p for sh in (0, 16, 32, 48)), default=0)
 
 
 def _p_neg(p: dict) -> dict:
@@ -311,7 +323,7 @@ def _p_gcd(a: dict, b: dict) -> dict:
     fc = _p_int_content(flat)
     fk = _p_mono_content_key(flat)
     flat = {k - fk: c // fc for k, c in flat.items()}
-    return _sign_norm(_p_mul({gk: gc}, flat))
+    return _sign_norm(_p_mul(_p_mul({gk: gc}, cont), flat))
 
 
 def _p_lcm(a: dict, b: dict) -> dict:
@@ -489,6 +501,10 @@ class Frac:
     def __pow__(self, n: int) -> "Frac":
         if n < 0:
             return ONE / self.__pow__(-n)
+        if max(_p_max_exponent(self.num), _p_max_exponent(self.den)) * n > _MASK:
+            raise ExponentOverflow(
+                f"({self.render()})^{n} has an exponent above {_MASK}"
+            )
         out = ONE
         base = self
         while n:
@@ -581,7 +597,6 @@ def _p_substitute(p: dict, subs: dict[int, Fraction]) -> tuple[dict, int]:
 
 ZERO = Frac._raw(_P_ZERO, _P_ONE)
 ONE = Frac._raw(_P_ONE, _P_ONE)
-MINUS_ONE = Frac._raw({0: -1}, _P_ONE)
 
 
 def var(name: str) -> Frac:
@@ -596,14 +611,6 @@ L1, L2, L3, ALPHA = (var(n) for n in VARS)
 def rat(p: int, q: int = 1) -> Frac:
     """Shorthand for the rational constant p/q."""
     return Frac.from_fraction(Fraction(p, q))
-
-
-def is_zero(x: ScalarLike) -> bool:
-    return Frac._coerce(x).is_zero()
-
-
-def substitute(x: Frac, bindings: Mapping[str, Union[int, str, Fraction]]) -> Frac:
-    return x.substitute(bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +728,8 @@ class _Parser:
             exp = self.take()
             if not isinstance(exp, int):
                 raise ParseError("exponent must be a nonnegative integer")
+            if exp > _MASK:
+                raise ParseError(f"exponent {exp} is above {_MASK}")
             value = value**exp
         return value
 
@@ -757,27 +766,85 @@ def render(x: Frac) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact linear solving (fraction-free Bareiss elimination)
+# exact elimination (fraction-free Bareiss) and linear solving
 # ---------------------------------------------------------------------------
 
 
-def _rows_to_polys(matrix: Sequence[Sequence[Frac]], columns: Sequence[Sequence[Frac]]):
-    """Clear denominators row by row; returns integer-polynomial rows."""
-    n = len(matrix)
+def eliminate(
+    matrix: Sequence[Sequence[Frac]],
+    columns: Sequence[Sequence[Frac]] = (),
+    square: bool = False,
+):
+    """Fraction-free forward elimination behind solve_linear and linalg.
+
+    Each row of ``matrix``, extended by the entries of the right-hand
+    ``columns``, is cleared of denominators by its own lcm; then Bareiss
+    steps eliminate below a pivot in each column of ``matrix`` in turn,
+    taking the first row with a nonzero entry and skipping a column that has
+    none.  With ``square`` the elimination stops at the first column without
+    a pivot, where a square matrix is singular.
+
+    Returns ``(rows, pivots, sign, den)``: the integer-polynomial rows after
+    elimination, the pivot column of each leading row, the sign of the row
+    permutation, and the product of the row denominators cleared.  Every
+    entry of a pivot row is a minor of the cleared matrix, so with a pivot in
+    each column of a square matrix the last pivot is sign * den * det.
+    """
+    n = len(matrix[0]) if matrix else 0
+    if columns:
+        matrix = [
+            [*row, *[col[i] for col in columns]] for i, row in enumerate(matrix)
+        ]
     rows = []
-    for i in range(n):
-        entries = list(matrix[i]) + [col[i] for col in columns]
+    den = _P_ONE
+    for row in matrix:
         lcm = _P_ONE
-        for f in entries:
+        for f in row:
             if f.den != _P_ONE:
                 lcm = _p_lcm(lcm, f.den)
         if lcm == _P_ONE:
-            rows.append([f.num for f in entries])
+            rows.append([f.num for f in row])
         else:
-            rows.append(
-                [_p_mul(f.num, _p_divexact(lcm, f.den)) for f in entries]
-            )
-    return rows
+            rows.append([_p_mul(f.num, _p_divexact(lcm, f.den)) for f in row])
+            den = _p_mul(den, lcm)
+    m = len(rows)
+    width = n + len(columns)
+    pivots: list[int] = []
+    sign = 1
+    prev = _P_ONE
+    for k in range(n):
+        r = len(pivots)
+        for piv in range(r, m):
+            if rows[piv][k]:
+                break
+        else:
+            if square:
+                break
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        row_r = rows[r]
+        pk = row_r[k]
+        for i in range(r + 1, m):
+            row_i = rows[i]
+            rik = row_i[k]
+            if rik:
+                for j in range(k + 1, width):
+                    num = _p_sub(_p_mul(pk, row_i[j]), _p_mul(rik, row_r[j]))
+                    row_i[j] = _p_divexact(num, prev) if prev != _P_ONE else num
+            elif prev != _P_ONE:
+                for j in range(k + 1, width):
+                    if row_i[j]:
+                        row_i[j] = _p_divexact(_p_mul(pk, row_i[j]), prev)
+            else:
+                for j in range(k + 1, width):
+                    if row_i[j]:
+                        row_i[j] = _p_mul(pk, row_i[j])
+            row_i[k] = _P_ZERO
+        pivots.append(k)
+        prev = pk
+    return rows, pivots, sign, den
 
 
 def solve_linear(
@@ -786,10 +853,10 @@ def solve_linear(
 ):
     """Solve A x = b exactly for one vector b or a list of column vectors.
 
-    Uses fraction-free Bareiss elimination on denominator-cleared rows, then
-    back-substitutes in the field.  Raises SingularMatrix when no pivot is
-    available.  With a single vector rhs returns one solution vector; with a
-    list of columns returns the list of solution vectors in the same order.
+    Eliminates the augmented rows with ``eliminate``, then back-substitutes
+    in the field.  Raises SingularMatrix when a column has no pivot.  With a
+    single vector rhs returns one solution vector; with a list of columns
+    returns the list of solution vectors in the same order.
     """
     n = len(matrix)
     if n == 0:
@@ -801,34 +868,9 @@ def solve_linear(
     for c in columns:
         if len(c) != n:
             raise SingularMatrix("right-hand side has wrong length")
-    width = n + len(columns)
-    aug = _rows_to_polys(matrix, columns)
-    prev = _P_ONE
-    for k in range(n):
-        piv = next((r for r in range(k, n) if aug[r][k]), None)
-        if piv is None:
-            raise SingularMatrix(f"no pivot in column {k}")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        for i in range(k + 1, n):
-            rik = aug[i][k]
-            row_i = aug[i]
-            row_k = aug[k]
-            if rik:
-                for j in range(k + 1, width):
-                    num = _p_sub(_p_mul(pk, row_i[j]), _p_mul(rik, row_k[j]))
-                    row_i[j] = _p_divexact(num, prev) if prev != _P_ONE else num
-            elif prev != _P_ONE:
-                for j in range(k + 1, width):
-                    if row_i[j]:
-                        row_i[j] = _p_divexact(_p_mul(pk, row_i[j]), prev)
-            else:
-                for j in range(k + 1, width):
-                    if row_i[j]:
-                        row_i[j] = _p_mul(pk, row_i[j])
-            row_i[k] = {}
-        prev = pk
+    aug, pivots, _, _ = eliminate(matrix, columns, square=True)
+    if len(pivots) < n:
+        raise SingularMatrix(f"no pivot in column {len(pivots)}")
     solutions = []
     for c in range(len(columns)):
         x: list[Frac] = [ZERO] * n

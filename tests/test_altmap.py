@@ -5,23 +5,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specialortho.altmap import (
     AltMap,
     PairingSpec,
-    as_dual_element,
     b_alt,
     brute_compose,
     brute_wedge_rel,
     compose,
-    from_dual_element,
     hodge_dual,
     volume_constant,
     wedge_rel,
 )
 from specialortho.errors import ArityMismatch, ShapeMismatch
 from specialortho.exterior import QuadraticSpace, all_multi_indices, scalar_codomain
-from specialortho.scalars import Frac, L1, L2, ONE, ZERO, rat
+from specialortho.scalars import L1, L2, ONE, ZERO, rat
 
 
 def diag_space(*qs, name="V"):
@@ -156,6 +156,30 @@ def test_b_alt_requires_diagonal_domain(K):
         b_alt(f, f)
 
 
+@given(
+    st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3),
+    st.permutations([0, 1, 2]),
+)
+@settings(max_examples=40, deadline=None)
+def test_b_alt_invariant_under_diagonal_isometry(K, signs, perm):
+    # a signed permutation of the basis is an isometry of a diagonal form
+    # whose permuted entries are equal; pulling a form back along it keeps b_alt
+    V = diag_space(L1, L1, L1, name="iso")
+    f = AltMap(V, K, 2, {(1, 2): [ONE], (1, 3): [rat(2)], (2, 3): [L2]})
+    h = AltMap(V, K, 2, {(1, 2): [rat(3)], (1, 3): [L2], (2, 3): [rat(-1)]})
+    images = [
+        [rat(signs[i]) if r == perm[i] else ZERO for r in range(3)] for i in range(3)
+    ]
+
+    def pull_back(g):
+        values = {
+            I: g.evaluate([images[i - 1] for i in I]) for I in all_multi_indices(3, 2)
+        }
+        return AltMap(V, K, 2, values)
+
+    assert b_alt(pull_back(f), pull_back(h)) == b_alt(f, h)
+
+
 def test_hodge_dual_classical_three_space(K):
     V = diag_space(ONE, ONE, ONE)
     volume = AltMap(V, K, 3, {(1, 2, 3): [ONE]})
@@ -198,14 +222,6 @@ def test_volume_constant_guard(K):
     assert volume_constant(volume) == rat(5)
     with pytest.raises(ShapeMismatch):
         volume_constant(AltMap(V, K, 1, {(1,): [ONE]}))
-
-
-def test_dual_element_roundtrip(K):
-    V = diag_space(ONE, L1, L2)
-    f = AltMap(V, K, 2, {(1, 2): [rat(2)], (2, 3): [L1]})
-    x = as_dual_element(f)
-    assert x.dual and x.get((1, 2)) == rat(2)
-    assert from_dual_element(x, K) == f
 
 
 def test_identity_altmap(K):

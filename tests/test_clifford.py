@@ -9,8 +9,9 @@ import pytest
 
 from specialortho import linalg
 from specialortho.clifford import CliffordAlgebra, PAIR_MASKS
-from specialortho.errors import DegreeMismatch, NotImaginary, ShapeMismatch
-from specialortho.exterior import ExteriorElement, wedge
+from specialortho.altmap import AltMap, PairingSpec, wedge_rel
+from specialortho.errors import NotImaginary, ShapeMismatch
+from specialortho.exterior import scalar_codomain
 from specialortho.octonions import bilinear_B, build_algebra, cross_product
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, rat
 
@@ -56,31 +57,30 @@ def test_monomial_product_associative(C):
         assert m2 == m4 and c1 * c2 == c3 * c4
 
 
-def test_quantize_dequantize_roundtrip(C, A):
-    x = ExteriorElement(
-        A.space_im, 2, {(1, 2): rat(3), (4, 7): ONE / L1}
-    )
-    q = C.quantize(x)
-    assert set(q.coeffs) == {0b11, 0b1001000}
-    assert C.dequantize(q) == x
-    with pytest.raises(DegreeMismatch):
-        C.dequantize(C.element({0b1: ONE, 0b11: ONE}))
+def test_quantize_monomials_and_space_guard(C, A):
+    K = scalar_codomain()
+    x = AltMap(A.space_im, K, 2, {(1, 2): [rat(3)], (4, 7): [ONE / L1]})
+    assert C.quantize(x) == C.element({0b11: rat(3), 0b1001000: ONE / L1})
     with pytest.raises(ShapeMismatch):
-        C.quantize(ExteriorElement(A.space_oct, 1, {(1,): ONE}))
+        C.quantize(AltMap(A.space_oct, K, 1, {(1,): [ONE]}))
+    with pytest.raises(ShapeMismatch):
+        C.quantize(AltMap.identity(A.space_im))
 
 
 def test_quantize_antisymmetrization(C, A):
     # quantize(x ^ y) = (Q(x) Q(y) - Q(y) Q(x)) / 2 for degree-1 x, y
+    K = scalar_codomain()
+    field_product = PairingSpec.scalar_scalar(K)
     rng = random.Random(5)
     for _ in range(5):
-        x = ExteriorElement(
-            A.space_im, 1, {(i,): rat(rng.randint(-2, 2)) for i in range(1, 8)}
+        x = AltMap(
+            A.space_im, K, 1, {(i,): [rat(rng.randint(-2, 2))] for i in range(1, 8)}
         )
-        y = ExteriorElement(
-            A.space_im, 1, {(i,): rat(rng.randint(-2, 2)) for i in range(1, 8)}
+        y = AltMap(
+            A.space_im, K, 1, {(i,): [rat(rng.randint(-2, 2))] for i in range(1, 8)}
         )
         qx, qy = C.quantize(x), C.quantize(y)
-        lhs = C.quantize(wedge(x, y))
+        lhs = C.quantize(wedge_rel(x, y, field_product))
         rhs = (qx * qy - qy * qx).scale(rat(1, 2))
         assert lhs == rhs
 

@@ -1,25 +1,20 @@
-"""Quadratic spaces, wedge combinatorics, Gram extension, eta transport."""
+"""Quadratic spaces and multi-index combinatorics; the exterior product of
+basis forms and index raising, on scalar-valued alternating maps."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from specialortho.errors import DegreeMismatch, ShapeMismatch, SingularMatrix
+from specialortho.altmap import AltMap, PairingSpec, eta_inv, wedge_rel
+from specialortho.errors import ShapeMismatch, SingularMatrix
 from specialortho.exterior import (
-    ExteriorElement,
     QuadraticSpace,
     all_multi_indices,
     complement_index,
-    eta,
-    eta_inv,
-    gram_lambda,
-    merge_multi_indices,
     render_multi_index,
-    wedge,
+    scalar_codomain,
 )
-from specialortho.scalars import L1, L2, L3, ONE, ZERO, rat
+from specialortho.scalars import L1, L2, ONE, ZERO, rat
 
 
 def diag_space(*qs, name="V"):
@@ -31,6 +26,21 @@ def diag_space(*qs, name="V"):
 @pytest.fixture(scope="module")
 def V3():
     return diag_space(ONE, L1, L2, name="V3")
+
+
+@pytest.fixture(scope="module")
+def K():
+    return scalar_codomain()
+
+
+def form(space, K, coeffs):
+    """Scalar-valued map with the given values on increasing multi-indices."""
+    degree = len(next(iter(coeffs)))
+    return AltMap(space, K, degree, {I: [c] for I, c in coeffs.items()})
+
+
+def wedge(x, y, K):
+    return wedge_rel(x, y, PairingSpec.scalar_scalar(K))
 
 
 def test_space_validation():
@@ -49,107 +59,46 @@ def test_multi_index_rendering():
     assert complement_index((1, 2, 4, 7), 7) == (3, 5, 6)
 
 
-def test_merge_sign():
-    assert merge_multi_indices((1, 2), (3,)) == (1, (1, 2, 3))
-    assert merge_multi_indices((3,), (1, 2)) == (1, (1, 2, 3))
-    assert merge_multi_indices((2,), (1,)) == (-1, (1, 2))
-    assert merge_multi_indices((1, 2), (2, 3)) == (0, None)
+def test_merge_sign(V3, K):
+    e12 = form(V3, K, {(1, 2): ONE})
+    e23 = form(V3, K, {(2, 3): ONE})
+    e1, e2, e3 = (form(V3, K, {(i,): ONE}) for i in (1, 2, 3))
+    assert wedge(e12, e3, K) == form(V3, K, {(1, 2, 3): ONE})
+    assert wedge(e3, e12, K) == form(V3, K, {(1, 2, 3): ONE})
+    assert wedge(e2, e1, K) == form(V3, K, {(1, 2): rat(-1)})
+    assert wedge(e12, e23, K).is_zero()
 
 
-def test_wedge_anticommutes_degree_one(V3):
-    e1 = ExteriorElement.basis(V3, (1,))
-    e2 = ExteriorElement.basis(V3, (2,))
-    assert wedge(e1, e2) == ExteriorElement(V3, 2, {(1, 2): ONE})
-    assert wedge(e2, e1) == ExteriorElement(V3, 2, {(1, 2): rat(-1)})
-    assert wedge(e1, e1).is_zero()
+def test_wedge_anticommutes_degree_one(V3, K):
+    e1 = form(V3, K, {(1,): ONE})
+    e2 = form(V3, K, {(2,): ONE})
+    assert wedge(e1, e2, K) == form(V3, K, {(1, 2): ONE})
+    assert wedge(e2, e1, K) == form(V3, K, {(1, 2): rat(-1)})
+    assert wedge(e1, e1, K).is_zero()
 
 
-def test_wedge_associative(V3):
-    e1 = ExteriorElement.basis(V3, (1,))
-    e2 = ExteriorElement.basis(V3, (2,))
-    e3 = ExteriorElement.basis(V3, (3,))
-    x = wedge(wedge(e1, e2), e3)
-    y = wedge(e1, wedge(e2, e3))
+def test_wedge_associative(V3, K):
+    e1, e2, e3 = (form(V3, K, {(i,): ONE}) for i in (1, 2, 3))
+    x = wedge(wedge(e1, e2, K), e3, K)
+    y = wedge(e1, wedge(e2, e3, K), K)
     assert x == y
-    assert x == ExteriorElement(V3, 3, {(1, 2, 3): ONE})
+    assert x == form(V3, K, {(1, 2, 3): ONE})
 
 
-def test_gram_lambda_diagonal(V3):
-    x = ExteriorElement.basis(V3, (1, 2))
-    assert gram_lambda(x, x) == ONE * L1
-    y = ExteriorElement.basis(V3, (2, 3))
-    assert gram_lambda(x, y) == ZERO
-    assert gram_lambda(x + y.scale(rat(2)), y) == rat(2) * L1 * L2
+def test_eta_roundtrip_diagonal(V3, K):
+    # eta lowers e_I to q(e_I) e_I*; eta_inv must divide by q(e_I) again
+    x = {(1, 2): rat(3), (2, 3): ONE / L1}
+    lowered = form(V3, K, {I: c * V3.q_product(I) for I, c in x.items()})
+    assert lowered.value((1, 2)) == [rat(3) * L1]
+    assert eta_inv(lowered) == form(V3, K, x)
+    f = form(V3, K, {(1, 3): L2, (2, 3): rat(5)})
+    assert eta_inv(f).value((1, 3)) == [ONE]
+    assert eta_inv(f).value((2, 3)) == [rat(5) / (L1 * L2)]
 
 
-def test_gram_lambda_matches_determinant_on_nondiagonal():
-    gram = [[ONE, L1], [L1, L2]]
-    W = QuadraticSpace(("x", "y"), gram, name="W")
-    top = ExteriorElement.basis(W, (1, 2))
-    assert gram_lambda(top, top) == L2 - L1 * L1
-
-
-def test_eta_roundtrip_diagonal(V3):
-    x = ExteriorElement(V3, 2, {(1, 2): rat(3), (2, 3): ONE / L1})
-    xd = eta(x)
-    assert xd.dual and xd.get((1, 2)) == rat(3) * L1
-    assert eta_inv(xd) == x
-    # transported form agrees with the primal form
-    assert gram_lambda(xd, xd) == gram_lambda(x, x)
-
-
-def test_eta_roundtrip_nondiagonal():
-    gram = [[ZERO, ONE], [ONE, ZERO]]
-    H = QuadraticSpace(("u", "v"), gram, name="H")
-    x = ExteriorElement(H, 1, {(1,): L1, (2,): rat(2)})
-    assert eta_inv(eta(x)) == x
-    xd = eta(x)
-    assert xd.get((1,)) == rat(2) and xd.get((2,)) == L1
-
-
-def test_degree_mismatch_guards(V3):
-    x = ExteriorElement.basis(V3, (1,))
-    y = ExteriorElement.basis(V3, (1, 2))
-    with pytest.raises(DegreeMismatch):
-        _ = x + y
-    with pytest.raises(DegreeMismatch):
-        gram_lambda(x, y)
-    with pytest.raises(DegreeMismatch):
-        gram_lambda(x, eta(x))
-    with pytest.raises(DegreeMismatch):
-        eta(eta(x))
-    with pytest.raises(DegreeMismatch):
-        eta_inv(x)
-
-
-@st.composite
-def sign_maps(draw):
-    return [draw(st.sampled_from([1, -1])) for _ in range(3)]
-
-
-@given(sign_maps(), st.permutations([1, 2, 3]))
-@settings(max_examples=40, deadline=None)
-def test_gram_lambda_invariant_under_diagonal_isometry(signs, perm):
-    # a signed basis vector is an isometry of a diagonal form with equal
-    # entries at permuted positions; here all three entries equal l3
-    V = diag_space(L3, L3, L3, name="iso")
-    x = ExteriorElement(V, 2, {(1, 2): ONE, (1, 3): rat(2), (2, 3): L1})
-    # apply the signed permutation to each index, re-sorting with sign
-    out = {}
-    for index, val in x.coeffs.items():
-        mapped = [perm[i - 1] for i in index]
-        sgn = 1
-        for i in index:
-            sgn *= signs[i - 1]
-        inv = sum(
-            1
-            for a in range(len(mapped))
-            for b in range(a + 1, len(mapped))
-            if mapped[a] > mapped[b]
-        )
-        if inv % 2:
-            sgn = -sgn
-        key = tuple(sorted(mapped))
-        out[key] = out.get(key, ZERO) + (val if sgn > 0 else -val)
-    y = ExteriorElement(V, 2, out)
-    assert gram_lambda(y, y) == gram_lambda(x, x)
+def test_eta_inv_shape_guards(V3, K):
+    hyperbolic = QuadraticSpace(("u", "v"), [[ZERO, ONE], [ONE, ZERO]], name="H")
+    with pytest.raises(ShapeMismatch):
+        eta_inv(form(hyperbolic, K, {(1,): L1, (2,): rat(2)}))
+    with pytest.raises(ShapeMismatch):
+        eta_inv(AltMap(V3, V3, 1, {(1,): [ONE, ZERO, L1]}))

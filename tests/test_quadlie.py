@@ -3,10 +3,10 @@
 import pytest
 
 from specialortho import linalg
-from specialortho.altmap import PairingSpec, compose, wedge_rel, as_dual_element
+from specialortho.altmap import PairingSpec, compose, wedge_rel
 from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import ShapeMismatch
-from specialortho.exterior import QuadraticSpace, scalar_codomain, wedge
+from specialortho.exterior import QuadraticSpace, scalar_codomain
 from specialortho.octonions import build_algebra
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, parse, rat
 from specialortho import quadlie as ql
@@ -254,13 +254,11 @@ def test_affine_plane_predicate():
 def test_top_volume_constants(octs, cov_im, cov_oct, scalar):
     from specialortho.octonions import phi_as_altmap
 
-    phi = as_dual_element(phi_as_altmap(octs, scalar))
-    q_im = as_dual_element(cov_im.quad)
-    top = wedge(phi, q_im)
+    field_product = PairingSpec.scalar_scalar(scalar)
+    top = wedge_rel(phi_as_altmap(octs, scalar), cov_im.quad, field_product)
     assert list(top.coeffs) == [(1, 2, 3, 4, 5, 6, 7)]
-    assert top.coeffs[(1, 2, 3, 4, 5, 6, 7)] == parse("-42*l1^2*l2^2*l3^2")
+    assert top.coeffs[(1, 2, 3, 4, 5, 6, 7)] == [parse("-42*l1^2*l2^2*l3^2")]
 
-    q_oct = as_dual_element(cov_oct.quad)
-    top8 = wedge(q_oct, q_oct)
+    top8 = wedge_rel(cov_oct.quad, cov_oct.quad, field_product)
     assert list(top8.coeffs) == [(1, 2, 3, 4, 5, 6, 7, 8)]
-    assert top8.coeffs[(1, 2, 3, 4, 5, 6, 7, 8)] == parse("-224*l1^2*l2^2*l3^2")
+    assert top8.coeffs[(1, 2, 3, 4, 5, 6, 7, 8)] == [parse("-224*l1^2*l2^2*l3^2")]

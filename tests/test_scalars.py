@@ -5,12 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specialortho.errors import (
     DenominatorVanishes,
     DivisionByZero,
+    ExponentOverflow,
     ParseError,
     SpecialOrthoError,
     SingularMatrix,
@@ -24,7 +25,6 @@ from specialortho.scalars import (
     ONE,
     ZERO,
     _p_divexact,
-    is_zero,
     parse,
     rat,
     render,
@@ -54,7 +54,7 @@ def test_alpha_shift_cancellation():
 def test_family_coefficient_vanishes_at_minus_half():
     c = rat(3) * (rat(2) * ALPHA + 1)
     assert c.substitute({"a": Fraction(-1, 2)}) == ZERO
-    assert is_zero(c.substitute({"a": "-1/2"}))
+    assert c.substitute({"a": "-1/2"}).is_zero()
 
 
 def test_volume_constant_specializes():
@@ -149,6 +149,27 @@ def test_pow_and_bool():
     assert bool(ZERO) is False and bool(L1) is True
 
 
+def test_parse_refuses_exponent_overflow():
+    # a 16-bit exponent slot must not carry l1^65536 into l2
+    assert parse("l1^65535") == L1**65535
+    with pytest.raises(ParseError):
+        parse("l1^65536")
+    with pytest.raises(ParseError):
+        parse("2^65536")
+
+
+def test_pow_refuses_exponent_overflow():
+    assert (ONE / L2) ** 65535 == ONE / L2**65535
+    with pytest.raises(ExponentOverflow):
+        L1**65536
+    with pytest.raises(ExponentOverflow):
+        (L1 * L2**2) ** 40000
+    with pytest.raises(ExponentOverflow):
+        (L1 / (L3 + 1)) ** -65536
+    with pytest.raises(ExponentOverflow):
+        parse("(l1^2)^40000")
+
+
 def test_solve_identity_and_diagonal():
     eye = [[ONE, ZERO], [ZERO, ONE]]
     assert solve_linear(eye, [ONE, ONE]) == [ONE, ONE]
@@ -234,3 +255,35 @@ def test_canonical_form_stable(x):
     assert y.num == x.num and y.den == x.den
     assert parse(render(x)) == x
     assert hash(y) == hash(x)
+
+
+@st.composite
+def polynomials(draw):
+    """Nonzero polynomials of up to three terms in all four variables."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-2, -1, 1, 3]),
+                st.lists(st.sampled_from([L1, L2, L3, ALPHA]), max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    p = ZERO
+    for c, factors in terms:
+        term = rat(c)
+        for v in factors:
+            term = term * v
+        p = p + term
+    assume(not p.is_zero())
+    return p
+
+
+@given(polynomials(), polynomials(), polynomials())
+# the gcd recurses on l1; l2 + 1 is a common factor of the l1-coefficients
+@example(parse("1 - l1"), parse("l1 - 1"), parse("l2 + 1"))
+@settings(max_examples=100, deadline=None)
+def test_common_factor_cancels(a, b, c):
+    # reduction must find every common factor, or equal values differ as dicts
+    assert (a * c) / (b * c) == a / b
