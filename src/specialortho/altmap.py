@@ -1,7 +1,9 @@
 """Alternating multilinear maps and the operations that combine them.
 
 An AltMap of degree p on a quadratic space V with values in a codomain U is
-stored by its values on strictly increasing basis multi-indices.  A
+stored by its values on strictly increasing basis multi-indices, and
+evaluate expands it multilinearly over the nonzero coordinates of its
+arguments (basis arguments are the one-term case).  A
 scalar-valued AltMap is also the one type for alternating forms and for the
 coefficient tables of elements of Lambda^p(V); eta_inv raises the indices of
 the one into the other on a diagonal space.  The three structural operations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
-from . import linalg
 from .errors import ArityMismatch, ShapeMismatch, SingularPairing
 from .exterior import (
     MultiIndex,
@@ -108,33 +109,6 @@ class PairingSpec:
         return cls(algebra, module, module, table, name=f"action on {module.name}")
 
 
-def _as_basis_index(vec: Sequence[Frac]) -> Optional[int]:
-    """0-based index when vec is exactly a basis vector, else None."""
-    found = -1
-    for i, c in enumerate(vec):
-        if c.num:
-            if found >= 0 or not c.is_one():
-                return None
-            found = i
-    return found if found >= 0 else None
-
-
-def _sort_with_sign(indices: Sequence[int]):
-    """Sort 1-based indices; returns (sign, tuple) or (0, None) on repeats."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
-            return 0, None
-    return sign, tuple(idx)
-
-
 class AltMap:
     """Alternating p-linear map V^p -> U, stored on increasing multi-indices."""
 
@@ -215,30 +189,39 @@ class AltMap:
         return AltMap(self.domain, self.codomain, self.degree, out, name=self.name)
 
     def evaluate(self, args: Sequence[Sequence[Frac]]) -> Vector:
-        """Value on arbitrary coordinate vectors (multilinear expansion)."""
+        """Value on arbitrary coordinate vectors, by multilinear expansion.
+
+        Each choice of one nonzero coordinate per argument, at distinct
+        indices, contributes the product of the chosen coordinates times the
+        stored value at the sorted multi-index, with the sign of the sort.
+        Basis arguments make exactly one such choice, and its weight stays
+        the object ONE, which is never multiplied out; the sign of the sort
+        is applied by subtraction, not by a product with -1.
+        """
         if len(args) != self.degree:
             raise ArityMismatch(
                 f"degree-{self.degree} map evaluated on {len(args)} arguments"
             )
-        basis_idx = [_as_basis_index(v) for v in args]
-        if all(i is not None for i in basis_idx):
-            sign, index = _sort_with_sign([i + 1 for i in basis_idx])
-            if sign == 0:
-                return [ZERO] * self.codomain.dim
-            got = self.coeffs.get(index)
-            if got is None:
-                return [ZERO] * self.codomain.dim
-            return list(got) if sign > 0 else [-x for x in got]
+        terms = [((), ONE)]
+        for vec in args:
+            nonzero = [(i, c) for i, c in enumerate(vec, 1) if c.num]
+            terms = [
+                (index + (i,), c if weight is ONE else weight * c)
+                for index, weight in terms
+                for i, c in nonzero
+                if i not in index
+            ]
         out = [ZERO] * self.codomain.dim
-        p = self.degree
-        for index, vec in self.coeffs.items():
-            minor = [[args[c][index[r] - 1] for c in range(p)] for r in range(p)]
-            d = linalg.det(minor)
-            if d.is_zero():
+        for index, weight in terms:
+            got = self.coeffs.get(tuple(sorted(index)))
+            if got is None:
                 continue
-            for k, x in enumerate(vec):
+            odd = _perm_sign(index) < 0
+            for k, x in enumerate(got):
                 if x.num:
-                    out[k] = out[k] + d * x
+                    if weight is not ONE:
+                        x = weight * x
+                    out[k] = out[k] - x if odd else out[k] + x
         return out
 
     def __repr__(self) -> str:
@@ -303,16 +286,6 @@ def _ordered_blocks(positions: tuple[int, ...], p: int, q: int):
             yield (first,) + tail
 
 
-def _concat_parity(blocks: Sequence[Sequence[int]]) -> int:
-    seq = [x for b in blocks for x in b]
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def compose(f: AltMap, g: AltMap) -> AltMap:
     """Shuffle composition: degree-p f applied to p copies of degree-q g."""
     if g.codomain is not f.domain:
@@ -338,7 +311,7 @@ def compose(f: AltMap, g: AltMap) -> AltMap:
             val = f.evaluate(gvals)
             if not any(c.num for c in val):
                 continue
-            sign = _concat_parity(blocks)
+            sign = _perm_sign([x for block in blocks for x in block])
             touched = True
             if sign > 0:
                 acc = [a + v for a, v in zip(acc, val)]
@@ -422,7 +395,7 @@ def hodge_dual(f: AltMap, volume: AltMap, scalar: QuadraticSpace) -> AltMap:
         if fI is None:
             continue
         scale = vol / space.q_product(I)
-        if (sum(I) - p * (p + 1) // 2) % 2:
+        if _shuffle_sign([i - 1 for i in I], p) < 0:
             scale = -scale
         star.coeffs[J] = [scale * x for x in fI]
     _verify_hodge(f, star, volume, vol, scalar)

@@ -23,7 +23,7 @@ from .quadlie import (
 )
 from .scalars import Frac, parse, rat, render
 from .suites import SUITE_NAMES, Workspace, hodge_report, run_suite
-from .superalg import build_tilde, export_superalgebra, from_quad_rep
+from .superalg import build_tilde, export_superalgebra
 
 
 def _constant(flag: str, text: str) -> Frac:
@@ -113,10 +113,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     ws = _workspace(args)
     lam = {"l1": render(ws.l1), "l2": render(ws.l2), "l3": render(ws.l3)}
     if args.algebra == "g2":
-        sa = from_quad_rep(ws.g2_rep, "g2")
+        sa = ws.g2_rep.algebra
         params = lam
     elif args.algebra == "so7":
-        sa = from_quad_rep(ws.so7_rep, "so7")
+        sa = ws.so7_rep.algebra
         params = lam
     elif args.algebra == "g3":
         sa = build_tilde(ws.cov_im, "G3")

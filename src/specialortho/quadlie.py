@@ -1,9 +1,12 @@
 """Quadratic Lie algebra representations and their moment-map covariants.
 
-A QuadLieRep packages an algebra with invariant form (as a QuadraticSpace),
-its bracket table, and skew action matrices on a quadratic module.  The
-moment map mu is solved from B_g(x, mu(v, w)) = B_V(rho(x) v, w); a moment
-map is special orthogonal when
+SuperAlgebra is the one sparse bracket table of the package, with the one
+graded Jacobi check and the one form-invariance check.  A QuadLieRep
+packages an algebra with invariant form (as a QuadraticSpace), its bracket
+table as a purely even SuperAlgebra (``rep.algebra``), and skew action
+matrices on a quadratic module; superalg builds the exceptional
+superalgebras on top of ``rep.algebra``.  The moment map mu is solved from
+B_g(x, mu(v, w)) = B_V(rho(x) v, w); a moment map is special orthogonal when
 
     mu(u, v) w + mu(u, w) v = (u, v) w + (u, w) v - 2 (v, w) u,
 
@@ -47,46 +50,71 @@ Vector = list[Frac]
 Matrix = list[list[Frac]]
 
 
-class QuadLieRep:
-    """A Lie algebra with invariant form acting skewly on a quadratic space."""
+_SECTORS = ("EEE", "EEO", "EOO", "OOO")
+
+
+class SuperAlgebra:
+    """Finite-dimensional Lie superalgebra with a supersymmetric form.
+
+    This is the one sparse bracket table of the package: a quadratic Lie
+    algebra is the purely even case.  ``table`` holds the nonzero rows
+    {k: coeff} of the brackets for index pairs i <= j over the concatenated
+    even + odd basis; the accessor supplies super-antisymmetry.  The form is
+    a full matrix, block-diagonal across the parity split, symmetric on the
+    even part and antisymmetric on the odd part.
+    """
 
     def __init__(
         self,
         name: str,
-        algebra_space: QuadraticSpace,
-        bracket_table: dict,
-        action: Sequence[Matrix],
-        space: QuadraticSpace,
+        even_labels: Sequence[str],
+        odd_labels: Sequence[str],
+        brackets: dict,
+        form: Matrix,
     ):
         self.name = name
-        self.algebra_space = algebra_space
-        self.space = space
-        self.action = [
-            [list(row) for row in m] for m in action
-        ]
-        if len(self.action) != algebra_space.dim:
-            raise ShapeMismatch("one action matrix per algebra basis element")
-        # bracket_table holds sparse rows {k: coeff} for pairs (i, j), i < j
-        self._table: dict[tuple[int, int], dict[int, Frac]] = {}
-        for (i, j), row in bracket_table.items():
-            if i >= j:
-                raise ShapeMismatch("bracket table keys must be increasing pairs")
+        self.even_labels = tuple(even_labels)
+        self.odd_labels = tuple(odd_labels)
+        self.even_dim = len(self.even_labels)
+        self.odd_dim = len(self.odd_labels)
+        self.dim = self.even_dim + self.odd_dim
+        self.labels = self.even_labels + self.odd_labels
+        if len(form) != self.dim or any(len(r) != self.dim for r in form):
+            raise ShapeMismatch("form matrix must cover the full basis")
+        self.form = [list(r) for r in form]
+        for i in range(self.dim):
+            for j in range(self.dim):
+                if self.parity(i) != self.parity(j) and self.form[i][j].num:
+                    raise ShapeMismatch("form must vanish across the parity split")
+                want = self.form[j][i]
+                if self.parity(i) and self.parity(j):
+                    want = -want
+                if self.form[i][j] != want:
+                    raise ShapeMismatch("form is not supersymmetric")
+        self.table: dict[tuple[int, int], dict[int, Frac]] = {}
+        for (i, j), row in brackets.items():
+            if i > j:
+                raise ShapeMismatch("bracket keys must be non-decreasing pairs")
+            if i == j and not self.parity(i):
+                raise ShapeMismatch("an even element brackets itself to zero")
             cleaned = {k: c for k, c in row.items() if c.num}
             if cleaned:
-                self._table[(i, j)] = cleaned
+                self.table[(i, j)] = cleaned
+        self.odd_odd_scale: Optional[Frac] = None
 
-    @property
-    def dim(self) -> int:
-        return self.algebra_space.dim
+    def parity(self, i: int) -> int:
+        return 0 if i < self.even_dim else 1
 
     def bracket(self, i: int, j: int) -> dict[int, Frac]:
-        """Sparse coordinates of [x_i, x_j]."""
-        if i == j:
+        """Sparse coordinates of [x_i, x_j]; read only."""
+        if i <= j:
+            return self.table.get((i, j), {})
+        row = self.table.get((j, i), {})
+        if not row:
             return {}
-        if i < j:
-            return dict(self._table.get((i, j), {}))
-        row = self._table.get((j, i))
-        return {k: -c for k, c in row.items()} if row else {}
+        if self.parity(i) and self.parity(j):
+            return dict(row)
+        return {k: -c for k, c in row.items()}
 
     def bracket_sparse(self, x: dict, y: dict) -> dict:
         """Bracket of sparse coordinate vectors."""
@@ -108,6 +136,124 @@ class QuadLieRep:
                     else:
                         out.pop(k, None)
         return out
+
+    # -- checks ---------------------------------------------------------
+
+    def super_jacobi_check(self) -> dict:
+        """First witness per parity sector of the graded Jacobi identity.
+
+        J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]].  With a
+        super-antisymmetric bracket J is graded-alternating, so it vanishes
+        at a triple exactly when it vanishes at the sorted triple, and the
+        sector depends only on the parities.  The scan therefore runs over
+        x <= y <= z in lexicographic order, and its first witness per sector
+        is the first one of a scan over every x and every pair y <= z.  A
+        None entry means the sector is clean.
+        """
+        out: dict[str, Optional[str]] = {s: None for s in _SECTORS}
+        n = self.dim
+        for x in range(n):
+            px = self.parity(x)
+            for y in range(x, n):
+                py = self.parity(y)
+                sign_xy = -ONE if px and py else ONE
+                row_xy = self.bracket(x, y)
+                for z in range(y, n):
+                    sector = _SECTORS[px + py + self.parity(z)]
+                    if out[sector] is not None:
+                        continue
+                    acc: dict[int, Frac] = {}
+                    for m, c in self.bracket(y, z).items():
+                        for k, v in self.bracket(x, m).items():
+                            s = acc.get(k, ZERO) + c * v
+                            if s.num:
+                                acc[k] = s
+                            else:
+                                acc.pop(k, None)
+                    for m, c in row_xy.items():
+                        for k, v in self.bracket(m, z).items():
+                            s = acc.get(k, ZERO) - c * v
+                            if s.num:
+                                acc[k] = s
+                            else:
+                                acc.pop(k, None)
+                    for m, c in self.bracket(x, z).items():
+                        for k, v in self.bracket(y, m).items():
+                            s = acc.get(k, ZERO) - sign_xy * c * v
+                            if s.num:
+                                acc[k] = s
+                            else:
+                                acc.pop(k, None)
+                    if acc:
+                        out[sector] = (
+                            f"J({self.labels[x]}, {self.labels[y]}, "
+                            f"{self.labels[z]}) != 0"
+                        )
+        return out
+
+    def form_invariance_witness(self) -> Optional[str]:
+        """B([x,y],z) = B(x,[y,z]) over all basis triples, or a witness."""
+        n = self.dim
+        for x in range(n):
+            form_x = self.form[x]
+            for y in range(n):
+                row_xy = self.bracket(x, y)
+                for z in range(n):
+                    left = ZERO
+                    for m, c in row_xy.items():
+                        if self.form[m][z].num:
+                            left = left + c * self.form[m][z]
+                    right = ZERO
+                    for m, c in self.bracket(y, z).items():
+                        if form_x[m].num:
+                            right = right + c * form_x[m]
+                    if left != right:
+                        return (
+                            f"B([{self.labels[x]},{self.labels[y]}],"
+                            f"{self.labels[z]}) != B({self.labels[x]},"
+                            f"[{self.labels[y]},{self.labels[z]}])"
+                        )
+        return None
+
+    def __repr__(self) -> str:
+        return f"SuperAlgebra({self.name}: {self.even_dim}|{self.odd_dim})"
+
+
+class QuadLieRep:
+    """A Lie algebra with invariant form acting skewly on a quadratic space.
+
+    ``algebra`` is the Lie algebra as a purely even SuperAlgebra, named
+    after ``algebra_space`` and with its gram matrix as the form;
+    ``bracket_table`` gives the sparse rows {k: coeff} of [x_i, x_j], i < j.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        algebra_space: QuadraticSpace,
+        bracket_table: dict,
+        action: Sequence[Matrix],
+        space: QuadraticSpace,
+    ):
+        self.name = name
+        self.algebra_space = algebra_space
+        self.space = space
+        self.action = [
+            [list(row) for row in m] for m in action
+        ]
+        if len(self.action) != algebra_space.dim:
+            raise ShapeMismatch("one action matrix per algebra basis element")
+        self.algebra = SuperAlgebra(
+            algebra_space.name,
+            algebra_space.labels,
+            (),
+            bracket_table,
+            algebra_space.gram,
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.algebra_space.dim
 
     def act_basis(self, a: int, k: int) -> Vector:
         """Action of algebra basis element a on module basis vector k."""
@@ -131,46 +277,6 @@ class QuadLieRep:
 
     # -- structural checks, each returning None or a witness string ----------
 
-    def check_jacobi(self) -> Optional[str]:
-        n = self.dim
-        for i, j, k in combinations(range(n), 3):
-            acc: dict[int, Frac] = {}
-            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket(y, z)
-                for m, c in inner.items():
-                    row = self.bracket(x, m)
-                    for t, v in row.items():
-                        s = acc.get(t, ZERO) + c * v
-                        if s.num:
-                            acc[t] = s
-                        else:
-                            acc.pop(t, None)
-            if acc:
-                labels = self.algebra_space.labels
-                return f"[{labels[i]},[{labels[j]},{labels[k]}]] + cyclic != 0"
-        return None
-
-    def check_form_invariance(self) -> Optional[str]:
-        gram = self.algebra_space.gram
-        n = self.dim
-        for i in range(n):
-            for j, k in combinations(range(n), 2):
-                left = ZERO
-                for m, c in self.bracket(i, j).items():
-                    if gram[m][k].num:
-                        left = left + c * gram[m][k]
-                right = ZERO
-                for m, c in self.bracket(j, k).items():
-                    if gram[i][m].num:
-                        right = right + c * gram[i][m]
-                if left != right:
-                    labels = self.algebra_space.labels
-                    return (
-                        f"B([{labels[i]},{labels[j]}],{labels[k]}) != "
-                        f"B({labels[i]},[{labels[j]},{labels[k]}])"
-                    )
-        return None
-
     def check_rep_property(self) -> Optional[str]:
         for i, j in combinations(range(self.dim), 2):
             expect = linalg.mat_sub(
@@ -178,7 +284,7 @@ class QuadLieRep:
                 linalg.mat_mul(self.action[j], self.action[i]),
             )
             got = linalg.zeros(self.space.dim, self.space.dim)
-            for k, c in self.bracket(i, j).items():
+            for k, c in self.algebra.bracket(i, j).items():
                 got = linalg.mat_add(got, linalg.mat_scale(self.action[k], c))
             if not linalg.mat_eq(expect, got):
                 labels = self.algebra_space.labels
@@ -317,7 +423,7 @@ def moment_equivariance_witness(rep: QuadLieRep, mu: AltMap) -> Optional[str]:
                     for p, q in zip(mu.evaluate([xvi, vj]), mu.evaluate([vi, xvj]))
                 ]
                 mu_ij = {k: c for k, c in enumerate(mu.value((i + 1, j + 1))) if c.num}
-                rhs_sparse = rep.bracket_sparse({a: ONE}, mu_ij)
+                rhs_sparse = rep.algebra.bracket_sparse({a: ONE}, mu_ij)
                 rhs = [ZERO] * rep.dim
                 for k, c in rhs_sparse.items():
                     rhs[k] = c

@@ -11,9 +11,11 @@ integer addition of keys.  Monomials are ordered by total degree, ties broken
 by the packed key itself (which makes ``a`` weigh heaviest, then l3, l2, l1).
 
 Exponent bound.  A slot holds exponents up to 65535.  ``parse`` refuses a
-larger exponent (ParseError) and ``Frac.__pow__`` refuses a power whose
-exponent in some variable would pass it (ExponentOverflow).  The bound is not
-checked in the polynomial product itself: multiplying two polynomials whose
+larger exponent, and any ``*``, ``/``, ``+`` or ``-`` whose operands' largest
+exponents (over numerator and denominator) sum past it (ParseError);
+``Frac.__pow__`` refuses a power whose exponent in some variable would pass
+it (ExponentOverflow).  So text from outside cannot reach a wrapped exponent.
+Products inside the library stay unchecked: multiplying two polynomials whose
 exponents in one variable sum past 65535 would carry into the next slot.
 Nothing in the library comes near that; its exponents stay in single digits.
 
@@ -686,6 +688,20 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _refuse_carry(lhs: Frac, op: str, rhs: Frac) -> None:
+    """ParseError unless ``lhs op rhs`` keeps every exponent within a slot.
+
+    Each of + - * / multiplies numerators and denominators of the operands
+    together, so the exponents of a product are bounded by the sum of the
+    operands' largest exponents.
+    """
+    top = max(_p_max_exponent(lhs.num), _p_max_exponent(lhs.den)) + max(
+        _p_max_exponent(rhs.num), _p_max_exponent(rhs.den)
+    )
+    if top > _MASK:
+        raise ParseError(f"'{op}' could raise an exponent to {top}, above {_MASK}")
+
+
 class _Parser:
     def __init__(self, tokens: list):
         self.tokens = tokens
@@ -704,6 +720,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
+            _refuse_carry(value, op, rhs)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -712,6 +729,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
+            _refuse_carry(value, op, rhs)
             value = value * rhs if op == "*" else value / rhs
         return value
 

@@ -12,13 +12,17 @@ of symplectic planes, the 17|14-dimensional algebra from the imaginary
 octonions, and the 24|16-dimensional one from the full octonions.  The
 graded Jacobi identity in the all-odd sector is equivalent to the special
 condition; the other sectors hold for any moment map.
+
+The bracket table type, SuperAlgebra, is defined in quadlie, where the Lie
+algebra g of every representation is already one (purely even); it is
+re-exported here.  build_tilde seeds the even part with g's table and form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import NotSpecial, ParseError, ShapeMismatch
 from .family import (
@@ -28,150 +32,8 @@ from .family import (
     sl2_half_trace_gram,
     sl2_plane_action,
 )
-from .quadlie import Covariants, QuadLieRep
+from .quadlie import Covariants, SuperAlgebra
 from .scalars import Frac, ONE, ZERO, parse as parse_scalar
-
-Vector = list[Frac]
-Matrix = list[list[Frac]]
-
-_SECTORS = ("EEE", "EEO", "EOO", "OOO")
-
-
-class SuperAlgebra:
-    """Finite-dimensional Lie superalgebra with a supersymmetric form.
-
-    Brackets are stored for index pairs i <= j over the concatenated
-    even + odd basis; the accessor supplies super-antisymmetry.  The form is
-    a full matrix, block-diagonal across the parity split, symmetric on the
-    even part and antisymmetric on the odd part.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        even_labels: Sequence[str],
-        odd_labels: Sequence[str],
-        brackets: dict,
-        form: Matrix,
-    ):
-        self.name = name
-        self.even_labels = tuple(even_labels)
-        self.odd_labels = tuple(odd_labels)
-        self.even_dim = len(self.even_labels)
-        self.odd_dim = len(self.odd_labels)
-        self.dim = self.even_dim + self.odd_dim
-        self.labels = self.even_labels + self.odd_labels
-        if len(form) != self.dim or any(len(r) != self.dim for r in form):
-            raise ShapeMismatch("form matrix must cover the full basis")
-        self.form = [list(r) for r in form]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.parity(i) != self.parity(j) and self.form[i][j].num:
-                    raise ShapeMismatch("form must vanish across the parity split")
-                want = self.form[j][i]
-                if self.parity(i) and self.parity(j):
-                    want = -want
-                if self.form[i][j] != want:
-                    raise ShapeMismatch("form is not supersymmetric")
-        self._table: dict[tuple[int, int], dict[int, Frac]] = {}
-        for (i, j), row in brackets.items():
-            if i > j:
-                raise ShapeMismatch("bracket keys must be non-decreasing pairs")
-            if i == j and not self.parity(i):
-                raise ShapeMismatch("an even element brackets itself to zero")
-            cleaned = {k: c for k, c in row.items() if c.num}
-            if cleaned:
-                self._table[(i, j)] = cleaned
-        self.odd_odd_scale: Optional[Frac] = None
-
-    def parity(self, i: int) -> int:
-        return 0 if i < self.even_dim else 1
-
-    def bracket(self, i: int, j: int) -> dict[int, Frac]:
-        if i <= j:
-            return self._table.get((i, j), {})
-        row = self._table.get((j, i), {})
-        if not row:
-            return {}
-        if self.parity(i) and self.parity(j):
-            return dict(row)
-        return {k: -c for k, c in row.items()}
-
-    # -- checks ---------------------------------------------------------
-
-    def super_jacobi_check(self) -> dict:
-        """First witness per parity sector of the graded Jacobi identity.
-
-        J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] over all
-        basis x and pairs y <= z; a None entry means the sector is clean.
-        """
-        out: dict[str, Optional[str]] = {s: None for s in _SECTORS}
-        n = self.dim
-        for x in range(n):
-            px = self.parity(x)
-            for y in range(n):
-                py = self.parity(y)
-                sign_xy = -ONE if px and py else ONE
-                row_xy = self.bracket(x, y)
-                for z in range(y, n):
-                    sector = _SECTORS[px + py + self.parity(z)]
-                    if out[sector] is not None:
-                        continue
-                    acc: dict[int, Frac] = {}
-                    for m, c in self.bracket(y, z).items():
-                        for k, v in self.bracket(x, m).items():
-                            s = acc.get(k, ZERO) + c * v
-                            if s.num:
-                                acc[k] = s
-                            else:
-                                acc.pop(k, None)
-                    for m, c in row_xy.items():
-                        for k, v in self.bracket(m, z).items():
-                            s = acc.get(k, ZERO) - c * v
-                            if s.num:
-                                acc[k] = s
-                            else:
-                                acc.pop(k, None)
-                    for m, c in self.bracket(x, z).items():
-                        for k, v in self.bracket(y, m).items():
-                            s = acc.get(k, ZERO) - sign_xy * c * v
-                            if s.num:
-                                acc[k] = s
-                            else:
-                                acc.pop(k, None)
-                    if acc:
-                        out[sector] = (
-                            f"J({self.labels[x]}, {self.labels[y]}, "
-                            f"{self.labels[z]}) != 0"
-                        )
-        return out
-
-    def form_invariance_witness(self) -> Optional[str]:
-        """B([x,y],z) = B(x,[y,z]) over all basis triples, or a witness."""
-        n = self.dim
-        for x in range(n):
-            form_x = self.form[x]
-            for y in range(n):
-                row_xy = self.bracket(x, y)
-                for z in range(n):
-                    left = ZERO
-                    for m, c in row_xy.items():
-                        if self.form[m][z].num:
-                            left = left + c * self.form[m][z]
-                    right = ZERO
-                    for m, c in self.bracket(y, z).items():
-                        if form_x[m].num:
-                            right = right + c * form_x[m]
-                    if left != right:
-                        return (
-                            f"B([{self.labels[x]},{self.labels[y]}],"
-                            f"{self.labels[z]}) != B({self.labels[x]},"
-                            f"[{self.labels[y]},{self.labels[z]}])"
-                        )
-        return None
-
-    def __repr__(self) -> str:
-        return f"SuperAlgebra({self.name}: {self.even_dim}|{self.odd_dim})"
 
 
 def build_tilde(
@@ -192,10 +54,11 @@ def build_tilde(
     if not cov.special and not force:
         raise NotSpecial(f"moment map is not special orthogonal at {cov.witness}")
     rep, mu = cov.rep, cov.mu
-    g_dim = rep.dim
+    g = rep.algebra
+    g_dim = g.dim
     v_dim = rep.space.dim
     even_dim = g_dim + 3
-    even_labels = list(rep.algebra_space.labels) + ["h", "e", "f"]
+    even_labels = list(g.even_labels) + ["h", "e", "f"]
     odd_labels = [
         f"{rep.space.labels[i]}*a{s+1}" for i in range(v_dim) for s in range(2)
     ]
@@ -203,9 +66,7 @@ def build_tilde(
     def odd_index(i: int, s: int) -> int:
         return even_dim + 2 * i + s
 
-    brackets: dict[tuple[int, int], dict[int, Frac]] = {}
-    for (i, j), row in rep._table.items():
-        brackets[(i, j)] = dict(row)
+    brackets = {key: dict(row) for key, row in g.table.items()}
     for (i, j), row in sl2_bracket_table().items():
         brackets[(g_dim + i, g_dim + j)] = {g_dim + k: c for k, c in row.items()}
     # even-odd: g through the action, sl2 through the defining plane
@@ -260,8 +121,7 @@ def build_tilde(
     dim = even_dim + 2 * v_dim
     form = [[ZERO] * dim for _ in range(dim)]
     for i in range(g_dim):
-        for j in range(g_dim):
-            form[i][j] = rep.algebra_space.gram[i][j]
+        form[i][:g_dim] = g.form[i]
     s_gram = sl2_half_trace_gram()
     for i in range(3):
         for j in range(3):
@@ -307,14 +167,6 @@ def build_tilde(
     return out
 
 
-def from_quad_rep(rep: QuadLieRep, name: str) -> SuperAlgebra:
-    """Wrap a plain quadratic Lie algebra as a purely even superalgebra."""
-    brackets = {key: dict(row) for key, row in rep._table.items()}
-    return SuperAlgebra(
-        name, rep.algebra_space.labels, (), brackets, rep.algebra_space.gram
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -322,8 +174,8 @@ def from_quad_rep(rep: QuadLieRep, name: str) -> SuperAlgebra:
 
 def _canonical_payload(sa: SuperAlgebra) -> tuple[list, list]:
     brackets = []
-    for (i, j) in sorted(sa._table):
-        row = sa._table[(i, j)]
+    for (i, j) in sorted(sa.table):
+        row = sa.table[(i, j)]
         brackets.append([i, j, [[k, row[k].render()] for k in sorted(row)]])
     form = [[c.render() for c in row] for row in sa.form]
     return brackets, form

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specialortho import linalg
 from specialortho.altmap import (
     AltMap,
     PairingSpec,
@@ -53,7 +54,7 @@ def test_evaluate_basis_and_general_paths_agree(K):
     assert f.evaluate([e1, e2]) == [rat(3)]
     assert f.evaluate([e2, e1]) == [rat(-3)]
     assert f.evaluate([e1, e1]) == [ZERO]
-    # general path on a non-basis argument
+    # a non-basis argument expands into several terms
     u = [ONE, rat(2), ZERO]
     assert f.evaluate([u, e3]) == [L1 - rat(2)]
     with pytest.raises(ArityMismatch):
@@ -68,6 +69,37 @@ def test_alternation_general_path(K):
     v = [rat(rng.randint(-2, 2)) for _ in range(4)]
     assert f.evaluate([u, v, u]) == [ZERO]
     assert f.evaluate([u, v, v]) == [ZERO]
+
+
+_coords = st.sampled_from([ZERO, ZERO, ONE, rat(-1), rat(2), rat(-3), L1, ONE / L2])
+
+
+@st.composite
+def maps_with_arguments(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    p = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=1, max_value=2))
+    V = diag_space(*(ONE for _ in range(n)))
+    U = diag_space(*(ONE for _ in range(width)), name="U")
+    coeffs = {
+        I: [draw(_coords) for _ in range(width)] for I in all_multi_indices(n, p)
+    }
+    args = [[draw(_coords) for _ in range(n)] for _ in range(p)]
+    return AltMap(V, U, p, coeffs), args
+
+
+@given(maps_with_arguments())
+@settings(max_examples=120, deadline=None)
+def test_evaluate_matches_determinant_expansion(case):
+    # the reference: f(v_1, ..., v_p) = sum_I det(minor_I) f(e_I), where the
+    # minor takes the rows I of the matrix whose columns are the arguments
+    f, args = case
+    p = f.degree
+    want = [ZERO] * f.codomain.dim
+    for I, vec in f.coeffs.items():
+        d = linalg.det([[args[c][I[r] - 1] for c in range(p)] for r in range(p)])
+        want = [w + d * x for w, x in zip(want, vec)]
+    assert f.evaluate(args) == want
 
 
 def test_wedge_matches_brute_force_small(K):

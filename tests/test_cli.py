@@ -109,6 +109,15 @@ def test_checks_survive_python_O():
     assert [p.returncode for p in plain] == [0, 1]
 
 
+def test_exponent_carry_in_alpha_exits_2(capsys):
+    # wrapped, the first product reads l1^14464*l2 and alpha would read as 2
+    code, out, err = run(
+        capsys, "verify", "d21", "--alpha=l1^40000*l1^40000 - l1^14464*l2 + 2"
+    )
+    assert (code, out) == (2, "")
+    assert "above 65535" in err
+
+
 def test_non_rational_alpha_exits_2(capsys):
     code, _, err = run(capsys, "verify", "d21", "--alpha", "l1")
     assert code == 2

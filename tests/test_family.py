@@ -23,10 +23,10 @@ def special_rep():
 def test_structure(special_rep):
     rep = special_rep
     assert rep.dim == 6 and rep.space.dim == 4
-    assert rep.check_jacobi() is None
+    assert rep.algebra.super_jacobi_check()["EEE"] is None
     assert rep.check_rep_property() is None
     assert rep.check_action_skew() is None
-    assert rep.check_form_invariance() is None
+    assert rep.algebra.form_invariance_witness() is None
 
 
 def test_module_form_is_hyperbolic(special_rep):

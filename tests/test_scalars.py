@@ -158,6 +158,17 @@ def test_parse_refuses_exponent_overflow():
         parse("2^65536")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["l1^40000*l1^40000", "l1^40000/l1^40000", "l2^40000 + 1/l1^40000", "l1^65535 - l3"],
+)
+def test_parse_refuses_exponent_carry(text):
+    # without the check, l1^40000*l1^40000 carried into l2 and read l1^14464*l2
+    with pytest.raises(ParseError):
+        parse(text)
+    assert parse("l1^30000*l1^35535") == L1**65535
+
+
 def test_pow_refuses_exponent_overflow():
     assert (ONE / L2) ** 65535 == ONE / L2**65535
     with pytest.raises(ExponentOverflow):
@@ -255,6 +266,29 @@ def test_canonical_form_stable(x):
     assert y.num == x.num and y.den == x.den
     assert parse(render(x)) == x
     assert hash(y) == hash(x)
+
+
+_points = st.dictionaries(
+    st.sampled_from(["l1", "l2", "l3", "a"]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+@given(scalars(), scalars(), _points)
+@settings(max_examples=60, deadline=None)
+def test_substitute_is_a_ring_homomorphism(x, y, point):
+    # scalars() may carry the denominator l3 + 2
+    assume(point.get("l3") != -2)
+
+    def at(z):
+        return z.substitute(point)
+
+    assert at(x + y) == at(x) + at(y)
+    assert at(x - y) == at(x) - at(y)
+    assert at(x * y) == at(x) * at(y)
+    assert at(ONE) == ONE and at(ZERO) == ZERO
+    if not at(y).is_zero():
+        assert at(x / y) == at(x) / at(y)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from specialortho.errors import UnknownSuite, ZeroParameter
+from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
 from specialortho.scalars import parse, rat, render
 from specialortho.suites import (
     SUITE_NAMES,
@@ -15,6 +16,7 @@ from specialortho.suites import (
     hodge_rows,
     run_suite,
 )
+from specialortho.superalg import build_tilde
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +116,38 @@ def test_shortcuts_on_the_special_family(ws):
     assert cov.special and not cov.psi.is_zero()
     assert _psi_shortcut_witness(cov) is None
     assert _quad_shortcut_witness(cov) is None
+
+
+def test_binding_first_equals_substituting_after(ws):
+    # an oracle for the scalar engine that shares none of its code paths per
+    # operation: computing at a point must agree with computing symbolically
+    # and evaluating the result at that point
+    point = {"l1": 2, "l2": 3, "l3": -5, "a": 2}
+    bound = Workspace(l1=rat(2), l2=rat(3), l3=rat(-5), alpha=rat(2))
+    for name in ("cov_im", "cov_oct", "cov_family"):
+        sym, at = getattr(ws, name), getattr(bound, name)
+        for f, g in ((sym.mu, at.mu), (sym.psi, at.psi), (sym.quad, at.quad)):
+            # spaces compare by identity, so compare the coefficient tables
+            assert f.substitute(point).coeffs == g.coeffs, (name, f.name)
+    symbolic = {r.name: r.computed.substitute(point) for r in hodge_rows(ws)}
+    assert len(symbolic) == 10
+    assert symbolic == {r.name: r.computed for r in hodge_rows(bound)}
+    for decompose, quad in (
+        (decompose_quad_im, lambda w: w.cov_im.quad),
+        (decompose_quad_oct, lambda w: w.cov_oct.quad),
+    ):
+        sym, at = decompose(ws.octs, quad(ws)), decompose(bound.octs, quad(bound))
+        assert [(t.index, t.coefficient.substitute(point)) for t in sym] == [
+            (t.index, t.coefficient) for t in at
+        ]
+    for cov in ("cov_im", "cov_oct", "cov_family"):
+        sym = build_tilde(getattr(ws, cov), cov)
+        at = build_tilde(getattr(bound, cov), cov)
+        assert {
+            key: {k: c.substitute(point) for k, c in row.items()}
+            for key, row in sym.table.items()
+        } == at.table
+        assert [[c.substitute(point) for c in row] for row in sym.form] == at.form
 
 
 def test_d21_failure_witness():

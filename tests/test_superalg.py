@@ -6,7 +6,7 @@ import pytest
 
 from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import NotSpecial, ParseError, ShapeMismatch
-from specialortho.exterior import scalar_codomain
+from specialortho.exterior import QuadraticSpace, scalar_codomain
 from specialortho.octonions import build_algebra
 from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat
 from specialortho import family as fam
@@ -142,10 +142,75 @@ def test_form_parity_blocks_enforced():
 
 def test_purely_even_wrapping(cliff):
     rep, _ = ql.build_g2_rep(cliff)
-    sa = sup.from_quad_rep(rep, "g2")
+    sa = rep.algebra
+    assert isinstance(sa, sup.SuperAlgebra) and sa.name == "g2"
     assert (sa.even_dim, sa.odd_dim) == (14, 0)
     assert sa.super_jacobi_check()["EEE"] is None
     assert sa.form_invariance_witness() is None
+
+
+def full_jacobi_scan(sa):
+    """First witness per sector over every x and every pair y <= z, with the
+    Jacobiator written out from the bracket accessor."""
+    sectors = ("EEE", "EEO", "EOO", "OOO")
+    out = {s: None for s in sectors}
+
+    def br(u, v):
+        return sa.bracket_sparse(u, v)
+
+    for x in range(sa.dim):
+        for y in range(sa.dim):
+            for z in range(y, sa.dim):
+                sector = sectors[sa.parity(x) + sa.parity(y) + sa.parity(z)]
+                if out[sector] is not None:
+                    continue
+                ex, ey, ez = {x: ONE}, {y: ONE}, {z: ONE}
+                sign = -1 if sa.parity(x) and sa.parity(y) else 1
+                total = {}
+                for c, vec in (
+                    (1, br(ex, br(ey, ez))),
+                    (-1, br(br(ex, ey), ez)),
+                    (-sign, br(ey, br(ex, ez))),
+                ):
+                    for k, v in vec.items():
+                        total[k] = total.get(k, ZERO) + v * c
+                if any(v.num for v in total.values()):
+                    labels = sa.labels
+                    out[sector] = f"J({labels[x]}, {labels[y]}, {labels[z]}) != 0"
+    return out
+
+
+def perturbed_odd_odd(sa):
+    """A copy of sa with the first stored odd-odd structure constant doubled."""
+    table = {key: dict(row) for key, row in sa.table.items()}
+    key = min(k for k in table if k[0] >= sa.even_dim)
+    m = min(table[key])
+    table[key][m] = table[key][m] * rat(2)
+    return sup.SuperAlgebra(
+        sa.name + "'", sa.even_labels, sa.odd_labels, table, sa.form
+    )
+
+
+def test_sorted_triples_give_the_full_scan_witnesses(g3):
+    forced = sup.build_tilde(
+        cov_of(fam.build_family(rat(1), rat(1))), "forced", force=True
+    )
+    perturbed = perturbed_odd_odd(g3)
+    for sa in (forced, perturbed):
+        want = full_jacobi_scan(sa)
+        assert sa.super_jacobi_check() == want
+        assert want["OOO"] is not None
+    assert perturbed.super_jacobi_check()["EOO"] is not None
+
+
+def test_lie_algebra_jacobi_failure_is_caught():
+    # [e, f] = h + e breaks the Jacobi identity of sl2 at (h, e, f)
+    table = fam.sl2_bracket_table()
+    table[(1, 2)] = {0: ONE, 1: ONE}
+    algebra = QuadraticSpace(fam.SL2_LABELS, fam.sl2_half_trace_gram(), name="sl2")
+    plane = QuadraticSpace(("a1", "a2"), [[ONE, ZERO], [ZERO, ONE]], name="plane")
+    rep = ql.QuadLieRep("bad", algebra, table, fam.sl2_plane_action(), plane)
+    assert rep.algebra.super_jacobi_check()["EEE"] == "J(h, e, f) != 0"
 
 
 def test_export_import_round_trip(d21):
