@@ -45,6 +45,8 @@ def _parse_at(text: str) -> dict[str, Frac]:
             raise ParseError(
                 f"--at expects comma-separated l1=..,l2=..,l3=.., got {item!r}"
             )
+        if key in out:
+            raise ParseError(f"--at binds {key} more than once")
         out[key] = _constant("--at", value.strip())
     return out
 

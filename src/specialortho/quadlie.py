@@ -59,8 +59,11 @@ class SuperAlgebra:
     This is the one sparse bracket table of the package: a quadratic Lie
     algebra is the purely even case.  ``table`` holds the nonzero rows
     {k: coeff} of the brackets for index pairs i <= j over the concatenated
-    even + odd basis; the accessor supplies super-antisymmetry.  The form is
-    a full matrix, block-diagonal across the parity split, symmetric on the
+    even + odd basis.  The signed rows of both orders are stored once at
+    construction, by super-antisymmetry: the (j, i) row is the (i, j) row
+    itself when both are odd and its negation otherwise.  ``bracket`` hands
+    out these stored rows, so they are shared and read only.  The form is a
+    full matrix, block-diagonal across the parity split, symmetric on the
     even part and antisymmetric on the odd part.
     """
 
@@ -100,21 +103,22 @@ class SuperAlgebra:
             cleaned = {k: c for k, c in row.items() if c.num}
             if cleaned:
                 self.table[(i, j)] = cleaned
+        self._rows = dict(self.table)
+        for (i, j), row in self.table.items():
+            if i != j:
+                self._rows[(j, i)] = (
+                    row
+                    if self.parity(i) and self.parity(j)
+                    else {k: -c for k, c in row.items()}
+                )
         self.odd_odd_scale: Optional[Frac] = None
 
     def parity(self, i: int) -> int:
         return 0 if i < self.even_dim else 1
 
     def bracket(self, i: int, j: int) -> dict[int, Frac]:
-        """Sparse coordinates of [x_i, x_j]; read only."""
-        if i <= j:
-            return self.table.get((i, j), {})
-        row = self.table.get((j, i), {})
-        if not row:
-            return {}
-        if self.parity(i) and self.parity(j):
-            return dict(row)
-        return {k: -c for k, c in row.items()}
+        """Sparse coordinates of [x_i, x_j]; the stored row, read only."""
+        return self._rows.get((i, j), {})
 
     def bracket_sparse(self, x: dict, y: dict) -> dict:
         """Bracket of sparse coordinate vectors."""
@@ -152,38 +156,39 @@ class SuperAlgebra:
         """
         out: dict[str, Optional[str]] = {s: None for s in _SECTORS}
         n = self.dim
+        bracket = self.bracket
         for x in range(n):
             px = self.parity(x)
             for y in range(x, n):
                 py = self.parity(y)
-                sign_xy = -ONE if px and py else ONE
-                row_xy = self.bracket(x, y)
+                both_odd = px and py
+                row_xy = bracket(x, y)
                 for z in range(y, n):
                     sector = _SECTORS[px + py + self.parity(z)]
                     if out[sector] is not None:
                         continue
+                    # (c, [a, b] row, subtract) for each c [a, b] term of J
+                    terms = [
+                        (c, bracket(x, m), False) for m, c in bracket(y, z).items()
+                    ]
+                    terms += [(c, bracket(m, z), True) for m, c in row_xy.items()]
+                    terms += [
+                        (c, bracket(y, m), not both_odd)
+                        for m, c in bracket(x, z).items()
+                    ]
                     acc: dict[int, Frac] = {}
-                    for m, c in self.bracket(y, z).items():
-                        for k, v in self.bracket(x, m).items():
-                            s = acc.get(k, ZERO) + c * v
+                    for c, row, subtract in terms:
+                        for k, v in row.items():
+                            t = c * v
+                            s = acc.get(k)
+                            if s is None:
+                                acc[k] = -t if subtract else t
+                                continue
+                            s = s - t if subtract else s + t
                             if s.num:
                                 acc[k] = s
                             else:
-                                acc.pop(k, None)
-                    for m, c in row_xy.items():
-                        for k, v in self.bracket(m, z).items():
-                            s = acc.get(k, ZERO) - c * v
-                            if s.num:
-                                acc[k] = s
-                            else:
-                                acc.pop(k, None)
-                    for m, c in self.bracket(x, z).items():
-                        for k, v in self.bracket(y, m).items():
-                            s = acc.get(k, ZERO) - sign_xy * c * v
-                            if s.num:
-                                acc[k] = s
-                            else:
-                                acc.pop(k, None)
+                                del acc[k]
                     if acc:
                         out[sector] = (
                             f"J({self.labels[x]}, {self.labels[y]}, "
@@ -192,13 +197,26 @@ class SuperAlgebra:
         return out
 
     def form_invariance_witness(self) -> Optional[str]:
-        """B([x,y],z) = B(x,[y,z]) over all basis triples, or a witness."""
+        """B([x,y],z) = B(x,[y,z]) over all basis triples, or a witness.
+
+        Super-antisymmetry of the bracket and supersymmetry of the form give
+        I(z,y,x) = (-1)^{|x||y|+|z|} I(x,y,z) for I(x,y,z) = B([x,y],z) -
+        B(x,[y,z]) whenever y is odd or x and z have the same parity, even
+        if the bracket breaks the grading.  Such triples with z < x are
+        skipped: the mirror triple comes first in lexicographic order, so the
+        witness is the first one of a scan over every triple.
+        """
         n = self.dim
         for x in range(n):
+            px = self.parity(x)
             form_x = self.form[x]
             for y in range(n):
                 row_xy = self.bracket(x, y)
-                for z in range(n):
+                if self.parity(y) or not px:
+                    zs: Sequence[int] = range(x, n)
+                else:
+                    zs = [*range(self.even_dim), *range(x, n)]
+                for z in zs:
                     left = ZERO
                     for m, c in row_xy.items():
                         if self.form[m][z].num:

@@ -22,6 +22,15 @@ Nothing in the library comes near that; its exponents stay in single digits.
 Canonical form.  gcd(num, den) is a unit, and the leading coefficient of the
 denominator is positive.  Two Fracs are equal in the field iff their dicts
 are equal, so ``==`` and ``hash`` are structural.
+
+Fast paths.  A product of two monomial fractions c1*m1/(e1*k1) and
+c2*m2/(e2*k2), ints and rational constants included, is reduced by one
+integer gcd of c1*c2 and e1*e2 and one per-slot exponent minimum of the key
+sums; a sum of two rational constants by one integer gcd.  Neither calls the
+polynomial gcd.  A reduced fraction with a positive leading denominator
+coefficient is unique over the UFD Z[l1, l2, l3, a], so both paths give
+exactly the canonical form of the general path.  Their key sums are as
+unchecked as those of ``_p_mul``.
 """
 
 from __future__ import annotations
@@ -428,6 +437,17 @@ class Frac:
         if not other.num:
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if (
+            len(n1) == len(d1) == len(n2) == len(d2) == 1
+            and 0 in n1 and 0 in d1 and 0 in n2 and 0 in d2
+        ):
+            e1, e2 = d1[0], d2[0]
+            c = n1[0] * e2 + n2[0] * e1
+            if not c:
+                return ZERO
+            e = e1 * e2
+            g = _int_gcd(c, e)
+            return Frac._raw({0: c // g}, _P_ONE if e == g else {0: e // g})
         if d1 == _P_ONE and d2 == _P_ONE:
             t = _p_add(n1, n2)
             return ZERO if not t else Frac._raw(t, _P_ONE)
@@ -469,6 +489,17 @@ class Frac:
         if not self.num or not other.num:
             return ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if len(n1) == len(d1) == len(n2) == len(d2) == 1:
+            [(k1, c1)] = n1.items()
+            [(j1, e1)] = d1.items()
+            [(k2, c2)] = n2.items()
+            [(j2, e2)] = d2.items()
+            c, e, k, j = c1 * c2, e1 * e2, k1 + k2, j1 + j2
+            g = _int_gcd(c, e)
+            if k and j:
+                m = _key_min(k, j)
+                k, j = k - m, j - m
+            return Frac._raw({k: c // g}, _P_ONE if not j and e == g else {j: e // g})
         if d1 == _P_ONE and d2 == _P_ONE:
             return Frac._raw(_p_mul(n1, n2), _P_ONE)
         g1 = _p_gcd(n1, d2)

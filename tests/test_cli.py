@@ -73,6 +73,13 @@ def test_bad_at_exits_2(capsys):
     assert "--at" in err
 
 
+def test_repeated_at_key_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "g2", "--at", "l1=2,l2=3,l1=3")
+    assert code == 2
+    assert out == ""
+    assert "l1" in err and "more than once" in err
+
+
 @pytest.mark.parametrize(
     "separate,attached",
     [

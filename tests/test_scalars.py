@@ -16,6 +16,7 @@ from specialortho.errors import (
     SpecialOrthoError,
     SingularMatrix,
 )
+from specialortho import scalars as scalars_module
 from specialortho.scalars import (
     ALPHA,
     Frac,
@@ -24,7 +25,9 @@ from specialortho.scalars import (
     L3,
     ONE,
     ZERO,
+    _p_add,
     _p_divexact,
+    _p_mul,
     parse,
     rat,
     render,
@@ -321,3 +324,65 @@ def polynomials(draw):
 def test_common_factor_cancels(a, b, c):
     # reduction must find every common factor, or equal values differ as dicts
     assert (a * c) / (b * c) == a / b
+
+
+# -- the monomial-fraction and constant fast paths -----------------------------
+
+_coefficients = st.integers(min_value=-12, max_value=12).filter(bool)
+_monomial_keys = st.lists(
+    st.integers(min_value=0, max_value=3), min_size=4, max_size=4
+).map(lambda exps: sum(e << (16 * i) for i, e in enumerate(exps)))
+
+
+@st.composite
+def monomial_fractions(draw):
+    """c*m / (e*k), normalized by the constructor."""
+    return Frac(
+        {draw(_monomial_keys): draw(_coefficients)},
+        {draw(_monomial_keys): draw(_coefficients)},
+    )
+
+
+_constants = st.fractions(min_value=-9, max_value=9, max_denominator=9).map(
+    Frac.from_fraction
+)
+_operands = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    _constants,
+    monomial_fractions(),
+    st.sampled_from([ZERO, ONE]),
+)
+
+
+def _as_frac(x):
+    return Frac.from_int(x) if isinstance(x, int) else x
+
+
+@given(_operands, _operands)
+@settings(max_examples=300, deadline=None)
+def test_fast_paths_give_the_canonical_form(x, y):
+    assume(isinstance(x, Frac) or isinstance(y, Frac))
+    fx, fy = _as_frac(x), _as_frac(y)
+    product = Frac(_p_mul(fx.num, fy.num), _p_mul(fx.den, fy.den))
+    got = x * y
+    assert (got.num, got.den) == (product.num, product.den)
+    total = Frac(
+        _p_add(_p_mul(fx.num, fy.den), _p_mul(fy.num, fx.den)),
+        _p_mul(fx.den, fy.den),
+    )
+    got = x + y
+    assert (got.num, got.den) == (total.num, total.den)
+
+
+def test_fast_paths_need_no_polynomial_gcd(monkeypatch):
+    x = Frac({1 | 2 << 16: -6}, {3 << 48: 4})  # -3*l1*l2^2 / (2*a^3)
+    y = Frac({1 << 48: 10}, {1 | 1 << 32: 9})  # 10*a / (9*l1*l3)
+    want = Frac({2 << 16: -5}, {1 << 32 | 2 << 48: 3})  # -5*l2^2 / (3*l3*a^2)
+
+    def no_gcd(a, b):
+        raise AssertionError("the polynomial gcd was called")
+
+    monkeypatch.setattr(scalars_module, "_p_gcd", no_gcd)
+    assert (x * y).num == want.num and (x * y).den == want.den
+    assert rat(1, 6) + rat(-5, 12) == rat(-1, 4)
+    assert rat(2, 3) + rat(-2, 3) == ZERO

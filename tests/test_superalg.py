@@ -71,6 +71,7 @@ def test_jacobi_all_sectors_clean(fixture_name, request):
 def test_form_invariant(fixture_name, request):
     sa = request.getfixturevalue(fixture_name)
     assert sa.form_invariance_witness() is None
+    assert full_invariance_scan(sa) is None
 
 
 @pytest.mark.parametrize("fixture_name", ["d21", "g3", "f4"])
@@ -203,14 +204,73 @@ def test_sorted_triples_give_the_full_scan_witnesses(g3):
     assert perturbed.super_jacobi_check()["EOO"] is not None
 
 
-def test_lie_algebra_jacobi_failure_is_caught():
-    # [e, f] = h + e breaks the Jacobi identity of sl2 at (h, e, f)
+def broken_sl2():
+    """sl2 with [e, f] = h + e, as a purely even SuperAlgebra."""
     table = fam.sl2_bracket_table()
     table[(1, 2)] = {0: ONE, 1: ONE}
     algebra = QuadraticSpace(fam.SL2_LABELS, fam.sl2_half_trace_gram(), name="sl2")
     plane = QuadraticSpace(("a1", "a2"), [[ONE, ZERO], [ZERO, ONE]], name="plane")
-    rep = ql.QuadLieRep("bad", algebra, table, fam.sl2_plane_action(), plane)
-    assert rep.algebra.super_jacobi_check()["EEE"] == "J(h, e, f) != 0"
+    return ql.QuadLieRep("bad", algebra, table, fam.sl2_plane_action(), plane).algebra
+
+
+def test_lie_algebra_jacobi_failure_is_caught():
+    # [e, f] = h + e breaks the Jacobi identity of sl2 at (h, e, f)
+    assert broken_sl2().super_jacobi_check()["EEE"] == "J(h, e, f) != 0"
+
+
+def full_invariance_scan(sa):
+    """First triple (x, y, z), over all of them, with B([x,y],z) != B(x,[y,z])."""
+    n = sa.dim
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                left = right = ZERO
+                for m, c in sa.bracket(x, y).items():
+                    left = left + c * sa.form[m][z]
+                for m, c in sa.bracket(y, z).items():
+                    right = right + c * sa.form[x][m]
+                if left != right:
+                    labels = sa.labels
+                    return (
+                        f"B([{labels[x]},{labels[y]}],{labels[z]}) != "
+                        f"B({labels[x]},[{labels[y]},{labels[z]}])"
+                    )
+    return None
+
+
+def grading_breaker():
+    """2|2 table with [x,y] = -q, [x,p] = -y, [y,p] = x: the brackets leave the
+    grading, and invariance fails only at (p, x, y) and (p, y, x), each a
+    triple with y even, x odd and z even that comes after its mirror."""
+    form = [
+        [ONE, ZERO, ZERO, ZERO],
+        [ZERO, ONE, ZERO, ZERO],
+        [ZERO, ZERO, ZERO, ONE],
+        [ZERO, ZERO, -ONE, ZERO],
+    ]
+    table = {(0, 1): {3: -ONE}, (0, 2): {1: -ONE}, (1, 2): {0: ONE}}
+    return sup.SuperAlgebra("graded?", ("x", "y"), ("p", "q"), table, form)
+
+
+def test_invariance_witness_is_that_of_the_full_scan(g3):
+    breaker = grading_breaker()
+    for sa in (broken_sl2(), perturbed_odd_odd(g3), breaker):
+        want = full_invariance_scan(sa)
+        assert want is not None
+        assert sa.form_invariance_witness() == want
+    assert breaker.form_invariance_witness() == "B([p,x],y) != B(p,[x,y])"
+
+
+@pytest.mark.parametrize("fixture_name", ["d21", "g3", "f4"])
+def test_bracket_rows_are_super_antisymmetric(fixture_name, request):
+    sa = request.getfixturevalue(fixture_name)
+    for i in range(sa.dim):
+        for j in range(sa.dim):
+            row = sa.bracket(i, j)
+            if sa.parity(i) and sa.parity(j):
+                assert sa.bracket(j, i) == row
+            else:
+                assert sa.bracket(j, i) == {k: -c for k, c in row.items()}
 
 
 def test_export_import_round_trip(d21):
