@@ -24,6 +24,7 @@ on the same QuadraticSpace object.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import factorial
 from typing import Optional, Sequence
 
 from .errors import ArityMismatch, ShapeMismatch, SingularPairing
@@ -435,7 +436,7 @@ def brute_wedge_rel(f: AltMap, g: AltMap, pairing: PairingSpec) -> AltMap:
     result = AltMap(f.domain, pairing.result, p + q)
     if p + q > n:
         return result
-    norm = ONE / Frac.from_int(_factorial(p) * _factorial(q))
+    norm = ONE / Frac.from_int(factorial(p) * factorial(q))
     for T in all_multi_indices(n, p + q):
         acc = [ZERO] * pairing.result.dim
         for perm in permutations(range(p + q)):
@@ -460,7 +461,7 @@ def brute_compose(f: AltMap, g: AltMap) -> AltMap:
     result = AltMap(g.domain, f.codomain, p * q)
     if p * q > n:
         return result
-    norm = ONE / Frac.from_int(_factorial(q) ** p)
+    norm = ONE / Frac.from_int(factorial(q) ** p)
     for T in all_multi_indices(n, p * q):
         acc = [ZERO] * f.codomain.dim
         for perm in permutations(range(p * q)):
@@ -480,13 +481,6 @@ def brute_compose(f: AltMap, g: AltMap) -> AltMap:
         if any(c.num for c in acc):
             result.coeffs[T] = acc
     return result
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

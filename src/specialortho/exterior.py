@@ -43,13 +43,6 @@ class QuadraticSpace:
         )
         self.diag = [self.gram[i][i] for i in range(self.dim)] if self.is_diagonal else None
 
-    def q(self, i: int) -> Frac:
-        """Diagonal form value on 0-based basis index i."""
-        return self.gram[i][i]
-
-    def b(self, i: int, j: int) -> Frac:
-        return self.gram[i][j]
-
     def basis_vector(self, i: int) -> list[Frac]:
         v = [ZERO] * self.dim
         v[i] = ONE

@@ -58,27 +58,11 @@ def mat_mul(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: Frac) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def trace(m: Sequence[Sequence[Frac]]) -> Frac:
     s = ZERO
     for i, row in enumerate(m):
         s = s + row[i]
     return s
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def rref(rows: Sequence[Sequence[Frac]]) -> tuple[Matrix, list[int]]:

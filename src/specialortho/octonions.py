@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .altmap import AltMap
+from .altmap import AltMap, PairingSpec
 from .errors import DegenerateParameter, NotImaginary, ShapeMismatch
 from .exterior import QuadraticSpace, all_multi_indices
 from .scalars import Frac, ONE, ZERO, rat
@@ -47,7 +47,12 @@ def _cd_mul(a: list, b: list, gammas: Sequence[Frac]) -> list:
 
 
 class OctonionAlgebra:
-    """Structure constants, Gram data, and the two ambient quadratic spaces."""
+    """Structure constants, Gram data, and the two ambient quadratic spaces.
+
+    ``table[i][j]`` is the product of the basis units e_i e_j, and
+    ``product`` is the same table as the PairingSpec O x O -> O that
+    multiplies octonions.
+    """
 
     def __init__(self, l1: Frac, l2: Frac, l3: Frac):
         for value in (l1, l2, l3):
@@ -75,7 +80,6 @@ class OctonionAlgebra:
                 ) / 2
                 row.append(val)
             gram.append(row)
-        self.gram = gram
         self.space_oct = QuadraticSpace(
             tuple(f"e{k+1}" for k in range(8)), gram, name="O"
         )
@@ -84,6 +88,8 @@ class OctonionAlgebra:
             [[gram[i][j] for j in range(1, 8)] for i in range(1, 8)],
             name="ImO",
         )
+        space = self.space_oct
+        self.product = PairingSpec(space, space, space, self.table, name="octonion product")
 
     def unit(self, k: int) -> "Octonion":
         """Basis octonion at position k (0 is the real unit)."""
@@ -131,19 +137,7 @@ class Octonion:
         return Octonion(self.algebra, [c * a for a in self.coeffs])
 
     def __mul__(self, other: "Octonion") -> "Octonion":
-        table = self.algebra.table
-        out = [ZERO] * 8
-        for i, a in enumerate(self.coeffs):
-            if not a.num:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.num:
-                    continue
-                c = a * b
-                for k, t in enumerate(table[i][j]):
-                    if t.num:
-                        out[k] = out[k] + c * t
-        return Octonion(self.algebra, out)
+        return Octonion(self.algebra, self.algebra.product.apply(self.coeffs, other.coeffs))
 
     def conjugate(self) -> "Octonion":
         return Octonion(self.algebra, [self.coeffs[0]] + [-a for a in self.coeffs[1:]])
@@ -190,16 +184,7 @@ def norm_q(x: Octonion) -> Frac:
 
 def bilinear_B(x: Octonion, y: Octonion) -> Frac:
     """Polarization of the norm: B(x, y) = (q(x+y) - q(x) - q(y)) / 2."""
-    gram = x.algebra.gram
-    s = ZERO
-    for i, a in enumerate(x.coeffs):
-        if not a.num:
-            continue
-        row = gram[i]
-        for j, b in enumerate(y.coeffs):
-            if b.num and row[j].num:
-                s = s + a * b * row[j]
-    return s
+    return x.algebra.space_oct.pair(x.coeffs, y.coeffs)
 
 
 def commutator(x: Octonion, y: Octonion) -> Octonion:

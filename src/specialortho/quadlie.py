@@ -3,10 +3,11 @@
 SuperAlgebra is the one sparse bracket table of the package, with the one
 graded Jacobi check and the one form-invariance check.  A QuadLieRep
 packages an algebra with invariant form (as a QuadraticSpace), its bracket
-table as a purely even SuperAlgebra (``rep.algebra``), and skew action
-matrices on a quadratic module; superalg builds the exceptional
-superalgebras on top of ``rep.algebra``.  The moment map mu is solved from
-B_g(x, mu(v, w)) = B_V(rho(x) v, w); a moment map is special orthogonal when
+table as a purely even SuperAlgebra (``rep.algebra``), and its skew action
+on a quadratic module as the bilinear map ``rep.act``; superalg builds the
+exceptional superalgebras on top of ``rep.algebra``.  The moment map mu is
+solved from B_g(x, mu(v, w)) = B_V(rho(x) v, w); a moment map is special
+orthogonal when
 
     mu(u, v) w + mu(u, w) v = (u, v) w + (u, w) v - 2 (v, w) u,
 
@@ -243,6 +244,9 @@ class QuadLieRep:
     ``algebra`` is the Lie algebra as a purely even SuperAlgebra, named
     after ``algebra_space`` and with its gram matrix as the form;
     ``bracket_table`` gives the sparse rows {k: coeff} of [x_i, x_j], i < j.
+    The action, given as one matrix per algebra basis element, is stored
+    once as the PairingSpec ``act`` from g x V to V: ``act.table[a][k]`` is
+    rho(x_a) e_k, a row shared between callers and read only.
     """
 
     def __init__(
@@ -256,11 +260,7 @@ class QuadLieRep:
         self.name = name
         self.algebra_space = algebra_space
         self.space = space
-        self.action = [
-            [list(row) for row in m] for m in action
-        ]
-        if len(self.action) != algebra_space.dim:
-            raise ShapeMismatch("one action matrix per algebra basis element")
+        self.act = PairingSpec.action(algebra_space, space, action)
         self.algebra = SuperAlgebra(
             algebra_space.name,
             algebra_space.labels,
@@ -273,49 +273,34 @@ class QuadLieRep:
     def dim(self) -> int:
         return self.algebra_space.dim
 
-    def act_basis(self, a: int, k: int) -> Vector:
-        """Action of algebra basis element a on module basis vector k."""
-        m = self.action[a]
-        return [m[r][k] for r in range(self.space.dim)]
-
-    def act_sparse(self, coords: dict, vec: Sequence[Frac]) -> Vector:
-        out = [ZERO] * self.space.dim
-        for a, c in coords.items():
-            if not c.num:
-                continue
-            m = self.action[a]
-            for r in range(self.space.dim):
-                row = m[r]
-                acc = out[r]
-                for k, v in enumerate(vec):
-                    if v.num and row[k].num:
-                        acc = acc + c * row[k] * v
-                out[r] = acc
-        return out
-
     # -- structural checks, each returning None or a witness string ----------
 
     def check_rep_property(self) -> Optional[str]:
+        """rho([x_i, x_j]) e_k = rho(x_i) rho(x_j) e_k - rho(x_j) rho(x_i) e_k
+        for i < j and every module basis vector e_k, or a witness."""
+        act, rows = self.act.apply, self.act.table
+        basis = [self.algebra_space.basis_vector(a) for a in range(self.dim)]
         for i, j in combinations(range(self.dim), 2):
-            expect = linalg.mat_sub(
-                linalg.mat_mul(self.action[i], self.action[j]),
-                linalg.mat_mul(self.action[j], self.action[i]),
-            )
-            got = linalg.zeros(self.space.dim, self.space.dim)
+            bracket = [ZERO] * self.dim
             for k, c in self.algebra.bracket(i, j).items():
-                got = linalg.mat_add(got, linalg.mat_scale(self.action[k], c))
-            if not linalg.mat_eq(expect, got):
-                labels = self.algebra_space.labels
-                return f"rho([{labels[i]},{labels[j]}]) != [rho {labels[i]}, rho {labels[j]}]"
+                bracket[k] = c
+            for k in range(self.space.dim):
+                expect = [
+                    p - q
+                    for p, q in zip(act(basis[i], rows[j][k]), act(basis[j], rows[i][k]))
+                ]
+                if expect != act(bracket, self.space.basis_vector(k)):
+                    labels = self.algebra_space.labels
+                    return f"rho([{labels[i]},{labels[j]}]) != [rho {labels[i]}, rho {labels[j]}]"
         return None
 
     def check_action_skew(self) -> Optional[str]:
-        for a in range(self.dim):
-            m = self.action[a]
-            for i in range(self.space.dim):
-                for j in range(i, self.space.dim):
-                    left = self.space.pair(self.act_basis(a, i), self.space.basis_vector(j))
-                    right = self.space.pair(self.space.basis_vector(i), self.act_basis(a, j))
+        space = self.space
+        for a, rows in enumerate(self.act.table):
+            for i in range(space.dim):
+                for j in range(i, space.dim):
+                    left = space.pair(rows[i], space.basis_vector(j))
+                    right = space.pair(space.basis_vector(i), rows[j])
                     if left != -right:
                         return (
                             f"B(rho({self.algebra_space.labels[a]}) e{i+1}, e{j+1}) "
@@ -347,15 +332,6 @@ def mu_can_value(space: QuadraticSpace, i: int, j: int, k: int) -> Vector:
     return out
 
 
-def mu_can_apply(
-    space: QuadraticSpace, u: Sequence[Frac], v: Sequence[Frac], w: Sequence[Frac]
-) -> Vector:
-    """mu_can(u, v) w = (u, w) v - (v, w) u on coordinate vectors."""
-    a = space.pair(u, w)
-    b = space.pair(v, w)
-    return [a * y - b * x for x, y in zip(u, v)]
-
-
 def build_so(space: QuadraticSpace) -> tuple[QuadLieRep, AltMap]:
     """Fundamental representation of so(V) and the canonical moment map.
 
@@ -379,10 +355,8 @@ def build_so(space: QuadraticSpace) -> tuple[QuadLieRep, AltMap]:
     coords = linalg.SubspaceCoords(flat, label="so basis")
     table = {}
     for a, b in combinations(range(len(pairs)), 2):
-        comm = linalg.mat_sub(
-            linalg.mat_mul(mats[a], mats[b]), linalg.mat_mul(mats[b], mats[a])
-        )
-        vec = coords.express([comm[r][c] for r in range(n) for c in range(n)])
+        ab, ba = linalg.mat_mul(mats[a], mats[b]), linalg.mat_mul(mats[b], mats[a])
+        vec = coords.express([ab[r][c] - ba[r][c] for r in range(n) for c in range(n)])
         row = {k: c for k, c in enumerate(vec) if c.num}
         if row:
             table[(a, b)] = row
@@ -418,7 +392,7 @@ def moment_map(rep: QuadLieRep) -> AltMap:
     for i, j in indices:
         col = []
         for a in range(rep.dim):
-            col.append(space.pair(rep.act_basis(a, i - 1), space.basis_vector(j - 1)))
+            col.append(space.pair(rep.act.table[a][i - 1], space.basis_vector(j - 1)))
         columns.append(col)
     solutions = solve_linear(rep.algebra_space.gram, columns)
     coeffs = {index: sol for index, sol in zip(indices, solutions)}
@@ -432,10 +406,10 @@ def moment_equivariance_witness(rep: QuadLieRep, mu: AltMap) -> Optional[str]:
     for a in range(rep.dim):
         for i in range(n):
             vi = space.basis_vector(i)
-            xvi = rep.act_basis(a, i)
+            xvi = rep.act.table[a][i]
             for j in range(i + 1, n):
                 vj = space.basis_vector(j)
-                xvj = rep.act_basis(a, j)
+                xvj = rep.act.table[a][j]
                 lhs = [
                     p + q
                     for p, q in zip(mu.evaluate([xvi, vj]), mu.evaluate([vi, xvj]))
@@ -457,7 +431,7 @@ def mu_act(rep: QuadLieRep, mu: AltMap, i: int, j: int, k: int) -> Vector:
     """mu(e_i, e_j) e_k on 0-based basis indices of the module."""
     space = rep.space
     value = mu.evaluate([space.basis_vector(i), space.basis_vector(j)])
-    return rep.act_sparse({t: c for t, c in enumerate(value) if c.num}, space.basis_vector(k))
+    return rep.act.apply(value, space.basis_vector(k))
 
 
 def check_special(rep: QuadLieRep, mu: AltMap) -> tuple[bool, Optional[str]]:
@@ -640,7 +614,6 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
     rep, mu, psi, quad = cov.rep, cov.mu, cov.psi, cov.quad
     space, scalar = rep.space, cov.scalar
     ident = AltMap.identity(space)
-    act_pair = PairingSpec.action(rep.algebra_space, space, rep.action)
     k_v = PairingSpec.scalar_multiply(scalar, space)
     k_g = PairingSpec.scalar_multiply(scalar, rep.algebra_space)
     k_k = PairingSpec.scalar_scalar(scalar)
@@ -662,7 +635,7 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
             "wedge-mu-psi",
             "mu ^_rho psi = -(3/2) Q ^ Id",
             5,
-            lambda: wedge_rel(mu, psi, act_pair)
+            lambda: wedge_rel(mu, psi, rep.act)
             == wedge_rel(quad, ident, k_v).scale(rat(-3, 2)),
         ),
         rung(
@@ -899,12 +872,7 @@ def mu_im_canonical_split_witness(
             v = octs.imaginary_unit(j)
             for k in range(1, 8):
                 w = octs.imaginary_unit(k)
-                canonical = mu_can_apply(
-                    space,
-                    space.basis_vector(i - 1),
-                    space.basis_vector(j - 1),
-                    space.basis_vector(k - 1),
-                )
+                canonical = mu_can_value(space, i - 1, j - 1, k - 1)
                 expect_oct = commutator(w, commutator(u, v)).scale(rat(1, 8))
                 expect = [
                     rat(3, 2) * c + e

@@ -398,9 +398,6 @@ class Frac:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == _P_ONE and self.den == _P_ONE
-
     def is_constant(self) -> bool:
         return (not self.num or self.num.keys() == {0}) and self.den.keys() == {0}
 

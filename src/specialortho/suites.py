@@ -729,7 +729,6 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     rep, cov = ws.g2_rep, ws.cov_im
     im = rep.space
     ident = AltMap.identity(im)
-    act = PairingSpec.action(rep.algebra_space, im, rep.action)
     k_v = PairingSpec.scalar_multiply(scalar, im)
     k_g = PairingSpec.scalar_multiply(scalar, rep.algebra_space)
     vol = cache(lambda: wedge_rel(ws.phi, cov.quad, k_k))
@@ -746,7 +745,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(cross) = c (mu ^_rho psi) on the seven-dimensional module",
         ws.cross,
         vol,
-        lambda: wedge_rel(cov.mu, cov.psi, act),
+        lambda: wedge_rel(cov.mu, cov.psi, rep.act),
         "-49/4",
     )
     add(
@@ -778,7 +777,6 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     rep8, cov8 = ws.so7_rep, ws.cov_oct
     oc = rep8.space
     ident8 = AltMap.identity(oc)
-    act8 = PairingSpec.action(rep8.algebra_space, oc, rep8.action)
     k_v8 = PairingSpec.scalar_multiply(scalar, oc)
     k_g8 = PairingSpec.scalar_multiply(scalar, rep8.algebra_space)
     vol8 = cache(lambda: wedge_rel(cov8.quad, cov8.quad, k_k))
@@ -795,7 +793,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "star(psi) = c (mu ^_rho psi) on the eight-dimensional module",
         cov8.psi,
         vol8,
-        lambda: wedge_rel(cov8.mu, cov8.psi, act8),
+        lambda: wedge_rel(cov8.mu, cov8.psi, rep8.act),
         "112/3",
     )
     add(

@@ -70,13 +70,10 @@ def build_tilde(
     for (i, j), row in sl2_bracket_table().items():
         brackets[(g_dim + i, g_dim + j)] = {g_dim + k: c for k, c in row.items()}
     # even-odd: g through the action, sl2 through the defining plane
-    for a in range(g_dim):
-        mat = rep.action[a]
-        for i in range(v_dim):
+    for a, rows in enumerate(rep.act.table):
+        for i, col in enumerate(rows):
             for s in range(2):
-                row_s = {
-                    odd_index(r, s): mat[r][i] for r in range(v_dim) if mat[r][i].num
-                }
+                row_s = {odd_index(r, s): c for r, c in enumerate(col) if c.num}
                 if row_s:
                     brackets[(a, odd_index(i, s))] = row_s
     plane = sl2_plane_action()

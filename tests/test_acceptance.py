@@ -229,7 +229,7 @@ def test_criterion_07_hodge_identities(ws):
     vol7 = wedge_rel(ws.phi, cov.quad, k_k)
     star_cross = hodge_dual(ws.cross, vol7, scalar)
     q_wedge_id = wedge_rel(cov.quad, AltMap.identity(im), PairingSpec.scalar_multiply(scalar, im))
-    mu_wedge_psi = wedge_rel(cov.mu, cov.psi, PairingSpec.action(rep.algebra_space, im, rep.action))
+    mu_wedge_psi = wedge_rel(cov.mu, cov.psi, rep.act)
     if star_cross != q_wedge_id.scale(rat(7)):
         failures.append("star(cross) != 7 (Q ^ Id)")
     if star_cross != mu_wedge_psi.scale(rat(-14, 3)):
@@ -243,11 +243,10 @@ def test_criterion_07_hodge_identities(ws):
     star_psi = hodge_dual(cov8.psi, vol8, scalar)
     star_mu = hodge_dual(cov8.mu, vol8, scalar)
     k_v8 = PairingSpec.scalar_multiply(scalar, oc)
-    act8 = PairingSpec.action(rep8.algebra_space, oc, rep8.action)
     k_g8 = PairingSpec.scalar_multiply(scalar, rep8.algebra_space)
     if star_psi != wedge_rel(cov8.quad, AltMap.identity(oc), k_v8).scale(rat(-56)):
         failures.append("star(psi) != -56 (Q ^ Id)")
-    if star_psi != wedge_rel(cov8.mu, cov8.psi, act8).scale(rat(112, 3)):
+    if star_psi != wedge_rel(cov8.mu, cov8.psi, rep8.act).scale(rat(112, 3)):
         failures.append("star(psi) != (112/3) (mu ^_rho psi)")
     if star_mu != wedge_rel(cov8.quad, cov8.mu, k_g8).scale(rat(-56)):
         failures.append("star(mu) != -56 (Q ^ mu)")
@@ -292,8 +291,7 @@ def test_criterion_08_ladder_identities(ws):
                 failures.append(f"{label} {check.name}: {check.status}, expected {want}")
     # nontriviality of the rungs that hold, and the two separate vanishing
     # assertions behind the degenerate second rung on the seven-dim module
-    act7 = PairingSpec.action(ws.g2_rep.algebra_space, ws.g2_rep.space, ws.g2_rep.action)
-    if wedge_rel(ws.cov_im.mu, ws.cov_im.psi, act7).is_zero():
+    if wedge_rel(ws.cov_im.mu, ws.cov_im.psi, ws.g2_rep.act).is_zero():
         failures.append("first rung is trivial on the seven-dimensional module")
     if compose(ws.cov_oct.mu, ws.cov_oct.psi).is_zero():
         failures.append("second rung is trivial on the eight-dimensional module")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from specialortho import octonions
 from specialortho.errors import DegenerateParameter, NotImaginary
 from specialortho.exterior import scalar_codomain
 from specialortho.octonions import (
@@ -45,6 +46,27 @@ def random_octonion(A, rng, imaginary=False):
     return A.from_coeffs(coeffs)
 
 
+SYMBOLIC_COEFFS = (ZERO, ONE, -ONE, rat(1, 2), L1, -L2, L1 + L3, ALPHA, ALPHA * L2 - ONE)
+
+
+def symbolic_octonion(A, rng):
+    return A.from_coeffs([rng.choice(SYMBOLIC_COEFFS) for _ in range(8)])
+
+
+def test_product_matches_cayley_dickson_doubling(A):
+    rng = random.Random(19)
+    for _ in range(4):
+        x, y = symbolic_octonion(A, rng), symbolic_octonion(A, rng)
+        assert (x * y).coeffs == octonions._cd_mul(x.coeffs, y.coeffs, (-L1, -L2, -L3))
+
+
+def test_bilinear_B_is_the_polarized_norm(A):
+    rng = random.Random(23)
+    for _ in range(4):
+        x, y = symbolic_octonion(A, rng), symbolic_octonion(A, rng)
+        assert bilinear_B(x, y) == (norm_q(x + y) - norm_q(x) - norm_q(y)) / 2
+
+
 def test_degenerate_parameter():
     with pytest.raises(DegenerateParameter):
         build_algebra(ZERO, L2, L3)
@@ -75,7 +97,7 @@ def test_gram_is_orthogonal_with_parameter_products(A):
     for i in range(8):
         for j in range(8):
             want = expected[i] if i == j else ZERO
-            assert A.gram[i][j] == want
+            assert A.space_oct.gram[i][j] == want
     assert A.space_oct.diag == expected
     assert A.space_im.diag == expected[1:]
 

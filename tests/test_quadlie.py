@@ -1,5 +1,7 @@
 """Moment maps, covariants, and the identity ladder on the octonion modules."""
 
+from itertools import combinations
+
 import pytest
 
 from specialortho import linalg
@@ -9,6 +11,7 @@ from specialortho.errors import ShapeMismatch
 from specialortho.exterior import QuadraticSpace, scalar_codomain
 from specialortho.octonions import build_algebra
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, parse, rat
+from specialortho import family as fam
 from specialortho import quadlie as ql
 
 
@@ -63,6 +66,11 @@ def hyperbolic_space():
     return QuadraticSpace(("t1", "t2", "t3", "t4"), g, name="T4")
 
 
+def action_matrices(rep):
+    """The matrices of rho(x_a): rep.act.table[a] holds their columns."""
+    return [linalg.transpose(rows) for rows in rep.act.table]
+
+
 @pytest.mark.parametrize("space_fn", [small_space, hyperbolic_space])
 def test_so_fundamental_moment_is_canonical(space_fn):
     rep, mu_can = ql.build_so(space_fn())
@@ -105,11 +113,49 @@ def test_bracket_antisymmetry_and_guards():
             "bad",
             rep.algebra_space,
             {(1, 0): {0: ONE}},
-            rep.action,
+            action_matrices(rep),
             rep.space,
         )
     with pytest.raises(ShapeMismatch):
-        ql.QuadLieRep("bad", rep.algebra_space, {}, rep.action[:-1], rep.space)
+        ql.QuadLieRep("bad", rep.algebra_space, {}, action_matrices(rep)[:-1], rep.space)
+
+
+def test_action_table_holds_rho_of_each_basis_pair():
+    # build_so's basis element M_ij acts as mu_can(e_i, e_j)
+    rep, _ = ql.build_so(small_space())
+    pairs = list(combinations(range(rep.space.dim), 2))
+    for a, rows in enumerate(rep.act.table):
+        e_a = rep.algebra_space.basis_vector(a)
+        for k, col in enumerate(rows):
+            assert col == ql.mu_can_value(rep.space, *pairs[a], k)
+            assert rep.act.apply(e_a, rep.space.basis_vector(k)) == col
+
+
+# -- failing representation witnesses on the sl2 plane ----------------------
+
+
+def sl2_on_plane(gram, action=None):
+    sl2 = QuadraticSpace(fam.SL2_LABELS, fam.sl2_half_trace_gram(), name="sl2")
+    plane = QuadraticSpace(("a1", "a2"), gram, name="plane")
+    action = action or fam.sl2_plane_action()
+    return ql.QuadLieRep("sl2-plane", sl2, fam.sl2_bracket_table(), action, plane)
+
+
+def test_doubled_e_breaks_the_representation_property():
+    h, e, f = fam.sl2_plane_action()
+    doubled = [[rat(2) * c for c in row] for row in e]
+    rep = sl2_on_plane([[ZERO, ONE], [ONE, ZERO]], [h, doubled, f])
+    # [h, 2e] = 2 (2e) still holds; [2e, f] = 2h breaks [e, f] = h
+    assert rep.check_rep_property() == "rho([e,f]) != [rho e, rho f]"
+    # e a2 = a1 and B(a1, a2) = B(a2, a1) = 1: e is not skew for this form
+    assert rep.check_action_skew() == "B(rho(e) e2, e2) is not skew"
+
+
+def test_euclidean_plane_breaks_skewness_at_h():
+    # h a1 = a1 and B(a1, a1) = 1
+    rep = sl2_on_plane([[ONE, ZERO], [ZERO, ONE]])
+    assert rep.check_rep_property() is None
+    assert rep.check_action_skew() == "B(rho(h) e1, e1) is not skew"
 
 
 # -- the 14-dimensional annihilator on imaginaries --------------------------
@@ -128,9 +174,10 @@ def test_g2_structure(g2):
 def test_g2_form_is_seven_dimensional_trace(g2):
     rep, _ = g2
     third = rat(-1, 3)
+    mats = action_matrices(rep)
     for a in range(0, 14, 5):
         for b in range(a, 14, 4):
-            tr = linalg.trace(linalg.mat_mul(rep.action[a], rep.action[b]))
+            tr = linalg.trace(linalg.mat_mul(mats[a], mats[b]))
             assert rep.algebra_space.gram[a][b] == third * tr
 
 
