@@ -35,13 +35,17 @@ from .exterior import (
     complement_index,
     render_multi_index,
 )
-from .scalars import Frac, ONE, ZERO
+from .scalars import Frac, ONE, ZERO, dot
 
 Vector = list[Frac]
 
 
 class PairingSpec:
-    """A bilinear pairing U1 x U2 -> U3 given by its table on basis pairs."""
+    """A bilinear pairing U1 x U2 -> U3 given by its table on basis pairs.
+
+    ``rows`` holds the nonzero entries of the table once, so that ``gather``
+    collects the terms of a product and each coordinate is one ``dot``.
+    """
 
     def __init__(
         self,
@@ -58,21 +62,33 @@ class PairingSpec:
         if len(table) != left.dim or any(len(row) != right.dim for row in table):
             raise ShapeMismatch(f"{self.name}: table shape mismatch")
         self.table = [[list(v) for v in row] for row in table]
+        self.rows = [
+            [[(k, t) for k, t in enumerate(v) if t.num] for v in row]
+            for row in self.table
+        ]
 
-    def apply(self, x: Sequence[Frac], y: Sequence[Frac]) -> Vector:
-        out = [ZERO] * self.result.dim
+    def gather(
+        self, terms: dict, x: Sequence[Frac], y: Sequence[Frac], negate: bool = False
+    ) -> None:
+        """Add the terms (c, t) of the k-th coordinate of +-pairing(x, y) to
+        terms[k], where c = +-x_i y_j and t is a table entry."""
+        rows = self.rows
         for i, xi in enumerate(x):
             if not xi.num:
                 continue
-            row = self.table[i]
+            row = rows[i]
             for j, yj in enumerate(y):
-                if not yj.num:
+                entries = row[j]
+                if not entries or not yj.num:
                     continue
-                c = xi * yj
-                for k, t in enumerate(row[j]):
-                    if t.num:
-                        out[k] = out[k] + c * t
-        return out
+                c = -(xi * yj) if negate else xi * yj
+                for k, t in entries:
+                    terms.setdefault(k, []).append((c, t))
+
+    def apply(self, x: Sequence[Frac], y: Sequence[Frac]) -> Vector:
+        terms: dict[int, list] = {}
+        self.gather(terms, x, y)
+        return _sum_terms(terms, self.result.dim)
 
     @classmethod
     def scalar_multiply(cls, scalar: QuadraticSpace, space: QuadraticSpace) -> "PairingSpec":
@@ -250,27 +266,20 @@ def wedge_rel(f: AltMap, g: AltMap, pairing: PairingSpec) -> AltMap:
     result = AltMap(f.domain, pairing.result, p + q)
     if p + q > n or f.is_zero() or g.is_zero():
         return result
-    positions = list(range(p + q))
-    for T in all_multi_indices(n, p + q):
-        acc = [ZERO] * pairing.result.dim
-        touched = False
-        for chosen in combinations(positions, p):
-            I = tuple(T[r] for r in chosen)
-            fI = f.coeffs.get(I)
-            if fI is None:
-                continue
-            rest = tuple(T[r] for r in positions if r not in chosen)
-            gJ = g.coeffs.get(rest)
+    # each stored f(e_I) meets each stored g(e_J) with J disjoint from I
+    by_index: dict[MultiIndex, dict] = {}
+    for I, fI in f.coeffs.items():
+        free = [i for i in range(1, n + 1) if i not in I]
+        for J in combinations(free, q):
+            gJ = g.coeffs.get(J)
             if gJ is None:
                 continue
-            val = pairing.apply(fI, gJ)
-            sign = _shuffle_sign(chosen, p)
-            touched = True
-            if sign > 0:
-                acc = [a + v for a, v in zip(acc, val)]
-            else:
-                acc = [a - v for a, v in zip(acc, val)]
-        if touched and any(c.num for c in acc):
+            T = tuple(sorted(I + J))
+            odd = _shuffle_sign([T.index(i) for i in I], p) < 0
+            pairing.gather(by_index.setdefault(T, {}), fI, gJ, odd)
+    for T in sorted(by_index):
+        acc = _sum_terms(by_index[T], pairing.result.dim)
+        if any(c.num for c in acc):
             result.coeffs[T] = acc
     return result
 
@@ -481,6 +490,14 @@ def brute_compose(f: AltMap, g: AltMap) -> AltMap:
         if any(c.num for c in acc):
             result.coeffs[T] = acc
     return result
+
+
+def _sum_terms(terms: dict, dim: int) -> Vector:
+    """The vector whose k-th coordinate is the sum of a * b over terms[k]."""
+    out = [ZERO] * dim
+    for k, pairs in terms.items():
+        out[k] = dot(pairs)
+    return out
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

@@ -23,7 +23,7 @@ from .altmap import AltMap, eta_inv
 from .errors import NotImaginary, ShapeMismatch, WrongDimension
 from .exterior import scalar_codomain
 from .octonions import Octonion, OctonionAlgebra, phi_as_altmap
-from .scalars import Frac, ONE, ZERO
+from .scalars import Frac, ONE, ZERO, dot
 
 Vector = list[Frac]
 Matrix = list[list[Frac]]
@@ -179,17 +179,12 @@ class CliffordAlgebra:
         return out
 
     def multiply(self, a: CliffordElement, b: CliffordElement) -> CliffordElement:
-        out: dict[int, Frac] = {}
+        terms: dict[int, list] = {}
         for ma, ca in a.coeffs.items():
             for mb, cb in b.coeffs.items():
                 mask, coeff = self.mono_mul(ma, mb)
-                term = ca * cb * coeff
-                s = out.get(mask, ZERO) + term
-                if s.num:
-                    out[mask] = s
-                else:
-                    out.pop(mask, None)
-        return CliffordElement(self, out)
+                terms.setdefault(mask, []).append((ca * cb, coeff))
+        return CliffordElement(self, {m: dot(pairs) for m, pairs in terms.items()})
 
     def super_bracket(self, a: CliffordElement, b: CliffordElement) -> CliffordElement:
         """{a, b} = ab - (-1)^{|a||b|} ba, extended over parity components."""
@@ -267,12 +262,7 @@ class CliffordAlgebra:
         """Tr(rho(a) rho(b)) over the 8-dimensional spin representation."""
         ma = self.spinor_action(a)
         mb = self.spinor_action(b)
-        s = ZERO
-        for r in range(8):
-            for t in range(8):
-                if ma[r][t].num and mb[t][r].num:
-                    s = s + ma[r][t] * mb[t][r]
-        return s
+        return dot((ma[r][t], mb[t][r]) for r in range(8) for t in range(8))
 
     # -- distinguished elements -------------------------------------------------
 

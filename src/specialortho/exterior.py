@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import ShapeMismatch, SingularMatrix
-from .scalars import Frac, ONE, ZERO
+from .scalars import Frac, ONE, ZERO, dot
 
 MultiIndex = tuple[int, ...]
 
@@ -50,20 +50,16 @@ class QuadraticSpace:
 
     def pair(self, u: Sequence[Frac], v: Sequence[Frac]) -> Frac:
         """Bilinear form of two coordinate vectors."""
-        s = ZERO
         if self.is_diagonal:
-            for x, q, y in zip(u, self.diag, v):
-                if x.num and y.num:
-                    s = s + x * q * y
-            return s
-        for i, x in enumerate(u):
-            if not x.num:
-                continue
-            row = self.gram[i]
-            for j, y in enumerate(v):
-                if y.num and row[j].num:
-                    s = s + x * row[j] * y
-        return s
+            diag = zip(u, self.diag, v)
+            return dot((x * q, y) for x, q, y in diag if x.num and y.num)
+        return dot(
+            (x * b, y)
+            for x, row in zip(u, self.gram)
+            if x.num
+            for b, y in zip(row, v)
+            if b.num and y.num
+        )
 
     def q_product(self, index: MultiIndex) -> Frac:
         """Product of diagonal form values over a 1-based multi-index."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import SingularMatrix
-from .scalars import Frac, ONE, ZERO, eliminate
+from .scalars import Frac, ONE, ZERO, dot, eliminate
 
 Matrix = list[list[Frac]]
 Vector = list[Frac]
@@ -33,29 +33,12 @@ def transpose(m: Sequence[Sequence[Frac]]) -> Matrix:
 
 
 def mat_vec(m: Sequence[Sequence[Frac]], v: Sequence[Frac]) -> Vector:
-    out = []
-    for row in m:
-        s = ZERO
-        for a, b in zip(row, v):
-            if a.num and b.num:
-                s = s + a * b
-        out.append(s)
-    return out
+    return [dot(zip(row, v)) for row in m]
 
 
 def mat_mul(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -> Matrix:
     bt = transpose(b)
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            s = ZERO
-            for x, y in zip(row, col):
-                if x.num and y.num:
-                    s = s + x * y
-            out_row.append(s)
-        out.append(out_row)
-    return out
+    return [[dot(zip(row, col)) for col in bt] for row in a]
 
 
 def trace(m: Sequence[Sequence[Frac]]) -> Frac:

@@ -45,7 +45,7 @@ from .octonions import (
     fano_lines,
     phi_as_altmap,
 )
-from .scalars import Frac, ONE, ZERO, rat, solve_linear
+from .scalars import Frac, ONE, ZERO, dot, rat, solve_linear
 
 Vector = list[Frac]
 Matrix = list[list[Frac]]
@@ -123,24 +123,16 @@ class SuperAlgebra:
 
     def bracket_sparse(self, x: dict, y: dict) -> dict:
         """Bracket of sparse coordinate vectors."""
-        out: dict[int, Frac] = {}
+        terms: dict[int, list] = {}
         for i, a in x.items():
-            if not a.num:
-                continue
             for j, b in y.items():
-                if not b.num:
-                    continue
                 row = self.bracket(i, j)
-                if not row:
-                    continue
-                c = a * b
-                for k, v in row.items():
-                    s = out.get(k, ZERO) + c * v
-                    if s.num:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
+                if row and a.num and b.num:
+                    c = a * b
+                    for k, v in row.items():
+                        terms.setdefault(k, []).append((c, v))
+        sums = {k: dot(pairs) for k, pairs in terms.items()}
+        return {k: s for k, s in sums.items() if s.num}
 
     # -- checks ---------------------------------------------------------
 
@@ -163,34 +155,23 @@ class SuperAlgebra:
             for y in range(x, n):
                 py = self.parity(y)
                 both_odd = px and py
-                row_xy = bracket(x, y)
+                minus_xy = [(-c, m) for m, c in bracket(x, y).items()]
                 for z in range(y, n):
                     sector = _SECTORS[px + py + self.parity(z)]
                     if out[sector] is not None:
                         continue
-                    # (c, [a, b] row, subtract) for each c [a, b] term of J
-                    terms = [
-                        (c, bracket(x, m), False) for m, c in bracket(y, z).items()
-                    ]
-                    terms += [(c, bracket(m, z), True) for m, c in row_xy.items()]
-                    terms += [
-                        (c, bracket(y, m), not both_odd)
+                    # (+-c, [a, b] row) for each c [a, b] term of J
+                    rows = [(c, bracket(x, m)) for m, c in bracket(y, z).items()]
+                    rows += [(c, bracket(m, z)) for c, m in minus_xy]
+                    rows += [
+                        (c if both_odd else -c, bracket(y, m))
                         for m, c in bracket(x, z).items()
                     ]
-                    acc: dict[int, Frac] = {}
-                    for c, row, subtract in terms:
+                    terms: dict[int, list] = {}
+                    for c, row in rows:
                         for k, v in row.items():
-                            t = c * v
-                            s = acc.get(k)
-                            if s is None:
-                                acc[k] = -t if subtract else t
-                                continue
-                            s = s - t if subtract else s + t
-                            if s.num:
-                                acc[k] = s
-                            else:
-                                del acc[k]
-                    if acc:
+                            terms.setdefault(k, []).append((c, v))
+                    if any(dot(pairs).num for pairs in terms.values()):
                         out[sector] = (
                             f"J({self.labels[x]}, {self.labels[y]}, "
                             f"{self.labels[z]}) != 0"
@@ -686,13 +667,12 @@ def _pair_trace_table(cliff: CliffordAlgebra) -> dict[tuple[int, int], Frac]:
 def _trace_pairing(cliff: CliffordAlgebra, x: CliffordElement, y: CliffordElement) -> Frac:
     """Tr(rho(x) rho(y)) for degree-2 elements via the cached monomial table."""
     table = _pair_trace_table(cliff)
-    s = ZERO
-    for mx, cx in x.coeffs.items():
-        for my, cy in y.coeffs.items():
-            t = table[(mx, my)]
-            if t.num:
-                s = s + cx * cy * t
-    return s
+    return dot(
+        (cx * cy, table[(mx, my)])
+        for mx, cx in x.coeffs.items()
+        for my, cy in y.coeffs.items()
+        if table[(mx, my)].num
+    )
 
 
 def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:

@@ -16,8 +16,12 @@ exponents (over numerator and denominator) sum past it (ParseError);
 ``Frac.__pow__`` refuses a power whose exponent in some variable would pass
 it (ExponentOverflow).  So text from outside cannot reach a wrapped exponent.
 Products inside the library stay unchecked: multiplying two polynomials whose
-exponents in one variable sum past 65535 would carry into the next slot.
-Nothing in the library comes near that; its exponents stay in single digits.
+exponents in one variable sum past 65535 would carry into the next slot.  The
+fast paths and ``dot`` add at most four operand keys per slot, key sums and
+common-denominator shifts alike.  ``test_library_exponents_stay_small`` runs
+the symbolic ``verify all`` with every ``_p_mul`` checked against the slot
+and every stored exponent against 2^14, which covers both; the largest
+exponent stored is 24.
 
 Canonical form.  gcd(num, den) is a unit, and the leading coefficient of the
 denominator is positive.  Two Fracs are equal in the field iff their dicts
@@ -26,11 +30,16 @@ are equal, so ``==`` and ``hash`` are structural.
 Fast paths.  A product of two monomial fractions c1*m1/(e1*k1) and
 c2*m2/(e2*k2), ints and rational constants included, is reduced by one
 integer gcd of c1*c2 and e1*e2 and one per-slot exponent minimum of the key
-sums; a sum of two rational constants by one integer gcd.  Neither calls the
-polynomial gcd.  A reduced fraction with a positive leading denominator
-coefficient is unique over the UFD Z[l1, l2, l3, a], so both paths give
-exactly the canonical form of the general path.  Their key sums are as
-unchecked as those of ``_p_mul``.
+sums; a sum of two rational constants by one integer gcd.  ``dot(pairs)``
+sums a * b over its pairs and normalizes once per result, not once per term:
+the products with monomial denominators go over one common denominator (the
+per-slot maximum of the keys, the integer lcm of the coefficients), and the
+numerator sum is reduced by one integer gcd and one key minimum.  ``+`` and
+``-`` of two monomial-denominator fractions are the two-term case.  None of
+these calls the polynomial gcd.  A reduced fraction with a positive leading
+denominator coefficient is unique over the UFD Z[l1, l2, l3, a], so every
+path gives exactly the canonical form of the general path, and ``dot``
+equals the pairwise sum dict for dict.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     DenominatorVanishes,
@@ -193,23 +202,22 @@ def _p_divexact(num: dict, den: dict) -> dict:
     return q
 
 
-def _p_int_content(p: dict) -> int:
-    g = 0
-    for c in p.values():
-        g = _int_gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+def _p_monomial_gcd(p: dict, key: int, coeff: int) -> tuple[int, int]:
+    """gcd of coeff * x^key and every term of a nonzero p, as (key, coeff > 0)."""
+    g, m = abs(coeff), key
+    for k, c in p.items():
+        if g == 1 and not m:
+            break
+        if g != 1:
+            g = _int_gcd(g, c)
+        if m:
+            m = _key_min(m, k)
+    return m, g
 
 
-def _p_mono_content_key(p: dict) -> int:
-    it = iter(p)
-    k = next(it)
-    for k2 in it:
-        if k == 0:
-            return 0
-        k = _key_min(k, k2)
-    return k
+def _p_content(p: dict) -> tuple[int, int]:
+    """The monomial content of a nonzero p: its largest monomial divisor."""
+    return _p_monomial_gcd(p, next(iter(p)), 0)
 
 
 def _sign_norm(p: dict) -> dict:
@@ -299,10 +307,13 @@ def _p_gcd(a: dict, b: dict) -> dict:
     if a == b:
         return dict(a)
     if len(a) == 1 or len(b) == 1:
-        g = _int_gcd(_p_int_content(a), _p_int_content(b))
-        return {_key_min(_p_mono_content_key(a), _p_mono_content_key(b)): g}
-    ca, cb = _p_int_content(a), _p_int_content(b)
-    ka, kb = _p_mono_content_key(a), _p_mono_content_key(b)
+        if len(a) != 1:
+            a, b = b, a
+        [(k, c)] = a.items()
+        k, g = _p_monomial_gcd(b, k, c)
+        return {k: g}
+    ka, ca = _p_content(a)
+    kb, cb = _p_content(b)
     gc = _int_gcd(ca, cb)
     gk = _key_min(ka, kb)
     pa = {k - ka: c // ca for k, c in a.items()}
@@ -331,8 +342,7 @@ def _p_gcd(a: dict, b: dict) -> dict:
         rc = _coeffs_gcd(R)
         F, G = G, {d: _p_divexact(c, rc) for d, c in R.items()}
     flat = _from_recursive(gpp, vi)
-    fc = _p_int_content(flat)
-    fk = _p_mono_content_key(flat)
+    fk, fc = _p_content(flat)
     flat = {k - fk: c // fc for k, c in flat.items()}
     return _sign_norm(_p_mul(_p_mul({gk: gc}, cont), flat))
 
@@ -419,51 +429,52 @@ class Frac:
 
     @staticmethod
     def _coerce(x: ScalarLike) -> "Frac":
-        if isinstance(x, Frac):
-            return x
+        # the operators call this only for an operand that is not a Frac
         if isinstance(x, int):
             return Frac.from_int(x)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: ScalarLike) -> "Frac":
-        other = Frac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Frac:
+            other = Frac._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.num:
             return other
         if not other.num:
             return self
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if (
-            len(n1) == len(d1) == len(n2) == len(d2) == 1
-            and 0 in n1 and 0 in d1 and 0 in n2 and 0 in d2
-        ):
-            e1, e2 = d1[0], d2[0]
+        return self._sum(other.num, other.den)
+
+    __radd__ = __add__
+
+    def _sum(self, n2: dict, d2: dict) -> "Frac":
+        """self + n2/d2 for nonzero operands; __sub__ passes n2 negated."""
+        n1, d1 = self.num, self.den
+        if len(d1) != 1 or len(d2) != 1:
+            g0 = _p_gcd(d1, d2)
+            if g0 == _P_ONE:
+                t = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
+                return ZERO if not t else Frac._raw(t, _p_mul(d1, d2))
+            d1r = _p_divexact(d1, g0)
+            d2r = _p_divexact(d2, g0)
+            t = _p_add(_p_mul(n1, d2r), _p_mul(n2, d1r))
+            if not t:
+                return ZERO
+            g1 = _p_gcd(t, g0)
+            if g1 != _P_ONE:
+                t = _p_divexact(t, g1)
+                g0 = _p_divexact(g0, g1)
+            return Frac._raw(t, _p_mul(_p_mul(d1r, g0), d2r))
+        [(j1, e1)] = d1.items()
+        [(j2, e2)] = d2.items()
+        if len(n1) == len(n2) == 1 and not (j1 or j2) and 0 in n1 and 0 in n2:
             c = n1[0] * e2 + n2[0] * e1
             if not c:
                 return ZERO
             e = e1 * e2
             g = _int_gcd(c, e)
             return Frac._raw({0: c // g}, _P_ONE if e == g else {0: e // g})
-        if d1 == _P_ONE and d2 == _P_ONE:
-            t = _p_add(n1, n2)
-            return ZERO if not t else Frac._raw(t, _P_ONE)
-        g0 = _p_gcd(d1, d2)
-        if g0 == _P_ONE:
-            t = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
-            return ZERO if not t else Frac._raw(t, _p_mul(d1, d2))
-        d1r = _p_divexact(d1, g0)
-        d2r = _p_divexact(d2, g0)
-        t = _p_add(_p_mul(n1, d2r), _p_mul(n2, d1r))
-        if not t:
-            return ZERO
-        g1 = _p_gcd(t, g0)
-        if g1 != _P_ONE:
-            t = _p_divexact(t, g1)
-            g0 = _p_divexact(g0, g1)
-        return Frac._raw(t, _p_mul(_p_mul(d1r, g0), d2r))
-
-    __radd__ = __add__
+        return _monomial_sum([(n1, _P_ONE, j1, e1), (n2, _P_ONE, j2, e2)])
 
     def __neg__(self) -> "Frac":
         if not self.num:
@@ -471,18 +482,24 @@ class Frac:
         return Frac._raw(_p_neg(self.num), self.den)
 
     def __sub__(self, other: ScalarLike) -> "Frac":
-        other = Frac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(-other)
+        if type(other) is not Frac:
+            other = Frac._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
+        return self._sum(_p_neg(other.num), other.den)
 
     def __rsub__(self, other: ScalarLike) -> "Frac":
         return (-self).__add__(other)
 
     def __mul__(self, other: ScalarLike) -> "Frac":
-        other = Frac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Frac:
+            other = Frac._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.num or not other.num:
             return ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
@@ -512,9 +529,10 @@ class Frac:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Frac":
-        other = Frac._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Frac:
+            other = Frac._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num:
             raise DivisionByZero(f"division by zero scalar (numerator {self.render()})")
         num, den = other.den, other.num
@@ -627,6 +645,66 @@ def _p_substitute(p: dict, subs: dict[int, Fraction]) -> tuple[dict, int]:
 
 ZERO = Frac._raw(_P_ZERO, _P_ONE)
 ONE = Frac._raw(_P_ONE, _P_ONE)
+
+
+def _monomial_sum(parts: list[tuple[dict, dict, int, int]]) -> Frac:
+    """The reduced sum of n1 * n2 / (e * x^j) over parts (n1, n2, j, e), e > 0.
+
+    The terms go over one common denominator, the per-slot maximum of the
+    keys j and the int lcm of the e; the numerator sum is reduced once, by
+    its gcd with that monomial: an int gcd and a key minimum.
+    """
+    lk, lc = 0, 1
+    for _, _, j, e in parts:
+        if j != lk:
+            lk = lk + j - _key_min(lk, j) if lk and j else lk | j
+        if e != lc:
+            lc = lc * e // _int_gcd(lc, e)
+    total: dict = {}
+    get = total.get
+    for n1, n2, j, e in parts:
+        if len(n1) == 1 == len(n2):
+            [(k1, c1)] = n1.items()
+            [(k2, c2)] = n2.items()
+            terms: Iterable = ((k1 + k2, c1 * c2),)
+        else:
+            terms = _p_mul(n1, n2).items()
+        shift, n = lk - j, lc // e
+        for k, c in terms:
+            k += shift
+            v = get(k, 0) + c * n
+            if v:
+                total[k] = v
+            else:
+                del total[k]
+    if not total:
+        return ZERO
+    m, g = _p_monomial_gcd(total, lk, lc)
+    if m or g != 1:
+        total = {k - m: c // g for k, c in total.items()}
+        lk, lc = lk - m, lc // g
+    return Frac._raw(total, _P_ONE if not lk and lc == 1 else {lk: lc})
+
+
+def dot(pairs: Iterable[tuple[Frac, Frac]]) -> Frac:
+    """The sum of a * b over the pairs, normalized once (see Fast paths).
+
+    Zero operands are skipped, and a sum that cancels builds no Frac.
+    Products with a denominator that is not a monomial are added with ``+``.
+    """
+    parts = []
+    rest = ZERO
+    for a, b in pairs:
+        if not a.num or not b.num:
+            continue
+        d1, d2 = a.den, b.den
+        if len(d1) != 1 or len(d2) != 1:
+            rest = rest + a * b
+            continue
+        [(j1, e1)] = d1.items()
+        [(j2, e2)] = d2.items()
+        parts.append((a.num, b.num, j1 + j2, e1 * e2))
+    return rest + _monomial_sum(parts)
 
 
 def var(name: str) -> Frac:

@@ -33,7 +33,7 @@ from .family import (
     sl2_plane_action,
 )
 from .quadlie import Covariants, SuperAlgebra
-from .scalars import Frac, ONE, ZERO, parse as parse_scalar
+from .scalars import Frac, ONE, ZERO, dot, parse as parse_scalar
 
 
 def build_tilde(
@@ -137,19 +137,12 @@ def build_tilde(
     scale = None
     for (p, q), row in sorted(oo_rows.items()):
         for x in range(even_dim):
-            den = ZERO
-            for m, c in row.items():
-                if form[m][x].num:
-                    den = den + c * form[m][x]
+            den = dot((c, form[m][x]) for m, c in row.items())
             if not den.num:
                 continue
             # [q, x] = -[x, q] from the stored even-odd rows
             qx = brackets.get((x, q), {})
-            num = ZERO
-            for m, c in qx.items():
-                if form[p][m].num:
-                    num = num - c * form[p][m]
-            scale = num / den
+            scale = -dot((c, form[p][m]) for m, c in qx.items()) / den
             break
         if scale is not None:
             break

@@ -31,11 +31,13 @@ def diag_space(*qs, name="V"):
     return QuadraticSpace([f"e{i+1}" for i in range(n)], gram, name=name)
 
 
-def random_map(space, codomain, degree, rng, density=0.7):
+def random_map(space, codomain, degree, rng, density=0.7, values=None):
     coeffs = {}
     for index in all_multi_indices(space.dim, degree):
         vec = [
-            rat(rng.randint(-3, 3)) if rng.random() < density else ZERO
+            (rng.choice(values) if values else rat(rng.randint(-3, 3)))
+            if rng.random() < density
+            else ZERO
             for _ in range(codomain.dim)
         ]
         coeffs[index] = vec
@@ -119,6 +121,34 @@ def test_wedge_vector_valued_matches_brute_force(K):
     f = random_map(V, V, 1, rng)
     g = random_map(V, V, 2, rng)
     assert wedge_rel(f, g, pairing) == brute_wedge_rel(f, g, pairing)
+
+
+def _fold_apply(pairing, x, y):
+    """pairing(x, y) by pairwise + over the dense table: an oracle for apply."""
+    out = [ZERO] * pairing.result.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, t in enumerate(pairing.table[i][j]):
+                out[k] = out[k] + xi * yj * t
+    return out
+
+
+def test_apply_and_wedge_match_pairwise_folds(K):
+    # monomial, constant and two-term-denominator values reach every dot path
+    values = [rat(2), rat(-1, 3), L1, L2 / 2, -L1 * L2, ONE / (L1 + 1)]
+    V = diag_space(ONE, L1, L2, ONE)
+    pairing = PairingSpec.form(V, K)
+    for seed in (11, 13, 17):
+        rng = random.Random(seed)
+        f = random_map(V, V, 1, rng, values=values)
+        g = random_map(V, V, 2, rng, density=0.5, values=values)
+        for x in f.coeffs.values():
+            for y in f.coeffs.values():
+                assert pairing.apply(x, y) == _fold_apply(pairing, x, y)
+        assert wedge_rel(f, g, pairing) == brute_wedge_rel(f, g, pairing)
+        # one stored value, as in the Hodge re-verification
+        single = AltMap(V, V, 1, {(2,): V.basis_vector(3)})
+        assert wedge_rel(single, g, pairing) == brute_wedge_rel(single, g, pairing)
 
 
 def test_wedge_supercommutativity_scalar(K):

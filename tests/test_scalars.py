@@ -27,7 +27,9 @@ from specialortho.scalars import (
     ZERO,
     _p_add,
     _p_divexact,
+    _p_max_exponent,
     _p_mul,
+    dot,
     parse,
     rat,
     render,
@@ -372,12 +374,25 @@ def test_fast_paths_give_the_canonical_form(x, y):
     )
     got = x + y
     assert (got.num, got.den) == (total.num, total.den)
+    minus_y = {k: -c for k, c in fy.num.items()}
+    difference = Frac(
+        _p_add(_p_mul(fx.num, fy.den), _p_mul(minus_y, fx.den)),
+        _p_mul(fx.den, fy.den),
+    )
+    got = x - y
+    assert (got.num, got.den) == (difference.num, difference.den)
 
 
 def test_fast_paths_need_no_polynomial_gcd(monkeypatch):
     x = Frac({1 | 2 << 16: -6}, {3 << 48: 4})  # -3*l1*l2^2 / (2*a^3)
     y = Frac({1 << 48: 10}, {1 | 1 << 32: 9})  # 10*a / (9*l1*l3)
     want = Frac({2 << 16: -5}, {1 << 32 | 2 << 48: 3})  # -5*l2^2 / (3*l3*a^2)
+    # polynomial numerators over monomial denominators, built before the patch
+    u = parse("(l1^2 + 2*l2*l1) / (6*l3)")
+    v = parse("(l1*l2 - 3*a) / (4*l1*l3^2)")
+    u_plus_v = parse("(2*l1^3*l3 + 4*l1^2*l2*l3 + 3*l1*l2 - 9*a) / (12*l1*l3^2)")
+    u_minus_v = parse("(2*l1^3*l3 + 4*l1^2*l2*l3 - 3*l1*l2 + 9*a) / (12*l1*l3^2)")
+    uv_plus_xy = u * v + x * y
 
     def no_gcd(a, b):
         raise AssertionError("the polynomial gcd was called")
@@ -386,3 +401,72 @@ def test_fast_paths_need_no_polynomial_gcd(monkeypatch):
     assert (x * y).num == want.num and (x * y).den == want.den
     assert rat(1, 6) + rat(-5, 12) == rat(-1, 4)
     assert rat(2, 3) + rat(-2, 3) == ZERO
+    assert u + v == u_plus_v and u - v == u_minus_v
+    assert dot([(u, v), (x, y)]) == uv_plus_xy
+    assert dot([(x, y), (-x, y), (u, ZERO)]) is ZERO
+
+
+# -- dot: one normalization per sum -------------------------------------------
+
+_nonzero_ints = st.integers(min_value=-3, max_value=3).filter(bool)
+_dot_operands = st.one_of(
+    st.just(ZERO),
+    _constants,
+    monomial_fractions(),
+    # a two-term denominator: dot adds these products with +
+    st.builds(lambda m, c: m / (L1 + c), monomial_fractions(), _nonzero_ints),
+)
+
+
+@given(st.lists(st.tuples(_dot_operands, _dot_operands), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_dot_is_the_pairwise_sum(pairs):
+    want = ZERO
+    for a, b in pairs:
+        want = want + a * b
+    got = dot(pairs)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_dot_cancellation_builds_no_fraction():
+    x = parse("3*l1^2/(2*a)")
+    y = parse("l2/(5*l3)")
+    pairs = [(x, y), (-x, y), (ZERO, x), (L1, L2 / L3), (L2, -L1 / L3)]
+    assert dot(pairs) is ZERO
+    assert dot([]) is ZERO
+    mixed = [(ONE / (L1 + 1), L2), (L2, -ONE / (L1 + 1))]
+    assert dot(mixed) == ZERO
+
+
+def test_library_exponents_stay_small(monkeypatch):
+    """A symbolic ``verify all`` never carries an exponent across a key slot.
+
+    Every ``_p_mul`` takes operands whose largest exponents sum to at most
+    65535, and every exponent stored in a Frac stays below 2^14, so the at
+    most four operand keys that the fast paths and ``dot`` add in one slot
+    cannot carry either.  The largest exponent the run stores is 24.
+    """
+    from specialortho.suites import run_suite
+
+    mul, init, raw = scalars_module._p_mul, Frac.__init__, Frac._raw.__func__
+
+    def checked_mul(a, b):
+        assert _p_max_exponent(a) + _p_max_exponent(b) <= 65535
+        return mul(a, b)
+
+    def check(x):
+        assert max(_p_max_exponent(x.num), _p_max_exponent(x.den)) < 1 << 14
+
+    def checked_init(self, num, den):
+        init(self, num, den)
+        check(self)
+
+    def checked_raw(cls, num, den):
+        out = raw(cls, num, den)
+        check(out)
+        return out
+
+    monkeypatch.setattr(scalars_module, "_p_mul", checked_mul)
+    monkeypatch.setattr(Frac, "__init__", checked_init)
+    monkeypatch.setattr(Frac, "_raw", classmethod(checked_raw))
+    assert run_suite("all").ok
