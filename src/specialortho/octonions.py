@@ -10,7 +10,7 @@ on the seven imaginary units follows xor: e_i e_j = (sign) (monomial) e_{i xor j
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .altmap import AltMap, PairingSpec
 from .errors import DegenerateParameter, NotImaginary, ShapeMismatch
@@ -51,7 +51,9 @@ class OctonionAlgebra:
 
     ``table[i][j]`` is the product of the basis units e_i e_j, and
     ``product`` is the same table as the PairingSpec O x O -> O that
-    multiplies octonions.
+    multiplies octonions.  ``unit_tables`` holds, by (fn, positions), the
+    values of fn on basis units (cross products, commutators, associators)
+    that ``on_units`` has computed so far; it starts empty.
     """
 
     def __init__(self, l1: Frac, l2: Frac, l3: Frac):
@@ -90,6 +92,16 @@ class OctonionAlgebra:
         )
         space = self.space_oct
         self.product = PairingSpec(space, space, space, self.table, name="octonion product")
+        self.unit_tables: dict[tuple, Octonion] = {}
+
+    def on_units(self, fn: Callable[..., "Octonion"], *positions: int) -> "Octonion":
+        """fn of the basis units at these positions, computed by fn once per
+        algebra; the stored value is shared and read only."""
+        key = (fn, positions)
+        value = self.unit_tables.get(key)
+        if value is None:
+            value = self.unit_tables[key] = fn(*(self.unit(k) for k in positions))
+        return value
 
     def unit(self, k: int) -> "Octonion":
         """Basis octonion at position k (0 is the real unit)."""

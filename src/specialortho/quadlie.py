@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from . import linalg
-from .altmap import AltMap, PairingSpec, compose, eta_inv, wedge_rel
+from .altmap import AltMap, PairingSpec, _sum_terms, compose, eta_inv, wedge_rel
 from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS
 from .errors import NotImaginary, ShapeMismatch, WrongDimension
 from .exterior import QuadraticSpace, all_multi_indices, complement_index
 from .octonions import (
     OctonionAlgebra,
-    associative_form,
     associator,
     bilinear_B,
     commutator,
@@ -152,21 +152,22 @@ class SuperAlgebra:
         bracket = self.bracket
         for x in range(n):
             px = self.parity(x)
+            # both signs of each row [x, t], as (c, m) terms, once per (x, t)
+            signed = {}
+            for t in range(x, n):
+                row = bracket(x, t).items()
+                signed[t] = ([(c, m) for m, c in row], [(-c, m) for m, c in row])
             for y in range(x, n):
                 py = self.parity(y)
                 both_odd = px and py
-                minus_xy = [(-c, m) for m, c in bracket(x, y).items()]
                 for z in range(y, n):
                     sector = _SECTORS[px + py + self.parity(z)]
                     if out[sector] is not None:
                         continue
                     # (+-c, [a, b] row) for each c [a, b] term of J
                     rows = [(c, bracket(x, m)) for m, c in bracket(y, z).items()]
-                    rows += [(c, bracket(m, z)) for c, m in minus_xy]
-                    rows += [
-                        (c if both_odd else -c, bracket(y, m))
-                        for m, c in bracket(x, z).items()
-                    ]
+                    rows += [(c, bracket(m, z)) for c, m in signed[y][1]]
+                    rows += [(c, bracket(y, m)) for c, m in signed[z][0 if both_odd else 1]]
                     terms: dict[int, list] = {}
                     for c, row in rows:
                         for k, v in row.items():
@@ -181,33 +182,32 @@ class SuperAlgebra:
     def form_invariance_witness(self) -> Optional[str]:
         """B([x,y],z) = B(x,[y,z]) over all basis triples, or a witness.
 
-        Super-antisymmetry of the bracket and supersymmetry of the form give
-        I(z,y,x) = (-1)^{|x||y|+|z|} I(x,y,z) for I(x,y,z) = B([x,y],z) -
-        B(x,[y,z]) whenever y is odd or x and z have the same parity, even
-        if the bracket breaks the grading.  Such triples with z < x are
-        skipped: the mirror triple comes first in lexicographic order, so the
-        witness is the first one of a scan over every triple.
+        For each (x, y) in lexicographic order only the z where a side can
+        be nonzero are visited: B([x,y],z) is read from the stored row [x,y]
+        and the nonzero form entries, B(x,[y,z]) from the rows [y,z] with a
+        term at an m where B(x, e_m) != 0.  The witness is the least failing
+        z of the first failing (x, y), the first one of a scan over every
+        triple.
         """
         n = self.dim
+        form_rows = [[(z, f) for z, f in enumerate(r) if f.num] for r in self.form]
+        # (y, m) -> [(z, c)]: the terms c e_m of the stored rows [y, z]
+        terms_at: dict[tuple[int, int], list] = {}
+        for (y, z), row in self._rows.items():
+            for m, c in row.items():
+                terms_at.setdefault((y, m), []).append((z, c))
         for x in range(n):
-            px = self.parity(x)
-            form_x = self.form[x]
             for y in range(n):
-                row_xy = self.bracket(x, y)
-                if self.parity(y) or not px:
-                    zs: Sequence[int] = range(x, n)
-                else:
-                    zs = [*range(self.even_dim), *range(x, n)]
-                for z in zs:
-                    left = ZERO
-                    for m, c in row_xy.items():
-                        if self.form[m][z].num:
-                            left = left + c * self.form[m][z]
-                    right = ZERO
-                    for m, c in self.bracket(y, z).items():
-                        if form_x[m].num:
-                            right = right + c * form_x[m]
-                    if left != right:
+                left: dict[int, list] = {}
+                for m, c in self.bracket(x, y).items():
+                    for z, f in form_rows[m]:
+                        left.setdefault(z, []).append((c, f))
+                right: dict[int, list] = {}
+                for m, f in form_rows[x]:
+                    for z, c in terms_at.get((y, m), ()):
+                        right.setdefault(z, []).append((c, f))
+                for z in sorted(left.keys() | right.keys()):
+                    if dot(left.get(z, ())) != dot(right.get(z, ())):
                         return (
                             f"B([{self.labels[x]},{self.labels[y]}],"
                             f"{self.labels[z]}) != B({self.labels[x]},"
@@ -259,18 +259,18 @@ class QuadLieRep:
     def check_rep_property(self) -> Optional[str]:
         """rho([x_i, x_j]) e_k = rho(x_i) rho(x_j) e_k - rho(x_j) rho(x_i) e_k
         for i < j and every module basis vector e_k, or a witness."""
-        act, rows = self.act.apply, self.act.table
+        act, rows = self.act, self.act.table
         basis = [self.algebra_space.basis_vector(a) for a in range(self.dim)]
         for i, j in combinations(range(self.dim), 2):
             bracket = [ZERO] * self.dim
             for k, c in self.algebra.bracket(i, j).items():
                 bracket[k] = c
             for k in range(self.space.dim):
-                expect = [
-                    p - q
-                    for p, q in zip(act(basis[i], rows[j][k]), act(basis[j], rows[i][k]))
-                ]
-                if expect != act(bracket, self.space.basis_vector(k)):
+                terms: dict[int, list] = {}
+                act.gather(terms, basis[i], rows[j][k])
+                act.gather(terms, basis[j], rows[i][k], negate=True)
+                expect = _sum_terms(terms, self.space.dim)
+                if expect != act.apply(bracket, self.space.basis_vector(k)):
                     labels = self.algebra_space.labels
                     return f"rho([{labels[i]},{labels[j]}]) != [rho {labels[i]}, rho {labels[j]}]"
         return None
@@ -451,6 +451,8 @@ class Covariants:
     """The moment map with its derived covariants on one representation.
 
     ``special`` and ``witness`` are the result of check_special on ``mu``.
+    ``mu_wedge_psi`` and ``mu_compose_psi`` are computed on first access and
+    shared by the Mathews and Hodge checks.
     """
 
     rep: QuadLieRep
@@ -460,6 +462,16 @@ class Covariants:
     special: bool
     witness: Optional[str]
     scalar: QuadraticSpace
+
+    @cached_property
+    def mu_wedge_psi(self) -> AltMap:
+        """mu ^_rho psi."""
+        return wedge_rel(self.mu, self.psi, self.rep.act)
+
+    @cached_property
+    def mu_compose_psi(self) -> AltMap:
+        """mu o psi."""
+        return compose(self.mu, self.psi)
 
 
 def covariants(rep: QuadLieRep, scalar: QuadraticSpace, mu: Optional[AltMap] = None) -> Covariants:
@@ -616,14 +628,13 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
             "wedge-mu-psi",
             "mu ^_rho psi = -(3/2) Q ^ Id",
             5,
-            lambda: wedge_rel(mu, psi, rep.act)
-            == wedge_rel(quad, ident, k_v).scale(rat(-3, 2)),
+            lambda: cov.mu_wedge_psi == wedge_rel(quad, ident, k_v).scale(rat(-3, 2)),
         ),
         rung(
             "compose-mu-psi",
             "mu o psi = 3 Q ^ mu",
             6,
-            lambda: compose(mu, psi) == wedge_rel(quad, mu, k_g).scale(rat(3)),
+            lambda: cov.mu_compose_psi == wedge_rel(quad, mu, k_g).scale(rat(3)),
         ),
         rung(
             "compose-psi-psi",
@@ -772,8 +783,7 @@ def psi_im_expected(octs: OctonionAlgebra) -> AltMap:
     """psi on imaginaries: -(3/4) of the associator."""
     coeffs = {}
     for index in all_multi_indices(7, 3):
-        u, v, w = (octs.imaginary_unit(t) for t in index)
-        val = associator(u, v, w).scale(rat(-3, 4))
+        val = octs.on_units(associator, *index).scale(rat(-3, 4))
         if not val.is_imaginary():
             raise NotImaginary("associator of imaginaries must be imaginary")
         coeffs[index] = val.imaginary_coeffs()
@@ -784,8 +794,8 @@ def quad_im_expected(octs: OctonionAlgebra, scalar: QuadraticSpace) -> AltMap:
     """Q on imaginaries: -3 B(v1, (v2, v3, v4))."""
     coeffs = {}
     for index in all_multi_indices(7, 4):
-        u1, u2, u3, u4 = (octs.imaginary_unit(t) for t in index)
-        value = rat(-3) * bilinear_B(u1, associator(u2, u3, u4))
+        u1 = octs.imaginary_unit(index[0])
+        value = rat(-3) * bilinear_B(u1, octs.on_units(associator, *index[1:]))
         coeffs[index] = [value]
     return AltMap(octs.space_im, scalar, 4, coeffs, name="quad_im_closed")
 
@@ -796,15 +806,13 @@ def psi_oct_expected(octs: OctonionAlgebra) -> AltMap:
     coeffs = {}
     for index in all_multi_indices(8, 3):
         if index[0] == 1:
-            a, b = index[1] - 1, index[2] - 1
-            u, v = octs.imaginary_unit(a), octs.imaginary_unit(b)
             # psi(1, u, v) = psi(u, v, 1) by cyclic evenness = -(u x v)
-            val = -cross_product(u, v)
+            val = -octs.on_units(cross_product, index[1] - 1, index[2] - 1)
         else:
-            u, v, w = (octs.imaginary_unit(t - 1) for t in index)
-            val = associator(u, v, w).scale(rat(-1, 2)) + octs.one().scale(
-                associative_form(u, v, w)
-            )
+            a, b, c = (t - 1 for t in index)
+            phi = bilinear_B(octs.on_units(cross_product, a, b), octs.unit(c))
+            assoc = octs.on_units(associator, a, b, c)
+            val = assoc.scale(rat(-1, 2)) + octs.one().scale(phi)
         coeffs[index] = list(val.coeffs)
     return AltMap(octs.space_oct, octs.space_oct, 3, coeffs, name="psi_oct_closed")
 
@@ -814,13 +822,12 @@ def quad_oct_expected(octs: OctonionAlgebra, scalar: QuadraticSpace) -> AltMap:
     and Q(v1,v2,v3,1) = -4 phi(v1,v2,v3) when the unit enters."""
     coeffs = {}
     for index in all_multi_indices(8, 4):
+        a, b, c, d = (t - 1 for t in index)
         if index[0] == 1:
-            u, v, w = (octs.imaginary_unit(t - 1) for t in index[1:])
             # moving the unit from slot 4 to slot 1 is an odd permutation
-            value = rat(4) * associative_form(u, v, w)
+            value = rat(4) * bilinear_B(octs.on_units(cross_product, b, c), octs.unit(d))
         else:
-            u1, u2, u3, u4 = (octs.imaginary_unit(t - 1) for t in index)
-            value = rat(-2) * bilinear_B(u1, associator(u2, u3, u4))
+            value = rat(-2) * bilinear_B(octs.unit(a), octs.on_units(associator, b, c, d))
         coeffs[index] = [value]
     return AltMap(octs.space_oct, scalar, 4, coeffs, name="quad_oct_closed")
 
@@ -828,13 +835,12 @@ def quad_oct_expected(octs: OctonionAlgebra, scalar: QuadraticSpace) -> AltMap:
 def mu_im_pointwise_witness(octs: OctonionAlgebra, rep: QuadLieRep, mu: AltMap) -> Optional[str]:
     """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)) on basis triples."""
     for i in range(1, 8):
-        u = octs.imaginary_unit(i)
         for j in range(1, 8):
-            v = octs.imaginary_unit(j)
+            uv = octs.on_units(commutator, i, j)
             for k in range(1, 8):
                 w = octs.imaginary_unit(k)
                 expect = (
-                    commutator(w, commutator(u, v)) + associator(u, v, w).scale(rat(3))
+                    commutator(w, uv) + octs.on_units(associator, i, j, k).scale(rat(3))
                 ).scale(rat(-1, 4))
                 if mu_act(rep, mu, i - 1, j - 1, k - 1) != expect.imaginary_coeffs():
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
@@ -847,13 +853,12 @@ def mu_im_canonical_split_witness(
     """mu(u, v) w = (3/2) mu_can(u, v) w + (1/8) [w, [u, v]] on basis triples."""
     space = octs.space_im
     for i in range(1, 8):
-        u = octs.imaginary_unit(i)
         for j in range(1, 8):
-            v = octs.imaginary_unit(j)
+            uv = octs.on_units(commutator, i, j)
             for k in range(1, 8):
                 w = octs.imaginary_unit(k)
                 canonical = mu_can_value(space, i - 1, j - 1, k - 1)
-                expect_oct = commutator(w, commutator(u, v)).scale(rat(1, 8))
+                expect_oct = commutator(w, uv).scale(rat(1, 8))
                 expect = [
                     rat(3, 2) * c + e
                     for c, e in zip(canonical, expect_oct.imaginary_coeffs())
@@ -867,15 +872,15 @@ def g2_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
     """mu(u, v x w) + mu(v, w x u) + mu(w, u x v) = 0 on all basis triples."""
     space = octs.space_im
     for i in range(1, 8):
-        u = octs.imaginary_unit(i)
         for j in range(1, 8):
-            v = octs.imaginary_unit(j)
             for k in range(1, 8):
-                w = octs.imaginary_unit(k)
                 total = None
-                for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                     val = mu.evaluate(
-                        [x.imaginary_coeffs(), cross_product(y, z).imaginary_coeffs()]
+                        [
+                            space.basis_vector(x - 1),
+                            octs.on_units(cross_product, y, z).imaginary_coeffs(),
+                        ]
                     )
                     total = val if total is None else [p + q for p, q in zip(total, val)]
                 if any(c.num for c in total):
@@ -885,18 +890,18 @@ def g2_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
 
 def spinor_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
     """mu(u, v x w) + cyclic = -(1/2) mu((u,v,w), 1) on all imaginary triples."""
-    unit = octs.space_oct.basis_vector(0)
+    space = octs.space_oct
+    unit = space.basis_vector(0)
     for i in range(1, 8):
-        u = octs.imaginary_unit(i)
         for j in range(1, 8):
-            v = octs.imaginary_unit(j)
             for k in range(1, 8):
-                w = octs.imaginary_unit(k)
                 total = None
-                for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-                    val = mu.evaluate([x.coeffs, cross_product(y, z).coeffs])
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    val = mu.evaluate(
+                        [space.basis_vector(x), octs.on_units(cross_product, y, z).coeffs]
+                    )
                     total = val if total is None else [p + q for p, q in zip(total, val)]
-                rhs = mu.evaluate([associator(u, v, w).coeffs, unit])
+                rhs = mu.evaluate([octs.on_units(associator, i, j, k).coeffs, unit])
                 expect = [rat(-1, 2) * c for c in rhs]
                 if total != expect:
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
@@ -929,11 +934,10 @@ def mu_oct_from_mu_im_witness(
         if not (got_unit - expect_unit).is_zero():
             return f"mu(e{i}, 1) != (1/6) c_(e{i})"
         for j in range(i + 1, 8):
-            v = octs.imaginary_unit(j)
             got = to_clifford(mu_oct.value((i + 1, j + 1)), pair_elements)
             mu_im_cliff = to_clifford(mu_im.value((i, j)), kernel)
             expect = mu_im_cliff.scale(rat(8, 9)) + cliff.c_of(
-                cross_product(u, v)
+                octs.on_units(cross_product, i, j)
             ).scale(rat(1, 18))
             if not (got - expect).is_zero():
                 return f"mu(e{i}, e{j}) decomposition fails"

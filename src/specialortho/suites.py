@@ -24,7 +24,6 @@ from typing import Callable, Optional
 from .altmap import (
     AltMap,
     PairingSpec,
-    compose,
     hodge_dual,
     volume_constant,
     wedge_rel,
@@ -395,7 +394,7 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
                 return f"rho(c_e{i})(1) != -6 e{i}"
             for j in range(1, 8):
                 v = octs.imaginary_unit(j)
-                want = cross_product(u, v).scale(rat(2)) + one.scale(
+                want = octs.on_units(cross_product, i, j).scale(rat(2)) + one.scale(
                     rat(6) * bilinear_B(u, v)
                 )
                 if cliff.apply_to_octonion(cu, v) != want:
@@ -631,7 +630,7 @@ def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
             "mathews-im-compose-zero",
             "mu o psi = 0 on the seven-dimensional module",
             lambda: None
-            if compose(cov.mu, cov.psi).is_zero()
+            if cov.mu_compose_psi.is_zero()
             else "mu o psi != 0",
         ),
         run_check(
@@ -705,23 +704,25 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     """The Hodge claims on the seven- and eight-dimensional modules.
 
     No dual is taken here: each row computes its dual and target when its
-    constant is first read, and the volume form of a module is computed
-    once, by the first row that needs it.
+    constant is first read.  The volume form of a module, and the dual of
+    each map against it, are computed once, by the first row that needs it.
     """
     scalar = ws.scalar
     k_k = PairingSpec.scalar_scalar(scalar)
     rows: list[HodgeRow] = []
 
+    def dual(f: AltMap, volume: Callable[[], AltMap]) -> Callable[[], AltMap]:
+        return cache(lambda: hodge_dual(f, volume(), scalar))
+
     def add(
         name: str,
         statement: str,
-        f: AltMap,
-        volume: Callable[[], AltMap],
+        star: Callable[[], AltMap],
         target: Callable[[], AltMap],
         reference: Optional[str],
     ) -> None:
         def solve() -> Optional[Frac]:
-            return _proportionality(hodge_dual(f, volume(), scalar), target())
+            return _proportionality(star(), target())
 
         rows.append(HodgeRow(name, statement, reference, solve))
 
@@ -732,43 +733,39 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     k_v = PairingSpec.scalar_multiply(scalar, im)
     k_g = PairingSpec.scalar_multiply(scalar, rep.algebra_space)
     vol = cache(lambda: wedge_rel(ws.phi, cov.quad, k_k))
+    star_cross = dual(ws.cross, vol)
     add(
         "hodge-im-cross-quad-id",
         "star(cross) = c (Q ^ Id) on the seven-dimensional module",
-        ws.cross,
-        vol,
+        star_cross,
         lambda: wedge_rel(cov.quad, ident, k_v),
         "147/8",
     )
     add(
         "hodge-im-cross-mu-psi",
         "star(cross) = c (mu ^_rho psi) on the seven-dimensional module",
-        ws.cross,
-        vol,
-        lambda: wedge_rel(cov.mu, cov.psi, rep.act),
+        star_cross,
+        lambda: cov.mu_wedge_psi,
         "-49/4",
     )
     add(
         "hodge-im-id-phi-psi",
         "star(Id) = c (phi ^ psi)",
-        ident,
-        vol,
+        dual(ident, vol),
         lambda: wedge_rel(ws.phi, cov.psi, k_v),
         None,
     )
     add(
         "hodge-im-mu-phi-mu",
         "star(mu) = c (phi ^ mu)",
-        cov.mu,
-        vol,
+        dual(cov.mu, vol),
         lambda: wedge_rel(ws.phi, cov.mu, k_g),
         None,
     )
     add(
         "hodge-im-psi-phi-id",
         "star(psi) = c (phi ^ Id)",
-        cov.psi,
-        vol,
+        dual(cov.psi, vol),
         lambda: wedge_rel(ws.phi, ident, k_v),
         None,
     )
@@ -780,43 +777,39 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     k_v8 = PairingSpec.scalar_multiply(scalar, oc)
     k_g8 = PairingSpec.scalar_multiply(scalar, rep8.algebra_space)
     vol8 = cache(lambda: wedge_rel(cov8.quad, cov8.quad, k_k))
+    star_psi8, star_mu8 = dual(cov8.psi, vol8), dual(cov8.mu, vol8)
     add(
         "hodge-oct-psi-quad-id",
         "star(psi) = c (Q ^ Id) on the eight-dimensional module",
-        cov8.psi,
-        vol8,
+        star_psi8,
         lambda: wedge_rel(cov8.quad, ident8, k_v8),
         "-56",
     )
     add(
         "hodge-oct-psi-mu-psi",
         "star(psi) = c (mu ^_rho psi) on the eight-dimensional module",
-        cov8.psi,
-        vol8,
-        lambda: wedge_rel(cov8.mu, cov8.psi, rep8.act),
+        star_psi8,
+        lambda: cov8.mu_wedge_psi,
         "112/3",
     )
     add(
         "hodge-oct-mu-quad-mu",
         "star(mu) = c (Q ^ mu) on the eight-dimensional module",
-        cov8.mu,
-        vol8,
+        star_mu8,
         lambda: wedge_rel(cov8.quad, cov8.mu, k_g8),
         "-56",
     )
     add(
         "hodge-oct-mu-compose",
         "star(mu) = c (mu o psi) on the eight-dimensional module",
-        cov8.mu,
-        vol8,
-        lambda: compose(cov8.mu, cov8.psi),
+        star_mu8,
+        lambda: cov8.mu_compose_psi,
         "-56/3",
     )
     add(
         "hodge-oct-id-quad-psi",
         "star(Id) = c (Q ^ psi)",
-        ident8,
-        vol8,
+        dual(ident8, vol8),
         lambda: wedge_rel(cov8.quad, cov8.psi, k_v8),
         None,
     )

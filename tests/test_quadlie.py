@@ -1,6 +1,9 @@
 """Moment maps, covariants, and the identity ladder on the octonion modules."""
 
+from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -9,10 +12,11 @@ from specialortho.altmap import PairingSpec, compose, wedge_rel
 from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import ShapeMismatch
 from specialortho.exterior import QuadraticSpace, scalar_codomain
-from specialortho.octonions import build_algebra
+from specialortho.octonions import associator, build_algebra, commutator, cross_product
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, parse, rat
 from specialortho import family as fam
 from specialortho import quadlie as ql
+from specialortho.suites import Workspace
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +256,22 @@ def test_oct_moment_decomposes_through_clifford(octs, cliff, g2, cov_oct):
         ql.mu_oct_from_mu_im_witness(octs, cliff, kernel, mu_im, cov_oct.mu) is None
     )
     assert ql.spinor_cyclic_witness(octs, cov_oct.mu) is None
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
+def test_unit_tables_hold_the_generic_values(weights):
+    ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
+    octs, mu = ws.octs, ws.cov_im.mu
+    assert ql.mu_im_pointwise_witness(octs, ws.g2_rep, mu) is None
+    assert ql.g2_cyclic_witness(octs, mu) is None
+    assert ws.cov_oct.psi == ql.psi_oct_expected(octs)
+    kinds = Counter(fn for fn, _ in octs.unit_tables)
+    assert kinds == {cross_product: 49, commutator: 49, associator: 343}
+    for (fn, positions), value in octs.unit_tables.items():
+        assert value == fn(*(octs.unit(k) for k in positions))
+        # e_i e_j is a multiple of e_{i xor j}, so each value has one term
+        at = reduce(xor, positions)
+        assert all(not c.num for t, c in enumerate(value.coeffs) if t != at)
 
 
 # -- decompositions and volumes ----------------------------------------------

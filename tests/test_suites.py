@@ -1,9 +1,11 @@
 """Suite reports: statuses, constants, witnesses, and determinism."""
 
 import json
+from functools import cached_property
 
 import pytest
 
+from specialortho import cli, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
 from specialortho.scalars import parse, rat, render
@@ -218,3 +220,44 @@ def test_unknown_suite():
 def test_zero_parameter_propagates():
     with pytest.raises(ZeroParameter):
         run_suite("d21", Workspace(alpha=rat(0)))
+
+
+def test_hodge_rows_take_one_dual_per_map_and_volume(monkeypatch):
+    calls = []
+    real = suites.hodge_dual
+
+    def counted(f, volume, scalar):
+        calls.append((f, volume))
+        return real(f, volume, scalar)
+
+    monkeypatch.setattr(suites, "hodge_dual", counted)
+    rows = hodge_rows(Workspace())
+    assert all(row.computed is not None for row in rows)
+    assert len(calls) == 7
+    assert len({(id(f), id(volume)) for f, volume in calls}) == 7
+
+
+def test_verify_all_composes_mu_and_psi_once(monkeypatch):
+    calls = []
+    real = quadlie.compose
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    for module in (quadlie, suites):
+        monkeypatch.setattr(module, "compose", counted, raising=False)
+    ws = Workspace(rat(2), rat(3), rat(-5), rat(2))
+    assert run_suite("all", ws).ok
+    for cov in (ws.cov_im, ws.cov_oct):
+        assert sum(f is cov.mu and g is cov.psi for f, g in calls) == 1
+
+
+def test_setup_stages_leave_the_unit_tables_empty():
+    # every cached Workspace stage, built as perfbench/setup_probe.py does
+    ws = cli._workspace(cli._build_parser().parse_args(["verify", "all"]))
+    stages = [n for n, v in vars(Workspace).items() if isinstance(v, cached_property)]
+    assert "cov_oct" in stages
+    for name in stages:
+        getattr(ws, name)
+    assert ws.octs.unit_tables == {}

@@ -252,13 +252,33 @@ def grading_breaker():
     return sup.SuperAlgebra("graded?", ("x", "y"), ("p", "q"), table, form)
 
 
-def test_invariance_witness_is_that_of_the_full_scan(g3):
+def right_side_breaker():
+    """4|0 table with [b,c] = [b,d] = a and the unit form: at (a, b) the left
+    side B([a,b], z) is zero for every z, and invariance fails at z = c and
+    at z = d, so the witness is (a, b, c)."""
+    form = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    table = {(1, 2): {0: ONE}, (1, 3): {0: ONE}}
+    return sup.SuperAlgebra("right", ("a", "b", "c", "d"), (), table, form)
+
+
+def test_invariance_witness_is_that_of_the_full_scan(g3, f4):
     breaker = grading_breaker()
-    for sa in (broken_sl2(), perturbed_odd_odd(g3), breaker):
+    right = right_side_breaker()
+    failing = (
+        broken_sl2(), perturbed_odd_odd(g3), perturbed_odd_odd(f4), breaker, right
+    )
+    for sa in failing:
         want = full_invariance_scan(sa)
         assert want is not None
         assert sa.form_invariance_witness() == want
     assert breaker.form_invariance_witness() == "B([p,x],y) != B(p,[x,y])"
+    assert right.form_invariance_witness() == "B([a,b],c) != B(a,[b,c])"
+    # the forced non-special assembly breaks Jacobi (OOO) but keeps the form
+    forced = sup.build_tilde(
+        cov_of(fam.build_family(rat(1), rat(1))), "forced", force=True
+    )
+    assert forced.form_invariance_witness() is None
+    assert full_invariance_scan(forced) is None
 
 
 @pytest.mark.parametrize("fixture_name", ["d21", "g3", "f4"])
