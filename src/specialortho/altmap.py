@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import ArityMismatch, ShapeMismatch, SingularPairing
 from .exterior import (
+    K,
     MultiIndex,
     QuadraticSpace,
     all_multi_indices,
@@ -91,22 +92,18 @@ class PairingSpec:
         return _sum_terms(terms, self.result.dim)
 
     @classmethod
-    def scalar_multiply(cls, scalar: QuadraticSpace, space: QuadraticSpace) -> "PairingSpec":
-        """k x V -> V, scalar multiplication."""
+    def scalar_multiply(cls, space: QuadraticSpace) -> "PairingSpec":
+        """K x V -> V, scalar multiplication."""
         table = [[space.basis_vector(j) for j in range(space.dim)]]
-        return cls(scalar, space, space, table, name="scalar action")
+        return cls(K, space, space, table, name="scalar action")
 
     @classmethod
-    def scalar_scalar(cls, scalar: QuadraticSpace) -> "PairingSpec":
-        return cls(scalar, scalar, scalar, [[[ONE]]], name="field product")
-
-    @classmethod
-    def form(cls, space: QuadraticSpace, scalar: QuadraticSpace) -> "PairingSpec":
-        """V x V -> k through the bilinear form of V."""
+    def form(cls, space: QuadraticSpace) -> "PairingSpec":
+        """V x V -> K through the bilinear form of V."""
         table = [
             [[space.gram[i][j]] for j in range(space.dim)] for i in range(space.dim)
         ]
-        return cls(space, space, scalar, table, name=f"form on {space.name}")
+        return cls(space, space, K, table, name=f"form on {space.name}")
 
     @classmethod
     def action(
@@ -124,6 +121,10 @@ class PairingSpec:
             for m in matrices
         ]
         return cls(algebra, module, module, table, name=f"action on {module.name}")
+
+
+# K x K -> K, the product of the ground field
+FIELD_PRODUCT = PairingSpec(K, K, K, [[[ONE]]], name="field product")
 
 
 class AltMap:
@@ -379,7 +380,7 @@ def volume_constant(volume: AltMap) -> Frac:
     return vec[0]
 
 
-def hodge_dual(f: AltMap, volume: AltMap, scalar: QuadraticSpace) -> AltMap:
+def hodge_dual(f: AltMap, volume: AltMap) -> AltMap:
     """The unique g with alpha ^_B g = b_alt(alpha, f) * volume for all alpha.
 
     alpha runs over degree-p maps into the codomain of f, the wedge pairs
@@ -408,18 +409,16 @@ def hodge_dual(f: AltMap, volume: AltMap, scalar: QuadraticSpace) -> AltMap:
         if _shuffle_sign([i - 1 for i in I], p) < 0:
             scale = -scale
         star.coeffs[J] = [scale * x for x in fI]
-    _verify_hodge(f, star, volume, vol, scalar)
+    _verify_hodge(f, star, vol)
     return star
 
 
-def _verify_hodge(
-    f: AltMap, star: AltMap, volume: AltMap, vol: Frac, scalar: QuadraticSpace
-) -> None:
+def _verify_hodge(f: AltMap, star: AltMap, vol: Frac) -> None:
     """Check alpha ^_B star = b_alt(alpha, f) * vol for every basis alpha."""
     space = f.domain
     n, p = space.dim, f.degree
     full = tuple(range(1, n + 1))
-    pairing = PairingSpec.form(f.codomain, scalar)
+    pairing = PairingSpec.form(f.codomain)
     for I in all_multi_indices(n, p):
         for b in range(f.codomain.dim):
             alpha = AltMap(

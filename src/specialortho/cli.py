@@ -88,7 +88,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     ws = _workspace(args)
     if args.target == "phi":
-        terms = decompose_phi_dual(ws.octs, ws.scalar)
+        terms = decompose_phi_dual(ws.octs)
     elif args.target == "q-im":
         terms = decompose_quad_im(ws.octs, ws.cov_im.quad)
     elif args.target == "q-oct":

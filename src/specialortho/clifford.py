@@ -15,14 +15,14 @@ given as its coefficient table, a scalar-valued AltMap on the imaginaries.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import linalg
 from .altmap import AltMap, eta_inv
 from .errors import NotImaginary, ShapeMismatch, WrongDimension
-from .exterior import scalar_codomain
-from .octonions import Octonion, OctonionAlgebra, phi_as_altmap
+from .octonions import Octonion, OctonionAlgebra
 from .scalars import Frac, ONE, ZERO, dot
 
 Vector = list[Frac]
@@ -139,12 +139,6 @@ class CliffordAlgebra:
         if not 1 <= i <= 7:
             raise ShapeMismatch(f"generator index {i} is outside 1..7")
         return CliffordElement(self, {1 << (i - 1): ONE})
-
-    def monomial(self, indices: Sequence[int]) -> CliffordElement:
-        mask = 0
-        for i in indices:
-            mask |= 1 << (i - 1)
-        return CliffordElement(self, {mask: ONE})
 
     def pair_basis(self) -> list[CliffordElement]:
         """The 21 degree-2 monomials e_i e_j (i < j) in a fixed order."""
@@ -264,13 +258,23 @@ class CliffordAlgebra:
         mb = self.spinor_action(b)
         return dot((ma[r][t], mb[t][r]) for r in range(8) for t in range(8))
 
+    @cached_property
+    def pair_traces(self) -> dict[tuple[int, int], Frac]:
+        """Tr(rho(x) rho(y)) for every pair (x, y) of pair-monomial masks."""
+        table = {}
+        for a, x in enumerate(PAIR_MASKS):
+            for y in PAIR_MASKS[a:]:
+                table[(x, y)] = table[(y, x)] = self.trace_product(
+                    CliffordElement(self, {x: ONE}), CliffordElement(self, {y: ONE})
+                )
+        return table
+
     # -- distinguished elements -------------------------------------------------
 
     def omega(self) -> CliffordElement:
         """Quantization of the index-raised associative form."""
         if self._omega is None:
-            phi = phi_as_altmap(self.octonions, scalar_codomain())
-            self._omega = self.quantize(eta_inv(phi))
+            self._omega = self.quantize(eta_inv(self.octonions.phi))
         return self._omega
 
     def c_of(self, u: Octonion) -> CliffordElement:

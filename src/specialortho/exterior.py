@@ -3,8 +3,9 @@
 A QuadraticSpace is a finite-dimensional space with a fixed ordered basis and
 a symmetric nonsingular Gram matrix.  The basis of Lambda^p is indexed by
 strictly increasing 1-based multi-indices; alternating maps (altmap.AltMap)
-are stored on them, and a scalar-valued AltMap also serves as the coefficient
-table of an element of Lambda^p on the basis e_I.
+are stored on them, and a scalar-valued AltMap (codomain K, the ground field)
+also serves as the coefficient table of an element of Lambda^p on the basis
+e_I.
 """
 
 from __future__ import annotations
@@ -92,6 +93,6 @@ def complement_index(index: MultiIndex, n: int) -> MultiIndex:
     return tuple(i for i in range(1, n + 1) if i not in inside)
 
 
-def scalar_codomain() -> QuadraticSpace:
-    """The field viewed as a 1-dimensional quadratic space (for scalar maps)."""
-    return QuadraticSpace(("k",), [[ONE]], name="k")
+# the ground field as a 1-dimensional quadratic space: the one codomain of
+# every scalar-valued map
+K = QuadraticSpace(("k",), [[ONE]], name="k")

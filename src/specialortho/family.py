@@ -19,7 +19,7 @@ from typing import Optional
 
 from .altmap import AltMap
 from .errors import ZeroParameter
-from .exterior import QuadraticSpace, all_multi_indices
+from .exterior import K, QuadraticSpace, all_multi_indices
 from .quadlie import QuadLieRep
 from .scalars import Frac, ONE, ZERO, rat
 
@@ -179,7 +179,7 @@ def psi_family_expected(rep: QuadLieRep, alpha: Frac) -> AltMap:
     return AltMap(space, space, 3, coeffs, name="psi_family_closed")
 
 
-def quad_family_expected(rep: QuadLieRep, alpha: Frac, scalar: QuadraticSpace) -> AltMap:
+def quad_family_expected(rep: QuadLieRep, alpha: Frac) -> AltMap:
     """The displayed degree-4 invariant at beta = -1 - alpha.
 
     Q = -12 (2 alpha + 1) (
@@ -202,7 +202,7 @@ def quad_family_expected(rep: QuadLieRep, alpha: Frac, scalar: QuadraticSpace) -
             * omega_plane(jb, jd) * omega_plane(ja, jc)
         )
         coeffs[index] = [value]
-    return AltMap(space, scalar, 4, coeffs, name="quad_family_closed")
+    return AltMap(space, K, 4, coeffs, name="quad_family_closed")
 
 
 def swap_family_witness(alpha: Frac, beta: Frac) -> Optional[str]:

@@ -10,14 +10,16 @@ on the seven imaginary units follows xor: e_i e_j = (sign) (monomial) e_{i xor j
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .altmap import AltMap, PairingSpec
 from .errors import DegenerateParameter, NotImaginary, ShapeMismatch
-from .exterior import QuadraticSpace, all_multi_indices
+from .exterior import K, QuadraticSpace, all_multi_indices
 from .scalars import Frac, ONE, ZERO, rat
 
 Vector = list[Frac]
+HALF = rat(1, 2)
 
 
 def _cd_conj(a: list) -> list:
@@ -53,7 +55,9 @@ class OctonionAlgebra:
     ``product`` is the same table as the PairingSpec O x O -> O that
     multiplies octonions.  ``unit_tables`` holds, by (fn, positions), the
     values of fn on basis units (cross products, commutators, associators)
-    that ``on_units`` has computed so far; it starts empty.
+    that ``on_units`` has computed so far; it starts empty.  ``phi`` and
+    ``cross`` are the associative form and the cross product as alternating
+    maps on the imaginaries, each built on first access.
     """
 
     def __init__(self, l1: Frac, l2: Frac, l3: Frac):
@@ -102,6 +106,24 @@ class OctonionAlgebra:
         if value is None:
             value = self.unit_tables[key] = fn(*(self.unit(k) for k in positions))
         return value
+
+    @cached_property
+    def phi(self) -> AltMap:
+        """The associative form as a degree-3 map ImO^3 -> K."""
+        coeffs = {}
+        for index in all_multi_indices(7, 3):
+            units = (self.imaginary_unit(i) for i in index)
+            coeffs[index] = [associative_form(*units)]
+        return AltMap(self.space_im, K, 3, coeffs, name="phi")
+
+    @cached_property
+    def cross(self) -> AltMap:
+        """The cross product as a degree-2 map ImO^2 -> ImO."""
+        coeffs = {
+            index: self.on_units(cross_product, *index).imaginary_coeffs()
+            for index in all_multi_indices(7, 2)
+        }
+        return AltMap(self.space_im, self.space_im, 2, coeffs, name="cross")
 
     def unit(self, k: int) -> "Octonion":
         """Basis octonion at position k (0 is the real unit)."""
@@ -209,7 +231,7 @@ def associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
 
 def cross_product(u: Octonion, v: Octonion) -> Octonion:
     """u x v = (conj(v) u - conj(u) v) / 2; imaginary-valued on imaginaries."""
-    return (v.conjugate() * u - u.conjugate() * v).scale(rat(1, 2))
+    return (v.conjugate() * u - u.conjugate() * v).scale(HALF)
 
 
 def associative_form(u: Octonion, v: Octonion, w: Octonion) -> Frac:
@@ -218,30 +240,6 @@ def associative_form(u: Octonion, v: Octonion, w: Octonion) -> Frac:
         if not x.is_imaginary():
             raise NotImaginary("the associative form is defined on imaginaries")
     return bilinear_B(cross_product(u, v), w)
-
-
-def phi_as_altmap(algebra: OctonionAlgebra, scalar: QuadraticSpace) -> AltMap:
-    """The associative form as a degree-3 scalar map on the imaginary space."""
-    coeffs = {}
-    for index in all_multi_indices(7, 3):
-        i, j, k = index
-        value = associative_form(
-            algebra.imaginary_unit(i),
-            algebra.imaginary_unit(j),
-            algebra.imaginary_unit(k),
-        )
-        coeffs[index] = [value]
-    return AltMap(algebra.space_im, scalar, 3, coeffs, name="phi")
-
-
-def cross_as_altmap(algebra: OctonionAlgebra) -> AltMap:
-    """The cross product as a degree-2 map ImO^2 -> ImO."""
-    coeffs = {}
-    for index in all_multi_indices(7, 2):
-        i, j = index
-        prod = cross_product(algebra.imaginary_unit(i), algebra.imaginary_unit(j))
-        coeffs[index] = prod.imaginary_coeffs()
-    return AltMap(algebra.space_im, algebra.space_im, 2, coeffs, name="cross")
 
 
 def fano_lines(algebra: OctonionAlgebra) -> list[tuple[int, int, int]]:

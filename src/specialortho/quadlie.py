@@ -32,10 +32,18 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from . import linalg
-from .altmap import AltMap, PairingSpec, _sum_terms, compose, eta_inv, wedge_rel
-from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS
+from .altmap import (
+    FIELD_PRODUCT,
+    AltMap,
+    PairingSpec,
+    _sum_terms,
+    compose,
+    eta_inv,
+    wedge_rel,
+)
+from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS, _mask_to_tuple
 from .errors import NotImaginary, ShapeMismatch, WrongDimension
-from .exterior import QuadraticSpace, all_multi_indices, complement_index
+from .exterior import K, QuadraticSpace, all_multi_indices, complement_index
 from .octonions import (
     OctonionAlgebra,
     associator,
@@ -43,7 +51,6 @@ from .octonions import (
     commutator,
     cross_product,
     fano_lines,
-    phi_as_altmap,
 )
 from .scalars import Frac, ONE, ZERO, dot, rat, solve_linear
 
@@ -424,6 +431,7 @@ def check_special(rep: QuadLieRep, mu: AltMap) -> tuple[bool, Optional[str]]:
     space = rep.space
     n = space.dim
     gram = space.gram
+    two = rat(2)
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
@@ -437,7 +445,7 @@ def check_special(rep: QuadLieRep, mu: AltMap) -> tuple[bool, Optional[str]]:
                 if gram[i][k].num:
                     rhs[j] = rhs[j] + gram[i][k]
                 if gram[j][k].num:
-                    rhs[i] = rhs[i] - rat(2) * gram[j][k]
+                    rhs[i] = rhs[i] - two * gram[j][k]
                 if lhs != rhs:
                     witness = (
                         f"(u,v,w) = (e{i+1}, e{j+1}, e{k+1}) of {space.name}"
@@ -461,7 +469,6 @@ class Covariants:
     quad: AltMap
     special: bool
     witness: Optional[str]
-    scalar: QuadraticSpace
 
     @cached_property
     def mu_wedge_psi(self) -> AltMap:
@@ -474,7 +481,7 @@ class Covariants:
         return compose(self.mu, self.psi)
 
 
-def covariants(rep: QuadLieRep, scalar: QuadraticSpace, mu: Optional[AltMap] = None) -> Covariants:
+def covariants(rep: QuadLieRep) -> Covariants:
     """Moment map, degree-3 covariant, and degree-4 invariant of rep.
 
     psi(v1,v2,v3) = mu(v1,v2) v3 + mu(v3,v1) v2 + mu(v2,v3) v1 and Q is the
@@ -486,8 +493,7 @@ def covariants(rep: QuadLieRep, scalar: QuadraticSpace, mu: Optional[AltMap] = N
     """
     space = rep.space
     n = space.dim
-    if mu is None:
-        mu = moment_map(rep)
+    mu = moment_map(rep)
     basis = [space.basis_vector(k) for k in range(n)]
 
     psi_coeffs = {}
@@ -514,10 +520,10 @@ def covariants(rep: QuadLieRep, scalar: QuadraticSpace, mu: Optional[AltMap] = N
             - space.pair(basis[j], psi.evaluate([basis[k], basis[l], basis[i]]))
         )
         quad_coeffs[index] = [value]
-    quad = AltMap(space, scalar, 4, quad_coeffs, name=f"Q[{rep.name}]")
+    quad = AltMap(space, K, 4, quad_coeffs, name=f"Q[{rep.name}]")
 
     special, witness = check_special(rep, mu)
-    return Covariants(rep, mu, psi, quad, special, witness, scalar)
+    return Covariants(rep, mu, psi, quad, special, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +611,10 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
     carries no witness.  Each record is named ``prefix`` plus the rung name.
     """
     rep, mu, psi, quad = cov.rep, cov.mu, cov.psi, cov.quad
-    space, scalar = rep.space, cov.scalar
+    space = rep.space
     ident = AltMap.identity(space)
-    k_v = PairingSpec.scalar_multiply(scalar, space)
-    k_g = PairingSpec.scalar_multiply(scalar, rep.algebra_space)
-    k_k = PairingSpec.scalar_scalar(scalar)
+    k_v = PairingSpec.scalar_multiply(space)
+    k_g = PairingSpec.scalar_multiply(rep.algebra_space)
 
     def rung(name: str, statement: str, degree: int, holds: Callable[[], bool]) -> CheckRecord:
         if degree > space.dim:
@@ -621,7 +626,7 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
         )
 
     def quad_quad() -> AltMap:
-        return wedge_rel(quad, quad, k_k)
+        return wedge_rel(quad, quad, FIELD_PRODUCT)
 
     return [
         rung(
@@ -648,7 +653,7 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
             "Q o psi = -54 Q ^ Q ^ Q",
             12,
             lambda: compose(quad, psi)
-            == wedge_rel(quad_quad(), quad, k_k).scale(rat(-54)),
+            == wedge_rel(quad_quad(), quad, FIELD_PRODUCT).scale(rat(-54)),
         ),
     ]
 
@@ -658,26 +663,9 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_trace_table(cliff: CliffordAlgebra) -> dict[tuple[int, int], Frac]:
-    table = getattr(cliff, "_pair_traces", None)
-    if table is None:
-        table = {}
-        elements = [CliffordElement(cliff, {m: ONE}) for m in PAIR_MASKS]
-        for a, x in enumerate(elements):
-            for b, y in enumerate(elements):
-                if b < a:
-                    table[(PAIR_MASKS[a], PAIR_MASKS[b])] = table[
-                        (PAIR_MASKS[b], PAIR_MASKS[a])
-                    ]
-                    continue
-                table[(PAIR_MASKS[a], PAIR_MASKS[b])] = cliff.trace_product(x, y)
-        cliff._pair_traces = table
-    return table
-
-
 def _trace_pairing(cliff: CliffordAlgebra, x: CliffordElement, y: CliffordElement) -> Frac:
     """Tr(rho(x) rho(y)) for degree-2 elements via the cached monomial table."""
-    table = _pair_trace_table(cliff)
+    table = cliff.pair_traces
     return dot(
         (cx * cy, table[(mx, my)])
         for mx, cx in x.coeffs.items()
@@ -711,23 +699,19 @@ def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:
             if row:
                 table[(a, b)] = row
     scale = rat(-3, 8)
-    trace = _pair_trace_table(cliff)
+    trace = cliff.pair_traces
     gram = [
         [scale * trace[(PAIR_MASKS[a], PAIR_MASKS[b])] for b in range(21)]
         for a in range(21)
     ]
     labels = tuple(
-        "s" + "".join(str(i) for i in _mask_tuple(m)) for m in PAIR_MASKS
+        "s" + "".join(str(i) for i in _mask_to_tuple(m)) for m in PAIR_MASKS
     )
     algebra_space = QuadraticSpace(labels, gram, name="so7")
     mats = [
         cliff.spinor_action(CliffordElement(cliff, {m: ONE})) for m in PAIR_MASKS
     ]
     return QuadLieRep("so7-spin", algebra_space, table, mats, octs.space_oct)
-
-
-def _mask_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(7) if mask >> i & 1)
 
 
 def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordElement]]:
@@ -782,28 +766,31 @@ def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordEleme
 def psi_im_expected(octs: OctonionAlgebra) -> AltMap:
     """psi on imaginaries: -(3/4) of the associator."""
     coeffs = {}
+    minus_three_quarters = rat(-3, 4)
     for index in all_multi_indices(7, 3):
-        val = octs.on_units(associator, *index).scale(rat(-3, 4))
+        val = octs.on_units(associator, *index).scale(minus_three_quarters)
         if not val.is_imaginary():
             raise NotImaginary("associator of imaginaries must be imaginary")
         coeffs[index] = val.imaginary_coeffs()
     return AltMap(octs.space_im, octs.space_im, 3, coeffs, name="psi_im_closed")
 
 
-def quad_im_expected(octs: OctonionAlgebra, scalar: QuadraticSpace) -> AltMap:
+def quad_im_expected(octs: OctonionAlgebra) -> AltMap:
     """Q on imaginaries: -3 B(v1, (v2, v3, v4))."""
     coeffs = {}
+    minus_three = rat(-3)
     for index in all_multi_indices(7, 4):
         u1 = octs.imaginary_unit(index[0])
-        value = rat(-3) * bilinear_B(u1, octs.on_units(associator, *index[1:]))
+        value = minus_three * bilinear_B(u1, octs.on_units(associator, *index[1:]))
         coeffs[index] = [value]
-    return AltMap(octs.space_im, scalar, 4, coeffs, name="quad_im_closed")
+    return AltMap(octs.space_im, K, 4, coeffs, name="quad_im_closed")
 
 
 def psi_oct_expected(octs: OctonionAlgebra) -> AltMap:
     """psi on the octonions: -(1/2) associator plus the associative form
     times the unit on imaginary triples; -(v1 x v2) when the unit enters."""
     coeffs = {}
+    minus_half = rat(-1, 2)
     for index in all_multi_indices(8, 3):
         if index[0] == 1:
             # psi(1, u, v) = psi(u, v, 1) by cyclic evenness = -(u x v)
@@ -812,36 +799,38 @@ def psi_oct_expected(octs: OctonionAlgebra) -> AltMap:
             a, b, c = (t - 1 for t in index)
             phi = bilinear_B(octs.on_units(cross_product, a, b), octs.unit(c))
             assoc = octs.on_units(associator, a, b, c)
-            val = assoc.scale(rat(-1, 2)) + octs.one().scale(phi)
+            val = assoc.scale(minus_half) + octs.one().scale(phi)
         coeffs[index] = list(val.coeffs)
     return AltMap(octs.space_oct, octs.space_oct, 3, coeffs, name="psi_oct_closed")
 
 
-def quad_oct_expected(octs: OctonionAlgebra, scalar: QuadraticSpace) -> AltMap:
+def quad_oct_expected(octs: OctonionAlgebra) -> AltMap:
     """Q on the octonions: (2/3) of the imaginary Q on imaginary quadruples,
     and Q(v1,v2,v3,1) = -4 phi(v1,v2,v3) when the unit enters."""
     coeffs = {}
+    four, minus_two = rat(4), rat(-2)
     for index in all_multi_indices(8, 4):
         a, b, c, d = (t - 1 for t in index)
         if index[0] == 1:
             # moving the unit from slot 4 to slot 1 is an odd permutation
-            value = rat(4) * bilinear_B(octs.on_units(cross_product, b, c), octs.unit(d))
+            value = four * bilinear_B(octs.on_units(cross_product, b, c), octs.unit(d))
         else:
-            value = rat(-2) * bilinear_B(octs.unit(a), octs.on_units(associator, b, c, d))
+            value = minus_two * bilinear_B(octs.unit(a), octs.on_units(associator, b, c, d))
         coeffs[index] = [value]
-    return AltMap(octs.space_oct, scalar, 4, coeffs, name="quad_oct_closed")
+    return AltMap(octs.space_oct, K, 4, coeffs, name="quad_oct_closed")
 
 
 def mu_im_pointwise_witness(octs: OctonionAlgebra, rep: QuadLieRep, mu: AltMap) -> Optional[str]:
     """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)) on basis triples."""
+    three, minus_quarter = rat(3), rat(-1, 4)
     for i in range(1, 8):
         for j in range(1, 8):
             uv = octs.on_units(commutator, i, j)
             for k in range(1, 8):
                 w = octs.imaginary_unit(k)
                 expect = (
-                    commutator(w, uv) + octs.on_units(associator, i, j, k).scale(rat(3))
-                ).scale(rat(-1, 4))
+                    commutator(w, uv) + octs.on_units(associator, i, j, k).scale(three)
+                ).scale(minus_quarter)
                 if mu_act(rep, mu, i - 1, j - 1, k - 1) != expect.imaginary_coeffs():
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
@@ -852,15 +841,16 @@ def mu_im_canonical_split_witness(
 ) -> Optional[str]:
     """mu(u, v) w = (3/2) mu_can(u, v) w + (1/8) [w, [u, v]] on basis triples."""
     space = octs.space_im
+    eighth, three_halves = rat(1, 8), rat(3, 2)
     for i in range(1, 8):
         for j in range(1, 8):
             uv = octs.on_units(commutator, i, j)
             for k in range(1, 8):
                 w = octs.imaginary_unit(k)
                 canonical = mu_can_value(space, i - 1, j - 1, k - 1)
-                expect_oct = commutator(w, uv).scale(rat(1, 8))
+                expect_oct = commutator(w, uv).scale(eighth)
                 expect = [
-                    rat(3, 2) * c + e
+                    three_halves * c + e
                     for c, e in zip(canonical, expect_oct.imaginary_coeffs())
                 ]
                 if mu_act(rep, mu, i - 1, j - 1, k - 1) != expect:
@@ -892,6 +882,7 @@ def spinor_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
     """mu(u, v x w) + cyclic = -(1/2) mu((u,v,w), 1) on all imaginary triples."""
     space = octs.space_oct
     unit = space.basis_vector(0)
+    minus_half = rat(-1, 2)
     for i in range(1, 8):
         for j in range(1, 8):
             for k in range(1, 8):
@@ -902,7 +893,7 @@ def spinor_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
                     )
                     total = val if total is None else [p + q for p, q in zip(total, val)]
                 rhs = mu.evaluate([octs.on_units(associator, i, j, k).coeffs, unit])
-                expect = [rat(-1, 2) * c for c in rhs]
+                expect = [minus_half * c for c in rhs]
                 if total != expect:
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
@@ -926,19 +917,20 @@ def mu_oct_from_mu_im_witness(
         return out
 
     pair_elements = cliff.pair_basis()
+    sixth, eight_ninths, eighteenth = rat(1, 6), rat(8, 9), rat(1, 18)
     for i in range(1, 8):
         u = octs.imaginary_unit(i)
         # stored coefficient is mu(1, u); the identity speaks of mu(u, 1)
         got_unit = to_clifford(mu_oct.value((1, i + 1)), pair_elements).scale(-ONE)
-        expect_unit = cliff.c_of(u).scale(rat(1, 6))
+        expect_unit = cliff.c_of(u).scale(sixth)
         if not (got_unit - expect_unit).is_zero():
             return f"mu(e{i}, 1) != (1/6) c_(e{i})"
         for j in range(i + 1, 8):
             got = to_clifford(mu_oct.value((i + 1, j + 1)), pair_elements)
             mu_im_cliff = to_clifford(mu_im.value((i, j)), kernel)
-            expect = mu_im_cliff.scale(rat(8, 9)) + cliff.c_of(
+            expect = mu_im_cliff.scale(eight_ninths) + cliff.c_of(
                 octs.on_units(cross_product, i, j)
-            ).scale(rat(1, 18))
+            ).scale(eighteenth)
             if not (got - expect).is_zero():
                 return f"mu(e{i}, e{j}) decomposition fails"
     return None
@@ -967,10 +959,10 @@ class DecompositionTerm:
     annotation: str
 
 
-def decompose_phi_dual(octs: OctonionAlgebra, scalar: QuadraticSpace) -> list[DecompositionTerm]:
+def decompose_phi_dual(octs: OctonionAlgebra) -> list[DecompositionTerm]:
     """The seven terms of the index-raised associative form, one per line."""
     lines = {frozenset(l) for l in fano_lines(octs)}
-    raised = eta_inv(phi_as_altmap(octs, scalar))
+    raised = eta_inv(octs.phi)
     out = []
     for index in sorted(raised.coeffs):
         if frozenset(index) not in lines:

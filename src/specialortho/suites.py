@@ -22,6 +22,7 @@ from functools import cache, cached_property
 from typing import Callable, Optional
 
 from .altmap import (
+    FIELD_PRODUCT,
     AltMap,
     PairingSpec,
     hodge_dual,
@@ -30,7 +31,7 @@ from .altmap import (
 )
 from .clifford import CliffordAlgebra
 from .errors import NotSpecial, UnknownSuite
-from .exterior import all_multi_indices, scalar_codomain
+from .exterior import all_multi_indices
 from .family import (
     build_family,
     mu_family_expected,
@@ -39,14 +40,7 @@ from .family import (
     swap_family_witness,
 )
 from .linalg import det
-from .octonions import (
-    OctonionAlgebra,
-    bilinear_B,
-    build_algebra,
-    cross_as_altmap,
-    cross_product,
-    phi_as_altmap,
-)
+from .octonions import OctonionAlgebra, bilinear_B, build_algebra, cross_product
 from .quadlie import (
     CheckRecord,
     Covariants,
@@ -143,7 +137,6 @@ class Workspace:
         self.l3 = L3 if l3 is None else l3
         self.alpha = ALPHA if alpha is None else alpha
         self.beta = (rat(-1) - self.alpha) if beta is None else beta
-        self.scalar = scalar_codomain()
 
     def parameters(self) -> dict[str, str]:
         return {
@@ -176,7 +169,7 @@ class Workspace:
 
     @cached_property
     def cov_im(self) -> Covariants:
-        return covariants(self.g2_rep, self.scalar)
+        return covariants(self.g2_rep)
 
     @cached_property
     def so7_rep(self) -> QuadLieRep:
@@ -184,7 +177,7 @@ class Workspace:
 
     @cached_property
     def cov_oct(self) -> Covariants:
-        return covariants(self.so7_rep, self.scalar)
+        return covariants(self.so7_rep)
 
     @cached_property
     def family_rep(self) -> QuadLieRep:
@@ -192,15 +185,7 @@ class Workspace:
 
     @cached_property
     def cov_family(self) -> Covariants:
-        return covariants(self.family_rep, self.scalar)
-
-    @cached_property
-    def phi(self) -> AltMap:
-        return phi_as_altmap(self.octs, self.scalar)
-
-    @cached_property
-    def cross(self) -> AltMap:
-        return cross_as_altmap(self.octs)
+        return covariants(self.family_rep)
 
 
 def _equal(got: AltMap, want: AltMap, mismatch: str) -> Optional[str]:
@@ -338,7 +323,7 @@ def _suite_g2(ws: Workspace) -> list[CheckRecord]:
             "Q(v1,v2,v3,v4) = -3 B(v1, (v2,v3,v4))",
             lambda: _equal(
                 cov.quad,
-                quad_im_expected(octs, ws.scalar),
+                quad_im_expected(octs),
                 "Q != -3 B(v1, associator)",
             ),
         ),
@@ -387,27 +372,29 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
 
     def c_action() -> Optional[str]:
         one = octs.one()
+        two, six, minus_six = rat(2), rat(6), rat(-6)
         for i in range(1, 8):
             u = octs.imaginary_unit(i)
             cu = cliff.c_of(u)
-            if cliff.apply_to_octonion(cu, one) != u.scale(rat(-6)):
+            if cliff.apply_to_octonion(cu, one) != u.scale(minus_six):
                 return f"rho(c_e{i})(1) != -6 e{i}"
             for j in range(1, 8):
                 v = octs.imaginary_unit(j)
-                want = octs.on_units(cross_product, i, j).scale(rat(2)) + one.scale(
-                    rat(6) * bilinear_B(u, v)
+                want = octs.on_units(cross_product, i, j).scale(two) + one.scale(
+                    six * bilinear_B(u, v)
                 )
                 if cliff.apply_to_octonion(cu, v) != want:
                     return f"rho(c_e{i})(e{j}) != 2 e{i} x e{j} + 6 B(e{i},e{j})"
         return None
 
     def trace_form() -> Optional[str]:
+        minus_96 = rat(-96)
         for i in range(1, 8):
             u = octs.imaginary_unit(i)
             for j in range(i, 8):
                 v = octs.imaginary_unit(j)
                 got = cliff.trace_product(cliff.c_of(u), cliff.c_of(v))
-                if got != rat(-96) * bilinear_B(u, v):
+                if got != minus_96 * bilinear_B(u, v):
                     return f"(u,v) = (e{i}, e{j})"
         return None
 
@@ -422,12 +409,12 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
         return None
 
     def quad_unit() -> Optional[str]:
-        minus_four = rat(-4)
+        minus_one, minus_four = rat(-1), rat(-4)
         for index in all_multi_indices(7, 3):
             shifted = (1,) + tuple(t + 1 for t in index)
             # moving the unit from the last slot to the first is odd
-            got = rat(-1) * cov.quad.value(shifted)[0]
-            want = minus_four * ws.phi.value(index)[0]
+            got = minus_one * cov.quad.value(shifted)[0]
+            want = minus_four * octs.phi.value(index)[0]
             if got != want:
                 return f"index {index}"
         return None
@@ -500,7 +487,7 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
             "spin-quad-closed-form",
             "Q on imaginaries = (2/3) Q_Im; unit slot reduces to -4 phi",
             lambda: _equal(
-                cov.quad, quad_oct_expected(octs, ws.scalar), "Q differs"
+                cov.quad, quad_oct_expected(octs), "Q differs"
             ),
         ),
         run_check(
@@ -589,7 +576,7 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
             "Q = -12 (2 alpha + 1) omega (x) omega-symmetrization",
             lambda: _equal(
                 cov.quad,
-                quad_family_expected(rep, ws.alpha, ws.scalar),
+                quad_family_expected(rep, ws.alpha),
                 "Q differs from the displayed form",
             ),
         ),
@@ -621,7 +608,7 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
 
 def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
     cov = ws.cov_im
-    k_g = PairingSpec.scalar_multiply(ws.scalar, cov.rep.algebra_space)
+    k_g = PairingSpec.scalar_multiply(cov.rep.algebra_space)
     return [
         *mathews_status(cov, "mathews-im-"),
         *mathews_status(ws.cov_oct, "mathews-oct-"),
@@ -707,12 +694,10 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     constant is first read.  The volume form of a module, and the dual of
     each map against it, are computed once, by the first row that needs it.
     """
-    scalar = ws.scalar
-    k_k = PairingSpec.scalar_scalar(scalar)
     rows: list[HodgeRow] = []
 
     def dual(f: AltMap, volume: Callable[[], AltMap]) -> Callable[[], AltMap]:
-        return cache(lambda: hodge_dual(f, volume(), scalar))
+        return cache(lambda: hodge_dual(f, volume()))
 
     def add(
         name: str,
@@ -727,13 +712,13 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         rows.append(HodgeRow(name, statement, reference, solve))
 
     # seven-dimensional module: volume phi ^ Q
-    rep, cov = ws.g2_rep, ws.cov_im
+    rep, cov, octs = ws.g2_rep, ws.cov_im, ws.octs
     im = rep.space
     ident = AltMap.identity(im)
-    k_v = PairingSpec.scalar_multiply(scalar, im)
-    k_g = PairingSpec.scalar_multiply(scalar, rep.algebra_space)
-    vol = cache(lambda: wedge_rel(ws.phi, cov.quad, k_k))
-    star_cross = dual(ws.cross, vol)
+    k_v = PairingSpec.scalar_multiply(im)
+    k_g = PairingSpec.scalar_multiply(rep.algebra_space)
+    vol = cache(lambda: wedge_rel(octs.phi, cov.quad, FIELD_PRODUCT))
+    star_cross = dual(octs.cross, vol)
     add(
         "hodge-im-cross-quad-id",
         "star(cross) = c (Q ^ Id) on the seven-dimensional module",
@@ -752,21 +737,21 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "hodge-im-id-phi-psi",
         "star(Id) = c (phi ^ psi)",
         dual(ident, vol),
-        lambda: wedge_rel(ws.phi, cov.psi, k_v),
+        lambda: wedge_rel(octs.phi, cov.psi, k_v),
         None,
     )
     add(
         "hodge-im-mu-phi-mu",
         "star(mu) = c (phi ^ mu)",
         dual(cov.mu, vol),
-        lambda: wedge_rel(ws.phi, cov.mu, k_g),
+        lambda: wedge_rel(octs.phi, cov.mu, k_g),
         None,
     )
     add(
         "hodge-im-psi-phi-id",
         "star(psi) = c (phi ^ Id)",
         dual(cov.psi, vol),
-        lambda: wedge_rel(ws.phi, ident, k_v),
+        lambda: wedge_rel(octs.phi, ident, k_v),
         None,
     )
 
@@ -774,9 +759,9 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     rep8, cov8 = ws.so7_rep, ws.cov_oct
     oc = rep8.space
     ident8 = AltMap.identity(oc)
-    k_v8 = PairingSpec.scalar_multiply(scalar, oc)
-    k_g8 = PairingSpec.scalar_multiply(scalar, rep8.algebra_space)
-    vol8 = cache(lambda: wedge_rel(cov8.quad, cov8.quad, k_k))
+    k_v8 = PairingSpec.scalar_multiply(oc)
+    k_g8 = PairingSpec.scalar_multiply(rep8.algebra_space)
+    vol8 = cache(lambda: wedge_rel(cov8.quad, cov8.quad, FIELD_PRODUCT))
     star_psi8, star_mu8 = dual(cov8.psi, vol8), dual(cov8.mu, vol8)
     add(
         "hodge-oct-psi-quad-id",
@@ -915,11 +900,10 @@ def _decomposition_witness(ws, terms, reference) -> Optional[str]:
 
 
 def _suite_decompositions(ws: Workspace) -> list[CheckRecord]:
-    octs, scalar = ws.octs, ws.scalar
-    k_k = PairingSpec.scalar_scalar(scalar)
+    octs = ws.octs
 
     def top(f: AltMap, g: AltMap, coeff_text: str) -> Outcome:
-        got = volume_constant(wedge_rel(f, g, k_k))
+        got = volume_constant(wedge_rel(f, g, FIELD_PRODUCT))
         want = parse(coeff_text).substitute(_lambda_bindings(ws))
         return (None if got == want else f"got {render(got)}"), render(got)
 
@@ -928,7 +912,7 @@ def _suite_decompositions(ws: Workspace) -> list[CheckRecord]:
             "dec-phi",
             "eta^-1(phi) has the published seven terms, one per line",
             lambda: _decomposition_witness(
-                ws, decompose_phi_dual(octs, scalar), PHI_DUAL_REFERENCE
+                ws, decompose_phi_dual(octs), PHI_DUAL_REFERENCE
             ),
         ),
         run_check(
@@ -948,7 +932,7 @@ def _suite_decompositions(ws: Workspace) -> list[CheckRecord]:
         run_check(
             "dec-top-phi-quad",
             "phi ^ Q (e1,...,e7) = -42 l1^2 l2^2 l3^2",
-            lambda: top(ws.phi, ws.cov_im.quad, "-42*l1^2*l2^2*l3^2"),
+            lambda: top(octs.phi, ws.cov_im.quad, "-42*l1^2*l2^2*l3^2"),
         ),
         run_check(
             "dec-top-quad-quad",

@@ -33,23 +33,16 @@ from .family import (
     sl2_plane_action,
 )
 from .quadlie import Covariants, SuperAlgebra
-from .scalars import Frac, ONE, ZERO, dot, parse as parse_scalar
+from .scalars import Frac, ZERO, dot, parse as parse_scalar
 
 
-def build_tilde(
-    cov: Covariants,
-    name: str,
-    force: bool = False,
-    sl2_form_scale: Frac = ONE,
-) -> SuperAlgebra:
+def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra:
     """Assemble g + sl2 + V (x) k^2 from a representation's covariants.
 
     Raises NotSpecial, naming cov.witness, unless cov.special holds; the
     special orthogonality of the moment map was already decided when the
     covariants were computed.  force=True builds anyway (the all-odd Jacobi
-    sector then records the failure).  sl2_form_scale perturbs the sl2 block
-    of the form and exists for sensitivity controls; any value other than 1
-    must be caught by form_invariance_witness.
+    sector then records the failure).
     """
     if not cov.special and not force:
         raise NotSpecial(f"moment map is not special orthogonal at {cov.witness}")
@@ -114,7 +107,7 @@ def build_tilde(
                                     row.pop(g_dim + k, None)
                     if row:
                         oo_rows[(p, q)] = row
-    # the form: B_g, the scaled sl2 block, and (v, w) omega(a, b) on odd
+    # the form: B_g, the sl2 block, and (v, w) omega(a, b) on odd
     dim = even_dim + 2 * v_dim
     form = [[ZERO] * dim for _ in range(dim)]
     for i in range(g_dim):
@@ -123,7 +116,7 @@ def build_tilde(
     for i in range(3):
         for j in range(3):
             if s_gram[i][j].num:
-                form[g_dim + i][g_dim + j] = sl2_form_scale * s_gram[i][j]
+                form[g_dim + i][g_dim + j] = s_gram[i][j]
     for i in range(v_dim):
         for j in range(v_dim):
             if not gram_v[i][j].num:

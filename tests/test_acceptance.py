@@ -14,6 +14,7 @@ import time
 import pytest
 
 from specialortho.altmap import (
+    FIELD_PRODUCT,
     AltMap,
     PairingSpec,
     b_alt,
@@ -24,7 +25,7 @@ from specialortho.altmap import (
     wedge_rel,
 )
 from specialortho.errors import NotSpecial
-from specialortho.exterior import QuadraticSpace, all_multi_indices, complement_index
+from specialortho.exterior import K, QuadraticSpace, all_multi_indices, complement_index
 from specialortho.family import (
     build_family,
     mu_family_expected,
@@ -138,14 +139,14 @@ def test_criterion_03_moment_closed_forms(ws, control):
 
 def test_criterion_04_covariant_closed_forms(ws):
     failures = []
-    octs, scalar = ws.octs, ws.scalar
+    octs = ws.octs
     if ws.cov_im.psi != psi_im_expected(octs):
         failures.append("psi on the seven-dimensional module")
-    if ws.cov_im.quad != quad_im_expected(octs, scalar):
+    if ws.cov_im.quad != quad_im_expected(octs):
         failures.append("Q on the seven-dimensional module")
     if ws.cov_oct.psi != psi_oct_expected(octs):
         failures.append("psi on the eight-dimensional module")
-    if ws.cov_oct.quad != quad_oct_expected(octs, scalar):
+    if ws.cov_oct.quad != quad_oct_expected(octs):
         failures.append("Q on the eight-dimensional module")
     # the two named specializations of the eight-dimensional covariants
     for i, j in ((1, 2), (2, 5), (3, 7)):
@@ -161,10 +162,10 @@ def test_criterion_04_covariant_closed_forms(ws):
             failures.append(f"Q restriction fails at {index}")
     if ws.cov_family.psi != psi_family_expected(ws.family_rep, ws.alpha):
         failures.append("family psi closed form")
-    if ws.cov_family.quad != quad_family_expected(ws.family_rep, ws.alpha, scalar):
+    if ws.cov_family.quad != quad_family_expected(ws.family_rep, ws.alpha):
         failures.append("family Q closed form")
     mid = build_family(rat(-1, 2), rat(-1, 2))
-    cov_mid = covariants(mid, scalar)
+    cov_mid = covariants(mid)
     if not (cov_mid.psi.is_zero() and cov_mid.quad.is_zero()):
         failures.append("covariants do not vanish at alpha = -1/2")
     _conclude(4, "covariant-closed-forms", failures, note="factors 3(2a+1), -12(2a+1)")
@@ -174,8 +175,8 @@ def test_criterion_05_decompositions(ws):
     failures = []
     from specialortho.quadlie import decompose_phi_dual, decompose_quad_im, decompose_quad_oct
 
-    lines = set(ws.phi.coeffs)
-    phi_terms = decompose_phi_dual(ws.octs, ws.scalar)
+    lines = set(ws.octs.phi.coeffs)
+    phi_terms = decompose_phi_dual(ws.octs)
     quad_im_terms = decompose_quad_im(ws.octs, ws.cov_im.quad)
     quad_oct_terms = decompose_quad_oct(ws.octs, ws.cov_oct.quad)
     for label, terms, reference in (
@@ -205,11 +206,10 @@ def test_criterion_05_decompositions(ws):
 
 def test_criterion_06_top_form_constants(ws):
     failures = []
-    k_k = PairingSpec.scalar_scalar(ws.scalar)
-    top7 = wedge_rel(ws.phi, ws.cov_im.quad, k_k).value(tuple(range(1, 8)))[0]
+    top7 = wedge_rel(ws.octs.phi, ws.cov_im.quad, FIELD_PRODUCT).value(tuple(range(1, 8)))[0]
     if top7 != parse("-42*l1^2*l2^2*l3^2"):
         failures.append(f"phi ^ Q value {render(top7)}")
-    top8 = wedge_rel(ws.cov_oct.quad, ws.cov_oct.quad, k_k).value(tuple(range(1, 9)))[0]
+    top8 = wedge_rel(ws.cov_oct.quad, ws.cov_oct.quad, FIELD_PRODUCT).value(tuple(range(1, 9)))[0]
     if top8 != parse("-224*l1^2*l2^2*l3^2"):
         failures.append(f"Q ^ Q value {render(top8)}")
     _conclude(6, "top-form-constants", failures, note="-42 and -224 times (l1 l2 l3)^2")
@@ -221,14 +221,11 @@ def test_criterion_07_hodge_identities(ws):
     # exactly 21/8 times the constants the defining relation actually forces
     # (7 and -14/3); the deviation is a single consistent factor, pinned here.
     failures = []
-    scalar = ws.scalar
-    k_k = PairingSpec.scalar_scalar(scalar)
-
     rep, cov = ws.g2_rep, ws.cov_im
     im = rep.space
-    vol7 = wedge_rel(ws.phi, cov.quad, k_k)
-    star_cross = hodge_dual(ws.cross, vol7, scalar)
-    q_wedge_id = wedge_rel(cov.quad, AltMap.identity(im), PairingSpec.scalar_multiply(scalar, im))
+    vol7 = wedge_rel(ws.octs.phi, cov.quad, FIELD_PRODUCT)
+    star_cross = hodge_dual(ws.octs.cross, vol7)
+    q_wedge_id = wedge_rel(cov.quad, AltMap.identity(im), PairingSpec.scalar_multiply(im))
     mu_wedge_psi = wedge_rel(cov.mu, cov.psi, rep.act)
     if star_cross != q_wedge_id.scale(rat(7)):
         failures.append("star(cross) != 7 (Q ^ Id)")
@@ -239,11 +236,11 @@ def test_criterion_07_hodge_identities(ws):
 
     rep8, cov8 = ws.so7_rep, ws.cov_oct
     oc = rep8.space
-    vol8 = wedge_rel(cov8.quad, cov8.quad, k_k)
-    star_psi = hodge_dual(cov8.psi, vol8, scalar)
-    star_mu = hodge_dual(cov8.mu, vol8, scalar)
-    k_v8 = PairingSpec.scalar_multiply(scalar, oc)
-    k_g8 = PairingSpec.scalar_multiply(scalar, rep8.algebra_space)
+    vol8 = wedge_rel(cov8.quad, cov8.quad, FIELD_PRODUCT)
+    star_psi = hodge_dual(cov8.psi, vol8)
+    star_mu = hodge_dual(cov8.mu, vol8)
+    k_v8 = PairingSpec.scalar_multiply(oc)
+    k_g8 = PairingSpec.scalar_multiply(rep8.algebra_space)
     if star_psi != wedge_rel(cov8.quad, AltMap.identity(oc), k_v8).scale(rat(-56)):
         failures.append("star(psi) != -56 (Q ^ Id)")
     if star_psi != wedge_rel(cov8.mu, cov8.psi, rep8.act).scale(rat(112, 3)):
@@ -263,7 +260,6 @@ def test_criterion_07_hodge_identities(ws):
 
 def test_criterion_08_ladder_identities(ws):
     failures = []
-    scalar = ws.scalar
     expected = {
         "seven-dim": {
             "wedge-mu-psi": "holds",
@@ -297,7 +293,7 @@ def test_criterion_08_ladder_identities(ws):
         failures.append("second rung is trivial on the eight-dimensional module")
     if not compose(ws.cov_im.mu, ws.cov_im.psi).is_zero():
         failures.append("mu o psi != 0 on the seven-dimensional module")
-    k_g7 = PairingSpec.scalar_multiply(scalar, ws.g2_rep.algebra_space)
+    k_g7 = PairingSpec.scalar_multiply(ws.g2_rep.algebra_space)
     if not wedge_rel(ws.cov_im.quad, ws.cov_im.mu, k_g7).is_zero():
         failures.append("Q ^ mu != 0 on the seven-dimensional module")
     _conclude(8, "ladder-identities", failures, note="higher rungs vacuous by degree")
@@ -353,8 +349,8 @@ def test_criterion_10_superalgebras(ws, control):
         got = sa.form_invariance_witness()
         if got is not None:
             failures.append(f"{name} form invariance: {got}")
-    rep11, mu11 = control
-    cov11 = covariants(rep11, ws.scalar, mu11)
+    rep11, _ = control
+    cov11 = covariants(rep11)
     try:
         build_tilde(cov11, "control")
         failures.append("(1,1) control assembled without complaint")
@@ -376,8 +372,6 @@ def test_criterion_10_superalgebras(ws, control):
 def test_criterion_11_oracles_and_reverification(ws):
     failures = []
     rng = random.Random(2026)
-    scalar = ws.scalar
-    kdim = scalar
 
     def random_map(space, codomain, degree, density=0.7):
         coeffs = {}
@@ -398,16 +392,15 @@ def test_criterion_11_oracles_and_reverification(ws):
         return QuadraticSpace([f"e{i+1}" for i in range(n)], gram)
 
     v5 = diag_space(1, 2, 3, 1, 5)
-    k_k = PairingSpec.scalar_scalar(scalar)
     pairs = [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5]
     for p, q in pairs:
-        f, g = random_map(v5, kdim, p), random_map(v5, kdim, q)
-        if wedge_rel(f, g, k_k) != brute_wedge_rel(f, g, k_k):
+        f, g = random_map(v5, K, p), random_map(v5, K, q)
+        if wedge_rel(f, g, FIELD_PRODUCT) != brute_wedge_rel(f, g, FIELD_PRODUCT):
             failures.append(f"wedge oracle disagrees at degrees ({p}, {q})")
     fv = random_map(v5, v5, 1)
     gv = random_map(v5, v5, 2)
-    if wedge_rel(fv, gv, PairingSpec.form(v5, scalar)) != brute_wedge_rel(
-        fv, gv, PairingSpec.form(v5, scalar)
+    if wedge_rel(fv, gv, PairingSpec.form(v5)) != brute_wedge_rel(
+        fv, gv, PairingSpec.form(v5)
     ):
         failures.append("vector-valued wedge oracle disagrees")
 
@@ -415,20 +408,20 @@ def test_criterion_11_oracles_and_reverification(ws):
     for p, q in pairs:
         if p * q > 6:
             continue
-        f = random_map(v6, kdim, p, density=0.5)
+        f = random_map(v6, K, p, density=0.5)
         g = random_map(v6, v6, q, density=0.4)
         if compose(f, g) != brute_compose(f, g):
             failures.append(f"compose oracle disagrees at degrees ({p}, {q})")
 
     # independent replay of the defining relation for a computed dual; the
     # same replay runs inside hodge_dual for every dual the suites compute
-    f = random_map(v5, kdim, 2)
-    volume = AltMap(v5, kdim, 5, {tuple(range(1, 6)): [ONE]})
-    star = hodge_dual(f, volume, scalar)
-    pairing = PairingSpec.form(kdim, scalar)
+    f = random_map(v5, K, 2)
+    volume = AltMap(v5, K, 5, {tuple(range(1, 6)): [ONE]})
+    star = hodge_dual(f, volume)
+    pairing = PairingSpec.form(K)
     full = tuple(range(1, 6))
     for index in all_multi_indices(5, 2):
-        alpha = AltMap(v5, kdim, 2, {index: [ONE]})
+        alpha = AltMap(v5, K, 2, {index: [ONE]})
         left = wedge_rel(alpha, star, pairing).value(full)[0]
         if left != b_alt(alpha, f):
             failures.append(f"defining relation fails at alpha = {index}")

@@ -9,9 +9,9 @@ import pytest
 
 from specialortho import linalg
 from specialortho.clifford import CliffordAlgebra, PAIR_MASKS
-from specialortho.altmap import AltMap, PairingSpec, wedge_rel
+from specialortho.altmap import FIELD_PRODUCT, AltMap, wedge_rel
 from specialortho.errors import NotImaginary, ShapeMismatch
-from specialortho.exterior import scalar_codomain
+from specialortho.exterior import K
 from specialortho.octonions import bilinear_B, build_algebra, cross_product
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, rat
 
@@ -58,7 +58,6 @@ def test_monomial_product_associative(C):
 
 
 def test_quantize_monomials_and_space_guard(C, A):
-    K = scalar_codomain()
     x = AltMap(A.space_im, K, 2, {(1, 2): [rat(3)], (4, 7): [ONE / L1]})
     assert C.quantize(x) == C.element({0b11: rat(3), 0b1001000: ONE / L1})
     with pytest.raises(ShapeMismatch):
@@ -69,8 +68,6 @@ def test_quantize_monomials_and_space_guard(C, A):
 
 def test_quantize_antisymmetrization(C, A):
     # quantize(x ^ y) = (Q(x) Q(y) - Q(y) Q(x)) / 2 for degree-1 x, y
-    K = scalar_codomain()
-    field_product = PairingSpec.scalar_scalar(K)
     rng = random.Random(5)
     for _ in range(5):
         x = AltMap(
@@ -80,7 +77,7 @@ def test_quantize_antisymmetrization(C, A):
             A.space_im, K, 1, {(i,): [rat(rng.randint(-2, 2))] for i in range(1, 8)}
         )
         qx, qy = C.quantize(x), C.quantize(y)
-        lhs = C.quantize(wedge_rel(x, y, field_product))
+        lhs = C.quantize(wedge_rel(x, y, FIELD_PRODUCT))
         rhs = (qx * qy - qy * qx).scale(rat(1, 2))
         assert lhs == rhs
 

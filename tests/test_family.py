@@ -3,15 +3,9 @@
 import pytest
 
 from specialortho.errors import ZeroParameter
-from specialortho.exterior import scalar_codomain
 from specialortho.scalars import ALPHA, L1, ONE, rat
 from specialortho import family as fam
 from specialortho import quadlie as ql
-
-
-@pytest.fixture(scope="module")
-def scalar():
-    return scalar_codomain()
 
 
 @pytest.fixture(scope="module")
@@ -65,24 +59,24 @@ def test_special_exactly_on_the_locus():
     assert witness == "(u,v,w) = (e1, e1, e4) of VxW"
 
 
-def test_covariants_closed_forms(special_rep, scalar):
-    cov = ql.covariants(special_rep, scalar)
+def test_covariants_closed_forms(special_rep):
+    cov = ql.covariants(special_rep)
     assert cov.special
     assert cov.psi == fam.psi_family_expected(special_rep, ALPHA)
-    assert cov.quad == fam.quad_family_expected(special_rep, ALPHA, scalar)
+    assert cov.quad == fam.quad_family_expected(special_rep, ALPHA)
 
 
-def test_covariants_vanish_at_midpoint(scalar):
+def test_covariants_vanish_at_midpoint():
     rep = fam.build_family(rat(-1, 2), rat(-1, 2))
-    cov = ql.covariants(rep, scalar)
+    cov = ql.covariants(rep)
     assert cov.special
     assert cov.psi.is_zero()
     assert cov.quad.is_zero()
 
 
-def test_identity_ladder_is_vacuous(special_rep, scalar):
+def test_identity_ladder_is_vacuous(special_rep):
     # every rung has degree above four; the report prints them with no witness
-    cov = ql.covariants(special_rep, scalar)
+    cov = ql.covariants(special_rep)
     checks = ql.mathews_status(cov)
     assert [c.status for c in checks] == ["vacuous"] * 4
     assert all(c.witness is None for c in checks)

@@ -8,18 +8,16 @@ import pytest
 
 from specialortho import octonions
 from specialortho.errors import DegenerateParameter, NotImaginary
-from specialortho.exterior import scalar_codomain
+from specialortho.exterior import K
 from specialortho.octonions import (
     associative_form,
     associator,
     bilinear_B,
     build_algebra,
     commutator,
-    cross_as_altmap,
     cross_product,
     fano_lines,
     norm_q,
-    phi_as_altmap,
 )
 from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat
 
@@ -206,12 +204,11 @@ def test_associative_form_values_and_alternation(A):
 
 
 def test_phi_altmap_seven_nonzero_lines(A):
-    K = scalar_codomain()
-    phi = phi_as_altmap(A, K)
+    phi = A.phi
+    assert phi.codomain is K and A.phi is phi
     assert set(phi.coeffs) == {tuple(sorted(l)) for l in FANO}
     assert phi.coeffs[(1, 2, 3)] == [L1 * L2]
-    cross = cross_as_altmap(A)
-    assert cross.value((1, 2)) == [ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ZERO]
+    assert A.cross.value((1, 2)) == [ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ZERO]
 
 
 def test_malcev_identity(A):

@@ -8,10 +8,10 @@ from operator import xor
 import pytest
 
 from specialortho import linalg
-from specialortho.altmap import PairingSpec, compose, wedge_rel
+from specialortho.altmap import FIELD_PRODUCT, PairingSpec, compose, wedge_rel
 from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import ShapeMismatch
-from specialortho.exterior import QuadraticSpace, scalar_codomain
+from specialortho.exterior import QuadraticSpace
 from specialortho.octonions import associator, build_algebra, commutator, cross_product
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, parse, rat
 from specialortho import family as fam
@@ -30,11 +30,6 @@ def cliff(octs):
 
 
 @pytest.fixture(scope="module")
-def scalar():
-    return scalar_codomain()
-
-
-@pytest.fixture(scope="module")
 def g2(cliff):
     return ql.build_g2_rep(cliff)
 
@@ -45,14 +40,14 @@ def so7(cliff):
 
 
 @pytest.fixture(scope="module")
-def cov_im(g2, scalar):
+def cov_im(g2):
     rep, _ = g2
-    return ql.covariants(rep, scalar)
+    return ql.covariants(rep)
 
 
 @pytest.fixture(scope="module")
-def cov_oct(so7, scalar):
-    return ql.covariants(so7, scalar)
+def cov_oct(so7):
+    return ql.covariants(so7)
 
 
 # -- generic so(V) -----------------------------------------------------------
@@ -96,9 +91,9 @@ def test_check_special_reports_first_witness():
     assert witness == "(u,v,w) = (e1, e1, e2) of V3"
 
 
-def test_so_covariants_vanish_for_canonical_map(scalar):
+def test_so_covariants_vanish_for_canonical_map():
     rep, _ = ql.build_so(small_space())
-    cov = ql.covariants(rep, scalar)
+    cov = ql.covariants(rep)
     assert cov.special
     # psi = 3 (mu - mu_can) = 0 when mu is canonical
     assert cov.psi.is_zero()
@@ -196,13 +191,13 @@ def test_g2_moment_closed_forms(octs, g2):
     assert ql.g2_cyclic_witness(octs, mu) is None
 
 
-def test_im_covariants_match_closed_forms(octs, cov_im, scalar):
+def test_im_covariants_match_closed_forms(octs, cov_im):
     assert cov_im.special
     assert cov_im.psi == ql.psi_im_expected(octs)
-    assert cov_im.quad == ql.quad_im_expected(octs, scalar)
+    assert cov_im.quad == ql.quad_im_expected(octs)
 
 
-def test_im_identity_ladder(cov_im, scalar):
+def test_im_identity_ladder(cov_im):
     checks = {c.name: c for c in ql.mathews_status(cov_im)}
     assert checks["wedge-mu-psi"].status == "holds"
     assert checks["compose-mu-psi"].status == "holds"
@@ -210,7 +205,7 @@ def test_im_identity_ladder(cov_im, scalar):
     assert checks["compose-quad-psi"].status == "vacuous"
     # on imaginaries the composition identity holds because both sides vanish
     assert compose(cov_im.mu, cov_im.psi).is_zero()
-    k_g = PairingSpec.scalar_multiply(scalar, cov_im.rep.algebra_space)
+    k_g = PairingSpec.scalar_multiply(cov_im.rep.algebra_space)
     assert wedge_rel(cov_im.quad, cov_im.mu, k_g).is_zero()
 
 
@@ -235,10 +230,10 @@ def test_spinor_structure(octs, so7):
             t += 1
 
 
-def test_oct_covariants_match_closed_forms(octs, cov_oct, scalar):
+def test_oct_covariants_match_closed_forms(octs, cov_oct):
     assert cov_oct.special
     assert cov_oct.psi == ql.psi_oct_expected(octs)
-    assert cov_oct.quad == ql.quad_oct_expected(octs, scalar)
+    assert cov_oct.quad == ql.quad_oct_expected(octs)
 
 
 def test_oct_identity_ladder(cov_oct):
@@ -277,8 +272,8 @@ def test_unit_tables_hold_the_generic_values(weights):
 # -- decompositions and volumes ----------------------------------------------
 
 
-def test_phi_dual_decomposition(octs, scalar):
-    terms = ql.decompose_phi_dual(octs, scalar)
+def test_phi_dual_decomposition(octs):
+    terms = ql.decompose_phi_dual(octs)
     assert len(terms) == 7
     by_index = {t.index: t.coefficient for t in terms}
     assert by_index[(1, 2, 3)] == parse("1/(l1*l2)")
@@ -318,14 +313,11 @@ def test_affine_plane_predicate():
     assert not ql.is_affine_plane((1, 1, 2, 2))
 
 
-def test_top_volume_constants(octs, cov_im, cov_oct, scalar):
-    from specialortho.octonions import phi_as_altmap
-
-    field_product = PairingSpec.scalar_scalar(scalar)
-    top = wedge_rel(phi_as_altmap(octs, scalar), cov_im.quad, field_product)
+def test_top_volume_constants(octs, cov_im, cov_oct):
+    top = wedge_rel(octs.phi, cov_im.quad, FIELD_PRODUCT)
     assert list(top.coeffs) == [(1, 2, 3, 4, 5, 6, 7)]
     assert top.coeffs[(1, 2, 3, 4, 5, 6, 7)] == [parse("-42*l1^2*l2^2*l3^2")]
 
-    top8 = wedge_rel(cov_oct.quad, cov_oct.quad, field_product)
+    top8 = wedge_rel(cov_oct.quad, cov_oct.quad, FIELD_PRODUCT)
     assert list(top8.coeffs) == [(1, 2, 3, 4, 5, 6, 7, 8)]
     assert top8.coeffs[(1, 2, 3, 4, 5, 6, 7, 8)] == [parse("-224*l1^2*l2^2*l3^2")]

@@ -5,8 +5,9 @@ from functools import cached_property
 
 import pytest
 
-from specialortho import cli, quadlie, suites
+from specialortho import cli, clifford, octonions, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
+from specialortho.exterior import K
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
 from specialortho.scalars import parse, rat, render
 from specialortho.suites import (
@@ -226,9 +227,9 @@ def test_hodge_rows_take_one_dual_per_map_and_volume(monkeypatch):
     calls = []
     real = suites.hodge_dual
 
-    def counted(f, volume, scalar):
+    def counted(f, volume):
         calls.append((f, volume))
-        return real(f, volume, scalar)
+        return real(f, volume)
 
     monkeypatch.setattr(suites, "hodge_dual", counted)
     rows = hodge_rows(Workspace())
@@ -261,3 +262,28 @@ def test_setup_stages_leave_the_unit_tables_empty():
     for name in stages:
         getattr(ws, name)
     assert ws.octs.unit_tables == {}
+
+
+def test_verify_all_builds_phi_once_on_the_field_constant(monkeypatch):
+    calls, raised = [], []
+    real_form, real_eta_inv = octonions.associative_form, clifford.eta_inv
+
+    def counted(u, v, w):
+        calls.append((u, v, w))
+        return real_form(u, v, w)
+
+    def recorded(f):
+        raised.append(f)
+        return real_eta_inv(f)
+
+    monkeypatch.setattr(octonions, "associative_form", counted)
+    monkeypatch.setattr(clifford, "eta_inv", recorded)
+    ws = Workspace()
+    assert run_suite("all", ws).ok
+    # one value per increasing triple of imaginary units
+    assert len(calls) == 35
+    # the phi that Omega quantizes is the algebra's own
+    phi = ws.octs.phi
+    assert len(raised) == 1 and raised[0] is phi
+    for form in (phi, ws.cov_im.quad, ws.cov_oct.quad, ws.cov_family.quad):
+        assert form.codomain is K

@@ -6,7 +6,7 @@ import pytest
 
 from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import NotSpecial, ParseError, ShapeMismatch
-from specialortho.exterior import QuadraticSpace, scalar_codomain
+from specialortho.exterior import QuadraticSpace
 from specialortho.octonions import build_algebra
 from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat
 from specialortho import family as fam
@@ -24,26 +24,22 @@ def cliff(octs):
     return CliffordAlgebra(octs)
 
 
-def cov_of(rep):
-    return ql.covariants(rep, scalar_codomain())
-
-
 @pytest.fixture(scope="module")
 def d21():
     rep = fam.build_family(ALPHA, -ONE - ALPHA)
-    return sup.build_tilde(cov_of(rep), "D(2,1;a)")
+    return sup.build_tilde(ql.covariants(rep), "D(2,1;a)")
 
 
 @pytest.fixture(scope="module")
 def g3(cliff):
     rep, _ = ql.build_g2_rep(cliff)
-    return sup.build_tilde(cov_of(rep), "G3")
+    return sup.build_tilde(ql.covariants(rep), "G3")
 
 
 @pytest.fixture(scope="module")
 def f4(cliff):
     rep = ql.build_spinor_rep(cliff)
-    return sup.build_tilde(cov_of(rep), "F4")
+    return sup.build_tilde(ql.covariants(rep), "F4")
 
 
 @pytest.mark.parametrize(
@@ -81,7 +77,7 @@ def test_odd_bracket_needs_no_rescaling(fixture_name, request):
 
 
 def test_not_special_is_refused():
-    cov = cov_of(fam.build_family(rat(1), rat(1)))
+    cov = ql.covariants(fam.build_family(rat(1), rat(1)))
     assert not cov.special
     with pytest.raises(NotSpecial) as err:
         sup.build_tilde(cov, "refused")
@@ -91,7 +87,7 @@ def test_not_special_is_refused():
 
 
 def test_forced_build_fails_only_in_odd_sector():
-    cov = cov_of(fam.build_family(rat(1), rat(1)))
+    cov = ql.covariants(fam.build_family(rat(1), rat(1)))
     sa = sup.build_tilde(cov, "forced", force=True)
     sectors = sa.super_jacobi_check()
     assert sectors["EEE"] is None
@@ -100,9 +96,15 @@ def test_forced_build_fails_only_in_odd_sector():
     assert sectors["OOO"] is not None and "J(" in sectors["OOO"]
 
 
-def test_perturbed_sl2_block_breaks_invariance():
-    cov = cov_of(fam.build_family(ALPHA, -ONE - ALPHA))
-    sa = sup.build_tilde(cov, "scaled", sl2_form_scale=rat(2))
+def test_perturbed_sl2_block_breaks_invariance(d21):
+    # the sl2 block is the last three even rows and columns of the form
+    form = [list(row) for row in d21.form]
+    for i in range(d21.even_dim - 3, d21.even_dim):
+        for j in range(d21.even_dim - 3, d21.even_dim):
+            form[i][j] = form[i][j] * rat(2)
+    sa = sup.SuperAlgebra(
+        "scaled", d21.even_labels, d21.odd_labels, d21.table, form
+    )
     witness = sa.form_invariance_witness()
     assert witness is not None and "B(" in witness
 
@@ -194,7 +196,7 @@ def perturbed_odd_odd(sa):
 
 def test_sorted_triples_give_the_full_scan_witnesses(g3):
     forced = sup.build_tilde(
-        cov_of(fam.build_family(rat(1), rat(1))), "forced", force=True
+        ql.covariants(fam.build_family(rat(1), rat(1))), "forced", force=True
     )
     perturbed = perturbed_odd_odd(g3)
     for sa in (forced, perturbed):
@@ -275,7 +277,7 @@ def test_invariance_witness_is_that_of_the_full_scan(g3, f4):
     assert right.form_invariance_witness() == "B([a,b],c) != B(a,[b,c])"
     # the forced non-special assembly breaks Jacobi (OOO) but keeps the form
     forced = sup.build_tilde(
-        cov_of(fam.build_family(rat(1), rat(1))), "forced", force=True
+        ql.covariants(fam.build_family(rat(1), rat(1))), "forced", force=True
     )
     assert forced.form_invariance_witness() is None
     assert full_invariance_scan(forced) is None
@@ -315,7 +317,7 @@ def test_import_rejects_tampering(d21):
 
 
 def test_export_specialized_parameters():
-    sa = sup.build_tilde(cov_of(fam.build_family(rat(3), rat(-4))), "D(2,1;3)")
+    sa = sup.build_tilde(ql.covariants(fam.build_family(rat(3), rat(-4))), "D(2,1;3)")
     text = sup.export_superalgebra(sa, {"a": "3"})
     back = sup.import_superalgebra(text)
     assert back._imported_parameters == {"a": "3"}
