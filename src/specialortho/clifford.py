@@ -126,6 +126,7 @@ class CliffordAlgebra:
         self._mono_cache: dict[tuple[int, int], tuple[int, Frac]] = {}
         self._matrix_cache: dict[int, Matrix] = {}
         self._omega: Optional[CliffordElement] = None
+        self._w_basis: Optional[list[CliffordElement]] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -254,18 +255,18 @@ class CliffordAlgebra:
 
     def trace_product(self, a: CliffordElement, b: CliffordElement) -> Frac:
         """Tr(rho(a) rho(b)) over the 8-dimensional spin representation."""
-        ma = self.spinor_action(a)
-        mb = self.spinor_action(b)
-        return dot((ma[r][t], mb[t][r]) for r in range(8) for t in range(8))
+        return linalg.trace_of_product(self.spinor_action(a), self.spinor_action(b))
 
     @cached_property
     def pair_traces(self) -> dict[tuple[int, int], Frac]:
-        """Tr(rho(x) rho(y)) for every pair (x, y) of pair-monomial masks."""
+        """Tr(rho(x) rho(y)) for every pair (x, y) of pair-monomial masks,
+        read off the cached monomial matrices."""
         table = {}
         for a, x in enumerate(PAIR_MASKS):
+            mx = self._mono_matrix(x)
             for y in PAIR_MASKS[a:]:
-                table[(x, y)] = table[(y, x)] = self.trace_product(
-                    CliffordElement(self, {x: ONE}), CliffordElement(self, {y: ONE})
+                table[(x, y)] = table[(y, x)] = linalg.trace_of_product(
+                    mx, self._mono_matrix(y)
                 )
         return table
 
@@ -288,7 +289,12 @@ class CliffordAlgebra:
         return self.super_bracket(cu, self.omega())
 
     def w_basis(self) -> list[CliffordElement]:
-        return [self.c_of(self.octonions.imaginary_unit(i)) for i in range(1, 8)]
+        """The seven c_{e_i}, built once; the list is shared and read only."""
+        if self._w_basis is None:
+            self._w_basis = [
+                self.c_of(self.octonions.imaginary_unit(i)) for i in range(1, 8)
+            ]
+        return self._w_basis
 
     def g2_kernel(self) -> list[CliffordElement]:
         """Basis of the annihilator of 1 inside the degree-2 component.

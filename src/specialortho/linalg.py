@@ -48,6 +48,11 @@ def trace(m: Sequence[Sequence[Frac]]) -> Frac:
     return s
 
 
+def trace_of_product(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -> Frac:
+    """Tr(ab), one sum over the nonzero entries of a."""
+    return dot((x, b[t][r]) for r, row in enumerate(a) for t, x in enumerate(row) if x.num)
+
+
 def rref(rows: Sequence[Sequence[Frac]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
     polys, pivots, _, _ = eliminate(rows)

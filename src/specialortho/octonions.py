@@ -73,19 +73,11 @@ class OctonionAlgebra:
         self.table: list[list[Vector]] = [
             [_cd_mul(units[i], units[j], gammas) for j in range(8)] for i in range(8)
         ]
-        # polarized norm: B(x, y) = (x conj(y) + y conj(x)) / 2, real component
-        gram = []
-        for i in range(8):
-            row = []
-            ci = _cd_conj(units[i])
-            for j in range(8):
-                cj = _cd_conj(units[j])
-                val = (
-                    _cd_mul(units[i], cj, gammas)[0]
-                    + _cd_mul(units[j], ci, gammas)[0]
-                ) / 2
-                row.append(val)
-            gram.append(row)
+        # polarized norm: B(x, y) = (x conj(y) + y conj(x)) / 2, real component;
+        # conj(e_k) = s_k e_k with s_0 = 1 and s_k = -1, so each side is a
+        # signed real entry of the table
+        real = [[row[j][0] if j == 0 else -row[j][0] for j in range(8)] for row in self.table]
+        gram = [[(real[i][j] + real[j][i]) / 2 for j in range(8)] for i in range(8)]
         self.space_oct = QuadraticSpace(
             tuple(f"e{k+1}" for k in range(8)), gram, name="O"
         )

@@ -415,30 +415,47 @@ def moment_equivariance_witness(rep: QuadLieRep, mu: AltMap) -> Optional[str]:
     return None
 
 
-def mu_act(rep: QuadLieRep, mu: AltMap, i: int, j: int, k: int) -> Vector:
-    """mu(e_i, e_j) e_k on 0-based basis indices of the module."""
+MomentAction = list[list[list[Vector]]]
+
+
+def moment_action(rep: QuadLieRep, mu: AltMap) -> MomentAction:
+    """The table ``[i][j][k]`` of mu(e_i, e_j) e_k on 0-based module indices.
+
+    Each vector with i < j is one action of the stored value mu(e_i, e_j);
+    mu is alternating, so the (j, i) vectors are their negations and the
+    (i, i) vectors are zero.  The vectors are shared and read only.
+    """
     space = rep.space
-    value = mu.evaluate([space.basis_vector(i), space.basis_vector(j)])
-    return rep.act.apply(value, space.basis_vector(k))
+    n = space.dim
+    basis = [space.basis_vector(k) for k in range(n)]
+    zero = [[ZERO] * n] * n
+    table = [[zero] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        value = mu.value((i + 1, j + 1))
+        table[i][j] = [rep.act.apply(value, e) for e in basis]
+        table[j][i] = [[-c for c in v] for v in table[i][j]]
+    return table
 
 
-def check_special(rep: QuadLieRep, mu: AltMap) -> tuple[bool, Optional[str]]:
+def check_special(
+    rep: QuadLieRep, mu: AltMap, mu_act: Optional[MomentAction] = None
+) -> tuple[bool, Optional[str]]:
     """Special orthogonality of the moment map, with the first witness.
 
     Checks mu(u,v) w + mu(u,w) v = (u,v) w + (u,w) v - 2 (v,w) u over basis
     triples in lexicographic order; returns (True, None) or (False, witness).
+    ``mu_act`` is moment_action(rep, mu), built here when not given.
     """
     space = rep.space
     n = space.dim
     gram = space.gram
     two = rat(2)
+    if mu_act is None:
+        mu_act = moment_action(rep, mu)
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                lhs = [
-                    p + q
-                    for p, q in zip(mu_act(rep, mu, i, j, k), mu_act(rep, mu, i, k, j))
-                ]
+                lhs = [p + q for p, q in zip(mu_act[i][j][k], mu_act[i][k][j])]
                 rhs = [ZERO] * n
                 if gram[i][j].num:
                     rhs[k] = rhs[k] + gram[i][j]
@@ -458,6 +475,8 @@ def check_special(rep: QuadLieRep, mu: AltMap) -> tuple[bool, Optional[str]]:
 class Covariants:
     """The moment map with its derived covariants on one representation.
 
+    ``mu_act`` is the moment_action table of ``mu``, from which psi, the
+    special orthogonality check and the pointwise moment witnesses read.
     ``special`` and ``witness`` are the result of check_special on ``mu``.
     ``mu_wedge_psi`` and ``mu_compose_psi`` are computed on first access and
     shared by the Mathews and Hodge checks.
@@ -465,6 +484,7 @@ class Covariants:
 
     rep: QuadLieRep
     mu: AltMap
+    mu_act: MomentAction
     psi: AltMap
     quad: AltMap
     special: bool
@@ -494,20 +514,16 @@ def covariants(rep: QuadLieRep) -> Covariants:
     space = rep.space
     n = space.dim
     mu = moment_map(rep)
+    mu_act = moment_action(rep, mu)
     basis = [space.basis_vector(k) for k in range(n)]
 
     psi_coeffs = {}
     for index in all_multi_indices(n, 3):
         i, j, k = (t - 1 for t in index)
-        val = [
+        psi_coeffs[index] = [
             a + b + c
-            for a, b, c in zip(
-                mu_act(rep, mu, i, j, k),
-                mu_act(rep, mu, k, i, j),
-                mu_act(rep, mu, j, k, i),
-            )
+            for a, b, c in zip(mu_act[i][j][k], mu_act[k][i][j], mu_act[j][k][i])
         ]
-        psi_coeffs[index] = val
     psi = AltMap(space, space, 3, psi_coeffs, name=f"psi[{rep.name}]")
 
     quad_coeffs = {}
@@ -522,8 +538,8 @@ def covariants(rep: QuadLieRep) -> Covariants:
         quad_coeffs[index] = [value]
     quad = AltMap(space, K, 4, quad_coeffs, name=f"Q[{rep.name}]")
 
-    special, witness = check_special(rep, mu)
-    return Covariants(rep, mu, psi, quad, special, witness)
+    special, witness = check_special(rep, mu, mu_act)
+    return Covariants(rep, mu, mu_act, psi, quad, special, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -677,27 +693,22 @@ def _trace_pairing(cliff: CliffordAlgebra, x: CliffordElement, y: CliffordElemen
 def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:
     """so(7) on the octonions: degree-2 monomials with form -(3/8) Tr.
 
-    Brackets are half-commutators... the super bracket of two even monomials
-    is the plain commutator, and on pair monomials it lands back in the span
-    of pair monomials.
+    Brackets are commutators: the super bracket of two even monomials x, y.
+    Both products xy and yx land on the monomial x xor y, so the bracket is
+    the difference of their two coefficients there, and on pair monomials
+    it lands back in the span of pair monomials.
     """
     octs = cliff.octonions
     mask_pos = {m: t for t, m in enumerate(PAIR_MASKS)}
     table = {}
-    for a in range(21):
-        for b in range(a + 1, 21):
-            xa = CliffordElement(cliff, {PAIR_MASKS[a]: ONE})
-            xb = CliffordElement(cliff, {PAIR_MASKS[b]: ONE})
-            comm = cliff.super_bracket(xa, xb)
-            row = {}
-            for mask, c in comm.coeffs.items():
-                if mask not in mask_pos:
-                    raise WrongDimension(
-                        "commutator of pair monomials left the degree-2 span"
-                    )
-                row[mask_pos[mask]] = c
-            if row:
-                table[(a, b)] = row
+    for (a, x), (b, y) in combinations(enumerate(PAIR_MASKS), 2):
+        mask, xy = cliff.mono_mul(x, y)
+        c = xy - cliff.mono_mul(y, x)[1]
+        if not c.num:
+            continue
+        if mask not in mask_pos:
+            raise WrongDimension("commutator of pair monomials left the degree-2 span")
+        table[(a, b)] = {mask_pos[mask]: c}
     scale = rat(-3, 8)
     trace = cliff.pair_traces
     gram = [
@@ -820,8 +831,9 @@ def quad_oct_expected(octs: OctonionAlgebra) -> AltMap:
     return AltMap(octs.space_oct, K, 4, coeffs, name="quad_oct_closed")
 
 
-def mu_im_pointwise_witness(octs: OctonionAlgebra, rep: QuadLieRep, mu: AltMap) -> Optional[str]:
-    """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)) on basis triples."""
+def mu_im_pointwise_witness(octs: OctonionAlgebra, mu_act: MomentAction) -> Optional[str]:
+    """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)) on basis triples, with
+    ``mu_act`` the moment_action table of mu on the imaginaries."""
     three, minus_quarter = rat(3), rat(-1, 4)
     for i in range(1, 8):
         for j in range(1, 8):
@@ -831,15 +843,16 @@ def mu_im_pointwise_witness(octs: OctonionAlgebra, rep: QuadLieRep, mu: AltMap) 
                 expect = (
                     commutator(w, uv) + octs.on_units(associator, i, j, k).scale(three)
                 ).scale(minus_quarter)
-                if mu_act(rep, mu, i - 1, j - 1, k - 1) != expect.imaginary_coeffs():
+                if mu_act[i - 1][j - 1][k - 1] != expect.imaginary_coeffs():
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
 
 
 def mu_im_canonical_split_witness(
-    octs: OctonionAlgebra, rep: QuadLieRep, mu: AltMap
+    octs: OctonionAlgebra, mu_act: MomentAction
 ) -> Optional[str]:
-    """mu(u, v) w = (3/2) mu_can(u, v) w + (1/8) [w, [u, v]] on basis triples."""
+    """mu(u, v) w = (3/2) mu_can(u, v) w + (1/8) [w, [u, v]] on basis triples,
+    with ``mu_act`` the moment_action table of mu on the imaginaries."""
     space = octs.space_im
     eighth, three_halves = rat(1, 8), rat(3, 2)
     for i in range(1, 8):
@@ -853,7 +866,7 @@ def mu_im_canonical_split_witness(
                     three_halves * c + e
                     for c, e in zip(canonical, expect_oct.imaginary_coeffs())
                 ]
-                if mu_act(rep, mu, i - 1, j - 1, k - 1) != expect:
+                if mu_act[i - 1][j - 1][k - 1] != expect:
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
 
@@ -907,7 +920,10 @@ def mu_oct_from_mu_im_witness(
     mu_oct: AltMap,
 ) -> Optional[str]:
     """mu_O(u, v) = (8/9) mu_Im(u, v) + (1/18) c_{u x v} inside the Clifford
-    degree-2 component, and mu_O(u, 1) = (1/6) c_u, on basis elements."""
+    degree-2 component, and mu_O(u, 1) = (1/6) c_u, on basis elements.
+
+    c_u is linear in u, so each c_u is read off the seven c_{e_i} of
+    ``cliff.w_basis()``."""
 
     def to_clifford(coords: Sequence[Frac], basis: list[CliffordElement]) -> CliffordElement:
         out = CliffordElement(cliff)
@@ -916,21 +932,19 @@ def mu_oct_from_mu_im_witness(
                 out = out + x.scale(c)
         return out
 
-    pair_elements = cliff.pair_basis()
+    pair_elements, w = cliff.pair_basis(), cliff.w_basis()
     sixth, eight_ninths, eighteenth = rat(1, 6), rat(8, 9), rat(1, 18)
     for i in range(1, 8):
-        u = octs.imaginary_unit(i)
         # stored coefficient is mu(1, u); the identity speaks of mu(u, 1)
         got_unit = to_clifford(mu_oct.value((1, i + 1)), pair_elements).scale(-ONE)
-        expect_unit = cliff.c_of(u).scale(sixth)
+        expect_unit = w[i - 1].scale(sixth)
         if not (got_unit - expect_unit).is_zero():
             return f"mu(e{i}, 1) != (1/6) c_(e{i})"
         for j in range(i + 1, 8):
             got = to_clifford(mu_oct.value((i + 1, j + 1)), pair_elements)
             mu_im_cliff = to_clifford(mu_im.value((i, j)), kernel)
-            expect = mu_im_cliff.scale(eight_ninths) + cliff.c_of(
-                octs.on_units(cross_product, i, j)
-            ).scale(eighteenth)
+            c_cross = to_clifford(octs.on_units(cross_product, i, j).imaginary_coeffs(), w)
+            expect = mu_im_cliff.scale(eight_ninths) + c_cross.scale(eighteenth)
             if not (got - expect).is_zero():
                 return f"mu(e{i}, e{j}) decomposition fails"
     return None

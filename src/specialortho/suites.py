@@ -39,8 +39,8 @@ from .family import (
     quad_family_expected,
     swap_family_witness,
 )
-from .linalg import det
-from .octonions import OctonionAlgebra, bilinear_B, build_algebra, cross_product
+from .linalg import det, mat_vec, trace_of_product
+from .octonions import Octonion, OctonionAlgebra, bilinear_B, build_algebra, cross_product
 from .quadlie import (
     CheckRecord,
     Covariants,
@@ -55,7 +55,6 @@ from .quadlie import (
     g2_cyclic_witness,
     mathews_status,
     moment_equivariance_witness,
-    mu_act,
     mu_can_value,
     mu_im_canonical_split_witness,
     mu_im_pointwise_witness,
@@ -193,13 +192,13 @@ def _equal(got: AltMap, want: AltMap, mismatch: str) -> Optional[str]:
 
 
 def _psi_shortcut_witness(cov: Covariants) -> Optional[str]:
-    rep, space = cov.rep, cov.rep.space
+    space = cov.rep.space
     three = rat(3)
     for index in all_multi_indices(space.dim, 3):
         i, j, k = (t - 1 for t in index)
         want = [
             three * (x - y)
-            for x, y in zip(mu_act(rep, cov.mu, i, j, k), mu_can_value(space, i, j, k))
+            for x, y in zip(cov.mu_act[i][j][k], mu_can_value(space, i, j, k))
         ]
         if cov.psi.value(index) != want:
             return f"(v1,v2,v3) = e{index[0]}, e{index[1]}, e{index[2]}"
@@ -301,12 +300,12 @@ def _suite_g2(ws: Workspace) -> list[CheckRecord]:
         run_check(
             "g2-moment-closed-form",
             "mu(u,v)w = -1/4 ([w,[u,v]] + 3 (u,v,w))",
-            lambda: mu_im_pointwise_witness(octs, rep, cov.mu),
+            lambda: mu_im_pointwise_witness(octs, cov.mu_act),
         ),
         run_check(
             "g2-moment-split",
             "mu(u,v)w = (3/2) mu_can(u,v)w + (1/8) [w,[u,v]]",
-            lambda: mu_im_canonical_split_witness(octs, rep, cov.mu),
+            lambda: mu_im_canonical_split_witness(octs, cov.mu_act),
         ),
         run_check(
             "g2-cyclic-vanishing",
@@ -349,51 +348,58 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
     octs, cliff = ws.octs, ws.cliff
     rep, cov = ws.so7_rep, ws.cov_oct
 
+    def spin_matrices(elements: list) -> list:
+        return [cliff.spinor_action(x) for x in elements]
+
+    def acts(matrix, x: Octonion) -> Octonion:
+        return octs.from_coeffs(mat_vec(matrix, x.coeffs))
+
     def splitting() -> Optional[str]:
         kernel = ws.g2_kernel
         w = cliff.w_basis()
         if len(kernel) != 14 or len(w) != 7:
             return f"dims {len(kernel)} + {len(w)}"
-        for x in kernel:
-            for c in w:
-                if cliff.trace_product(x, c).num:
+        w_mats = spin_matrices(w)
+        for x in spin_matrices(kernel):
+            for c in w_mats:
+                if trace_of_product(x, c).num:
                     return "Tr(rho(x) rho(c_u)) != 0 for a kernel element"
         return None
 
     def omega_action() -> Optional[str]:
-        one = octs.one()
-        if cliff.apply_to_octonion(cliff.omega(), one) != one.scale(rat(-7)):
+        one, omega = octs.one(), cliff.spinor_action(cliff.omega())
+        if acts(omega, one) != one.scale(rat(-7)):
             return "rho(Omega)(1) != -7"
         for i in range(1, 8):
             u = octs.unit(i)
-            if cliff.apply_to_octonion(cliff.omega(), u) != u:
+            if acts(omega, u) != u:
                 return f"rho(Omega)(e{i}) != e{i}"
         return None
 
     def c_action() -> Optional[str]:
         one = octs.one()
         two, six, minus_six = rat(2), rat(6), rat(-6)
-        for i in range(1, 8):
+        for i, cu in enumerate(spin_matrices(cliff.w_basis()), 1):
             u = octs.imaginary_unit(i)
-            cu = cliff.c_of(u)
-            if cliff.apply_to_octonion(cu, one) != u.scale(minus_six):
+            if acts(cu, one) != u.scale(minus_six):
                 return f"rho(c_e{i})(1) != -6 e{i}"
             for j in range(1, 8):
                 v = octs.imaginary_unit(j)
                 want = octs.on_units(cross_product, i, j).scale(two) + one.scale(
                     six * bilinear_B(u, v)
                 )
-                if cliff.apply_to_octonion(cu, v) != want:
+                if acts(cu, v) != want:
                     return f"rho(c_e{i})(e{j}) != 2 e{i} x e{j} + 6 B(e{i},e{j})"
         return None
 
     def trace_form() -> Optional[str]:
         minus_96 = rat(-96)
+        w_mats = spin_matrices(cliff.w_basis())
         for i in range(1, 8):
             u = octs.imaginary_unit(i)
             for j in range(i, 8):
                 v = octs.imaginary_unit(j)
-                got = cliff.trace_product(cliff.c_of(u), cliff.c_of(v))
+                got = trace_of_product(w_mats[i - 1], w_mats[j - 1])
                 if got != minus_96 * bilinear_B(u, v):
                     return f"(u,v) = (e{i}, e{j})"
         return None

@@ -120,8 +120,8 @@ def test_criterion_03_moment_closed_forms(ws, control):
     failures = []
     octs, cliff = ws.octs, ws.cliff
     for label, got in (
-        ("pointwise form", mu_im_pointwise_witness(octs, ws.g2_rep, ws.cov_im.mu)),
-        ("canonical split", mu_im_canonical_split_witness(octs, ws.g2_rep, ws.cov_im.mu)),
+        ("pointwise form", mu_im_pointwise_witness(octs, ws.cov_im.mu_act)),
+        ("canonical split", mu_im_canonical_split_witness(octs, ws.cov_im.mu_act)),
         (
             "eight-dim from seven-dim",
             mu_oct_from_mu_im_witness(octs, cliff, ws.g2_kernel, ws.cov_im.mu, ws.cov_oct.mu),

@@ -100,6 +100,25 @@ def test_spin_action_generator_squares(C):
         assert sq == expect
 
 
+@pytest.mark.parametrize("weights", [(L1, L2, L3), (rat(2), rat(3), rat(-5))])
+def test_pair_traces_match_trace_product(weights):
+    # the table reads the monomial matrices; trace_product builds both spin
+    # matrices of one-term elements
+    C = CliffordAlgebra(build_algebra(*weights))
+    traces = C.pair_traces
+    assert len(traces) == 21 * 21
+    for a, x in enumerate(PAIR_MASKS):
+        for y in PAIR_MASKS[a:]:
+            want = C.trace_product(C.element({x: ONE}), C.element({y: ONE}))
+            assert traces[(x, y)] == traces[(y, x)] == want
+
+
+def test_w_basis_is_built_once(C, A):
+    w = C.w_basis()
+    assert C.w_basis() is w
+    assert w == [C.c_of(A.imaginary_unit(i)) for i in range(1, 8)]
+
+
 def test_super_bracket_parity_rules(C):
     rng = random.Random(11)
     even_masks = [m for m in range(128) if bin(m).count("1") % 2 == 0]

@@ -65,6 +65,25 @@ def test_bilinear_B_is_the_polarized_norm(A):
         assert bilinear_B(x, y) == (norm_q(x + y) - norm_q(x) - norm_q(y)) / 2
 
 
+@pytest.mark.parametrize("weights", [(L1, L2, L3), (rat(2), rat(3), rat(-5))])
+def test_gram_matches_the_cayley_dickson_polarization(weights):
+    # B(e_i, e_j) = (Re(e_i conj(e_j)) + Re(e_j conj(e_i))) / 2, each product
+    # computed by doubling rather than read from the algebra's table
+    A = build_algebra(*weights)
+    gammas = [-w for w in weights]
+    units = [A.unit(k).coeffs for k in range(8)]
+
+    def real_part(i, j):
+        return octonions._cd_mul(units[i], octonions._cd_conj(units[j]), gammas)[0]
+
+    for i in range(8):
+        for j in range(8):
+            want = (real_part(i, j) + real_part(j, i)) / 2
+            assert A.space_oct.gram[i][j] == want
+            if i and j:
+                assert A.space_im.gram[i - 1][j - 1] == want
+
+
 def test_degenerate_parameter():
     with pytest.raises(DegenerateParameter):
         build_algebra(ZERO, L2, L3)

@@ -2,14 +2,14 @@
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import xor
 
 import pytest
 
 from specialortho import linalg
 from specialortho.altmap import FIELD_PRODUCT, PairingSpec, compose, wedge_rel
-from specialortho.clifford import CliffordAlgebra
+from specialortho.clifford import PAIR_MASKS, CliffordAlgebra
 from specialortho.errors import ShapeMismatch
 from specialortho.exterior import QuadraticSpace
 from specialortho.octonions import associator, build_algebra, commutator, cross_product
@@ -186,8 +186,9 @@ def test_g2_moment_closed_forms(octs, g2):
     ok, witness = ql.check_special(rep, mu)
     assert ok and witness is None
     assert ql.moment_equivariance_witness(rep, mu) is None
-    assert ql.mu_im_pointwise_witness(octs, rep, mu) is None
-    assert ql.mu_im_canonical_split_witness(octs, rep, mu) is None
+    mu_act = ql.moment_action(rep, mu)
+    assert ql.mu_im_pointwise_witness(octs, mu_act) is None
+    assert ql.mu_im_canonical_split_witness(octs, mu_act) is None
     assert ql.g2_cyclic_witness(octs, mu) is None
 
 
@@ -257,7 +258,7 @@ def test_oct_moment_decomposes_through_clifford(octs, cliff, g2, cov_oct):
 def test_unit_tables_hold_the_generic_values(weights):
     ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
     octs, mu = ws.octs, ws.cov_im.mu
-    assert ql.mu_im_pointwise_witness(octs, ws.g2_rep, mu) is None
+    assert ql.mu_im_pointwise_witness(octs, ws.cov_im.mu_act) is None
     assert ql.g2_cyclic_witness(octs, mu) is None
     assert ws.cov_oct.psi == ql.psi_oct_expected(octs)
     kinds = Counter(fn for fn, _ in octs.unit_tables)
@@ -267,6 +268,36 @@ def test_unit_tables_hold_the_generic_values(weights):
         # e_i e_j is a multiple of e_{i xor j}, so each value has one term
         at = reduce(xor, positions)
         assert all(not c.num for t, c in enumerate(value.coeffs) if t != at)
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
+def test_spinor_brackets_match_super_bracket(weights):
+    ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
+    cliff, so7 = ws.cliff, ws.so7_rep
+    pairs = cliff.pair_basis()
+    position = {m: t for t, m in enumerate(PAIR_MASKS)}
+    for a, b in combinations(range(21), 2):
+        comm = cliff.super_bracket(pairs[a], pairs[b])
+        want = {position[m]: c for m, c in comm.coeffs.items()}
+        assert so7.algebra.bracket(a, b) == want
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
+def test_moment_action_matches_evaluate_then_act(weights):
+    ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
+    for cov in (ws.cov_im, ws.cov_oct, ws.cov_family):
+        rep, space = cov.rep, cov.rep.space
+        basis = [space.basis_vector(k) for k in range(space.dim)]
+        for i, j, k in product(range(space.dim), repeat=3):
+            want = rep.act.apply(cov.mu.evaluate([basis[i], basis[j]]), basis[k])
+            assert cov.mu_act[i][j][k] == want
+        # a table built apart from the covariants gives the same verdict
+        assert ql.check_special(rep, cov.mu) == (cov.special, cov.witness)
+    rep, mu_can = ql.build_so(small_space())
+    doubled = mu_can.scale(rat(2))
+    expect = (False, "(u,v,w) = (e1, e1, e2) of V3")
+    assert ql.check_special(rep, doubled) == expect
+    assert ql.check_special(rep, doubled, ql.moment_action(rep, doubled)) == expect
 
 
 # -- decompositions and volumes ----------------------------------------------

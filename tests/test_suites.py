@@ -5,7 +5,7 @@ from functools import cached_property
 
 import pytest
 
-from specialortho import cli, clifford, octonions, quadlie, suites
+from specialortho import altmap, cli, clifford, octonions, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
 from specialortho.exterior import K
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
@@ -262,6 +262,44 @@ def test_setup_stages_leave_the_unit_tables_empty():
     for name in stages:
         getattr(ws, name)
     assert ws.octs.unit_tables == {}
+
+
+def test_setup_builds_each_structure_constant_once(monkeypatch):
+    counts = {"spinor_action": 0, "apply": 0, "cd_mul": 0, "c_of": 0}
+
+    def counted(key, real, when=lambda *args: True):
+        def wrapper(*args):
+            if when(*args):
+                counts[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    cliff_class = clifford.CliffordAlgebra
+    monkeypatch.setattr(
+        cliff_class, "spinor_action", counted("spinor_action", cliff_class.spinor_action)
+    )
+    monkeypatch.setattr(cliff_class, "c_of", counted("c_of", cliff_class.c_of))
+    monkeypatch.setattr(
+        altmap.PairingSpec, "apply", counted("apply", altmap.PairingSpec.apply)
+    )
+    # _cd_mul recurses through the module name: count the calls on 8-vectors
+    monkeypatch.setattr(
+        octonions,
+        "_cd_mul",
+        counted("cd_mul", octonions._cd_mul, lambda a, b, gammas: len(a) == 8),
+    )
+    ws = Workspace()
+    for name, value in vars(Workspace).items():
+        if isinstance(value, cached_property):
+            getattr(ws, name)
+    # the 21 so7 and 14 g2 action matrices; the moment-action tables of
+    # so7 (28 pairs x 8), g2 (21 x 7) and the family (6 x 4); the 64 table
+    # products of basis units
+    assert counts == {"spinor_action": 35, "apply": 395, "cd_mul": 64, "c_of": 0}
+    counts["c_of"] = 0
+    assert run_suite("all", Workspace()).ok
+    assert counts["c_of"] == 7
 
 
 def test_verify_all_builds_phi_once_on_the_field_constant(monkeypatch):
