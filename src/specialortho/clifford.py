@@ -249,14 +249,6 @@ class CliffordAlgebra:
                         row_o[s] = row_o[s] + coeff * row_m[s]
         return out
 
-    def apply_to_octonion(self, c: CliffordElement, x: Octonion) -> Octonion:
-        mat = self.spinor_action(c)
-        return self.octonions.from_coeffs(linalg.mat_vec(mat, x.coeffs))
-
-    def trace_product(self, a: CliffordElement, b: CliffordElement) -> Frac:
-        """Tr(rho(a) rho(b)) over the 8-dimensional spin representation."""
-        return linalg.trace_of_product(self.spinor_action(a), self.spinor_action(b))
-
     @cached_property
     def pair_traces(self) -> dict[tuple[int, int], Frac]:
         """Tr(rho(x) rho(y)) for every pair (x, y) of pair-monomial masks,

@@ -203,11 +203,6 @@ def build_algebra(l1: Frac, l2: Frac, l3: Frac) -> OctonionAlgebra:
     return OctonionAlgebra(l1, l2, l3)
 
 
-def norm_q(x: Octonion) -> Frac:
-    """The multiplicative norm q(x) = x conj(x)."""
-    return (x * x.conjugate()).real_part()
-
-
 def bilinear_B(x: Octonion, y: Octonion) -> Frac:
     """Polarization of the norm: B(x, y) = (q(x+y) - q(x) - q(y)) / 2."""
     return x.algebra.space_oct.pair(x.coeffs, y.coeffs)

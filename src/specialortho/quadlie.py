@@ -52,13 +52,23 @@ from .octonions import (
     cross_product,
     fano_lines,
 )
-from .scalars import Frac, ONE, ZERO, dot, rat, solve_linear
+from .scalars import (
+    ROW_SHIFT,
+    Frac,
+    ONE,
+    ZERO,
+    clear_denominators,
+    dot,
+    rat,
+    solve_linear,
+)
 
 Vector = list[Frac]
 Matrix = list[list[Frac]]
 
 
 _SECTORS = ("EEE", "EEO", "EOO", "OOO")
+_KEY_MASK = (1 << ROW_SHIFT) - 1
 
 
 class SuperAlgebra:
@@ -72,7 +82,10 @@ class SuperAlgebra:
     itself when both are odd and its negation otherwise.  ``bracket`` hands
     out these stored rows, so they are shared and read only.  The form is a
     full matrix, block-diagonal across the parity split, symmetric on the
-    even part and antisymmetric on the odd part.
+    even part and antisymmetric on the odd part.  Both checks run on integer
+    numerators: each call puts the stored rows, and the form, over one
+    common denominator per table (``scalars.clear_denominators``) and tests
+    sums of numerator products for zero, with no Frac per basis triple.
     """
 
     def __init__(
@@ -153,33 +166,43 @@ class SuperAlgebra:
         x <= y <= z in lexicographic order, and its first witness per sector
         is the first one of a scan over every x and every pair y <= z.  A
         None entry means the sector is clean.
+
+        Each term of J is a product of two table entries, so with the rows
+        over one common denominator L, L^2 J(x,y,z) is a sum of products of
+        integer numerators, accumulated in one dict per triple.
         """
         out: dict[str, Optional[str]] = {s: None for s in _SECTORS}
         n = self.dim
-        bracket = self.bracket
+        _, rows = clear_denominators(self._rows)
         for x in range(n):
             px = self.parity(x)
-            # both signs of each row [x, t], as (c, m) terms, once per (x, t)
-            signed = {}
-            for t in range(x, n):
-                row = bracket(x, t).items()
-                signed[t] = ([(c, m) for m, c in row], [(-c, m) for m, c in row])
             for y in range(x, n):
                 py = self.parity(y)
-                both_odd = px and py
+                xy = rows.get((x, y), ())
+                sign_xz = 1 if px and py else -1
                 for z in range(y, n):
                     sector = _SECTORS[px + py + self.parity(z)]
                     if out[sector] is not None:
                         continue
-                    # (+-c, [a, b] row) for each c [a, b] term of J
-                    rows = [(c, bracket(x, m)) for m, c in bracket(y, z).items()]
-                    rows += [(c, bracket(m, z)) for c, m in signed[y][1]]
-                    rows += [(c, bracket(y, m)) for c, m in signed[z][0 if both_odd else 1]]
-                    terms: dict[int, list] = {}
-                    for c, row in rows:
-                        for k, v in row.items():
-                            terms.setdefault(k, []).append((c, v))
-                    if any(dot(pairs).num for pairs in terms.values()):
+                    # L^2 times [x,[y,z]], -[[x,y],z] and -(-1)^{|x||y|} [y,[x,z]]
+                    acc: dict = {}
+                    get = acc.get
+                    for mk, c in rows.get((y, z), ()):
+                        key = mk & _KEY_MASK
+                        for k, v in rows.get((x, mk >> ROW_SHIFT), ()):
+                            k += key
+                            acc[k] = get(k, 0) + c * v
+                    for mk, c in xy:
+                        key = mk & _KEY_MASK
+                        for k, v in rows.get((mk >> ROW_SHIFT, z), ()):
+                            k += key
+                            acc[k] = get(k, 0) - c * v
+                    for mk, c in rows.get((x, z), ()):
+                        key, c = mk & _KEY_MASK, sign_xz * c
+                        for k, v in rows.get((y, mk >> ROW_SHIFT), ()):
+                            k += key
+                            acc[k] = get(k, 0) + c * v
+                    if any(acc.values()):
                         out[sector] = (
                             f"J({self.labels[x]}, {self.labels[y]}, "
                             f"{self.labels[z]}) != 0"
@@ -195,31 +218,44 @@ class SuperAlgebra:
         term at an m where B(x, e_m) != 0.  The witness is the least failing
         z of the first failing (x, y), the first one of a scan over every
         triple.
+
+        The table and the form are each put over one common denominator,
+        L_t and L_f, so L_t L_f (B([x,y],z) - B(x,[y,z])) is a sum of
+        products of integer numerators; one dict per (x, y) holds it for
+        every z.
         """
         n = self.dim
-        form_rows = [[(z, f) for z, f in enumerate(r) if f.num] for r in self.form]
-        # (y, m) -> [(z, c)]: the terms c e_m of the stored rows [y, z]
+        _, rows = clear_denominators(self._rows)
+        nonzero = {x: {z: f for z, f in enumerate(r) if f.num} for x, r in enumerate(self.form)}
+        _, form = clear_denominators(nonzero)
+        # (y, m) -> the terms at m of the stored rows [y, z], indexed by z
         terms_at: dict[tuple[int, int], list] = {}
-        for (y, z), row in self._rows.items():
-            for m, c in row.items():
-                terms_at.setdefault((y, m), []).append((z, c))
+        for (y, z), row in rows.items():
+            for mk, c in row:
+                at = terms_at.setdefault((y, mk >> ROW_SHIFT), [])
+                at.append(((z << ROW_SHIFT) + (mk & _KEY_MASK), c))
         for x in range(n):
             for y in range(n):
-                left: dict[int, list] = {}
-                for m, c in self.bracket(x, y).items():
-                    for z, f in form_rows[m]:
-                        left.setdefault(z, []).append((c, f))
-                right: dict[int, list] = {}
-                for m, f in form_rows[x]:
-                    for z, c in terms_at.get((y, m), ()):
-                        right.setdefault(z, []).append((c, f))
-                for z in sorted(left.keys() | right.keys()):
-                    if dot(left.get(z, ())) != dot(right.get(z, ())):
-                        return (
-                            f"B([{self.labels[x]},{self.labels[y]}],"
-                            f"{self.labels[z]}) != B({self.labels[x]},"
-                            f"[{self.labels[y]},{self.labels[z]}])"
-                        )
+                acc: dict = {}
+                get = acc.get
+                for mk, c in rows.get((x, y), ()):
+                    key = mk & _KEY_MASK
+                    for k, f in form[mk >> ROW_SHIFT]:
+                        k += key
+                        acc[k] = get(k, 0) + c * f
+                for mk, f in form[x]:
+                    key = mk & _KEY_MASK
+                    for k, c in terms_at.get((y, mk >> ROW_SHIFT), ()):
+                        k += key
+                        acc[k] = get(k, 0) - c * f
+                failing = [k >> ROW_SHIFT for k, v in acc.items() if v]
+                if failing:
+                    z = min(failing)
+                    return (
+                        f"B([{self.labels[x]},{self.labels[y]}],"
+                        f"{self.labels[z]}) != B({self.labels[x]},"
+                        f"[{self.labels[y]},{self.labels[z]}])"
+                    )
         return None
 
     def __repr__(self) -> str:

@@ -18,10 +18,12 @@ it (ExponentOverflow).  So text from outside cannot reach a wrapped exponent.
 Products inside the library stay unchecked: multiplying two polynomials whose
 exponents in one variable sum past 65535 would carry into the next slot.  The
 fast paths and ``dot`` add at most four operand keys per slot, key sums and
-common-denominator shifts alike.  ``test_library_exponents_stay_small`` runs
-the symbolic ``verify all`` with every ``_p_mul`` checked against the slot
-and every stored exponent against 2^14, which covers both; the largest
-exponent stored is 24.
+common-denominator shifts alike; the superalgebra checks add two keys of
+``clear_denominators`` per product.  ``test_library_exponents_stay_small``
+runs the symbolic ``verify all`` with every ``_p_mul`` checked against the
+slot, and every stored exponent, cleared numerator and common denominator
+against 2^14, which covers all three; the largest exponent stored is 24,
+the largest cleared one 3.
 
 Canonical form.  gcd(num, den) is a unit, and the leading coefficient of the
 denominator is positive.  Two Fracs are equal in the field iff their dicts
@@ -684,6 +686,46 @@ def _monomial_sum(parts: list[tuple[dict, dict, int, int]]) -> Frac:
         total = {k - m: c // g for k, c in total.items()}
         lk, lc = lk - m, lc // g
     return Frac._raw(total, _P_ONE if not lk and lc == 1 else {lk: lc})
+
+
+ROW_SHIFT = 64
+
+
+def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
+    """Every entry of the sparse rows {i: Frac} over one common denominator.
+
+    Returns (L, cleared).  L is the lcm of the entries' denominators: the
+    monomial lcm when they are all monomials, else a fold of ``_p_lcm``.
+    ``cleared[r]`` is row r as a tuple of integer terms: the term v * x^k of
+    the numerator L * c of entry c at i is the pair ``((i << ROW_SHIFT) + k,
+    v)``.  A product of two terms is then one int multiply and one key sum,
+    and a sum of two keys whose exponents stay below 2^15 keeps each slot
+    and the index.  An entry over L itself keeps its numerator.
+    """
+    dens = {}
+    for row in rows.values():
+        for c in row.values():
+            dens.setdefault(tuple(c.den.items()), c.den)
+    if all(len(d) == 1 for d in dens.values()):
+        lk, lc = 0, 1
+        for ((j, e),) in dens:
+            lk, lc = lk + j - _key_min(lk, j), lc * e // _int_gcd(lc, e)
+        den = {lk: lc}
+        scale = {((j, e),): {lk - j: lc // e} for ((j, e),) in dens}
+    else:
+        den = _P_ONE
+        for d in dens.values():
+            den = _p_lcm(den, d)
+        scale = {t: _p_divexact(den, d) for t, d in dens.items()}
+    cleared = {}
+    for r, row in rows.items():
+        terms = []
+        for i, c in row.items():
+            q = scale[tuple(c.den.items())]
+            num = c.num if q == _P_ONE else _p_mul(c.num, q)
+            terms += [((i << ROW_SHIFT) + k, v) for k, v in num.items()]
+        cleared[r] = tuple(terms)
+    return den, cleared
 
 
 def dot(pairs: Iterable[tuple[Frac, Frac]]) -> Frac:

@@ -351,6 +351,11 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
     def spin_matrices(elements: list) -> list:
         return [cliff.spinor_action(x) for x in elements]
 
+    @cache
+    def c_matrices() -> list:
+        """The spin matrices of the c_u, built once for the checks below."""
+        return spin_matrices(cliff.w_basis())
+
     def acts(matrix, x: Octonion) -> Octonion:
         return octs.from_coeffs(mat_vec(matrix, x.coeffs))
 
@@ -359,7 +364,7 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
         w = cliff.w_basis()
         if len(kernel) != 14 or len(w) != 7:
             return f"dims {len(kernel)} + {len(w)}"
-        w_mats = spin_matrices(w)
+        w_mats = c_matrices()
         for x in spin_matrices(kernel):
             for c in w_mats:
                 if trace_of_product(x, c).num:
@@ -379,7 +384,7 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
     def c_action() -> Optional[str]:
         one = octs.one()
         two, six, minus_six = rat(2), rat(6), rat(-6)
-        for i, cu in enumerate(spin_matrices(cliff.w_basis()), 1):
+        for i, cu in enumerate(c_matrices(), 1):
             u = octs.imaginary_unit(i)
             if acts(cu, one) != u.scale(minus_six):
                 return f"rho(c_e{i})(1) != -6 e{i}"
@@ -394,7 +399,7 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
 
     def trace_form() -> Optional[str]:
         minus_96 = rat(-96)
-        w_mats = spin_matrices(cliff.w_basis())
+        w_mats = c_matrices()
         for i in range(1, 8):
             u = octs.imaginary_unit(i)
             for j in range(i, 8):

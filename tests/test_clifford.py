@@ -16,6 +16,17 @@ from specialortho.octonions import bilinear_B, build_algebra, cross_product
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, rat
 
 
+def apply_to_octonion(cliff, c, x):
+    """rho(c) x: the spin matrix of c applied to the octonion x."""
+    mat = cliff.spinor_action(c)
+    return cliff.octonions.from_coeffs(linalg.mat_vec(mat, x.coeffs))
+
+
+def trace_product(cliff, a, b):
+    """Tr(rho(a) rho(b)) over the 8-dimensional spin representation."""
+    return linalg.trace_of_product(cliff.spinor_action(a), cliff.spinor_action(b))
+
+
 @pytest.fixture(scope="module")
 def A():
     return build_algebra(L1, L2, L3)
@@ -109,7 +120,7 @@ def test_pair_traces_match_trace_product(weights):
     assert len(traces) == 21 * 21
     for a, x in enumerate(PAIR_MASKS):
         for y in PAIR_MASKS[a:]:
-            want = C.trace_product(C.element({x: ONE}), C.element({y: ONE}))
+            want = trace_product(C, C.element({x: ONE}), C.element({y: ONE}))
             assert traces[(x, y)] == traces[(y, x)] == want
 
 
@@ -143,11 +154,11 @@ def test_omega_spin_eigenvalues(C, A):
     # rho(Omega) fixes every imaginary unit and scales the unit by -7
     mat = C.spinor_action(C.omega())
     one = A.one()
-    out = C.apply_to_octonion(C.omega(), one)
+    out = apply_to_octonion(C, C.omega(), one)
     assert out == one.scale(rat(-7))
     for i in range(1, 8):
         u = A.unit(i)
-        assert C.apply_to_octonion(C.omega(), u) == u
+        assert apply_to_octonion(C, C.omega(), u) == u
 
 
 def test_c_of_structure_and_action(C, A):
@@ -156,13 +167,13 @@ def test_c_of_structure_and_action(C, A):
         cu = C.c_of(u)
         assert cu.degrees() <= {2}
         # rho(c_u) sends 1 to -6u and v to 2 u x v + 6 B(u, v)
-        assert C.apply_to_octonion(cu, A.one()) == u.scale(rat(-6))
+        assert apply_to_octonion(C, cu, A.one()) == u.scale(rat(-6))
         for j in range(1, 8):
             v = A.imaginary_unit(j)
             expect = cross_product(u, v).scale(rat(2)) + A.one().scale(
                 rat(6) * bilinear_B(u, v)
             )
-            assert C.apply_to_octonion(cu, v) == expect
+            assert apply_to_octonion(C, cu, v) == expect
     with pytest.raises(NotImaginary):
         C.c_of(A.one())
 
@@ -172,7 +183,7 @@ def test_trace_form_on_w(C, A):
     for i in (1, 2, 5):
         for j in (1, 3, 7):
             u, v = A.imaginary_unit(i), A.imaginary_unit(j)
-            got = C.trace_product(C.c_of(u), C.c_of(v))
+            got = trace_product(C, C.c_of(u), C.c_of(v))
             assert got == rat(-96) * bilinear_B(u, v)
 
 
@@ -181,7 +192,7 @@ def test_g2_kernel_dimension_and_annihilation(C, A):
     assert len(kernel) == 14
     for x in kernel:
         assert set(x.coeffs) <= set(PAIR_MASKS)
-        assert C.apply_to_octonion(x, A.one()).is_zero()
+        assert apply_to_octonion(C, x, A.one()).is_zero()
 
 
 def test_g2_kernel_orthogonal_to_w_under_trace(C):
@@ -189,7 +200,7 @@ def test_g2_kernel_orthogonal_to_w_under_trace(C):
     w = C.w_basis()
     for x in kernel[:3]:
         for c in w[:3]:
-            assert C.trace_product(x, c) == ZERO
+            assert trace_product(C, x, c) == ZERO
 
 
 def test_kernel_plus_w_spans_degree_two(C):

@@ -17,9 +17,14 @@ from specialortho.octonions import (
     commutator,
     cross_product,
     fano_lines,
-    norm_q,
 )
 from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat
+
+
+def norm_q(x):
+    """The multiplicative norm q(x) = x conj(x)."""
+    return (x * x.conjugate()).real_part()
+
 
 FANO = {
     frozenset({1, 2, 3}),

@@ -29,6 +29,7 @@ from specialortho.scalars import (
     _p_divexact,
     _p_max_exponent,
     _p_mul,
+    clear_denominators,
     dot,
     parse,
     rat,
@@ -438,14 +439,41 @@ def test_dot_cancellation_builds_no_fraction():
     assert dot(mixed) == ZERO
 
 
+@given(st.lists(st.lists(_dot_operands, max_size=4), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_clear_denominators_puts_each_row_over_one_denominator(entries):
+    rows = {r: dict(enumerate(row)) for r, row in enumerate(entries)}
+    den, cleared = clear_denominators(rows)
+    assert cleared.keys() == rows.keys()
+    fracs = [c for row in rows.values() for c in row.values()]
+    # a monomial lcm unless some denominator is not a monomial
+    assert (len(den) == 1) == all(len(c.den) == 1 for c in fracs)
+    key_mask = (1 << scalars_module.ROW_SHIFT) - 1
+    for r, row in rows.items():
+        for i, c in row.items():
+            num = {
+                k & key_mask: v
+                for k, v in cleared[r]
+                if k >> scalars_module.ROW_SHIFT == i
+            }
+            assert Frac(num, den) == c
+            if c.den == den:
+                assert num == c.num
+
+
 def test_library_exponents_stay_small(monkeypatch):
     """A symbolic ``verify all`` never carries an exponent across a key slot.
 
     Every ``_p_mul`` takes operands whose largest exponents sum to at most
     65535, and every exponent stored in a Frac stays below 2^14, so the at
     most four operand keys that the fast paths and ``dot`` add in one slot
-    cannot carry either.  The largest exponent the run stores is 24.
+    cannot carry either.  The largest exponent the run stores is 24.  Every
+    entry that ``clear_denominators`` hands to the superalgebra checks, and
+    each common denominator, also stays below 2^14, so the sum of two
+    cleared keys in one product cannot carry into the next slot or into the
+    row index.
     """
+    from specialortho import quadlie
     from specialortho.suites import run_suite
 
     mul, init, raw = scalars_module._p_mul, Frac.__init__, Frac._raw.__func__
@@ -466,7 +494,20 @@ def test_library_exponents_stay_small(monkeypatch):
         check(out)
         return out
 
+    def checked_clear(rows):
+        den, cleared = clear(rows)
+        assert _p_max_exponent(den) < 1 << 14
+        keys = {k & key_mask for row in cleared.values() for k, _ in row}
+        assert _p_max_exponent(dict.fromkeys(keys, 1)) < 1 << 14
+        calls.append(rows)
+        return den, cleared
+
+    clear, calls = quadlie.clear_denominators, []
+    key_mask = (1 << scalars_module.ROW_SHIFT) - 1
     monkeypatch.setattr(scalars_module, "_p_mul", checked_mul)
     monkeypatch.setattr(Frac, "__init__", checked_init)
     monkeypatch.setattr(Frac, "_raw", classmethod(checked_raw))
+    monkeypatch.setattr(quadlie, "clear_denominators", checked_clear)
     assert run_suite("all").ok
+    # the table of each of the six algebras twice, and each form once
+    assert len(calls) == 18

@@ -302,6 +302,25 @@ def test_setup_builds_each_structure_constant_once(monkeypatch):
     assert counts["c_of"] == 7
 
 
+def test_f4_clifford_checks_share_the_c_matrices(monkeypatch):
+    calls = []
+    real = clifford.CliffordAlgebra.spinor_action
+
+    def counted(self, c):
+        calls.append(c)
+        return real(self, c)
+
+    monkeypatch.setattr(clifford.CliffordAlgebra, "spinor_action", counted)
+    ws = Workspace()
+    assert run_suite("all", ws).ok
+    # set-up builds 35; clifford-splitting the 14 kernel matrices and the 7
+    # c_u matrices that clifford-c-action and clifford-trace-form reuse;
+    # clifford-omega-spin the one of Omega
+    assert len(calls) == 57
+    w = ws.cliff.w_basis()
+    assert sum(any(c is u for u in w) for c in calls) == 7
+
+
 def test_verify_all_builds_phi_once_on_the_field_constant(monkeypatch):
     calls, raised = [], []
     real_form, real_eta_inv = octonions.associative_form, clifford.eta_inv

@@ -283,6 +283,65 @@ def test_invariance_witness_is_that_of_the_full_scan(g3, f4):
     assert full_invariance_scan(forced) is None
 
 
+def rescaled(sa, p, s):
+    """A copy of sa with the basis vector x_p replaced by s x_p: the bracket
+    constant c_ij^k picks up s_i s_j / s_k and the form entry B_ij s_i s_j."""
+    scale = [s if i == p else ONE for i in range(sa.dim)]
+    table = {
+        (i, j): {k: c * scale[i] * scale[j] / scale[k] for k, c in row.items()}
+        for (i, j), row in sa.table.items()
+    }
+    form = [[f * scale[i] * scale[j] for j, f in enumerate(r)] for i, r in enumerate(sa.form)]
+    return sup.SuperAlgebra(sa.name + "~", sa.even_labels, sa.odd_labels, table, form)
+
+
+def test_rescaled_odd_vector_keeps_the_checks_exact(g3):
+    # over x_p -> (1 + l1) x_p the table's common denominator is not a
+    # monomial, and the factors 1 + l1 cancel only in the field
+    sa = rescaled(g3, g3.even_dim, ONE + L1)
+    assert any(len(c.den) > 1 for row in sa.table.values() for c in row.values())
+    assert set(sa.super_jacobi_check().values()) == {None}
+    assert sa.form_invariance_witness() is None
+    broken = perturbed_odd_odd(sa)
+    want = full_jacobi_scan(broken)
+    assert want["EOO"] is not None and want["OOO"] is not None
+    assert broken.super_jacobi_check() == want
+    want = full_invariance_scan(broken)
+    assert want is not None
+    assert broken.form_invariance_witness() == want
+
+
+def test_symbolic_alpha_witnesses_are_those_of_the_full_scans(d21):
+    # the D(2,1;a) form carries 1/beta = -1/(1 + a): its common denominator
+    # is the binomial 2 a (1 + a)
+    assert any(len(f.den) > 1 for row in d21.form for f in row)
+    forced = sup.build_tilde(
+        ql.covariants(fam.build_family(ALPHA, ONE)), "forced", force=True
+    )
+    for sa in (perturbed_odd_odd(d21), forced):
+        assert sa.super_jacobi_check() == full_jacobi_scan(sa)
+        assert sa.form_invariance_witness() == full_invariance_scan(sa)
+    assert forced.super_jacobi_check() == {
+        "EEE": None,
+        "EEO": None,
+        "EOO": None,
+        "OOO": "J(v1w1*a1, v1w1*a1, v2w2*a2) != 0",
+    }
+
+
+def test_checks_build_no_fraction_sums(g3, f4, monkeypatch):
+    def refuse(pairs):
+        raise AssertionError("dot called")
+
+    monkeypatch.setattr(ql, "dot", refuse)
+    for sa in (g3, f4):
+        assert set(sa.super_jacobi_check().values()) == {None}
+        assert sa.form_invariance_witness() is None
+    broken = perturbed_odd_odd(g3)
+    assert broken.super_jacobi_check()["OOO"] is not None
+    assert broken.form_invariance_witness() is not None
+
+
 @pytest.mark.parametrize("fixture_name", ["d21", "g3", "f4"])
 def test_bracket_rows_are_super_antisymmetric(fixture_name, request):
     sa = request.getfixturevalue(fixture_name)
