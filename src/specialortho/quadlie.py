@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import linalg
 from .altmap import (
@@ -1009,20 +1009,31 @@ class DecompositionTerm:
     annotation: str
 
 
+def _decompose(
+    f: AltMap, supports: dict[frozenset, str], refusal: str
+) -> list[DecompositionTerm]:
+    """The terms of the index-raised f, in index order, one on each support:
+    ``supports`` maps the label set of each expected support to the term's
+    annotation, and an index on none of them raises ``refusal`` there."""
+    out = []
+    for index, vec in sorted(eta_inv(f).coeffs.items()):
+        annotation = supports.get(frozenset(index))
+        if annotation is None:
+            raise WrongDimension(refusal.format(index))
+        out.append(DecompositionTerm(index, vec[0], annotation))
+    if len(out) != len(supports):
+        raise WrongDimension(f"expected {len(supports)} terms, found {len(out)}")
+    return out
+
+
+def _braced(labels: Iterable[int]) -> str:
+    return "{%s}" % ",".join(map(str, sorted(labels)))
+
+
 def decompose_phi_dual(octs: OctonionAlgebra) -> list[DecompositionTerm]:
     """The seven terms of the index-raised associative form, one per line."""
-    lines = {frozenset(l) for l in fano_lines(octs)}
-    raised = eta_inv(octs.phi)
-    out = []
-    for index in sorted(raised.coeffs):
-        if frozenset(index) not in lines:
-            raise WrongDimension(f"support {index} is not a line")
-        out.append(
-            DecompositionTerm(index, raised.coeffs[index][0], "line {%s}" % ",".join(map(str, index)))
-        )
-    if len(out) != 7:
-        raise WrongDimension(f"expected 7 terms, found {len(out)}")
-    return out
+    lines = {frozenset(l): "line " + _braced(l) for l in fano_lines(octs)}
+    return _decompose(octs.phi, lines, "support {} is not a line")
 
 
 def decompose_quad_im(
@@ -1030,23 +1041,11 @@ def decompose_quad_im(
 ) -> list[DecompositionTerm]:
     """The seven terms of the raised imaginary Q; supports are complements of
     lines."""
-    lines = {frozenset(l) for l in fano_lines(octs)}
-    raised = eta_inv(quad)
-    out = []
-    for index in sorted(raised.coeffs):
-        comp = complement_index(index, 7)
-        if frozenset(comp) not in lines:
-            raise WrongDimension(f"complement of {index} is not a line")
-        out.append(
-            DecompositionTerm(
-                index,
-                raised.coeffs[index][0],
-                "complement of line {%s}" % ",".join(map(str, comp)),
-            )
-        )
-    if len(out) != 7:
-        raise WrongDimension(f"expected 7 terms, found {len(out)}")
-    return out
+    complements = {
+        frozenset(complement_index(l, 7)): "complement of line " + _braced(l)
+        for l in fano_lines(octs)
+    }
+    return _decompose(quad, complements, "complement of {} is not a line")
 
 
 def decompose_quad_oct(
@@ -1054,16 +1053,9 @@ def decompose_quad_oct(
 ) -> list[DecompositionTerm]:
     """The fourteen terms of the raised octonion Q; supports are the affine
     planes of the doubling parallelepiped."""
-    raised = eta_inv(quad)
-    out = []
-    for index in sorted(raised.coeffs):
-        if not is_affine_plane(index):
-            raise WrongDimension(f"support {index} is not an affine plane")
-        out.append(
-            DecompositionTerm(
-                index, raised.coeffs[index][0], "affine plane {%s}" % ",".join(map(str, index))
-            )
-        )
-    if len(out) != 14:
-        raise WrongDimension(f"expected 14 terms, found {len(out)}")
-    return out
+    planes = {
+        frozenset(p): "affine plane " + _braced(p)
+        for p in combinations(range(1, 9), 4)
+        if is_affine_plane(p)
+    }
+    return _decompose(quad, planes, "support {} is not an affine plane")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .altmap import (
     FIELD_PRODUCT,
@@ -219,24 +219,18 @@ def _quad_shortcut_witness(cov: Covariants) -> Optional[str]:
     return None
 
 
-def _superalgebra_outcome(
-    cov: Covariants,
-    name: str,
-    even_dim: int,
-    odd_dim: int,
-    not_special_extra: Optional[Callable[[], str]] = None,
-) -> Outcome:
+def _superalgebra_outcome(cov: Covariants, name: str, dims: tuple[int, int]) -> Outcome:
     """Build the superalgebra of cov and check its dimensions, the graded
-    Jacobi identity per sector, and invariance of its form."""
+    Jacobi identity per sector, and invariance of its form.  Off the special
+    locus the witness adds where the forced assembly breaks the identity."""
     try:
         sa = build_tilde(cov, name)
     except NotSpecial as err:
-        witness = str(err)
-        if not_special_extra is not None:
-            witness += "; " + not_special_extra()
-        return witness, None
+        sector = build_tilde(cov, name, force=True).super_jacobi_check()["OOO"]
+        forced = f"forced assembly violates the graded Jacobi identity, sector OOO: {sector}"
+        return f"{err}; {forced}", None
     problems = []
-    if (sa.even_dim, sa.odd_dim) != (even_dim, odd_dim):
+    if (sa.even_dim, sa.odd_dim) != dims:
         problems.append(f"dimension {sa.even_dim}|{sa.odd_dim}")
     for sector, witness in sa.super_jacobi_check().items():
         if witness is not None:
@@ -248,7 +242,40 @@ def _superalgebra_outcome(
     return "; ".join(problems) or None, constant
 
 
-def _rep_structure_records(prefix: str, rep: QuadLieRep) -> list[CheckRecord]:
+def _shortcut_records(prefix: str, cov: Covariants) -> list[CheckRecord]:
+    """The closed shortcuts psi = 3 (mu - mu_can) and Q = 4 (v1, psi(...))."""
+    return [
+        run_check(
+            f"{prefix}-psi-shortcut",
+            "psi = 3 (mu - mu_can)",
+            lambda: _psi_shortcut_witness(cov),
+        ),
+        run_check(
+            f"{prefix}-quad-shortcut",
+            "Q(v1,v2,v3,v4) = 4 (v1, psi(v2,v3,v4))",
+            lambda: _quad_shortcut_witness(cov),
+        ),
+    ]
+
+
+def module_records(
+    prefix: str,
+    cov: Covariants,
+    *,
+    before_equivariance: Callable[[], Iterable[CheckRecord]] = tuple,
+    special: str = "mu(u,v)w + mu(u,w)v = (u,v)w + (u,w)v - 2(v,w)u",
+    closed_forms: Callable[[], Iterable[CheckRecord]],
+    superalgebra: str,
+    closes: str,
+    algebra: str,
+    dims: tuple[int, int],
+) -> list[CheckRecord]:
+    """The records of the orthogonal module of cov, run in report order: the
+    structure of the representation, ``before_equivariance``, equivariance
+    and special orthogonality (stated as ``special``) of the moment map, the
+    ``closed_forms``, and the record ``superalgebra`` that g + sl2 + V (x) k^2,
+    built as ``algebra``, ``closes`` at dimension ``dims``."""
+    rep = cov.rep
     return [
         run_check(
             f"{prefix}-jacobi",
@@ -270,6 +297,23 @@ def _rep_structure_records(prefix: str, rep: QuadLieRep) -> list[CheckRecord]:
             "(x v, w) + (v, x w) = 0 for the module form",
             rep.check_action_skew,
         ),
+        *before_equivariance(),
+        run_check(
+            f"{prefix}-equivariance",
+            "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
+            lambda: moment_equivariance_witness(rep, cov.mu),
+        ),
+        run_check(
+            f"{prefix}-special",
+            special,
+            lambda: None if cov.special else cov.witness,
+        ),
+        *closed_forms(),
+        run_check(
+            superalgebra,
+            f"{closes}, dimension {dims[0]}|{dims[1]}",
+            lambda: _superalgebra_outcome(cov, algebra, dims),
+        ),
     ]
 
 
@@ -280,44 +324,29 @@ def _rep_structure_records(prefix: str, rep: QuadLieRep) -> list[CheckRecord]:
 
 def _suite_g2(ws: Workspace) -> list[CheckRecord]:
     rep, cov, octs = ws.g2_rep, ws.cov_im, ws.octs
-    return [
-        run_check(
-            "g2-dimension",
-            "annihilator of the unit in the degree-two component has dimension 14",
-            lambda: None if rep.dim == 14 else f"dim = {rep.dim}",
-        ),
-        *_rep_structure_records("g2", rep),
-        run_check(
-            "g2-equivariance",
-            "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
-            lambda: moment_equivariance_witness(rep, cov.mu),
-        ),
-        run_check(
-            "g2-special",
-            "mu(u,v)w + mu(u,w)v = (u,v)w + (u,w)v - 2(v,w)u",
-            lambda: None if cov.special else cov.witness,
-        ),
-        run_check(
+
+    def closed_forms() -> Iterator[CheckRecord]:
+        yield run_check(
             "g2-moment-closed-form",
             "mu(u,v)w = -1/4 ([w,[u,v]] + 3 (u,v,w))",
             lambda: mu_im_pointwise_witness(octs, cov.mu_act),
-        ),
-        run_check(
+        )
+        yield run_check(
             "g2-moment-split",
             "mu(u,v)w = (3/2) mu_can(u,v)w + (1/8) [w,[u,v]]",
             lambda: mu_im_canonical_split_witness(octs, cov.mu_act),
-        ),
-        run_check(
+        )
+        yield run_check(
             "g2-cyclic-vanishing",
             "mu(u,v)w + mu(v,w)u + mu(w,u)v = 0",
             lambda: g2_cyclic_witness(octs, cov.mu),
-        ),
-        run_check(
+        )
+        yield run_check(
             "g2-psi-closed-form",
             "psi(v1,v2,v3) = -3/4 (v1,v2,v3)",
             lambda: _equal(cov.psi, psi_im_expected(octs), "psi != -3/4 associator"),
-        ),
-        run_check(
+        )
+        yield run_check(
             "g2-quad-closed-form",
             "Q(v1,v2,v3,v4) = -3 B(v1, (v2,v3,v4))",
             lambda: _equal(
@@ -325,21 +354,23 @@ def _suite_g2(ws: Workspace) -> list[CheckRecord]:
                 quad_im_expected(octs),
                 "Q != -3 B(v1, associator)",
             ),
-        ),
+        )
+        yield from _shortcut_records("g2", cov)
+
+    return [
         run_check(
-            "g2-psi-shortcut",
-            "psi = 3 (mu - mu_can)",
-            lambda: _psi_shortcut_witness(cov),
+            "g2-dimension",
+            "annihilator of the unit in the degree-two component has dimension 14",
+            lambda: None if rep.dim == 14 else f"dim = {rep.dim}",
         ),
-        run_check(
-            "g2-quad-shortcut",
-            "Q(v1,v2,v3,v4) = 4 (v1, psi(v2,v3,v4))",
-            lambda: _quad_shortcut_witness(cov),
-        ),
-        run_check(
-            "g3-superalgebra",
-            "g + sl2 + Im(O) (x) k^2 closes as a quadratic superalgebra, dimension 17|14",
-            lambda: _superalgebra_outcome(cov, "G3", 17, 14),
+        *module_records(
+            "g2",
+            cov,
+            closed_forms=closed_forms,
+            superalgebra="g3-superalgebra",
+            closes="g + sl2 + Im(O) (x) k^2 closes as a quadratic superalgebra",
+            algebra="G3",
+            dims=(17, 14),
         ),
     ]
 
@@ -348,26 +379,26 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
     octs, cliff = ws.octs, ws.cliff
     rep, cov = ws.so7_rep, ws.cov_oct
 
-    def spin_matrices(elements: list) -> list:
-        return [cliff.spinor_action(x) for x in elements]
-
     @cache
     def c_matrices() -> list:
         """The spin matrices of the c_u, built once for the checks below."""
-        return spin_matrices(cliff.w_basis())
+        return [cliff.spinor_action(c) for c in cliff.w_basis()]
 
     def acts(matrix, x: Octonion) -> Octonion:
         return octs.from_coeffs(mat_vec(matrix, x.coeffs))
 
     def splitting() -> Optional[str]:
-        kernel = ws.g2_kernel
-        w = cliff.w_basis()
-        if len(kernel) != 14 or len(w) != 7:
-            return f"dims {len(kernel)} + {len(w)}"
-        w_mats = c_matrices()
-        for x in spin_matrices(kernel):
-            for c in w_mats:
-                if trace_of_product(x, c).num:
+        # rho(x) vanishes on the unit row and column (build_g2_rep checks it), so
+        # the g2 action table's 7x7 columns pair with the transposed c_u blocks
+        kernel = ws.g2_rep.act.table
+        w_blocks = [
+            [[c[r][t] for r in range(1, 8)] for t in range(1, 8)] for c in c_matrices()
+        ]
+        if len(kernel) != 14 or len(w_blocks) != 7:
+            return f"dims {len(kernel)} + {len(w_blocks)}"
+        for columns in kernel:
+            for block in w_blocks:
+                if trace_of_product(columns, block).num:
                     return "Tr(rho(x) rho(c_u)) != 0 for a kernel element"
         return None
 
@@ -430,6 +461,43 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
                 return f"index {index}"
         return None
 
+    def closed_forms() -> Iterator[CheckRecord]:
+        yield run_check(
+            "spin-moment-from-g2",
+            "mu_O(u,v) = (8/9) mu_Im(u,v) + (1/18) c_{u x v} and mu_O(u,1) = (1/6) c_u",
+            lambda: mu_oct_from_mu_im_witness(
+                octs, cliff, ws.g2_kernel, ws.cov_im.mu, cov.mu
+            ),
+        )
+        yield run_check(
+            "spin-cyclic",
+            "sum_cyc mu(u,v)w = (u,v)w + (u,w)v + (v,w)u - 3 B(u x v, w)",
+            lambda: spinor_cyclic_witness(octs, cov.mu),
+        )
+        yield run_check(
+            "spin-psi-closed-form",
+            "psi = -(1/2)(u,v,w) + phi(u,v,w) 1 on imaginaries; psi(v1,v2,1) = -v1 x v2",
+            lambda: _equal(cov.psi, psi_oct_expected(octs), "psi differs"),
+        )
+        yield run_check(
+            "spin-quad-closed-form",
+            "Q on imaginaries = (2/3) Q_Im; unit slot reduces to -4 phi",
+            lambda: _equal(
+                cov.quad, quad_oct_expected(octs), "Q differs"
+            ),
+        )
+        yield run_check(
+            "spin-quad-restriction",
+            "Q_O(v1,v2,v3,v4) = (2/3) Q_Im(v1,v2,v3,v4) on imaginaries",
+            quad_restriction,
+        )
+        yield run_check(
+            "spin-quad-unit",
+            "Q_O(v1,v2,v3,1) = -4 phi(v1,v2,v3)",
+            quad_unit,
+        )
+        yield from _shortcut_records("spin", cov)
+
     return [
         run_check(
             "clifford-pair-dimension",
@@ -466,65 +534,14 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
             "Tr(rho(c_u) rho(c_v)) = -96 B(u,v)",
             trace_form,
         ),
-        *_rep_structure_records("spin", rep),
-        run_check(
-            "spin-equivariance",
-            "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
-            lambda: moment_equivariance_witness(rep, cov.mu),
-        ),
-        run_check(
-            "spin-special",
-            "mu(u,v)w + mu(u,w)v = (u,v)w + (u,w)v - 2(v,w)u",
-            lambda: None if cov.special else cov.witness,
-        ),
-        run_check(
-            "spin-moment-from-g2",
-            "mu_O(u,v) = (8/9) mu_Im(u,v) + (1/18) c_{u x v} and mu_O(u,1) = (1/6) c_u",
-            lambda: mu_oct_from_mu_im_witness(
-                octs, cliff, ws.g2_kernel, ws.cov_im.mu, cov.mu
-            ),
-        ),
-        run_check(
-            "spin-cyclic",
-            "sum_cyc mu(u,v)w = (u,v)w + (u,w)v + (v,w)u - 3 B(u x v, w)",
-            lambda: spinor_cyclic_witness(octs, cov.mu),
-        ),
-        run_check(
-            "spin-psi-closed-form",
-            "psi = -(1/2)(u,v,w) + phi(u,v,w) 1 on imaginaries; psi(v1,v2,1) = -v1 x v2",
-            lambda: _equal(cov.psi, psi_oct_expected(octs), "psi differs"),
-        ),
-        run_check(
-            "spin-quad-closed-form",
-            "Q on imaginaries = (2/3) Q_Im; unit slot reduces to -4 phi",
-            lambda: _equal(
-                cov.quad, quad_oct_expected(octs), "Q differs"
-            ),
-        ),
-        run_check(
-            "spin-quad-restriction",
-            "Q_O(v1,v2,v3,v4) = (2/3) Q_Im(v1,v2,v3,v4) on imaginaries",
-            quad_restriction,
-        ),
-        run_check(
-            "spin-quad-unit",
-            "Q_O(v1,v2,v3,1) = -4 phi(v1,v2,v3)",
-            quad_unit,
-        ),
-        run_check(
-            "spin-psi-shortcut",
-            "psi = 3 (mu - mu_can)",
-            lambda: _psi_shortcut_witness(cov),
-        ),
-        run_check(
-            "spin-quad-shortcut",
-            "Q(v1,v2,v3,v4) = 4 (v1, psi(v2,v3,v4))",
-            lambda: _quad_shortcut_witness(cov),
-        ),
-        run_check(
-            "f4-superalgebra",
-            "g + sl2 + O (x) k^2 closes as a quadratic superalgebra, dimension 24|16",
-            lambda: _superalgebra_outcome(cov, "F4", 24, 16),
+        *module_records(
+            "spin",
+            cov,
+            closed_forms=closed_forms,
+            superalgebra="f4-superalgebra",
+            closes="g + sl2 + O (x) k^2 closes as a quadratic superalgebra",
+            algebra="F4",
+            dims=(24, 16),
         ),
     ]
 
@@ -539,12 +556,39 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
             name, statement, "stated on the special locus beta = -1 - alpha only"
         )
 
-    def forced_detail() -> str:
-        forced = build_tilde(cov, "D(2,1)", force=True)
-        sector = forced.super_jacobi_check()["OOO"]
-        return f"forced assembly violates the graded Jacobi identity, sector OOO: {sector}"
+    def closed_forms() -> Iterator[CheckRecord]:
+        yield on_locus(
+            "d21-psi-closed-form",
+            "psi = 3 (2 alpha + 1) (omega-weighted projector difference)",
+            lambda: _equal(
+                cov.psi,
+                psi_family_expected(rep, ws.alpha),
+                "psi differs from the displayed form",
+            ),
+        )
+        yield on_locus(
+            "d21-quad-closed-form",
+            "Q = -12 (2 alpha + 1) omega (x) omega-symmetrization",
+            lambda: _equal(
+                cov.quad,
+                quad_family_expected(rep, ws.alpha),
+                "Q differs from the displayed form",
+            ),
+        )
+        if ws.alpha == rat(-1, 2) and cov.special:
+            yield run_check(
+                "d21-covariants-vanish",
+                "psi and Q vanish identically at alpha = -1/2",
+                lambda: None
+                if cov.psi.is_zero() and cov.quad.is_zero()
+                else "a covariant survives at the midpoint",
+            )
+        yield run_check(
+            "d21-swap-symmetry",
+            "swapping the tensor factors exchanges (alpha, beta) up to the flip sign",
+            lambda: swap_family_witness(ws.alpha, ws.beta),
+        )
 
-    midpoint = ws.alpha == rat(-1, 2) and cov.special
     return [
         run_check(
             "d21-dimensions",
@@ -553,66 +597,26 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
             if (rep.dim, rep.space.dim) == (6, 4)
             else f"dims {rep.dim}, {rep.space.dim}",
         ),
-        *_rep_structure_records("d21", rep),
-        run_check(
-            "d21-moment-closed-form",
-            "mu(v1 (x) w1, v2 (x) w2) = omega(w1,w2)/(2 alpha) mu_V + omega(v1,v2)/(2 beta) mu_W",
-            lambda: _equal(
-                cov.mu,
-                mu_family_expected(rep, ws.alpha, ws.beta),
-                "solver disagrees with the displayed moment map",
-            ),
-        ),
-        run_check(
-            "d21-equivariance",
-            "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
-            lambda: moment_equivariance_witness(rep, cov.mu),
-        ),
-        run_check(
-            "d21-special",
-            "special orthogonality holds exactly when beta = -1 - alpha",
-            lambda: None if cov.special else cov.witness,
-        ),
-        on_locus(
-            "d21-psi-closed-form",
-            "psi = 3 (2 alpha + 1) (omega-weighted projector difference)",
-            lambda: _equal(
-                cov.psi,
-                psi_family_expected(rep, ws.alpha),
-                "psi differs from the displayed form",
-            ),
-        ),
-        on_locus(
-            "d21-quad-closed-form",
-            "Q = -12 (2 alpha + 1) omega (x) omega-symmetrization",
-            lambda: _equal(
-                cov.quad,
-                quad_family_expected(rep, ws.alpha),
-                "Q differs from the displayed form",
-            ),
-        ),
-        *(
-            [
+        *module_records(
+            "d21",
+            cov,
+            before_equivariance=lambda: [
                 run_check(
-                    "d21-covariants-vanish",
-                    "psi and Q vanish identically at alpha = -1/2",
-                    lambda: None
-                    if cov.psi.is_zero() and cov.quad.is_zero()
-                    else "a covariant survives at the midpoint",
+                    "d21-moment-closed-form",
+                    "mu(v1 (x) w1, v2 (x) w2) = omega(w1,w2)/(2 alpha) mu_V + omega(v1,v2)/(2 beta) mu_W",
+                    lambda: _equal(
+                        cov.mu,
+                        mu_family_expected(rep, ws.alpha, ws.beta),
+                        "solver disagrees with the displayed moment map",
+                    ),
                 )
-            ]
-            if midpoint
-            else []
-        ),
-        run_check(
-            "d21-swap-symmetry",
-            "swapping the tensor factors exchanges (alpha, beta) up to the flip sign",
-            lambda: swap_family_witness(ws.alpha, ws.beta),
-        ),
-        run_check(
-            "d21-superalgebra",
-            "sl2 (+) sl2 (+) sl2-plane assembly closes, dimension 9|8",
-            lambda: _superalgebra_outcome(cov, "D(2,1;a)", 9, 8, forced_detail),
+            ],
+            special="special orthogonality holds exactly when beta = -1 - alpha",
+            closed_forms=closed_forms,
+            superalgebra="d21-superalgebra",
+            closes="sl2 (+) sl2 (+) sl2-plane assembly closes",
+            algebra="D(2,1;a)",
+            dims=(9, 8),
         ),
     ]
 

@@ -1,5 +1,6 @@
 """Exit codes, flag parsing, and output determinism of the command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -53,6 +54,30 @@ def test_verify_byte_identical(tmp_path, capsys):
     run(capsys, "verify", "g2", "--json", "--out", str(a))
     run(capsys, "verify", "g2", "--json", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify all",
+        "verify all --json --at l1=2,l2=3,l3=-5 --alpha 2",
+        "verify d21 --alpha=-1/2",
+        "verify d21 --alpha 1 --beta 1",
+    ],
+)
+def test_reports_match_the_pinned_digests(capsys, command):
+    # the benchmark pins these reports by sha256; a report that changes by one
+    # byte shows up here, not only when the benchmark runs
+    want = json.loads(EXPECTED.read_text())["commands"][command]
+    code, out, err = run(capsys, *command.split())
+    assert err == ""
+    blob = out.encode("utf-8")
+    assert (code, len(blob), hashlib.sha256(blob).hexdigest()) == (
+        want["exit"], want["bytes"], want["sha256"]
+    )
 
 
 def test_unknown_suite_exits_2(capsys):

@@ -4,13 +4,14 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations, product
 from operator import xor
+from types import SimpleNamespace
 
 import pytest
 
 from specialortho import linalg
-from specialortho.altmap import FIELD_PRODUCT, PairingSpec, compose, wedge_rel
+from specialortho.altmap import FIELD_PRODUCT, AltMap, PairingSpec, compose, wedge_rel
 from specialortho.clifford import PAIR_MASKS, CliffordAlgebra
-from specialortho.errors import ShapeMismatch
+from specialortho.errors import ShapeMismatch, WrongDimension
 from specialortho.exterior import QuadraticSpace
 from specialortho.octonions import associator, build_algebra, commutator, cross_product
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, parse, rat
@@ -333,6 +334,35 @@ def test_quad_oct_decomposition(octs, cov_oct):
     assert by_index[(3, 4, 7, 8)] == parse("-4/(l1*l2^2*l3)")
     assert by_index[(5, 6, 7, 8)] == parse("-4/(l1*l2*l3^2)")
     assert all(ql.is_affine_plane(t.index) for t in terms)
+
+
+def test_decompositions_refuse_unexpected_supports(octs, cov_im, cov_oct):
+    def edited(f, add=None, drop=None):
+        coeffs = {i: v for i, v in f.coeffs.items() if i != drop}
+        if add is not None:
+            coeffs[add] = [ONE]
+        return AltMap(f.domain, f.codomain, f.degree, coeffs)
+
+    phi = SimpleNamespace(table=octs.table, phi=edited(octs.phi, add=(1, 2, 4)))
+    cases = [
+        (lambda: ql.decompose_phi_dual(phi), "support (1, 2, 4) is not a line"),
+        (
+            lambda: ql.decompose_quad_im(octs, edited(cov_im.quad, add=(1, 2, 3, 4))),
+            "complement of (1, 2, 3, 4) is not a line",
+        ),
+        (
+            lambda: ql.decompose_quad_oct(octs, edited(cov_oct.quad, add=(1, 2, 3, 5))),
+            "support (1, 2, 3, 5) is not an affine plane",
+        ),
+        (
+            lambda: ql.decompose_quad_oct(octs, edited(cov_oct.quad, drop=(1, 2, 3, 4))),
+            "expected 14 terms, found 13",
+        ),
+    ]
+    for decompose, message in cases:
+        with pytest.raises(WrongDimension) as caught:
+            decompose()
+        assert str(caught.value) == message
 
 
 def test_affine_plane_predicate():

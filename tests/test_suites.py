@@ -7,9 +7,9 @@ import pytest
 
 from specialortho import altmap, cli, clifford, octonions, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
-from specialortho.exterior import K
+from specialortho.exterior import K, QuadraticSpace
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
-from specialortho.scalars import parse, rat, render
+from specialortho.scalars import L1, L2, parse, rat, render
 from specialortho.suites import (
     SUITE_NAMES,
     Workspace,
@@ -313,10 +313,10 @@ def test_f4_clifford_checks_share_the_c_matrices(monkeypatch):
     monkeypatch.setattr(clifford.CliffordAlgebra, "spinor_action", counted)
     ws = Workspace()
     assert run_suite("all", ws).ok
-    # set-up builds 35; clifford-splitting the 14 kernel matrices and the 7
-    # c_u matrices that clifford-c-action and clifford-trace-form reuse;
-    # clifford-omega-spin the one of Omega
-    assert len(calls) == 57
+    # set-up builds 35; clifford-splitting the 7 c_u matrices, which it pairs
+    # with the g2 action table and clifford-c-action and clifford-trace-form
+    # reuse; clifford-omega-spin the one of Omega
+    assert len(calls) == 43
     w = ws.cliff.w_basis()
     assert sum(any(c is u for u in w) for c in calls) == 7
 
@@ -344,3 +344,34 @@ def test_verify_all_builds_phi_once_on_the_field_constant(monkeypatch):
     assert len(raised) == 1 and raised[0] is phi
     for form in (phi, ws.cov_im.quad, ws.cov_oct.quad, ws.cov_family.quad):
         assert form.codomain is K
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_module_records_build_osp_from_so(n):
+    # a fourth module through the same builder: so(V) on V = k^n with the
+    # weighted Gram diag(1, l1, l2, l1*l2) cut to n; its superalgebra is
+    # osp(n|2), of dimension (n(n-1)/2 + 3)|2n
+    weights = [rat(1), L1, L2, L1 * L2][:n]
+    gram = [[w if r == c else rat(0) for c, w in enumerate(weights)] for r in range(n)]
+    space = QuadraticSpace(tuple(f"v{k + 1}" for k in range(n)), gram, name=f"V{n}")
+    cov = quadlie.covariants(quadlie.build_so(space)[0])
+    prefix, dims = f"so{n}", (n * (n - 1) // 2 + 3, 2 * n)
+    records = suites.module_records(
+        prefix,
+        cov,
+        closed_forms=lambda: suites._shortcut_records(prefix, cov),
+        superalgebra=f"{prefix}-superalgebra",
+        closes="so(V) + sl2 + V (x) k^2 closes as osp(n|2)",
+        algebra=f"osp({n}|2)",
+        dims=dims,
+    )
+    assert [r.name for r in records] == [
+        f"{prefix}-{name}"
+        for name in (
+            "jacobi", "invariant-form", "representation", "skew-action",
+            "equivariance", "special", "psi-shortcut", "quad-shortcut",
+            "superalgebra",
+        )
+    ]
+    assert all(r.status == "holds" for r in records), [r.as_line() for r in records]
+    assert records[-1].statement.endswith(f"dimension {dims[0]}|{dims[1]}")
