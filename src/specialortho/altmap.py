@@ -9,7 +9,9 @@ coefficient tables of elements of Lambda^p(V); eta_inv raises the indices of
 the one into the other on a diagonal space.  The three structural operations
 follow the shuffle conventions without factorial normalization:
 
-  wedge_rel(f, g, pairing): (p, q)-shuffle sum of pairing(f(...), g(...)),
+  wedge_rel(f, g, pairing): (p, q)-shuffle sum of pairing(f(...), g(...));
+    for a scalar-valued f the pairing defaults to scalar multiplication on
+    the codomain of g,
   compose(f, g): (q, ..., q)-shuffle sum of f(g(...), ..., g(...)),
   b_alt(f, g): sum over multi-indices I of <f(e_I), g(e_I)> / q(e_I),
 
@@ -123,10 +125,6 @@ class PairingSpec:
         return cls(algebra, module, module, table, name=f"action on {module.name}")
 
 
-# K x K -> K, the product of the ground field
-FIELD_PRODUCT = PairingSpec(K, K, K, [[[ONE]]], name="field product")
-
-
 class AltMap:
     """Alternating p-linear map V^p -> U, stored on increasing multi-indices."""
 
@@ -149,9 +147,9 @@ class AltMap:
                     self.coeffs[tuple(index)] = list(vec)
 
     @classmethod
-    def identity(cls, space: QuadraticSpace, name: str = "Id") -> "AltMap":
+    def identity(cls, space: QuadraticSpace) -> "AltMap":
         coeffs = {(i + 1,): space.basis_vector(i) for i in range(space.dim)}
-        return cls(space, space, 1, coeffs, name=name)
+        return cls(space, space, 1, coeffs, name="Id")
 
     def value(self, index: MultiIndex) -> Vector:
         got = self.coeffs.get(tuple(index))
@@ -159,32 +157,6 @@ class AltMap:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def _check_same_shape(self, other: "AltMap") -> None:
-        if (
-            self.domain is not other.domain
-            or self.codomain is not other.codomain
-            or self.degree != other.degree
-        ):
-            raise ShapeMismatch(
-                f"maps {self.name or '?'} and {other.name or '?'} have different shapes"
-            )
-
-    def __add__(self, other: "AltMap") -> "AltMap":
-        self._check_same_shape(other)
-        out = {k: list(v) for k, v in self.coeffs.items()}
-        for k, v in other.coeffs.items():
-            if k in out:
-                out[k] = [a + b for a, b in zip(out[k], v)]
-            else:
-                out[k] = list(v)
-        return AltMap(self.domain, self.codomain, self.degree, out)
-
-    def __sub__(self, other: "AltMap") -> "AltMap":
-        return self + other.scale(Frac.from_int(-1))
-
-    def __neg__(self) -> "AltMap":
-        return self.scale(Frac.from_int(-1))
 
     def scale(self, c: Frac) -> "AltMap":
         if c.is_zero():
@@ -256,10 +228,12 @@ def _shuffle_sign(positions: Sequence[int], p: int) -> int:
     return -1 if total % 2 else 1
 
 
-def wedge_rel(f: AltMap, g: AltMap, pairing: PairingSpec) -> AltMap:
-    """Shuffle wedge of f and g relative to a bilinear pairing of codomains."""
+def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> AltMap:
+    """Shuffle wedge of f and g relative to a bilinear pairing of codomains;
+    without one, f must be scalar-valued and scales the values of g."""
     if f.domain is not g.domain:
         raise ShapeMismatch("wedge_rel needs a common domain")
+    pairing = pairing or PairingSpec.scalar_multiply(g.codomain)
     if pairing.left is not f.codomain or pairing.right is not g.codomain:
         raise ShapeMismatch("pairing does not match the codomains")
     p, q = f.degree, g.degree
@@ -437,8 +411,11 @@ def _verify_hodge(f: AltMap, star: AltMap, vol: Frac) -> None:
 # -- brute-force reference implementations (oracles for the shuffle sums) ----
 
 
-def brute_wedge_rel(f: AltMap, g: AltMap, pairing: PairingSpec) -> AltMap:
+def brute_wedge_rel(
+    f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None
+) -> AltMap:
     """Full S_{p+q} sum divided by p! q!; must equal wedge_rel exactly."""
+    pairing = pairing or PairingSpec.scalar_multiply(g.codomain)
     p, q = f.degree, g.degree
     n = f.domain.dim
     result = AltMap(f.domain, pairing.result, p + q)

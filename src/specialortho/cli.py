@@ -22,7 +22,7 @@ from .quadlie import (
     decompose_quad_oct,
 )
 from .scalars import Frac, parse, rat, render
-from .suites import SUITE_NAMES, Workspace, hodge_report, run_suite
+from .suites import SUITE_NAMES, SUPERALGEBRAS, Workspace, hodge_report, run_suite
 from .superalg import build_tilde, export_superalgebra
 
 
@@ -92,7 +92,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     elif args.target == "q-im":
         terms = decompose_quad_im(ws.octs, ws.cov_im.quad)
     elif args.target == "q-oct":
-        terms = decompose_quad_oct(ws.octs, ws.cov_oct.quad)
+        terms = decompose_quad_oct(ws.cov_oct.quad)
     else:
         raise ParseError(
             f"unknown decomposition target {args.target!r}; "
@@ -113,26 +113,21 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    lam = {"l1": render(ws.l1), "l2": render(ws.l2), "l3": render(ws.l3)}
     if args.algebra == "g2":
         sa = ws.g2_rep.algebra
-        params = lam
     elif args.algebra == "so7":
         sa = ws.so7_rep.algebra
-        params = lam
-    elif args.algebra == "g3":
-        sa = build_tilde(ws.cov_im, "G3")
-        params = lam
-    elif args.algebra == "f4":
-        sa = build_tilde(ws.cov_oct, "F4")
-        params = lam
-    elif args.algebra == "d21":
-        sa = build_tilde(ws.cov_family, "D(2,1;a)")
-        params = {"a": render(ws.alpha), "b": render(ws.beta)}
+    elif args.algebra in SUPERALGEBRAS:
+        covariants, label, _ = SUPERALGEBRAS[args.algebra]
+        sa = build_tilde(covariants(ws), label)
     else:
         raise ParseError(
             f"unknown algebra {args.algebra!r}; expected one of: g2, so7, d21, g3, f4"
         )
+    if args.algebra == "d21":
+        params = {"a": render(ws.alpha), "b": render(ws.beta)}
+    else:
+        params = {"l1": render(ws.l1), "l2": render(ws.l2), "l3": render(ws.l3)}
     _emit(export_superalgebra(sa, parameters=params), args.out)
     if args.out:
         sys.stdout.write(

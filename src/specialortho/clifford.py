@@ -73,9 +73,6 @@ class CliffordElement:
                 out.pop(mask, None)
         return CliffordElement(self.algebra, out)
 
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.algebra, {m: -c for m, c in self.coeffs.items()})
-
     def scale(self, c: Frac) -> "CliffordElement":
         if c.is_zero():
             return CliffordElement(self.algebra)

@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import linalg
 from .altmap import (
-    FIELD_PRODUCT,
     AltMap,
     PairingSpec,
     _sum_terms,
@@ -665,8 +664,6 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
     rep, mu, psi, quad = cov.rep, cov.mu, cov.psi, cov.quad
     space = rep.space
     ident = AltMap.identity(space)
-    k_v = PairingSpec.scalar_multiply(space)
-    k_g = PairingSpec.scalar_multiply(rep.algebra_space)
 
     def rung(name: str, statement: str, degree: int, holds: Callable[[], bool]) -> CheckRecord:
         if degree > space.dim:
@@ -678,34 +675,34 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
         )
 
     def quad_quad() -> AltMap:
-        return wedge_rel(quad, quad, FIELD_PRODUCT)
+        return wedge_rel(quad, quad)
 
     return [
         rung(
             "wedge-mu-psi",
             "mu ^_rho psi = -(3/2) Q ^ Id",
             5,
-            lambda: cov.mu_wedge_psi == wedge_rel(quad, ident, k_v).scale(rat(-3, 2)),
+            lambda: cov.mu_wedge_psi == wedge_rel(quad, ident).scale(rat(-3, 2)),
         ),
         rung(
             "compose-mu-psi",
             "mu o psi = 3 Q ^ mu",
             6,
-            lambda: cov.mu_compose_psi == wedge_rel(quad, mu, k_g).scale(rat(3)),
+            lambda: cov.mu_compose_psi == wedge_rel(quad, mu).scale(rat(3)),
         ),
         rung(
             "compose-psi-psi",
             "psi o psi = -(27/2) Q ^ Q ^ Id",
             9,
             lambda: compose(psi, psi)
-            == wedge_rel(quad_quad(), ident, k_v).scale(rat(-27, 2)),
+            == wedge_rel(quad_quad(), ident).scale(rat(-27, 2)),
         ),
         rung(
             "compose-quad-psi",
             "Q o psi = -54 Q ^ Q ^ Q",
             12,
             lambda: compose(quad, psi)
-            == wedge_rel(quad_quad(), quad, FIELD_PRODUCT).scale(rat(-54)),
+            == wedge_rel(quad_quad(), quad).scale(rat(-54)),
         ),
     ]
 
@@ -1048,9 +1045,7 @@ def decompose_quad_im(
     return _decompose(quad, complements, "complement of {} is not a line")
 
 
-def decompose_quad_oct(
-    octs: OctonionAlgebra, quad: AltMap
-) -> list[DecompositionTerm]:
+def decompose_quad_oct(quad: AltMap) -> list[DecompositionTerm]:
     """The fourteen terms of the raised octonion Q; supports are the affine
     planes of the doubling parallelepiped."""
     planes = {

@@ -365,7 +365,7 @@ ScalarLike = Union["Frac", int]
 class Frac:
     """A reduced fraction of integer polynomials; immutable by convention."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: dict, den: dict):
         if not den:
@@ -381,14 +381,12 @@ class Frac:
                 num = _p_neg(num)
                 den = _p_neg(den)
             self.num, self.den = num, den
-        self._hash = None
 
     @classmethod
     def _raw(cls, num: dict, den: dict) -> "Frac":
         """Skip normalization; caller guarantees the pair is already canonical."""
         self = object.__new__(cls)
         self.num, self.den = num, den
-        self._hash = None
         return self
 
     @classmethod
@@ -576,13 +574,7 @@ class Frac:
         return NotImplemented
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(
-                (tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
-            )
-            self._hash = h
-        return h
+        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
 
     def substitute(self, bindings: Mapping[str, Union[int, str, Fraction]]) -> "Frac":
         """Evaluate some variables at rational values; the rest stay symbolic.

@@ -19,16 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .altmap import (
-    FIELD_PRODUCT,
-    AltMap,
-    PairingSpec,
-    hodge_dual,
-    volume_constant,
-    wedge_rel,
-)
+from .altmap import AltMap, hodge_dual, volume_constant, wedge_rel
 from .clifford import CliffordAlgebra
 from .errors import NotSpecial, UnknownSuite
 from .exterior import all_multi_indices
@@ -185,6 +179,21 @@ class Workspace:
     @cached_property
     def cov_family(self) -> Covariants:
         return covariants(self.family_rep)
+
+
+# the superalgebras g + sl2 + V (x) k^2 of the reports and of ``export``:
+# export key -> (the covariants of V in a workspace, label, dimension)
+SUPERALGEBRAS = {
+    "g3": (attrgetter("cov_im"), "G3", (17, 14)),
+    "f4": (attrgetter("cov_oct"), "F4", (24, 16)),
+    "d21": (attrgetter("cov_family"), "D(2,1;a)", (9, 8)),
+}
+
+
+def _superalgebra_args(key: str) -> dict:
+    """The superalgebra arguments of ``module_records`` for an export key."""
+    _, label, dims = SUPERALGEBRAS[key]
+    return {"superalgebra": f"{key}-superalgebra", "algebra": label, "dims": dims}
 
 
 def _equal(got: AltMap, want: AltMap, mismatch: str) -> Optional[str]:
@@ -367,10 +376,8 @@ def _suite_g2(ws: Workspace) -> list[CheckRecord]:
             "g2",
             cov,
             closed_forms=closed_forms,
-            superalgebra="g3-superalgebra",
             closes="g + sl2 + Im(O) (x) k^2 closes as a quadratic superalgebra",
-            algebra="G3",
-            dims=(17, 14),
+            **_superalgebra_args("g3"),
         ),
     ]
 
@@ -538,10 +545,8 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
             "spin",
             cov,
             closed_forms=closed_forms,
-            superalgebra="f4-superalgebra",
             closes="g + sl2 + O (x) k^2 closes as a quadratic superalgebra",
-            algebra="F4",
-            dims=(24, 16),
+            **_superalgebra_args("f4"),
         ),
     ]
 
@@ -613,17 +618,14 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
             ],
             special="special orthogonality holds exactly when beta = -1 - alpha",
             closed_forms=closed_forms,
-            superalgebra="d21-superalgebra",
             closes="sl2 (+) sl2 (+) sl2-plane assembly closes",
-            algebra="D(2,1;a)",
-            dims=(9, 8),
+            **_superalgebra_args("d21"),
         ),
     ]
 
 
 def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
     cov = ws.cov_im
-    k_g = PairingSpec.scalar_multiply(cov.rep.algebra_space)
     return [
         *mathews_status(cov, "mathews-im-"),
         *mathews_status(ws.cov_oct, "mathews-oct-"),
@@ -639,7 +641,7 @@ def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
             "mathews-im-wedge-zero",
             "Q ^ mu = 0 on the seven-dimensional module",
             lambda: None
-            if wedge_rel(cov.quad, cov.mu, k_g).is_zero()
+            if wedge_rel(cov.quad, cov.mu).is_zero()
             else "Q ^ mu != 0",
         ),
     ]
@@ -730,15 +732,13 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     rep, cov, octs = ws.g2_rep, ws.cov_im, ws.octs
     im = rep.space
     ident = AltMap.identity(im)
-    k_v = PairingSpec.scalar_multiply(im)
-    k_g = PairingSpec.scalar_multiply(rep.algebra_space)
-    vol = cache(lambda: wedge_rel(octs.phi, cov.quad, FIELD_PRODUCT))
+    vol = cache(lambda: wedge_rel(octs.phi, cov.quad))
     star_cross = dual(octs.cross, vol)
     add(
         "hodge-im-cross-quad-id",
         "star(cross) = c (Q ^ Id) on the seven-dimensional module",
         star_cross,
-        lambda: wedge_rel(cov.quad, ident, k_v),
+        lambda: wedge_rel(cov.quad, ident),
         "147/8",
     )
     add(
@@ -752,21 +752,21 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "hodge-im-id-phi-psi",
         "star(Id) = c (phi ^ psi)",
         dual(ident, vol),
-        lambda: wedge_rel(octs.phi, cov.psi, k_v),
+        lambda: wedge_rel(octs.phi, cov.psi),
         None,
     )
     add(
         "hodge-im-mu-phi-mu",
         "star(mu) = c (phi ^ mu)",
         dual(cov.mu, vol),
-        lambda: wedge_rel(octs.phi, cov.mu, k_g),
+        lambda: wedge_rel(octs.phi, cov.mu),
         None,
     )
     add(
         "hodge-im-psi-phi-id",
         "star(psi) = c (phi ^ Id)",
         dual(cov.psi, vol),
-        lambda: wedge_rel(octs.phi, ident, k_v),
+        lambda: wedge_rel(octs.phi, ident),
         None,
     )
 
@@ -774,15 +774,13 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     rep8, cov8 = ws.so7_rep, ws.cov_oct
     oc = rep8.space
     ident8 = AltMap.identity(oc)
-    k_v8 = PairingSpec.scalar_multiply(oc)
-    k_g8 = PairingSpec.scalar_multiply(rep8.algebra_space)
-    vol8 = cache(lambda: wedge_rel(cov8.quad, cov8.quad, FIELD_PRODUCT))
+    vol8 = cache(lambda: wedge_rel(cov8.quad, cov8.quad))
     star_psi8, star_mu8 = dual(cov8.psi, vol8), dual(cov8.mu, vol8)
     add(
         "hodge-oct-psi-quad-id",
         "star(psi) = c (Q ^ Id) on the eight-dimensional module",
         star_psi8,
-        lambda: wedge_rel(cov8.quad, ident8, k_v8),
+        lambda: wedge_rel(cov8.quad, ident8),
         "-56",
     )
     add(
@@ -796,7 +794,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "hodge-oct-mu-quad-mu",
         "star(mu) = c (Q ^ mu) on the eight-dimensional module",
         star_mu8,
-        lambda: wedge_rel(cov8.quad, cov8.mu, k_g8),
+        lambda: wedge_rel(cov8.quad, cov8.mu),
         "-56",
     )
     add(
@@ -810,7 +808,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "hodge-oct-id-quad-psi",
         "star(Id) = c (Q ^ psi)",
         dual(ident8, vol8),
-        lambda: wedge_rel(cov8.quad, cov8.psi, k_v8),
+        lambda: wedge_rel(cov8.quad, cov8.psi),
         None,
     )
     return rows
@@ -826,9 +824,8 @@ def _suite_hodge(ws: Workspace) -> list[CheckRecord]:
     return out
 
 
-def hodge_report(ws: Optional[Workspace] = None) -> str:
+def hodge_report(ws: Workspace) -> str:
     """Constants table: computed proportionality factors vs reference values."""
-    ws = ws or Workspace()
     rows = hodge_rows(ws)
     name_w = max(len(r.name) for r in rows)
     const_w = max(len(render(r.computed)) if r.computed is not None else 1 for r in rows)
@@ -918,7 +915,7 @@ def _suite_decompositions(ws: Workspace) -> list[CheckRecord]:
     octs = ws.octs
 
     def top(f: AltMap, g: AltMap, coeff_text: str) -> Outcome:
-        got = volume_constant(wedge_rel(f, g, FIELD_PRODUCT))
+        got = volume_constant(wedge_rel(f, g))
         want = parse(coeff_text).substitute(_lambda_bindings(ws))
         return (None if got == want else f"got {render(got)}"), render(got)
 
@@ -941,7 +938,7 @@ def _suite_decompositions(ws: Workspace) -> list[CheckRecord]:
             "dec-quad-oct",
             "eta^-1(Q_O) has the published fourteen terms on affine planes",
             lambda: _decomposition_witness(
-                ws, decompose_quad_oct(octs, ws.cov_oct.quad), QUAD_OCT_REFERENCE
+                ws, decompose_quad_oct(ws.cov_oct.quad), QUAD_OCT_REFERENCE
             ),
         ),
         run_check(

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from specialortho.altmap import (
-    FIELD_PRODUCT,
     AltMap,
     PairingSpec,
     b_alt,
@@ -189,7 +188,7 @@ def test_criterion_05_decompositions(ws):
     lines = set(ws.octs.phi.coeffs)
     phi_terms = decompose_phi_dual(ws.octs)
     quad_im_terms = decompose_quad_im(ws.octs, ws.cov_im.quad)
-    quad_oct_terms = decompose_quad_oct(ws.octs, ws.cov_oct.quad)
+    quad_oct_terms = decompose_quad_oct(ws.cov_oct.quad)
     for label, terms, reference in (
         ("phi", phi_terms, PHI_DUAL_REFERENCE),
         ("Q seven-dim", quad_im_terms, QUAD_IM_REFERENCE),
@@ -217,10 +216,10 @@ def test_criterion_05_decompositions(ws):
 
 def test_criterion_06_top_form_constants(ws):
     failures = []
-    top7 = wedge_rel(ws.octs.phi, ws.cov_im.quad, FIELD_PRODUCT).value(tuple(range(1, 8)))[0]
+    top7 = wedge_rel(ws.octs.phi, ws.cov_im.quad).value(tuple(range(1, 8)))[0]
     if top7 != parse("-42*l1^2*l2^2*l3^2"):
         failures.append(f"phi ^ Q value {render(top7)}")
-    top8 = wedge_rel(ws.cov_oct.quad, ws.cov_oct.quad, FIELD_PRODUCT).value(tuple(range(1, 9)))[0]
+    top8 = wedge_rel(ws.cov_oct.quad, ws.cov_oct.quad).value(tuple(range(1, 9)))[0]
     if top8 != parse("-224*l1^2*l2^2*l3^2"):
         failures.append(f"Q ^ Q value {render(top8)}")
     _conclude(6, "top-form-constants", failures, note="-42 and -224 times (l1 l2 l3)^2")
@@ -234,7 +233,7 @@ def test_criterion_07_hodge_identities(ws):
     failures = []
     rep, cov = ws.g2_rep, ws.cov_im
     im = rep.space
-    vol7 = wedge_rel(ws.octs.phi, cov.quad, FIELD_PRODUCT)
+    vol7 = wedge_rel(ws.octs.phi, cov.quad)
     star_cross = hodge_dual(ws.octs.cross, vol7)
     q_wedge_id = wedge_rel(cov.quad, AltMap.identity(im), PairingSpec.scalar_multiply(im))
     mu_wedge_psi = wedge_rel(cov.mu, cov.psi, rep.act)
@@ -247,7 +246,7 @@ def test_criterion_07_hodge_identities(ws):
 
     rep8, cov8 = ws.so7_rep, ws.cov_oct
     oc = rep8.space
-    vol8 = wedge_rel(cov8.quad, cov8.quad, FIELD_PRODUCT)
+    vol8 = wedge_rel(cov8.quad, cov8.quad)
     star_psi = hodge_dual(cov8.psi, vol8)
     star_mu = hodge_dual(cov8.mu, vol8)
     k_v8 = PairingSpec.scalar_multiply(oc)
@@ -406,7 +405,7 @@ def test_criterion_11_oracles_and_reverification(ws):
     pairs = [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5]
     for p, q in pairs:
         f, g = random_map(v5, K, p), random_map(v5, K, q)
-        if wedge_rel(f, g, FIELD_PRODUCT) != brute_wedge_rel(f, g, FIELD_PRODUCT):
+        if wedge_rel(f, g) != brute_wedge_rel(f, g):
             failures.append(f"wedge oracle disagrees at degrees ({p}, {q})")
     fv = random_map(v5, v5, 1)
     gv = random_map(v5, v5, 2)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from specialortho import linalg
 from specialortho.altmap import (
-    FIELD_PRODUCT,
     AltMap,
     PairingSpec,
     b_alt,
@@ -103,11 +102,10 @@ def test_evaluate_matches_determinant_expansion(case):
 def test_wedge_matches_brute_force_small():
     rng = random.Random(11)
     V = diag_space(*(ONE for _ in range(5)))
-    pairing = FIELD_PRODUCT
     for p, q in [(1, 1), (1, 2), (2, 2), (2, 3)]:
         f = random_map(V, K, p, rng)
         g = random_map(V, K, q, rng)
-        assert wedge_rel(f, g, pairing) == brute_wedge_rel(f, g, pairing)
+        assert wedge_rel(f, g) == brute_wedge_rel(f, g)
 
 
 def test_wedge_vector_valued_matches_brute_force():
@@ -150,12 +148,11 @@ def test_apply_and_wedge_match_pairwise_folds():
 def test_wedge_supercommutativity_scalar():
     rng = random.Random(17)
     V = diag_space(*(ONE for _ in range(6)))
-    pairing = FIELD_PRODUCT
     for p, q in [(1, 2), (2, 2), (2, 3), (1, 1)]:
         f = random_map(V, K, p, rng)
         g = random_map(V, K, q, rng)
-        left = wedge_rel(f, g, pairing)
-        right = wedge_rel(g, f, pairing)
+        left = wedge_rel(f, g)
+        right = wedge_rel(g, f)
         if (p * q) % 2:
             right = right.scale(rat(-1))
         assert left == right
@@ -163,11 +160,10 @@ def test_wedge_supercommutativity_scalar():
 
 def test_wedge_degree_overflow_is_zero():
     V = diag_space(ONE, ONE, ONE)
-    pairing = FIELD_PRODUCT
     f = AltMap(V, K, 2, {(1, 2): [ONE]})
     g = AltMap(V, K, 2, {(2, 3): [ONE]})
-    assert wedge_rel(f, g, pairing).is_zero()
-    assert wedge_rel(f, g, pairing).degree == 4
+    assert wedge_rel(f, g).is_zero()
+    assert wedge_rel(f, g).degree == 4
 
 
 def test_compose_matches_brute_force():
@@ -196,6 +192,22 @@ def test_compose_shape_guard():
     g = AltMap(W, W, 1, {(1,): W.basis_vector(0)})
     with pytest.raises(ShapeMismatch):
         compose(f, g)
+
+
+def test_wedge_shape_guard():
+    V = diag_space(ONE, ONE, L1)
+    W = diag_space(ONE, ONE)
+    f = AltMap(V, K, 1, {(1,): [ONE], (3,): [L2]})
+    g = AltMap(V, V, 1, {(2,): V.basis_vector(2), (3,): V.basis_vector(0)})
+    with pytest.raises(ShapeMismatch):
+        wedge_rel(f, AltMap(W, K, 1, {(1,): [ONE]}))
+    # a vector-valued f has no default pairing
+    with pytest.raises(ShapeMismatch):
+        wedge_rel(g, g)
+    # a scalar-valued f scales the values of g
+    want = wedge_rel(f, g, PairingSpec.scalar_multiply(g.codomain))
+    assert not want.is_zero()
+    assert wedge_rel(f, g) == want
 
 
 def test_b_alt_scalar_and_weighted():

@@ -66,6 +66,15 @@ EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json
         "verify all --json --at l1=2,l2=3,l3=-5 --alpha 2",
         "verify d21 --alpha=-1/2",
         "verify d21 --alpha 1 --beta 1",
+        "hodge",
+        "decompose phi",
+        "decompose q-im",
+        "decompose q-oct",
+        "export --algebra g2",
+        "export --algebra so7",
+        "export --algebra g3",
+        "export --algebra f4",
+        "export --algebra d21",
     ],
 )
 def test_reports_match_the_pinned_digests(capsys, command):
@@ -167,7 +176,10 @@ def test_decompose_row_counts(capsys):
 def test_decompose_bad_target(capsys):
     code, _, err = run(capsys, "decompose", "bogus")
     assert code == 2
-    assert "q-oct" in err
+    assert err == (
+        "error: unknown decomposition target 'bogus'; "
+        "expected one of: phi, q-im, q-oct\n"
+    )
 
 
 def test_hodge_table(capsys):
@@ -211,4 +223,4 @@ def test_export_not_special_exits_2(tmp_path, capsys):
 def test_export_bad_algebra(capsys):
     code, _, err = run(capsys, "export", "--algebra", "e8")
     assert code == 2
-    assert "f4" in err
+    assert err == "error: unknown algebra 'e8'; expected one of: g2, so7, d21, g3, f4\n"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from specialortho.altmap import FIELD_PRODUCT, AltMap, eta_inv, wedge_rel
+from specialortho.altmap import AltMap, eta_inv, wedge_rel
 from specialortho.errors import ShapeMismatch, SingularMatrix
 from specialortho.exterior import (
     K,
@@ -35,7 +35,7 @@ def form(space, coeffs):
 
 
 def wedge(x, y):
-    return wedge_rel(x, y, FIELD_PRODUCT)
+    return wedge_rel(x, y)
 
 
 def test_space_validation():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from specialortho import linalg
-from specialortho.altmap import FIELD_PRODUCT, AltMap, PairingSpec, compose, wedge_rel
+from specialortho.altmap import AltMap, PairingSpec, compose, wedge_rel
 from specialortho.clifford import PAIR_MASKS, CliffordAlgebra
 from specialortho.errors import ShapeMismatch, WrongDimension
 from specialortho.exterior import QuadraticSpace
@@ -325,7 +325,7 @@ def test_quad_im_decomposition(octs, cov_im):
 
 
 def test_quad_oct_decomposition(octs, cov_oct):
-    terms = ql.decompose_quad_oct(octs, cov_oct.quad)
+    terms = ql.decompose_quad_oct(cov_oct.quad)
     assert len(terms) == 14
     by_index = {t.index: t.coefficient for t in terms}
     assert by_index[(1, 2, 3, 4)] == parse("4/(l1*l2)")
@@ -351,11 +351,11 @@ def test_decompositions_refuse_unexpected_supports(octs, cov_im, cov_oct):
             "complement of (1, 2, 3, 4) is not a line",
         ),
         (
-            lambda: ql.decompose_quad_oct(octs, edited(cov_oct.quad, add=(1, 2, 3, 5))),
+            lambda: ql.decompose_quad_oct(edited(cov_oct.quad, add=(1, 2, 3, 5))),
             "support (1, 2, 3, 5) is not an affine plane",
         ),
         (
-            lambda: ql.decompose_quad_oct(octs, edited(cov_oct.quad, drop=(1, 2, 3, 4))),
+            lambda: ql.decompose_quad_oct(edited(cov_oct.quad, drop=(1, 2, 3, 4))),
             "expected 14 terms, found 13",
         ),
     ]
@@ -375,10 +375,10 @@ def test_affine_plane_predicate():
 
 
 def test_top_volume_constants(octs, cov_im, cov_oct):
-    top = wedge_rel(octs.phi, cov_im.quad, FIELD_PRODUCT)
+    top = wedge_rel(octs.phi, cov_im.quad)
     assert list(top.coeffs) == [(1, 2, 3, 4, 5, 6, 7)]
     assert top.coeffs[(1, 2, 3, 4, 5, 6, 7)] == [parse("-42*l1^2*l2^2*l3^2")]
 
-    top8 = wedge_rel(cov_oct.quad, cov_oct.quad, FIELD_PRODUCT)
+    top8 = wedge_rel(cov_oct.quad, cov_oct.quad)
     assert list(top8.coeffs) == [(1, 2, 3, 4, 5, 6, 7, 8)]
     assert top8.coeffs[(1, 2, 3, 4, 5, 6, 7, 8)] == [parse("-224*l1^2*l2^2*l3^2")]

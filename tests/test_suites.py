@@ -135,11 +135,11 @@ def test_binding_first_equals_substituting_after(ws):
     symbolic = {r.name: r.computed.substitute(point) for r in hodge_rows(ws)}
     assert len(symbolic) == 10
     assert symbolic == {r.name: r.computed for r in hodge_rows(bound)}
-    for decompose, quad in (
-        (decompose_quad_im, lambda w: w.cov_im.quad),
-        (decompose_quad_oct, lambda w: w.cov_oct.quad),
+    for decompose in (
+        lambda w: decompose_quad_im(w.octs, w.cov_im.quad),
+        lambda w: decompose_quad_oct(w.cov_oct.quad),
     ):
-        sym, at = decompose(ws.octs, quad(ws)), decompose(bound.octs, quad(bound))
+        sym, at = decompose(ws), decompose(bound)
         assert [(t.index, t.coefficient.substitute(point)) for t in sym] == [
             (t.index, t.coefficient) for t in at
         ]
