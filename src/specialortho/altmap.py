@@ -15,7 +15,8 @@ follow the shuffle conventions without factorial normalization:
   compose(f, g): (q, ..., q)-shuffle sum of f(g(...), ..., g(...)),
   b_alt(f, g): sum over multi-indices I of <f(e_I), g(e_I)> / q(e_I),
 
-and hodge_dual inverts alpha ^_B (star f) = b_alt(alpha, f) * volume.  The
+and hodge_dual inverts alpha ^_B (star f) = b_alt(alpha, f) * volume;
+first_difference names the least multi-index where two maps differ.  The
 brute-force reference implementations (full symmetric-group sums divided by
 the stabilizer order) are exported for oracle testing.
 
@@ -220,6 +221,23 @@ class AltMap:
             f"{self.domain.name} -> {self.codomain.name}, "
             f"{len(self.coeffs)} nonzero values>"
         )
+
+
+def first_difference(got: AltMap, want: AltMap) -> Optional[str]:
+    """None when got == want, else a witness naming the least multi-index
+    at which their stored values differ.  Every identity between alternating
+    maps that the suites report is checked here; maps of different shapes
+    raise ShapeMismatch."""
+    if (
+        got.domain is not want.domain
+        or got.codomain is not want.codomain
+        or got.degree != want.degree
+    ):
+        raise ShapeMismatch("first_difference needs maps of one shape")
+    for index in sorted(got.coeffs.keys() | want.coeffs.keys()):
+        if got.coeffs.get(index) != want.coeffs.get(index):
+            return "the two sides differ at " + render_multi_index(index)
+    return None
 
 
 def _shuffle_sign(positions: Sequence[int], p: int) -> int:

@@ -88,9 +88,6 @@ class CliffordElement:
             return NotImplemented
         return self.algebra is other.algebra and self.coeffs == other.coeffs
 
-    def degrees(self) -> set[int]:
-        return {bin(m).count("1") for m in self.coeffs}
-
     def parity_parts(self) -> tuple["CliffordElement", "CliffordElement"]:
         even, odd = {}, {}
         for mask, c in self.coeffs.items():
@@ -126,17 +123,6 @@ class CliffordAlgebra:
         self._w_basis: Optional[list[CliffordElement]] = None
 
     # -- construction ---------------------------------------------------------
-
-    def element(self, coeffs: dict) -> CliffordElement:
-        return CliffordElement(self, coeffs)
-
-    def scalar(self, c: Frac) -> CliffordElement:
-        return CliffordElement(self, {0: c})
-
-    def generator(self, i: int) -> CliffordElement:
-        if not 1 <= i <= 7:
-            raise ShapeMismatch(f"generator index {i} is outside 1..7")
-        return CliffordElement(self, {1 << (i - 1): ONE})
 
     def pair_basis(self) -> list[CliffordElement]:
         """The 21 degree-2 monomials e_i e_j (i < j) in a fixed order."""

@@ -24,6 +24,10 @@ class ParseError(SpecialOrthoError, ValueError):
     """Malformed scalar expression text."""
 
 
+class TooManyDigits(SpecialOrthoError, ValueError):
+    """An integer is too long for Python to convert between text and int."""
+
+
 class InexactDivision(SpecialOrthoError, ArithmeticError):
     """An exact polynomial division had a nonzero remainder."""
 

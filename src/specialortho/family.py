@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .altmap import AltMap
+from .altmap import AltMap, first_difference
 from .errors import ZeroParameter
 from .exterior import K, QuadraticSpace, all_multi_indices
-from .quadlie import QuadLieRep
+from .quadlie import QuadLieRep, moment_map
 from .scalars import Frac, ONE, ZERO, rat
 
 Vector = list[Frac]
@@ -207,26 +207,14 @@ def quad_family_expected(rep: QuadLieRep, alpha: Frac) -> AltMap:
 
 def swap_family_witness(alpha: Frac, beta: Frac) -> Optional[str]:
     """Exchanging the tensor factors carries the (alpha, beta) moment map to
-    the (beta, alpha) one.  Checks the re-indexed coefficients agree."""
-    from .quadlie import moment_map
-
+    the (beta, alpha) one: mu_ab(v, w) is mu_ba on the swapped arguments,
+    with its two sl2 blocks exchanged."""
     mu_ab = moment_map(build_family(alpha, beta))
     mu_ba = moment_map(build_family(beta, alpha))
-
-    def swap_module(a: int) -> int:
-        i, j = divmod(a, 2)
-        return 2 * j + i
-
-    for index in all_multi_indices(4, 2):
-        a, b = swap_module(index[0] - 1), swap_module(index[1] - 1)
-        sign = ONE
-        if a > b:
-            a, b = b, a
-            sign = -ONE
-        got = mu_ba.value((a + 1, b + 1))
-        want = mu_ab.value(index)
-        # swap the two sl2 blocks and compare
-        swapped = [sign * c for c in got[3:] + got[:3]]
-        if swapped != want:
-            return f"swap mismatch at index {index}"
-    return None
+    # the swap sends v_i (x) w_j, at position 2 i + j, to position 2 j + i
+    swapped = [mu_ba.domain.basis_vector(2 * (a % 2) + a // 2) for a in range(4)]
+    coeffs = {}
+    for a, b in all_multi_indices(4, 2):
+        got = mu_ba.evaluate([swapped[a - 1], swapped[b - 1]])
+        coeffs[(a, b)] = got[3:] + got[:3]
+    return first_difference(AltMap(mu_ab.domain, mu_ab.codomain, 2, coeffs), mu_ab)

@@ -168,9 +168,6 @@ class Octonion:
     def conjugate(self) -> "Octonion":
         return Octonion(self.algebra, [self.coeffs[0]] + [-a for a in self.coeffs[1:]])
 
-    def real_part(self) -> Frac:
-        return self.coeffs[0]
-
     def imaginary_coeffs(self) -> Vector:
         return list(self.coeffs[1:])
 

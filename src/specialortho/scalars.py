@@ -47,6 +47,7 @@ equals the pairwise sum dict for dict.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Sequence, Union
@@ -58,6 +59,7 @@ from .errors import (
     InexactDivision,
     ParseError,
     SingularMatrix,
+    TooManyDigits,
 )
 
 VARS = ("l1", "l2", "l3", "a")
@@ -769,11 +771,16 @@ def _render_term(key: int, coeff: int) -> str:
         elif e > 1:
             parts.append(f"{name}^{e}")
     mag = abs(coeff)
-    if not parts:
-        return str(mag)
-    if mag == 1:
+    if mag == 1 and parts:
         return "*".join(parts)
-    return str(mag) + "*" + "*".join(parts)
+    try:
+        digits = str(mag)
+    except ValueError as err:
+        raise TooManyDigits(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, "
+            "too many to print"
+        ) from err
+    return "*".join([digits] + parts)
 
 
 def _render_poly(p: dict) -> str:
@@ -819,7 +826,13 @@ def _tokenize(text: str) -> list:
                 raise ParseError(f"bad character at {text[pos:]!r}")
             break
         if m.group(1) is not None:
-            tokens.append(int(m.group(1)))
+            try:
+                tokens.append(int(m.group(1)))
+            except ValueError as err:
+                raise TooManyDigits(
+                    f"a number of {len(m.group(1))} digits is above the limit of "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from err
         elif m.group(2) is not None:
             tokens.append(m.group(2))
         else:

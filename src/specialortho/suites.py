@@ -22,10 +22,10 @@ from functools import cache, cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .altmap import AltMap, hodge_dual, volume_constant, wedge_rel
+from .altmap import AltMap, first_difference, hodge_dual, volume_constant, wedge_rel
 from .clifford import CliffordAlgebra
 from .errors import NotSpecial, UnknownSuite
-from .exterior import all_multi_indices
+from .exterior import K, all_multi_indices
 from .family import (
     build_family,
     mu_family_expected,
@@ -196,36 +196,36 @@ def _superalgebra_args(key: str) -> dict:
     return {"superalgebra": f"{key}-superalgebra", "algebra": label, "dims": dims}
 
 
-def _equal(got: AltMap, want: AltMap, mismatch: str) -> Optional[str]:
-    return None if got == want else mismatch
+def _vanishing_witness(f: AltMap) -> Optional[str]:
+    """first_difference of f from the zero map of its shape."""
+    return first_difference(f, f.scale(ZERO))
 
 
 def _psi_shortcut_witness(cov: Covariants) -> Optional[str]:
     space = cov.rep.space
     three = rat(3)
+    want = {}
     for index in all_multi_indices(space.dim, 3):
         i, j, k = (t - 1 for t in index)
-        want = [
+        want[index] = [
             three * (x - y)
             for x, y in zip(cov.mu_act[i][j][k], mu_can_value(space, i, j, k))
         ]
-        if cov.psi.value(index) != want:
-            return f"(v1,v2,v3) = e{index[0]}, e{index[1]}, e{index[2]}"
-    return None
+    return first_difference(cov.psi, AltMap(space, space, 3, want))
 
 
 def _quad_shortcut_witness(cov: Covariants) -> Optional[str]:
     space = cov.rep.space
     basis = [space.basis_vector(k) for k in range(space.dim)]
     four = rat(4)
+    want = {}
     for index in all_multi_indices(space.dim, 4):
         i, j, k, l = (t - 1 for t in index)
-        want = four * space.pair(
-            basis[i], cov.psi.evaluate([basis[j], basis[k], basis[l]])
-        )
-        if cov.quad.value(index) != [want]:
-            return f"(v1,...,v4) = e{index[0]}, e{index[1]}, e{index[2]}, e{index[3]}"
-    return None
+        want[index] = [
+            four
+            * space.pair(basis[i], cov.psi.evaluate([basis[j], basis[k], basis[l]]))
+        ]
+    return first_difference(cov.quad, AltMap(space, K, 4, want))
 
 
 def _superalgebra_outcome(cov: Covariants, name: str, dims: tuple[int, int]) -> Outcome:
@@ -353,16 +353,12 @@ def _suite_g2(ws: Workspace) -> list[CheckRecord]:
         yield run_check(
             "g2-psi-closed-form",
             "psi(v1,v2,v3) = -3/4 (v1,v2,v3)",
-            lambda: _equal(cov.psi, psi_im_expected(octs), "psi != -3/4 associator"),
+            lambda: first_difference(cov.psi, psi_im_expected(octs)),
         )
         yield run_check(
             "g2-quad-closed-form",
             "Q(v1,v2,v3,v4) = -3 B(v1, (v2,v3,v4))",
-            lambda: _equal(
-                cov.quad,
-                quad_im_expected(octs),
-                "Q != -3 B(v1, associator)",
-            ),
+            lambda: first_difference(cov.quad, quad_im_expected(octs)),
         )
         yield from _shortcut_records("g2", cov)
 
@@ -403,10 +399,10 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
         ]
         if len(kernel) != 14 or len(w_blocks) != 7:
             return f"dims {len(kernel)} + {len(w_blocks)}"
-        for columns in kernel:
-            for block in w_blocks:
+        for t, columns in enumerate(kernel, 1):
+            for i, block in enumerate(w_blocks, 1):
                 if trace_of_product(columns, block).num:
-                    return "Tr(rho(x) rho(c_u)) != 0 for a kernel element"
+                    return f"Tr(rho(d{t}) rho(c_e{i})) != 0"
         return None
 
     def omega_action() -> Optional[str]:
@@ -447,26 +443,22 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
                     return f"(u,v) = (e{i}, e{j})"
         return None
 
+    def quad_on_imaginaries(head: tuple, degree: int) -> AltMap:
+        """(v1, ..., v_degree) -> Q_O(head + (v1, ..., v_degree)) on Im(O)."""
+        coeffs = {
+            index: cov.quad.value(head + tuple(t + 1 for t in index))
+            for index in all_multi_indices(7, degree)
+        }
+        return AltMap(octs.space_im, K, degree, coeffs)
+
     def quad_restriction() -> Optional[str]:
-        two_thirds = rat(2, 3)
-        for index in all_multi_indices(7, 4):
-            shifted = tuple(t + 1 for t in index)
-            got = cov.quad.value(shifted)[0]
-            want = two_thirds * ws.cov_im.quad.value(index)[0]
-            if got != want:
-                return f"index {shifted}"
-        return None
+        return first_difference(
+            quad_on_imaginaries((), 4), ws.cov_im.quad.scale(rat(2, 3))
+        )
 
     def quad_unit() -> Optional[str]:
-        minus_one, minus_four = rat(-1), rat(-4)
-        for index in all_multi_indices(7, 3):
-            shifted = (1,) + tuple(t + 1 for t in index)
-            # moving the unit from the last slot to the first is odd
-            got = minus_one * cov.quad.value(shifted)[0]
-            want = minus_four * octs.phi.value(index)[0]
-            if got != want:
-                return f"index {index}"
-        return None
+        # Q_O(v1, v2, v3, 1) = -Q_O(1, v1, v2, v3): moving the unit is odd
+        return first_difference(quad_on_imaginaries((1,), 3), octs.phi.scale(rat(4)))
 
     def closed_forms() -> Iterator[CheckRecord]:
         yield run_check(
@@ -484,14 +476,12 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
         yield run_check(
             "spin-psi-closed-form",
             "psi = -(1/2)(u,v,w) + phi(u,v,w) 1 on imaginaries; psi(v1,v2,1) = -v1 x v2",
-            lambda: _equal(cov.psi, psi_oct_expected(octs), "psi differs"),
+            lambda: first_difference(cov.psi, psi_oct_expected(octs)),
         )
         yield run_check(
             "spin-quad-closed-form",
             "Q on imaginaries = (2/3) Q_Im; unit slot reduces to -4 phi",
-            lambda: _equal(
-                cov.quad, quad_oct_expected(octs), "Q differs"
-            ),
+            lambda: first_difference(cov.quad, quad_oct_expected(octs)),
         )
         yield run_check(
             "spin-quad-restriction",
@@ -565,28 +555,19 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
         yield on_locus(
             "d21-psi-closed-form",
             "psi = 3 (2 alpha + 1) (omega-weighted projector difference)",
-            lambda: _equal(
-                cov.psi,
-                psi_family_expected(rep, ws.alpha),
-                "psi differs from the displayed form",
-            ),
+            lambda: first_difference(cov.psi, psi_family_expected(rep, ws.alpha)),
         )
         yield on_locus(
             "d21-quad-closed-form",
             "Q = -12 (2 alpha + 1) omega (x) omega-symmetrization",
-            lambda: _equal(
-                cov.quad,
-                quad_family_expected(rep, ws.alpha),
-                "Q differs from the displayed form",
-            ),
+            lambda: first_difference(cov.quad, quad_family_expected(rep, ws.alpha)),
         )
         if ws.alpha == rat(-1, 2) and cov.special:
             yield run_check(
                 "d21-covariants-vanish",
                 "psi and Q vanish identically at alpha = -1/2",
-                lambda: None
-                if cov.psi.is_zero() and cov.quad.is_zero()
-                else "a covariant survives at the midpoint",
+                lambda: _vanishing_witness(cov.psi)
+                or _vanishing_witness(cov.quad),
             )
         yield run_check(
             "d21-swap-symmetry",
@@ -609,10 +590,8 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
                 run_check(
                     "d21-moment-closed-form",
                     "mu(v1 (x) w1, v2 (x) w2) = omega(w1,w2)/(2 alpha) mu_V + omega(v1,v2)/(2 beta) mu_W",
-                    lambda: _equal(
-                        cov.mu,
-                        mu_family_expected(rep, ws.alpha, ws.beta),
-                        "solver disagrees with the displayed moment map",
+                    lambda: first_difference(
+                        cov.mu, mu_family_expected(rep, ws.alpha, ws.beta)
                     ),
                 )
             ],
@@ -633,16 +612,12 @@ def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
         run_check(
             "mathews-im-compose-zero",
             "mu o psi = 0 on the seven-dimensional module",
-            lambda: None
-            if cov.mu_compose_psi.is_zero()
-            else "mu o psi != 0",
+            lambda: _vanishing_witness(cov.mu_compose_psi),
         ),
         run_check(
             "mathews-im-wedge-zero",
             "Q ^ mu = 0 on the seven-dimensional module",
-            lambda: None
-            if wedge_rel(cov.quad, cov.mu).is_zero()
-            else "Q ^ mu != 0",
+            lambda: _vanishing_witness(wedge_rel(cov.quad, cov.mu)),
         ),
     ]
 

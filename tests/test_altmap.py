@@ -16,6 +16,7 @@ from specialortho.altmap import (
     brute_compose,
     brute_wedge_rel,
     compose,
+    first_difference,
     hodge_dual,
     volume_constant,
     wedge_rel,
@@ -208,6 +209,28 @@ def test_wedge_shape_guard():
     want = wedge_rel(f, g, PairingSpec.scalar_multiply(g.codomain))
     assert not want.is_zero()
     assert wedge_rel(f, g) == want
+
+
+def test_first_difference_names_the_least_differing_index():
+    V = diag_space(ONE, L1, ONE, L2)
+    f = random_map(V, V, 2, random.Random(5), density=1.0, values=[rat(2), -L1])
+    assert first_difference(f, AltMap(V, V, 2, dict(f.coeffs))) is None
+    # two differences: one coordinate moved at (3, 4), a value dropped at (1, 3)
+    coeffs = dict(f.coeffs)
+    coeffs[(3, 4)] = [coeffs[(3, 4)][0] + ONE] + coeffs[(3, 4)][1:]
+    coeffs[(1, 3)] = [ZERO] * 4
+    g = AltMap(V, V, 2, coeffs)
+    assert first_difference(f, g) == "the two sides differ at e_{13}"
+    assert first_difference(g, f) == "the two sides differ at e_{13}"
+    assert first_difference(f, f.scale(ZERO)) == "the two sides differ at e_{12}"
+    W = diag_space(ONE, L1, ONE, L2)
+    for other in (
+        AltMap(W, V, 2, dict(f.coeffs)),
+        AltMap(V, W, 2, dict(f.coeffs)),
+        AltMap(V, V, 3),
+    ):
+        with pytest.raises(ShapeMismatch):
+            first_difference(f, other)
 
 
 def test_b_alt_scalar_and_weighted():

@@ -159,6 +159,29 @@ def test_exponent_carry_in_alpha_exits_2(capsys):
     assert "above 65535" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["verify", "d21", "--alpha", "9" * 4400],
+            "error: a number of 4400 digits is above the limit of 4300 digits\n",
+        ),
+        (
+            ["verify", "g2", "--at", "l1=2^65535"],
+            "error: a number has more than 4300 digits, too many to print\n",
+        ),
+        (
+            ["decompose", "phi", "--at", "l1=10^1500,l2=10^1500,l3=10^1500"],
+            "error: a number has more than 4300 digits, too many to print\n",
+        ),
+    ],
+    ids=["alpha", "parameters-line", "coefficient"],
+)
+def test_integers_past_the_digit_limit_exit_2(capsys, argv, message):
+    # Python refuses int <-> str conversions of more than 4300 digits
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_non_rational_alpha_exits_2(capsys):
     code, _, err = run(capsys, "verify", "d21", "--alpha", "l1")
     assert code == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from specialortho.altmap import AltMap
 from specialortho.errors import ZeroParameter
 from specialortho.scalars import ALPHA, L1, ONE, rat
 from specialortho import family as fam
@@ -85,6 +86,22 @@ def test_identity_ladder_is_vacuous(special_rep):
 def test_swap_symmetry():
     assert fam.swap_family_witness(ALPHA, L1) is None
     assert fam.swap_family_witness(rat(2), rat(-3)) is None
+
+
+def test_swap_symmetry_names_the_perturbed_index(monkeypatch):
+    # mu_ba, of the family with alpha = 2 (its form starts K_V / 2), moved at
+    # e_{13}; the swap sends positions 1, 2 of mu_ab there
+    def moment_map(rep):
+        mu = ql.moment_map(rep)
+        if rep.algebra_space.gram[0][0] != rat(1, 2):
+            return mu
+        coeffs = dict(mu.coeffs)
+        coeffs[(1, 3)] = [mu.value((1, 3))[0] + ONE] + mu.value((1, 3))[1:]
+        return AltMap(mu.domain, mu.codomain, 2, coeffs)
+
+    monkeypatch.setattr(fam, "moment_map", moment_map)
+    witness = fam.swap_family_witness(rat(-3), rat(2))
+    assert witness == "the two sides differ at e_{12}"
 
 
 def test_zero_parameter_rejected():

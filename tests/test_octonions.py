@@ -23,7 +23,7 @@ from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat
 
 def norm_q(x):
     """The multiplicative norm q(x) = x conj(x)."""
-    return (x * x.conjugate()).real_part()
+    return (x * x.conjugate()).coeffs[0]
 
 
 FANO = {

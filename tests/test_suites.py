@@ -1,6 +1,8 @@
 """Suite reports: statuses, constants, witnesses, and determinism."""
 
 import json
+import re
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -9,7 +11,7 @@ from specialortho import altmap, cli, clifford, octonions, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
 from specialortho.exterior import K, QuadraticSpace
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
-from specialortho.scalars import L1, L2, parse, rat, render
+from specialortho.scalars import L1, L2, ONE, parse, rat, render
 from specialortho.suites import (
     SUITE_NAMES,
     Workspace,
@@ -375,3 +377,75 @@ def test_module_records_build_osp_from_so(n):
     ]
     assert all(r.status == "holds" for r in records), [r.as_line() for r in records]
     assert records[-1].statement.endswith(f"dimension {dims[0]}|{dims[1]}")
+
+
+# -- negative controls: one perturbed coefficient, each on a fresh Workspace --
+
+
+def perturbed(f, index):
+    """f with the first coordinate of its value at index moved by one."""
+    coeffs = dict(f.coeffs)
+    value = f.value(index)
+    coeffs[index] = [value[0] + ONE] + value[1:]
+    return altmap.AltMap(f.domain, f.codomain, f.degree, coeffs, name=f.name)
+
+
+def failing(records):
+    return {r.name: r.witness for r in records if r.status == "fails"}
+
+
+def test_closed_form_names_the_perturbed_index(monkeypatch):
+    def psi_im_expected(octs):
+        return perturbed(quadlie.psi_im_expected(octs), (1, 2, 7))
+
+    monkeypatch.setattr(suites, "psi_im_expected", psi_im_expected)
+    assert failing(run_suite("g2", Workspace()).records) == {
+        "g2-psi-closed-form": "the two sides differ at e_{127}"
+    }
+
+
+def test_mathews_rung_and_zero_identity_name_the_perturbed_index():
+    ws = Workspace()
+    ws.cov_oct.mu_wedge_psi = perturbed(ws.cov_oct.mu_wedge_psi, (2, 3, 4, 6, 8))
+    ws.cov_im.mu_compose_psi = perturbed(ws.cov_im.mu_compose_psi, (1, 2, 4, 5, 6, 7))
+    assert failing(run_suite("mathews", ws).records) == {
+        "mathews-oct-wedge-mu-psi": "the two sides differ at e_{23468}",
+        "mathews-im-compose-mu-psi": "the two sides differ at e_{124567}",
+        "mathews-im-compose-zero": "the two sides differ at e_{124567}",
+    }
+
+
+def test_shortcuts_name_the_perturbed_index():
+    cov = Workspace().cov_im
+    psi_moved = replace(cov, psi=perturbed(cov.psi, (2, 4, 6)))
+    quad_moved = replace(cov, quad=perturbed(cov.quad, (1, 3, 5, 7)))
+    # the right side of the Q shortcut reads psi, so it moves with psi
+    assert failing(suites._shortcut_records("g2", psi_moved)) == {
+        "g2-psi-shortcut": "the two sides differ at e_{246}",
+        "g2-quad-shortcut": "the two sides differ at e_{1246}",
+    }
+    assert failing(suites._shortcut_records("g2", quad_moved)) == {
+        "g2-quad-shortcut": "the two sides differ at e_{1357}",
+    }
+
+
+def test_restriction_and_unit_name_the_imaginary_index():
+    # Q_Im perturbed at e_{1234} breaks the restriction; Q_O perturbed at
+    # e_{1357}, with the unit first, breaks Q_O(v1, v2, v3, 1) at e_{246}
+    ws = Workspace()
+    ws.cov_im = replace(ws.cov_im, quad=perturbed(ws.cov_im.quad, (1, 2, 3, 4)))
+    ws.cov_oct = replace(ws.cov_oct, quad=perturbed(ws.cov_oct.quad, (1, 3, 5, 7)))
+    assert failing(run_suite("f4", ws).records) == {
+        "spin-quad-closed-form": "the two sides differ at e_{1357}",
+        "spin-quad-restriction": "the two sides differ at e_{1234}",
+        "spin-quad-unit": "the two sides differ at e_{246}",
+        "spin-quad-shortcut": "the two sides differ at e_{1357}",
+    }
+
+
+def test_splitting_names_the_failing_pair():
+    ws = Workspace()
+    column = ws.g2_rep.act.table[4][2]
+    column[3] = column[3] + ONE
+    witness = failing(run_suite("f4", ws).records).get("clifford-splitting")
+    assert re.fullmatch(r"Tr\(rho\(d5\) rho\(c_e[1-7]\)\) != 0", witness or "")
