@@ -245,6 +245,28 @@ class CliffordAlgebra:
                 )
         return table
 
+    @cached_property
+    def pair_commutators(self) -> dict[tuple[int, int], tuple[int, Frac]]:
+        """[P_a, P_b] = c P_u for the pair monomials P = PAIR_MASKS, as (u, c)
+        by positions (a, b) in both orders, where the commutator is nonzero.
+
+        Both products of two monomials land on the monomial x xor y, so the
+        commutator is the difference of their two coefficients there; on pair
+        monomials it lands back on a pair monomial.
+        """
+        position = {m: t for t, m in enumerate(PAIR_MASKS)}
+        table = {}
+        for (a, x), (b, y) in combinations(enumerate(PAIR_MASKS), 2):
+            mask, xy = self.mono_mul(x, y)
+            c = xy - self.mono_mul(y, x)[1]
+            if not c.num:
+                continue
+            if mask not in position:
+                raise WrongDimension("commutator of pair monomials left the degree-2 span")
+            table[(a, b)] = (position[mask], c)
+            table[(b, a)] = (position[mask], -c)
+        return table
+
     # -- distinguished elements -------------------------------------------------
 
     def omega(self) -> CliffordElement:

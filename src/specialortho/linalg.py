@@ -75,7 +75,8 @@ def rank(rows: Sequence[Sequence[Frac]]) -> int:
 
 
 def nullspace(rows: Sequence[Sequence[Frac]]) -> list[Vector]:
-    """Basis of the right kernel; one vector per free column, free entry = 1."""
+    """Basis of the right kernel, one vector per free column: 1 there, and 0
+    at the other free columns and at every column after its own."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     R, pivots = rref(rows)

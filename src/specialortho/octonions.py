@@ -6,6 +6,9 @@ selecting the three doubling levels) squares to minus a product of the
 parameters.  The norm is q(x) = x conj(x); its polarization B makes the basis
 orthogonal with B(e_k, e_k) the matching parameter product.  Index arithmetic
 on the seven imaginary units follows xor: e_i e_j = (sign) (monomial) e_{i xor j}.
+The multiplication table is built on basis units alone: each of its 64
+entries is one such product, found by doubling a pair of units through the
+three levels, where only one of the four terms of the doubling survives.
 """
 
 from __future__ import annotations
@@ -22,30 +25,32 @@ Vector = list[Frac]
 HALF = rat(1, 2)
 
 
-def _cd_conj(a: list) -> list:
-    if len(a) == 1:
-        return [a[0]]
-    half = len(a) // 2
-    left = _cd_conj(a[:half])
-    return left + [-x for x in a[half:]]
+def _cd_unit(i: int, j: int, gammas: Sequence[Frac]) -> tuple[int, Frac]:
+    """The product of basis units e_i e_j = c e_k, as (k, c), in the algebra
+    doubled by ``gammas`` (innermost level first).
 
+    With half = 2^(len(gammas) - 1), a unit below half is (e_i, 0) and one at
+    or above it is (0, e_{i - half}).  Of the four terms of the doubling
 
-def _cd_mul(a: list, b: list, gammas: Sequence[Frac]) -> list:
-    if len(a) == 1:
-        return [a[0] * b[0]]
-    half = len(a) // 2
-    gamma = gammas[half.bit_length() - 1]
-    a1, a2 = a[:half], a[half:]
-    b1, b2 = b[:half], b[half:]
-    # (a1, a2)(b1, b2) = (a1 b1 + gamma conj(b2) a2, b2 a1 + a2 conj(b1))
-    first = [
-        x + gamma * y
-        for x, y in zip(_cd_mul(a1, b1, gammas), _cd_mul(_cd_conj(b2), a2, gammas))
-    ]
-    second = [
-        x + y for x, y in zip(_cd_mul(b2, a1, gammas), _cd_mul(a2, _cd_conj(b1), gammas))
-    ]
-    return first + second
+        (a1, a2)(b1, b2) = (a1 b1 + gamma conj(b2) a2, b2 a1 + a2 conj(b1))
+
+    only one survives, and conj(e_k) = -e_k for every k but 0.
+    """
+    if not gammas:
+        return 0, ONE
+    half = 1 << (len(gammas) - 1)
+    inner = gammas[:-1]
+    if i < half and j < half:  # a1 b1
+        return _cd_unit(i, j, inner)
+    if i < half:  # b2 a1
+        k, c = _cd_unit(j - half, i, inner)
+        return k + half, c
+    if j < half:  # a2 conj(b1)
+        k, c = _cd_unit(i - half, j, inner)
+        return k + half, c if j == 0 else -c
+    # gamma conj(b2) a2
+    k, c = _cd_unit(j - half, i - half, inner)
+    return k, gammas[-1] * (c if j == half else -c)
 
 
 class OctonionAlgebra:
@@ -66,13 +71,11 @@ class OctonionAlgebra:
                 raise DegenerateParameter("doubling parameters must be nonzero")
         self.params = (l1, l2, l3)
         gammas = (-l1, -l2, -l3)
-        units = []
-        for k in range(8):
-            coeffs = [ONE if i == k else ZERO for i in range(8)]
-            units.append(coeffs)
-        self.table: list[list[Vector]] = [
-            [_cd_mul(units[i], units[j], gammas) for j in range(8)] for i in range(8)
-        ]
+        self.table: list[list[Vector]] = [[[ZERO] * 8 for _ in range(8)] for _ in range(8)]
+        for i, row in enumerate(self.table):
+            for j, entry in enumerate(row):
+                k, c = _cd_unit(i, j, gammas)
+                entry[k] = c
         # polarized norm: B(x, y) = (x conj(y) + y conj(x)) / 2, real component;
         # conj(e_k) = s_k e_k with s_0 = 1 and s_k = -1, so each side is a
         # signed real entry of the table

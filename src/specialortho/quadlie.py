@@ -26,7 +26,6 @@ affine planes of the parallelepiped spanned by the three doubling steps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -42,7 +41,7 @@ from .altmap import (
     wedge_rel,
 )
 from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS, _mask_to_tuple
-from .errors import NotImaginary, ShapeMismatch, WrongDimension
+from .errors import NotImaginary, ShapeMismatch, SingularMatrix, WrongDimension
 from .exterior import K, QuadraticSpace, all_multi_indices, complement_index
 from .octonions import (
     OctonionAlgebra,
@@ -507,7 +506,6 @@ def check_special(
     return True, None
 
 
-@dataclass
 class Covariants:
     """The moment map with its derived covariants on one representation.
 
@@ -518,13 +516,23 @@ class Covariants:
     shared by the Mathews and Hodge checks.
     """
 
-    rep: QuadLieRep
-    mu: AltMap
-    mu_act: MomentAction
-    psi: AltMap
-    quad: AltMap
-    special: bool
-    witness: Optional[str]
+    def __init__(
+        self,
+        rep: QuadLieRep,
+        mu: AltMap,
+        mu_act: MomentAction,
+        psi: AltMap,
+        quad: AltMap,
+        special: bool,
+        witness: Optional[str],
+    ):
+        self.rep = rep
+        self.mu = mu
+        self.mu_act = mu_act
+        self.psi = psi
+        self.quad = quad
+        self.special = special
+        self.witness = witness
 
     @cached_property
     def mu_wedge_psi(self) -> AltMap:
@@ -583,7 +591,6 @@ def covariants(rep: QuadLieRep) -> Covariants:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CheckRecord:
     """One verified identity: status plus optional witness and constant.
 
@@ -592,12 +599,21 @@ class CheckRecord:
     byte-identical across runs.
     """
 
-    name: str
-    statement: str
-    status: str  # "holds" | "fails" | "vacuous"
-    witness: Optional[str] = None
-    constant: Optional[str] = None
-    elapsed: float = 0.0
+    def __init__(
+        self,
+        name: str,
+        statement: str,
+        status: str,  # "holds" | "fails" | "vacuous"
+        witness: Optional[str] = None,
+        constant: Optional[str] = None,
+        elapsed: float = 0.0,
+    ):
+        self.name = name
+        self.statement = statement
+        self.status = status
+        self.witness = witness
+        self.constant = constant
+        self.elapsed = elapsed
 
     def as_dict(self) -> dict:
         doc: dict = {
@@ -731,22 +747,13 @@ def _trace_pairing(cliff: CliffordAlgebra, x: CliffordElement, y: CliffordElemen
 def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:
     """so(7) on the octonions: degree-2 monomials with form -(3/8) Tr.
 
-    Brackets are commutators: the super bracket of two even monomials x, y.
-    Both products xy and yx land on the monomial x xor y, so the bracket is
-    the difference of their two coefficients there, and on pair monomials
-    it lands back in the span of pair monomials.
+    Brackets are the commutators of the pair monomials, one monomial each,
+    read from ``cliff.pair_commutators``.
     """
     octs = cliff.octonions
-    mask_pos = {m: t for t, m in enumerate(PAIR_MASKS)}
-    table = {}
-    for (a, x), (b, y) in combinations(enumerate(PAIR_MASKS), 2):
-        mask, xy = cliff.mono_mul(x, y)
-        c = xy - cliff.mono_mul(y, x)[1]
-        if not c.num:
-            continue
-        if mask not in mask_pos:
-            raise WrongDimension("commutator of pair monomials left the degree-2 span")
-        table[(a, b)] = {mask_pos[mask]: c}
+    table = {
+        (a, b): {u: c} for (a, b), (u, c) in cliff.pair_commutators.items() if a < b
+    }
     scale = rat(-3, 8)
     trace = cliff.pair_traces
     gram = [
@@ -766,30 +773,41 @@ def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:
 def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordElement]]:
     """The annihilator of the unit acting on imaginary octonions.
 
-    Basis from the degree-2 kernel, brackets through coordinates over the
-    pair monomials, invariant form -(1/3) Tr of the 7-dimensional action
-    (which equals the 8-dimensional trace on the kernel), action matrices cut
-    from the spin action after checking the unit row and column vanish.
+    Basis from the degree-2 kernel; each bracket is summed over the pair
+    monomials from their commutator table, ``cliff.pair_commutators``.
+    linalg.nullspace gives every kernel vector 1 at its own free column, and
+    0 at the other free columns and after its own, so the coordinates of a
+    bracket are its entries at the free columns, with no elimination; unless
+    they rebuild the bracket, SingularMatrix is raised.  The invariant form
+    is -(1/3) Tr of the 7-dimensional action (which equals the 8-dimensional
+    trace on the kernel); action matrices are cut from the spin action after
+    checking the unit row and column vanish.
     """
     octs = cliff.octonions
     kernel = cliff.g2_kernel()
     mask_pos = {m: t for t, m in enumerate(PAIR_MASKS)}
-
-    def as_coords(x: CliffordElement) -> Vector:
-        out = [ZERO] * 21
-        for mask, c in x.coeffs.items():
-            out[mask_pos[mask]] = c
-        return out
-
-    coords = linalg.SubspaceCoords([as_coords(x) for x in kernel], label="g2 kernel")
+    coords = [{mask_pos[m]: c for m, c in x.coeffs.items()} for x in kernel]
+    free = [max(x) for x in coords]  # each vector's last nonzero column
+    commutators = cliff.pair_commutators
     table = {}
-    for a in range(14):
-        for b in range(a + 1, 14):
-            comm = cliff.super_bracket(kernel[a], kernel[b])
-            vec = coords.express(as_coords(comm))
-            row = {k: c for k, c in enumerate(vec) if c.num}
-            if row:
-                table[(a, b)] = row
+    for a, b in combinations(range(14), 2):
+        terms: dict[int, list] = {}
+        for s, cs in coords[a].items():
+            for t, ct in coords[b].items():
+                hit = commutators.get((s, t))
+                if hit:
+                    terms.setdefault(hit[0], []).append((cs * ct, hit[1]))
+        comm = {u: dot(pairs) for u, pairs in terms.items()}
+        row = {k: comm[f] for k, f in enumerate(free) if f in comm and comm[f].num}
+        # the combination of kernel vectors with these coordinates, minus comm
+        residual = {u: [(-ONE, c)] for u, c in comm.items()}
+        for k, c in row.items():
+            for u, x in coords[k].items():
+                residual.setdefault(u, []).append((c, x))
+        if any(dot(pairs).num for pairs in residual.values()):
+            raise SingularMatrix("vector outside g2 kernel span")
+        if row:
+            table[(a, b)] = row
     third = rat(-1, 3)
     gram = [
         [third * _trace_pairing(cliff, kernel[a], kernel[b]) for b in range(14)]
@@ -1009,11 +1027,14 @@ def is_affine_plane(labels: Sequence[int]) -> bool:
     return acc == 0
 
 
-@dataclass
 class DecompositionTerm:
-    index: tuple[int, ...]
-    coefficient: Frac
-    annotation: str
+    """One term of an index-raised form: its coefficient at ``index`` and
+    the support the term lies on."""
+
+    def __init__(self, index: tuple[int, ...], coefficient: Frac, annotation: str):
+        self.index = index
+        self.coefficient = coefficient
+        self.annotation = annotation
 
 
 def _decompose(

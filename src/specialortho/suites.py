@@ -16,8 +16,6 @@ times the whole check, or from ``quadlie.vacuous_check``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -67,11 +65,18 @@ from .superalg import build_tilde
 SUITE_NAMES = ("g2", "f4", "d21", "mathews", "hodge", "decompositions")
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    parameters: dict[str, str]
-    records: list[CheckRecord] = field(default_factory=list)
+    """A suite's records under one parameter binding, as text or JSON."""
+
+    def __init__(
+        self,
+        suite: str,
+        parameters: dict[str, str],
+        records: Optional[list[CheckRecord]] = None,
+    ):
+        self.suite = suite
+        self.parameters = parameters
+        self.records = [] if records is None else records
 
     @property
     def ok(self) -> bool:
@@ -99,6 +104,8 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # only the JSON report needs it
+
         doc = {
             "suite": self.suite,
             "parameters": self.parameters,
@@ -630,7 +637,6 @@ def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
 _NOT_PROPORTIONAL = "dual is not a multiple of the target"
 
 
-@dataclass
 class HodgeRow:
     """One claim star(f) = c * target, with the published value of c if any.
 
@@ -638,10 +644,17 @@ class HodgeRow:
     the target.  The dual and the target are computed on first access.
     """
 
-    name: str
-    statement: str
-    reference: Optional[str]
-    solve: Callable[[], Optional[Frac]] = field(repr=False)
+    def __init__(
+        self,
+        name: str,
+        statement: str,
+        reference: Optional[str],
+        solve: Callable[[], Optional[Frac]],
+    ):
+        self.name = name
+        self.statement = statement
+        self.reference = reference
+        self.solve = solve
 
     @cached_property
     def computed(self) -> Optional[Frac]:

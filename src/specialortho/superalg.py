@@ -20,8 +20,6 @@ re-exported here.  build_tilde seeds the even part with g's table and form.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Optional
 
 from .errors import NotSpecial, ParseError, ShapeMismatch
@@ -165,6 +163,9 @@ def _canonical_payload(sa: SuperAlgebra) -> tuple[list, list]:
 
 
 def _digest(brackets: list, form: list) -> str:
+    import hashlib
+    import json
+
     blob = json.dumps(
         {"brackets": brackets, "form": form}, separators=(",", ":"), sort_keys=True
     )
@@ -173,6 +174,8 @@ def _digest(brackets: list, form: list) -> str:
 
 def export_superalgebra(sa: SuperAlgebra, parameters: Optional[dict] = None) -> str:
     """Serialize to deterministic JSON with a content digest."""
+    import json
+
     brackets, form = _canonical_payload(sa)
     doc = {
         "name": sa.name,
@@ -192,6 +195,8 @@ def export_superalgebra(sa: SuperAlgebra, parameters: Optional[dict] = None) -> 
 
 def import_superalgebra(text: str) -> SuperAlgebra:
     """Inverse of export_superalgebra; verifies the content digest."""
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

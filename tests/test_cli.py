@@ -150,6 +150,32 @@ def test_checks_survive_python_O():
     assert [p.returncode for p in plain] == [0, 1]
 
 
+def test_cold_start_loads_only_what_runs():
+    # json and hashlib load only for --json, export and import_superalgebra,
+    # and no module of the package needs dataclasses (with inspect behind it)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    heavy = ("dataclasses", "inspect", "hashlib", "json")
+
+    def loaded(statements):
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"{statements}\n"
+            f"print(sorted(set(sys.modules) - before & set({heavy!r})))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    assert loaded("import specialortho.cli") == "[]"
+    verify = "from specialortho.cli import main\nassert main(['verify', 'd21']) == 0"
+    assert loaded(verify) == "[]"
+    assert loaded(verify.replace("'d21'", "'d21', '--json'")) == "['json']"
+
+
 def test_exponent_carry_in_alpha_exits_2(capsys):
     # wrapped, the first product reads l1^14464*l2 and alpha would read as 2
     code, out, err = run(

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from specialortho import octonions
 from specialortho.errors import DegenerateParameter, NotImaginary
 from specialortho.exterior import K
 from specialortho.octonions import (
@@ -19,6 +18,34 @@ from specialortho.octonions import (
     fano_lines,
 )
 from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat
+
+
+def _cd_conj(a: list) -> list:
+    if len(a) == 1:
+        return [a[0]]
+    half = len(a) // 2
+    left = _cd_conj(a[:half])
+    return left + [-x for x in a[half:]]
+
+
+def _cd_mul(a: list, b: list, gammas) -> list:
+    """Dense Cayley-Dickson doubling on coordinate vectors, apart from the
+    unit recursion that builds the algebra's table."""
+    if len(a) == 1:
+        return [a[0] * b[0]]
+    half = len(a) // 2
+    gamma = gammas[half.bit_length() - 1]
+    a1, a2 = a[:half], a[half:]
+    b1, b2 = b[:half], b[half:]
+    # (a1, a2)(b1, b2) = (a1 b1 + gamma conj(b2) a2, b2 a1 + a2 conj(b1))
+    first = [
+        x + gamma * y
+        for x, y in zip(_cd_mul(a1, b1, gammas), _cd_mul(_cd_conj(b2), a2, gammas))
+    ]
+    second = [
+        x + y for x, y in zip(_cd_mul(b2, a1, gammas), _cd_mul(a2, _cd_conj(b1), gammas))
+    ]
+    return first + second
 
 
 def norm_q(x):
@@ -60,7 +87,17 @@ def test_product_matches_cayley_dickson_doubling(A):
     rng = random.Random(19)
     for _ in range(4):
         x, y = symbolic_octonion(A, rng), symbolic_octonion(A, rng)
-        assert (x * y).coeffs == octonions._cd_mul(x.coeffs, y.coeffs, (-L1, -L2, -L3))
+        assert (x * y).coeffs == _cd_mul(x.coeffs, y.coeffs, (-L1, -L2, -L3))
+
+
+@pytest.mark.parametrize("weights", [(L1, L2, L3), (rat(2), rat(3), rat(-5))])
+def test_unit_table_matches_dense_doubling(weights):
+    A = build_algebra(*weights)
+    gammas = [-w for w in weights]
+    units = [A.unit(k).coeffs for k in range(8)]
+    for i in range(8):
+        for j in range(8):
+            assert A.table[i][j] == _cd_mul(units[i], units[j], gammas)
 
 
 def test_bilinear_B_is_the_polarized_norm(A):
@@ -79,7 +116,7 @@ def test_gram_matches_the_cayley_dickson_polarization(weights):
     units = [A.unit(k).coeffs for k in range(8)]
 
     def real_part(i, j):
-        return octonions._cd_mul(units[i], octonions._cd_conj(units[j]), gammas)[0]
+        return _cd_mul(units[i], _cd_conj(units[j]), gammas)[0]
 
     for i in range(8):
         for j in range(8):

@@ -10,8 +10,9 @@ import pytest
 
 from specialortho import linalg
 from specialortho.altmap import AltMap, PairingSpec, compose, wedge_rel
-from specialortho.clifford import PAIR_MASKS, CliffordAlgebra
-from specialortho.errors import ShapeMismatch, WrongDimension
+from specialortho.cli import main
+from specialortho.clifford import PAIR_MASKS, CliffordAlgebra, CliffordElement
+from specialortho.errors import ShapeMismatch, SingularMatrix, WrongDimension
 from specialortho.exterior import QuadraticSpace
 from specialortho.octonions import associator, build_algebra, commutator, cross_product
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, parse, rat
@@ -315,6 +316,57 @@ def test_spinor_brackets_match_super_bracket(weights):
         comm = cliff.super_bracket(pairs[a], pairs[b])
         want = {position[m]: c for m, c in comm.coeffs.items()}
         assert so7.algebra.bracket(a, b) == want
+
+
+def g2_brackets_by_elimination(cliff, kernel):
+    """The g2 bracket table as super_bracket, then coordinates over the
+    kernel from a full elimination (linalg.SubspaceCoords)."""
+    position = {m: t for t, m in enumerate(PAIR_MASKS)}
+
+    def as_coords(x):
+        out = [ZERO] * len(PAIR_MASKS)
+        for mask, c in x.coeffs.items():
+            out[position[mask]] = c
+        return out
+
+    coords = linalg.SubspaceCoords([as_coords(x) for x in kernel], label="g2 kernel")
+    table = {}
+    for a, b in combinations(range(len(kernel)), 2):
+        vec = coords.express(as_coords(cliff.super_bracket(kernel[a], kernel[b])))
+        row = {k: c for k, c in enumerate(vec) if c.num}
+        if row:
+            table[(a, b)] = row
+    return table
+
+
+@pytest.mark.parametrize("weights", [None, (1, 1, 1), (1, 1, -1), (2, 3, -5)])
+def test_g2_brackets_match_super_bracket(weights):
+    # symbolic, --compact, --split and one --at binding
+    ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
+    assert ws.g2_rep.algebra.table == g2_brackets_by_elimination(ws.cliff, ws.g2_kernel)
+
+
+def test_g2_kernel_off_its_span_raises(monkeypatch, capsys):
+    # e_1 e_2 added to the first kernel element: the brackets leave the span
+    real = CliffordAlgebra.g2_kernel
+
+    def moved(self):
+        kernel = real(self)
+        first = dict(kernel[0].coeffs)
+        first[PAIR_MASKS[0]] = first.get(PAIR_MASKS[0], ZERO) + ONE
+        kernel[0] = CliffordElement(self, first)
+        return kernel
+
+    monkeypatch.setattr(CliffordAlgebra, "g2_kernel", moved)
+    cliff = CliffordAlgebra(build_algebra(L1, L2, L3))
+    message = "^vector outside g2 kernel span$"
+    with pytest.raises(SingularMatrix, match=message):
+        g2_brackets_by_elimination(cliff, cliff.g2_kernel())
+    with pytest.raises(SingularMatrix, match=message):
+        ql.build_g2_rep(cliff)
+    assert main(["verify", "g2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: vector outside g2 kernel span\n")
 
 
 @pytest.mark.parametrize("weights", [None, (2, 3, -5)])

@@ -2,7 +2,6 @@
 
 import json
 import re
-from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -285,11 +284,12 @@ def test_setup_builds_each_structure_constant_once(monkeypatch):
     monkeypatch.setattr(
         altmap.PairingSpec, "apply", counted("apply", altmap.PairingSpec.apply)
     )
-    # _cd_mul recurses through the module name: count the calls on 8-vectors
+    # _cd_unit recurses through the module name: count the top-level calls,
+    # the ones through all three doubling levels
     monkeypatch.setattr(
         octonions,
-        "_cd_mul",
-        counted("cd_mul", octonions._cd_mul, lambda a, b, gammas: len(a) == 8),
+        "_cd_unit",
+        counted("cd_mul", octonions._cd_unit, lambda i, j, gammas: len(gammas) == 3),
     )
     ws = Workspace()
     for name, value in vars(Workspace).items():
@@ -415,10 +415,20 @@ def test_mathews_rung_and_zero_identity_name_the_perturbed_index():
     }
 
 
+def replaced(cov, **changes):
+    """A fresh Covariants with some fields replaced: built by the constructor,
+    so no cached mu_wedge_psi or mu_compose_psi of cov carries over."""
+    fields = {
+        name: getattr(cov, name)
+        for name in ("rep", "mu", "mu_act", "psi", "quad", "special", "witness")
+    }
+    return quadlie.Covariants(**{**fields, **changes})
+
+
 def test_shortcuts_name_the_perturbed_index():
     cov = Workspace().cov_im
-    psi_moved = replace(cov, psi=perturbed(cov.psi, (2, 4, 6)))
-    quad_moved = replace(cov, quad=perturbed(cov.quad, (1, 3, 5, 7)))
+    psi_moved = replaced(cov, psi=perturbed(cov.psi, (2, 4, 6)))
+    quad_moved = replaced(cov, quad=perturbed(cov.quad, (1, 3, 5, 7)))
     # the right side of the Q shortcut reads psi, so it moves with psi
     assert failing(suites._shortcut_records("g2", psi_moved)) == {
         "g2-psi-shortcut": "the two sides differ at e_{246}",
@@ -433,8 +443,8 @@ def test_restriction_and_unit_name_the_imaginary_index():
     # Q_Im perturbed at e_{1234} breaks the restriction; Q_O perturbed at
     # e_{1357}, with the unit first, breaks Q_O(v1, v2, v3, 1) at e_{246}
     ws = Workspace()
-    ws.cov_im = replace(ws.cov_im, quad=perturbed(ws.cov_im.quad, (1, 2, 3, 4)))
-    ws.cov_oct = replace(ws.cov_oct, quad=perturbed(ws.cov_oct.quad, (1, 3, 5, 7)))
+    ws.cov_im = replaced(ws.cov_im, quad=perturbed(ws.cov_im.quad, (1, 2, 3, 4)))
+    ws.cov_oct = replaced(ws.cov_oct, quad=perturbed(ws.cov_oct.quad, (1, 3, 5, 7)))
     assert failing(run_suite("f4", ws).records) == {
         "spin-quad-closed-form": "the two sides differ at e_{1357}",
         "spin-quad-restriction": "the two sides differ at e_{1234}",
