@@ -34,7 +34,6 @@ from . import linalg
 from .altmap import (
     AltMap,
     PairingSpec,
-    _sum_terms,
     compose,
     eta_inv,
     first_difference,
@@ -140,29 +139,17 @@ class SuperAlgebra:
         """Sparse coordinates of [x_i, x_j]; the stored row, read only."""
         return self._rows.get((i, j), {})
 
-    def bracket_sparse(self, x: dict, y: dict) -> dict:
-        """Bracket of sparse coordinate vectors."""
-        terms: dict[int, list] = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                row = self.bracket(i, j)
-                if row and a.num and b.num:
-                    c = a * b
-                    for k, v in row.items():
-                        terms.setdefault(k, []).append((c, v))
-        sums = {k: dot(pairs) for k, pairs in terms.items()}
-        return {k: s for k, s in sums.items() if s.num}
-
     # -- checks ---------------------------------------------------------
 
-    def super_jacobi_check(self) -> dict:
-        """First witness per parity sector of the graded Jacobi identity.
+    def jacobi_failures(self) -> dict:
+        """First failing index triple per parity sector of the graded Jacobi
+        identity.
 
         J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]].  With a
         super-antisymmetric bracket J is graded-alternating, so it vanishes
         at a triple exactly when it vanishes at the sorted triple, and the
         sector depends only on the parities.  The scan therefore runs over
-        x <= y <= z in lexicographic order, and its first witness per sector
+        x <= y <= z in lexicographic order, and its first failure per sector
         is the first one of a scan over every x and every pair y <= z.  A
         None entry means the sector is clean.
 
@@ -170,7 +157,7 @@ class SuperAlgebra:
         over one common denominator L, L^2 J(x,y,z) is a sum of products of
         integer numerators, accumulated in one dict per triple.
         """
-        out: dict[str, Optional[str]] = {s: None for s in _SECTORS}
+        out: dict[str, Optional[tuple[int, int, int]]] = {s: None for s in _SECTORS}
         n = self.dim
         _, rows = clear_denominators(self._rows)
         for x in range(n):
@@ -202,11 +189,20 @@ class SuperAlgebra:
                             k += key
                             acc[k] = get(k, 0) + c * v
                     if any(acc.values()):
-                        out[sector] = (
-                            f"J({self.labels[x]}, {self.labels[y]}, "
-                            f"{self.labels[z]}) != 0"
-                        )
+                        out[sector] = (x, y, z)
         return out
+
+    def jacobi_witness(self, triple: Optional[tuple[int, int, int]]) -> Optional[str]:
+        """The text ``J(x, y, z) != 0`` of a failing triple, or None."""
+        if triple is None:
+            return None
+        x, y, z = (self.labels[t] for t in triple)
+        return f"J({x}, {y}, {z}) != 0"
+
+    def super_jacobi_check(self) -> dict:
+        """First witness per parity sector of the graded Jacobi identity: the
+        jacobi_failures triples as text, None for a clean sector."""
+        return {s: self.jacobi_witness(t) for s, t in self.jacobi_failures().items()}
 
     def form_invariance_witness(self) -> Optional[str]:
         """B([x,y],z) = B(x,[y,z]) over all basis triples, or a witness.
@@ -297,25 +293,6 @@ class QuadLieRep:
         return self.algebra_space.dim
 
     # -- structural checks, each returning None or a witness string ----------
-
-    def check_rep_property(self) -> Optional[str]:
-        """rho([x_i, x_j]) e_k = rho(x_i) rho(x_j) e_k - rho(x_j) rho(x_i) e_k
-        for i < j and every module basis vector e_k, or a witness."""
-        act, rows = self.act, self.act.table
-        basis = [self.algebra_space.basis_vector(a) for a in range(self.dim)]
-        for i, j in combinations(range(self.dim), 2):
-            bracket = [ZERO] * self.dim
-            for k, c in self.algebra.bracket(i, j).items():
-                bracket[k] = c
-            for k in range(self.space.dim):
-                terms: dict[int, list] = {}
-                act.gather(terms, basis[i], rows[j][k])
-                act.gather(terms, basis[j], rows[i][k], negate=True)
-                expect = _sum_terms(terms, self.space.dim)
-                if expect != act.apply(bracket, self.space.basis_vector(k)):
-                    labels = self.algebra_space.labels
-                    return f"rho([{labels[i]},{labels[j]}]) != [rho {labels[i]}, rho {labels[j]}]"
-        return None
 
     def check_action_skew(self) -> Optional[str]:
         space = self.space
@@ -420,34 +397,6 @@ def moment_map(rep: QuadLieRep) -> AltMap:
     solutions = solve_linear(rep.algebra_space.gram, columns)
     coeffs = {index: sol for index, sol in zip(indices, solutions)}
     return AltMap(space, rep.algebra_space, 2, coeffs, name=f"mu[{rep.name}]")
-
-
-def moment_equivariance_witness(rep: QuadLieRep, mu: AltMap) -> Optional[str]:
-    """mu(rho(x) v, w) + mu(v, rho(x) w) = [x, mu(v, w)] on basis triples."""
-    space = rep.space
-    n = space.dim
-    for a in range(rep.dim):
-        for i in range(n):
-            vi = space.basis_vector(i)
-            xvi = rep.act.table[a][i]
-            for j in range(i + 1, n):
-                vj = space.basis_vector(j)
-                xvj = rep.act.table[a][j]
-                lhs = [
-                    p + q
-                    for p, q in zip(mu.evaluate([xvi, vj]), mu.evaluate([vi, xvj]))
-                ]
-                mu_ij = {k: c for k, c in enumerate(mu.value((i + 1, j + 1))) if c.num}
-                rhs_sparse = rep.algebra.bracket_sparse({a: ONE}, mu_ij)
-                rhs = [ZERO] * rep.dim
-                for k, c in rhs_sparse.items():
-                    rhs[k] = c
-                if lhs != rhs:
-                    return (
-                        f"equivariance fails at x={rep.algebra_space.labels[a]}, "
-                        f"(v,w)=(e{i+1},e{j+1})"
-                    )
-    return None
 
 
 MomentAction = list[list[list[Vector]]]
@@ -809,10 +758,10 @@ def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordEleme
         if row:
             table[(a, b)] = row
     third = rat(-1, 3)
-    gram = [
-        [third * _trace_pairing(cliff, kernel[a], kernel[b]) for b in range(14)]
-        for a in range(14)
-    ]
+    gram = [[ZERO] * 14 for _ in range(14)]
+    for a in range(14):
+        for b in range(a, 14):
+            gram[a][b] = gram[b][a] = third * _trace_pairing(cliff, kernel[a], kernel[b])
     labels = tuple(f"d{t+1}" for t in range(14))
     algebra_space = QuadraticSpace(labels, gram, name="g2")
     mats = []

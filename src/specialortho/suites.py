@@ -46,7 +46,6 @@ from .quadlie import (
     decompose_quad_oct,
     g2_cyclic_witness,
     mathews_status,
-    moment_equivariance_witness,
     mu_can_value,
     mu_im_canonical_split_witness,
     mu_im_pointwise_witness,
@@ -60,7 +59,7 @@ from .quadlie import (
     vacuous_check,
 )
 from .scalars import ALPHA, Frac, L1, L2, L3, ZERO, parse, rat, render
-from .superalg import build_tilde
+from .superalg import build_tilde, module_witnesses
 
 SUITE_NAMES = ("g2", "f4", "d21", "mathews", "hodge", "decompositions")
 
@@ -290,13 +289,16 @@ def module_records(
     structure of the representation, ``before_equivariance``, equivariance
     and special orthogonality (stated as ``special``) of the moment map, the
     ``closed_forms``, and the record ``superalgebra`` that g + sl2 + V (x) k^2,
-    built as ``algebra``, ``closes`` at dimension ``dims``."""
+    built as ``algebra``, ``closes`` at dimension ``dims``.  The Jacobi,
+    representation and equivariance records read the one scan of
+    ``module_witnesses``, run by the first of them."""
     rep = cov.rep
+    witnesses = cache(lambda: module_witnesses(cov))
     return [
         run_check(
             f"{prefix}-jacobi",
             "bracket table satisfies the Jacobi identity",
-            lambda: rep.algebra.super_jacobi_check()["EEE"],
+            lambda: witnesses()["jacobi"],
         ),
         run_check(
             f"{prefix}-invariant-form",
@@ -306,7 +308,7 @@ def module_records(
         run_check(
             f"{prefix}-representation",
             "action matrices realize the bracket table",
-            rep.check_rep_property,
+            lambda: witnesses()["representation"],
         ),
         run_check(
             f"{prefix}-skew-action",
@@ -317,7 +319,7 @@ def module_records(
         run_check(
             f"{prefix}-equivariance",
             "mu(x v, w) + mu(v, x w) = [x, mu(v,w)]",
-            lambda: moment_equivariance_witness(rep, cov.mu),
+            lambda: witnesses()["equivariance"],
         ),
         run_check(
             f"{prefix}-special",

@@ -11,7 +11,12 @@ The three orthogonal families produce D(2,1;alpha) from the tensor product
 of symplectic planes, the 17|14-dimensional algebra from the imaginary
 octonions, and the 24|16-dimensional one from the full octonions.  The
 graded Jacobi identity in the all-odd sector is equivalent to the special
-condition; the other sectors hold for any moment map.
+condition.  The other sectors restate the module itself: EEE is the Jacobi
+identity of g, EEO the representation property of rho, and EOO the
+equivariance of mu together with the invariance of the module form.
+module_witnesses reads the first three from one scan of the assembly
+without the (v, w) mu_s(a, b) half, where EOO is the equivariance of mu
+alone.
 
 The bracket table type, SuperAlgebra, is defined in quadlie, where the Lie
 algebra g of every representation is already one (purely even); it is
@@ -20,6 +25,7 @@ re-exported here.  build_tilde seeds the even part with g's table and form.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 from .errors import NotSpecial, ParseError, ShapeMismatch
@@ -34,6 +40,86 @@ from .quadlie import Covariants, SuperAlgebra
 from .scalars import Frac, ZERO, dot, parse as parse_scalar
 
 
+def _odd_index(g_dim: int, i: int, s: int) -> int:
+    """Position of v_i (x) a_{s+1} in g + sl2 + V (x) k^2, for dim g = g_dim."""
+    return g_dim + 3 + 2 * i + s
+
+
+def _assembly(cov: Covariants) -> tuple[list[str], list[str], dict, dict]:
+    """The basis labels and bracket rows of g + sl2 + V (x) k^2 that
+    build_tilde and module_witnesses share: g's table, sl2's, the even-odd
+    rows of g through rho and of sl2 through the defining plane, and, apart
+    from them, the odd-odd rows omega(a, b) mu(v, w) at odd pairs p < q."""
+    rep, mu = cov.rep, cov.mu
+    g = rep.algebra
+    g_dim = g.dim
+    v_dim = rep.space.dim
+    even_labels = list(g.even_labels) + ["h", "e", "f"]
+    odd_labels = [
+        f"{rep.space.labels[i]}*a{s+1}" for i in range(v_dim) for s in range(2)
+    ]
+    brackets = {key: dict(row) for key, row in g.table.items()}
+    for (i, j), row in sl2_bracket_table().items():
+        brackets[(g_dim + i, g_dim + j)] = {g_dim + k: c for k, c in row.items()}
+    # even-odd: g through the action, sl2 through the defining plane
+    for a, rows in enumerate(rep.act.table):
+        for i, col in enumerate(rows):
+            for s in range(2):
+                row_s = {_odd_index(g_dim, r, s): c for r, c in enumerate(col) if c.num}
+                if row_s:
+                    brackets[(a, _odd_index(g_dim, i, s))] = row_s
+    plane = sl2_plane_action()
+    for t, mat in enumerate(plane):
+        for i in range(v_dim):
+            for s in range(2):
+                row = {_odd_index(g_dim, i, r): mat[r][s] for r in range(2) if mat[r][s].num}
+                if row:
+                    brackets[(g_dim + t, _odd_index(g_dim, i, s))] = row
+    # omega(a, b) mu(v, w) vanishes unless v != w and a != b
+    odd_rows: dict[tuple[int, int], dict[int, Frac]] = {}
+    for i, j in combinations(range(v_dim), 2):
+        vals = {k: c for k, c in enumerate(mu.value((i + 1, j + 1))) if c.num}
+        if vals:
+            for s in range(2):
+                w = omega_plane(s, 1 - s)
+                p, q = _odd_index(g_dim, i, s), _odd_index(g_dim, j, 1 - s)
+                odd_rows[(p, q)] = {k: w * c for k, c in vals.items()}
+    return even_labels, odd_labels, brackets, odd_rows
+
+
+def module_witnesses(cov: Covariants) -> dict[str, Optional[str]]:
+    """The Jacobi identity of g, the representation property of rho and the
+    equivariance of mu, each None or the witness of its first failing basis
+    tuple, from one graded Jacobi scan of g + sl2 + V (x) k^2 with only the
+    omega(a, b) mu(v, w) half of the odd bracket (and the zero form).
+
+    There J vanishes on every sl2 and mixed triple.  EEE is the Jacobi
+    identity of g; EEO at x < y in g is rho([x,y]) - [rho x, rho y]; EOO at
+    x in g and v_i (x) a1, v_j (x) a2 is the equivariance defect
+    [x, mu(v_i, v_j)] - mu(x v_i, v_j) - mu(v_i, x v_j), and at x in sl2 it
+    vanishes, as sl2 preserves omega.  So the first failing sorted triple of
+    a sector names the first failing tuple of its identity.  OOO is not read.
+    """
+    even_labels, odd_labels, brackets, odd_rows = _assembly(cov)
+    brackets.update(odd_rows)
+    dim = len(even_labels) + len(odd_labels)
+    zero = [[ZERO] * dim for _ in range(dim)]
+    sa = SuperAlgebra(cov.rep.name, even_labels, odd_labels, brackets, zero)
+    failures = sa.jacobi_failures()
+    out = {"jacobi": sa.jacobi_witness(failures["EEE"])}
+    out["representation"] = out["equivariance"] = None
+    if failures["EEO"] is not None:
+        x, y, _ = (sa.labels[t] for t in failures["EEO"])
+        out["representation"] = f"rho([{x},{y}]) != [rho {x}, rho {y}]"
+    if failures["EOO"] is not None:
+        x, p, q = failures["EOO"]
+        i, j = ((t - sa.even_dim) // 2 + 1 for t in (p, q))
+        out["equivariance"] = (
+            f"equivariance fails at x={sa.labels[x]}, (v,w)=(e{i},e{j})"
+        )
+    return out
+
+
 def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra:
     """Assemble g + sl2 + V (x) k^2 from a representation's covariants.
 
@@ -44,72 +130,29 @@ def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra
     """
     if not cov.special and not force:
         raise NotSpecial(f"moment map is not special orthogonal at {cov.witness}")
-    rep, mu = cov.rep, cov.mu
-    g = rep.algebra
-    g_dim = g.dim
+    even_labels, odd_labels, brackets, oo_rows = _assembly(cov)
+    rep = cov.rep
+    g_dim = rep.algebra.dim
     v_dim = rep.space.dim
     even_dim = g_dim + 3
-    even_labels = list(g.even_labels) + ["h", "e", "f"]
-    odd_labels = [
-        f"{rep.space.labels[i]}*a{s+1}" for i in range(v_dim) for s in range(2)
-    ]
-
-    def odd_index(i: int, s: int) -> int:
-        return even_dim + 2 * i + s
-
-    brackets = {key: dict(row) for key, row in g.table.items()}
-    for (i, j), row in sl2_bracket_table().items():
-        brackets[(g_dim + i, g_dim + j)] = {g_dim + k: c for k, c in row.items()}
-    # even-odd: g through the action, sl2 through the defining plane
-    for a, rows in enumerate(rep.act.table):
-        for i, col in enumerate(rows):
-            for s in range(2):
-                row_s = {odd_index(r, s): c for r, c in enumerate(col) if c.num}
-                if row_s:
-                    brackets[(a, odd_index(i, s))] = row_s
-    plane = sl2_plane_action()
-    for t, mat in enumerate(plane):
-        for i in range(v_dim):
-            for s in range(2):
-                row = {
-                    odd_index(i, r): mat[r][s] for r in range(2) if mat[r][s].num
-                }
-                if row:
-                    brackets[(g_dim + t, odd_index(i, s))] = row
-    # unscaled odd-odd rows
     gram_v = rep.space.gram
-    oo_rows: dict[tuple[int, int], dict[int, Frac]] = {}
+    # the (v, w) mu_s(a, b) half of the unscaled odd-odd rows
     for i in range(v_dim):
-        for s in range(2):
-            p = odd_index(i, s)
-            for j in range(i, v_dim):
+        for j in range(i, v_dim):
+            b = gram_v[i][j]
+            for s in range(2):
                 for t in range(2):
-                    q = odd_index(j, t)
-                    if q < p:
-                        continue
-                    row: dict[int, Frac] = {}
-                    w = omega_plane(s, t)
-                    if w.num and i != j:
-                        vals = mu.value((i + 1, j + 1))
-                        for k, c in enumerate(vals):
-                            if c.num:
-                                row[k] = w * c
-                    b = gram_v[i][j]
-                    if b.num:
+                    p, q = _odd_index(g_dim, i, s), _odd_index(g_dim, j, t)
+                    if b.num and q >= p:
+                        row = oo_rows.setdefault((p, q), {})
                         for k, c in enumerate(mu_plane(s, t)):
                             if c.num:
-                                s2 = row.get(g_dim + k, ZERO) + b * c
-                                if s2.num:
-                                    row[g_dim + k] = s2
-                                else:
-                                    row.pop(g_dim + k, None)
-                    if row:
-                        oo_rows[(p, q)] = row
+                                row[g_dim + k] = b * c
     # the form: B_g, the sl2 block, and (v, w) omega(a, b) on odd
     dim = even_dim + 2 * v_dim
     form = [[ZERO] * dim for _ in range(dim)]
     for i in range(g_dim):
-        form[i][:g_dim] = g.form[i]
+        form[i][:g_dim] = rep.algebra.form[i]
     s_gram = sl2_half_trace_gram()
     for i in range(3):
         for j in range(3):
@@ -117,13 +160,10 @@ def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra
                 form[g_dim + i][g_dim + j] = s_gram[i][j]
     for i in range(v_dim):
         for j in range(v_dim):
-            if not gram_v[i][j].num:
-                continue
-            for s in range(2):
-                for t in range(2):
-                    w = omega_plane(s, t)
-                    if w.num:
-                        form[odd_index(i, s)][odd_index(j, t)] = gram_v[i][j] * w
+            if gram_v[i][j].num:
+                for s in range(2):
+                    p, q = _odd_index(g_dim, i, s), _odd_index(g_dim, j, 1 - s)
+                    form[p][q] = gram_v[i][j] * omega_plane(s, 1 - s)
     # solve the odd-odd scale from invariance: B(p, [q, x]) = c B(OO(p,q), x)
     scale = None
     for (p, q), row in sorted(oo_rows.items()):

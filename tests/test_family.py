@@ -7,6 +7,7 @@ from specialortho.errors import ZeroParameter
 from specialortho.scalars import ALPHA, L1, ONE, rat
 from specialortho import family as fam
 from specialortho import quadlie as ql
+from specialortho import superalg as sup
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,11 @@ def test_structure(special_rep):
     rep = special_rep
     assert rep.dim == 6 and rep.space.dim == 4
     assert rep.algebra.super_jacobi_check()["EEE"] is None
-    assert rep.check_rep_property() is None
+    assert sup.module_witnesses(ql.covariants(rep)) == {
+        "jacobi": None,
+        "representation": None,
+        "equivariance": None,
+    }
     assert rep.check_action_skew() is None
     assert rep.algebra.form_invariance_witness() is None
 

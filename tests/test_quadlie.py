@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from specialortho import linalg
-from specialortho.altmap import AltMap, PairingSpec, compose, wedge_rel
+from specialortho.altmap import AltMap, PairingSpec, _sum_terms, compose, wedge_rel
 from specialortho.cli import main
 from specialortho.clifford import PAIR_MASKS, CliffordAlgebra, CliffordElement
 from specialortho.errors import ShapeMismatch, SingularMatrix, WrongDimension
@@ -18,6 +18,8 @@ from specialortho.octonions import associator, build_algebra, commutator, cross_
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, parse, rat
 from specialortho import family as fam
 from specialortho import quadlie as ql
+from specialortho import suites
+from specialortho import superalg as sup
 from specialortho.suites import Workspace
 
 
@@ -72,16 +74,78 @@ def action_matrices(rep):
     return [linalg.transpose(rows) for rows in rep.act.table]
 
 
+# -- Frac scans of single identities, the oracles of module_witnesses --------
+
+CLEAN = {"jacobi": None, "representation": None, "equivariance": None}
+
+
+def rep_property_oracle(rep):
+    """rho([x_i, x_j]) e_k = rho(x_i) rho(x_j) e_k - rho(x_j) rho(x_i) e_k
+    for i < j and every module basis vector e_k, or a witness."""
+    act, rows = rep.act, rep.act.table
+    basis = [rep.algebra_space.basis_vector(a) for a in range(rep.dim)]
+    for i, j in combinations(range(rep.dim), 2):
+        bracket = [ZERO] * rep.dim
+        for k, c in rep.algebra.bracket(i, j).items():
+            bracket[k] = c
+        for k in range(rep.space.dim):
+            terms = {}
+            act.gather(terms, basis[i], rows[j][k])
+            act.gather(terms, basis[j], rows[i][k], negate=True)
+            expect = _sum_terms(terms, rep.space.dim)
+            if expect != act.apply(bracket, rep.space.basis_vector(k)):
+                labels = rep.algebra_space.labels
+                return f"rho([{labels[i]},{labels[j]}]) != [rho {labels[i]}, rho {labels[j]}]"
+    return None
+
+
+def equivariance_oracle(rep, mu):
+    """mu(rho(x) v, w) + mu(v, rho(x) w) = [x, mu(v, w)] on basis triples."""
+    space = rep.space
+    n = space.dim
+    for a in range(rep.dim):
+        for i in range(n):
+            vi = space.basis_vector(i)
+            xvi = rep.act.table[a][i]
+            for j in range(i + 1, n):
+                vj = space.basis_vector(j)
+                xvj = rep.act.table[a][j]
+                lhs = [
+                    p + q
+                    for p, q in zip(mu.evaluate([xvi, vj]), mu.evaluate([vi, xvj]))
+                ]
+                terms = {}
+                for k, c in enumerate(mu.value((i + 1, j + 1))):
+                    for m, b in rep.algebra.bracket(a, k).items():
+                        terms.setdefault(m, []).append((c, b))
+                if lhs != _sum_terms(terms, rep.dim):
+                    return (
+                        f"equivariance fails at x={rep.algebra_space.labels[a]}, "
+                        f"(v,w)=(e{i+1},e{j+1})"
+                    )
+    return None
+
+
+def oracle_witnesses(cov):
+    """What module_witnesses reports, from a scan of each identity on its
+    own: g's Jacobi identity on rep.algebra and the two Frac scans above."""
+    return {
+        "jacobi": cov.rep.algebra.super_jacobi_check()["EEE"],
+        "representation": rep_property_oracle(cov.rep),
+        "equivariance": equivariance_oracle(cov.rep, cov.mu),
+    }
+
+
 @pytest.mark.parametrize("space_fn", [small_space, hyperbolic_space])
 def test_so_fundamental_moment_is_canonical(space_fn):
     rep, mu_can = ql.build_so(space_fn())
     assert rep.algebra.super_jacobi_check()["EEE"] is None
-    assert rep.check_rep_property() is None
     assert rep.check_action_skew() is None
     assert rep.algebra.form_invariance_witness() is None
     mu = ql.moment_map(rep)
     assert mu == mu_can
-    assert ql.moment_equivariance_witness(rep, mu) is None
+    cov = ql.covariants(rep)
+    assert sup.module_witnesses(cov) == oracle_witnesses(cov) == CLEAN
     ok, witness = ql.check_special(rep, mu)
     assert ok and witness is None
 
@@ -147,7 +211,10 @@ def test_doubled_e_breaks_the_representation_property():
     doubled = [[rat(2) * c for c in row] for row in e]
     rep = sl2_on_plane([[ZERO, ONE], [ONE, ZERO]], [h, doubled, f])
     # [h, 2e] = 2 (2e) still holds; [2e, f] = 2h breaks [e, f] = h
-    assert rep.check_rep_property() == "rho([e,f]) != [rho e, rho f]"
+    cov = ql.covariants(rep)
+    witnesses = sup.module_witnesses(cov)
+    assert witnesses["representation"] == "rho([e,f]) != [rho e, rho f]"
+    assert witnesses == oracle_witnesses(cov)
     # e a2 = a1 and B(a1, a2) = B(a2, a1) = 1: e is not skew for this form
     assert rep.check_action_skew() == "B(rho(e) e2, e2) is not skew"
 
@@ -155,7 +222,10 @@ def test_doubled_e_breaks_the_representation_property():
 def test_euclidean_plane_breaks_skewness_at_h():
     # h a1 = a1 and B(a1, a1) = 1
     rep = sl2_on_plane([[ONE, ZERO], [ZERO, ONE]])
-    assert rep.check_rep_property() is None
+    cov = ql.covariants(rep)
+    witnesses = sup.module_witnesses(cov)
+    assert witnesses["representation"] is None
+    assert witnesses == oracle_witnesses(cov)
     assert rep.check_action_skew() == "B(rho(h) e1, e1) is not skew"
 
 
@@ -167,7 +237,7 @@ def test_g2_structure(g2):
     assert rep.dim == 14 and rep.space.dim == 7
     assert len(kernel) == 14
     assert rep.algebra.super_jacobi_check()["EEE"] is None
-    assert rep.check_rep_property() is None
+    assert sup.module_witnesses(ql.covariants(rep)) == CLEAN
     assert rep.check_action_skew() is None
     assert rep.algebra.form_invariance_witness() is None
 
@@ -182,12 +252,13 @@ def test_g2_form_is_seven_dimensional_trace(g2):
             assert rep.algebra_space.gram[a][b] == third * tr
 
 
-def test_g2_moment_closed_forms(octs, g2):
+def test_g2_moment_closed_forms(octs, g2, cov_im):
     rep, _ = g2
     mu = ql.moment_map(rep)
     ok, witness = ql.check_special(rep, mu)
     assert ok and witness is None
-    assert ql.moment_equivariance_witness(rep, mu) is None
+    assert cov_im.mu == mu
+    assert sup.module_witnesses(cov_im)["equivariance"] is None
     mu_act = ql.moment_action(rep, mu)
     assert ql.mu_im_pointwise_witness(octs, mu_act) is None
     assert ql.mu_im_canonical_split_witness(octs, mu_act) is None
@@ -218,7 +289,7 @@ def test_im_identity_ladder(cov_im):
 def test_spinor_structure(octs, so7):
     assert so7.dim == 21 and so7.space.dim == 8
     assert so7.algebra.super_jacobi_check()["EEE"] is None
-    assert so7.check_rep_property() is None
+    assert sup.module_witnesses(ql.covariants(so7)) == CLEAN
     assert so7.check_action_skew() is None
     assert so7.algebra.form_invariance_witness() is None
     # the invariant form is diagonal with B(s_ij, s_ij) = 3 q_i q_j
@@ -385,6 +456,115 @@ def test_moment_action_matches_evaluate_then_act(weights):
     expect = (False, "(u,v,w) = (e1, e1, e2) of V3")
     assert ql.check_special(rep, doubled) == expect
     assert ql.check_special(rep, doubled, ql.moment_action(rep, doubled)) == expect
+
+
+# -- the module records against the single-identity oracles -----------------
+
+# record prefix, covariants in a Workspace, superalgebra key
+MODULES = [("g2", "cov_im", "g3"), ("spin", "cov_oct", "f4"), ("d21", "cov_family", "d21")]
+
+
+def module_witness_records(prefix, cov, key):
+    """The jacobi, representation and equivariance witnesses, and every
+    failing record, of module_records on cov."""
+    records = suites.module_records(
+        prefix,
+        cov,
+        closed_forms=tuple,
+        closes="the assembly closes",
+        **suites._superalgebra_args(key),
+    )
+    by_name = {r.name: r for r in records}
+    witnesses = {name: by_name[f"{prefix}-{name}"].witness for name in CLEAN}
+    failing = {r.name: r.witness for r in records if r.status == "fails"}
+    return witnesses, failing
+
+
+def moved(cov, *, action=None, bracket=None, mu=None):
+    """A fresh Covariants, apart from every Workspace cache: the entry (r, k)
+    of rho(x_a) moved by one for action=(a, k, r), the first stored
+    coefficient of [x_i, x_j] doubled for bracket=(i, j), both 0-based, or
+    the first coordinate of mu(e_i, e_j) moved by one for the AltMap index
+    mu=(i, j), 1-based."""
+    rep, mu_map = cov.rep, cov.mu
+    mats, table = action_matrices(rep), dict(rep.algebra.table)
+    if action is not None:
+        a, k, r = action
+        mats[a][r][k] = mats[a][r][k] + ONE
+    if bracket is not None:
+        row = table[bracket]
+        k = min(row)
+        table[bracket] = {**row, k: row[k] * rat(2)}
+    if mu is not None:
+        coeffs = dict(mu_map.coeffs)
+        value = mu_map.value(mu)
+        coeffs[mu] = [value[0] + ONE] + value[1:]
+        mu_map = AltMap(mu_map.domain, mu_map.codomain, 2, coeffs)
+    rep = ql.QuadLieRep(rep.name, rep.algebra_space, table, mats, rep.space)
+    return ql.Covariants(
+        rep, mu_map, cov.mu_act, cov.psi, cov.quad, cov.special, cov.witness
+    )
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
+def test_module_records_agree_with_the_oracles(weights):
+    ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
+    for prefix, attr, key in MODULES:
+        cov = getattr(ws, attr)
+        witnesses, failing = module_witness_records(prefix, cov, key)
+        assert witnesses == oracle_witnesses(cov) == CLEAN
+        assert failing == {}
+
+
+# per module: one action entry (a, k, r), one bracket coefficient (i, j) and
+# one mu coefficient (i, j), each with the witness of the record it breaks
+PERTURBATIONS = {
+    "g2": {
+        "action": ((4, 2, 3), "rho([d1,d5]) != [rho d1, rho d5]"),
+        "bracket": ((0, 1), "J(d1, d2, d3) != 0"),
+        "mu": ((5, 7), "equivariance fails at x=d1, (v,w)=(e1,e5)"),
+    },
+    "spin": {
+        "action": ((6, 4, 1), "rho([s12,s13]) != [rho s12, rho s13]"),
+        "bracket": ((0, 1), "J(s12, s13, s24) != 0"),
+        "mu": ((5, 7), "equivariance fails at x=s12, (v,w)=(e5,e6)"),
+    },
+    "d21": {
+        "action": ((4, 1, 2), "rho([hV,eW]) != [rho hV, rho eW]"),
+        "bracket": ((0, 1), "J(hV, eV, fV) != 0"),
+        "mu": ((2, 3), "equivariance fails at x=eV, (v,w)=(e2,e3)"),
+    },
+}
+BROKEN_RECORD = {"action": "representation", "bracket": "jacobi", "mu": "equivariance"}
+
+
+@pytest.mark.parametrize("prefix,attr,key", MODULES)
+def test_perturbed_modules_name_the_oracle_tuple(prefix, attr, key):
+    cov = getattr(Workspace(), attr)
+    for kind, (where, witness) in PERTURBATIONS[prefix].items():
+        broken = moved(cov, **{kind: where})
+        witnesses, failing = module_witness_records(prefix, broken, key)
+        assert witnesses == oracle_witnesses(broken)
+        assert witnesses[BROKEN_RECORD[kind]] == witness
+        for record, got in witnesses.items():
+            assert failing.get(f"{prefix}-{record}") == got
+    # the untouched module still holds
+    assert module_witness_records(prefix, cov, key)[0] == CLEAN
+
+
+def test_skew_action_record_names_the_moved_entry():
+    # rho(d5) e3 gains e4; the imaginary Gram is diagonal, so only
+    # B(rho(d5) e3, e4) + B(e3, rho(d5) e4) moves
+    broken = moved(Workspace().cov_im, action=(4, 2, 3))
+    _, failing = module_witness_records("g2", broken, "g3")
+    assert set(failing) == {
+        "g2-representation",
+        "g2-skew-action",
+        "g2-equivariance",
+        "g3-superalgebra",
+    }
+    assert failing["g2-skew-action"] == "B(rho(d5) e3, e4) is not skew"
+    assert failing["g2-equivariance"] == "equivariance fails at x=d5, (v,w)=(e1,e3)"
 
 
 # -- decompositions and volumes ----------------------------------------------

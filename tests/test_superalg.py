@@ -8,7 +8,7 @@ from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import NotSpecial, ParseError, ShapeMismatch
 from specialortho.exterior import QuadraticSpace
 from specialortho.octonions import build_algebra
-from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat
+from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, dot, rat
 from specialortho import family as fam
 from specialortho import quadlie as ql
 from specialortho import superalg as sup
@@ -159,7 +159,14 @@ def full_jacobi_scan(sa):
     out = {s: None for s in sectors}
 
     def br(u, v):
-        return sa.bracket_sparse(u, v)
+        """The bracket of sparse coordinate vectors."""
+        terms = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, c in sa.bracket(i, j).items():
+                    terms.setdefault(k, []).append((a * b, c))
+        sums = {k: dot(pairs) for k, pairs in terms.items()}
+        return {k: s for k, s in sums.items() if s.num}
 
     for x in range(sa.dim):
         for y in range(sa.dim):
