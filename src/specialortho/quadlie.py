@@ -5,7 +5,9 @@ graded Jacobi check and the one form-invariance check.  A QuadLieRep
 packages an algebra with invariant form (as a QuadraticSpace), its bracket
 table as a purely even SuperAlgebra (``rep.algebra``), and its skew action
 on a quadratic module as the bilinear map ``rep.act``; superalg builds the
-exceptional superalgebras on top of ``rep.algebra``.  The moment map mu is
+exceptional superalgebras on top of ``rep.algebra``, and reads the identities
+of the module (rho a representation, skew for the module form, mu
+equivariant) from their graded Jacobi scan.  The moment map mu is
 solved from B_g(x, mu(v, w)) = B_V(rho(x) v, w); a moment map is special
 orthogonal when
 
@@ -142,22 +144,24 @@ class SuperAlgebra:
     # -- checks ---------------------------------------------------------
 
     def jacobi_failures(self) -> dict:
-        """First failing index triple per parity sector of the graded Jacobi
-        identity.
+        """Per parity sector of the graded Jacobi identity, the first failing
+        index triple at each output basis index: {k: (x, y, z)}, where k is
+        a coordinate at which J(x, y, z) is nonzero, in the order the scan
+        meets them.  An empty dict means the sector is clean.
 
         J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]].  With a
         super-antisymmetric bracket J is graded-alternating, so it vanishes
         at a triple exactly when it vanishes at the sorted triple, and the
         sector depends only on the parities.  The scan therefore runs over
-        x <= y <= z in lexicographic order, and its first failure per sector
-        is the first one of a scan over every x and every pair y <= z.  A
-        None entry means the sector is clean.
+        x <= y <= z in lexicographic order, and the least triple of a
+        sector is the first failure of a scan over every x and every pair
+        y <= z.
 
         Each term of J is a product of two table entries, so with the rows
         over one common denominator L, L^2 J(x,y,z) is a sum of products of
         integer numerators, accumulated in one dict per triple.
         """
-        out: dict[str, Optional[tuple[int, int, int]]] = {s: None for s in _SECTORS}
+        out: dict[str, dict[int, tuple[int, int, int]]] = {s: {} for s in _SECTORS}
         n = self.dim
         _, rows = clear_denominators(self._rows)
         for x in range(n):
@@ -167,9 +171,6 @@ class SuperAlgebra:
                 xy = rows.get((x, y), ())
                 sign_xz = 1 if px and py else -1
                 for z in range(y, n):
-                    sector = _SECTORS[px + py + self.parity(z)]
-                    if out[sector] is not None:
-                        continue
                     # L^2 times [x,[y,z]], -[[x,y],z] and -(-1)^{|x||y|} [y,[x,z]]
                     acc: dict = {}
                     get = acc.get
@@ -189,20 +190,24 @@ class SuperAlgebra:
                             k += key
                             acc[k] = get(k, 0) + c * v
                     if any(acc.values()):
-                        out[sector] = (x, y, z)
+                        failing = out[_SECTORS[px + py + self.parity(z)]]
+                        for k, v in acc.items():
+                            if v:
+                                failing.setdefault(k >> ROW_SHIFT, (x, y, z))
         return out
 
-    def jacobi_witness(self, triple: Optional[tuple[int, int, int]]) -> Optional[str]:
-        """The text ``J(x, y, z) != 0`` of a failing triple, or None."""
-        if triple is None:
+    def jacobi_witness(self, failing: dict) -> Optional[str]:
+        """The text ``J(x, y, z) != 0`` of the least triple of a sector's
+        jacobi_failures, or None when it has none."""
+        if not failing:
             return None
-        x, y, z = (self.labels[t] for t in triple)
+        x, y, z = (self.labels[t] for t in min(failing.values()))
         return f"J({x}, {y}, {z}) != 0"
 
     def super_jacobi_check(self) -> dict:
         """First witness per parity sector of the graded Jacobi identity: the
-        jacobi_failures triples as text, None for a clean sector."""
-        return {s: self.jacobi_witness(t) for s, t in self.jacobi_failures().items()}
+        least jacobi_failures triple as text, None for a clean sector."""
+        return {s: self.jacobi_witness(f) for s, f in self.jacobi_failures().items()}
 
     def form_invariance_witness(self) -> Optional[str]:
         """B([x,y],z) = B(x,[y,z]) over all basis triples, or a witness.
@@ -291,22 +296,6 @@ class QuadLieRep:
     @property
     def dim(self) -> int:
         return self.algebra_space.dim
-
-    # -- structural checks, each returning None or a witness string ----------
-
-    def check_action_skew(self) -> Optional[str]:
-        space = self.space
-        for a, rows in enumerate(self.act.table):
-            for i in range(space.dim):
-                for j in range(i, space.dim):
-                    left = space.pair(rows[i], space.basis_vector(j))
-                    right = space.pair(space.basis_vector(i), rows[j])
-                    if left != -right:
-                        return (
-                            f"B(rho({self.algebra_space.labels[a]}) e{i+1}, e{j+1}) "
-                            "is not skew"
-                        )
-        return None
 
     def __repr__(self) -> str:
         return (

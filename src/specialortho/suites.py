@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .altmap import AltMap, first_difference, hodge_dual, volume_constant, wedge_rel
 from .clifford import CliffordAlgebra
-from .errors import NotSpecial, UnknownSuite
+from .errors import UnknownSuite
 from .exterior import K, all_multi_indices
 from .family import (
     build_family,
@@ -59,7 +59,7 @@ from .quadlie import (
     vacuous_check,
 )
 from .scalars import ALPHA, Frac, L1, L2, L3, ZERO, parse, rat, render
-from .superalg import build_tilde, module_witnesses
+from .superalg import module_witnesses
 
 SUITE_NAMES = ("g2", "f4", "d21", "mathews", "hodge", "decompositions")
 
@@ -234,29 +234,6 @@ def _quad_shortcut_witness(cov: Covariants) -> Optional[str]:
     return first_difference(cov.quad, AltMap(space, K, 4, want))
 
 
-def _superalgebra_outcome(cov: Covariants, name: str, dims: tuple[int, int]) -> Outcome:
-    """Build the superalgebra of cov and check its dimensions, the graded
-    Jacobi identity per sector, and invariance of its form.  Off the special
-    locus the witness adds where the forced assembly breaks the identity."""
-    try:
-        sa = build_tilde(cov, name)
-    except NotSpecial as err:
-        sector = build_tilde(cov, name, force=True).super_jacobi_check()["OOO"]
-        forced = f"forced assembly violates the graded Jacobi identity, sector OOO: {sector}"
-        return f"{err}; {forced}", None
-    problems = []
-    if (sa.even_dim, sa.odd_dim) != dims:
-        problems.append(f"dimension {sa.even_dim}|{sa.odd_dim}")
-    for sector, witness in sa.super_jacobi_check().items():
-        if witness is not None:
-            problems.append(f"{sector}: {witness}")
-    form = sa.form_invariance_witness()
-    if form is not None:
-        problems.append(form)
-    constant = render(sa.odd_odd_scale) if sa.odd_odd_scale is not None else None
-    return "; ".join(problems) or None, constant
-
-
 def _shortcut_records(prefix: str, cov: Covariants) -> list[CheckRecord]:
     """The closed shortcuts psi = 3 (mu - mu_can) and Q = 4 (v1, psi(...))."""
     return [
@@ -290,10 +267,11 @@ def module_records(
     and special orthogonality (stated as ``special``) of the moment map, the
     ``closed_forms``, and the record ``superalgebra`` that g + sl2 + V (x) k^2,
     built as ``algebra``, ``closes`` at dimension ``dims``.  The Jacobi,
-    representation and equivariance records read the one scan of
-    ``module_witnesses``, run by the first of them."""
+    representation, skew-action, equivariance and superalgebra records read
+    the one build and scan of ``module_witnesses``, run by the first of
+    them."""
     rep = cov.rep
-    witnesses = cache(lambda: module_witnesses(cov))
+    witnesses = cache(lambda: module_witnesses(cov, algebra, dims))
     return [
         run_check(
             f"{prefix}-jacobi",
@@ -313,7 +291,7 @@ def module_records(
         run_check(
             f"{prefix}-skew-action",
             "(x v, w) + (v, x w) = 0 for the module form",
-            rep.check_action_skew,
+            lambda: witnesses()["skew-action"],
         ),
         *before_equivariance(),
         run_check(
@@ -330,7 +308,7 @@ def module_records(
         run_check(
             superalgebra,
             f"{closes}, dimension {dims[0]}|{dims[1]}",
-            lambda: _superalgebra_outcome(cov, algebra, dims),
+            lambda: witnesses()["superalgebra"],
         ),
     ]
 

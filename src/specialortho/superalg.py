@@ -9,14 +9,14 @@ on the odd part through rho and the defining plane, and the odd bracket is
 up to one global scale solved from invariance of the supersymmetric form.
 The three orthogonal families produce D(2,1;alpha) from the tensor product
 of symplectic planes, the 17|14-dimensional algebra from the imaginary
-octonions, and the 24|16-dimensional one from the full octonions.  The
-graded Jacobi identity in the all-odd sector is equivalent to the special
-condition.  The other sectors restate the module itself: EEE is the Jacobi
-identity of g, EEO the representation property of rho, and EOO the
-equivariance of mu together with the invariance of the module form.
-module_witnesses reads the first three from one scan of the assembly
-without the (v, w) mu_s(a, b) half, where EOO is the equivariance of mu
-alone.
+octonions, and the 24|16-dimensional one from the full octonions.
+
+The graded Jacobi identity of the assembly, sector by sector, is every
+identity of the module: EEE is the Jacobi identity of g, EEO the
+representation property of rho, EOO at outputs in g the equivariance of mu
+and at outputs in sl2 the skewness of rho for the module form, and OOO the
+special condition.  module_witnesses reads all of them, and the
+superalgebra's own record, from one build and one scan.
 
 The bracket table type, SuperAlgebra, is defined in quadlie, where the Lie
 algebra g of every representation is already one (purely even); it is
@@ -36,7 +36,7 @@ from .family import (
     sl2_half_trace_gram,
     sl2_plane_action,
 )
-from .quadlie import Covariants, SuperAlgebra
+from .quadlie import Covariants, Outcome, SuperAlgebra
 from .scalars import Frac, ZERO, dot, parse as parse_scalar
 
 
@@ -45,15 +45,27 @@ def _odd_index(g_dim: int, i: int, s: int) -> int:
     return g_dim + 3 + 2 * i + s
 
 
-def _assembly(cov: Covariants) -> tuple[list[str], list[str], dict, dict]:
-    """The basis labels and bracket rows of g + sl2 + V (x) k^2 that
-    build_tilde and module_witnesses share: g's table, sl2's, the even-odd
-    rows of g through rho and of sl2 through the defining plane, and, apart
-    from them, the odd-odd rows omega(a, b) mu(v, w) at odd pairs p < q."""
+def _not_special(cov: Covariants) -> str:
+    return f"moment map is not special orthogonal at {cov.witness}"
+
+
+def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra:
+    """Assemble g + sl2 + V (x) k^2 from a representation's covariants.
+
+    Raises NotSpecial, naming cov.witness, unless cov.special holds; the
+    special orthogonality of the moment map was already decided when the
+    covariants were computed.  force=True builds anyway (the all-odd Jacobi
+    sector then records the failure).  Raises ShapeMismatch when invariance
+    of the form leaves no nonzero scale for the odd bracket.
+    """
+    if not cov.special and not force:
+        raise NotSpecial(_not_special(cov))
     rep, mu = cov.rep, cov.mu
     g = rep.algebra
     g_dim = g.dim
     v_dim = rep.space.dim
+    even_dim = g_dim + 3
+    gram_v = rep.space.gram
     even_labels = list(g.even_labels) + ["h", "e", "f"]
     odd_labels = [
         f"{rep.space.labels[i]}*a{s+1}" for i in range(v_dim) for s in range(2)
@@ -75,68 +87,16 @@ def _assembly(cov: Covariants) -> tuple[list[str], list[str], dict, dict]:
                 row = {_odd_index(g_dim, i, r): mat[r][s] for r in range(2) if mat[r][s].num}
                 if row:
                     brackets[(g_dim + t, _odd_index(g_dim, i, s))] = row
-    # omega(a, b) mu(v, w) vanishes unless v != w and a != b
-    odd_rows: dict[tuple[int, int], dict[int, Frac]] = {}
+    # the unscaled odd-odd rows at p <= q: omega(a, b) mu(v, w), which
+    # vanishes unless v != w and a != b, plus (v, w) mu_s(a, b)
+    oo_rows: dict[tuple[int, int], dict[int, Frac]] = {}
     for i, j in combinations(range(v_dim), 2):
         vals = {k: c for k, c in enumerate(mu.value((i + 1, j + 1))) if c.num}
         if vals:
             for s in range(2):
                 w = omega_plane(s, 1 - s)
                 p, q = _odd_index(g_dim, i, s), _odd_index(g_dim, j, 1 - s)
-                odd_rows[(p, q)] = {k: w * c for k, c in vals.items()}
-    return even_labels, odd_labels, brackets, odd_rows
-
-
-def module_witnesses(cov: Covariants) -> dict[str, Optional[str]]:
-    """The Jacobi identity of g, the representation property of rho and the
-    equivariance of mu, each None or the witness of its first failing basis
-    tuple, from one graded Jacobi scan of g + sl2 + V (x) k^2 with only the
-    omega(a, b) mu(v, w) half of the odd bracket (and the zero form).
-
-    There J vanishes on every sl2 and mixed triple.  EEE is the Jacobi
-    identity of g; EEO at x < y in g is rho([x,y]) - [rho x, rho y]; EOO at
-    x in g and v_i (x) a1, v_j (x) a2 is the equivariance defect
-    [x, mu(v_i, v_j)] - mu(x v_i, v_j) - mu(v_i, x v_j), and at x in sl2 it
-    vanishes, as sl2 preserves omega.  So the first failing sorted triple of
-    a sector names the first failing tuple of its identity.  OOO is not read.
-    """
-    even_labels, odd_labels, brackets, odd_rows = _assembly(cov)
-    brackets.update(odd_rows)
-    dim = len(even_labels) + len(odd_labels)
-    zero = [[ZERO] * dim for _ in range(dim)]
-    sa = SuperAlgebra(cov.rep.name, even_labels, odd_labels, brackets, zero)
-    failures = sa.jacobi_failures()
-    out = {"jacobi": sa.jacobi_witness(failures["EEE"])}
-    out["representation"] = out["equivariance"] = None
-    if failures["EEO"] is not None:
-        x, y, _ = (sa.labels[t] for t in failures["EEO"])
-        out["representation"] = f"rho([{x},{y}]) != [rho {x}, rho {y}]"
-    if failures["EOO"] is not None:
-        x, p, q = failures["EOO"]
-        i, j = ((t - sa.even_dim) // 2 + 1 for t in (p, q))
-        out["equivariance"] = (
-            f"equivariance fails at x={sa.labels[x]}, (v,w)=(e{i},e{j})"
-        )
-    return out
-
-
-def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra:
-    """Assemble g + sl2 + V (x) k^2 from a representation's covariants.
-
-    Raises NotSpecial, naming cov.witness, unless cov.special holds; the
-    special orthogonality of the moment map was already decided when the
-    covariants were computed.  force=True builds anyway (the all-odd Jacobi
-    sector then records the failure).
-    """
-    if not cov.special and not force:
-        raise NotSpecial(f"moment map is not special orthogonal at {cov.witness}")
-    even_labels, odd_labels, brackets, oo_rows = _assembly(cov)
-    rep = cov.rep
-    g_dim = rep.algebra.dim
-    v_dim = rep.space.dim
-    even_dim = g_dim + 3
-    gram_v = rep.space.gram
-    # the (v, w) mu_s(a, b) half of the unscaled odd-odd rows
+                oo_rows[(p, q)] = {k: w * c for k, c in vals.items()}
     for i in range(v_dim):
         for j in range(i, v_dim):
             b = gram_v[i][j]
@@ -152,7 +112,7 @@ def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra
     dim = even_dim + 2 * v_dim
     form = [[ZERO] * dim for _ in range(dim)]
     for i in range(g_dim):
-        form[i][:g_dim] = rep.algebra.form[i]
+        form[i][:g_dim] = g.form[i]
     s_gram = sl2_half_trace_gram()
     for i in range(3):
         for j in range(3):
@@ -177,7 +137,7 @@ def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra
             break
         if scale is not None:
             break
-    if scale is None:
+    if scale is None or not scale.num:
         raise ShapeMismatch("could not normalize the odd bracket")
     for (p, q), row in oo_rows.items():
         scaled = {k: scale * c for k, c in row.items()}
@@ -185,6 +145,68 @@ def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra
             brackets[(p, q)] = scaled
     out = SuperAlgebra(name, even_labels, odd_labels, brackets, form)
     out.odd_odd_scale = scale
+    return out
+
+
+def module_witnesses(
+    cov: Covariants, name: str, dims: tuple[int, int]
+) -> dict[str, Outcome]:
+    """The outcomes of the scanned records of cov's module, from one forced
+    build_tilde (named ``name``) and one graded Jacobi scan of it.
+
+    Keys ``jacobi``, ``representation``, ``skew-action`` and
+    ``equivariance`` hold None or the witness of the identity's first
+    failing basis tuple; ``superalgebra`` holds the (witness, constant) of
+    the assembly closing at dimension ``dims``.
+
+    Each sector's first failing sorted triple names the first failing tuple
+    of one identity.  EEE is the Jacobi identity of g: sl2 is fixed and
+    commutes with g.  EEO at x < y in g is rho([x,y]) - [rho x, rho y].
+    With c the odd-odd scale, EOO at x in g and v_i (x) a_s, v_j (x) a_t is,
+    in g, c omega(a_s, a_t) times the equivariance defect
+    [x, mu(v_i, v_j)] - mu(x v_i, v_j) - mu(v_i, x v_j), and in sl2
+    -c mu_s(a_s, a_t) times the skewness defect (x v_i, v_j) + (v_i, x v_j),
+    whose least (x, i, j >= i) is the least sorted triple; at x in sl2 it
+    vanishes, as sl2 preserves omega and mu_s.  The scale c is nonzero
+    (build_tilde refuses a zero one), so the failing triples are those of
+    the unscaled assembly.  Off the special locus the superalgebra record
+    names the moment map's witness and OOO's first failure; on it, the
+    sectors, the dimension and the form invariance of the same table.
+    """
+    sa = build_tilde(cov, name, force=True)
+    failures = sa.jacobi_failures()
+    out: dict[str, Outcome] = {"jacobi": sa.jacobi_witness(failures["EEE"])}
+    out["representation"] = out["skew-action"] = out["equivariance"] = None
+    if failures["EEO"]:
+        x, y, _ = (sa.labels[t] for t in min(failures["EEO"].values()))
+        out["representation"] = f"rho([{x},{y}]) != [rho {x}, rho {y}]"
+    # EOO outputs are even: those in g are equivariance, those in sl2
+    # skewness; the scan meets the output indices in the order of their triples
+    texts = {
+        "equivariance": "equivariance fails at x={}, (v,w)=(e{},e{})",
+        "skew-action": "B(rho({}) e{}, e{}) is not skew",
+    }
+    for k, (x, p, q) in failures["EOO"].items():
+        record = "equivariance" if k < sa.even_dim - 3 else "skew-action"
+        if out[record] is None:
+            i, j = ((t - sa.even_dim) // 2 + 1 for t in (p, q))
+            out[record] = texts[record].format(sa.labels[x], i, j)
+    sectors = {s: sa.jacobi_witness(f) for s, f in failures.items()}
+    if not cov.special:
+        forced = (
+            "forced assembly violates the graded Jacobi identity, "
+            f"sector OOO: {sectors['OOO']}"
+        )
+        out["superalgebra"] = f"{_not_special(cov)}; {forced}", None
+        return out
+    problems = []
+    if (sa.even_dim, sa.odd_dim) != dims:
+        problems.append(f"dimension {sa.even_dim}|{sa.odd_dim}")
+    problems += [f"{s}: {w}" for s, w in sectors.items() if w is not None]
+    form = sa.form_invariance_witness()
+    if form is not None:
+        problems.append(form)
+    out["superalgebra"] = "; ".join(problems) or None, sa.odd_odd_scale.render()
     return out
 
 

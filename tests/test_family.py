@@ -20,12 +20,13 @@ def test_structure(special_rep):
     rep = special_rep
     assert rep.dim == 6 and rep.space.dim == 4
     assert rep.algebra.super_jacobi_check()["EEE"] is None
-    assert sup.module_witnesses(ql.covariants(rep)) == {
+    assert sup.module_witnesses(ql.covariants(rep), "D(2,1;a)", (9, 8)) == {
         "jacobi": None,
         "representation": None,
+        "skew-action": None,
         "equivariance": None,
+        "superalgebra": (None, "1"),
     }
-    assert rep.check_action_skew() is None
     assert rep.algebra.form_invariance_witness() is None
 
 

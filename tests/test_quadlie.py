@@ -76,7 +76,7 @@ def action_matrices(rep):
 
 # -- Frac scans of single identities, the oracles of module_witnesses --------
 
-CLEAN = {"jacobi": None, "representation": None, "equivariance": None}
+CLEAN = {"jacobi": None, "representation": None, "skew-action": None, "equivariance": None}
 
 
 def rep_property_oracle(rep):
@@ -96,6 +96,22 @@ def rep_property_oracle(rep):
             if expect != act.apply(bracket, rep.space.basis_vector(k)):
                 labels = rep.algebra_space.labels
                 return f"rho([{labels[i]},{labels[j]}]) != [rho {labels[i]}, rho {labels[j]}]"
+    return None
+
+
+def skew_oracle(rep):
+    """B(rho(x_a) e_i, e_j) + B(e_i, rho(x_a) e_j) = 0 for i <= j, or a witness."""
+    space = rep.space
+    for a, rows in enumerate(rep.act.table):
+        for i in range(space.dim):
+            for j in range(i, space.dim):
+                left = space.pair(rows[i], space.basis_vector(j))
+                right = space.pair(space.basis_vector(i), rows[j])
+                if left != -right:
+                    return (
+                        f"B(rho({rep.algebra_space.labels[a]}) e{i+1}, e{j+1}) "
+                        "is not skew"
+                    )
     return None
 
 
@@ -128,24 +144,31 @@ def equivariance_oracle(rep, mu):
 
 def oracle_witnesses(cov):
     """What module_witnesses reports, from a scan of each identity on its
-    own: g's Jacobi identity on rep.algebra and the two Frac scans above."""
+    own: g's Jacobi identity on rep.algebra and the three Frac scans above."""
     return {
         "jacobi": cov.rep.algebra.super_jacobi_check()["EEE"],
         "representation": rep_property_oracle(cov.rep),
+        "skew-action": skew_oracle(cov.rep),
         "equivariance": equivariance_oracle(cov.rep, cov.mu),
     }
+
+
+def assembly_witnesses(cov):
+    """The module witnesses of superalg.module_witnesses on cov's assembly."""
+    rep = cov.rep
+    out = sup.module_witnesses(cov, "tilde", (rep.dim + 3, 2 * rep.space.dim))
+    return {name: out[name] for name in CLEAN}
 
 
 @pytest.mark.parametrize("space_fn", [small_space, hyperbolic_space])
 def test_so_fundamental_moment_is_canonical(space_fn):
     rep, mu_can = ql.build_so(space_fn())
     assert rep.algebra.super_jacobi_check()["EEE"] is None
-    assert rep.check_action_skew() is None
     assert rep.algebra.form_invariance_witness() is None
     mu = ql.moment_map(rep)
     assert mu == mu_can
     cov = ql.covariants(rep)
-    assert sup.module_witnesses(cov) == oracle_witnesses(cov) == CLEAN
+    assert assembly_witnesses(cov) == oracle_witnesses(cov) == CLEAN
     ok, witness = ql.check_special(rep, mu)
     assert ok and witness is None
 
@@ -212,21 +235,21 @@ def test_doubled_e_breaks_the_representation_property():
     rep = sl2_on_plane([[ZERO, ONE], [ONE, ZERO]], [h, doubled, f])
     # [h, 2e] = 2 (2e) still holds; [2e, f] = 2h breaks [e, f] = h
     cov = ql.covariants(rep)
-    witnesses = sup.module_witnesses(cov)
+    witnesses = assembly_witnesses(cov)
     assert witnesses["representation"] == "rho([e,f]) != [rho e, rho f]"
-    assert witnesses == oracle_witnesses(cov)
     # e a2 = a1 and B(a1, a2) = B(a2, a1) = 1: e is not skew for this form
-    assert rep.check_action_skew() == "B(rho(e) e2, e2) is not skew"
+    assert witnesses["skew-action"] == "B(rho(e) e2, e2) is not skew"
+    assert witnesses == oracle_witnesses(cov)
 
 
 def test_euclidean_plane_breaks_skewness_at_h():
     # h a1 = a1 and B(a1, a1) = 1
     rep = sl2_on_plane([[ONE, ZERO], [ZERO, ONE]])
     cov = ql.covariants(rep)
-    witnesses = sup.module_witnesses(cov)
+    witnesses = assembly_witnesses(cov)
     assert witnesses["representation"] is None
+    assert witnesses["skew-action"] == "B(rho(h) e1, e1) is not skew"
     assert witnesses == oracle_witnesses(cov)
-    assert rep.check_action_skew() == "B(rho(h) e1, e1) is not skew"
 
 
 # -- the 14-dimensional annihilator on imaginaries --------------------------
@@ -237,8 +260,7 @@ def test_g2_structure(g2):
     assert rep.dim == 14 and rep.space.dim == 7
     assert len(kernel) == 14
     assert rep.algebra.super_jacobi_check()["EEE"] is None
-    assert sup.module_witnesses(ql.covariants(rep)) == CLEAN
-    assert rep.check_action_skew() is None
+    assert assembly_witnesses(ql.covariants(rep)) == CLEAN
     assert rep.algebra.form_invariance_witness() is None
 
 
@@ -258,7 +280,7 @@ def test_g2_moment_closed_forms(octs, g2, cov_im):
     ok, witness = ql.check_special(rep, mu)
     assert ok and witness is None
     assert cov_im.mu == mu
-    assert sup.module_witnesses(cov_im)["equivariance"] is None
+    assert assembly_witnesses(cov_im)["equivariance"] is None
     mu_act = ql.moment_action(rep, mu)
     assert ql.mu_im_pointwise_witness(octs, mu_act) is None
     assert ql.mu_im_canonical_split_witness(octs, mu_act) is None
@@ -289,8 +311,7 @@ def test_im_identity_ladder(cov_im):
 def test_spinor_structure(octs, so7):
     assert so7.dim == 21 and so7.space.dim == 8
     assert so7.algebra.super_jacobi_check()["EEE"] is None
-    assert sup.module_witnesses(ql.covariants(so7)) == CLEAN
-    assert so7.check_action_skew() is None
+    assert assembly_witnesses(ql.covariants(so7)) == CLEAN
     assert so7.algebra.form_invariance_witness() is None
     # the invariant form is diagonal with B(s_ij, s_ij) = 3 q_i q_j
     gram = so7.algebra_space.gram
@@ -564,7 +585,66 @@ def test_skew_action_record_names_the_moved_entry():
         "g3-superalgebra",
     }
     assert failing["g2-skew-action"] == "B(rho(d5) e3, e4) is not skew"
+    assert failing["g2-skew-action"] == skew_oracle(broken.rep)
     assert failing["g2-equivariance"] == "equivariance fails at x=d5, (v,w)=(e1,e3)"
+
+
+# one action entry (a, k, r) per module and the skewness witness it makes;
+# the family's Gram pairs e1 with e4, so rho(eV) e1 gaining e4 breaks (e1, e1)
+SKEW_CONTROLS = {
+    "spin": ((2, 1, 0), "B(rho(s14) e1, e2) is not skew"),
+    "d21": ((1, 0, 3), "B(rho(eV) e1, e1) is not skew"),
+}
+
+
+@pytest.mark.parametrize("prefix,attr,key", MODULES[1:])
+def test_skew_action_controls_name_the_oracle_entry(prefix, attr, key):
+    where, witness = SKEW_CONTROLS[prefix]
+    broken = moved(getattr(Workspace(), attr), action=where)
+    witnesses, failing = module_witness_records(prefix, broken, key)
+    assert failing[f"{prefix}-skew-action"] == witness == skew_oracle(broken.rep)
+    assert witnesses == oracle_witnesses(broken)
+    assert set(failing) == {
+        f"{prefix}-{name}" for name in ("representation", "skew-action", "equivariance")
+    } | {f"{key}-superalgebra"}
+
+
+def hyperbolic_moved(step):
+    """so(T4) with rho(M34) e2 moved by step e4, on fresh objects; the
+    covariants are those of the unmoved module."""
+    rep, _ = ql.build_so(hyperbolic_space())
+    cov = ql.covariants(rep)
+    mats = action_matrices(rep)
+    mats[5][3][1] = mats[5][3][1] + rat(step)
+    moved_rep = ql.QuadLieRep(rep.name, rep.algebra_space, rep.algebra.table, mats, rep.space)
+    return ql.Covariants(
+        moved_rep, cov.mu, cov.mu_act, cov.psi, cov.quad, cov.special, cov.witness
+    )
+
+
+def test_zero_odd_odd_scale_is_refused():
+    # invariance of the form then solves the odd bracket's scale to 0, which
+    # would leave no odd-odd row and the EOO and OOO sectors empty
+    cov = hyperbolic_moved(1)
+    with pytest.raises(ShapeMismatch, match="could not normalize the odd bracket"):
+        sup.build_tilde(cov, "so(T4)")
+    with pytest.raises(ShapeMismatch, match="could not normalize the odd bracket"):
+        sup.module_witnesses(cov, "so(T4)", (9, 8))
+
+
+def test_nonzero_odd_odd_scale_keeps_the_oracle_tuples():
+    cov = hyperbolic_moved(-1)
+    assert sup.build_tilde(cov, "so(T4)").odd_odd_scale == rat(2)
+    out = sup.module_witnesses(cov, "so(T4)", (9, 8))
+    assert {name: out[name] for name in CLEAN} == oracle_witnesses(cov) == {
+        "jacobi": None,
+        "representation": "rho([M12,M34]) != [rho M12, rho M34]",
+        "skew-action": "B(rho(M34) e1, e2) is not skew",
+        "equivariance": "equivariance fails at x=M34, (v,w)=(e1,e2)",
+    }
+    witness, constant = out["superalgebra"]
+    assert constant == "2"
+    assert witness.startswith("EEO: J(M12, M34, t2*a1) != 0; EOO: ")
 
 
 # -- decompositions and volumes ----------------------------------------------

@@ -509,5 +509,7 @@ def test_library_exponents_stay_small(monkeypatch):
     monkeypatch.setattr(Frac, "_raw", classmethod(checked_raw))
     monkeypatch.setattr(quadlie, "clear_denominators", checked_clear)
     assert run_suite("all").ok
-    # the table of each of the six algebras twice, and each form once
-    assert len(calls) == 18
+    # each form of the six algebras (g2, so7, sl2 + sl2 and their three
+    # assemblies) once, the table of each once, and each assembly's table
+    # once more for its one graded Jacobi scan
+    assert len(calls) == 15

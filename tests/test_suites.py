@@ -255,6 +255,30 @@ def test_verify_all_composes_mu_and_psi_once(monkeypatch):
         assert sum(f is cov.mu and g is cov.psi for f, g in calls) == 1
 
 
+def test_verify_all_builds_and_scans_each_superalgebra_once(monkeypatch):
+    from specialortho import superalg
+
+    counts = {"build_tilde": 0, "jacobi_failures": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    build = counted("build_tilde", superalg.build_tilde)
+    for module in (superalg, suites):
+        monkeypatch.setattr(module, "build_tilde", build, raising=False)
+    sa_class = quadlie.SuperAlgebra
+    monkeypatch.setattr(
+        sa_class, "jacobi_failures", counted("jacobi_failures", sa_class.jacobi_failures)
+    )
+    assert run_suite("all", Workspace(rat(2), rat(3), rat(-5), rat(2))).ok
+    # one assembly and one graded Jacobi scan for each of G3, F4 and D(2,1;a)
+    assert counts == {"build_tilde": 3, "jacobi_failures": 3}
+
+
 def test_setup_stages_leave_the_unit_tables_empty():
     # every cached Workspace stage, built as perfbench/setup_probe.py does
     ws = cli._workspace(cli._build_parser().parse_args(["verify", "all"]))

@@ -152,11 +152,12 @@ def test_purely_even_wrapping(cliff):
     assert sa.form_invariance_witness() is None
 
 
-def full_jacobi_scan(sa):
-    """First witness per sector over every x and every pair y <= z, with the
-    Jacobiator written out from the bracket accessor."""
+def full_jacobi_failures(sa):
+    """Per sector and output index k, the first triple (x, y, z) over every
+    x and every pair y <= z at which J(x, y, z) has a nonzero coordinate k,
+    with the Jacobiator written out from the bracket accessor."""
     sectors = ("EEE", "EEO", "EOO", "OOO")
-    out = {s: None for s in sectors}
+    out = {s: {} for s in sectors}
 
     def br(u, v):
         """The bracket of sparse coordinate vectors."""
@@ -172,22 +173,37 @@ def full_jacobi_scan(sa):
         for y in range(sa.dim):
             for z in range(y, sa.dim):
                 sector = sectors[sa.parity(x) + sa.parity(y) + sa.parity(z)]
-                if out[sector] is not None:
-                    continue
                 ex, ey, ez = {x: ONE}, {y: ONE}, {z: ONE}
                 sign = -1 if sa.parity(x) and sa.parity(y) else 1
                 total = {}
                 for c, vec in (
-                    (1, br(ex, br(ey, ez))),
-                    (-1, br(br(ex, ey), ez)),
-                    (-sign, br(ey, br(ex, ez))),
+                    (1, br(ex, sa.bracket(y, z))),
+                    (-1, br(sa.bracket(x, y), ez)),
+                    (-sign, br(ey, sa.bracket(x, z))),
                 ):
                     for k, v in vec.items():
                         total[k] = total.get(k, ZERO) + v * c
-                if any(v.num for v in total.values()):
-                    labels = sa.labels
-                    out[sector] = f"J({labels[x]}, {labels[y]}, {labels[z]}) != 0"
+                for k, v in total.items():
+                    if v.num:
+                        out[sector].setdefault(k, (x, y, z))
     return out
+
+
+def least_witnesses(sa, failures):
+    """The witness of the least triple of each sector of failures."""
+    out = {}
+    for sector, failing in failures.items():
+        out[sector] = None
+        if failing:
+            x, y, z = (sa.labels[t] for t in min(failing.values()))
+            out[sector] = f"J({x}, {y}, {z}) != 0"
+    return out
+
+
+def full_jacobi_scan(sa):
+    """First witness per sector: the least triple of full_jacobi_failures,
+    which is the first one the scan meets."""
+    return least_witnesses(sa, full_jacobi_failures(sa))
 
 
 def perturbed_odd_odd(sa):
@@ -201,16 +217,25 @@ def perturbed_odd_odd(sa):
     )
 
 
-def test_sorted_triples_give_the_full_scan_witnesses(g3):
+def test_sorted_triples_give_the_full_scan_witnesses(g3, f4, d21):
     forced = sup.build_tilde(
         ql.covariants(fam.build_family(rat(1), rat(1))), "forced", force=True
     )
     perturbed = perturbed_odd_odd(g3)
-    for sa in (forced, perturbed):
-        want = full_jacobi_scan(sa)
-        assert sa.super_jacobi_check() == want
-        assert want["OOO"] is not None
+    for sa in (
+        broken_sl2(), perturbed, perturbed_odd_odd(f4), perturbed_odd_odd(d21), forced
+    ):
+        failures = full_jacobi_failures(sa)
+        # the first triple at every output index, not only the least one,
+        # listed in the order of the triples
+        got = sa.jacobi_failures()
+        assert got == failures
+        assert all(list(f.values()) == sorted(f.values()) for f in got.values())
+        assert any(failures.values())
+        assert sa.super_jacobi_check() == least_witnesses(sa, failures)
+    assert forced.super_jacobi_check()["OOO"] is not None
     assert perturbed.super_jacobi_check()["EOO"] is not None
+    assert perturbed.super_jacobi_check()["OOO"] is not None
 
 
 def broken_sl2():
