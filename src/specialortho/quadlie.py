@@ -1,15 +1,14 @@
 """Quadratic Lie algebra representations and their moment-map covariants.
 
 SuperAlgebra is the one sparse bracket table of the package, with the one
-graded Jacobi check and the one form-invariance check.  A QuadLieRep
-packages an algebra with invariant form (as a QuadraticSpace), its bracket
-table as a purely even SuperAlgebra (``rep.algebra``), and its skew action
-on a quadratic module as the bilinear map ``rep.act``; superalg builds the
+graded Jacobi scan and the one form-invariance scan.  A QuadLieRep packages
+an algebra with invariant form (as a QuadraticSpace), its bracket table as a
+purely even SuperAlgebra (``rep.algebra``), and its skew action on a
+quadratic module as the bilinear map ``rep.act``; superalg builds the
 exceptional superalgebras on top of ``rep.algebra``, and reads the identities
-of the module (rho a representation, skew for the module form, mu
-equivariant) from their graded Jacobi scan.  The moment map mu is
-solved from B_g(x, mu(v, w)) = B_V(rho(x) v, w); a moment map is special
-orthogonal when
+of the module (g with B_g, rho, mu) from the two scans of their assembly.
+The moment map mu is solved from B_g(x, mu(v, w)) = B_V(rho(x) v, w); a
+moment map is special orthogonal when
 
     mu(u, v) w + mu(u, w) v = (u, v) w + (u, w) v - 2 (v, w) u,
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import linalg
@@ -82,10 +81,9 @@ class SuperAlgebra:
     itself when both are odd and its negation otherwise.  ``bracket`` hands
     out these stored rows, so they are shared and read only.  The form is a
     full matrix, block-diagonal across the parity split, symmetric on the
-    even part and antisymmetric on the odd part.  Both checks run on integer
-    numerators: each call puts the stored rows, and the form, over one
-    common denominator per table (``scalars.clear_denominators``) and tests
-    sums of numerator products for zero, with no Frac per basis triple.
+    even part and antisymmetric on the odd part.  Both scans name basis
+    triples (jacobi_text and invariance_text write them out) and read the
+    rows cleared once (``scalars.clear_denominators``), with no Frac sums.
     """
 
     def __init__(
@@ -143,7 +141,11 @@ class SuperAlgebra:
 
     # -- checks ---------------------------------------------------------
 
-    def jacobi_failures(self) -> dict:
+    @cached_property
+    def _cleared_rows(self) -> dict:
+        return clear_denominators(self._rows)[1]
+
+    def super_jacobi_check(self) -> dict:
         """Per parity sector of the graded Jacobi identity, the first failing
         index triple at each output basis index: {k: (x, y, z)}, where k is
         a coordinate at which J(x, y, z) is nonzero, in the order the scan
@@ -163,7 +165,7 @@ class SuperAlgebra:
         """
         out: dict[str, dict[int, tuple[int, int, int]]] = {s: {} for s in _SECTORS}
         n = self.dim
-        _, rows = clear_denominators(self._rows)
+        rows = self._cleared_rows
         for x in range(n):
             px = self.parity(x)
             for y in range(x, n):
@@ -196,28 +198,17 @@ class SuperAlgebra:
                                 failing.setdefault(k >> ROW_SHIFT, (x, y, z))
         return out
 
-    def jacobi_witness(self, failing: dict) -> Optional[str]:
-        """The text ``J(x, y, z) != 0`` of the least triple of a sector's
-        jacobi_failures, or None when it has none."""
-        if not failing:
-            return None
-        x, y, z = (self.labels[t] for t in min(failing.values()))
-        return f"J({x}, {y}, {z}) != 0"
-
-    def super_jacobi_check(self) -> dict:
-        """First witness per parity sector of the graded Jacobi identity: the
-        least jacobi_failures triple as text, None for a clean sector."""
-        return {s: self.jacobi_witness(f) for s, f in self.jacobi_failures().items()}
-
-    def form_invariance_witness(self) -> Optional[str]:
-        """B([x,y],z) = B(x,[y,z]) over all basis triples, or a witness.
+    def form_invariance_witness(self) -> dict[str, tuple[int, int, int]]:
+        """Per parity sector, the first basis triple (x, y, z) with
+        B([x,y],z) != B(x,[y,z]) in the order of a scan over every triple;
+        a sector without one is absent, so {} means the form is invariant.
 
         For each (x, y) in lexicographic order only the z where a side can
         be nonzero are visited: B([x,y],z) is read from the stored row [x,y]
         and the nonzero form entries, B(x,[y,z]) from the rows [y,z] with a
-        term at an m where B(x, e_m) != 0.  The witness is the least failing
-        z of the first failing (x, y), the first one of a scan over every
-        triple.
+        term at an m where B(x, e_m) != 0.  On a graded table every failing
+        z of one (x, y) has the parity of x + y, so the least triple over
+        the sectors is the least failing z of the first failing (x, y).
 
         The table and the form are each put over one common denominator,
         L_t and L_f, so L_t L_f (B([x,y],z) - B(x,[y,z])) is a sum of
@@ -225,7 +216,7 @@ class SuperAlgebra:
         every z.
         """
         n = self.dim
-        _, rows = clear_denominators(self._rows)
+        rows = self._cleared_rows
         nonzero = {x: {z: f for z, f in enumerate(r) if f.num} for x, r in enumerate(self.form)}
         _, form = clear_denominators(nonzero)
         # (y, m) -> the terms at m of the stored rows [y, z], indexed by z
@@ -234,6 +225,7 @@ class SuperAlgebra:
             for mk, c in row:
                 at = terms_at.setdefault((y, mk >> ROW_SHIFT), [])
                 at.append(((z << ROW_SHIFT) + (mk & _KEY_MASK), c))
+        out: dict[str, tuple[int, int, int]] = {}
         for x in range(n):
             for y in range(n):
                 acc: dict = {}
@@ -248,15 +240,23 @@ class SuperAlgebra:
                     for k, c in terms_at.get((y, mk >> ROW_SHIFT), ()):
                         k += key
                         acc[k] = get(k, 0) - c * f
-                failing = [k >> ROW_SHIFT for k, v in acc.items() if v]
-                if failing:
-                    z = min(failing)
-                    return (
-                        f"B([{self.labels[x]},{self.labels[y]}],"
-                        f"{self.labels[z]}) != B({self.labels[x]},"
-                        f"[{self.labels[y]},{self.labels[z]}])"
-                    )
-        return None
+                for z in sorted({k >> ROW_SHIFT for k, v in acc.items() if v}):
+                    sector = _SECTORS[self.parity(x) + self.parity(y) + self.parity(z)]
+                    out.setdefault(sector, (x, y, z))
+        return out
+
+    def jacobi_text(self, triple: Optional[tuple]) -> Optional[str]:
+        """``J(x, y, z) != 0`` for a basis triple, None for None."""
+        if triple is None:
+            return None
+        return "J({}, {}, {}) != 0".format(*(self.labels[t] for t in triple))
+
+    def invariance_text(self, triple: Optional[tuple]) -> Optional[str]:
+        """``B([x,y],z) != B(x,[y,z])`` for a basis triple, None for None."""
+        if triple is None:
+            return None
+        x, y, z = (self.labels[t] for t in triple)
+        return f"B([{x},{y}],{z}) != B({x},[{y},{z}])"
 
     def __repr__(self) -> str:
         return f"SuperAlgebra({self.name}: {self.even_dim}|{self.odd_dim})"
@@ -825,21 +825,26 @@ def quad_oct_expected(octs: OctonionAlgebra) -> AltMap:
     return AltMap(octs.space_oct, K, 4, coeffs, name="quad_oct_closed")
 
 
+def _first_failing_triple(left: Callable, right: Callable) -> Optional[str]:
+    """The first (u,v,w) = (e_i, e_j, e_k), i, j, k in 1..7 in lexicographic
+    order, with left(i, j, k) != right(i, j, k), or None."""
+    for i, j, k in product(range(1, 8), repeat=3):
+        if left(i, j, k) != right(i, j, k):
+            return f"(u,v,w) = (e{i}, e{j}, e{k})"
+    return None
+
+
 def mu_im_pointwise_witness(octs: OctonionAlgebra, mu_act: MomentAction) -> Optional[str]:
     """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)) on basis triples, with
     ``mu_act`` the moment_action table of mu on the imaginaries."""
     three, minus_quarter = rat(3), rat(-1, 4)
-    for i in range(1, 8):
-        for j in range(1, 8):
-            uv = octs.on_units(commutator, i, j)
-            for k in range(1, 8):
-                w = octs.imaginary_unit(k)
-                expect = (
-                    commutator(w, uv) + octs.on_units(associator, i, j, k).scale(three)
-                ).scale(minus_quarter)
-                if mu_act[i - 1][j - 1][k - 1] != expect.imaginary_coeffs():
-                    return f"(u,v,w) = (e{i}, e{j}, e{k})"
-    return None
+
+    def closed_form(i: int, j: int, k: int) -> Vector:
+        uv, w = octs.on_units(commutator, i, j), octs.imaginary_unit(k)
+        expect = commutator(w, uv) + octs.on_units(associator, i, j, k).scale(three)
+        return expect.scale(minus_quarter).imaginary_coeffs()
+
+    return _first_failing_triple(lambda i, j, k: mu_act[i - 1][j - 1][k - 1], closed_form)
 
 
 def mu_im_canonical_split_witness(
@@ -849,20 +854,14 @@ def mu_im_canonical_split_witness(
     with ``mu_act`` the moment_action table of mu on the imaginaries."""
     space = octs.space_im
     eighth, three_halves = rat(1, 8), rat(3, 2)
-    for i in range(1, 8):
-        for j in range(1, 8):
-            uv = octs.on_units(commutator, i, j)
-            for k in range(1, 8):
-                w = octs.imaginary_unit(k)
-                canonical = mu_can_value(space, i - 1, j - 1, k - 1)
-                expect_oct = commutator(w, uv).scale(eighth)
-                expect = [
-                    three_halves * c + e
-                    for c, e in zip(canonical, expect_oct.imaginary_coeffs())
-                ]
-                if mu_act[i - 1][j - 1][k - 1] != expect:
-                    return f"(u,v,w) = (e{i}, e{j}, e{k})"
-    return None
+
+    def closed_form(i: int, j: int, k: int) -> Vector:
+        canonical = mu_can_value(space, i - 1, j - 1, k - 1)
+        bracket = commutator(octs.imaginary_unit(k), octs.on_units(commutator, i, j))
+        eighths = bracket.scale(eighth).imaginary_coeffs()
+        return [three_halves * c + e for c, e in zip(canonical, eighths)]
+
+    return _first_failing_triple(lambda i, j, k: mu_act[i - 1][j - 1][k - 1], closed_form)
 
 
 def g2_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
@@ -895,20 +894,19 @@ def spinor_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
     space = octs.space_oct
     unit = space.basis_vector(0)
     minus_half = rat(-1, 2)
-    for i in range(1, 8):
-        for j in range(1, 8):
-            for k in range(1, 8):
-                total = None
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    val = mu.evaluate(
-                        [space.basis_vector(x), octs.on_units(cross_product, y, z).coeffs]
-                    )
-                    total = val if total is None else [p + q for p, q in zip(total, val)]
-                rhs = mu.evaluate([octs.on_units(associator, i, j, k).coeffs, unit])
-                expect = [minus_half * c for c in rhs]
-                if total != expect:
-                    return f"(u,v,w) = (e{i}, e{j}, e{k})"
-    return None
+
+    def cyclic_sum(i: int, j: int, k: int) -> Vector:
+        a, b, c = (
+            mu.evaluate([space.basis_vector(x), octs.on_units(cross_product, y, z).coeffs])
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+        )
+        return [p + q + r for p, q, r in zip(a, b, c)]
+
+    def closed_form(i: int, j: int, k: int) -> Vector:
+        assoc = octs.on_units(associator, i, j, k)
+        return [minus_half * c for c in mu.evaluate([assoc.coeffs, unit])]
+
+    return _first_failing_triple(cyclic_sum, closed_form)
 
 
 def mu_oct_from_mu_im_witness(

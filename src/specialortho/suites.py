@@ -267,10 +267,9 @@ def module_records(
     and special orthogonality (stated as ``special``) of the moment map, the
     ``closed_forms``, and the record ``superalgebra`` that g + sl2 + V (x) k^2,
     built as ``algebra``, ``closes`` at dimension ``dims``.  The Jacobi,
-    representation, skew-action, equivariance and superalgebra records read
-    the one build and scan of ``module_witnesses``, run by the first of
-    them."""
-    rep = cov.rep
+    invariant-form, representation, skew-action, equivariance and
+    superalgebra records read the one build and two scans of
+    ``module_witnesses``, run by the first of them."""
     witnesses = cache(lambda: module_witnesses(cov, algebra, dims))
     return [
         run_check(
@@ -281,7 +280,7 @@ def module_records(
         run_check(
             f"{prefix}-invariant-form",
             "B_g([x,y], z) = B_g(x, [y,z]) on all basis triples",
-            rep.algebra.form_invariance_witness,
+            lambda: witnesses()["invariant-form"],
         ),
         run_check(
             f"{prefix}-representation",

@@ -15,8 +15,8 @@ The graded Jacobi identity of the assembly, sector by sector, is every
 identity of the module: EEE is the Jacobi identity of g, EEO the
 representation property of rho, EOO at outputs in g the equivariance of mu
 and at outputs in sl2 the skewness of rho for the module form, and OOO the
-special condition.  module_witnesses reads all of them, and the
-superalgebra's own record, from one build and one scan.
+special condition; the EEE sector of the form scan is the invariance of
+B_g.  module_witnesses reads them all from one build and its two scans.
 
 The bracket table type, SuperAlgebra, is defined in quadlie, where the Lie
 algebra g of every representation is already one (purely even); it is
@@ -152,16 +152,17 @@ def module_witnesses(
     cov: Covariants, name: str, dims: tuple[int, int]
 ) -> dict[str, Outcome]:
     """The outcomes of the scanned records of cov's module, from one forced
-    build_tilde (named ``name``) and one graded Jacobi scan of it.
+    build_tilde (named ``name``) and its two scans.
 
-    Keys ``jacobi``, ``representation``, ``skew-action`` and
-    ``equivariance`` hold None or the witness of the identity's first
+    Keys ``jacobi``, ``invariant-form``, ``representation``, ``skew-action``
+    and ``equivariance`` hold None or the witness of the identity's first
     failing basis tuple; ``superalgebra`` holds the (witness, constant) of
     the assembly closing at dimension ``dims``.
 
     Each sector's first failing sorted triple names the first failing tuple
-    of one identity.  EEE is the Jacobi identity of g: sl2 is fixed and
-    commutes with g.  EEO at x < y in g is rho([x,y]) - [rho x, rho y].
+    of one identity.  EEE is the Jacobi identity of g, and the EEE sector of
+    the form scan the invariance of B_g: sl2 is fixed, commutes with g and
+    is orthogonal to it.  EEO at x < y in g is rho([x,y]) - [rho x, rho y].
     With c the odd-odd scale, EOO at x in g and v_i (x) a_s, v_j (x) a_t is,
     in g, c omega(a_s, a_t) times the equivariance defect
     [x, mu(v_i, v_j)] - mu(x v_i, v_j) - mu(v_i, x v_j), and in sl2
@@ -171,11 +172,14 @@ def module_witnesses(
     (build_tilde refuses a zero one), so the failing triples are those of
     the unscaled assembly.  Off the special locus the superalgebra record
     names the moment map's witness and OOO's first failure; on it, the
-    sectors, the dimension and the form invariance of the same table.
+    sectors, the dimension and the least failing triple of the form scan.
     """
     sa = build_tilde(cov, name, force=True)
-    failures = sa.jacobi_failures()
-    out: dict[str, Outcome] = {"jacobi": sa.jacobi_witness(failures["EEE"])}
+    failures = sa.super_jacobi_check()
+    form = sa.form_invariance_witness()
+    sectors = {s: sa.jacobi_text(min(f.values(), default=None)) for s, f in failures.items()}
+    out: dict[str, Outcome] = {"jacobi": sectors["EEE"]}
+    out["invariant-form"] = sa.invariance_text(form.get("EEE"))
     out["representation"] = out["skew-action"] = out["equivariance"] = None
     if failures["EEO"]:
         x, y, _ = (sa.labels[t] for t in min(failures["EEO"].values()))
@@ -191,7 +195,6 @@ def module_witnesses(
         if out[record] is None:
             i, j = ((t - sa.even_dim) // 2 + 1 for t in (p, q))
             out[record] = texts[record].format(sa.labels[x], i, j)
-    sectors = {s: sa.jacobi_witness(f) for s, f in failures.items()}
     if not cov.special:
         forced = (
             "forced assembly violates the graded Jacobi identity, "
@@ -203,9 +206,8 @@ def module_witnesses(
     if (sa.even_dim, sa.odd_dim) != dims:
         problems.append(f"dimension {sa.even_dim}|{sa.odd_dim}")
     problems += [f"{s}: {w}" for s, w in sectors.items() if w is not None]
-    form = sa.form_invariance_witness()
-    if form is not None:
-        problems.append(form)
+    if form:
+        problems.append(sa.invariance_text(min(form.values())))
     out["superalgebra"] = "; ".join(problems) or None, sa.odd_odd_scale.render()
     return out
 

@@ -353,12 +353,13 @@ def test_criterion_10_superalgebras(ws, control):
         sa = build_tilde(cov, name)
         if (sa.even_dim, sa.odd_dim) != (even, odd):
             failures.append(f"{name}: dimension {sa.even_dim}|{sa.odd_dim}")
-        for sector, witness in sa.super_jacobi_check().items():
-            if witness is not None:
+        for sector, failing in sa.super_jacobi_check().items():
+            if failing:
+                witness = sa.jacobi_text(min(failing.values()))
                 failures.append(f"{name} sector {sector}: {witness}")
         got = sa.form_invariance_witness()
-        if got is not None:
-            failures.append(f"{name} form invariance: {got}")
+        if got:
+            failures.append(f"{name} form invariance: {sa.invariance_text(min(got.values()))}")
     rep11, _ = control
     cov11 = covariants(rep11)
     try:
@@ -368,7 +369,11 @@ def test_criterion_10_superalgebras(ws, control):
     except NotSpecial as err:
         if not str(err):
             failures.append("(1,1) rejection carries no witness")
-        sectors = build_tilde(cov11, "control", force=True).super_jacobi_check()
+        forced = build_tilde(cov11, "control", force=True)
+        sectors = {
+            s: forced.jacobi_text(min(f.values(), default=None))
+            for s, f in forced.super_jacobi_check().items()
+        }
     odd_failures = [s for s in ("EOO", "OOO") if sectors.get(s)]
     if sectors and not odd_failures:
         failures.append("forced (1,1) control passes the graded Jacobi identity")

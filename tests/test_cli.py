@@ -248,7 +248,7 @@ def test_export_round_trip(tmp_path, capsys):
     assert "9|8" in out
     sa = import_superalgebra(target.read_text())
     assert (sa.even_dim, sa.odd_dim) == (9, 8)
-    assert all(w is None for w in sa.super_jacobi_check().values())
+    assert not any(sa.super_jacobi_check().values())
 
 
 def test_export_even_algebra_to_stdout(capsys):

@@ -19,15 +19,16 @@ def special_rep():
 def test_structure(special_rep):
     rep = special_rep
     assert rep.dim == 6 and rep.space.dim == 4
-    assert rep.algebra.super_jacobi_check()["EEE"] is None
+    assert rep.algebra.super_jacobi_check()["EEE"] == {}
     assert sup.module_witnesses(ql.covariants(rep), "D(2,1;a)", (9, 8)) == {
         "jacobi": None,
+        "invariant-form": None,
         "representation": None,
         "skew-action": None,
         "equivariance": None,
         "superalgebra": (None, "1"),
     }
-    assert rep.algebra.form_invariance_witness() is None
+    assert rep.algebra.form_invariance_witness() == {}
 
 
 def test_module_form_is_hyperbolic(special_rep):

@@ -21,6 +21,7 @@ from specialortho import quadlie as ql
 from specialortho import suites
 from specialortho import superalg as sup
 from specialortho.suites import Workspace
+from test_superalg import full_invariance_scan, jacobi_texts
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,13 @@ def action_matrices(rep):
 
 # -- Frac scans of single identities, the oracles of module_witnesses --------
 
-CLEAN = {"jacobi": None, "representation": None, "skew-action": None, "equivariance": None}
+CLEAN = {
+    "jacobi": None,
+    "invariant-form": None,
+    "representation": None,
+    "skew-action": None,
+    "equivariance": None,
+}
 
 
 def rep_property_oracle(rep):
@@ -144,9 +151,11 @@ def equivariance_oracle(rep, mu):
 
 def oracle_witnesses(cov):
     """What module_witnesses reports, from a scan of each identity on its
-    own: g's Jacobi identity on rep.algebra and the three Frac scans above."""
+    own: g's Jacobi identity on rep.algebra, the Frac scan of its form and
+    the three Frac scans above."""
     return {
-        "jacobi": cov.rep.algebra.super_jacobi_check()["EEE"],
+        "jacobi": jacobi_texts(cov.rep.algebra)["EEE"],
+        "invariant-form": full_invariance_scan(cov.rep.algebra),
         "representation": rep_property_oracle(cov.rep),
         "skew-action": skew_oracle(cov.rep),
         "equivariance": equivariance_oracle(cov.rep, cov.mu),
@@ -163,8 +172,8 @@ def assembly_witnesses(cov):
 @pytest.mark.parametrize("space_fn", [small_space, hyperbolic_space])
 def test_so_fundamental_moment_is_canonical(space_fn):
     rep, mu_can = ql.build_so(space_fn())
-    assert rep.algebra.super_jacobi_check()["EEE"] is None
-    assert rep.algebra.form_invariance_witness() is None
+    assert rep.algebra.super_jacobi_check()["EEE"] == {}
+    assert rep.algebra.form_invariance_witness() == {}
     mu = ql.moment_map(rep)
     assert mu == mu_can
     cov = ql.covariants(rep)
@@ -259,9 +268,9 @@ def test_g2_structure(g2):
     rep, kernel = g2
     assert rep.dim == 14 and rep.space.dim == 7
     assert len(kernel) == 14
-    assert rep.algebra.super_jacobi_check()["EEE"] is None
+    assert rep.algebra.super_jacobi_check()["EEE"] == {}
     assert assembly_witnesses(ql.covariants(rep)) == CLEAN
-    assert rep.algebra.form_invariance_witness() is None
+    assert rep.algebra.form_invariance_witness() == {}
 
 
 def test_g2_form_is_seven_dimensional_trace(g2):
@@ -310,9 +319,9 @@ def test_im_identity_ladder(cov_im):
 
 def test_spinor_structure(octs, so7):
     assert so7.dim == 21 and so7.space.dim == 8
-    assert so7.algebra.super_jacobi_check()["EEE"] is None
+    assert so7.algebra.super_jacobi_check()["EEE"] == {}
     assert assembly_witnesses(ql.covariants(so7)) == CLEAN
-    assert so7.algebra.form_invariance_witness() is None
+    assert so7.algebra.form_invariance_witness() == {}
     # the invariant form is diagonal with B(s_ij, s_ij) = 3 q_i q_j
     gram = so7.algebra_space.gram
     qs = octs.space_im.diag
@@ -396,6 +405,108 @@ def test_g2_cyclic_record_agrees_with_the_ordered_scan():
     assert ql.g2_cyclic_witness(octs, moved) == (
         f"the two sides differ at e_{{{i}{j}{k}}}"
     )
+
+
+# -- the pointwise triple records against their loops ------------------------
+
+
+def mu_im_pointwise_oracle(octs, mu_act):
+    """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)), one loop over the
+    basis triples, or the first failing one."""
+    three, minus_quarter = rat(3), rat(-1, 4)
+    for i in range(1, 8):
+        for j in range(1, 8):
+            uv = octs.on_units(commutator, i, j)
+            for k in range(1, 8):
+                w = octs.imaginary_unit(k)
+                expect = (
+                    commutator(w, uv) + octs.on_units(associator, i, j, k).scale(three)
+                ).scale(minus_quarter)
+                if mu_act[i - 1][j - 1][k - 1] != expect.imaginary_coeffs():
+                    return f"(u,v,w) = (e{i}, e{j}, e{k})"
+    return None
+
+
+def mu_im_canonical_split_oracle(octs, mu_act):
+    """mu(u, v) w = (3/2) mu_can(u, v) w + (1/8) [w, [u, v]], one loop over
+    the basis triples, or the first failing one."""
+    space = octs.space_im
+    eighth, three_halves = rat(1, 8), rat(3, 2)
+    for i in range(1, 8):
+        for j in range(1, 8):
+            uv = octs.on_units(commutator, i, j)
+            for k in range(1, 8):
+                w = octs.imaginary_unit(k)
+                canonical = ql.mu_can_value(space, i - 1, j - 1, k - 1)
+                expect_oct = commutator(w, uv).scale(eighth)
+                expect = [
+                    three_halves * c + e
+                    for c, e in zip(canonical, expect_oct.imaginary_coeffs())
+                ]
+                if mu_act[i - 1][j - 1][k - 1] != expect:
+                    return f"(u,v,w) = (e{i}, e{j}, e{k})"
+    return None
+
+
+def spinor_cyclic_oracle(octs, mu):
+    """mu(u, v x w) + cyclic = -(1/2) mu((u,v,w), 1), one loop over the
+    imaginary triples, or the first failing one."""
+    space = octs.space_oct
+    unit = space.basis_vector(0)
+    minus_half = rat(-1, 2)
+    for i in range(1, 8):
+        for j in range(1, 8):
+            for k in range(1, 8):
+                total = None
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    val = mu.evaluate(
+                        [space.basis_vector(x), octs.on_units(cross_product, y, z).coeffs]
+                    )
+                    total = val if total is None else [p + q for p, q in zip(total, val)]
+                rhs = mu.evaluate([octs.on_units(associator, i, j, k).coeffs, unit])
+                expect = [minus_half * c for c in rhs]
+                if total != expect:
+                    return f"(u,v,w) = (e{i}, e{j}, e{k})"
+    return None
+
+
+def moved_mu_act(mu_act, i, j, k):
+    """A copy of a moment_action table with the first coordinate of
+    mu(e_i, e_j) e_k moved by one, 0-based.  The table shares its zero
+    vectors between entries, so every vector is copied."""
+    table = [[[list(v) for v in row] for row in plane] for plane in mu_act]
+    table[i][j][k][0] = table[i][j][k][0] + ONE
+    return table
+
+
+def test_g2_moment_records_name_the_oracle_triple():
+    ws = Workspace()
+    octs, mu_act = ws.octs, ws.cov_im.mu_act
+    for record, oracle in (
+        (ql.mu_im_pointwise_witness, mu_im_pointwise_oracle),
+        (ql.mu_im_canonical_split_witness, mu_im_canonical_split_oracle),
+    ):
+        assert record(octs, mu_act) is None
+        # a diagonal entry, whose vector the table shares, and an off-diagonal one
+        for where, witness in (
+            ((2, 2, 0), "(u,v,w) = (e3, e3, e1)"),
+            ((3, 5, 2), "(u,v,w) = (e4, e6, e3)"),
+        ):
+            moved_act = moved_mu_act(mu_act, *where)
+            assert record(octs, moved_act) == oracle(octs, moved_act) == witness
+        # the Workspace table is untouched
+        assert record(octs, mu_act) is None
+
+
+def test_spin_cyclic_record_names_the_oracle_triple():
+    ws = Workspace()
+    octs, mu = ws.octs, ws.cov_oct.mu
+    coeffs = dict(mu.coeffs)
+    coeffs[(4, 6)] = [mu.value((4, 6))[0] + ONE] + mu.value((4, 6))[1:]
+    moved_mu = AltMap(mu.domain, mu.codomain, 2, coeffs)
+    witness = ql.spinor_cyclic_witness(octs, moved_mu)
+    assert witness == spinor_cyclic_oracle(octs, moved_mu) == "(u,v,w) = (e1, e2, e5)"
+    assert ql.spinor_cyclic_witness(octs, mu) is None
 
 
 @pytest.mark.parametrize("weights", [None, (2, 3, -5)])
@@ -557,6 +668,12 @@ PERTURBATIONS = {
     },
 }
 BROKEN_RECORD = {"action": "representation", "bracket": "jacobi", "mu": "equivariance"}
+# the invariant-form witness of each module's bracket perturbation
+INVARIANT_FORM_CONTROLS = {
+    "g2": "B([d1,d2],d9) != B(d1,[d2,d9])",
+    "spin": "B([s12,s13],s23) != B(s12,[s13,s23])",
+    "d21": "B([hV,eV],fV) != B(hV,[eV,fV])",
+}
 
 
 @pytest.mark.parametrize("prefix,attr,key", MODULES)
@@ -569,6 +686,13 @@ def test_perturbed_modules_name_the_oracle_tuple(prefix, attr, key):
         assert witnesses[BROKEN_RECORD[kind]] == witness
         for record, got in witnesses.items():
             assert failing.get(f"{prefix}-{record}") == got
+        if kind == "bracket":
+            assert witnesses["invariant-form"] == INVARIANT_FORM_CONTROLS[prefix]
+            # the assembly's EEE form failure lies inside g
+            form = sup.build_tilde(broken, "tilde", force=True).form_invariance_witness()
+            assert max(form["EEE"]) < broken.rep.dim
+        else:
+            assert witnesses["invariant-form"] is None
     # the untouched module still holds
     assert module_witness_records(prefix, cov, key)[0] == CLEAN
 
@@ -638,6 +762,7 @@ def test_nonzero_odd_odd_scale_keeps_the_oracle_tuples():
     out = sup.module_witnesses(cov, "so(T4)", (9, 8))
     assert {name: out[name] for name in CLEAN} == oracle_witnesses(cov) == {
         "jacobi": None,
+        "invariant-form": None,
         "representation": "rho([M12,M34]) != [rho M12, rho M34]",
         "skew-action": "B(rho(M34) e1, e2) is not skew",
         "equivariance": "equivariance fails at x=M34, (v,w)=(e1,e2)",

@@ -258,11 +258,14 @@ def test_verify_all_composes_mu_and_psi_once(monkeypatch):
 def test_verify_all_builds_and_scans_each_superalgebra_once(monkeypatch):
     from specialortho import superalg
 
-    counts = {"build_tilde": 0, "jacobi_failures": 0}
+    counts = {"build_tilde": 0, "super_jacobi_check": 0, "form_invariance_witness": 0}
+    scanned = []
 
     def counted(key, real):
         def wrapper(*args, **kwargs):
             counts[key] += 1
+            if key != "build_tilde":
+                scanned.append(args[0])
             return real(*args, **kwargs)
 
         return wrapper
@@ -271,12 +274,14 @@ def test_verify_all_builds_and_scans_each_superalgebra_once(monkeypatch):
     for module in (superalg, suites):
         monkeypatch.setattr(module, "build_tilde", build, raising=False)
     sa_class = quadlie.SuperAlgebra
-    monkeypatch.setattr(
-        sa_class, "jacobi_failures", counted("jacobi_failures", sa_class.jacobi_failures)
-    )
+    for scan in ("super_jacobi_check", "form_invariance_witness"):
+        monkeypatch.setattr(sa_class, scan, counted(scan, getattr(sa_class, scan)))
     assert run_suite("all", Workspace(rat(2), rat(3), rat(-5), rat(2))).ok
-    # one assembly and one graded Jacobi scan for each of G3, F4 and D(2,1;a)
-    assert counts == {"build_tilde": 3, "jacobi_failures": 3}
+    # one assembly, one graded Jacobi scan and one form scan for each of G3,
+    # F4 and D(2,1;a); no scan of a Lie algebra g on its own
+    assert counts == {"build_tilde": 3, "super_jacobi_check": 3, "form_invariance_witness": 3}
+    assert sorted(sa.name for sa in scanned) == ["D(2,1;a)"] * 2 + ["F4"] * 2 + ["G3"] * 2
+    assert all(sa.odd_dim for sa in scanned)
 
 
 def test_setup_stages_leave_the_unit_tables_empty():

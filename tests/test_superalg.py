@@ -1,6 +1,7 @@
 """Superalgebra assembly, graded Jacobi sectors, and serialization."""
 
 import json
+from itertools import product
 
 import pytest
 
@@ -55,18 +56,14 @@ def test_dimensions(fixture_name, even, odd, request):
 @pytest.mark.parametrize("fixture_name", ["d21", "g3", "f4"])
 def test_jacobi_all_sectors_clean(fixture_name, request):
     sa = request.getfixturevalue(fixture_name)
-    assert sa.super_jacobi_check() == {
-        "EEE": None,
-        "EEO": None,
-        "EOO": None,
-        "OOO": None,
-    }
+    assert sa.super_jacobi_check() == {"EEE": {}, "EEO": {}, "EOO": {}, "OOO": {}}
+    assert jacobi_texts(sa) == {"EEE": None, "EEO": None, "EOO": None, "OOO": None}
 
 
 @pytest.mark.parametrize("fixture_name", ["d21", "g3", "f4"])
 def test_form_invariant(fixture_name, request):
     sa = request.getfixturevalue(fixture_name)
-    assert sa.form_invariance_witness() is None
+    assert sa.form_invariance_witness() == {}
     assert full_invariance_scan(sa) is None
 
 
@@ -89,7 +86,7 @@ def test_not_special_is_refused():
 def test_forced_build_fails_only_in_odd_sector():
     cov = ql.covariants(fam.build_family(rat(1), rat(1)))
     sa = sup.build_tilde(cov, "forced", force=True)
-    sectors = sa.super_jacobi_check()
+    sectors = jacobi_texts(sa)
     assert sectors["EEE"] is None
     assert sectors["EEO"] is None
     assert sectors["EOO"] is None
@@ -105,7 +102,7 @@ def test_perturbed_sl2_block_breaks_invariance(d21):
     sa = sup.SuperAlgebra(
         "scaled", d21.even_labels, d21.odd_labels, d21.table, form
     )
-    witness = sa.form_invariance_witness()
+    witness = invariance_text(sa)
     assert witness is not None and "B(" in witness
 
 
@@ -148,8 +145,23 @@ def test_purely_even_wrapping(cliff):
     sa = rep.algebra
     assert isinstance(sa, sup.SuperAlgebra) and sa.name == "g2"
     assert (sa.even_dim, sa.odd_dim) == (14, 0)
-    assert sa.super_jacobi_check()["EEE"] is None
-    assert sa.form_invariance_witness() is None
+    assert sa.super_jacobi_check()["EEE"] == {}
+    assert sa.form_invariance_witness() == {}
+
+
+def jacobi_texts(sa):
+    """The least triple of each sector of super_jacobi_check, written out by
+    jacobi_text: None for a clean sector."""
+    return {
+        sector: sa.jacobi_text(min(failing.values(), default=None))
+        for sector, failing in sa.super_jacobi_check().items()
+    }
+
+
+def invariance_text(sa):
+    """The least triple of form_invariance_witness over its sectors, written
+    out by invariance_text, or None."""
+    return sa.invariance_text(min(sa.form_invariance_witness().values(), default=None))
 
 
 def full_jacobi_failures(sa):
@@ -206,15 +218,20 @@ def full_jacobi_scan(sa):
     return least_witnesses(sa, full_jacobi_failures(sa))
 
 
-def perturbed_odd_odd(sa):
-    """A copy of sa with the first stored odd-odd structure constant doubled."""
-    table = {key: dict(row) for key, row in sa.table.items()}
-    key = min(k for k in table if k[0] >= sa.even_dim)
+def doubled(sa, key):
+    """A copy of sa with the first stored structure constant of [x_i, x_j]
+    doubled, for key = (i, j)."""
+    table = {k: dict(row) for k, row in sa.table.items()}
     m = min(table[key])
     table[key][m] = table[key][m] * rat(2)
     return sup.SuperAlgebra(
         sa.name + "'", sa.even_labels, sa.odd_labels, table, sa.form
     )
+
+
+def perturbed_odd_odd(sa):
+    """A copy of sa with the first stored odd-odd structure constant doubled."""
+    return doubled(sa, min(k for k in sa.table if k[0] >= sa.even_dim))
 
 
 def test_sorted_triples_give_the_full_scan_witnesses(g3, f4, d21):
@@ -228,14 +245,14 @@ def test_sorted_triples_give_the_full_scan_witnesses(g3, f4, d21):
         failures = full_jacobi_failures(sa)
         # the first triple at every output index, not only the least one,
         # listed in the order of the triples
-        got = sa.jacobi_failures()
+        got = sa.super_jacobi_check()
         assert got == failures
         assert all(list(f.values()) == sorted(f.values()) for f in got.values())
         assert any(failures.values())
-        assert sa.super_jacobi_check() == least_witnesses(sa, failures)
-    assert forced.super_jacobi_check()["OOO"] is not None
-    assert perturbed.super_jacobi_check()["EOO"] is not None
-    assert perturbed.super_jacobi_check()["OOO"] is not None
+        assert jacobi_texts(sa) == least_witnesses(sa, failures)
+    assert jacobi_texts(forced)["OOO"] is not None
+    assert jacobi_texts(perturbed)["EOO"] is not None
+    assert jacobi_texts(perturbed)["OOO"] is not None
 
 
 def broken_sl2():
@@ -249,27 +266,33 @@ def broken_sl2():
 
 def test_lie_algebra_jacobi_failure_is_caught():
     # [e, f] = h + e breaks the Jacobi identity of sl2 at (h, e, f)
-    assert broken_sl2().super_jacobi_check()["EEE"] == "J(h, e, f) != 0"
+    assert jacobi_texts(broken_sl2())["EEE"] == "J(h, e, f) != 0"
+
+
+def full_invariance_failures(sa):
+    """Per sector, the first triple (x, y, z), over all of them in
+    lexicographic order, with B([x,y],z) != B(x,[y,z])."""
+    sectors = ("EEE", "EEO", "EOO", "OOO")
+    out = {}
+    for x, y, z in product(range(sa.dim), repeat=3):
+        left = right = ZERO
+        for m, c in sa.bracket(x, y).items():
+            left = left + c * sa.form[m][z]
+        for m, c in sa.bracket(y, z).items():
+            right = right + c * sa.form[x][m]
+        if left != right:
+            out.setdefault(sectors[sa.parity(x) + sa.parity(y) + sa.parity(z)], (x, y, z))
+    return out
 
 
 def full_invariance_scan(sa):
-    """First triple (x, y, z), over all of them, with B([x,y],z) != B(x,[y,z])."""
-    n = sa.dim
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                left = right = ZERO
-                for m, c in sa.bracket(x, y).items():
-                    left = left + c * sa.form[m][z]
-                for m, c in sa.bracket(y, z).items():
-                    right = right + c * sa.form[x][m]
-                if left != right:
-                    labels = sa.labels
-                    return (
-                        f"B([{labels[x]},{labels[y]}],{labels[z]}) != "
-                        f"B({labels[x]},[{labels[y]},{labels[z]}])"
-                    )
-    return None
+    """The first triple over all of them with B([x,y],z) != B(x,[y,z]), as
+    text, or None."""
+    failures = full_invariance_failures(sa)
+    if not failures:
+        return None
+    x, y, z = (sa.labels[t] for t in min(failures.values()))
+    return f"B([{x},{y}],{z}) != B({x},[{y},{z}])"
 
 
 def grading_breaker():
@@ -295,23 +318,27 @@ def right_side_breaker():
     return sup.SuperAlgebra("right", ("a", "b", "c", "d"), (), table, form)
 
 
-def test_invariance_witness_is_that_of_the_full_scan(g3, f4):
+def test_invariance_witness_is_that_of_the_full_scan(g3, f4, d21):
     breaker = grading_breaker()
     right = right_side_breaker()
+    # an even-even and an odd-odd constant doubled: both sectors fail
+    both = doubled(perturbed_odd_odd(d21), (0, 1))
     failing = (
-        broken_sl2(), perturbed_odd_odd(g3), perturbed_odd_odd(f4), breaker, right
+        broken_sl2(), perturbed_odd_odd(g3), perturbed_odd_odd(f4), breaker, right, both
     )
     for sa in failing:
-        want = full_invariance_scan(sa)
-        assert want is not None
+        want = full_invariance_failures(sa)
+        assert want
         assert sa.form_invariance_witness() == want
-    assert breaker.form_invariance_witness() == "B([p,x],y) != B(p,[x,y])"
-    assert right.form_invariance_witness() == "B([a,b],c) != B(a,[b,c])"
+        assert invariance_text(sa) == full_invariance_scan(sa)
+    assert set(both.form_invariance_witness()) == {"EEE", "EOO"}
+    assert invariance_text(breaker) == "B([p,x],y) != B(p,[x,y])"
+    assert invariance_text(right) == "B([a,b],c) != B(a,[b,c])"
     # the forced non-special assembly breaks Jacobi (OOO) but keeps the form
     forced = sup.build_tilde(
         ql.covariants(fam.build_family(rat(1), rat(1))), "forced", force=True
     )
-    assert forced.form_invariance_witness() is None
+    assert forced.form_invariance_witness() == {}
     assert full_invariance_scan(forced) is None
 
 
@@ -332,15 +359,15 @@ def test_rescaled_odd_vector_keeps_the_checks_exact(g3):
     # monomial, and the factors 1 + l1 cancel only in the field
     sa = rescaled(g3, g3.even_dim, ONE + L1)
     assert any(len(c.den) > 1 for row in sa.table.values() for c in row.values())
-    assert set(sa.super_jacobi_check().values()) == {None}
-    assert sa.form_invariance_witness() is None
+    assert not any(sa.super_jacobi_check().values())
+    assert sa.form_invariance_witness() == {}
     broken = perturbed_odd_odd(sa)
     want = full_jacobi_scan(broken)
     assert want["EOO"] is not None and want["OOO"] is not None
-    assert broken.super_jacobi_check() == want
+    assert jacobi_texts(broken) == want
     want = full_invariance_scan(broken)
     assert want is not None
-    assert broken.form_invariance_witness() == want
+    assert invariance_text(broken) == want
 
 
 def test_symbolic_alpha_witnesses_are_those_of_the_full_scans(d21):
@@ -351,9 +378,9 @@ def test_symbolic_alpha_witnesses_are_those_of_the_full_scans(d21):
         ql.covariants(fam.build_family(ALPHA, ONE)), "forced", force=True
     )
     for sa in (perturbed_odd_odd(d21), forced):
-        assert sa.super_jacobi_check() == full_jacobi_scan(sa)
-        assert sa.form_invariance_witness() == full_invariance_scan(sa)
-    assert forced.super_jacobi_check() == {
+        assert jacobi_texts(sa) == full_jacobi_scan(sa)
+        assert invariance_text(sa) == full_invariance_scan(sa)
+    assert jacobi_texts(forced) == {
         "EEE": None,
         "EEO": None,
         "EOO": None,
@@ -367,11 +394,11 @@ def test_checks_build_no_fraction_sums(g3, f4, monkeypatch):
 
     monkeypatch.setattr(ql, "dot", refuse)
     for sa in (g3, f4):
-        assert set(sa.super_jacobi_check().values()) == {None}
-        assert sa.form_invariance_witness() is None
+        assert not any(sa.super_jacobi_check().values())
+        assert sa.form_invariance_witness() == {}
     broken = perturbed_odd_odd(g3)
-    assert broken.super_jacobi_check()["OOO"] is not None
-    assert broken.form_invariance_witness() is not None
+    assert broken.super_jacobi_check()["OOO"]
+    assert broken.form_invariance_witness()
 
 
 @pytest.mark.parametrize("fixture_name", ["d21", "g3", "f4"])
@@ -412,4 +439,4 @@ def test_export_specialized_parameters():
     text = sup.export_superalgebra(sa, {"a": "3"})
     back = sup.import_superalgebra(text)
     assert back._imported_parameters == {"a": "3"}
-    assert back.super_jacobi_check()["OOO"] is None
+    assert back.super_jacobi_check()["OOO"] == {}
