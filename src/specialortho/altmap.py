@@ -125,6 +125,19 @@ class PairingSpec:
         ]
         return cls(algebra, module, module, table, name=f"action on {module.name}")
 
+    @classmethod
+    def alternating(cls, f: "AltMap") -> "PairingSpec":
+        """V x V -> U from a degree-2 alternating map f: entry (i, j) is
+        f(e_i, e_j), entry (j, i) its negation, and the diagonal is zero."""
+        if f.degree != 2:
+            raise ArityMismatch(f"a pairing needs a degree-2 map, got degree {f.degree}")
+        n = f.domain.dim
+        table = [[[ZERO] * f.codomain.dim] * n for _ in range(n)]
+        for (i, j), value in f.coeffs.items():
+            table[i - 1][j - 1] = value
+            table[j - 1][i - 1] = [-c for c in value]
+        return cls(f.domain, f.domain, f.codomain, table, name=f.name)
+
 
 class AltMap:
     """Alternating p-linear map V^p -> U, stored on increasing multi-indices."""

@@ -51,6 +51,15 @@ def _parse_at(text: str) -> dict[str, Frac]:
     return out
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a second occurrence is a ParseError."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ParseError(f"{option_string} is given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _workspace(args: argparse.Namespace) -> Workspace:
     bindings: dict[str, Optional[Frac]] = {"l1": None, "l2": None, "l3": None}
     if getattr(args, "compact", False):
@@ -150,13 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_bindings(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--alpha",
-            default=None,
+            action=_Once,
             metavar="R",
             help="family parameter: a rational number or 'symbolic' (default)",
         )
         p.add_argument(
             "--beta",
-            default=None,
+            action=_Once,
             metavar="R",
             help="second family parameter; defaults to -1-alpha",
         )
@@ -169,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         group.add_argument(
             "--at",
-            default=None,
+            action=_Once,
             metavar="BINDINGS",
             help="explicit bindings, e.g. l1=2,l2=3,l3=-1",
         )
@@ -225,8 +234,8 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except SpecialOrthoError as err:
         sys.stderr.write(f"error: {err}\n")

@@ -14,7 +14,8 @@ moment map is special orthogonal when
 
 and in that case the degree-3 covariant psi and the degree-4 invariant Q
 close the ladder of identities checked by mathews_status: the wedge and
-composition identities relating mu, psi, Q, and the identity map.  Each
+composition identities relating mu, psi, Q, and the identity map.  psi, Q
+and the octonion cyclic sums are shuffle products, by altmap.wedge_rel.  Each
 identity is reported as a CheckRecord, built by run_check (timed) or
 vacuous_check; the verification suites use the same two helpers.
 
@@ -447,8 +448,8 @@ def check_special(
 class Covariants:
     """The moment map with its derived covariants on one representation.
 
-    ``mu_act`` is the moment_action table of ``mu``, from which psi, the
-    special orthogonality check and the pointwise moment witnesses read.
+    ``mu_act`` is the moment_action table of ``mu``, read by the special
+    orthogonality check, the psi shortcut and the pointwise moment witnesses.
     ``special`` and ``witness`` are the result of check_special on ``mu``.
     ``mu_wedge_psi`` and ``mu_compose_psi`` are computed on first access and
     shared by the Mathews and Hodge checks.
@@ -486,40 +487,19 @@ class Covariants:
 def covariants(rep: QuadLieRep) -> Covariants:
     """Moment map, degree-3 covariant, and degree-4 invariant of rep.
 
-    psi(v1,v2,v3) = mu(v1,v2) v3 + mu(v3,v1) v2 + mu(v2,v3) v1 and Q is the
-    alternating sum of (v, psi(...)) over the four cyclic deletions.  The
-    special orthogonality of mu is checked once here and carried in the
-    result.  On a special moment map the closed shortcuts psi = 3(mu - mu_can)
-    and Q = 4 (v1, psi(v2,v3,v4)) hold; the suites verify them as reported
-    checks.
+    psi = mu ^_rho Id is mu(v1,v2) v3 + mu(v3,v1) v2 + mu(v2,v3) v1 and
+    Q = Id ^_B psi the alternating sum of (v, psi(...)) over the four cyclic
+    deletions.  The special orthogonality of mu is checked once here and
+    carried in the result.  On a special moment map the closed shortcuts
+    psi = 3(mu - mu_can) and Q = 4 (v1, psi(v2,v3,v4)) hold; the suites
+    verify them as reported checks.
     """
     space = rep.space
-    n = space.dim
     mu = moment_map(rep)
     mu_act = moment_action(rep, mu)
-    basis = [space.basis_vector(k) for k in range(n)]
-
-    psi_coeffs = {}
-    for index in all_multi_indices(n, 3):
-        i, j, k = (t - 1 for t in index)
-        psi_coeffs[index] = [
-            a + b + c
-            for a, b, c in zip(mu_act[i][j][k], mu_act[k][i][j], mu_act[j][k][i])
-        ]
-    psi = AltMap(space, space, 3, psi_coeffs, name=f"psi[{rep.name}]")
-
-    quad_coeffs = {}
-    for index in all_multi_indices(n, 4):
-        i, j, k, l = (t - 1 for t in index)
-        value = (
-            space.pair(basis[i], psi.evaluate([basis[j], basis[k], basis[l]]))
-            - space.pair(basis[l], psi.evaluate([basis[i], basis[j], basis[k]]))
-            + space.pair(basis[k], psi.evaluate([basis[l], basis[i], basis[j]]))
-            - space.pair(basis[j], psi.evaluate([basis[k], basis[l], basis[i]]))
-        )
-        quad_coeffs[index] = [value]
-    quad = AltMap(space, K, 4, quad_coeffs, name=f"Q[{rep.name}]")
-
+    ident = AltMap.identity(space)
+    psi = wedge_rel(mu, ident, rep.act)
+    quad = wedge_rel(ident, psi, PairingSpec.form(space))
     special, witness = check_special(rep, mu, mu_act)
     return Covariants(rep, mu, mu_act, psi, quad, special, witness)
 
@@ -825,10 +805,12 @@ def quad_oct_expected(octs: OctonionAlgebra) -> AltMap:
     return AltMap(octs.space_oct, K, 4, coeffs, name="quad_oct_closed")
 
 
-def _first_failing_triple(left: Callable, right: Callable) -> Optional[str]:
-    """The first (u,v,w) = (e_i, e_j, e_k), i, j, k in 1..7 in lexicographic
-    order, with left(i, j, k) != right(i, j, k), or None."""
-    for i, j, k in product(range(1, 8), repeat=3):
+def _first_failing_triple(
+    left: Callable, right: Callable, triples: Iterable[tuple[int, int, int]]
+) -> Optional[str]:
+    """The first (u,v,w) = (e_i, e_j, e_k) of ``triples``, positions in
+    1..7, with left(i, j, k) != right(i, j, k), or None."""
+    for i, j, k in triples:
         if left(i, j, k) != right(i, j, k):
             return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
@@ -844,7 +826,11 @@ def mu_im_pointwise_witness(octs: OctonionAlgebra, mu_act: MomentAction) -> Opti
         expect = commutator(w, uv) + octs.on_units(associator, i, j, k).scale(three)
         return expect.scale(minus_quarter).imaginary_coeffs()
 
-    return _first_failing_triple(lambda i, j, k: mu_act[i - 1][j - 1][k - 1], closed_form)
+    return _first_failing_triple(
+        lambda i, j, k: mu_act[i - 1][j - 1][k - 1],
+        closed_form,
+        product(range(1, 8), repeat=3),
+    )
 
 
 def mu_im_canonical_split_witness(
@@ -861,52 +847,46 @@ def mu_im_canonical_split_witness(
         eighths = bracket.scale(eighth).imaginary_coeffs()
         return [three_halves * c + e for c, e in zip(canonical, eighths)]
 
-    return _first_failing_triple(lambda i, j, k: mu_act[i - 1][j - 1][k - 1], closed_form)
+    return _first_failing_triple(
+        lambda i, j, k: mu_act[i - 1][j - 1][k - 1],
+        closed_form,
+        product(range(1, 8), repeat=3),
+    )
+
+
+def cyclic_sum(octs: OctonionAlgebra, mu: AltMap) -> AltMap:
+    """mu(u, v x w) + mu(v, w x u) + mu(w, u x v) on the imaginaries, for a
+    degree-2 map mu on them: the shuffle product Id ^_mu cross."""
+    ident = AltMap.identity(octs.space_im)
+    return wedge_rel(ident, octs.cross, PairingSpec.alternating(mu))
 
 
 def g2_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
-    """mu(u, v x w) + mu(v, w x u) + mu(w, u x v) = 0 on basis triples.
-
-    The cyclic sum is alternating in (u, v, w) in any algebra: mu is stored
-    alternating, and u x v = (conj(v) u - conj(u) v) / 2 is antisymmetric by
-    its formula.  So it is compared with zero on the 35 increasing triples,
-    which fix its value on all 343 ordered ones.
-    """
-    space = octs.space_im
-    sums = {}
-    for i, j, k in all_multi_indices(7, 3):
-        terms = [
-            mu.evaluate(
-                [
-                    space.basis_vector(x - 1),
-                    octs.on_units(cross_product, y, z).imaginary_coeffs(),
-                ]
-            )
-            for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
-        ]
-        sums[(i, j, k)] = [a + b + c for a, b, c in zip(*terms)]
-    cyclic = AltMap(space, mu.codomain, 3, sums)
+    """mu(u, v x w) + mu(v, w x u) + mu(w, u x v) = 0 on basis triples; the
+    cyclic sum is alternating, so its 35 increasing values fix it."""
+    cyclic = cyclic_sum(octs, mu)
     return first_difference(cyclic, cyclic.scale(ZERO))
 
 
 def spinor_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
-    """mu(u, v x w) + cyclic = -(1/2) mu((u,v,w), 1) on all imaginary triples."""
-    space = octs.space_oct
-    unit = space.basis_vector(0)
+    """mu(u, v x w) + cyclic = -(1/2) mu((u,v,w), 1) on imaginary triples.
+    Both sides are alternating (O is alternative), so they are compared on
+    the 35 increasing triples: the first failure of all 343 ordered ones."""
+    unit = octs.space_oct.basis_vector(0)
     minus_half = rat(-1, 2)
-
-    def cyclic_sum(i: int, j: int, k: int) -> Vector:
-        a, b, c = (
-            mu.evaluate([space.basis_vector(x), octs.on_units(cross_product, y, z).coeffs])
-            for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
-        )
-        return [p + q + r for p, q, r in zip(a, b, c)]
+    # mu on Im O: its stored value at (i, j), i > 1, is mu's at (i - 1, j - 1)
+    coeffs = {(i - 1, j - 1): v for (i, j), v in mu.coeffs.items() if i > 1}
+    cyclic = cyclic_sum(octs, AltMap(octs.space_im, mu.codomain, 2, coeffs))
 
     def closed_form(i: int, j: int, k: int) -> Vector:
         assoc = octs.on_units(associator, i, j, k)
         return [minus_half * c for c in mu.evaluate([assoc.coeffs, unit])]
 
-    return _first_failing_triple(cyclic_sum, closed_form)
+    return _first_failing_triple(
+        lambda i, j, k: cyclic.value((i, j, k)),
+        closed_form,
+        combinations(range(1, 8), 3),
+    )
 
 
 def mu_oct_from_mu_im_witness(

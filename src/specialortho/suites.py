@@ -222,15 +222,11 @@ def _psi_shortcut_witness(cov: Covariants) -> Optional[str]:
 
 def _quad_shortcut_witness(cov: Covariants) -> Optional[str]:
     space = cov.rep.space
-    basis = [space.basis_vector(k) for k in range(space.dim)]
     four = rat(4)
     want = {}
     for index in all_multi_indices(space.dim, 4):
-        i, j, k, l = (t - 1 for t in index)
-        want[index] = [
-            four
-            * space.pair(basis[i], cov.psi.evaluate([basis[j], basis[k], basis[l]]))
-        ]
+        first = space.basis_vector(index[0] - 1)
+        want[index] = [four * space.pair(first, cov.psi.value(index[1:]))]
     return first_difference(cov.quad, AltMap(space, K, 4, want))
 
 

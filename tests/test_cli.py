@@ -115,6 +115,23 @@ def test_repeated_at_key_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "g2", "--at", "l1=2", "--at", "l2=3"], "--at"),
+        (["hodge", "--at", "l1=2", "--at", "l2=3"], "--at"),
+        (["verify", "d21", "--alpha", "1", "--alpha", "2"], "--alpha"),
+        (["verify", "d21", "--alpha=1", "--beta", "1", "--beta=2"], "--beta"),
+    ],
+)
+def test_repeated_binding_flag_exits_2(capsys, argv, flag):
+    # a second binding flag must not silently replace the first
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} is given more than once\n"
+
+
+@pytest.mark.parametrize(
     "separate,attached",
     [
         (["--alpha", "-1/2"], ["--alpha=-1/2"]),

@@ -13,9 +13,9 @@ from specialortho.altmap import AltMap, PairingSpec, _sum_terms, compose, wedge_
 from specialortho.cli import main
 from specialortho.clifford import PAIR_MASKS, CliffordAlgebra, CliffordElement
 from specialortho.errors import ShapeMismatch, SingularMatrix, WrongDimension
-from specialortho.exterior import QuadraticSpace
+from specialortho.exterior import K, QuadraticSpace, all_multi_indices
 from specialortho.octonions import associator, build_algebra, commutator, cross_product
-from specialortho.scalars import L1, L2, L3, ONE, ZERO, parse, rat
+from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, parse, rat
 from specialortho import family as fam
 from specialortho import quadlie as ql
 from specialortho import suites
@@ -365,8 +365,8 @@ def test_unit_tables_hold_the_generic_values(weights):
     assert ql.g2_cyclic_witness(octs, mu) is None
     assert ws.cov_oct.psi == ql.psi_oct_expected(octs)
     kinds = Counter(fn for fn, _ in octs.unit_tables)
-    # the cyclic scan runs over increasing triples only: 36 of the 49 pairs
-    assert kinds == {cross_product: 36, commutator: 49, associator: 343}
+    # the cyclic sums read octs.cross, built on the 21 increasing pairs
+    assert kinds == {cross_product: 21, commutator: 49, associator: 343}
     for (fn, positions), value in octs.unit_tables.items():
         assert value == fn(*(octs.unit(k) for k in positions))
         # e_i e_j is a multiple of e_{i xor j}, so each value has one term
@@ -506,7 +506,132 @@ def test_spin_cyclic_record_names_the_oracle_triple():
     moved_mu = AltMap(mu.domain, mu.codomain, 2, coeffs)
     witness = ql.spinor_cyclic_witness(octs, moved_mu)
     assert witness == spinor_cyclic_oracle(octs, moved_mu) == "(u,v,w) = (e1, e2, e5)"
+    # mu(1, e2), stored at (1, 3), is read only by the closed-form side
+    value = mu.value((1, 3))
+    k = next(t for t, c in enumerate(value) if c.num)
+    value[k] = value[k] + ONE
+    moved_mu = AltMap(mu.domain, mu.codomain, 2, {**mu.coeffs, (1, 3): value})
+    witness = ql.spinor_cyclic_witness(octs, moved_mu)
+    assert witness == spinor_cyclic_oracle(octs, moved_mu) == "(u,v,w) = (e1, e4, e7)"
     assert ql.spinor_cyclic_witness(octs, mu) is None
+
+
+# -- psi and Q against their hand-written sums -------------------------------
+
+
+def covariant_oracles(rep, mu):
+    """psi and Q of mu written out: psi(v1,v2,v3) = mu(v1,v2) v3 +
+    mu(v3,v1) v2 + mu(v2,v3) v1 over the moment-action table, and Q the
+    alternating sum of (v, psi(...)) over the four cyclic deletions, each
+    psi value found by evaluate."""
+    space = rep.space
+    n = space.dim
+    mu_act = ql.moment_action(rep, mu)
+    psi = {}
+    for index in all_multi_indices(n, 3):
+        i, j, k = (t - 1 for t in index)
+        psi[index] = [
+            a + b + c
+            for a, b, c in zip(mu_act[i][j][k], mu_act[k][i][j], mu_act[j][k][i])
+        ]
+    psi = AltMap(space, space, 3, psi)
+    basis = [space.basis_vector(k) for k in range(n)]
+    quad = {}
+    for index in all_multi_indices(n, 4):
+        i, j, k, l = (basis[t - 1] for t in index)
+        quad[index] = [
+            space.pair(i, psi.evaluate([j, k, l]))
+            - space.pair(l, psi.evaluate([i, j, k]))
+            + space.pair(k, psi.evaluate([l, i, j]))
+            - space.pair(j, psi.evaluate([k, l, i]))
+        ]
+    return psi, AltMap(space, K, 4, quad)
+
+
+def plane_space():
+    return QuadraticSpace(("p", "q"), [[ONE, ZERO], [ZERO, L1]], name="V2")
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
+def test_covariants_equal_the_hand_written_sums(weights):
+    bound = () if weights is None else tuple(rat(w) for w in weights)
+    ws = Workspace(*bound)
+    for cov in (ws.cov_im, ws.cov_oct, ws.cov_family):
+        assert not cov.psi.is_zero() and not cov.quad.is_zero()
+        assert (cov.psi, cov.quad) == covariant_oracles(cov.rep, cov.mu)
+    # the family at -1/2 and off the locus at alpha = beta = 1, where both
+    # covariants vanish
+    for alpha, beta in ((rat(-1, 2), None), (ONE, ONE)):
+        cov = Workspace(*bound, alpha=alpha, beta=beta).cov_family
+        assert cov.psi.is_zero() and cov.quad.is_zero()
+        assert (cov.psi, cov.quad) == covariant_oracles(cov.rep, cov.mu)
+
+
+@pytest.mark.parametrize("space_fn", [plane_space, small_space, hyperbolic_space])
+def test_so_covariants_equal_the_hand_written_sums(space_fn):
+    rep, _ = ql.build_so(space_fn())
+    cov = ql.covariants(rep)
+    assert (cov.psi, cov.quad) == covariant_oracles(rep, cov.mu)
+
+
+def _fresh_reps():
+    """One representation of each kind, built apart from every cache."""
+    ws = Workspace(rat(2), rat(3), rat(-5))
+    yield ws.g2_rep
+    yield ws.so7_rep
+    yield fam.build_family(ALPHA, -ONE - ALPHA)
+    for space_fn in (plane_space, small_space, hyperbolic_space):
+        yield ql.build_so(space_fn())[0]
+
+
+def test_covariants_of_a_moved_mu_equal_the_hand_written_sums(monkeypatch):
+    # psi = mu ^_rho Id and Q = Id ^_B psi hold for every alternating mu,
+    # special or not: move one coefficient of mu and rebuild the covariants
+    for rep in _fresh_reps():
+        mu = ql.moment_map(rep)
+        changed = False
+        for index in sorted(mu.coeffs)[:2]:
+            for k in range(min(3, rep.dim)):
+                value = mu.value(index)
+                value[k] = value[k] + ONE
+                moved_mu = AltMap(mu.domain, mu.codomain, 2, {**mu.coeffs, index: value})
+                monkeypatch.setattr(ql, "moment_map", lambda rep, m=moved_mu: m)
+                cov = ql.covariants(rep)
+                assert cov.mu is moved_mu
+                assert (cov.psi, cov.quad) == covariant_oracles(rep, moved_mu)
+                changed = changed or cov.psi != covariant_oracles(rep, mu)[0]
+        monkeypatch.undo()
+        assert changed or rep.space.dim < 3
+
+
+def test_alternating_pairing_reads_the_map(octs, cov_im):
+    for f in (octs.cross, cov_im.mu):
+        pairing = PairingSpec.alternating(f)
+        assert pairing.left is pairing.right is f.domain
+        assert pairing.result is f.codomain
+        space = f.domain
+        zero = [ZERO] * f.codomain.dim
+        for i, j in product(range(space.dim), repeat=2):
+            e_i, e_j = space.basis_vector(i), space.basis_vector(j)
+            got = pairing.apply(e_i, e_j)
+            if i < j:
+                assert got == f.value((i + 1, j + 1))
+            elif i > j:
+                assert got == [-c for c in f.value((j + 1, i + 1))]
+            else:
+                assert got == zero
+        assert any(c.num for c in pairing.apply(space.basis_vector(0), space.basis_vector(1)))
+
+
+def test_covariants_never_evaluate(monkeypatch):
+    reps = list(_fresh_reps())
+
+    def refuse(self, args):
+        raise AssertionError("covariants evaluated an alternating map")
+
+    monkeypatch.setattr(AltMap, "evaluate", refuse)
+    for rep in reps:
+        ql.covariants(rep)
 
 
 @pytest.mark.parametrize("weights", [None, (2, 3, -5)])
