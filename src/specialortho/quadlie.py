@@ -45,6 +45,7 @@ from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS, _mask_to_tup
 from .errors import NotImaginary, ShapeMismatch, SingularMatrix, WrongDimension
 from .exterior import K, QuadraticSpace, all_multi_indices, complement_index
 from .octonions import (
+    Octonion,
     OctonionAlgebra,
     associator,
     bilinear_B,
@@ -816,14 +817,26 @@ def _first_failing_triple(
     return None
 
 
+def double_commutator(octs: OctonionAlgebra, i: int, j: int, k: int) -> Octonion:
+    """[e_k, [e_i, e_j]] by bilinearity from the cached unit commutators:
+    the sum over m of [e_i, e_j]_m [e_k, e_m], over nonzero coordinates."""
+    out = [ZERO] * 8
+    for m, c in enumerate(octs.on_units(commutator, i, j).coeffs):
+        if c.num:
+            for t, x in enumerate(octs.on_units(commutator, k, m).coeffs):
+                if x.num:
+                    out[t] = out[t] + c * x
+    return octs.from_coeffs(out)
+
+
 def mu_im_pointwise_witness(octs: OctonionAlgebra, mu_act: MomentAction) -> Optional[str]:
     """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)) on basis triples, with
     ``mu_act`` the moment_action table of mu on the imaginaries."""
     three, minus_quarter = rat(3), rat(-1, 4)
 
     def closed_form(i: int, j: int, k: int) -> Vector:
-        uv, w = octs.on_units(commutator, i, j), octs.imaginary_unit(k)
-        expect = commutator(w, uv) + octs.on_units(associator, i, j, k).scale(three)
+        assoc = octs.on_units(associator, i, j, k).scale(three)
+        expect = double_commutator(octs, i, j, k) + assoc
         return expect.scale(minus_quarter).imaginary_coeffs()
 
     return _first_failing_triple(
@@ -843,8 +856,7 @@ def mu_im_canonical_split_witness(
 
     def closed_form(i: int, j: int, k: int) -> Vector:
         canonical = mu_can_value(space, i - 1, j - 1, k - 1)
-        bracket = commutator(octs.imaginary_unit(k), octs.on_units(commutator, i, j))
-        eighths = bracket.scale(eighth).imaginary_coeffs()
+        eighths = double_commutator(octs, i, j, k).scale(eighth).imaginary_coeffs()
         return [three_halves * c + e for c, e in zip(canonical, eighths)]
 
     return _first_failing_triple(

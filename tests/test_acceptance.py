@@ -16,7 +16,6 @@ import pytest
 from specialortho.altmap import (
     AltMap,
     PairingSpec,
-    b_alt,
     brute_compose,
     brute_wedge_rel,
     compose,
@@ -57,6 +56,7 @@ from specialortho.suites import (
     Workspace,
 )
 from specialortho.superalg import build_tilde
+from test_altmap import b_alt
 
 def apply_to_octonion(cliff, c, x):
     """rho(c) x: the spin matrix of c applied to the octonion x."""

@@ -1,4 +1,8 @@
-"""Shuffle wedge, shuffle composition, b_alt, Hodge duals vs brute force."""
+"""Shuffle wedge, shuffle composition, b_alt, Hodge duals vs brute force.
+
+b_alt and hodge_verify_oracle are test-only: the library's Hodge
+re-verification reads one scalar wedge per multi-index instead.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from specialortho import linalg
 from specialortho.altmap import (
     AltMap,
     PairingSpec,
-    b_alt,
+    _verify_hodge,
     brute_compose,
     brute_wedge_rel,
     compose,
@@ -21,9 +25,55 @@ from specialortho.altmap import (
     volume_constant,
     wedge_rel,
 )
-from specialortho.errors import ArityMismatch, ShapeMismatch
-from specialortho.exterior import K, QuadraticSpace, all_multi_indices
+from specialortho.errors import ArityMismatch, ShapeMismatch, SingularPairing
+from specialortho.exterior import (
+    K,
+    QuadraticSpace,
+    all_multi_indices,
+    render_multi_index,
+)
 from specialortho.scalars import L1, L2, ONE, ZERO, rat
+from specialortho.suites import Workspace
+
+
+def b_alt(f, g):
+    """Form on alternating maps: sum_I <f(e_I), g(e_I)> / q(e_I)."""
+    if f.domain is not g.domain or f.degree != g.degree:
+        raise ShapeMismatch("b_alt needs equal domains and degrees")
+    if f.codomain is not g.codomain:
+        raise ShapeMismatch("b_alt needs a common codomain")
+    if not f.domain.is_diagonal:
+        raise ShapeMismatch("b_alt requires a diagonal domain gram")
+    total = ZERO
+    small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
+    for index, vec in small.coeffs.items():
+        other = large.coeffs.get(index)
+        if other is None:
+            continue
+        inner = f.codomain.pair(vec, other)
+        if inner.num:
+            total = total + inner / f.domain.q_product(index)
+    return total
+
+
+def hodge_verify_oracle(f, star, vol):
+    """alpha ^_B star = b_alt(alpha, f) * vol replayed at every basis alpha =
+    e_I x u_b, one form-paired wedge and one b_alt each: None when every
+    alpha holds, else the SingularPairing text naming the first failure."""
+    space, codomain = f.domain, f.codomain
+    n, p = space.dim, f.degree
+    full = tuple(range(1, n + 1))
+    pairing = PairingSpec.form(codomain)
+    for I in all_multi_indices(n, p):
+        for b in range(codomain.dim):
+            alpha = AltMap(space, codomain, p, {I: codomain.basis_vector(b)})
+            left = wedge_rel(alpha, star, pairing).coeffs.get(full, [ZERO])[0]
+            if left != b_alt(alpha, f) * vol:
+                return (
+                    "hodge dual failed re-verification at "
+                    f"alpha = {render_multi_index(I)} x basis {b}"
+                )
+    return None
 
 
 def diag_space(*qs, name="V"):
@@ -307,6 +357,58 @@ def test_hodge_dual_vector_valued_self_consistent():
     alpha = AltMap(V, V, 2, {(1, 3): V.basis_vector(1)})
     lhs = wedge_rel(alpha, star, pairing).coeffs.get((1, 2, 3, 4), [ZERO])[0]
     assert lhs == b_alt(alpha, f) * L1 * L2
+
+
+def corrupted_stars(star, rng):
+    """Copies of star with one coordinate moved by one or one nonzero
+    coordinate negated, at the first, a middle and the last stored value,
+    with the middle value dropped, and with six seeded coordinates moved by
+    a constant or by L1."""
+
+    def moved(J, t, c):
+        value = star.value(J)
+        value[t] = c
+        return AltMap(star.domain, star.codomain, star.degree, {**star.coeffs, J: value})
+
+    indices = all_multi_indices(star.domain.dim, star.degree)
+    for _ in range(6):
+        J, t = rng.choice(indices), rng.randrange(star.codomain.dim)
+        yield moved(J, t, star.value(J)[t] + rng.choice([rat(-2), ONE, L1]))
+    stored = sorted(star.coeffs)
+    middle = stored[len(stored) // 2]
+    for J in (stored[0], middle, stored[-1]):
+        value = star.coeffs[J]
+        k = next(t for t, c in enumerate(value) if c.num)
+        yield moved(J, k, value[k] + ONE)
+        yield moved(J, k, -value[k])
+        yield moved(J, -1, value[-1] + ONE)
+    kept = {J: v for J, v in star.coeffs.items() if J != middle}
+    yield AltMap(star.domain, star.codomain, star.degree, kept)
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
+def test_hodge_reverification_names_the_oracle_alpha(weights):
+    # the duals of mu on Im O (values in g2, whose Gram is not diagonal) and
+    # on O (values in so7); every corrupted star fails at the oracle's alpha
+    ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
+    cov_im, cov_oct = ws.cov_im, ws.cov_oct
+    assert not cov_im.mu.codomain.is_diagonal
+    for f, volume in (
+        (cov_im.mu, wedge_rel(ws.octs.phi, cov_im.quad)),
+        (cov_oct.mu, wedge_rel(cov_oct.quad, cov_oct.quad)),
+    ):
+        vol = volume_constant(volume)
+        star = hodge_dual(f, volume)
+        assert hodge_verify_oracle(f, star, vol) is None
+        witnesses = set()
+        for bad in corrupted_stars(star, random.Random(31)):
+            witness = hodge_verify_oracle(f, bad, vol)
+            assert witness is not None
+            with pytest.raises(SingularPairing) as caught:
+                _verify_hodge(f, bad, vol)
+            assert str(caught.value) == witness
+            witnesses.add(witness)
+        assert len(witnesses) > 3
 
 
 def test_volume_constant_guard():

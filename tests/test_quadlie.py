@@ -634,6 +634,87 @@ def test_covariants_never_evaluate(monkeypatch):
         ql.covariants(rep)
 
 
+# -- mu o psi against the ordered-block loop ----------------------------------
+
+
+def compose_block_oracle(f, g):
+    """f o g for a degree-2 f by the ordered-block loop: for each multi-index
+    T and each increasing q-subset A of it, f(g(e_A), g(e_{T - A})) by
+    evaluate, signed by the permutation A + (T - A) of T."""
+    q, n = g.degree, g.domain.dim
+    coeffs = {}
+    for T in all_multi_indices(n, 2 * q):
+        acc = [ZERO] * f.codomain.dim
+        for A in combinations(T, q):
+            B = tuple(t for t in T if t not in A)
+            if A not in g.coeffs or B not in g.coeffs:
+                continue
+            value = f.evaluate([g.coeffs[A], g.coeffs[B]])
+            odd = sum(a > b for a in A for b in B) % 2
+            acc = [x - v if odd else x + v for x, v in zip(acc, value)]
+        coeffs[T] = acc
+    return AltMap(g.domain, f.codomain, 2 * q, coeffs)
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
+def test_mu_compose_psi_equals_the_block_loop(weights):
+    bound = () if weights is None else tuple(rat(w) for w in weights)
+    ws = Workspace(*bound)
+    for cov in (ws.cov_im, ws.cov_oct, ws.cov_family):
+        assert cov.mu_compose_psi == compose_block_oracle(cov.mu, cov.psi)
+    # zero on Im O (mathews-im-compose-zero), not on O
+    assert ws.cov_im.mu_compose_psi.is_zero()
+    assert not ws.cov_oct.mu_compose_psi.is_zero()
+    for alpha, beta in ((rat(-1, 2), None), (ONE, ONE)):
+        cov = Workspace(*bound, alpha=alpha, beta=beta).cov_family
+        assert cov.mu_compose_psi == compose_block_oracle(cov.mu, cov.psi)
+
+
+def test_compose_of_a_moved_mu_equals_the_block_loop(monkeypatch):
+    # one coefficient of mu moved, composed with the psi of the moved mu and
+    # with the unmoved psi
+    reps = list(_fresh_reps())[:2]
+    for rep in reps:
+        mu = ql.moment_map(rep)
+        psi = ql.covariants(rep).psi
+        for index in sorted(mu.coeffs)[:2]:
+            value = mu.value(index)
+            value[0] = value[0] + ONE
+            moved_mu = AltMap(mu.domain, mu.codomain, 2, {**mu.coeffs, index: value})
+            monkeypatch.setattr(ql, "moment_map", lambda rep, m=moved_mu: m)
+            cov = ql.covariants(rep)
+            assert cov.mu_compose_psi == compose_block_oracle(moved_mu, cov.psi)
+            moved = compose(moved_mu, psi)
+            assert moved == compose_block_oracle(moved_mu, psi)
+            assert moved != compose(mu, psi)
+        monkeypatch.undo()
+
+
+def test_mu_compose_psi_never_evaluates(monkeypatch):
+    covs = [ql.covariants(rep) for rep in list(_fresh_reps())[:3]]
+
+    def refuse(self, args):
+        raise AssertionError("mu o psi evaluated an alternating map")
+
+    monkeypatch.setattr(AltMap, "evaluate", refuse)
+    for cov in covs:
+        cov.mu_compose_psi
+
+
+@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
+def test_double_commutator_equals_two_octonion_commutators(weights):
+    params = (L1, L2, L3) if weights is None else tuple(rat(w) for w in weights)
+    octs = build_algebra(*params)
+    e = octs.imaginary_unit
+    for i, j, k in product(range(1, 8), repeat=3):
+        want = commutator(e(k), commutator(e(i), e(j)))
+        assert ql.double_commutator(octs, i, j, k) == want
+    # both commutators are read from the 49 cached imaginary unit pairs
+    assert set(octs.unit_tables) == {
+        (commutator, pair) for pair in product(range(1, 8), repeat=2)
+    }
+
+
 @pytest.mark.parametrize("weights", [None, (2, 3, -5)])
 def test_spinor_brackets_match_super_bracket(weights):
     ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
