@@ -97,7 +97,7 @@ class CliffordElement:
             CliffordElement(self.algebra, odd),
         )
 
-    def render(self) -> str:
+    def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -106,9 +106,6 @@ class CliffordElement:
             name = "1" if not idx else "e" + "".join(str(i) for i in idx)
             parts.append(f"({self.coeffs[mask].render()})*{name}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return self.render()
 
 
 class CliffordAlgebra:
@@ -198,9 +195,11 @@ class CliffordAlgebra:
 
     def _generator_matrix(self, t: int) -> Matrix:
         # left multiplication by e_{t+1} on the octonions, in coordinates
-        table = self.octonions.table
-        i = t + 1
-        return [[table[i][j][r] for j in range(8)] for r in range(8)]
+        out = linalg.zeros(8, 8)
+        for j in range(8):
+            r, c = self.octonions.unit_product(t + 1, j)
+            out[r][j] = c
+        return out
 
     def _mono_matrix(self, mask: int) -> Matrix:
         got = self._matrix_cache.get(mask)

@@ -4,30 +4,32 @@ Triple Cayley-Dickson doubling over the field Q(l1, l2, l3, a): the doubling
 scalars are -l1, -l2, -l3, so the basis unit at position k (binary digits
 selecting the three doubling levels) squares to minus a product of the
 parameters.  The norm is q(x) = x conj(x); its polarization B makes the basis
-orthogonal with B(e_k, e_k) the matching parameter product.  Index arithmetic
-on the seven imaginary units follows xor: e_i e_j = (sign) (monomial) e_{i xor j}.
-The multiplication table is built on basis units alone: each of its 64
-entries is one such product, found by doubling a pair of units through the
-three levels, where only one of the four terms of the doubling survives.
+orthogonal with B(e_k, e_k) the matching parameter product.  The product is
+stored once, as the 64 coefficients c of e_i e_j = c e_{i xor j}, each found
+by doubling a pair of units, where one term of the doubling survives at each
+level.  Products, commutators, cross products and associators of basis units
+are one term (k, c) read from that table; the operations on arbitrary
+octonions expand term by term.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .altmap import AltMap, PairingSpec
+from .altmap import AltMap
 from .errors import DegenerateParameter, NotImaginary, ShapeMismatch
 from .exterior import K, QuadraticSpace, all_multi_indices
 from .scalars import Frac, ONE, ZERO, rat
 
 Vector = list[Frac]
+Term = tuple[int, Frac]
 HALF = rat(1, 2)
 
 
-def _cd_unit(i: int, j: int, gammas: Sequence[Frac]) -> tuple[int, Frac]:
-    """The product of basis units e_i e_j = c e_k, as (k, c), in the algebra
-    doubled by ``gammas`` (innermost level first).
+def _cd_unit(i: int, j: int, gammas: Sequence[Frac]) -> Frac:
+    """The coefficient c of e_i e_j = c e_{i xor j}, for basis units, in the
+    algebra doubled by ``gammas`` (innermost level first).
 
     With half = 2^(len(gammas) - 1), a unit below half is (e_i, 0) and one at
     or above it is (0, e_{i - half}).  Of the four terms of the doubling
@@ -37,32 +39,31 @@ def _cd_unit(i: int, j: int, gammas: Sequence[Frac]) -> tuple[int, Frac]:
     only one survives, and conj(e_k) = -e_k for every k but 0.
     """
     if not gammas:
-        return 0, ONE
+        return ONE
     half = 1 << (len(gammas) - 1)
     inner = gammas[:-1]
     if i < half and j < half:  # a1 b1
         return _cd_unit(i, j, inner)
     if i < half:  # b2 a1
-        k, c = _cd_unit(j - half, i, inner)
-        return k + half, c
+        return _cd_unit(j - half, i, inner)
     if j < half:  # a2 conj(b1)
-        k, c = _cd_unit(i - half, j, inner)
-        return k + half, c if j == 0 else -c
+        c = _cd_unit(i - half, j, inner)
+        return c if j == 0 else -c
     # gamma conj(b2) a2
-    k, c = _cd_unit(j - half, i - half, inner)
-    return k, gammas[-1] * (c if j == half else -c)
+    c = _cd_unit(j - half, i - half, inner)
+    return gammas[-1] * (c if j == half else -c)
 
 
 class OctonionAlgebra:
     """Structure constants, Gram data, and the two ambient quadratic spaces.
 
-    ``table[i][j]`` is the product of the basis units e_i e_j, and
-    ``product`` is the same table as the PairingSpec O x O -> O that
-    multiplies octonions.  ``unit_tables`` holds, by (fn, positions), the
-    values of fn on basis units (cross products, commutators, associators)
-    that ``on_units`` has computed so far; it starts empty.  ``phi`` and
-    ``cross`` are the associative form and the cross product as alternating
-    maps on the imaginaries, each built on first access.
+    ``units[i][j]`` is the coefficient c of e_i e_j = c e_{i xor j}, the one
+    store of the product.  ``unit_product``, ``unit_commutator``,
+    ``unit_cross`` and ``unit_associator`` return that operation on basis
+    units as its one term (k, c), with k the xor of the positions.  The
+    Gram is the table's diagonal (``space_oct.diag``).  ``phi`` and ``cross``
+    are the associative form and the cross product as alternating maps on
+    the imaginaries, each built on first access.
     """
 
     def __init__(self, l1: Frac, l2: Frac, l3: Frac):
@@ -71,59 +72,67 @@ class OctonionAlgebra:
                 raise DegenerateParameter("doubling parameters must be nonzero")
         self.params = (l1, l2, l3)
         gammas = (-l1, -l2, -l3)
-        self.table: list[list[Vector]] = [[[ZERO] * 8 for _ in range(8)] for _ in range(8)]
-        for i, row in enumerate(self.table):
-            for j, entry in enumerate(row):
-                k, c = _cd_unit(i, j, gammas)
-                entry[k] = c
-        # polarized norm: B(x, y) = (x conj(y) + y conj(x)) / 2, real component;
-        # conj(e_k) = s_k e_k with s_0 = 1 and s_k = -1, so each side is a
-        # signed real entry of the table
-        real = [[row[j][0] if j == 0 else -row[j][0] for j in range(8)] for row in self.table]
-        gram = [[(real[i][j] + real[j][i]) / 2 for j in range(8)] for i in range(8)]
+        self.units = [[_cd_unit(i, j, gammas) for j in range(8)] for i in range(8)]
+        # B(e_k, e_k) is the real part of e_k conj(e_k), and conj(e_k) = -e_k
+        # for every k but 0; distinct units are orthogonal
+        norms = [self.units[0][0]] + [-self.units[k][k] for k in range(1, 8)]
+        gram = [[q if i == j else ZERO for j in range(8)] for i, q in enumerate(norms)]
         self.space_oct = QuadraticSpace(
             tuple(f"e{k+1}" for k in range(8)), gram, name="O"
         )
         self.space_im = QuadraticSpace(
             tuple(f"e{k}" for k in range(1, 8)),
-            [[gram[i][j] for j in range(1, 8)] for i in range(1, 8)],
+            [row[1:] for row in gram[1:]],
             name="ImO",
         )
-        space = self.space_oct
-        self.product = PairingSpec(space, space, space, self.table, name="octonion product")
-        self.unit_tables: dict[tuple, Octonion] = {}
 
-    def on_units(self, fn: Callable[..., "Octonion"], *positions: int) -> "Octonion":
-        """fn of the basis units at these positions, computed by fn once per
-        algebra; the stored value is shared and read only."""
-        key = (fn, positions)
-        value = self.unit_tables.get(key)
-        if value is None:
-            value = self.unit_tables[key] = fn(*(self.unit(k) for k in positions))
-        return value
+    def unit_product(self, i: int, j: int) -> Term:
+        """e_i e_j as its one term (i xor j, c)."""
+        return i ^ j, self.units[i][j]
+
+    def unit_commutator(self, i: int, j: int) -> Term:
+        """[e_i, e_j] = e_i e_j - e_j e_i as its one term."""
+        return i ^ j, self.units[i][j] - self.units[j][i]
+
+    def unit_cross(self, i: int, j: int) -> Term:
+        """e_i x e_j = (conj(e_j) e_i - conj(e_i) e_j) / 2 as its one term."""
+        ji, ij = self.units[j][i], self.units[i][j]
+        return i ^ j, ((ji if j == 0 else -ji) - (ij if i == 0 else -ij)) * HALF
+
+    def unit_associator(self, i: int, j: int, k: int) -> Term:
+        """(e_i e_j) e_k - e_i (e_j e_k) as its one term."""
+        units = self.units
+        return i ^ j ^ k, units[i][j] * units[i ^ j][k] - units[j][k] * units[i][j ^ k]
 
     @cached_property
     def phi(self) -> AltMap:
-        """The associative form as a degree-3 map ImO^3 -> K."""
+        """The associative form as a degree-3 map ImO^3 -> K: B(e_i x e_j, e_k)
+        is nonzero only where e_i x e_j lands on e_k."""
         coeffs = {}
-        for index in all_multi_indices(7, 3):
-            units = (self.imaginary_unit(i) for i in index)
-            coeffs[index] = [associative_form(*units)]
+        for i, j, k in all_multi_indices(7, 3):
+            t, c = self.unit_cross(i, j)
+            if t == k:
+                coeffs[(i, j, k)] = [c * self.space_oct.diag[k]]
         return AltMap(self.space_im, K, 3, coeffs, name="phi")
 
     @cached_property
     def cross(self) -> AltMap:
         """The cross product as a degree-2 map ImO^2 -> ImO."""
         coeffs = {
-            index: self.on_units(cross_product, *index).imaginary_coeffs()
+            index: self.from_term(*self.unit_cross(*index)).imaginary_coeffs()
             for index in all_multi_indices(7, 2)
         }
         return AltMap(self.space_im, self.space_im, 2, coeffs, name="cross")
 
+    def from_term(self, k: int, c: Frac) -> "Octonion":
+        """The octonion c e_k."""
+        coeffs = [ZERO] * 8
+        coeffs[k] = c
+        return Octonion(self, coeffs)
+
     def unit(self, k: int) -> "Octonion":
         """Basis octonion at position k (0 is the real unit)."""
-        coeffs = [ONE if i == k else ZERO for i in range(8)]
-        return Octonion(self, coeffs)
+        return self.from_term(k, ONE)
 
     def one(self) -> "Octonion":
         return self.unit(0)
@@ -159,14 +168,17 @@ class Octonion:
     def __sub__(self, other: "Octonion") -> "Octonion":
         return Octonion(self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self) -> "Octonion":
-        return Octonion(self.algebra, [-a for a in self.coeffs])
-
     def scale(self, c: Frac) -> "Octonion":
         return Octonion(self.algebra, [c * a for a in self.coeffs])
 
     def __mul__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.algebra, self.algebra.product.apply(self.coeffs, other.coeffs))
+        out = [ZERO] * 8
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                if a.num and b.num:
+                    k, c = self.algebra.unit_product(i, j)
+                    out[k] = out[k] + a * b * c
+        return Octonion(self.algebra, out)
 
     def conjugate(self) -> "Octonion":
         return Octonion(self.algebra, [self.coeffs[0]] + [-a for a in self.coeffs[1:]])
@@ -185,17 +197,13 @@ class Octonion:
             return NotImplemented
         return self.algebra is other.algebra and self.coeffs == other.coeffs
 
-    def render(self) -> str:
-        parts = []
-        for k, a in enumerate(self.coeffs):
-            if not a.num:
-                continue
-            name = "1" if k == 0 else f"e{k}"
-            parts.append(f"({a.render()})*{name}")
-        return " + ".join(parts) if parts else "0"
-
     def __repr__(self) -> str:
-        return self.render()
+        parts = [
+            f"({a.render()})*{'1' if k == 0 else f'e{k}'}"
+            for k, a in enumerate(self.coeffs)
+            if a.num
+        ]
+        return " + ".join(parts) if parts else "0"
 
 
 def build_algebra(l1: Frac, l2: Frac, l3: Frac) -> OctonionAlgebra:
@@ -238,15 +246,9 @@ def fano_lines(algebra: OctonionAlgebra) -> list[tuple[int, int, int]]:
         for j in range(1, 8):
             if i == j:
                 continue
-            k = i ^ j
+            k, c = algebra.unit_product(i, j)
             key = frozenset((i, j, k))
-            if key in seen:
-                continue
-            prod = algebra.table[i][j]
-            coeff = prod[k]
-            if not coeff.num:
-                raise ShapeMismatch("product must land on the xor index")
-            if coeff.lead_sign() > 0:
+            if key not in seen and c.lead_sign() > 0:
                 seen.add(key)
                 lines.append((i, j, k))
     return sorted(lines)

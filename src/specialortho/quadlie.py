@@ -44,15 +44,7 @@ from .altmap import (
 from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS, _mask_to_tuple
 from .errors import NotImaginary, ShapeMismatch, SingularMatrix, WrongDimension
 from .exterior import K, QuadraticSpace, all_multi_indices, complement_index
-from .octonions import (
-    Octonion,
-    OctonionAlgebra,
-    associator,
-    bilinear_B,
-    commutator,
-    cross_product,
-    fano_lines,
-)
+from .octonions import OctonionAlgebra, fano_lines
 from .scalars import (
     ROW_SHIFT,
     Frac,
@@ -754,10 +746,10 @@ def psi_im_expected(octs: OctonionAlgebra) -> AltMap:
     coeffs = {}
     minus_three_quarters = rat(-3, 4)
     for index in all_multi_indices(7, 3):
-        val = octs.on_units(associator, *index).scale(minus_three_quarters)
-        if not val.is_imaginary():
+        k, c = octs.unit_associator(*index)
+        if not k and c.num:
             raise NotImaginary("associator of imaginaries must be imaginary")
-        coeffs[index] = val.imaginary_coeffs()
+        coeffs[index] = octs.from_term(k, minus_three_quarters * c).imaginary_coeffs()
     return AltMap(octs.space_im, octs.space_im, 3, coeffs, name="psi_im_closed")
 
 
@@ -766,9 +758,9 @@ def quad_im_expected(octs: OctonionAlgebra) -> AltMap:
     coeffs = {}
     minus_three = rat(-3)
     for index in all_multi_indices(7, 4):
-        u1 = octs.imaginary_unit(index[0])
-        value = minus_three * bilinear_B(u1, octs.on_units(associator, *index[1:]))
-        coeffs[index] = [value]
+        k, c = octs.unit_associator(*index[1:])
+        if k == index[0]:
+            coeffs[index] = [minus_three * octs.space_oct.diag[k] * c]
     return AltMap(octs.space_im, K, 4, coeffs, name="quad_im_closed")
 
 
@@ -780,13 +772,14 @@ def psi_oct_expected(octs: OctonionAlgebra) -> AltMap:
     for index in all_multi_indices(8, 3):
         if index[0] == 1:
             # psi(1, u, v) = psi(u, v, 1) by cyclic evenness = -(u x v)
-            val = -octs.on_units(cross_product, index[1] - 1, index[2] - 1)
+            k, c = octs.unit_cross(index[1] - 1, index[2] - 1)
+            val = octs.from_term(k, -c)
         else:
-            a, b, c = (t - 1 for t in index)
-            phi = bilinear_B(octs.on_units(cross_product, a, b), octs.unit(c))
-            assoc = octs.on_units(associator, a, b, c)
-            val = assoc.scale(minus_half) + octs.one().scale(phi)
-        coeffs[index] = list(val.coeffs)
+            imaginary = tuple(t - 1 for t in index)
+            k, c = octs.unit_associator(*imaginary)
+            phi = octs.phi.value(imaginary)[0]
+            val = octs.from_term(k, minus_half * c) + octs.from_term(0, phi)
+        coeffs[index] = val.coeffs
     return AltMap(octs.space_oct, octs.space_oct, 3, coeffs, name="psi_oct_closed")
 
 
@@ -799,10 +792,11 @@ def quad_oct_expected(octs: OctonionAlgebra) -> AltMap:
         a, b, c, d = (t - 1 for t in index)
         if index[0] == 1:
             # moving the unit from slot 4 to slot 1 is an odd permutation
-            value = four * bilinear_B(octs.on_units(cross_product, b, c), octs.unit(d))
+            coeffs[index] = [four * octs.phi.value((b, c, d))[0]]
         else:
-            value = minus_two * bilinear_B(octs.unit(a), octs.on_units(associator, b, c, d))
-        coeffs[index] = [value]
+            k, value = octs.unit_associator(b, c, d)
+            if k == a:
+                coeffs[index] = [minus_two * octs.space_oct.diag[a] * value]
     return AltMap(octs.space_oct, K, 4, coeffs, name="quad_oct_closed")
 
 
@@ -817,16 +811,12 @@ def _first_failing_triple(
     return None
 
 
-def double_commutator(octs: OctonionAlgebra, i: int, j: int, k: int) -> Octonion:
-    """[e_k, [e_i, e_j]] by bilinearity from the cached unit commutators:
-    the sum over m of [e_i, e_j]_m [e_k, e_m], over nonzero coordinates."""
-    out = [ZERO] * 8
-    for m, c in enumerate(octs.on_units(commutator, i, j).coeffs):
-        if c.num:
-            for t, x in enumerate(octs.on_units(commutator, k, m).coeffs):
-                if x.num:
-                    out[t] = out[t] + c * x
-    return octs.from_coeffs(out)
+def double_commutator(octs: OctonionAlgebra, i: int, j: int, k: int) -> tuple[int, Frac]:
+    """[e_k, [e_i, e_j]] as its one term: [e_i, e_j] = a e_m, so it is
+    a [e_k, e_m]."""
+    m, a = octs.unit_commutator(i, j)
+    t, b = octs.unit_commutator(k, m)
+    return t, a * b
 
 
 def mu_im_pointwise_witness(octs: OctonionAlgebra, mu_act: MomentAction) -> Optional[str]:
@@ -835,9 +825,10 @@ def mu_im_pointwise_witness(octs: OctonionAlgebra, mu_act: MomentAction) -> Opti
     three, minus_quarter = rat(3), rat(-1, 4)
 
     def closed_form(i: int, j: int, k: int) -> Vector:
-        assoc = octs.on_units(associator, i, j, k).scale(three)
-        expect = double_commutator(octs, i, j, k) + assoc
-        return expect.scale(minus_quarter).imaginary_coeffs()
+        # both terms sit at e_{i xor j xor k}
+        t, assoc = octs.unit_associator(i, j, k)
+        double = double_commutator(octs, i, j, k)[1]
+        return octs.from_term(t, minus_quarter * (double + three * assoc)).imaginary_coeffs()
 
     return _first_failing_triple(
         lambda i, j, k: mu_act[i - 1][j - 1][k - 1],
@@ -856,7 +847,8 @@ def mu_im_canonical_split_witness(
 
     def closed_form(i: int, j: int, k: int) -> Vector:
         canonical = mu_can_value(space, i - 1, j - 1, k - 1)
-        eighths = double_commutator(octs, i, j, k).scale(eighth).imaginary_coeffs()
+        t, double = double_commutator(octs, i, j, k)
+        eighths = octs.from_term(t, eighth * double).imaginary_coeffs()
         return [three_halves * c + e for c, e in zip(canonical, eighths)]
 
     return _first_failing_triple(
@@ -883,16 +875,17 @@ def g2_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
 def spinor_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
     """mu(u, v x w) + cyclic = -(1/2) mu((u,v,w), 1) on imaginary triples.
     Both sides are alternating (O is alternative), so they are compared on
-    the 35 increasing triples: the first failure of all 343 ordered ones."""
-    unit = octs.space_oct.basis_vector(0)
-    minus_half = rat(-1, 2)
+    the 35 increasing triples: the first failure of all 343 ordered ones.
+    With (u,v,w) = c e_m, the closed side is (c/2) mu(1, e_m), mu's stored
+    value at (1, m + 1)."""
+    half = rat(1, 2)
     # mu on Im O: its stored value at (i, j), i > 1, is mu's at (i - 1, j - 1)
     coeffs = {(i - 1, j - 1): v for (i, j), v in mu.coeffs.items() if i > 1}
     cyclic = cyclic_sum(octs, AltMap(octs.space_im, mu.codomain, 2, coeffs))
 
     def closed_form(i: int, j: int, k: int) -> Vector:
-        assoc = octs.on_units(associator, i, j, k)
-        return [minus_half * c for c in mu.evaluate([assoc.coeffs, unit])]
+        m, c = octs.unit_associator(i, j, k)
+        return [half * c * x for x in mu.value((1, m + 1))]
 
     return _first_failing_triple(
         lambda i, j, k: cyclic.value((i, j, k)),
@@ -932,7 +925,8 @@ def mu_oct_from_mu_im_witness(
         for j in range(i + 1, 8):
             got = to_clifford(mu_oct.value((i + 1, j + 1)), pair_elements)
             mu_im_cliff = to_clifford(mu_im.value((i, j)), kernel)
-            c_cross = to_clifford(octs.on_units(cross_product, i, j).imaginary_coeffs(), w)
+            t, c = octs.unit_cross(i, j)
+            c_cross = w[t - 1].scale(c)
             expect = mu_im_cliff.scale(eight_ninths) + c_cross.scale(eighteenth)
             if not (got - expect).is_zero():
                 return f"mu(e{i}, e{j}) decomposition fails"

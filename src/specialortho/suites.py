@@ -32,7 +32,7 @@ from .family import (
     swap_family_witness,
 )
 from .linalg import det, mat_vec, trace_of_product
-from .octonions import Octonion, OctonionAlgebra, bilinear_B, build_algebra, cross_product
+from .octonions import Octonion, OctonionAlgebra, bilinear_B, build_algebra
 from .quadlie import (
     CheckRecord,
     Covariants,
@@ -406,9 +406,8 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
                 return f"rho(c_e{i})(1) != -6 e{i}"
             for j in range(1, 8):
                 v = octs.imaginary_unit(j)
-                want = octs.on_units(cross_product, i, j).scale(two) + one.scale(
-                    six * bilinear_B(u, v)
-                )
+                k, c = octs.unit_cross(i, j)
+                want = octs.from_term(k, two * c) + one.scale(six * bilinear_B(u, v))
                 if acts(cu, v) != want:
                     return f"rho(c_e{i})(e{j}) != 2 e{i} x e{j} + 6 B(e{i},e{j})"
         return None

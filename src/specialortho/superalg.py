@@ -274,13 +274,17 @@ def import_superalgebra(text: str) -> SuperAlgebra:
         form = [[parse_scalar(c) for c in row] for row in doc["form"]]
         name = doc["name"]
         digest = doc["digest"]
+        dims = (doc["even_dim"], doc["odd_dim"])
+        parameters = doc.get("parameters", {})
+        if not isinstance(parameters, dict):
+            raise TypeError("parameters is not an object")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed superalgebra document: {e}") from None
     sa = SuperAlgebra(name, even_labels, odd_labels, brackets, form)
     got_brackets, got_form = _canonical_payload(sa)
     if _digest(got_brackets, got_form) != digest:
         raise ParseError("digest mismatch: content was altered")
-    if sa.even_dim != doc["even_dim"] or sa.odd_dim != doc["odd_dim"]:
+    if (sa.even_dim, sa.odd_dim) != dims:
         raise ParseError("declared dimensions do not match the basis")
-    sa._imported_parameters = dict(doc.get("parameters", {}))
+    sa._imported_parameters = dict(parameters)
     return sa

@@ -97,7 +97,25 @@ def test_unit_table_matches_dense_doubling(weights):
     units = [A.unit(k).coeffs for k in range(8)]
     for i in range(8):
         for j in range(8):
-            assert A.table[i][j] == _cd_mul(units[i], units[j], gammas)
+            k, c = A.unit_product(i, j)
+            assert k == i ^ j and c == A.units[i][j]
+            assert A.from_term(k, c).coeffs == _cd_mul(units[i], units[j], gammas)
+
+
+@pytest.mark.parametrize("weights", [(L1, L2, L3), (rat(2), rat(3), rat(-5))])
+def test_unit_terms_equal_the_generic_operations(weights):
+    # the one-term values on basis units against the operations on arbitrary
+    # octonions, for every position 0..7, the real unit included
+    A = build_algebra(*weights)
+    e = [A.unit(k) for k in range(8)]
+    for i in range(8):
+        for j in range(8):
+            assert A.from_term(*A.unit_product(i, j)) == e[i] * e[j]
+            assert A.from_term(*A.unit_commutator(i, j)) == commutator(e[i], e[j])
+            assert A.from_term(*A.unit_cross(i, j)) == cross_product(e[i], e[j])
+            for k in range(8):
+                want = associator(e[i], e[j], e[k])
+                assert A.from_term(*A.unit_associator(i, j, k)) == want
 
 
 def test_bilinear_B_is_the_polarized_norm(A):
@@ -196,8 +214,8 @@ def test_products_follow_xor(A):
             if i == j:
                 continue
             # e_i e_j is a nonzero multiple of e_{i xor j} and nothing else
-            prod = A.table[i][j]
-            assert prod[i ^ j].num
+            prod = (A.unit(i) * A.unit(j)).coeffs
+            assert prod[i ^ j].num and prod[i ^ j] == A.units[i][j]
             assert all(not c.num for t, c in enumerate(prod) if t != i ^ j)
 
 

@@ -1,9 +1,6 @@
 """Moment maps, covariants, and the identity ladder on the octonion modules."""
 
-from collections import Counter
-from functools import reduce
 from itertools import combinations, product
-from operator import xor
 from types import SimpleNamespace
 
 import pytest
@@ -357,23 +354,6 @@ def test_oct_moment_decomposes_through_clifford(octs, cliff, g2, cov_oct):
     assert ql.spinor_cyclic_witness(octs, cov_oct.mu) is None
 
 
-@pytest.mark.parametrize("weights", [None, (2, 3, -5)])
-def test_unit_tables_hold_the_generic_values(weights):
-    ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
-    octs, mu = ws.octs, ws.cov_im.mu
-    assert ql.mu_im_pointwise_witness(octs, ws.cov_im.mu_act) is None
-    assert ql.g2_cyclic_witness(octs, mu) is None
-    assert ws.cov_oct.psi == ql.psi_oct_expected(octs)
-    kinds = Counter(fn for fn, _ in octs.unit_tables)
-    # the cyclic sums read octs.cross, built on the 21 increasing pairs
-    assert kinds == {cross_product: 21, commutator: 49, associator: 343}
-    for (fn, positions), value in octs.unit_tables.items():
-        assert value == fn(*(octs.unit(k) for k in positions))
-        # e_i e_j is a multiple of e_{i xor j}, so each value has one term
-        at = reduce(xor, positions)
-        assert all(not c.num for t, c in enumerate(value.coeffs) if t != at)
-
-
 def _cyclic_scan(octs, mu):
     """The first of all 343 ordered basis triples, in lexicographic order, at
     which mu(u, v x w) + mu(v, w x u) + mu(w, u x v) is not zero."""
@@ -412,15 +392,17 @@ def test_g2_cyclic_record_agrees_with_the_ordered_scan():
 
 def mu_im_pointwise_oracle(octs, mu_act):
     """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)), one loop over the
-    basis triples, or the first failing one."""
+    basis triples with the generic octonion operations, or the first failing
+    one."""
     three, minus_quarter = rat(3), rat(-1, 4)
+    e = octs.imaginary_unit
     for i in range(1, 8):
         for j in range(1, 8):
-            uv = octs.on_units(commutator, i, j)
+            uv = commutator(e(i), e(j))
             for k in range(1, 8):
-                w = octs.imaginary_unit(k)
+                w = e(k)
                 expect = (
-                    commutator(w, uv) + octs.on_units(associator, i, j, k).scale(three)
+                    commutator(w, uv) + associator(e(i), e(j), w).scale(three)
                 ).scale(minus_quarter)
                 if mu_act[i - 1][j - 1][k - 1] != expect.imaginary_coeffs():
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
@@ -429,14 +411,16 @@ def mu_im_pointwise_oracle(octs, mu_act):
 
 def mu_im_canonical_split_oracle(octs, mu_act):
     """mu(u, v) w = (3/2) mu_can(u, v) w + (1/8) [w, [u, v]], one loop over
-    the basis triples, or the first failing one."""
+    the basis triples with the generic octonion operations, or the first
+    failing one."""
     space = octs.space_im
     eighth, three_halves = rat(1, 8), rat(3, 2)
+    e = octs.imaginary_unit
     for i in range(1, 8):
         for j in range(1, 8):
-            uv = octs.on_units(commutator, i, j)
+            uv = commutator(e(i), e(j))
             for k in range(1, 8):
-                w = octs.imaginary_unit(k)
+                w = e(k)
                 canonical = ql.mu_can_value(space, i - 1, j - 1, k - 1)
                 expect_oct = commutator(w, uv).scale(eighth)
                 expect = [
@@ -450,8 +434,9 @@ def mu_im_canonical_split_oracle(octs, mu_act):
 
 def spinor_cyclic_oracle(octs, mu):
     """mu(u, v x w) + cyclic = -(1/2) mu((u,v,w), 1), one loop over the
-    imaginary triples, or the first failing one."""
-    space = octs.space_oct
+    imaginary triples with the generic octonion operations and evaluate, or
+    the first failing one."""
+    space, e = octs.space_oct, octs.imaginary_unit
     unit = space.basis_vector(0)
     minus_half = rat(-1, 2)
     for i in range(1, 8):
@@ -460,10 +445,10 @@ def spinor_cyclic_oracle(octs, mu):
                 total = None
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                     val = mu.evaluate(
-                        [space.basis_vector(x), octs.on_units(cross_product, y, z).coeffs]
+                        [space.basis_vector(x), cross_product(e(y), e(z)).coeffs]
                     )
                     total = val if total is None else [p + q for p, q in zip(total, val)]
-                rhs = mu.evaluate([octs.on_units(associator, i, j, k).coeffs, unit])
+                rhs = mu.evaluate([associator(e(i), e(j), e(k)).coeffs, unit])
                 expect = [minus_half * c for c in rhs]
                 if total != expect:
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
@@ -708,11 +693,7 @@ def test_double_commutator_equals_two_octonion_commutators(weights):
     e = octs.imaginary_unit
     for i, j, k in product(range(1, 8), repeat=3):
         want = commutator(e(k), commutator(e(i), e(j)))
-        assert ql.double_commutator(octs, i, j, k) == want
-    # both commutators are read from the 49 cached imaginary unit pairs
-    assert set(octs.unit_tables) == {
-        (commutator, pair) for pair in product(range(1, 8), repeat=2)
-    }
+        assert octs.from_term(*ql.double_commutator(octs, i, j, k)) == want
 
 
 @pytest.mark.parametrize("weights", [None, (2, 3, -5)])
@@ -1020,7 +1001,9 @@ def test_decompositions_refuse_unexpected_supports(octs, cov_im, cov_oct):
             coeffs[add] = [ONE]
         return AltMap(f.domain, f.codomain, f.degree, coeffs)
 
-    phi = SimpleNamespace(table=octs.table, phi=edited(octs.phi, add=(1, 2, 4)))
+    phi = SimpleNamespace(
+        unit_product=octs.unit_product, phi=edited(octs.phi, add=(1, 2, 4))
+    )
     cases = [
         (lambda: ql.decompose_phi_dual(phi), "support (1, 2, 4) is not a line"),
         (

@@ -6,7 +6,7 @@ from functools import cached_property
 
 import pytest
 
-from specialortho import altmap, cli, clifford, octonions, quadlie, suites
+from specialortho import altmap, clifford, octonions, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
 from specialortho.exterior import K, QuadraticSpace
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
@@ -284,16 +284,6 @@ def test_verify_all_builds_and_scans_each_superalgebra_once(monkeypatch):
     assert all(sa.odd_dim for sa in scanned)
 
 
-def test_setup_stages_leave_the_unit_tables_empty():
-    # every cached Workspace stage, built as perfbench/setup_probe.py does
-    ws = cli._workspace(cli._build_parser().parse_args(["verify", "all"]))
-    stages = [n for n, v in vars(Workspace).items() if isinstance(v, cached_property)]
-    assert "cov_oct" in stages
-    for name in stages:
-        getattr(ws, name)
-    assert ws.octs.unit_tables == {}
-
-
 def test_setup_builds_each_structure_constant_once(monkeypatch):
     counts = {"spinor_action": 0, "apply": 0, "cd_mul": 0, "c_of": 0}
 
@@ -353,23 +343,25 @@ def test_f4_clifford_checks_share_the_c_matrices(monkeypatch):
 
 
 def test_verify_all_builds_phi_once_on_the_field_constant(monkeypatch):
-    calls, raised = [], []
-    real_form, real_eta_inv = octonions.associative_form, clifford.eta_inv
+    built, raised = [], []
+    real_phi, real_eta_inv = octonions.OctonionAlgebra.phi.func, clifford.eta_inv
 
-    def counted(u, v, w):
-        calls.append((u, v, w))
-        return real_form(u, v, w)
+    def counted(octs):
+        built.append(octs)
+        return real_phi(octs)
 
     def recorded(f):
         raised.append(f)
         return real_eta_inv(f)
 
-    monkeypatch.setattr(octonions, "associative_form", counted)
+    phi_once = cached_property(counted)
+    phi_once.__set_name__(octonions.OctonionAlgebra, "phi")
+    monkeypatch.setattr(octonions.OctonionAlgebra, "phi", phi_once)
     monkeypatch.setattr(clifford, "eta_inv", recorded)
     ws = Workspace()
     assert run_suite("all", ws).ok
-    # one value per increasing triple of imaginary units
-    assert len(calls) == 35
+    # one build for the one algebra of the workspace
+    assert built == [ws.octs]
     # the phi that Omega quantizes is the algebra's own
     phi = ws.octs.phi
     assert len(raised) == 1 and raised[0] is phi
@@ -488,3 +480,36 @@ def test_splitting_names_the_failing_pair():
     column[3] = column[3] + ONE
     witness = failing(run_suite("f4", ws).records).get("clifford-splitting")
     assert re.fullmatch(r"Tr\(rho\(d5\) rho\(c_e[1-7]\)\) != 0", witness or "")
+
+
+@pytest.mark.parametrize(
+    "index, witness",
+    [
+        # mu(e2, e5), off the unit slot, and mu(1, e3), stored at (1, 4)
+        ((3, 6), "mu(e2, e5) decomposition fails"),
+        ((1, 4), "mu(e3, 1) != (1/6) c_(e3)"),
+    ],
+)
+def test_spin_moment_from_g2_names_the_moved_coefficient(index, witness):
+    ws = Workspace()
+    original = ws.cov_oct
+    ws.cov_oct = replaced(original, mu=perturbed(original.mu, index))
+    assert failing(run_suite("f4", ws).records)["spin-moment-from-g2"] == witness
+    # the copy was moved, not the workspace's mu_O
+    assert quadlie.mu_oct_from_mu_im_witness(
+        ws.octs, ws.cliff, ws.g2_kernel, ws.cov_im.mu, original.mu
+    ) is None
+
+
+def test_clifford_c_action_names_the_moved_c_u():
+    ws = Workspace()
+    cliff = ws.cliff
+    w = cliff.w_basis()
+    moved = list(w)
+    mask = min(w[2].coeffs)
+    moved[2] = clifford.CliffordElement(cliff, {**w[2].coeffs, mask: w[2].coeffs[mask] + ONE})
+    cliff._w_basis = moved
+    witness = failing(run_suite("f4", ws).records)["clifford-c-action"]
+    assert witness == "rho(c_e3)(1) != -6 e3"
+    # the perturbed element is a new one; c_(e3) itself is unchanged
+    assert w[2].coeffs == cliff.c_of(ws.octs.imaginary_unit(3)).coeffs

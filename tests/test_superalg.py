@@ -434,6 +434,27 @@ def test_import_rejects_tampering(d21):
         sup.import_superalgebra("{}")
 
 
+@pytest.mark.parametrize("key", ["even_dim", "odd_dim"])
+def test_import_without_a_dimension_is_a_parse_error(d21, key):
+    # the digest covers the brackets and the form only, so it still matches
+    doc = json.loads(sup.export_superalgebra(d21))
+    del doc[key]
+    with pytest.raises(ParseError) as caught:
+        sup.import_superalgebra(json.dumps(doc))
+    assert str(caught.value) == f"malformed superalgebra document: '{key}'"
+
+
+@pytest.mark.parametrize("parameters", [["a", "3"], "a=3", 3])
+def test_import_with_parameters_not_an_object_is_a_parse_error(d21, parameters):
+    doc = json.loads(sup.export_superalgebra(d21))
+    doc["parameters"] = parameters
+    with pytest.raises(ParseError) as caught:
+        sup.import_superalgebra(json.dumps(doc))
+    assert str(caught.value) == (
+        "malformed superalgebra document: parameters is not an object"
+    )
+
+
 def test_export_specialized_parameters():
     sa = sup.build_tilde(ql.covariants(fam.build_family(rat(3), rat(-4))), "D(2,1;3)")
     text = sup.export_superalgebra(sa, {"a": "3"})
