@@ -18,9 +18,14 @@ follow the shuffle conventions without factorial normalization:
 and hodge_dual inverts alpha ^_B (star f) = b_alt(alpha, f) * volume, where
 b_alt(alpha, f) = sum over multi-indices I of B(alpha(e_I), f(e_I)) / q(e_I);
 its re-verification is one scalar wedge e_I ^ star per multi-index I.
+The shuffle kernel runs on integer terms: a PairingSpec clears its table
+once, wedge_rel clears f and g once each, multiplies ints and turns each
+output coordinate back into one Frac (scalars.clear_denominators and
+uncleared); nothing cleared is cached on an AltMap, whose coeffs may change.
 first_difference names the least multi-index where two maps differ.  The
 brute-force reference implementations (full symmetric-group sums divided by
-the stabilizer order) are exported for oracle testing.
+the stabilizer order, through the field evaluation PairingSpec.apply) are
+exported for oracle testing.
 
 Spaces are compared by identity: two maps combine only when they were built
 on the same QuadraticSpace object.
@@ -41,7 +46,16 @@ from .exterior import (
     complement_index,
     render_multi_index,
 )
-from .scalars import Frac, ONE, ZERO, dot
+from .scalars import (
+    KEY_MASK,
+    ROW_SHIFT,
+    Frac,
+    ONE,
+    ZERO,
+    clear_denominators,
+    dot,
+    uncleared,
+)
 
 Vector = list[Frac]
 
@@ -49,8 +63,12 @@ Vector = list[Frac]
 class PairingSpec:
     """A bilinear pairing U1 x U2 -> U3 given by its table on basis pairs.
 
-    ``rows`` holds the nonzero entries of the table once, so that ``gather``
-    collects the terms of a product and each coordinate is one ``dot``.
+    ``table[i][j]`` is the vector pairing(e_i, e_j).  The table is cleared
+    once, at construction (``scalars.clear_denominators``): ``rows[i][j]``
+    holds the nonzero entries of ``table[i][j]`` as integer terms over the
+    one common denominator ``den``, which the shuffle kernel multiplies as
+    ints.  ``apply`` evaluates the table itself in the field, one ``dot`` per
+    coordinate, and serves as the independent path of ``brute_wedge_rel``.
     """
 
     def __init__(
@@ -68,33 +86,33 @@ class PairingSpec:
         if len(table) != left.dim or any(len(row) != right.dim for row in table):
             raise ShapeMismatch(f"{self.name}: table shape mismatch")
         self.table = [[list(v) for v in row] for row in table]
+        self.den, cleared = clear_denominators(
+            {
+                (i, j): {k: t for k, t in enumerate(v) if t.num}
+                for i, row in enumerate(self.table)
+                for j, v in enumerate(row)
+            }
+        )
         self.rows = [
-            [[(k, t) for k, t in enumerate(v) if t.num] for v in row]
-            for row in self.table
+            [cleared[(i, j)] for j in range(right.dim)] for i in range(left.dim)
         ]
-
-    def gather(
-        self, terms: dict, x: Sequence[Frac], y: Sequence[Frac], negate: bool = False
-    ) -> None:
-        """Add the terms (c, t) of the k-th coordinate of +-pairing(x, y) to
-        terms[k], where c = +-x_i y_j and t is a table entry."""
-        rows = self.rows
-        for i, xi in enumerate(x):
-            if not xi.num:
-                continue
-            row = rows[i]
-            for j, yj in enumerate(y):
-                entries = row[j]
-                if not entries or not yj.num:
-                    continue
-                c = -(xi * yj) if negate else xi * yj
-                for k, t in entries:
-                    terms.setdefault(k, []).append((c, t))
 
     def apply(self, x: Sequence[Frac], y: Sequence[Frac]) -> Vector:
         terms: dict[int, list] = {}
-        self.gather(terms, x, y)
-        return _sum_terms(terms, self.result.dim)
+        for i, xi in enumerate(x):
+            if not xi.num:
+                continue
+            for j, yj in enumerate(y):
+                if not yj.num:
+                    continue
+                c = xi * yj
+                for k, t in enumerate(self.table[i][j]):
+                    if t.num:
+                        terms.setdefault(k, []).append((c, t))
+        out = [ZERO] * self.result.dim
+        for k, pairs in terms.items():
+            out[k] = dot(pairs)
+        return out
 
     @classmethod
     def scalar_multiply(cls, space: QuadraticSpace) -> "PairingSpec":
@@ -166,6 +184,14 @@ class AltMap:
     def identity(cls, space: QuadraticSpace) -> "AltMap":
         coeffs = {(i + 1,): space.basis_vector(i) for i in range(space.dim)}
         return cls(space, space, 1, coeffs, name="Id")
+
+    def cleared(self) -> tuple[dict, dict]:
+        """The stored values over one common denominator, as the integer
+        terms of ``scalars.clear_denominators`` keyed by multi-index.  Made
+        afresh on every call: ``coeffs`` may change in place."""
+        return clear_denominators(
+            {I: {k: c for k, c in enumerate(v) if c.num} for I, v in self.coeffs.items()}
+        )
 
     def value(self, index: MultiIndex) -> Vector:
         got = self.coeffs.get(tuple(index))
@@ -263,7 +289,12 @@ def _shuffle_sign(positions: Sequence[int], p: int) -> int:
 
 def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> AltMap:
     """Shuffle wedge of f and g relative to a bilinear pairing of codomains;
-    without one, f must be scalar-valued and scales the values of g."""
+    without one, f must be scalar-valued and scales the values of g.
+
+    f and g are cleared once each (``AltMap.cleared``) and every product is
+    taken in ``_shuffle_terms`` on integer terms; each output coordinate is
+    one Frac, over the product of the three common denominators.
+    """
     if f.domain is not g.domain:
         raise ShapeMismatch("wedge_rel needs a common domain")
     pairing = pairing or PairingSpec.scalar_multiply(g.codomain)
@@ -274,22 +305,50 @@ def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> Al
     result = AltMap(f.domain, pairing.result, p + q)
     if p + q > n or f.is_zero() or g.is_zero():
         return result
-    # each stored f(e_I) meets each stored g(e_J) with J disjoint from I
+    lf, fc = f.cleared()
+    lg, gc = (lf, fc) if g is f else g.cleared()
+    by_index = _shuffle_terms(fc, gc, p, q, n, pairing.rows)
+    dens, dim = (lf, lg, pairing.den), pairing.result.dim
+    for T in sorted(by_index):
+        acc = by_index[T]
+        if any(acc.values()):
+            result.coeffs[T] = uncleared(acc, dens, dim)
+    return result
+
+
+def _shuffle_terms(fc: dict, gc: dict, p: int, q: int, n: int, rows) -> dict:
+    """The shuffle products of cleared degree-p and degree-q values, as
+    integer terms: {T: {(k << ROW_SHIFT) + key: v}} for the multi-indices T
+    that some product reaches, with ``rows`` the cleared pairing table.
+
+    Each stored f(e_I) meets each stored g(e_J) with J disjoint from I; a
+    product of terms is one int product and a sum of three keys.
+    """
     by_index: dict[MultiIndex, dict] = {}
-    for I, fI in f.coeffs.items():
+    for I, fI in fc.items():
         free = [i for i in range(1, n + 1) if i not in I]
         for J in combinations(free, q):
-            gJ = g.coeffs.get(J)
+            gJ = gc.get(J)
             if gJ is None:
                 continue
             T = tuple(sorted(I + J))
             odd = _shuffle_sign([T.index(i) for i in I], p) < 0
-            pairing.gather(by_index.setdefault(T, {}), fI, gJ, odd)
-    for T in sorted(by_index):
-        acc = _sum_terms(by_index[T], pairing.result.dim)
-        if any(c.num for c in acc):
-            result.coeffs[T] = acc
-    return result
+            acc = by_index.setdefault(T, {})
+            get = acc.get
+            for mi, a in fI:
+                row = rows[mi >> ROW_SHIFT]
+                ki = mi & KEY_MASK
+                if odd:
+                    a = -a
+                for mj, b in gJ:
+                    entries = row[mj >> ROW_SHIFT]
+                    if not entries:
+                        continue
+                    ab, kij = a * b, ki + (mj & KEY_MASK)
+                    for k, t in entries:
+                        k += kij
+                        acc[k] = get(k, 0) + ab * t
+    return by_index
 
 
 def _ordered_blocks(positions: tuple[int, ...], p: int, q: int):
@@ -423,11 +482,14 @@ def _verify_hodge(f: AltMap, star: AltMap, vol: Frac) -> None:
     space, codomain = f.domain, f.codomain
     n, p = space.dim, f.degree
     full = tuple(range(1, n + 1))
-    pairing = PairingSpec.scalar_multiply(codomain)
+    rows = PairingSpec.scalar_multiply(codomain).rows
+    den, cleared = star.cleared()
     zero = [ZERO] * codomain.dim
     for I in all_multi_indices(n, p):
-        e_I = AltMap(space, K, p, {I: [ONE]})
-        w = wedge_rel(e_I, star, pairing).coeffs.get(full, zero)
+        # e_I is the one integer term 1 at coordinate 0 and the scalar action
+        # table the identity, both over denominator 1
+        terms = _shuffle_terms({I: ((0, 1),)}, cleared, p, n - p, n, rows)
+        w = uncleared(terms.get(full, {}), (den,), codomain.dim)
         want = zero
         if I in f.coeffs:
             scale = vol / space.q_product(I)
@@ -501,14 +563,6 @@ def brute_compose(f: AltMap, g: AltMap) -> AltMap:
         if any(c.num for c in acc):
             result.coeffs[T] = acc
     return result
-
-
-def _sum_terms(terms: dict, dim: int) -> Vector:
-    """The vector whose k-th coordinate is the sum of a * b over terms[k]."""
-    out = [ZERO] * dim
-    for k, pairs in terms.items():
-        out[k] = dot(pairs)
-    return out
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

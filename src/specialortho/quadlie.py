@@ -28,6 +28,7 @@ affine planes of the parallelepiped spanned by the three doubling steps.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -46,6 +47,7 @@ from .errors import NotImaginary, ShapeMismatch, SingularMatrix, WrongDimension
 from .exterior import K, QuadraticSpace, all_multi_indices, complement_index
 from .octonions import OctonionAlgebra, fano_lines
 from .scalars import (
+    KEY_MASK,
     ROW_SHIFT,
     Frac,
     ONE,
@@ -54,6 +56,7 @@ from .scalars import (
     dot,
     rat,
     solve_linear,
+    uncleared,
 )
 
 Vector = list[Frac]
@@ -61,7 +64,6 @@ Matrix = list[list[Frac]]
 
 
 _SECTORS = ("EEE", "EEO", "EOO", "OOO")
-_KEY_MASK = (1 << ROW_SHIFT) - 1
 
 
 class SuperAlgebra:
@@ -151,45 +153,65 @@ class SuperAlgebra:
         sector depends only on the parities.  The scan therefore runs over
         x <= y <= z in lexicographic order, and the least triple of a
         sector is the first failure of a scan over every x and every pair
-        y <= z.
+        y <= z.  At one triple the output indices are met in the order
+        their terms first appear: those of [x,[y,z]], then of [[x,y],z],
+        then of [y,[x,z]].
 
         Each term of J is a product of two table entries, so with the rows
         over one common denominator L, L^2 J(x,y,z) is a sum of products of
-        integer numerators, accumulated in one dict per triple.
+        integer numerators.  For each pair x <= y one dict holds it for every
+        z >= y at once, keyed by z, the output index and the monomial; the
+        rows [a, z] are read from the adjacency list of a, by increasing z.
         """
         out: dict[str, dict[int, tuple[int, int, int]]] = {s: {} for s in _SECTORS}
         n = self.dim
-        rows = self._cleared_rows
+        # rows[a]: {z: cleared row [a, z]}; right[a]: (z, offset of z in
+        # the keys, row) by increasing z; starts[a]: those z, to bisect
+        rows: list[dict] = [{} for _ in range(n)]
+        right: list[list] = [[] for _ in range(n)]
+        for (a, z), row in sorted(self._cleared_rows.items()):
+            rows[a][z] = row
+            right[a].append((z, (z * n) << ROW_SHIFT, row))
+        starts = [[z for z, _, _ in r] for r in right]
         for x in range(n):
-            px = self.parity(x)
+            px, rx = self.parity(x), rows[x]
             for y in range(x, n):
-                py = self.parity(y)
-                xy = rows.get((x, y), ())
+                py, ry = self.parity(y), rows[y]
                 sign_xz = 1 if px and py else -1
-                for z in range(y, n):
-                    # L^2 times [x,[y,z]], -[[x,y],z] and -(-1)^{|x||y|} [y,[x,z]]
-                    acc: dict = {}
-                    get = acc.get
-                    for mk, c in rows.get((y, z), ()):
-                        key = mk & _KEY_MASK
-                        for k, v in rows.get((x, mk >> ROW_SHIFT), ()):
+                # L^2 times [x,[y,z]], -[[x,y],z] and -(-1)^{|x||y|} [y,[x,z]]
+                acc: dict = {}
+                get = acc.get
+                for _, zoff, row in right[y][bisect_left(starts[y], y) :]:
+                    for mk, c in row:
+                        key = (mk & KEY_MASK) + zoff
+                        for k, v in rx.get(mk >> ROW_SHIFT, ()):
                             k += key
                             acc[k] = get(k, 0) + c * v
-                    for mk, c in xy:
-                        key = mk & _KEY_MASK
-                        for k, v in rows.get((mk >> ROW_SHIFT, z), ()):
+                for mk, c in rx.get(y, ()):
+                    m = mk >> ROW_SHIFT
+                    for _, zoff, row in right[m][bisect_left(starts[m], y) :]:
+                        key = (mk & KEY_MASK) + zoff
+                        for k, v in row:
                             k += key
                             acc[k] = get(k, 0) - c * v
-                    for mk, c in rows.get((x, z), ()):
-                        key, c = mk & _KEY_MASK, sign_xz * c
-                        for k, v in rows.get((y, mk >> ROW_SHIFT), ()):
+                for _, zoff, row in right[x][bisect_left(starts[x], y) :]:
+                    for mk, c in row:
+                        key, c = (mk & KEY_MASK) + zoff, sign_xz * c
+                        for k, v in ry.get(mk >> ROW_SHIFT, ()):
                             k += key
                             acc[k] = get(k, 0) + c * v
-                    if any(acc.values()):
-                        failing = out[_SECTORS[px + py + self.parity(z)]]
-                        for k, v in acc.items():
-                            if v:
-                                failing.setdefault(k >> ROW_SHIFT, (x, y, z))
+                if not any(acc.values()):
+                    continue
+                # the failing output indices of each z, in the order met
+                failing_at: dict[int, list] = {}
+                for k, v in acc.items():
+                    if v:
+                        z, i = divmod(k >> ROW_SHIFT, n)
+                        failing_at.setdefault(z, []).append(i)
+                for z in sorted(failing_at):
+                    failing = out[_SECTORS[px + py + self.parity(z)]]
+                    for i in failing_at[z]:
+                        failing.setdefault(i, (x, y, z))
         return out
 
     def form_invariance_witness(self) -> dict[str, tuple[int, int, int]]:
@@ -218,19 +240,19 @@ class SuperAlgebra:
         for (y, z), row in rows.items():
             for mk, c in row:
                 at = terms_at.setdefault((y, mk >> ROW_SHIFT), [])
-                at.append(((z << ROW_SHIFT) + (mk & _KEY_MASK), c))
+                at.append(((z << ROW_SHIFT) + (mk & KEY_MASK), c))
         out: dict[str, tuple[int, int, int]] = {}
         for x in range(n):
             for y in range(n):
                 acc: dict = {}
                 get = acc.get
                 for mk, c in rows.get((x, y), ()):
-                    key = mk & _KEY_MASK
+                    key = mk & KEY_MASK
                     for k, f in form[mk >> ROW_SHIFT]:
                         k += key
                         acc[k] = get(k, 0) + c * f
                 for mk, f in form[x]:
-                    key = mk & _KEY_MASK
+                    key = mk & KEY_MASK
                     for k, c in terms_at.get((y, mk >> ROW_SHIFT), ()):
                         k += key
                         acc[k] = get(k, 0) - c * f
@@ -264,7 +286,8 @@ class QuadLieRep:
     ``bracket_table`` gives the sparse rows {k: coeff} of [x_i, x_j], i < j.
     The action, given as one matrix per algebra basis element, is stored
     once as the PairingSpec ``act`` from g x V to V: ``act.table[a][k]`` is
-    rho(x_a) e_k, a row shared between callers and read only.
+    rho(x_a) e_k, a row shared between callers and read only, and
+    ``act.rows[a][k]`` its integer terms over ``act.den``.
     """
 
     def __init__(
@@ -388,19 +411,30 @@ MomentAction = list[list[list[Vector]]]
 def moment_action(rep: QuadLieRep, mu: AltMap) -> MomentAction:
     """The table ``[i][j][k]`` of mu(e_i, e_j) e_k on 0-based module indices.
 
-    Each vector with i < j is one action of the stored value mu(e_i, e_j);
-    mu is alternating, so the (j, i) vectors are their negations and the
-    (i, i) vectors are zero.  The vectors are shared and read only.
+    Each vector with i < j is the action of the stored value mu(e_i, e_j),
+    read as integer terms: mu's cleared values (``AltMap.cleared``) against
+    the cleared action rows ``rep.act.rows``, one Frac per coordinate.  mu
+    is alternating, so the (j, i) vectors are their negations and the other
+    vectors are zero.  The vectors are shared and read only.
     """
-    space = rep.space
-    n = space.dim
-    basis = [space.basis_vector(k) for k in range(n)]
+    n = rep.space.dim
     zero = [[ZERO] * n] * n
     table = [[zero] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        value = mu.value((i + 1, j + 1))
-        table[i][j] = [rep.act.apply(value, e) for e in basis]
-        table[j][i] = [[-c for c in v] for v in table[i][j]]
+    den, values = mu.cleared()
+    dens, act = (den, rep.act.den), rep.act.rows
+    for (i, j), value in values.items():
+        vectors = []
+        for k in range(n):
+            acc: dict = {}
+            get = acc.get
+            for ma, c in value:
+                key = ma & KEY_MASK
+                for r, t in act[ma >> ROW_SHIFT][k]:
+                    r += key
+                    acc[r] = get(r, 0) + c * t
+            vectors.append(uncleared(acc, dens, n))
+        table[i - 1][j - 1] = vectors
+        table[j - 1][i - 1] = [[-c for c in v] for v in vectors]
     return table
 
 

@@ -18,12 +18,15 @@ it (ExponentOverflow).  So text from outside cannot reach a wrapped exponent.
 Products inside the library stay unchecked: multiplying two polynomials whose
 exponents in one variable sum past 65535 would carry into the next slot.  The
 fast paths and ``dot`` add at most four operand keys per slot, key sums and
-common-denominator shifts alike; the superalgebra checks add two keys of
-``clear_denominators`` per product.  ``test_library_exponents_stay_small``
-runs the symbolic ``verify all`` with every ``_p_mul`` checked against the
-slot, and every stored exponent, cleared numerator and common denominator
-against 2^14, which covers all three; the largest exponent stored is 24,
-the largest cleared one 3.
+common-denominator shifts alike.  On the integer terms of
+``clear_denominators`` the superalgebra scans and the moment-action table
+add two keys per product, and the shuffle kernel of ``altmap.wedge_rel``
+three, in its terms and in the product of its three common denominators.
+``test_library_exponents_stay_small`` runs the symbolic ``verify all`` with
+every ``_p_mul`` checked against the slot, and every stored exponent,
+cleared numerator and common denominator against 2^14, so no sum of up to
+four keys can carry; the largest exponent stored is 24, the largest cleared
+one 3.
 
 Canonical form.  gcd(num, den) is a unit, and the leading coefficient of the
 denominator is positive.  Two Fracs are equal in the field iff their dicts
@@ -41,7 +44,15 @@ numerator sum is reduced by one integer gcd and one key minimum.  ``+`` and
 these calls the polynomial gcd.  A reduced fraction with a positive leading
 denominator coefficient is unique over the UFD Z[l1, l2, l3, a], so every
 path gives exactly the canonical form of the general path, and ``dot``
-equals the pairwise sum dict for dict.
+equals the pairwise sum dict for dict.  ``clear_denominators`` puts rows of
+Fracs over one common denominator as integer terms, so that a product of two
+entries is one int product and one key sum; ``uncleared`` turns a sum of
+such products back into one Frac per coordinate, over the product of the
+common denominators: by one int gcd and one key minimum when that product
+is a monomial, else by ``Frac(num, den)``.  The superalgebra scans, the
+moment-action table and ``wedge_rel`` build no Frac inside their product
+loops.  ``solve_linear`` divides on a diagonal matrix with no zero on its
+diagonal, and eliminates otherwise.
 """
 
 from __future__ import annotations
@@ -675,14 +686,21 @@ def _monomial_sum(parts: list[tuple[dict, dict, int, int]]) -> Frac:
                 del total[k]
     if not total:
         return ZERO
-    m, g = _p_monomial_gcd(total, lk, lc)
+    return _over_monomial(total, lk, lc)
+
+
+def _over_monomial(num: dict, lk: int, lc: int) -> Frac:
+    """The reduced fraction num / (lc * x^lk) for a nonzero num and lc > 0:
+    one int gcd and one key minimum."""
+    m, g = _p_monomial_gcd(num, lk, lc)
     if m or g != 1:
-        total = {k - m: c // g for k, c in total.items()}
+        num = {k - m: c // g for k, c in num.items()}
         lk, lc = lk - m, lc // g
-    return Frac._raw(total, _P_ONE if not lk and lc == 1 else {lk: lc})
+    return Frac._raw(num, _P_ONE if not lk and lc == 1 else {lk: lc})
 
 
 ROW_SHIFT = 64
+KEY_MASK = (1 << ROW_SHIFT) - 1
 
 
 def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
@@ -720,6 +738,35 @@ def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
             terms += [((i << ROW_SHIFT) + k, v) for k, v in num.items()]
         cleared[r] = tuple(terms)
     return den, cleared
+
+
+def uncleared(terms: Mapping[int, int], dens: Sequence[dict], dim: int) -> list[Frac]:
+    """The inverse of ``clear_denominators`` on one row: the vector of length
+    dim whose entry i is the sum of v * x^k over the integer terms
+    ``((i << ROW_SHIFT) + k, v)``, divided by the product of the common
+    denominators ``dens``.
+
+    Each entry is reduced once: over a monomial product by one int gcd and
+    one key minimum, over any other product by ``Frac(num, den)``.
+    """
+    nums: dict = {}
+    for mk, v in terms.items():
+        if v:
+            nums.setdefault(mk >> ROW_SHIFT, {})[mk & KEY_MASK] = v
+    out = [ZERO] * dim
+    if all(len(d) == 1 for d in dens):
+        lk, lc = 0, 1
+        for ((j, e),) in (d.items() for d in dens):
+            lk, lc = lk + j, lc * e
+        for i, num in nums.items():
+            out[i] = _over_monomial(num, lk, lc)
+    else:
+        den = _P_ONE
+        for d in dens:
+            den = _p_mul(den, d)
+        for i, num in nums.items():
+            out[i] = Frac(num, den)
+    return out
 
 
 def dot(pairs: Iterable[tuple[Frac, Frac]]) -> Frac:
@@ -1027,7 +1074,8 @@ def solve_linear(
     Eliminates the augmented rows with ``eliminate``, then back-substitutes
     in the field.  Raises SingularMatrix when a column has no pivot.  With a
     single vector rhs returns one solution vector; with a list of columns
-    returns the list of solution vectors in the same order.
+    returns the list of solution vectors in the same order.  A diagonal A
+    with no zero on its diagonal is solved as x_i = b_i / a_ii.
     """
     n = len(matrix)
     if n == 0:
@@ -1039,6 +1087,13 @@ def solve_linear(
     for c in columns:
         if len(c) != n:
             raise SingularMatrix("right-hand side has wrong length")
+    diagonal = [matrix[i][i] for i in range(n)]
+    if all(d.num for d in diagonal) and not any(
+        c.num for i, row in enumerate(matrix) for j, c in enumerate(row) if i != j
+    ):
+        inverse = [ONE / d for d in diagonal]
+        solutions = [[b * r if b.num else ZERO for b, r in zip(c, inverse)] for c in columns]
+        return solutions[0] if single else solutions
     aug, pivots, _, _ = eliminate(matrix, columns, square=True)
     if len(pivots) < n:
         raise SingularMatrix(f"no pivot in column {len(pivots)}")

@@ -21,6 +21,10 @@ B_g.  module_witnesses reads them all from one build and its two scans.
 The bracket table type, SuperAlgebra, is defined in quadlie, where the Lie
 algebra g of every representation is already one (purely even); it is
 re-exported here.  build_tilde seeds the even part with g's table and form.
+The Jacobi scan accumulates, for each pair x <= y, every z >= y at once on
+the cleared integer rows, and meets the failing triples in the order of a
+scan one sorted triple at a time.  import_superalgebra raises ParseError for
+every malformed document, a basis or form of the wrong shape included.
 """
 
 from __future__ import annotations
@@ -278,9 +282,9 @@ def import_superalgebra(text: str) -> SuperAlgebra:
         parameters = doc.get("parameters", {})
         if not isinstance(parameters, dict):
             raise TypeError("parameters is not an object")
-    except (KeyError, TypeError, ValueError) as e:
+        sa = SuperAlgebra(name, even_labels, odd_labels, brackets, form)
+    except (KeyError, TypeError, ValueError) as e:  # ShapeMismatch is a ValueError
         raise ParseError(f"malformed superalgebra document: {e}") from None
-    sa = SuperAlgebra(name, even_labels, odd_labels, brackets, form)
     got_brackets, got_form = _canonical_payload(sa)
     if _digest(got_brackets, got_form) != digest:
         raise ParseError("digest mismatch: content was altered")

@@ -109,6 +109,8 @@ ALLOWED = {
     # brute-force references and documented library API
     "altmap.brute_compose": "oracle of compose; test_compose_matches_brute_force",
     "altmap.brute_wedge_rel": "oracle of wedge_rel; test_wedge_matches_brute_force_small",
+    "altmap.PairingSpec.apply": "the field evaluation of a pairing table, behind "
+    "brute_wedge_rel; test_apply_and_wedge_match_pairwise_folds",
     "altmap.AltMap.substitute": "library API; test_binding_first_equals_substituting_after",
     "superalg.import_superalgebra": "inverse of export; test_export_import_round_trip",
     "clifford.CliffordElement.__eq__": "Clifford algebra operation; test_generator_relations",

@@ -35,6 +35,7 @@ from specialortho.scalars import (
     rat,
     render,
     solve_linear,
+    uncleared,
     var,
 )
 
@@ -192,6 +193,28 @@ def test_solve_identity_and_diagonal():
     assert solve_linear(eye, [ONE, ONE]) == [ONE, ONE]
     diag = [[L1, ZERO], [ZERO, L2]]
     assert solve_linear(diag, [ONE, ONE]) == [ONE / L1, ONE / L2]
+
+
+def test_diagonal_solve_divides_and_keeps_the_singular_text(monkeypatch):
+    diag = [[L1, ZERO, ZERO], [ZERO, rat(-2, 3), ZERO], [ZERO, ZERO, L2 + 1]]
+    cols = [[ONE, L3, ZERO], [ZERO, ZERO, ZERO], [L2, ONE / L1, L1 + L2]]
+    want = [[b / diag[i][i] for i, b in enumerate(col)] for col in cols]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal system was eliminated")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(scalars_module, "eliminate", refuse)
+        assert solve_linear(diag, cols) == want
+        assert solve_linear(diag, cols[2]) == want[2]
+    # one off-diagonal entry takes the elimination path, to the same values
+    # where it does not reach them
+    upper = [row[:] for row in diag]
+    upper[0][2] = L3
+    assert solve_linear(upper, cols)[1] == want[1]
+    # a zero on the diagonal is eliminated, and refused as before
+    with pytest.raises(SingularMatrix, match="^no pivot in column 1$"):
+        solve_linear([[L1, ZERO], [ZERO, ZERO]], [ONE, ONE])
 
 
 def test_solve_multiple_columns():
@@ -461,6 +484,25 @@ def test_clear_denominators_puts_each_row_over_one_denominator(entries):
                 assert num == c.num
 
 
+@given(st.lists(st.lists(_dot_operands, max_size=4), max_size=4), _dot_operands)
+@settings(max_examples=200, deadline=None)
+def test_uncleared_inverts_clear_denominators(entries, scale):
+    rows = {r: dict(enumerate(row)) for r, row in enumerate(entries)}
+    den, cleared = clear_denominators(rows)
+    s_den, s_cleared = clear_denominators({0: {0: scale}})
+    s_terms = s_cleared[0]
+    for r, row in rows.items():
+        want = [row.get(i, ZERO) for i in range(4)]
+        assert uncleared(dict(cleared[r]), (den,), 4) == want
+        # the integer products with the terms of one more cleared scalar are
+        # the products of the entries, over the product of the denominators
+        terms = {}
+        for k, v in cleared[r]:
+            for ks, vs in s_terms:
+                terms[k + ks] = terms.get(k + ks, 0) + v * vs
+        assert uncleared(terms, (den, s_den), 4) == [c * scale for c in want]
+
+
 def test_library_exponents_stay_small(monkeypatch):
     """A symbolic ``verify all`` never carries an exponent across a key slot.
 
@@ -468,12 +510,14 @@ def test_library_exponents_stay_small(monkeypatch):
     65535, and every exponent stored in a Frac stays below 2^14, so the at
     most four operand keys that the fast paths and ``dot`` add in one slot
     cannot carry either.  The largest exponent the run stores is 24.  Every
-    entry that ``clear_denominators`` hands to the superalgebra checks, and
-    each common denominator, also stays below 2^14, so the sum of two
-    cleared keys in one product cannot carry into the next slot or into the
-    row index.
+    entry that ``clear_denominators`` hands to the superalgebra checks and
+    to the shuffle kernel (``AltMap.cleared`` and the ``PairingSpec``
+    tables), and each common denominator, also stays below 2^14, so the sum
+    of two cleared keys in a superalgebra or moment-action product, and of
+    three in a ``wedge_rel`` product or its denominator, cannot carry into
+    the next slot or into the row index.  The largest cleared exponent is 3.
     """
-    from specialortho import quadlie
+    from specialortho import altmap, quadlie
     from specialortho.suites import run_suite
 
     mul, init, raw = scalars_module._p_mul, Frac.__init__, Frac._raw.__func__
@@ -494,22 +538,29 @@ def test_library_exponents_stay_small(monkeypatch):
         check(out)
         return out
 
-    def checked_clear(rows):
-        den, cleared = clear(rows)
-        assert _p_max_exponent(den) < 1 << 14
-        keys = {k & key_mask for row in cleared.values() for k, _ in row}
-        assert _p_max_exponent(dict.fromkeys(keys, 1)) < 1 << 14
-        calls.append(rows)
-        return den, cleared
+    def checked_clear(calls):
+        def checked(rows):
+            den, cleared = clear(rows)
+            assert _p_max_exponent(den) < 1 << 14
+            keys = {k & key_mask for row in cleared.values() for k, _ in row}
+            top = _p_max_exponent(dict.fromkeys(keys, 1))
+            assert top < 1 << 14
+            calls.append((rows, top))
+            return den, cleared
 
-    clear, calls = quadlie.clear_denominators, []
+        return checked
+
+    clear, calls, kernel_calls = scalars_module.clear_denominators, [], []
     key_mask = (1 << scalars_module.ROW_SHIFT) - 1
     monkeypatch.setattr(scalars_module, "_p_mul", checked_mul)
     monkeypatch.setattr(Frac, "__init__", checked_init)
     monkeypatch.setattr(Frac, "_raw", classmethod(checked_raw))
-    monkeypatch.setattr(quadlie, "clear_denominators", checked_clear)
+    monkeypatch.setattr(quadlie, "clear_denominators", checked_clear(calls))
+    monkeypatch.setattr(altmap, "clear_denominators", checked_clear(kernel_calls))
     assert run_suite("all").ok
     # each assembly's table once, read by both of its scans, and its form
     # once; no Lie algebra g is scanned on its own
     assert len(calls) == 6
-    assert sum(all(isinstance(key, tuple) for key in rows) for rows in calls) == 3
+    assert sum(all(isinstance(key, tuple) for key in rows) for rows, _ in calls) == 3
+    assert kernel_calls
+    assert max(top for _, top in calls + kernel_calls) == 3

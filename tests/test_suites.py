@@ -285,7 +285,7 @@ def test_verify_all_builds_and_scans_each_superalgebra_once(monkeypatch):
 
 
 def test_setup_builds_each_structure_constant_once(monkeypatch):
-    counts = {"spinor_action": 0, "apply": 0, "cd_mul": 0, "c_of": 0}
+    counts = {"spinor_action": 0, "apply": 0, "uncleared": 0, "cd_mul": 0, "c_of": 0}
 
     def counted(key, real, when=lambda *args: True):
         def wrapper(*args):
@@ -303,6 +303,8 @@ def test_setup_builds_each_structure_constant_once(monkeypatch):
     monkeypatch.setattr(
         altmap.PairingSpec, "apply", counted("apply", altmap.PairingSpec.apply)
     )
+    # the integer vectors that moment_action turns back into Fracs
+    monkeypatch.setattr(quadlie, "uncleared", counted("uncleared", quadlie.uncleared))
     # _cd_unit recurses through the module name: count the top-level calls,
     # the ones through all three doubling levels
     monkeypatch.setattr(
@@ -315,9 +317,16 @@ def test_setup_builds_each_structure_constant_once(monkeypatch):
         if isinstance(value, cached_property):
             getattr(ws, name)
     # the 21 so7 and 14 g2 action matrices; the moment-action tables of
-    # so7 (28 pairs x 8), g2 (21 x 7) and the family (6 x 4); the 64 table
-    # products of basis units
-    assert counts == {"spinor_action": 35, "apply": 395, "cd_mul": 64, "c_of": 0}
+    # so7 (28 pairs x 8), g2 (21 x 7) and the family (6 x 4), each vector
+    # read from the cleared action rows, with no PairingSpec.apply; the 64
+    # table products of basis units
+    assert counts == {
+        "spinor_action": 35,
+        "apply": 0,
+        "uncleared": 395,
+        "cd_mul": 64,
+        "c_of": 0,
+    }
     counts["c_of"] = 0
     assert run_suite("all", Workspace()).ok
     assert counts["c_of"] == 7
@@ -499,6 +508,30 @@ def test_spin_moment_from_g2_names_the_moved_coefficient(index, witness):
     assert quadlie.mu_oct_from_mu_im_witness(
         ws.octs, ws.cliff, ws.g2_kernel, ws.cov_im.mu, original.mu
     ) is None
+
+
+@pytest.mark.parametrize(
+    "suite, record, covariants, index, witness",
+    [
+        ("g2", "g2-special", "cov_im", (3, 6), "(u,v,w) = (e3, e1, e6) of ImO"),
+        ("f4", "spin-special", "cov_oct", (2, 5), "(u,v,w) = (e2, e1, e5) of O"),
+    ],
+)
+def test_special_names_the_moved_moment_coefficient(
+    monkeypatch, suite, record, covariants, index, witness
+):
+    # covariants() gets mu with mu(e_i, e_j) moved, and check_special reads
+    # the moment-action table built from that mu
+    real = quadlie.moment_map
+    with monkeypatch.context() as patched:
+        patched.setattr(quadlie, "moment_map", lambda rep: perturbed(real(rep), index))
+        ws = Workspace()
+        assert failing(run_suite(suite, ws).records)[record] == witness
+    # the moved map stays in that workspace: its representation still
+    # solves to a special mu, and a fresh workspace holds the special one
+    moved = getattr(ws, covariants)
+    assert quadlie.check_special(moved.rep, real(moved.rep)) == (True, None)
+    assert getattr(Workspace(), covariants).special
 
 
 def test_clifford_c_action_names_the_moved_c_u():

@@ -9,7 +9,7 @@ from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import NotSpecial, ParseError, ShapeMismatch
 from specialortho.exterior import QuadraticSpace
 from specialortho.octonions import build_algebra
-from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, dot, rat
+from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ROW_SHIFT, ZERO, dot, rat
 from specialortho import family as fam
 from specialortho import quadlie as ql
 from specialortho import superalg as sup
@@ -255,6 +255,54 @@ def test_sorted_triples_give_the_full_scan_witnesses(g3, f4, d21):
     assert jacobi_texts(perturbed)["OOO"] is not None
 
 
+def jacobi_scan_oracle(sa):
+    """super_jacobi_check one sorted triple at a time: a fresh dict of the
+    integer terms of L^2 J(x, y, z) per x <= y <= z, over the cleared rows,
+    read in the order its terms were first added."""
+    sectors = ("EEE", "EEO", "EOO", "OOO")
+    out = {s: {} for s in sectors}
+    rows, mask = sa._cleared_rows, (1 << ROW_SHIFT) - 1
+    for x in range(sa.dim):
+        for y in range(x, sa.dim):
+            sign_xz = 1 if sa.parity(x) and sa.parity(y) else -1
+            for z in range(y, sa.dim):
+                acc = {}
+
+                def add(key, k, v):
+                    acc[k + key] = acc.get(k + key, 0) + v
+
+                for mk, c in rows.get((y, z), ()):
+                    for k, v in rows.get((x, mk >> ROW_SHIFT), ()):
+                        add(mk & mask, k, c * v)
+                for mk, c in rows.get((x, y), ()):
+                    for k, v in rows.get((mk >> ROW_SHIFT, z), ()):
+                        add(mk & mask, k, -c * v)
+                for mk, c in rows.get((x, z), ()):
+                    for k, v in rows.get((y, mk >> ROW_SHIFT), ()):
+                        add(mk & mask, k, sign_xz * c * v)
+                failing = out[sectors[sa.parity(x) + sa.parity(y) + sa.parity(z)]]
+                for k, v in acc.items():
+                    if v:
+                        failing.setdefault(k >> ROW_SHIFT, (x, y, z))
+    return out
+
+
+def test_pair_scan_meets_the_failures_in_the_order_of_the_triple_scan(g3, f4, d21):
+    forced = sup.build_tilde(
+        ql.covariants(fam.build_family(rat(1), rat(1))), "forced", force=True
+    )
+    for sa in (
+        forced, perturbed_odd_odd(g3), perturbed_odd_odd(f4), perturbed_odd_odd(d21), g3
+    ):
+        got, want = sa.super_jacobi_check(), jacobi_scan_oracle(sa)
+        # the same first triple at every output index, met in the same order
+        assert {s: list(f.items()) for s, f in got.items()} == {
+            s: list(f.items()) for s, f in want.items()
+        }
+    assert jacobi_scan_oracle(forced)["OOO"]
+    assert not any(jacobi_scan_oracle(g3).values())
+
+
 def broken_sl2():
     """sl2 with [e, f] = h + e, as a purely even SuperAlgebra."""
     table = fam.sl2_bracket_table()
@@ -452,6 +500,26 @@ def test_import_with_parameters_not_an_object_is_a_parse_error(d21, parameters):
         sup.import_superalgebra(json.dumps(doc))
     assert str(caught.value) == (
         "malformed superalgebra document: parameters is not an object"
+    )
+
+
+def test_import_with_an_odd_basis_not_a_list_is_a_parse_error(d21):
+    doc = json.loads(sup.export_superalgebra(d21))
+    doc["basis"]["odd_basis"] = 5
+    with pytest.raises(ParseError) as caught:
+        sup.import_superalgebra(json.dumps(doc))
+    assert str(caught.value) == (
+        "malformed superalgebra document: 'int' object is not iterable"
+    )
+
+
+def test_import_with_a_form_of_the_wrong_shape_is_a_parse_error(d21):
+    doc = json.loads(sup.export_superalgebra(d21))
+    doc["form"] = [["1"]]
+    with pytest.raises(ParseError) as caught:
+        sup.import_superalgebra(json.dumps(doc))
+    assert str(caught.value) == (
+        "malformed superalgebra document: form matrix must cover the full basis"
     )
 
 
