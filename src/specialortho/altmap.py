@@ -19,8 +19,9 @@ and hodge_dual inverts alpha ^_B (star f) = b_alt(alpha, f) * volume, where
 b_alt(alpha, f) = sum over multi-indices I of B(alpha(e_I), f(e_I)) / q(e_I);
 its re-verification is one scalar wedge e_I ^ star per multi-index I.
 The shuffle kernel runs on integer terms: a PairingSpec clears its table
-once, wedge_rel clears f and g once each, multiplies ints and turns each
-output coordinate back into one Frac (scalars.clear_denominators and
+once, wedge_rel clears f and g once each, multiplies them by
+scalars.add_products into one dict for every output multi-index, and turns
+each output coordinate back into one Frac (scalars.clear_denominators and
 uncleared); nothing cleared is cached on an AltMap, whose coeffs may change.
 first_difference names the least multi-index where two maps differ.  The
 brute-force reference implementations (full symmetric-group sums divided by
@@ -52,6 +53,7 @@ from .scalars import (
     Frac,
     ONE,
     ZERO,
+    add_products,
     clear_denominators,
     dot,
     uncleared,
@@ -67,8 +69,9 @@ class PairingSpec:
     once, at construction (``scalars.clear_denominators``): ``rows[i][j]``
     holds the nonzero entries of ``table[i][j]`` as integer terms over the
     one common denominator ``den``, which the shuffle kernel multiplies as
-    ints.  ``apply`` evaluates the table itself in the field, one ``dot`` per
-    coordinate, and serves as the independent path of ``brute_wedge_rel``.
+    ints; both are tuples, so neither can drift from the other.  ``apply``
+    evaluates the table itself in the field, one ``dot`` per coordinate, and
+    serves as the independent path of ``brute_wedge_rel``.
     """
 
     def __init__(
@@ -85,7 +88,7 @@ class PairingSpec:
         self.name = name or "pairing"
         if len(table) != left.dim or any(len(row) != right.dim for row in table):
             raise ShapeMismatch(f"{self.name}: table shape mismatch")
-        self.table = [[list(v) for v in row] for row in table]
+        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
         self.den, cleared = clear_denominators(
             {
                 (i, j): {k: t for k, t in enumerate(v) if t.num}
@@ -93,9 +96,9 @@ class PairingSpec:
                 for j, v in enumerate(row)
             }
         )
-        self.rows = [
-            [cleared[(i, j)] for j in range(right.dim)] for i in range(left.dim)
-        ]
+        self.rows = tuple(
+            tuple(cleared[(i, j)] for j in range(right.dim)) for i in range(left.dim)
+        )
 
     def apply(self, x: Sequence[Frac], y: Sequence[Frac]) -> Vector:
         terms: dict[int, list] = {}
@@ -292,8 +295,9 @@ def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> Al
     without one, f must be scalar-valued and scales the values of g.
 
     f and g are cleared once each (``AltMap.cleared``) and every product is
-    taken in ``_shuffle_terms`` on integer terms; each output coordinate is
-    one Frac, over the product of the three common denominators.
+    taken in ``_shuffle_terms`` on integer terms, into one dict for all
+    multi-indices T; each output coordinate is one Frac, over the product of
+    the three common denominators.
     """
     if f.domain is not g.domain:
         raise ShapeMismatch("wedge_rel needs a common domain")
@@ -307,48 +311,39 @@ def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> Al
         return result
     lf, fc = f.cleared()
     lg, gc = (lf, fc) if g is f else g.cleared()
-    by_index = _shuffle_terms(fc, gc, p, q, n, pairing.rows)
-    dens, dim = (lf, lg, pairing.den), pairing.result.dim
-    for T in sorted(by_index):
-        acc = by_index[T]
-        if any(acc.values()):
-            result.coeffs[T] = uncleared(acc, dens, dim)
+    indices, dim = all_multi_indices(n, p + q), pairing.result.dim
+    offsets = {T: (r * dim) << ROW_SHIFT for r, T in enumerate(indices)}
+    acc = _shuffle_terms(fc, gc, p, q, n, pairing.rows, offsets)
+    values = uncleared(acc, (lf, lg, pairing.den), len(indices) * dim)
+    for r, T in enumerate(indices):
+        value = values[r * dim : (r + 1) * dim]
+        if any(c.num for c in value):
+            result.coeffs[T] = value
     return result
 
 
-def _shuffle_terms(fc: dict, gc: dict, p: int, q: int, n: int, rows) -> dict:
-    """The shuffle products of cleared degree-p and degree-q values, as
-    integer terms: {T: {(k << ROW_SHIFT) + key: v}} for the multi-indices T
-    that some product reaches, with ``rows`` the cleared pairing table.
-
-    Each stored f(e_I) meets each stored g(e_J) with J disjoint from I; a
-    product of terms is one int product and a sum of three keys.
+def _shuffle_terms(fc: dict, gc: dict, p: int, q: int, n: int, rows, offsets) -> dict:
+    """The shuffle products of cleared degree-p and degree-q values, as one
+    dict of integer terms.  Each stored f(e_I) meets each stored g(e_J) with
+    J disjoint from I in ``scalars.add_products``: g(e_J) at the block offset
+    ``offsets[T]`` of T = I + J sorted, against the pairing rows ``rows`` of
+    each term of f(e_I), signed by the shuffle.
     """
-    by_index: dict[MultiIndex, dict] = {}
+    acc: dict = {}
     for I, fI in fc.items():
         free = [i for i in range(1, n + 1) if i not in I]
+        even, odd = [], []
         for J in combinations(free, q):
             gJ = gc.get(J)
-            if gJ is None:
-                continue
-            T = tuple(sorted(I + J))
-            odd = _shuffle_sign([T.index(i) for i in I], p) < 0
-            acc = by_index.setdefault(T, {})
-            get = acc.get
-            for mi, a in fI:
-                row = rows[mi >> ROW_SHIFT]
-                ki = mi & KEY_MASK
-                if odd:
-                    a = -a
-                for mj, b in gJ:
-                    entries = row[mj >> ROW_SHIFT]
-                    if not entries:
-                        continue
-                    ab, kij = a * b, ki + (mj & KEY_MASK)
-                    for k, t in entries:
-                        k += kij
-                        acc[k] = get(k, 0) + ab * t
-    return by_index
+            if gJ is not None:
+                T = tuple(sorted(I + J))
+                negative = _shuffle_sign([T.index(i) for i in I], p) < 0
+                (odd if negative else even).append((offsets[T], gJ))
+        for mi, a in fI:
+            table, key = rows[mi >> ROW_SHIFT], mi & KEY_MASK
+            add_products(acc, even, table, (key, a))
+            add_products(acc, odd, table, (key, -a))
+    return acc
 
 
 def _ordered_blocks(positions: tuple[int, ...], p: int, q: int):
@@ -481,15 +476,15 @@ def _verify_hodge(f: AltMap, star: AltMap, vol: Frac) -> None:
     """
     space, codomain = f.domain, f.codomain
     n, p = space.dim, f.degree
-    full = tuple(range(1, n + 1))
     rows = PairingSpec.scalar_multiply(codomain).rows
+    offsets = {tuple(range(1, n + 1)): 0}
     den, cleared = star.cleared()
     zero = [ZERO] * codomain.dim
     for I in all_multi_indices(n, p):
         # e_I is the one integer term 1 at coordinate 0 and the scalar action
         # table the identity, both over denominator 1
-        terms = _shuffle_terms({I: ((0, 1),)}, cleared, p, n - p, n, rows)
-        w = uncleared(terms.get(full, {}), (den,), codomain.dim)
+        terms = _shuffle_terms({I: ((0, 1),)}, cleared, p, n - p, n, rows, offsets)
+        w = uncleared(terms, (den,), codomain.dim)
         want = zero
         if I in f.coeffs:
             scale = vol / space.q_product(I)

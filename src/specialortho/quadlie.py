@@ -1,7 +1,8 @@
 """Quadratic Lie algebra representations and their moment-map covariants.
 
 SuperAlgebra is the one sparse bracket table of the package, with the one
-graded Jacobi scan and the one form-invariance scan.  A QuadLieRep packages
+graded Jacobi scan and the one form-invariance scan (on cleared integer
+terms, by scalars.add_products, as moment_action).  A QuadLieRep packages
 an algebra with invariant form (as a QuadraticSpace), its bracket table as a
 purely even SuperAlgebra (``rep.algebra``), and its skew action on a
 quadratic module as the bilinear map ``rep.act``; superalg builds the
@@ -31,6 +32,7 @@ import time
 from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import linalg
@@ -52,6 +54,7 @@ from .scalars import (
     Frac,
     ONE,
     ZERO,
+    add_products,
     clear_denominators,
     dot,
     rat,
@@ -162,56 +165,42 @@ class SuperAlgebra:
         integer numerators.  For each pair x <= y one dict holds it for every
         z >= y at once, keyed by z, the output index and the monomial; the
         rows [a, z] are read from the adjacency list of a, by increasing z.
+        ``add_products`` takes the blocks [y, z] and [x, z] against the rows
+        of x and of y, and per term c e_m of [x,y] the unit terms at z >= y
+        against the rows [m, z], scaled by -c.
         """
         out: dict[str, dict[int, tuple[int, int, int]]] = {s: {} for s in _SECTORS}
         n = self.dim
-        # rows[a]: {z: cleared row [a, z]}; right[a]: (z, offset of z in
-        # the keys, row) by increasing z; starts[a]: those z, to bisect
-        rows: list[dict] = [{} for _ in range(n)]
-        right: list[list] = [[] for _ in range(n)]
+        # rows[a][z]: the row [a, z], () where it is zero; right[a] and
+        # units[a]: the blocks (offset of z, row [a, z] or the unit term at
+        # z) by increasing z; starts[a]: those z, to bisect
+        rows: list[list] = [[()] * n for _ in range(n)]
+        right, units, starts = ([[] for _ in range(n)] for _ in range(3))
         for (a, z), row in sorted(self._cleared_rows.items()):
-            rows[a][z] = row
-            right[a].append((z, (z * n) << ROW_SHIFT, row))
-        starts = [[z for z, _, _ in r] for r in right]
+            rows[a][z], offset = row, (z * n) << ROW_SHIFT
+            right[a].append((offset, row))
+            units[a].append((offset, ((z << ROW_SHIFT, 1),)))
+            starts[a].append(z)
+        tails = [right[y][bisect_left(starts[y], y) :] for y in range(n)]
         for x in range(n):
             px, rx = self.parity(x), rows[x]
             for y in range(x, n):
                 py, ry = self.parity(y), rows[y]
-                sign_xz = 1 if px and py else -1
                 # L^2 times [x,[y,z]], -[[x,y],z] and -(-1)^{|x||y|} [y,[x,z]]
                 acc: dict = {}
-                get = acc.get
-                for _, zoff, row in right[y][bisect_left(starts[y], y) :]:
-                    for mk, c in row:
-                        key = (mk & KEY_MASK) + zoff
-                        for k, v in rx.get(mk >> ROW_SHIFT, ()):
-                            k += key
-                            acc[k] = get(k, 0) + c * v
-                for mk, c in rx.get(y, ()):
+                add_products(acc, tails[y], rx)
+                for mk, c in rx[y]:
                     m = mk >> ROW_SHIFT
-                    for _, zoff, row in right[m][bisect_left(starts[m], y) :]:
-                        key = (mk & KEY_MASK) + zoff
-                        for k, v in row:
-                            k += key
-                            acc[k] = get(k, 0) - c * v
-                for _, zoff, row in right[x][bisect_left(starts[x], y) :]:
-                    for mk, c in row:
-                        key, c = (mk & KEY_MASK) + zoff, sign_xz * c
-                        for k, v in ry.get(mk >> ROW_SHIFT, ()):
-                            k += key
-                            acc[k] = get(k, 0) + c * v
+                    blocks = units[m][bisect_left(starts[m], y) :]
+                    add_products(acc, blocks, rows[m], (mk & KEY_MASK, -c))
+                blocks = right[x][bisect_left(starts[x], y) :]
+                add_products(acc, blocks, ry, (0, 1 if px and py else -1))
                 if not any(acc.values()):
                     continue
-                # the failing output indices of each z, in the order met
-                failing_at: dict[int, list] = {}
-                for k, v in acc.items():
-                    if v:
-                        z, i = divmod(k >> ROW_SHIFT, n)
-                        failing_at.setdefault(z, []).append(i)
-                for z in sorted(failing_at):
-                    failing = out[_SECTORS[px + py + self.parity(z)]]
-                    for i in failing_at[z]:
-                        failing.setdefault(i, (x, y, z))
+                # the failing (z, i) by increasing z, each z's i in the order met
+                failing = [k >> ROW_SHIFT for k, v in acc.items() if v]
+                for z, i in sorted((divmod(r, n) for r in failing), key=itemgetter(0)):
+                    out[_SECTORS[px + py + self.parity(z)]].setdefault(i, (x, y, z))
         return out
 
     def form_invariance_witness(self) -> dict[str, tuple[int, int, int]]:
@@ -219,46 +208,38 @@ class SuperAlgebra:
         B([x,y],z) != B(x,[y,z]) in the order of a scan over every triple;
         a sector without one is absent, so {} means the form is invariant.
 
-        For each (x, y) in lexicographic order only the z where a side can
-        be nonzero are visited: B([x,y],z) is read from the stored row [x,y]
-        and the nonzero form entries, B(x,[y,z]) from the rows [y,z] with a
-        term at an m where B(x, e_m) != 0.  On a graded table every failing
-        z of one (x, y) has the parity of x + y, so the least triple over
-        the sectors is the least failing z of the first failing (x, y).
+        For each x only the (y, z) where a side can be nonzero are visited:
+        B([x,y],z) is read from the stored rows [x,y] and the nonzero form
+        entries, B(x,[y,z]) from the rows [y,z] with a term at an m where
+        B(x, e_m) != 0.  On a graded table every failing z of one (x, y) has
+        the parity of x + y, so the least triple over the sectors is the
+        least failing z of the first failing (x, y).
 
         The table and the form are each put over one common denominator,
         L_t and L_f, so L_t L_f (B([x,y],z) - B(x,[y,z])) is a sum of
-        products of integer numerators; one dict per (x, y) holds it for
-        every z.
+        products of integer numerators.  One dict per x holds it for every
+        (y, z), from one ``add_products`` call per side.
         """
         n = self.dim
-        rows = self._cleared_rows
         nonzero = {x: {z: f for z, f in enumerate(r) if f.num} for x, r in enumerate(self.form)}
         _, form = clear_denominators(nonzero)
-        # (y, m) -> the terms at m of the stored rows [y, z], indexed by z
-        terms_at: dict[tuple[int, int], list] = {}
-        for (y, z), row in rows.items():
+        # left[x]: the blocks (offset of y, row [x, y]); terms_at[m]: the
+        # terms at m of every row [y, z], keyed by (y, z)
+        left, terms_at = ([[] for _ in range(n)] for _ in range(2))
+        for (a, b), row in self._cleared_rows.items():
+            left[a].append(((b * n) << ROW_SHIFT, row))
+            offset = (a * n + b) << ROW_SHIFT
             for mk, c in row:
-                at = terms_at.setdefault((y, mk >> ROW_SHIFT), [])
-                at.append(((z << ROW_SHIFT) + (mk & KEY_MASK), c))
+                terms_at[mk >> ROW_SHIFT].append((offset + (mk & KEY_MASK), c))
         out: dict[str, tuple[int, int, int]] = {}
         for x in range(n):
-            for y in range(n):
-                acc: dict = {}
-                get = acc.get
-                for mk, c in rows.get((x, y), ()):
-                    key = mk & KEY_MASK
-                    for k, f in form[mk >> ROW_SHIFT]:
-                        k += key
-                        acc[k] = get(k, 0) + c * f
-                for mk, f in form[x]:
-                    key = mk & KEY_MASK
-                    for k, c in terms_at.get((y, mk >> ROW_SHIFT), ()):
-                        k += key
-                        acc[k] = get(k, 0) - c * f
-                for z in sorted({k >> ROW_SHIFT for k, v in acc.items() if v}):
-                    sector = _SECTORS[self.parity(x) + self.parity(y) + self.parity(z)]
-                    out.setdefault(sector, (x, y, z))
+            acc: dict = {}
+            add_products(acc, left[x], form)
+            add_products(acc, ((0, form[x]),), terms_at, (0, -1))
+            for yz in sorted({k >> ROW_SHIFT for k, v in acc.items() if v}):
+                y, z = divmod(yz, n)
+                sector = _SECTORS[self.parity(x) + self.parity(y) + self.parity(z)]
+                out.setdefault(sector, (x, y, z))
         return out
 
     def jacobi_text(self, triple: Optional[tuple]) -> Optional[str]:
@@ -286,8 +267,8 @@ class QuadLieRep:
     ``bracket_table`` gives the sparse rows {k: coeff} of [x_i, x_j], i < j.
     The action, given as one matrix per algebra basis element, is stored
     once as the PairingSpec ``act`` from g x V to V: ``act.table[a][k]`` is
-    rho(x_a) e_k, a row shared between callers and read only, and
-    ``act.rows[a][k]`` its integer terms over ``act.den``.
+    rho(x_a) e_k, a tuple, and ``act.rows[a][k]`` its integer terms over
+    ``act.den``.  A moved action is a new QuadLieRep.
     """
 
     def __init__(
@@ -412,27 +393,25 @@ def moment_action(rep: QuadLieRep, mu: AltMap) -> MomentAction:
     """The table ``[i][j][k]`` of mu(e_i, e_j) e_k on 0-based module indices.
 
     Each vector with i < j is the action of the stored value mu(e_i, e_j),
-    read as integer terms: mu's cleared values (``AltMap.cleared``) against
-    the cleared action rows ``rep.act.rows``, one Frac per coordinate.  mu
-    is alternating, so the (j, i) vectors are their negations and the other
-    vectors are zero.  The vectors are shared and read only.
+    read as integer terms: mu's cleared value (``AltMap.cleared``) against
+    the cleared action rows, every column rho(x_a) e_k at once, one Frac
+    per coordinate.  mu is alternating, so the (j, i) vectors are their
+    negations and the other vectors are zero.  They are shared, read only.
     """
     n = rep.space.dim
     zero = [[ZERO] * n] * n
     table = [[zero] * n for _ in range(n)]
     den, values = mu.cleared()
-    dens, act = (den, rep.act.den), rep.act.rows
+    # row a holds the columns k of rho(x_a) side by side, at rows k * n + r
+    act = [
+        [(((k * n) << ROW_SHIFT) + t, v) for k, col in enumerate(cols) for t, v in col]
+        for cols in rep.act.rows
+    ]
     for (i, j), value in values.items():
-        vectors = []
-        for k in range(n):
-            acc: dict = {}
-            get = acc.get
-            for ma, c in value:
-                key = ma & KEY_MASK
-                for r, t in act[ma >> ROW_SHIFT][k]:
-                    r += key
-                    acc[r] = get(r, 0) + c * t
-            vectors.append(uncleared(acc, dens, n))
+        acc: dict = {}
+        add_products(acc, ((0, value),), act)
+        flat = uncleared(acc, (den, rep.act.den), n * n)
+        vectors = [flat[k * n : (k + 1) * n] for k in range(n)]
         table[i - 1][j - 1] = vectors
         table[j - 1][i - 1] = [[-c for c in v] for v in vectors]
     return table

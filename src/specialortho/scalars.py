@@ -18,15 +18,15 @@ it (ExponentOverflow).  So text from outside cannot reach a wrapped exponent.
 Products inside the library stay unchecked: multiplying two polynomials whose
 exponents in one variable sum past 65535 would carry into the next slot.  The
 fast paths and ``dot`` add at most four operand keys per slot, key sums and
-common-denominator shifts alike.  On the integer terms of
-``clear_denominators`` the superalgebra scans and the moment-action table
-add two keys per product, and the shuffle kernel of ``altmap.wedge_rel``
-three, in its terms and in the product of its three common denominators.
-``test_library_exponents_stay_small`` runs the symbolic ``verify all`` with
-every ``_p_mul`` checked against the slot, and every stored exponent,
-cleared numerator and common denominator against 2^14, so no sum of up to
-four keys can carry; the largest exponent stored is 24, the largest cleared
-one 3.
+common-denominator shifts alike.  The integer terms of ``clear_denominators``
+are multiplied only in ``add_products``, which adds three keys per product
+(block term, table term, scale term), and ``uncleared`` adds the keys of up
+to three common denominators.  ``test_library_exponents_stay_small`` runs
+the symbolic ``verify all`` with every ``_p_mul`` checked against the slot,
+every stored exponent, cleared numerator and common denominator against
+2^14, and every ``add_products`` call on its three keys; the largest
+exponent stored is 24, the largest cleared one 3, the largest sum of three
+cleared keys 5.
 
 Canonical form.  gcd(num, den) is a unit, and the leading coefficient of the
 denominator is positive.  Two Fracs are equal in the field iff their dicts
@@ -46,12 +46,12 @@ denominator coefficient is unique over the UFD Z[l1, l2, l3, a], so every
 path gives exactly the canonical form of the general path, and ``dot``
 equals the pairwise sum dict for dict.  ``clear_denominators`` puts rows of
 Fracs over one common denominator as integer terms, so that a product of two
-entries is one int product and one key sum; ``uncleared`` turns a sum of
-such products back into one Frac per coordinate, over the product of the
-common denominators: by one int gcd and one key minimum when that product
-is a monomial, else by ``Frac(num, den)``.  The superalgebra scans, the
-moment-action table and ``wedge_rel`` build no Frac inside their product
-loops.  ``solve_linear`` divides on a diagonal matrix with no zero on its
+entries is one int product and one key sum, taken in ``add_products``
+(the superalgebra scans, the moment-action table and ``wedge_rel``);
+``uncleared`` turns the sums back into one Frac per coordinate, over the
+product of the common denominators: by one int gcd and one key minimum
+when that product is a monomial, else by ``Frac(num, den)``.
+``solve_linear`` divides on a diagonal matrix with no zero on its
 diagonal, and eliminates otherwise.
 """
 
@@ -657,16 +657,13 @@ ONE = Frac._raw(_P_ONE, _P_ONE)
 def _monomial_sum(parts: list[tuple[dict, dict, int, int]]) -> Frac:
     """The reduced sum of n1 * n2 / (e * x^j) over parts (n1, n2, j, e), e > 0.
 
-    The terms go over one common denominator, the per-slot maximum of the
-    keys j and the int lcm of the e; the numerator sum is reduced once, by
-    its gcd with that monomial: an int gcd and a key minimum.
+    The terms go over one common denominator, the ``_monomial_lcm`` of the
+    e * x^j; the numerator sum is reduced once, by its gcd with that
+    monomial: an int gcd and a key minimum.
     """
-    lk, lc = 0, 1
-    for _, _, j, e in parts:
-        if j != lk:
-            lk = lk + j - _key_min(lk, j) if lk and j else lk | j
-        if e != lc:
-            lc = lc * e // _int_gcd(lc, e)
+    if not parts:
+        return ZERO
+    lk, lc = _monomial_lcm((j, e) for _, _, j, e in parts)
     total: dict = {}
     get = total.get
     for n1, n2, j, e in parts:
@@ -687,6 +684,18 @@ def _monomial_sum(parts: list[tuple[dict, dict, int, int]]) -> Frac:
     if not total:
         return ZERO
     return _over_monomial(total, lk, lc)
+
+
+def _monomial_lcm(monomials: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The lcm lc * x^lk of the monomials e * x^j given as (j, e), e > 0:
+    the per-slot maximum of the keys and the int lcm of the coefficients."""
+    lk, lc = 0, 1
+    for j, e in monomials:
+        if j != lk:
+            lk = lk + j - _key_min(lk, j) if lk and j else lk | j
+        if e != lc:
+            lc = lc * e // _int_gcd(lc, e)
+    return lk, lc
 
 
 def _over_monomial(num: dict, lk: int, lc: int) -> Frac:
@@ -719,9 +728,7 @@ def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
         for c in row.values():
             dens.setdefault(tuple(c.den.items()), c.den)
     if all(len(d) == 1 for d in dens.values()):
-        lk, lc = 0, 1
-        for ((j, e),) in dens:
-            lk, lc = lk + j - _key_min(lk, j), lc * e // _int_gcd(lc, e)
+        lk, lc = _monomial_lcm(d for (d,) in dens)
         den = {lk: lc}
         scale = {((j, e),): {lk - j: lc // e} for ((j, e),) in dens}
     else:
@@ -740,6 +747,25 @@ def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
     return den, cleared
 
 
+def add_products(acc: dict, blocks: Iterable, table: Sequence, scale=(0, 1)) -> None:
+    """Add into acc the products of blocks of cleared terms with a table of
+    cleared rows: for each block (offset, terms), each term ``((i <<
+    ROW_SHIFT) + key, c)`` and each term (k, v) of ``table[i]``, s * c * v
+    at k + key + skey + offset, with ``scale = (skey, s)``.  A product adds
+    three monomial keys; the offset only moves the row index.  A key whose
+    sum cancels stays in acc, at 0, in the order first met.
+    """
+    skey, s = scale
+    get = acc.get
+    for offset, terms in blocks:
+        offset += skey
+        for mk, c in terms:
+            key, c = (mk & KEY_MASK) + offset, s * c
+            for k, v in table[mk >> ROW_SHIFT]:
+                k += key
+                acc[k] = get(k, 0) + c * v
+
+
 def uncleared(terms: Mapping[int, int], dens: Sequence[dict], dim: int) -> list[Frac]:
     """The inverse of ``clear_denominators`` on one row: the vector of length
     dim whose entry i is the sum of v * x^k over the integer terms
@@ -754,17 +780,14 @@ def uncleared(terms: Mapping[int, int], dens: Sequence[dict], dim: int) -> list[
         if v:
             nums.setdefault(mk >> ROW_SHIFT, {})[mk & KEY_MASK] = v
     out = [ZERO] * dim
-    if all(len(d) == 1 for d in dens):
-        lk, lc = 0, 1
-        for ((j, e),) in (d.items() for d in dens):
-            lk, lc = lk + j, lc * e
-        for i, num in nums.items():
+    den = _P_ONE
+    for d in dens:
+        den = _p_mul(den, d)
+    for i, num in nums.items():
+        if len(den) == 1:
+            [(lk, lc)] = den.items()
             out[i] = _over_monomial(num, lk, lc)
-    else:
-        den = _P_ONE
-        for d in dens:
-            den = _p_mul(den, d)
-        for i, num in nums.items():
+        else:
             out[i] = Frac(num, den)
     return out
 

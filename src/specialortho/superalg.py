@@ -21,10 +21,11 @@ B_g.  module_witnesses reads them all from one build and its two scans.
 The bracket table type, SuperAlgebra, is defined in quadlie, where the Lie
 algebra g of every representation is already one (purely even); it is
 re-exported here.  build_tilde seeds the even part with g's table and form.
-The Jacobi scan accumulates, for each pair x <= y, every z >= y at once on
-the cleared integer rows, and meets the failing triples in the order of a
-scan one sorted triple at a time.  import_superalgebra raises ParseError for
-every malformed document, a basis or form of the wrong shape included.
+The Jacobi scan accumulates, for each pair x <= y, every z >= y at once,
+and the form scan, for each x, every (y, z), on the cleared integer rows by
+scalars.add_products; both meet the failing triples in the order of a scan
+one triple at a time.  import_superalgebra raises ParseError for every
+malformed document, a basis or form of the wrong shape included.
 """
 
 from __future__ import annotations

@@ -223,8 +223,8 @@ def test_action_table_holds_rho_of_each_basis_pair():
     for a, rows in enumerate(rep.act.table):
         e_a = rep.algebra_space.basis_vector(a)
         for k, col in enumerate(rows):
-            assert col == ql.mu_can_value(rep.space, *pairs[a], k)
-            assert rep.act.apply(e_a, rep.space.basis_vector(k)) == col
+            assert list(col) == ql.mu_can_value(rep.space, *pairs[a], k)
+            assert rep.act.apply(e_a, rep.space.basis_vector(k)) == list(col)
 
 
 # -- failing representation witnesses on the sl2 plane ----------------------

@@ -29,6 +29,7 @@ from specialortho.scalars import (
     _p_divexact,
     _p_max_exponent,
     _p_mul,
+    add_products,
     clear_denominators,
     dot,
     parse,
@@ -503,6 +504,39 @@ def test_uncleared_inverts_clear_denominators(entries, scale):
         assert uncleared(terms, (den, s_den), 4) == [c * scale for c in want]
 
 
+@given(
+    st.lists(st.lists(_dot_operands, max_size=3), min_size=1, max_size=3),
+    st.lists(st.lists(_dot_operands, min_size=3, max_size=3), min_size=3, max_size=3),
+    monomial_fractions(),
+)
+@settings(max_examples=200, deadline=None)
+@example(blocks=[[ONE], [ONE]], table=[[ONE, ZERO, ZERO]] * 3, scale=L1)
+def test_add_products_is_the_dot_of_each_block_with_the_table(blocks, table, scale):
+    # block b sits at offset 3b rows: uncleared reads its three products
+    # with the table, times the scale term, over the product of the three
+    # common denominators
+    shift = scalars_module.ROW_SHIFT
+    b_den, b_cleared = clear_denominators(
+        {b: dict(enumerate(v)) for b, v in enumerate(blocks)}
+    )
+    t_den, t_cleared = clear_denominators({i: dict(enumerate(r)) for i, r in enumerate(table)})
+    s_den, s_cleared = clear_denominators({0: {0: scale}})
+    [scale_term] = s_cleared[0]
+    acc: dict = {}
+    add_products(
+        acc,
+        [((3 * b) << shift, b_cleared[b]) for b in range(len(blocks))],
+        [t_cleared[i] for i in range(3)],
+        scale_term,
+    )
+    want = [
+        scale * dot((c, table[i][k]) for i, c in enumerate(v))
+        for v in blocks
+        for k in range(3)
+    ]
+    assert uncleared(acc, (b_den, t_den, s_den), 3 * len(blocks)) == want
+
+
 def test_library_exponents_stay_small(monkeypatch):
     """A symbolic ``verify all`` never carries an exponent across a key slot.
 
@@ -512,10 +546,15 @@ def test_library_exponents_stay_small(monkeypatch):
     cannot carry either.  The largest exponent the run stores is 24.  Every
     entry that ``clear_denominators`` hands to the superalgebra checks and
     to the shuffle kernel (``AltMap.cleared`` and the ``PairingSpec``
-    tables), and each common denominator, also stays below 2^14, so the sum
-    of two cleared keys in a superalgebra or moment-action product, and of
-    three in a ``wedge_rel`` product or its denominator, cannot carry into
-    the next slot or into the row index.  The largest cleared exponent is 3.
+    tables), and each common denominator, also stays below 2^14, so the
+    product of three common denominators in ``uncleared`` cannot carry.
+    The largest cleared exponent is 3.  Every call of ``add_products``, the
+    one place where cleared keys are added, is checked on its three keys
+    per product: the largest exponents of the block terms, of the table
+    rows they meet and of the scale term sum to at most 65535, the block
+    offsets hold no monomial bits and the scale key no row-index bits, so
+    no product carries into the next slot or into the row index.  The
+    largest such sum in the run is 5.
     """
     from specialortho import altmap, quadlie
     from specialortho.suites import run_suite
@@ -550,13 +589,32 @@ def test_library_exponents_stay_small(monkeypatch):
 
         return checked
 
+    def exponent(key):
+        return _p_max_exponent({key: 1})
+
+    def checked_products(acc, blocks, table, scale=(0, 1)):
+        assert scale[0] == scale[0] & key_mask
+        most = 0
+        for offset, terms in blocks:
+            assert offset & key_mask == 0
+            for mk, _ in terms:
+                row = table[mk >> scalars_module.ROW_SHIFT]
+                row_top = max((exponent(k & key_mask) for k, _ in row), default=0)
+                most = max(most, exponent(mk & key_mask) + row_top)
+        product_tops.append(most + exponent(scale[0]))
+        assert product_tops[-1] <= 65535
+        return products(acc, blocks, table, scale)
+
     clear, calls, kernel_calls = scalars_module.clear_denominators, [], []
+    products, product_tops = scalars_module.add_products, []
     key_mask = (1 << scalars_module.ROW_SHIFT) - 1
     monkeypatch.setattr(scalars_module, "_p_mul", checked_mul)
     monkeypatch.setattr(Frac, "__init__", checked_init)
     monkeypatch.setattr(Frac, "_raw", classmethod(checked_raw))
     monkeypatch.setattr(quadlie, "clear_denominators", checked_clear(calls))
     monkeypatch.setattr(altmap, "clear_denominators", checked_clear(kernel_calls))
+    monkeypatch.setattr(quadlie, "add_products", checked_products)
+    monkeypatch.setattr(altmap, "add_products", checked_products)
     assert run_suite("all").ok
     # each assembly's table once, read by both of its scans, and its form
     # once; no Lie algebra g is scanned on its own
@@ -564,3 +622,4 @@ def test_library_exponents_stay_small(monkeypatch):
     assert sum(all(isinstance(key, tuple) for key in rows) for rows, _ in calls) == 3
     assert kernel_calls
     assert max(top for _, top in calls + kernel_calls) == 3
+    assert max(product_tops) == 5

@@ -6,7 +6,7 @@ from functools import cached_property
 
 import pytest
 
-from specialortho import altmap, clifford, octonions, quadlie, suites
+from specialortho import altmap, clifford, linalg, octonions, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
 from specialortho.exterior import K, QuadraticSpace
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
@@ -317,13 +317,13 @@ def test_setup_builds_each_structure_constant_once(monkeypatch):
         if isinstance(value, cached_property):
             getattr(ws, name)
     # the 21 so7 and 14 g2 action matrices; the moment-action tables of
-    # so7 (28 pairs x 8), g2 (21 x 7) and the family (6 x 4), each vector
-    # read from the cleared action rows, with no PairingSpec.apply; the 64
-    # table products of basis units
+    # so7 (28 pairs), g2 (21) and the family (6), the n vectors of each pair
+    # read at once from the cleared action rows, with no PairingSpec.apply;
+    # the 64 table products of basis units
     assert counts == {
         "spinor_action": 35,
         "apply": 0,
-        "uncleared": 395,
+        "uncleared": 55,
         "cd_mul": 64,
         "c_of": 0,
     }
@@ -484,11 +484,66 @@ def test_restriction_and_unit_name_the_imaginary_index():
 
 
 def test_splitting_names_the_failing_pair():
+    # the action table cannot be edited in place, so the moved column goes
+    # into a rebuilt representation, which a fresh workspace then holds
     ws = Workspace()
-    column = ws.g2_rep.act.table[4][2]
-    column[3] = column[3] + ONE
+    rep, kernel = ws._g2
+    with pytest.raises(TypeError):
+        rep.act.table[4][2][3] = ONE
+    matrices = [linalg.transpose(columns) for columns in rep.act.table]
+    matrices[4][3][2] = matrices[4][3][2] + ONE
+    moved = quadlie.QuadLieRep(
+        rep.name, rep.algebra_space, rep.algebra.table, matrices, rep.space
+    )
+    assert moved.act.table[4][2][3] == rep.act.table[4][2][3] + ONE
+    ws._g2 = (moved, kernel)
     witness = failing(run_suite("f4", ws).records).get("clifford-splitting")
     assert re.fullmatch(r"Tr\(rho\(d5\) rho\(c_e[1-7]\)\) != 0", witness or "")
+
+
+def f4_clifford_caches(cliff):
+    return {
+        "monomial products": dict(cliff._mono_cache),
+        "monomial matrices": dict(cliff._matrix_cache),
+        "Omega": cliff.omega().coeffs,
+        "c_u": [c.coeffs for c in cliff.w_basis()],
+    }
+
+
+def moved_coefficient(element):
+    """A new CliffordElement with the coefficient of its least monomial moved."""
+    mask = min(element.coeffs)
+    coeffs = {**element.coeffs, mask: element.coeffs[mask] + ONE}
+    return clifford.CliffordElement(element.algebra, coeffs)
+
+
+def test_clifford_omega_spin_names_the_moved_omega():
+    clean = Workspace()
+    run_suite("f4", clean)
+    ws = Workspace()
+    cliff = ws.cliff
+    # the c_u are {u, Omega}: built first, they hold the true Omega
+    cliff.w_basis()
+    omega = cliff.omega()
+    cliff._omega = moved_coefficient(omega)
+    witness = failing(run_suite("f4", ws).records)["clifford-omega-spin"]
+    assert witness == "rho(Omega)(1) != -7"
+    # the moved element was a copy: restored, the shared caches are clean
+    cliff._omega = omega
+    assert f4_clifford_caches(cliff) == f4_clifford_caches(clean.cliff)
+
+
+def test_clifford_trace_form_names_the_moved_c_u():
+    clean = Workspace()
+    run_suite("f4", clean)
+    ws = Workspace()
+    cliff = ws.cliff
+    w = cliff.w_basis()
+    cliff._w_basis = [*w[:4], moved_coefficient(w[4]), *w[5:]]
+    witness = failing(run_suite("f4", ws).records)["clifford-trace-form"]
+    assert witness == "(u,v) = (e5, e5)"
+    cliff._w_basis = w
+    assert f4_clifford_caches(cliff) == f4_clifford_caches(clean.cliff)
 
 
 @pytest.mark.parametrize(
