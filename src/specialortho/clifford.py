@@ -5,7 +5,11 @@ imaginaries, so each generator squares to -q(e_i) and distinct generators
 anticommute.  Monomials are stored as 7-bit masks (bit i-1 for generator i);
 folding a generator into a mask costs one popcount-style sign.  The spin
 action sends a monomial to the composition of left multiplications on the
-full octonions, an 8x8 matrix.
+full octonions.  Each left multiplication by a unit is monomial in the
+(Z/2)^3 grading, e_j -> c e_{t xor j}, so the action of a monomial is stored
+as its 8 columns, one term each, composed from the octonion unit table with
+one product per column; spinor_action writes the dense 8x8 matrix of an
+element from them.
 
 quantize identifies the exterior algebra of the imaginary space with the
 Clifford algebra as filtered vector spaces by sending an increasing wedge
@@ -27,6 +31,7 @@ from .scalars import Frac, ONE, ZERO, dot
 
 Vector = list[Frac]
 Matrix = list[list[Frac]]
+Columns = tuple[tuple[int, Frac], ...]
 
 PAIR_MASKS: tuple[int, ...] = tuple(
     (1 << (i - 1)) | (1 << (j - 1)) for i, j in combinations(range(1, 8), 2)
@@ -115,7 +120,7 @@ class CliffordAlgebra:
         self.octonions = octonions
         self.qs: Vector = list(octonions.space_im.diag)
         self._mono_cache: dict[tuple[int, int], tuple[int, Frac]] = {}
-        self._matrix_cache: dict[int, Matrix] = {}
+        self._column_cache: dict[int, Columns] = {}
         self._omega: Optional[CliffordElement] = None
         self._w_basis: Optional[list[CliffordElement]] = None
 
@@ -193,54 +198,49 @@ class CliffordAlgebra:
 
     # -- spin representation ----------------------------------------------------
 
-    def _generator_matrix(self, t: int) -> Matrix:
-        # left multiplication by e_{t+1} on the octonions, in coordinates
-        out = linalg.zeros(8, 8)
-        for j in range(8):
-            r, c = self.octonions.unit_product(t + 1, j)
-            out[r][j] = c
-        return out
+    def _columns(self, mask: int) -> Columns:
+        """The spin action of a monomial as its 8 columns: column j is the one
+        term (r, c) of the image c e_r of e_j.
 
-    def _mono_matrix(self, mask: int) -> Matrix:
-        got = self._matrix_cache.get(mask)
+        The ordered product applies its highest generator first, so the
+        lowest one, e_t, acts last: it sends c e_r to c * units[t][r] e_{t xor r}.
+        """
+        got = self._column_cache.get(mask)
         if got is not None:
             return got
         if mask == 0:
-            out = linalg.identity(8)
+            out = tuple((j, ONE) for j in range(8))
         else:
             bit = mask & -mask
-            rest = mask ^ bit
-            # the lowest generator is leftmost in the ordered product, so it
-            # multiplies the remaining matrix product from the left
-            out = linalg.mat_mul(
-                self._generator_matrix(bit.bit_length() - 1), self._mono_matrix(rest)
-            )
-        self._matrix_cache[mask] = out
+            t = bit.bit_length()
+            units = self.octonions.units[t]
+            out = tuple((t ^ r, units[r] * c) for r, c in self._columns(mask ^ bit))
+        self._column_cache[mask] = out
         return out
 
     def spinor_action(self, c: CliffordElement) -> Matrix:
         """8x8 matrix of c acting on the octonions by iterated left products."""
         out = linalg.zeros(8, 8)
         for mask, coeff in c.coeffs.items():
-            mono = self._mono_matrix(mask)
-            for r in range(8):
-                row_o = out[r]
-                row_m = mono[r]
-                for s in range(8):
-                    if row_m[s].num:
-                        row_o[s] = row_o[s] + coeff * row_m[s]
+            for j, (r, m) in enumerate(self._columns(mask)):
+                out[r][j] = out[r][j] + coeff * m
         return out
 
     @cached_property
     def pair_traces(self) -> dict[tuple[int, int], Frac]:
-        """Tr(rho(x) rho(y)) for every pair (x, y) of pair-monomial masks,
-        read off the cached monomial matrices."""
+        """Tr(rho(x) rho(y)) for every pair (x, y) of pair-monomial masks.
+
+        rho(y) moves e_j to the row j xor s(y), with s the xor of the
+        generators, so rho(x) rho(y) has a diagonal only where s(x) = s(y),
+        and its trace is a sum of 8 column products.
+        """
         table = {}
         for a, x in enumerate(PAIR_MASKS):
-            mx = self._mono_matrix(x)
+            cx = self._columns(x)
             for y in PAIR_MASKS[a:]:
-                table[(x, y)] = table[(y, x)] = linalg.trace_of_product(
-                    mx, self._mono_matrix(y)
+                cy = self._columns(y)
+                table[(x, y)] = table[(y, x)] = (
+                    dot((cx[r][1], c) for r, c in cy) if cx[0][0] == cy[0][0] else ZERO
                 )
         return table
 
@@ -249,21 +249,20 @@ class CliffordAlgebra:
         """[P_a, P_b] = c P_u for the pair monomials P = PAIR_MASKS, as (u, c)
         by positions (a, b) in both orders, where the commutator is nonzero.
 
-        Both products of two monomials land on the monomial x xor y, so the
-        commutator is the difference of their two coefficients there; on pair
-        monomials it lands back on a pair monomial.
+        Two pair monomials that share one generator anticommute, so their
+        commutator is twice their product, which lands on the pair monomial
+        x xor y; disjoint ones commute.
         """
         position = {m: t for t, m in enumerate(PAIR_MASKS)}
         table = {}
         for (a, x), (b, y) in combinations(enumerate(PAIR_MASKS), 2):
-            mask, xy = self.mono_mul(x, y)
-            c = xy - self.mono_mul(y, x)[1]
-            if not c.num:
-                continue
-            if mask not in position:
-                raise WrongDimension("commutator of pair monomials left the degree-2 span")
-            table[(a, b)] = (position[mask], c)
-            table[(b, a)] = (position[mask], -c)
+            if x & y:
+                mask, xy = self.mono_mul(x, y)
+                if mask not in position:
+                    raise WrongDimension("commutator of pair monomials left the degree-2 span")
+                c = xy + xy
+                table[(a, b)] = (position[mask], c)
+                table[(b, a)] = (position[mask], -c)
         return table
 
     # -- distinguished elements -------------------------------------------------
@@ -299,13 +298,10 @@ class CliffordAlgebra:
         unit; the kernel must come out 14-dimensional or WrongDimension is
         raised.
         """
-        rows = []
-        for r in range(8):
-            row = []
-            for mask in PAIR_MASKS:
-                mono = self._mono_matrix(mask)
-                row.append(mono[r][0])
-            rows.append(row)
+        rows = linalg.zeros(8, 21)
+        for t, mask in enumerate(PAIR_MASKS):
+            r, c = self._columns(mask)[0]
+            rows[r][t] = c
         kernel = linalg.nullspace(rows)
         if len(kernel) != 14:
             raise WrongDimension(

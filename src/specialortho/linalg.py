@@ -2,8 +2,9 @@
 
 Matrix arithmetic, and the reduced row echelon form, rank, nullspace,
 determinant and subspace coordinates built on scalars.eliminate, the
-fraction-free elimination that scalars.solve_linear also uses.  Matrices are
-plain lists of lists of Frac.
+Gauss-Jordan elimination in the field that scalars.solve_linear also uses:
+rref reads its reduced rows, det multiplies its pivots.  Matrices are plain
+lists of lists of Frac.
 """
 
 from __future__ import annotations
@@ -21,24 +22,13 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = ONE
-    return out
-
-
-def transpose(m: Sequence[Sequence[Frac]]) -> Matrix:
-    return [list(col) for col in zip(*m)] if m else []
-
-
 def mat_vec(m: Sequence[Sequence[Frac]], v: Sequence[Frac]) -> Vector:
     return [dot(zip(row, v)) for row in m]
 
 
 def mat_mul(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -> Matrix:
-    bt = transpose(b)
-    return [[dot(zip(row, col)) for col in bt] for row in a]
+    columns = list(zip(*b))
+    return [[dot(zip(row, col)) for col in columns] for row in a]
 
 
 def trace(m: Sequence[Sequence[Frac]]) -> Frac:
@@ -55,18 +45,7 @@ def trace_of_product(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -
 
 def rref(rows: Sequence[Sequence[Frac]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    polys, pivots, _, _ = eliminate(rows)
-    n = len(rows[0]) if rows else 0
-    R = [[ZERO] * n for _ in rows]
-    for r, c in enumerate(pivots):
-        pk = polys[r][c]
-        R[r][c:] = [Frac(x, pk) if x else ZERO for x in polys[r][c:]]
-    for r in range(len(pivots) - 1, 0, -1):
-        c = pivots[r]
-        for i in range(r):
-            f = R[i][c]
-            if f.num:
-                R[i] = [a - f * b if b.num else a for a, b in zip(R[i], R[r])]
+    R, pivots, _, _ = eliminate(rows)
     return R, pivots
 
 
@@ -94,15 +73,14 @@ def nullspace(rows: Sequence[Sequence[Frac]]) -> list[Vector]:
 
 
 def det(matrix: Sequence[Sequence[Frac]]) -> Frac:
-    """Exact determinant: the last fraction-free pivot over the cleared rows."""
-    n = len(matrix)
-    if n == 0:
-        return ONE
-    rows, pivots, sign, den = eliminate(matrix, square=True)
-    if len(pivots) < n:
+    """Exact determinant: the sign of the row swaps times the pivots."""
+    _, pivots, sign, values = eliminate(matrix, square=True)
+    if len(pivots) < len(matrix):
         return ZERO
-    d = Frac(rows[n - 1][n - 1], den)
-    return d if sign > 0 else -d
+    d = ONE if sign > 0 else -ONE
+    for v in values:
+        d = d * v
+    return d
 
 
 class SubspaceCoords:

@@ -51,8 +51,9 @@ entries is one int product and one key sum, taken in ``add_products``
 ``uncleared`` turns the sums back into one Frac per coordinate, over the
 product of the common denominators: by one int gcd and one key minimum
 when that product is a monomial, else by ``Frac(num, den)``.
-``solve_linear`` divides on a diagonal matrix with no zero on its
-diagonal, and eliminates otherwise.
+``eliminate`` is Gauss-Jordan over Frac, so its row updates take these
+fast paths on graded matrices; ``solve_linear`` divides on a diagonal
+matrix with no zero on its diagonal, and eliminates otherwise.
 """
 
 from __future__ import annotations
@@ -1007,7 +1008,7 @@ def render(x: Frac) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination (fraction-free Bareiss) and linear solving
+# exact elimination (Gauss-Jordan in the field) and linear solving
 # ---------------------------------------------------------------------------
 
 
@@ -1016,47 +1017,32 @@ def eliminate(
     columns: Sequence[Sequence[Frac]] = (),
     square: bool = False,
 ):
-    """Fraction-free forward elimination behind solve_linear and linalg.
+    """Gauss-Jordan elimination in the field, behind solve_linear and linalg.
 
-    Each row of ``matrix``, extended by the entries of the right-hand
-    ``columns``, is cleared of denominators by its own lcm; then Bareiss
-    steps eliminate below a pivot in each column of ``matrix`` in turn,
-    taking the first row with a nonzero entry and skipping a column that has
-    none.  With ``square`` the elimination stops at the first column without
-    a pivot, where a square matrix is singular.
+    Each row of ``matrix`` is extended by the entries of the right-hand
+    ``columns``.  For each column of ``matrix`` in turn, the first remaining
+    row with a nonzero entry there is the pivot row, a column with none is
+    skipped; the pivot row is divided by its pivot and the column is cleared
+    from every other row.  With ``square`` the elimination stops at the first
+    column without a pivot, where a square matrix is singular.  Each update
+    reads only the nonzero entries of the pivot row, so the Frac monomial
+    fast paths carry it on graded, sparse matrices.
 
-    Returns ``(rows, pivots, sign, den)``: the integer-polynomial rows after
-    elimination, the pivot column of each leading row, the sign of the row
-    permutation, and the product of the row denominators cleared.  Every
-    entry of a pivot row is a minor of the cleared matrix, so with a pivot in
-    each column of a square matrix the last pivot is sign * den * det.
+    Returns ``(rows, pivots, sign, values)``: the reduced rows, the pivot
+    column of each leading row, the sign of the row permutation and the
+    pivots, whose product with the sign is the determinant of a square
+    matrix with a pivot in every column.
     """
     n = len(matrix[0]) if matrix else 0
-    if columns:
-        matrix = [
-            [*row, *[col[i] for col in columns]] for i, row in enumerate(matrix)
-        ]
-    rows = []
-    den = _P_ONE
-    for row in matrix:
-        lcm = _P_ONE
-        for f in row:
-            if f.den != _P_ONE:
-                lcm = _p_lcm(lcm, f.den)
-        if lcm == _P_ONE:
-            rows.append([f.num for f in row])
-        else:
-            rows.append([_p_mul(f.num, _p_divexact(lcm, f.den)) for f in row])
-            den = _p_mul(den, lcm)
+    rows = [[*row, *[col[i] for col in columns]] for i, row in enumerate(matrix)]
     m = len(rows)
-    width = n + len(columns)
     pivots: list[int] = []
+    values: list[Frac] = []
     sign = 1
-    prev = _P_ONE
     for k in range(n):
         r = len(pivots)
         for piv in range(r, m):
-            if rows[piv][k]:
+            if rows[piv][k].num:
                 break
         else:
             if square:
@@ -1066,26 +1052,21 @@ def eliminate(
             rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
         row_r = rows[r]
-        pk = row_r[k]
-        for i in range(r + 1, m):
-            row_i = rows[i]
-            rik = row_i[k]
-            if rik:
-                for j in range(k + 1, width):
-                    num = _p_sub(_p_mul(pk, row_i[j]), _p_mul(rik, row_r[j]))
-                    row_i[j] = _p_divexact(num, prev) if prev != _P_ONE else num
-            elif prev != _P_ONE:
-                for j in range(k + 1, width):
-                    if row_i[j]:
-                        row_i[j] = _p_divexact(_p_mul(pk, row_i[j]), prev)
-            else:
-                for j in range(k + 1, width):
-                    if row_i[j]:
-                        row_i[j] = _p_mul(pk, row_i[j])
-            row_i[k] = _P_ZERO
+        pk, row_r[k] = row_r[k], ONE
+        values.append(pk)
+        support = [j for j in range(k + 1, len(row_r)) if row_r[j].num]
+        if support and pk != ONE:
+            inverse = ONE / pk
+            for j in support:
+                row_r[j] = row_r[j] * inverse
+        for i, row_i in enumerate(rows):
+            f = row_i[k]
+            if f.num and i != r:
+                for j in support:
+                    row_i[j] = row_i[j] - f * row_r[j]
+                row_i[k] = ZERO
         pivots.append(k)
-        prev = pk
-    return rows, pivots, sign, den
+    return rows, pivots, sign, values
 
 
 def solve_linear(
@@ -1094,11 +1075,11 @@ def solve_linear(
 ):
     """Solve A x = b exactly for one vector b or a list of column vectors.
 
-    Eliminates the augmented rows with ``eliminate``, then back-substitutes
-    in the field.  Raises SingularMatrix when a column has no pivot.  With a
-    single vector rhs returns one solution vector; with a list of columns
-    returns the list of solution vectors in the same order.  A diagonal A
-    with no zero on its diagonal is solved as x_i = b_i / a_ii.
+    Reduces the augmented rows with ``eliminate`` and reads the solutions
+    off the reduced right-hand columns.  Raises SingularMatrix when a column
+    has no pivot.  With a single vector rhs returns one solution vector; with
+    a list of columns returns the list of solution vectors in the same order.
+    A diagonal A with no zero on its diagonal is solved as x_i = b_i / a_ii.
     """
     n = len(matrix)
     if n == 0:
@@ -1117,17 +1098,8 @@ def solve_linear(
         inverse = [ONE / d for d in diagonal]
         solutions = [[b * r if b.num else ZERO for b, r in zip(c, inverse)] for c in columns]
         return solutions[0] if single else solutions
-    aug, pivots, _, _ = eliminate(matrix, columns, square=True)
+    reduced, pivots, _, _ = eliminate(matrix, columns, square=True)
     if len(pivots) < n:
         raise SingularMatrix(f"no pivot in column {len(pivots)}")
-    solutions = []
-    for c in range(len(columns)):
-        x: list[Frac] = [ZERO] * n
-        for i in range(n - 1, -1, -1):
-            s = Frac(aug[i][n + c], _P_ONE) if aug[i][n + c] else ZERO
-            for j in range(i + 1, n):
-                if aug[i][j] and not x[j].is_zero():
-                    s = s - Frac(aug[i][j], _P_ONE) * x[j]
-            x[i] = s / Frac(aug[i][i], _P_ONE)
-        solutions.append(x)
+    solutions = [[row[n + c] for row in reduced] for c in range(len(columns))]
     return solutions[0] if single else solutions

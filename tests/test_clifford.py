@@ -3,17 +3,22 @@ degree-2 elements, and the 14-dimensional annihilator of the unit."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
-from specialortho import linalg
+from specialortho import cli, linalg
 from specialortho.clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS
 from specialortho.altmap import AltMap, wedge_rel
-from specialortho.errors import NotImaginary, ShapeMismatch
+from specialortho.errors import NotImaginary, ShapeMismatch, WrongDimension
 from specialortho.exterior import K
 from specialortho.octonions import bilinear_B, build_algebra, cross_product
 from specialortho.scalars import L1, L2, L3, ONE, ZERO, rat
+from test_linalg import identity
 
 
 def apply_to_octonion(cliff, c, x):
@@ -117,7 +122,7 @@ def test_spin_action_generator_squares(C):
     for i in range(1, 8):
         m = C.spinor_action(generator(C, i))
         sq = linalg.mat_mul(m, m)
-        expect = [[-C.qs[i - 1] * x for x in row] for row in linalg.identity(8)]
+        expect = [[-C.qs[i - 1] * x for x in row] for row in identity(8)]
         assert sq == expect
 
 
@@ -225,3 +230,143 @@ def test_kernel_plus_w_spans_degree_two(C):
             row[mask_pos[m]] = c
         rows.append(row)
     assert linalg.rank(rows) == 21
+
+
+# -- the dense oracle of the monomial columns ------------------------------------
+
+
+def generator_matrix(C, t):
+    """Left multiplication by e_t on the octonions, as a dense 8x8 matrix."""
+    out = [[ZERO] * 8 for _ in range(8)]
+    for j in range(8):
+        r, c = C.octonions.unit_product(t, j)
+        out[r][j] = c
+    return out
+
+
+def dense_monomial_matrix(C, mask):
+    """The spin matrix of a monomial as the ordered product of its generator
+    matrices, the lowest generator leftmost."""
+    out = identity(8)
+    for t in reversed([t for t in range(1, 8) if mask >> (t - 1) & 1]):
+        out = linalg.mat_mul(generator_matrix(C, t), out)
+    return out
+
+
+def columns_matrix(columns):
+    out = [[ZERO] * 8 for _ in range(8)]
+    for j, (r, c) in enumerate(columns):
+        out[r][j] = c
+    return out
+
+
+def column_mismatches(C):
+    """The masks whose stored columns differ from the dense product."""
+    return [
+        mask
+        for mask in range(128)
+        if columns_matrix(C._columns(mask)) != dense_monomial_matrix(C, mask)
+    ]
+
+
+def commutator_mismatches(C):
+    """The ordered pairs (a, b) of pair monomials where pair_commutators
+    differs from the difference of the two dense matrix products."""
+    dense = [dense_monomial_matrix(C, m) for m in PAIR_MASKS]
+    table = C.pair_commutators
+    out = []
+    for a, b in combinations(range(21), 2):
+        ab, ba = linalg.mat_mul(dense[a], dense[b]), linalg.mat_mul(dense[b], dense[a])
+        diff = [[p - q for p, q in zip(r, s)] for r, s in zip(ab, ba)]
+        for key, sign in (((a, b), ONE), ((b, a), -ONE)):
+            u, c = table.get(key, (0, ZERO))
+            if diff != [[sign * c * x for x in row] for row in dense[u]]:
+                out.append(key)
+    return out
+
+
+class RightProductColumns(CliffordAlgebra):
+    """Wrong sign rule: the coefficient of e_r e_t instead of e_t e_r."""
+
+    def _columns(self, mask):
+        if mask == 0:
+            return tuple((j, ONE) for j in range(8))
+        bit = mask & -mask
+        t = bit.bit_length()
+        return tuple(
+            (t ^ r, self.octonions.units[r][t] * c) for r, c in self._columns(mask ^ bit)
+        )
+
+
+class BitXorColumns(CliffordAlgebra):
+    """Wrong xor: the row moves by the mask bit, not the generator index."""
+
+    def _columns(self, mask):
+        if mask == 0:
+            return tuple((j, ONE) for j in range(8))
+        bit = mask & -mask
+        t = bit.bit_length()
+        return tuple(
+            ((bit ^ r) & 7, self.octonions.units[t][r] * c)
+            for r, c in self._columns(mask ^ bit)
+        )
+
+
+class ReversedCommutators(CliffordAlgebra):
+    """Wrong sign rule: pair_commutators reads the product y x, not x y."""
+
+    def mono_mul(self, left, right):
+        if bin(left).count("1") == bin(right).count("1") == 2:
+            left, right = right, left
+        return super().mono_mul(left, right)
+
+
+class CommutingPairs(CliffordAlgebra):
+    """Wrong sign rule: every pair monomial commutes with every other."""
+
+    @property
+    def pair_commutators(self):
+        return {}
+
+
+class OrMonomials(CliffordAlgebra):
+    """Wrong xor: two monomials multiply onto their union."""
+
+    def mono_mul(self, left, right):
+        mask, c = super().mono_mul(left, right)
+        return left | right, c
+
+
+@pytest.mark.parametrize("weights", [(L1, L2, L3), (rat(2), rat(3), rat(-5))])
+def test_monomial_columns_and_commutators_match_the_dense_oracle(weights):
+    octs = build_algebra(*weights)
+    C = CliffordAlgebra(octs)
+    assert column_mismatches(C) == []
+    assert len(C._column_cache) == 128
+    assert commutator_mismatches(C) == []
+    # mutated kernels: each is caught
+    assert column_mismatches(RightProductColumns(octs))
+    assert column_mismatches(BitXorColumns(octs))
+    assert commutator_mismatches(ReversedCommutators(octs))
+    assert commutator_mismatches(CommutingPairs(octs))
+    with pytest.raises(WrongDimension, match="left the degree-2 span"):
+        OrMonomials(octs).pair_commutators
+
+
+def test_verify_all_makes_no_dense_matrix_product():
+    # every call is seen, whichever name the caller imported mat_mul under
+    code, calls = linalg.mat_mul.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_back.f_code.co_name)
+
+    out = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(out):
+            status = cli.main(["verify", "all"])
+    finally:
+        sys.setprofile(None)
+    assert status == 0 and out.getvalue()
+    assert calls == []

@@ -7,19 +7,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specialortho.errors import SingularMatrix
+from specialortho.exterior import all_multi_indices
 from specialortho.linalg import (
     SubspaceCoords,
     det,
-    identity,
     mat_mul,
     mat_vec,
     nullspace,
     rank,
     rref,
     trace,
-    transpose,
 )
-from specialortho.scalars import ALPHA, L1, L2, L3, ONE, ZERO, rat, solve_linear
+from specialortho.scalars import (
+    ALPHA,
+    L1,
+    L2,
+    L3,
+    ONE,
+    ZERO,
+    Frac,
+    _P_ONE,
+    _P_ZERO,
+    _p_divexact,
+    _p_lcm,
+    _p_mul,
+    _p_sub,
+    rat,
+    solve_linear,
+)
+from specialortho.suites import Workspace
+
+
+def identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
 def test_rref_pivots():
@@ -88,10 +112,109 @@ def test_subspace_coords_dependent_basis():
         SubspaceCoords([[ONE, ZERO], [rat(2), ZERO]])
 
 
-# -- oracle for the elimination core -------------------------------------------
-# det, solve_linear, rank and nullspace all run on one fraction-free
-# elimination; the checks below use only field arithmetic and a cofactor
-# expansion, so they share no code with it.
+# -- oracles for the elimination core -------------------------------------------
+# det, solve_linear, rref and nullspace all run on one Gauss-Jordan
+# elimination in the field.  The checks below compare them with a cofactor
+# expansion and with fraction-free Bareiss elimination on the cleared
+# integer-polynomial rows, the core the library used before; neither
+# shares code with it.
+
+
+def bareiss(matrix, columns=(), square=False):
+    """Fraction-free forward elimination: (rows, pivots, sign, den), with
+    every entry of a pivot row a minor of the cleared matrix, so that the
+    last pivot of a nonsingular square matrix is sign * den * det."""
+    n = len(matrix[0]) if matrix else 0
+    if columns:
+        matrix = [[*row, *[col[i] for col in columns]] for i, row in enumerate(matrix)]
+    rows = []
+    den = _P_ONE
+    for row in matrix:
+        lcm = _P_ONE
+        for f in row:
+            if f.den != _P_ONE:
+                lcm = _p_lcm(lcm, f.den)
+        rows.append([_p_mul(f.num, _p_divexact(lcm, f.den)) for f in row])
+        den = _p_mul(den, lcm)
+    m, width = len(rows), n + len(columns)
+    pivots, sign, prev = [], 1, _P_ONE
+    for k in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if rows[i][k]), None)
+        if piv is None:
+            if square:
+                break
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        row_r, pk = rows[r], rows[r][k]
+        for row_i in rows[r + 1 :]:
+            rik = row_i[k]
+            for j in range(k + 1, width):
+                num = _p_sub(_p_mul(pk, row_i[j]), _p_mul(rik, row_r[j]))
+                row_i[j] = _p_divexact(num, prev)
+            row_i[k] = _P_ZERO
+        pivots.append(k)
+        prev = pk
+    return rows, pivots, sign, den
+
+
+def bareiss_det(matrix):
+    n = len(matrix)
+    rows, pivots, sign, den = bareiss(matrix, square=True)
+    if len(pivots) < n:
+        return ZERO
+    d = Frac(rows[n - 1][n - 1], den)
+    return d if sign > 0 else -d
+
+
+def bareiss_rref(matrix):
+    """The pivot rows over their pivots, then cleared upwards in the field."""
+    polys, pivots, _, _ = bareiss(matrix)
+    n = len(matrix[0]) if matrix else 0
+    R = [[ZERO] * n for _ in matrix]
+    for r, c in enumerate(pivots):
+        R[r][c:] = [Frac(x, polys[r][c]) if x else ZERO for x in polys[r][c:]]
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        for i in range(r):
+            f = R[i][c]
+            R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+    return R, pivots
+
+
+def bareiss_nullspace(matrix):
+    n = len(matrix[0]) if matrix else 0
+    R, pivots = bareiss_rref(matrix)
+    out = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [ZERO] * n
+        v[free] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][free]
+        out.append(v)
+    return out
+
+
+def bareiss_solve(matrix, columns):
+    """Back-substitution over the eliminated rows, one solution per column,
+    or None for a singular matrix."""
+    n = len(matrix)
+    aug, pivots, _, _ = bareiss(matrix, columns, square=True)
+    if len(pivots) < n:
+        return None
+    solutions = []
+    for c in range(len(columns)):
+        x = [ZERO] * n
+        for i in range(n - 1, -1, -1):
+            s = Frac(aug[i][n + c], _P_ONE)
+            for j in range(i + 1, n):
+                s = s - Frac(aug[i][j], _P_ONE) * x[j]
+            x[i] = s / Frac(aug[i][i], _P_ONE)
+        solutions.append(x)
+    return solutions
+
 
 _ATOMS = (ZERO, ZERO, ONE, rat(-1), rat(2), rat(-3), L1, L2, ONE / L1)
 _entries = st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=2).map(
@@ -111,6 +234,41 @@ def square_systems(draw):
     return m, b
 
 
+# a rational times a Laurent monomial in l1, l2, l3, as the graded Grams hold
+_monomials = st.builds(
+    lambda c, e1, e2, e3: rat(c) * L1**e1 * L2**e2 * L3**e3,
+    st.sampled_from((1, -1, 2, -3, 1, -1)),
+    *[st.integers(min_value=-1, max_value=1)] * 3,
+)
+
+
+@st.composite
+def graded_systems(draw):
+    """A block-diagonal matrix of monomial blocks (one per grade), some
+    singular, with its rows and columns permuted."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
+    n = sum(sizes)
+    m = [[ZERO] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        block = [
+            [draw(_monomials) if draw(st.integers(0, 3)) else ZERO for _ in range(size)]
+            for _ in range(size)
+        ]
+        if size > 1 and draw(st.booleans()):
+            # a monomial multiple of the first row: a singular block
+            c = draw(_monomials)
+            block[-1] = [c * x for x in block[0]]
+        for i, row in enumerate(block):
+            m[start + i][start : start + size] = row
+        start += size
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    m = [[m[r][c] for c in cols] for r in rows]
+    b = [draw(_monomials) if draw(st.booleans()) else ZERO for _ in range(n)]
+    return m, b
+
+
 def laplace(m):
     if not m:
         return ONE
@@ -122,21 +280,47 @@ def laplace(m):
     return total
 
 
-@given(square_systems())
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(square_systems(), graded_systems()))
+@settings(max_examples=120, deadline=None)
 def test_elimination_core_against_oracle(system):
     m, b = system
     n = len(m)
     d = det(m)
-    assert d == laplace(m)
+    assert d == laplace(m) == bareiss_det(m)
+    want = bareiss_solve(m, [b])
     if d.is_zero():
+        assert want is None
         with pytest.raises(SingularMatrix):
             solve_linear(m, b)
     else:
-        assert mat_vec(m, solve_linear(m, b)) == b
+        x = solve_linear(m, b)
+        assert [x] == want
+        assert mat_vec(m, x) == b
+    R, pivots = rref(m)
+    assert (R, pivots) == bareiss_rref(m)
     r = rank(m)
     assert (r == n) == (not d.is_zero())
     kernel = nullspace(m)
+    assert kernel == bareiss_nullspace(m)
     assert len(kernel) == n - r
     for v in kernel:
         assert all(x.is_zero() for x in mat_vec(m, v))
+
+
+@pytest.mark.parametrize(
+    "bindings", [{}, dict(l1=rat(2), l2=rat(3), l3=rat(-5), alpha=rat(2))]
+)
+def test_workspace_grams_and_g2_moment_system_match_the_oracle(bindings):
+    ws = Workspace(**bindings)
+    for rep in (ws.g2_rep, ws.so7_rep, ws.family_rep):
+        gram = rep.algebra_space.gram
+        assert det(gram) == bareiss_det(gram)
+        assert rref(gram) == bareiss_rref(gram)
+    # the system moment_map solves for g2, whose Gram is not diagonal
+    rep = ws.g2_rep
+    space, gram = rep.space, rep.algebra_space.gram
+    columns = [
+        [space.pair(rep.act.table[a][i - 1], space.basis_vector(j - 1)) for a in range(14)]
+        for i, j in all_multi_indices(7, 2)
+    ]
+    assert solve_linear(gram, columns) == bareiss_solve(gram, columns)

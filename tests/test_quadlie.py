@@ -18,6 +18,7 @@ from specialortho import quadlie as ql
 from specialortho import suites
 from specialortho import superalg as sup
 from specialortho.suites import Workspace
+from test_linalg import transpose
 from test_superalg import full_invariance_scan, jacobi_texts
 
 
@@ -69,7 +70,7 @@ def hyperbolic_space():
 
 def action_matrices(rep):
     """The matrices of rho(x_a): rep.act.table[a] holds their columns."""
-    return [linalg.transpose(rows) for rows in rep.act.table]
+    return [transpose(rows) for rows in rep.act.table]
 
 
 # -- Frac scans of single identities, the oracles of module_witnesses --------

@@ -21,6 +21,7 @@ from specialortho.suites import (
     run_suite,
 )
 from specialortho.superalg import build_tilde
+from test_linalg import transpose
 
 
 @pytest.fixture(scope="module")
@@ -490,7 +491,7 @@ def test_splitting_names_the_failing_pair():
     rep, kernel = ws._g2
     with pytest.raises(TypeError):
         rep.act.table[4][2][3] = ONE
-    matrices = [linalg.transpose(columns) for columns in rep.act.table]
+    matrices = [transpose(columns) for columns in rep.act.table]
     matrices[4][3][2] = matrices[4][3][2] + ONE
     moved = quadlie.QuadLieRep(
         rep.name, rep.algebra_space, rep.algebra.table, matrices, rep.space
@@ -501,10 +502,22 @@ def test_splitting_names_the_failing_pair():
     assert re.fullmatch(r"Tr\(rho\(d5\) rho\(c_e[1-7]\)\) != 0", witness or "")
 
 
+def test_clifford_forms_nonsingular_names_a_vanishing_gram(monkeypatch):
+    # the Grams are nonsingular by construction, so the check is reached by a
+    # det that vanishes on the g2 Gram alone, after both spaces are built
+    ws = Workspace()
+    gram = ws.g2_rep.algebra_space.gram
+    assert ws.so7_rep.algebra_space.gram is not gram
+    monkeypatch.setattr(suites, "det", lambda m: rat(0) if m is gram else linalg.det(m))
+    assert failing(run_suite("f4", ws).records) == {
+        "clifford-forms-nonsingular": "a Gram determinant vanishes"
+    }
+
+
 def f4_clifford_caches(cliff):
     return {
         "monomial products": dict(cliff._mono_cache),
-        "monomial matrices": dict(cliff._matrix_cache),
+        "monomial columns": dict(cliff._column_cache),
         "Omega": cliff.omega().coeffs,
         "c_u": [c.coeffs for c in cliff.w_basis()],
     }
