@@ -17,7 +17,8 @@ follow the shuffle conventions without factorial normalization:
 
 and hodge_dual inverts alpha ^_B (star f) = b_alt(alpha, f) * volume, where
 b_alt(alpha, f) = sum over multi-indices I of B(alpha(e_I), f(e_I)) / q(e_I);
-its re-verification is one scalar wedge e_I ^ star per multi-index I.
+its re-verification reads the scalar wedge e_I ^ star of every multi-index
+I from one shuffle.
 The shuffle kernel runs on integer terms: a PairingSpec clears its table
 once, wedge_rel clears f and g once each, multiplies them by
 scalars.add_products into one dict for every output multi-index, and turns
@@ -48,7 +49,6 @@ from .exterior import (
     render_multi_index,
 )
 from .scalars import (
-    KEY_MASK,
     ROW_SHIFT,
     Frac,
     ONE,
@@ -56,6 +56,7 @@ from .scalars import (
     add_products,
     clear_denominators,
     dot,
+    flat_terms,
     uncleared,
 )
 
@@ -311,38 +312,53 @@ def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> Al
         return result
     lf, fc = f.cleared()
     lg, gc = (lf, fc) if g is f else g.cleared()
-    indices, dim = all_multi_indices(n, p + q), pairing.result.dim
-    offsets = {T: (r * dim) << ROW_SHIFT for r, T in enumerate(indices)}
-    acc = _shuffle_terms(fc, gc, p, q, n, pairing.rows, offsets)
-    values = uncleared(acc, (lf, lg, pairing.den), len(indices) * dim)
-    for r, T in enumerate(indices):
-        value = values[r * dim : (r + 1) * dim]
+    dim = pairing.result.dim
+    acc = _shuffle_terms(fc, gc, p, q, n, pairing.rows, dim)
+    values = uncleared(acc, (lf, lg, pairing.den), dim << n)
+    for T in all_multi_indices(n, p + q):
+        r = _mask(T) * dim
+        value = values[r : r + dim]
         if any(c.num for c in value):
             result.coeffs[T] = value
     return result
 
 
-def _shuffle_terms(fc: dict, gc: dict, p: int, q: int, n: int, rows, offsets) -> dict:
+_BITS = tuple(1 << t >> 1 for t in range(64))
+
+
+def _mask(index: MultiIndex) -> int:
+    """The bit set of a multi-index: bit t - 1 for each t.  The masks of two
+    disjoint multi-indices add to the mask of their union."""
+    return sum(map(_BITS.__getitem__, index))
+
+
+def _shuffle_terms(fc: dict, gc: dict, p: int, q: int, n: int, rows, dim: int) -> dict:
     """The shuffle products of cleared degree-p and degree-q values, as one
-    dict of integer terms.  Each stored f(e_I) meets each stored g(e_J) with
-    J disjoint from I in ``scalars.add_products``: g(e_J) at the block offset
-    ``offsets[T]`` of T = I + J sorted, against the pairing rows ``rows`` of
-    each term of f(e_I), signed by the shuffle.
+    dict of integer terms, the coordinate k of multi-index T at the row
+    ``_mask(T) * dim + k``.  Each stored f(e_I) meets each stored g(e_J)
+    with J disjoint from I: per I, the flat terms of every g(e_J) at the
+    offset of T = I + J, signed by the shuffle, then one
+    ``scalars.add_products`` call per term of f(e_I), scaled by it, against
+    the pairing rows ``rows`` of its coordinate.  The shuffle is odd when an
+    odd number of pairs j < i lie in J x I: the parity of the bits of J
+    under the xor of the masks below each i.
     """
+    masks = {J: _mask(J) for J in gc}
     acc: dict = {}
     for I, fI in fc.items():
-        free = [i for i in range(1, n + 1) if i not in I]
+        mask_i, below = _mask(I), 0
+        for i in I:
+            below ^= _BITS[i] - 1
         even, odd = [], []
-        for J in combinations(free, q):
-            gJ = gc.get(J)
-            if gJ is not None:
-                T = tuple(sorted(I + J))
-                negative = _shuffle_sign([T.index(i) for i in I], p) < 0
-                (odd if negative else even).append((offsets[T], gJ))
-        for mi, a in fI:
-            table, key = rows[mi >> ROW_SHIFT], mi & KEY_MASK
-            add_products(acc, even, table, (key, a))
-            add_products(acc, odd, table, (key, -a))
+        for J in combinations([i for i in range(1, n + 1) if i not in I], q):
+            mask = masks.get(J)
+            if mask is not None:
+                block = ((mask_i | mask) * dim) << ROW_SHIFT, gc[J]
+                (odd if (mask & below).bit_count() & 1 else even).append(block)
+        signed = flat_terms(even) + flat_terms(odd, -1)
+        for key, i, a in flat_terms(((0, fI),)):
+            terms = signed if not key and a == 1 else [(key + k, j, a * c) for k, j, c in signed]
+            add_products(acc, terms, rows[i])
     return acc
 
 
@@ -460,7 +476,7 @@ def hodge_dual(f: AltMap, volume: AltMap) -> AltMap:
         scale = vol / space.q_product(I)
         if _shuffle_sign([i - 1 for i in I], p) < 0:
             scale = -scale
-        star.coeffs[J] = [scale * x for x in fI]
+        star.coeffs[J] = [scale * x if x.num else x for x in fI]
     _verify_hodge(f, star, vol)
     return star
 
@@ -475,20 +491,25 @@ def _verify_hodge(f: AltMap, star: AltMap, vol: Frac) -> None:
     a mismatch the first b whose Gram row separates the vectors is named.
     """
     space, codomain = f.domain, f.codomain
-    n, p = space.dim, f.degree
-    rows = PairingSpec.scalar_multiply(codomain).rows
-    offsets = {tuple(range(1, n + 1)): 0}
+    n, p, width = space.dim, f.degree, codomain.dim
+    indices = all_multi_indices(n, p)
+    dim = len(indices) * width
+    # e_I is the integer term 1 at coordinate r, the rank of I, and the
+    # pairing puts r and u_b at r * width + b: every w_I from one shuffle,
+    # each at the row of the full mask
+    rows = [[(((r * width + b) << ROW_SHIFT, 1),) for b in range(width)] for r in range(len(indices))]
+    units = {I: ((r << ROW_SHIFT, 1),) for r, I in enumerate(indices)}
     den, cleared = star.cleared()
-    zero = [ZERO] * codomain.dim
-    for I in all_multi_indices(n, p):
-        # e_I is the one integer term 1 at coordinate 0 and the scalar action
-        # table the identity, both over denominator 1
-        terms = _shuffle_terms({I: ((0, 1),)}, cleared, p, n - p, n, rows, offsets)
-        w = uncleared(terms, (den,), codomain.dim)
+    shift = (((1 << n) - 1) * dim) << ROW_SHIFT
+    terms = _shuffle_terms(units, cleared, p, n - p, n, rows, dim)
+    values = uncleared({k - shift: v for k, v in terms.items()}, (den,), dim)
+    zero = [ZERO] * width
+    for r, I in enumerate(indices):
+        w = values[r * width : (r + 1) * width]
         want = zero
         if I in f.coeffs:
             scale = vol / space.q_product(I)
-            want = [scale * x for x in f.coeffs[I]]
+            want = [scale * x if x.num else x for x in f.coeffs[I]]
         if w == want:
             continue
         diff = [a - c for a, c in zip(w, want)]

@@ -29,9 +29,8 @@ affine planes of the parallelepiped spanned by the three doubling steps.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -57,6 +56,7 @@ from .scalars import (
     add_products,
     clear_denominators,
     dot,
+    flat_terms,
     rat,
     solve_linear,
     uncleared,
@@ -75,14 +75,17 @@ class SuperAlgebra:
     This is the one sparse bracket table of the package: a quadratic Lie
     algebra is the purely even case.  ``table`` holds the nonzero rows
     {k: coeff} of the brackets for index pairs i <= j over the concatenated
-    even + odd basis.  The signed rows of both orders are stored once at
-    construction, by super-antisymmetry: the (j, i) row is the (i, j) row
-    itself when both are odd and its negation otherwise.  ``bracket`` hands
-    out these stored rows, so they are shared and read only.  The form is a
-    full matrix, block-diagonal across the parity split, symmetric on the
-    even part and antisymmetric on the odd part.  Both scans name basis
-    triples (jacobi_text and invariance_text write them out) and read the
-    rows cleared once (``scalars.clear_denominators``), with no Frac sums.
+    even + odd basis.  The rows of the other order follow by
+    super-antisymmetry: the (j, i) row is the (i, j) row itself when both
+    are odd and its negation otherwise.  ``bracket`` hands out the Frac rows
+    of both orders, built on its first call, so they are shared and read
+    only.  The form is a full matrix, block-diagonal across the parity
+    split, symmetric on the even part and antisymmetric on the odd part; the
+    constructor checks it on its nonzero entries and their transposes, in
+    the order of a full scan.  Both scans name basis triples (jacobi_text
+    and invariance_text write them out) and read ``table`` cleared once
+    (``scalars.clear_denominators``), each (j, i) row its (i, j) row with
+    the integers negated or not, with no Frac sums.
     """
 
     def __init__(
@@ -103,32 +106,31 @@ class SuperAlgebra:
         if len(form) != self.dim or any(len(r) != self.dim for r in form):
             raise ShapeMismatch("form matrix must cover the full basis")
         self.form = [list(r) for r in form]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.parity(i) != self.parity(j) and self.form[i][j].num:
-                    raise ShapeMismatch("form must vanish across the parity split")
-                want = self.form[j][i]
-                if self.parity(i) and self.parity(j):
-                    want = -want
-                if self.form[i][j] != want:
-                    raise ShapeMismatch("form is not supersymmetric")
+        # a cell fails only where it or its transpose is nonzero: those
+        # cells in row-major order, each checked as a dense scan would
+        even = self.even_dim
+        cells = set()
+        for i, r in enumerate(self.form):
+            for j, f in enumerate(r):
+                if f.num:
+                    cells.update(((i, j), (j, i)))
+        for i, j in sorted(cells):
+            if (i < even) != (j < even) and self.form[i][j].num:
+                raise ShapeMismatch("form must vanish across the parity split")
+            want = self.form[j][i]
+            if i >= even and j >= even:
+                want = -want
+            if self.form[i][j] != want:
+                raise ShapeMismatch("form is not supersymmetric")
         self.table: dict[tuple[int, int], dict[int, Frac]] = {}
         for (i, j), row in brackets.items():
             if i > j:
                 raise ShapeMismatch("bracket keys must be non-decreasing pairs")
-            if i == j and not self.parity(i):
+            if i == j and i < even:
                 raise ShapeMismatch("an even element brackets itself to zero")
             cleaned = {k: c for k, c in row.items() if c.num}
             if cleaned:
                 self.table[(i, j)] = cleaned
-        self._rows = dict(self.table)
-        for (i, j), row in self.table.items():
-            if i != j:
-                self._rows[(j, i)] = (
-                    row
-                    if self.parity(i) and self.parity(j)
-                    else {k: -c for k, c in row.items()}
-                )
         self.odd_odd_scale: Optional[Frac] = None
 
     def parity(self, i: int) -> int:
@@ -138,11 +140,27 @@ class SuperAlgebra:
         """Sparse coordinates of [x_i, x_j]; the stored row, read only."""
         return self._rows.get((i, j), {})
 
+    @cached_property
+    def _rows(self) -> dict:
+        # the signed rows of both orders: at i < j the (j, i) row is the
+        # (i, j) row itself when both are odd, else its negation
+        rows = dict(self.table)
+        for (i, j), row in self.table.items():
+            if i != j:
+                rows[(j, i)] = row if i >= self.even_dim else {k: -c for k, c in row.items()}
+        return rows
+
     # -- checks ---------------------------------------------------------
 
     @cached_property
     def _cleared_rows(self) -> dict:
-        return clear_denominators(self._rows)[1]
+        # table cleared once; each (j, i) row is the cleared (i, j) row,
+        # negated unless both are odd (i <= j, so when i is odd)
+        rows = clear_denominators(self.table)[1]
+        for (i, j), row in list(rows.items()):
+            if i != j:
+                rows[(j, i)] = row if i >= self.even_dim else tuple((k, -v) for k, v in row)
+        return rows
 
     def super_jacobi_check(self) -> dict:
         """Per parity sector of the graded Jacobi identity, the first failing
@@ -163,44 +181,53 @@ class SuperAlgebra:
         Each term of J is a product of two table entries, so with the rows
         over one common denominator L, L^2 J(x,y,z) is a sum of products of
         integer numerators.  For each pair x <= y one dict holds it for every
-        z >= y at once, keyed by z, the output index and the monomial; the
-        rows [a, z] are read from the adjacency list of a, by increasing z.
-        ``add_products`` takes the blocks [y, z] and [x, z] against the rows
-        of x and of y, and per term c e_m of [x,y] the unit terms at z >= y
-        against the rows [m, z], scaled by -c.
+        z >= y at once, keyed by z, the output index and the monomial, from
+        one ``add_products`` call per term of J.  The flat terms of a are the
+        terms of every row [a, z], sorted by z, with z's offset in the key
+        (``scalars.flat_terms``), so [x,[y,z]] and [y,[x,z]] are the slices
+        z >= y of the flat terms of y and of x against the rows of x and of
+        y.  For [[x,y],z] the terms of [x,y], scaled by -1, meet the wide
+        rows: that of m holds the terms of every row [m, z] with z >= y,
+        each at its output z n + i, one copy per distinct start.  These
+        layouts are made afresh by each scan; only the cleared rows are kept.
         """
         out: dict[str, dict[int, tuple[int, int, int]]] = {s: {} for s in _SECTORS}
         n = self.dim
-        # rows[a][z]: the row [a, z], () where it is zero; right[a] and
-        # units[a]: the blocks (offset of z, row [a, z] or the unit term at
-        # z) by increasing z; starts[a]: those z, to bisect
+        # rows[a][z]: the row [a, z], () where it is zero; at[a][y]: the
+        # position in flat[a] and in the wide row of a of the first z >= y
         rows: list[list] = [[()] * n for _ in range(n)]
-        right, units, starts = ([[] for _ in range(n)] for _ in range(3))
-        for (a, z), row in sorted(self._cleared_rows.items()):
-            rows[a][z], offset = row, (z * n) << ROW_SHIFT
-            right[a].append((offset, row))
-            units[a].append((offset, ((z << ROW_SHIFT, 1),)))
-            starts[a].append(z)
-        tails = [right[y][bisect_left(starts[y], y) :] for y in range(n)]
+        for (a, z), row in self._cleared_rows.items():
+            rows[a][z] = row
+        step = n << ROW_SHIFT
+        flat = [flat_terms((z * step, row) for z, row in enumerate(r)) for r in rows]
+        at = [list(accumulate(map(len, r), initial=0)) for r in rows]
+        # wide[y][m]: the table terms of the rows [m, z], z >= y, at z n + i
+        wide: list[list] = [[()] * n for _ in range(n)]
+        for m, r in enumerate(rows):
+            terms = [(z * step + mk, v) for z, row in enumerate(r) for mk, v in row]
+            start = suffix = None
+            for y in range(n):
+                if at[m][y] != start:
+                    start = at[m][y]
+                    suffix = terms[start:]
+                wide[y][m] = suffix
+        own = [flat[y][at[y][y] :] for y in range(n)]
         for x in range(n):
             px, rx = self.parity(x), rows[x]
+            # -(-1)^{|x||y|} is 1 at odd x (and so odd y >= x), else -1
+            signed = flat[x] if px else [(k, i, -c) for k, i, c in flat[x]]
             for y in range(x, n):
-                py, ry = self.parity(y), rows[y]
                 # L^2 times [x,[y,z]], -[[x,y],z] and -(-1)^{|x||y|} [y,[x,z]]
                 acc: dict = {}
-                add_products(acc, tails[y], rx)
-                for mk, c in rx[y]:
-                    m = mk >> ROW_SHIFT
-                    blocks = units[m][bisect_left(starts[m], y) :]
-                    add_products(acc, blocks, rows[m], (mk & KEY_MASK, -c))
-                blocks = right[x][bisect_left(starts[x], y) :]
-                add_products(acc, blocks, ry, (0, 1 if px and py else -1))
+                add_products(acc, own[y], rx)
+                add_products(acc, flat_terms(((0, rx[y]),), -1), wide[y])
+                add_products(acc, signed[at[x][y] :], rows[y])
                 if not any(acc.values()):
                     continue
                 # the failing (z, i) by increasing z, each z's i in the order met
                 failing = [k >> ROW_SHIFT for k, v in acc.items() if v]
                 for z, i in sorted((divmod(r, n) for r in failing), key=itemgetter(0)):
-                    out[_SECTORS[px + py + self.parity(z)]].setdefault(i, (x, y, z))
+                    out[_SECTORS[px + self.parity(y) + self.parity(z)]].setdefault(i, (x, y, z))
         return out
 
     def form_invariance_witness(self) -> dict[str, tuple[int, int, int]]:
@@ -218,24 +245,31 @@ class SuperAlgebra:
         The table and the form are each put over one common denominator,
         L_t and L_f, so L_t L_f (B([x,y],z) - B(x,[y,z])) is a sum of
         products of integer numerators.  One dict per x holds it for every
-        (y, z), from one ``add_products`` call per side.
+        (y, z), from one ``add_products`` call per side: the flat terms of
+        every row [x, y], y's offset in the key, against the cleared form,
+        and the form row of x, scaled by -1, against the terms at each m of
+        every row [y, z].
         """
         n = self.dim
         nonzero = {x: {z: f for z, f in enumerate(r) if f.num} for x, r in enumerate(self.form)}
-        _, form = clear_denominators(nonzero)
-        # left[x]: the blocks (offset of y, row [x, y]); terms_at[m]: the
-        # terms at m of every row [y, z], keyed by (y, z)
-        left, terms_at = ([[] for _ in range(n)] for _ in range(2))
+        _, cleared = clear_denominators(nonzero)
+        form = [cleared[x] for x in range(n)]
+        # flat[x]: the flat terms of the rows [x, y], at y n; terms_at[m]:
+        # the terms at m of every row [y, z], at y n + z
+        flat: list[list] = [[] for _ in range(n)]
+        terms_at: list[list] = [[] for _ in range(n)]
         for (a, b), row in self._cleared_rows.items():
-            left[a].append(((b * n) << ROW_SHIFT, row))
-            offset = (a * n + b) << ROW_SHIFT
+            offset, pair = (b * n) << ROW_SHIFT, (a * n + b) << ROW_SHIFT
+            left = flat[a]
             for mk, c in row:
-                terms_at[mk >> ROW_SHIFT].append((offset + (mk & KEY_MASK), c))
+                k, m = mk & KEY_MASK, mk >> ROW_SHIFT
+                left.append((k + offset, m, c))
+                terms_at[m].append((k + pair, c))
         out: dict[str, tuple[int, int, int]] = {}
         for x in range(n):
             acc: dict = {}
-            add_products(acc, left[x], form)
-            add_products(acc, ((0, form[x]),), terms_at, (0, -1))
+            add_products(acc, flat[x], form)
+            add_products(acc, flat_terms(((0, form[x]),), -1), terms_at)
             for yz in sorted({k >> ROW_SHIFT for k, v in acc.items() if v}):
                 y, z = divmod(yz, n)
                 sector = _SECTORS[self.parity(x) + self.parity(y) + self.parity(z)]
@@ -372,15 +406,23 @@ def build_so(space: QuadraticSpace) -> tuple[QuadLieRep, AltMap]:
 
 
 def moment_map(rep: QuadLieRep) -> AltMap:
-    """Solve B_g(x_a, mu(e_i, e_j)) = B_V(rho(x_a) e_i, e_j) for all pairs."""
-    space = rep.space
+    """Solve B_g(x_a, mu(e_i, e_j)) = B_V(rho(x_a) e_i, e_j) for all pairs.
+
+    On a diagonal V the right side is one entry of the action column times
+    q_j; any other Gram pairs the whole column with e_j.
+    """
+    space, table = rep.space, rep.act.table
     indices = all_multi_indices(space.dim, 2)
-    columns = []
-    for i, j in indices:
-        col = []
-        for a in range(rep.dim):
-            col.append(space.pair(rep.act.table[a][i - 1], space.basis_vector(j - 1)))
-        columns.append(col)
+    if space.is_diagonal:
+        columns = [
+            [table[a][i - 1][j - 1] * space.diag[j - 1] for a in range(rep.dim)]
+            for i, j in indices
+        ]
+    else:
+        columns = [
+            [space.pair(table[a][i - 1], space.basis_vector(j - 1)) for a in range(rep.dim)]
+            for i, j in indices
+        ]
     solutions = solve_linear(rep.algebra_space.gram, columns)
     coeffs = {index: sol for index, sol in zip(indices, solutions)}
     return AltMap(space, rep.algebra_space, 2, coeffs, name=f"mu[{rep.name}]")
@@ -409,11 +451,11 @@ def moment_action(rep: QuadLieRep, mu: AltMap) -> MomentAction:
     ]
     for (i, j), value in values.items():
         acc: dict = {}
-        add_products(acc, ((0, value),), act)
+        add_products(acc, flat_terms(((0, value),)), act)
         flat = uncleared(acc, (den, rep.act.den), n * n)
         vectors = [flat[k * n : (k + 1) * n] for k in range(n)]
         table[i - 1][j - 1] = vectors
-        table[j - 1][i - 1] = [[-c for c in v] for v in vectors]
+        table[j - 1][i - 1] = [[-c if c.num else c for c in v] for v in vectors]
     return table
 
 

@@ -19,12 +19,15 @@ Products inside the library stay unchecked: multiplying two polynomials whose
 exponents in one variable sum past 65535 would carry into the next slot.  The
 fast paths and ``dot`` add at most four operand keys per slot, key sums and
 common-denominator shifts alike.  The integer terms of ``clear_denominators``
-are multiplied only in ``add_products``, which adds three keys per product
-(block term, table term, scale term), and ``uncleared`` adds the keys of up
-to three common denominators.  ``test_library_exponents_stay_small`` runs
-the symbolic ``verify all`` with every ``_p_mul`` checked against the slot,
-every stored exponent, cleared numerator and common denominator against
-2^14, and every ``add_products`` call on its three keys; the largest
+are multiplied only in ``add_products``, which adds three keys per product:
+a flat term's key is a cleared key, plus row offsets that hold no monomial
+bits (``flat_terms``) and at most one more cleared key by which its caller
+scaled it, and the table term adds the third.  ``uncleared`` adds the keys
+of up to three common denominators.  ``test_library_exponents_stay_small``
+runs the symbolic ``verify all`` with every ``_p_mul`` checked against the
+slot, every stored exponent, cleared numerator and common denominator
+against 2^14, every ``flat_terms`` offset against the monomial bits, and
+every ``add_products`` product on its flat key and table row; the largest
 exponent stored is 24, the largest cleared one 3, the largest sum of three
 cleared keys 5.
 
@@ -45,9 +48,13 @@ these calls the polynomial gcd.  A reduced fraction with a positive leading
 denominator coefficient is unique over the UFD Z[l1, l2, l3, a], so every
 path gives exactly the canonical form of the general path, and ``dot``
 equals the pairwise sum dict for dict.  ``clear_denominators`` puts rows of
-Fracs over one common denominator as integer terms, so that a product of two
-entries is one int product and one key sum, taken in ``add_products``
-(the superalgebra scans, the moment-action table and ``wedge_rel``);
+Fracs over one common denominator as integer terms, scaling a numerator by
+a monomial factor with one int multiply and one key sum per term, so that a
+product of two entries is one int product and one key sum.  ``flat_terms``
+reads cleared rows at row offsets as flat terms (key, row, coefficient),
+and ``add_products``, the one product loop, multiplies them with a table of
+cleared rows: one loop over the terms and one over each table row (the
+superalgebra scans, the moment-action table and ``wedge_rel``).
 ``uncleared`` turns the sums back into one Frac per coordinate, over the
 product of the common denominators: by one int gcd and one key minimum
 when that product is a monomial, else by ``Frac(num, den)``.
@@ -722,7 +729,9 @@ def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
     the numerator L * c of entry c at i is the pair ``((i << ROW_SHIFT) + k,
     v)``.  A product of two terms is then one int multiply and one key sum,
     and a sum of two keys whose exponents stay below 2^15 keeps each slot
-    and the index.  An entry over L itself keeps its numerator.
+    and the index.  A numerator whose factor L / den is a monomial (every
+    one when L is) is scaled by one int multiply and one key sum per term;
+    an entry over L itself keeps its numerator.
     """
     dens = {}
     for row in rows.values():
@@ -742,29 +751,41 @@ def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
         terms = []
         for i, c in row.items():
             q = scale[tuple(c.den.items())]
-            num = c.num if q == _P_ONE else _p_mul(c.num, q)
-            terms += [((i << ROW_SHIFT) + k, v) for k, v in num.items()]
+            if len(q) == 1:
+                [(sk, sc)] = q.items()
+                sk += i << ROW_SHIFT
+                terms += [(k + sk, v * sc) for k, v in c.num.items()]
+            else:
+                terms += [((i << ROW_SHIFT) + k, v) for k, v in _p_mul(c.num, q).items()]
         cleared[r] = tuple(terms)
     return den, cleared
 
 
-def add_products(acc: dict, blocks: Iterable, table: Sequence, scale=(0, 1)) -> None:
-    """Add into acc the products of blocks of cleared terms with a table of
-    cleared rows: for each block (offset, terms), each term ``((i <<
-    ROW_SHIFT) + key, c)`` and each term (k, v) of ``table[i]``, s * c * v
-    at k + key + skey + offset, with ``scale = (skey, s)``.  A product adds
-    three monomial keys; the offset only moves the row index.  A key whose
-    sum cancels stays in acc, at 0, in the order first met.
+def flat_terms(blocks: Iterable, sign: int = 1) -> list:
+    """The flat terms of ``add_products`` from blocks (offset, terms) of
+    cleared terms ``((i << ROW_SHIFT) + k, c)``: (offset + k, i, sign * c),
+    block by block.  An offset holds only row-index bits: it moves the
+    output row, never the monomial."""
+    return [
+        ((mk & KEY_MASK) + offset, mk >> ROW_SHIFT, sign * c)
+        for offset, terms in blocks
+        for mk, c in terms
+    ]
+
+
+def add_products(acc: dict, terms: Iterable, table: Sequence) -> None:
+    """Add into acc the products of flat terms with a table of cleared rows:
+    for each term (key, i, c) and each term (k, v) of ``table[i]``, c * v at
+    k + key.  The key of a flat term carries its row offset and every
+    monomial it was scaled by (``flat_terms``, then a caller's scale term),
+    so a product adds at most three monomial keys, the table's the last.  A
+    key whose sum cancels stays in acc, at 0, in the order first met.
     """
-    skey, s = scale
     get = acc.get
-    for offset, terms in blocks:
-        offset += skey
-        for mk, c in terms:
-            key, c = (mk & KEY_MASK) + offset, s * c
-            for k, v in table[mk >> ROW_SHIFT]:
-                k += key
-                acc[k] = get(k, 0) + c * v
+    for key, i, c in terms:
+        for k, v in table[i]:
+            k += key
+            acc[k] = get(k, 0) + c * v
 
 
 def uncleared(terms: Mapping[int, int], dens: Sequence[dict], dim: int) -> list[Frac]:

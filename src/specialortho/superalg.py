@@ -23,8 +23,10 @@ algebra g of every representation is already one (purely even); it is
 re-exported here.  build_tilde seeds the even part with g's table and form.
 The Jacobi scan accumulates, for each pair x <= y, every z >= y at once,
 and the form scan, for each x, every (y, z), on the cleared integer rows by
-scalars.add_products; both meet the failing triples in the order of a scan
-one triple at a time.  import_superalgebra raises ParseError for every
+scalars.add_products; both read the rows of each element as flat terms, the
+Jacobi scan sorted by z with z's offset in the key, so each term of J is one
+slice from z >= y.  Both meet the failing triples in the order of a scan one
+triple at a time.  import_superalgebra raises ParseError for every
 malformed document, a basis or form of the wrong shape included.
 """
 

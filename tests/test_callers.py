@@ -137,4 +137,6 @@ ALLOWED = {
     "linalg.SubspaceCoords.express": "osp(n|2), item 2; test_subspace_coords_roundtrip",
     "quadlie.build_so": "osp(n|2), item 2; test_module_records_build_osp_from_so",
     "quadlie.SuperAlgebra.bracket": "Killing form, item 3; test_bracket_antisymmetry_and_guards",
+    "quadlie.SuperAlgebra._rows": "the Frac rows of both orders, built by the first bracket "
+    "call; Killing form, item 3; test_bracket_antisymmetry_and_guards",
 }

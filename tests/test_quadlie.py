@@ -296,6 +296,33 @@ def test_g2_moment_closed_forms(octs, g2, cov_im):
     assert ql.g2_cyclic_witness(octs, mu) is None
 
 
+def test_moment_map_solves_the_systems_of_the_full_pairing(monkeypatch, g2, so7):
+    # the right side B_V(rho(x_a) e_i, e_j), read as one entry of the
+    # action column on a diagonal V, is the full pair of the two vectors
+    family = fam.build_family(ALPHA, -ONE - ALPHA)
+    systems = []
+    solve = ql.solve_linear
+
+    def recorded(matrix, columns):
+        systems.append((matrix, columns))
+        return solve(matrix, columns)
+
+    monkeypatch.setattr(ql, "solve_linear", recorded)
+    for rep in (g2[0], so7, family):
+        systems.clear()
+        ql.moment_map(rep)
+        space = rep.space
+        want = [
+            [space.pair(rep.act.table[a][i - 1], space.basis_vector(j - 1)) for a in range(rep.dim)]
+            for i, j in all_multi_indices(space.dim, 2)
+        ]
+        [(matrix, columns)] = systems
+        assert matrix is rep.algebra_space.gram
+        assert columns == want
+    assert g2[0].space.is_diagonal and so7.space.is_diagonal
+    assert not family.space.is_diagonal
+
+
 def test_im_covariants_match_closed_forms(octs, cov_im):
     assert cov_im.special
     assert cov_im.psi == ql.psi_im_expected(octs)

@@ -32,6 +32,7 @@ from specialortho.scalars import (
     add_products,
     clear_denominators,
     dot,
+    flat_terms,
     parse,
     rat,
     render,
@@ -512,9 +513,10 @@ def test_uncleared_inverts_clear_denominators(entries, scale):
 @settings(max_examples=200, deadline=None)
 @example(blocks=[[ONE], [ONE]], table=[[ONE, ZERO, ZERO]] * 3, scale=L1)
 def test_add_products_is_the_dot_of_each_block_with_the_table(blocks, table, scale):
-    # block b sits at offset 3b rows: uncleared reads its three products
-    # with the table, times the scale term, over the product of the three
-    # common denominators
+    # block b sits at offset 3b rows: its flat terms carry that offset,
+    # then the scale term, and uncleared reads its three products with the
+    # table, times the scale, over the product of the three common
+    # denominators
     shift = scalars_module.ROW_SHIFT
     b_den, b_cleared = clear_denominators(
         {b: dict(enumerate(v)) for b, v in enumerate(blocks)}
@@ -522,13 +524,11 @@ def test_add_products_is_the_dot_of_each_block_with_the_table(blocks, table, sca
     t_den, t_cleared = clear_denominators({i: dict(enumerate(r)) for i, r in enumerate(table)})
     s_den, s_cleared = clear_denominators({0: {0: scale}})
     [scale_term] = s_cleared[0]
+    skey, s = scale_term
+    flat = flat_terms(((3 * b) << shift, b_cleared[b]) for b in range(len(blocks)))
+    terms = [(key + skey, i, s * c) for key, i, c in flat]
     acc: dict = {}
-    add_products(
-        acc,
-        [((3 * b) << shift, b_cleared[b]) for b in range(len(blocks))],
-        [t_cleared[i] for i in range(3)],
-        scale_term,
-    )
+    add_products(acc, terms, [t_cleared[i] for i in range(3)])
     want = [
         scale * dot((c, table[i][k]) for i, c in enumerate(v))
         for v in blocks
@@ -592,21 +592,25 @@ def test_library_exponents_stay_small(monkeypatch):
     def exponent(key):
         return _p_max_exponent({key: 1})
 
-    def checked_products(acc, blocks, table, scale=(0, 1)):
-        assert scale[0] == scale[0] & key_mask
+    def checked_flat(blocks, sign=1):
+        # an offset moves only the row index, never the monomial
+        blocks = list(blocks)
+        assert all(offset == offset & ~key_mask for offset, _ in blocks)
+        return flat(blocks, sign)
+
+    def checked_products(acc, terms, table):
         most = 0
-        for offset, terms in blocks:
-            assert offset & key_mask == 0
-            for mk, _ in terms:
-                row = table[mk >> scalars_module.ROW_SHIFT]
-                row_top = max((exponent(k & key_mask) for k, _ in row), default=0)
-                most = max(most, exponent(mk & key_mask) + row_top)
-        product_tops.append(most + exponent(scale[0]))
+        for key, i, _ in terms:
+            assert key >= 0
+            row_top = max((exponent(k & key_mask) for k, _ in table[i]), default=0)
+            most = max(most, exponent(key & key_mask) + row_top)
+        product_tops.append(most)
         assert product_tops[-1] <= 65535
-        return products(acc, blocks, table, scale)
+        return products(acc, terms, table)
 
     clear, calls, kernel_calls = scalars_module.clear_denominators, [], []
     products, product_tops = scalars_module.add_products, []
+    flat = scalars_module.flat_terms
     key_mask = (1 << scalars_module.ROW_SHIFT) - 1
     monkeypatch.setattr(scalars_module, "_p_mul", checked_mul)
     monkeypatch.setattr(Frac, "__init__", checked_init)
@@ -615,6 +619,8 @@ def test_library_exponents_stay_small(monkeypatch):
     monkeypatch.setattr(altmap, "clear_denominators", checked_clear(kernel_calls))
     monkeypatch.setattr(quadlie, "add_products", checked_products)
     monkeypatch.setattr(altmap, "add_products", checked_products)
+    monkeypatch.setattr(quadlie, "flat_terms", checked_flat)
+    monkeypatch.setattr(altmap, "flat_terms", checked_flat)
     assert run_suite("all").ok
     # each assembly's table once, read by both of its scans, and its form
     # once; no Lie algebra g is scanned on its own

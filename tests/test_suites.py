@@ -285,6 +285,34 @@ def test_verify_all_builds_and_scans_each_superalgebra_once(monkeypatch):
     assert all(sa.odd_dim for sa in scanned)
 
 
+def test_verify_all_clears_each_assembly_table_once_and_builds_no_frac_rows(monkeypatch):
+    # the scans read the table cleared once, with the (j, i) rows negated as
+    # integers; the Frac rows of both orders wait for a bracket call
+    built, cleared = [], []
+    sa_class = quadlie.SuperAlgebra
+    init, clear = sa_class.__init__, quadlie.clear_denominators
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def recording_clear(rows):
+        cleared.append(rows)
+        return clear(rows)
+
+    monkeypatch.setattr(sa_class, "__init__", recording_init)
+    monkeypatch.setattr(quadlie, "clear_denominators", recording_clear)
+    assert run_suite("all", Workspace()).ok
+    assemblies = [sa for sa in built if sa.odd_dim]
+    assert sorted(sa.name for sa in assemblies) == ["D(2,1;a)", "F4", "G3"]
+    for sa in assemblies:
+        assert sum(rows is sa.table for rows in cleared) == 1
+        assert "_cleared_rows" in vars(sa)
+    # three tables and three forms, and no Frac rows on any SuperAlgebra
+    assert len(cleared) == 6
+    assert not any("_rows" in vars(sa) for sa in built)
+
+
 def test_setup_builds_each_structure_constant_once(monkeypatch):
     counts = {"spinor_action": 0, "apply": 0, "uncleared": 0, "cd_mul": 0, "c_of": 0}
 
@@ -583,6 +611,7 @@ def test_spin_moment_from_g2_names_the_moved_coefficient(index, witness):
     [
         ("g2", "g2-special", "cov_im", (3, 6), "(u,v,w) = (e3, e1, e6) of ImO"),
         ("f4", "spin-special", "cov_oct", (2, 5), "(u,v,w) = (e2, e1, e5) of O"),
+        ("d21", "d21-special", "cov_family", (1, 3), "(u,v,w) = (e1, e1, e3) of VxW"),
     ],
 )
 def test_special_names_the_moved_moment_coefficient(
@@ -600,6 +629,43 @@ def test_special_names_the_moved_moment_coefficient(
     moved = getattr(ws, covariants)
     assert quadlie.check_special(moved.rep, real(moved.rep)) == (True, None)
     assert getattr(Workspace(), covariants).special
+
+
+NOT_SPECIAL = (
+    "moment map is not special orthogonal at {}; "
+    "forced assembly violates the graded Jacobi identity, sector OOO: {}"
+)
+
+
+@pytest.mark.parametrize(
+    "suite, key, index, special, ooo",
+    [
+        ("g2", "g3", (3, 6), "(u,v,w) = (e3, e1, e6) of ImO", "J(e1*a1, e3*a1, e6*a2) != 0"),
+        ("f4", "f4", (2, 5), "(u,v,w) = (e2, e1, e5) of O", "J(e1*a1, e2*a1, e5*a2) != 0"),
+        (
+            "d21",
+            "d21",
+            (1, 3),
+            "(u,v,w) = (e1, e1, e3) of VxW",
+            "J(v1w1*a1, v1w1*a1, v2w1*a2) != 0",
+        ),
+    ],
+)
+def test_superalgebra_names_the_moved_moment_map_and_its_ooo_triple(
+    monkeypatch, suite, key, index, special, ooo
+):
+    # on a fresh workspace whose mu has one coefficient moved, the
+    # superalgebra record names the moment map's witness and the first OOO
+    # triple of the forced assembly, that of the full scan over all triples
+    from test_superalg import full_jacobi_scan
+
+    real = quadlie.moment_map
+    monkeypatch.setattr(quadlie, "moment_map", lambda rep: perturbed(real(rep), index))
+    ws = Workspace()
+    records = failing(run_suite(suite, ws).records)
+    assert records[f"{key}-superalgebra"] == NOT_SPECIAL.format(special, ooo)
+    get, label, _ = suites.SUPERALGEBRAS[key]
+    assert full_jacobi_scan(build_tilde(get(ws), label, force=True))["OOO"] == ooo
 
 
 def test_clifford_c_action_names_the_moved_c_u():

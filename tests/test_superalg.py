@@ -4,6 +4,8 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specialortho.clifford import CliffordAlgebra
 from specialortho.errors import NotSpecial, ParseError, ShapeMismatch
@@ -138,6 +140,68 @@ def test_form_parity_blocks_enforced():
             {},
             [[ONE, ONE], [ONE, ZERO]],
         )
+
+
+VANISH = "form must vanish across the parity split"
+SUPERSYMMETRIC = "form is not supersymmetric"
+
+
+def dense_form_error(form, even_dim):
+    """The text of the first failing cell of a full row-major scan, each cell
+    checked across the parity split first, or None for a valid form."""
+    n = len(form)
+    for i in range(n):
+        for j in range(n):
+            odd_i, odd_j = i >= even_dim, j >= even_dim
+            if odd_i != odd_j and form[i][j].num:
+                return VANISH
+            want = -form[j][i] if odd_i and odd_j else form[j][i]
+            if form[i][j] != want:
+                return SUPERSYMMETRIC
+    return None
+
+
+def form_error(form, even_dim):
+    labels = [f"x{i}" for i in range(len(form))]
+    try:
+        sup.SuperAlgebra("form", labels[:even_dim], labels[even_dim:], {}, form)
+    except ShapeMismatch as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize(
+    "form, even_dim, text",
+    [
+        # a nonzero entry across the parity split, and its transpose
+        ([[ONE, ONE], [ONE, ONE]], 1, VANISH),
+        # an asymmetric even block
+        ([[ONE, rat(2)], [rat(3), ONE]], 2, SUPERSYMMETRIC),
+        # a symmetric odd block
+        ([[ZERO, ONE], [ONE, ZERO]], 0, SUPERSYMMETRIC),
+        # a zero entry whose transpose is nonzero: within the even block, and
+        # across the split, where the zero cell (0, 1) comes before (1, 0)
+        ([[ONE, ZERO], [L1, ONE]], 2, SUPERSYMMETRIC),
+        ([[ONE, ZERO], [ONE, ZERO]], 1, SUPERSYMMETRIC),
+        ([[ONE, ONE], [ZERO, ZERO]], 1, VANISH),
+    ],
+)
+def test_form_errors_name_the_first_failing_cell(form, even_dim, text):
+    assert form_error(form, even_dim) == text
+    assert dense_form_error(form, even_dim) == text
+
+
+_form_entries = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, L1])
+
+
+@given(st.integers(min_value=0, max_value=3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_form_checks_raise_as_the_dense_scan(even_dim, data):
+    n = data.draw(st.integers(min_value=even_dim, max_value=even_dim + 3))
+    form = data.draw(
+        st.lists(st.lists(_form_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    assert form_error(form, even_dim) == dense_form_error(form, even_dim)
 
 
 def test_purely_even_wrapping(cliff):
@@ -287,12 +351,27 @@ def jacobi_scan_oracle(sa):
     return out
 
 
+def term_order_breaker():
+    """4|0 table with [a,b] = d, [a,c] = c, [b,c] = b and [c,d] = a: at the
+    first failing triple J(a, b, c) = d + a - b, one output from each term
+    of J, [a,[b,c]] = d, -[[a,b],c] = a and -[b,[a,c]] = -b, so the outputs
+    met in the order of the terms are not in increasing order."""
+    form = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    table = {(0, 1): {3: ONE}, (0, 2): {2: ONE}, (1, 2): {1: ONE}, (2, 3): {0: ONE}}
+    return sup.SuperAlgebra("order", ("a", "b", "c", "d"), (), table, form)
+
+
 def test_pair_scan_meets_the_failures_in_the_order_of_the_triple_scan(g3, f4, d21):
     forced = sup.build_tilde(
         ql.covariants(fam.build_family(rat(1), rat(1))), "forced", force=True
     )
+    order = term_order_breaker()
+    # d from [x,[y,z]], then a from [[x,y],z], then b from [y,[x,z]]
+    assert list(order.super_jacobi_check()["EEE"].items())[:3] == [
+        (3, (0, 1, 2)), (0, (0, 1, 2)), (1, (0, 1, 2))
+    ]
     for sa in (
-        forced, perturbed_odd_odd(g3), perturbed_odd_odd(f4), perturbed_odd_odd(d21), g3
+        forced, perturbed_odd_odd(g3), perturbed_odd_odd(f4), perturbed_odd_odd(d21), g3, order
     ):
         got, want = sa.super_jacobi_check(), jacobi_scan_oracle(sa)
         # the same first triple at every output index, met in the same order
