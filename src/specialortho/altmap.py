@@ -18,7 +18,8 @@ follow the shuffle conventions without factorial normalization:
 and hodge_dual inverts alpha ^_B (star f) = b_alt(alpha, f) * volume, where
 b_alt(alpha, f) = sum over multi-indices I of B(alpha(e_I), f(e_I)) / q(e_I);
 its re-verification reads the scalar wedge e_I ^ star of every multi-index
-I from one shuffle.
+I from one shuffle and compares it with vol / q(e_I) f(e_I), the right side
+that the dual itself was read from, computed once.
 The shuffle kernel runs on integer terms: a PairingSpec clears its table
 once, wedge_rel clears f and g once each, multiplies them by
 scalars.add_products into one dict for every output multi-index, and turns
@@ -456,9 +457,11 @@ def hodge_dual(f: AltMap, volume: AltMap) -> AltMap:
     with its complement J reaches the full multi-index, so the identity reads
     sign(I) B(u, g(e_J)) = B(u, f(e_I)) vol / q(e_I) for every u: each value
     g(e_J) = sign(I) vol / q(e_I) f(e_I) is read off, with no solve and no
-    use of the codomain form.  The defining identity is re-verified for
-    every basis alpha before returning, by one scalar wedge e_I ^ g per
-    multi-index I; failure raises SingularPairing.
+    use of the codomain form.  The right sides vol / q(e_I) f(e_I) are
+    computed once, from f, and g(e_J) is each one or its negation.  The
+    defining identity is re-verified against those right sides for every
+    basis alpha before returning (``_verify_hodge``); failure raises
+    SingularPairing.
     """
     space = f.domain
     if volume.domain is not space:
@@ -466,32 +469,45 @@ def hodge_dual(f: AltMap, volume: AltMap) -> AltMap:
     if not space.is_diagonal:
         raise ShapeMismatch("hodge_dual requires a diagonal domain gram")
     n, p = space.dim, f.degree
-    vol = volume_constant(volume)
+    rights = _hodge_right_sides(f, volume_constant(volume))
     star = AltMap(space, f.codomain, n - p)
     for J in all_multi_indices(n, n - p):
         I = complement_index(J, n)
-        fI = f.coeffs.get(I)
-        if fI is None:
+        right = rights.get(I)
+        if right is None:
             continue
-        scale = vol / space.q_product(I)
-        if _shuffle_sign([i - 1 for i in I], p) < 0:
-            scale = -scale
-        star.coeffs[J] = [scale * x if x.num else x for x in fI]
-    _verify_hodge(f, star, vol)
+        odd = _shuffle_sign([i - 1 for i in I], p) < 0
+        star.coeffs[J] = [-x if odd and x.num else x for x in right]
+    _verify_hodge(star, rights)
     return star
 
 
-def _verify_hodge(f: AltMap, star: AltMap, vol: Frac) -> None:
-    """Check alpha ^_B star = b_alt(alpha, f) * vol for every basis alpha.
+def _hodge_right_sides(f: AltMap, vol: Frac) -> dict[MultiIndex, Vector]:
+    """vol / q(e_I) f(e_I) for every stored multi-index I of f, on a diagonal
+    domain: the right side of the Hodge identity at alpha = e_I x u."""
+    q_product = f.domain.q_product
+    out = {}
+    for I, fI in f.coeffs.items():
+        scale = vol / q_product(I)
+        out[I] = [scale * x if x.num else x for x in fI]
+    return out
+
+
+def _verify_hodge(star: AltMap, rights: dict[MultiIndex, Vector]) -> None:
+    """Check alpha ^_B star = b_alt(alpha, f) * vol for every basis alpha,
+    with ``rights`` the ``_hodge_right_sides`` of f and vol.
 
     At alpha = e_I x u_b both sides are B(u_b, .) of one vector: the scalar
-    wedge w_I = (e_I ^ star)(e_1...e_n) on the left and vol / q(e_I) f(e_I)
-    on the right.  The codomain Gram is nonsingular, so every b holds exactly
-    when the two vectors are equal, and one wedge per I decides them all.  On
-    a mismatch the first b whose Gram row separates the vectors is named.
+    wedge w_I = (e_I ^ star)(e_1...e_n) on the left and the right side of I
+    (zero where f(e_I) is) on the right.  The codomain Gram is nonsingular,
+    so every b holds exactly when the two vectors are equal, and one wedge
+    per I decides them all.  On a mismatch the first b whose Gram row
+    separates the vectors is named.  The right sides come from f, never
+    from star, so the check is not read off the values it checks.
     """
-    space, codomain = f.domain, f.codomain
-    n, p, width = space.dim, f.degree, codomain.dim
+    space, codomain = star.domain, star.codomain
+    n, width = space.dim, codomain.dim
+    p = n - star.degree
     indices = all_multi_indices(n, p)
     dim = len(indices) * width
     # e_I is the integer term 1 at coordinate r, the rank of I, and the
@@ -506,10 +522,7 @@ def _verify_hodge(f: AltMap, star: AltMap, vol: Frac) -> None:
     zero = [ZERO] * width
     for r, I in enumerate(indices):
         w = values[r * width : (r + 1) * width]
-        want = zero
-        if I in f.coeffs:
-            scale = vol / space.q_product(I)
-            want = [scale * x if x.num else x for x in f.coeffs[I]]
+        want = rights.get(I, zero)
         if w == want:
             continue
         diff = [a - c for a, c in zip(w, want)]

@@ -8,7 +8,8 @@ orthogonal with B(e_k, e_k) the matching parameter product.  The product is
 stored once, as the 64 coefficients c of e_i e_j = c e_{i xor j}, each found
 by doubling a pair of units, where one term of the doubling survives at each
 level.  Products, commutators, cross products and associators of basis units
-are one term (k, c) read from that table; the operations on arbitrary
+are one term (k, c) read from that table, and the commutator coefficients
+are a second table of 64 built from it once; the operations on arbitrary
 octonions expand term by term.
 """
 
@@ -58,9 +59,10 @@ class OctonionAlgebra:
     """Structure constants, Gram data, and the two ambient quadratic spaces.
 
     ``units[i][j]`` is the coefficient c of e_i e_j = c e_{i xor j}, the one
-    store of the product.  ``unit_product``, ``unit_commutator``,
-    ``unit_cross`` and ``unit_associator`` return that operation on basis
-    units as its one term (k, c), with k the xor of the positions.  The
+    store of the product.  ``unit_product``, ``unit_cross`` and
+    ``unit_associator`` return that operation on basis units as its one
+    term (k, c), with k the xor of the positions; ``commutators[i][j]`` is
+    the c of [e_i, e_j] = c e_{i xor j}, built on first access.  The
     Gram is the table's diagonal (``space_oct.diag``).  ``phi`` and ``cross``
     are the associative form and the cross product as alternating maps on
     the imaginaries, each built on first access.
@@ -90,9 +92,12 @@ class OctonionAlgebra:
         """e_i e_j as its one term (i xor j, c)."""
         return i ^ j, self.units[i][j]
 
-    def unit_commutator(self, i: int, j: int) -> Term:
-        """[e_i, e_j] = e_i e_j - e_j e_i as its one term."""
-        return i ^ j, self.units[i][j] - self.units[j][i]
+    @cached_property
+    def commutators(self) -> list[list[Frac]]:
+        """The coefficient c of [e_i, e_j] = e_i e_j - e_j e_i = c e_{i xor j},
+        for every pair of units, read from ``units`` once."""
+        units = self.units
+        return [[units[i][j] - units[j][i] for j in range(8)] for i in range(8)]
 
     def unit_cross(self, i: int, j: int) -> Term:
         """e_i x e_j = (conj(e_j) e_i - conj(e_i) e_j) / 2 as its one term."""

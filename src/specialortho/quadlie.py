@@ -477,7 +477,8 @@ def check_special(
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                lhs = [p + q for p, q in zip(mu_act[i][j][k], mu_act[i][k][j])]
+                pairs = zip(mu_act[i][j][k], mu_act[i][k][j])
+                lhs = [p + q if q.num else p for p, q in pairs]
                 rhs = [ZERO] * n
                 if gram[i][j].num:
                     rhs[k] = rhs[k] + gram[i][j]
@@ -866,51 +867,58 @@ def _first_failing_triple(
     return None
 
 
-def double_commutator(octs: OctonionAlgebra, i: int, j: int, k: int) -> tuple[int, Frac]:
-    """[e_k, [e_i, e_j]] as its one term: [e_i, e_j] = a e_m, so it is
-    a [e_k, e_m]."""
-    m, a = octs.unit_commutator(i, j)
-    t, b = octs.unit_commutator(k, m)
-    return t, a * b
+def _first_failing_term(mu_act: MomentAction, coefficient: Callable) -> Optional[str]:
+    """The first (u,v,w) = (e_i, e_j, e_k) of the 343 basis triples of Im O,
+    in product order, at which mu(e_i, e_j) e_k, read from the moment-action
+    table ``mu_act``, is not the one term coefficient(i, j, k) e_t at
+    t = i xor j xor k, or None.  At t = 0, the real unit, which Im O lacks,
+    the whole vector must vanish, and ``coefficient`` is not called."""
+    for i, j, k in product(range(1, 8), repeat=3):
+        got, t = mu_act[i - 1][j - 1][k - 1], i ^ j ^ k
+        if any(x.num for s, x in enumerate(got, 1) if s != t) or (
+            t and got[t - 1] != coefficient(i, j, k)
+        ):
+            return f"(u,v,w) = (e{i}, e{j}, e{k})"
+    return None
 
 
 def mu_im_pointwise_witness(octs: OctonionAlgebra, mu_act: MomentAction) -> Optional[str]:
     """mu(u, v) w = -(1/4)([w, [u, v]] + 3 (u, v, w)) on basis triples, with
-    ``mu_act`` the moment_action table of mu on the imaginaries."""
+    ``mu_act`` the moment_action table of mu on the imaginaries.  Both terms
+    sit at e_{i xor j xor k}: [e_i, e_j] = a e_m and [e_k, e_m] = b e_t are
+    read from ``octs.commutators``, and the associator is one term, so the
+    closed side is one coefficient per triple."""
+    comm = octs.commutators
     three, minus_quarter = rat(3), rat(-1, 4)
 
-    def closed_form(i: int, j: int, k: int) -> Vector:
-        # both terms sit at e_{i xor j xor k}
-        t, assoc = octs.unit_associator(i, j, k)
-        double = double_commutator(octs, i, j, k)[1]
-        return octs.from_term(t, minus_quarter * (double + three * assoc)).imaginary_coeffs()
+    def coefficient(i: int, j: int, k: int) -> Frac:
+        assoc = octs.unit_associator(i, j, k)[1]
+        return minus_quarter * (comm[i][j] * comm[k][i ^ j] + three * assoc)
 
-    return _first_failing_triple(
-        lambda i, j, k: mu_act[i - 1][j - 1][k - 1],
-        closed_form,
-        product(range(1, 8), repeat=3),
-    )
+    return _first_failing_term(mu_act, coefficient)
 
 
 def mu_im_canonical_split_witness(
     octs: OctonionAlgebra, mu_act: MomentAction
 ) -> Optional[str]:
     """mu(u, v) w = (3/2) mu_can(u, v) w + (1/8) [w, [u, v]] on basis triples,
-    with ``mu_act`` the moment_action table of mu on the imaginaries."""
+    with ``mu_act`` the moment_action table of mu on the imaginaries.  On a
+    diagonal Gram, mu_can(e_i, e_j) e_k = (e_i, e_k) e_j - (e_j, e_k) e_i is
+    nonzero only at k = i or k = j, at e_{i xor j xor k}, where the double
+    commutator read from ``octs.commutators`` also sits, so the closed side
+    is one coefficient per triple; any other Gram raises ShapeMismatch."""
     space = octs.space_im
+    if not space.is_diagonal:
+        raise ShapeMismatch("the canonical split is read on a diagonal Gram")
+    comm = octs.commutators
     eighth, three_halves = rat(1, 8), rat(3, 2)
 
-    def closed_form(i: int, j: int, k: int) -> Vector:
-        canonical = mu_can_value(space, i - 1, j - 1, k - 1)
-        t, double = double_commutator(octs, i, j, k)
-        eighths = octs.from_term(t, eighth * double).imaginary_coeffs()
-        return [three_halves * c + e for c, e in zip(canonical, eighths)]
+    def coefficient(i: int, j: int, k: int) -> Frac:
+        double = eighth * (comm[i][j] * comm[k][i ^ j])
+        can = mu_can_value(space, i - 1, j - 1, k - 1)[(i ^ j ^ k) - 1]
+        return double + three_halves * can if can.num else double
 
-    return _first_failing_triple(
-        lambda i, j, k: mu_act[i - 1][j - 1][k - 1],
-        closed_form,
-        product(range(1, 8), repeat=3),
-    )
+    return _first_failing_term(mu_act, coefficient)
 
 
 def cyclic_sum(octs: OctonionAlgebra, mu: AltMap) -> AltMap:
@@ -940,7 +948,8 @@ def spinor_cyclic_witness(octs: OctonionAlgebra, mu: AltMap) -> Optional[str]:
 
     def closed_form(i: int, j: int, k: int) -> Vector:
         m, c = octs.unit_associator(i, j, k)
-        return [half * c * x for x in mu.value((1, m + 1))]
+        c = half * c
+        return [c * x if x.num else x for x in mu.value((1, m + 1))]
 
     return _first_failing_triple(
         lambda i, j, k: cyclic.value((i, j, k)),

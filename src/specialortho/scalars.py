@@ -38,7 +38,11 @@ are equal, so ``==`` and ``hash`` are structural.
 Fast paths.  A product of two monomial fractions c1*m1/(e1*k1) and
 c2*m2/(e2*k2), ints and rational constants included, is reduced by one
 integer gcd of c1*c2 and e1*e2 and one per-slot exponent minimum of the key
-sums; a sum of two rational constants by one integer gcd.  ``dot(pairs)``
+sums.  A sum of two such fractions with equal numerator keys and equal
+denominator keys, c1*m/(e1*k) + c2*m/(e2*k) (two rational constants
+included), is (c1*e2 + c2*e1)*m/(e1*e2*k) reduced by one integer gcd, with
+both keys kept: m and k share no variable in a reduced fraction, and a
+denominator of 1 is the shared ``_P_ONE``.  ``dot(pairs)``
 sums a * b over its pairs and normalizes once per result, not once per term:
 the products with monomial denominators go over one common denominator (the
 per-slot maximum of the keys, the integer lcm of the coefficients), and the
@@ -488,13 +492,16 @@ class Frac:
             return Frac._raw(t, _p_mul(_p_mul(d1r, g0), d2r))
         [(j1, e1)] = d1.items()
         [(j2, e2)] = d2.items()
-        if len(n1) == len(n2) == 1 and not (j1 or j2) and 0 in n1 and 0 in n2:
-            c = n1[0] * e2 + n2[0] * e1
+        if j1 == j2 and len(n1) == len(n2) == 1 and n1.keys() == n2.keys():
+            # one monomial over one: x^k and x^j share no variable, so the
+            # sum reduces by the int gcd alone and keeps both keys
+            [(k, c1)] = n1.items()
+            c = c1 * e2 + n2[k] * e1
             if not c:
                 return ZERO
             e = e1 * e2
             g = _int_gcd(c, e)
-            return Frac._raw({0: c // g}, _P_ONE if e == g else {0: e // g})
+            return Frac._raw({k: c // g}, _P_ONE if not j1 and e == g else {j1: e // g})
         return _monomial_sum([(n1, _P_ONE, j1, e1), (n2, _P_ONE, j2, e2)])
 
     def __neg__(self) -> "Frac":

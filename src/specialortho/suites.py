@@ -656,14 +656,30 @@ class HodgeRow:
 
 
 def _proportionality(star: AltMap, target: AltMap) -> Optional[Frac]:
-    """Exact c with star == c * target, or None."""
-    for index, vec in sorted(target.coeffs.items()):
-        for k, c in enumerate(vec):
-            if c.num:
-                sv = star.coeffs.get(index)
-                ratio = (sv[k] / c) if sv else ZERO
-                return ratio if star == target.scale(ratio) else None
-    return None if star.coeffs else ZERO
+    """Exact c with star == c * target, or None.
+
+    c is read at the first nonzero coefficient of the target; then star and
+    c * target are compared coefficient by coefficient, with a product only
+    where the target is nonzero, up to the first difference.
+    """
+    if (
+        star.domain is not target.domain
+        or star.codomain is not target.codomain
+        or star.degree != target.degree
+    ):
+        return None
+    if not star.coeffs:
+        return ZERO
+    if star.coeffs.keys() != target.coeffs.keys():
+        return None
+    entries = sorted(target.coeffs.items())
+    I, k, c = next((I, k, c) for I, vec in entries for k, c in enumerate(vec) if c.num)
+    ratio = star.coeffs[I][k] / c
+    for I, vec in entries:
+        for s, c in zip(star.coeffs[I], vec):
+            if (s != ratio * c) if c.num else s.num:
+                return None
+    return ratio
 
 
 def hodge_rows(ws: Workspace) -> list[HodgeRow]:

@@ -52,6 +52,9 @@ def _odd_index(g_dim: int, i: int, s: int) -> int:
     return g_dim + 3 + 2 * i + s
 
 
+_ZERO_SCALE = "invariance of the form leaves no nonzero scale for the odd bracket"
+
+
 def _not_special(cov: Covariants) -> str:
     return f"moment map is not special orthogonal at {cov.witness}"
 
@@ -62,8 +65,10 @@ def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra
     Raises NotSpecial, naming cov.witness, unless cov.special holds; the
     special orthogonality of the moment map was already decided when the
     covariants were computed.  force=True builds anyway (the all-odd Jacobi
-    sector then records the failure).  Raises ShapeMismatch when invariance
-    of the form leaves no nonzero scale for the odd bracket.
+    sector then records the failure).  When invariance of the form leaves
+    no nonzero scale for the odd bracket, raises ShapeMismatch, or with
+    force=True keeps the unscaled odd-odd rows and sets ``odd_odd_scale``
+    to zero.
     """
     if not cov.special and not force:
         raise NotSpecial(_not_special(cov))
@@ -144,14 +149,14 @@ def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra
             break
         if scale is not None:
             break
-    if scale is None or not scale.num:
+    solved = scale is not None and bool(scale.num)
+    if not solved and not force:
         raise ShapeMismatch("could not normalize the odd bracket")
     for (p, q), row in oo_rows.items():
-        scaled = {k: scale * c for k, c in row.items()}
-        if scaled:
-            brackets[(p, q)] = scaled
+        if row:
+            brackets[(p, q)] = {k: scale * c for k, c in row.items()} if solved else row
     out = SuperAlgebra(name, even_labels, odd_labels, brackets, form)
-    out.odd_odd_scale = scale
+    out.odd_odd_scale = scale if solved else ZERO
     return out
 
 
@@ -175,11 +180,13 @@ def module_witnesses(
     [x, mu(v_i, v_j)] - mu(x v_i, v_j) - mu(v_i, x v_j), and in sl2
     -c mu_s(a_s, a_t) times the skewness defect (x v_i, v_j) + (v_i, x v_j),
     whose least (x, i, j >= i) is the least sorted triple; at x in sl2 it
-    vanishes, as sl2 preserves omega and mu_s.  The scale c is nonzero
-    (build_tilde refuses a zero one), so the failing triples are those of
-    the unscaled assembly.  Off the special locus the superalgebra record
-    names the moment map's witness and OOO's first failure; on it, the
-    sectors, the dimension and the least failing triple of the form scan.
+    vanishes, as sl2 preserves omega and mu_s.  The scale c is nonzero, or
+    the forced build keeps the unscaled rows, so the failing triples are
+    those of the unscaled assembly.  Off the special locus the superalgebra
+    record names the moment map's witness and OOO's first failure; on it,
+    the sectors, the dimension and the least failing triple of the form
+    scan.  Either way a zero scale is named first, and the record then
+    carries no constant.
     """
     sa = build_tilde(cov, name, force=True)
     failures = sa.super_jacobi_check()
@@ -202,20 +209,22 @@ def module_witnesses(
         if out[record] is None:
             i, j = ((t - sa.even_dim) // 2 + 1 for t in (p, q))
             out[record] = texts[record].format(sa.labels[x], i, j)
+    scaled = bool(sa.odd_odd_scale.num)
+    problems = [] if scaled else [_ZERO_SCALE]
     if not cov.special:
-        forced = (
+        problems.append(
             "forced assembly violates the graded Jacobi identity, "
             f"sector OOO: {sectors['OOO']}"
         )
-        out["superalgebra"] = f"{_not_special(cov)}; {forced}", None
+        out["superalgebra"] = "; ".join([_not_special(cov)] + problems), None
         return out
-    problems = []
     if (sa.even_dim, sa.odd_dim) != dims:
         problems.append(f"dimension {sa.even_dim}|{sa.odd_dim}")
     problems += [f"{s}: {w}" for s, w in sectors.items() if w is not None]
     if form:
         problems.append(sa.invariance_text(min(form.values())))
-    out["superalgebra"] = "; ".join(problems) or None, sa.odd_odd_scale.render()
+    constant = sa.odd_odd_scale.render() if scaled else None
+    out["superalgebra"] = "; ".join(problems) or None, constant
     return out
 
 

@@ -19,6 +19,7 @@ from specialortho import altmap, linalg, quadlie, suites
 from specialortho.altmap import (
     AltMap,
     PairingSpec,
+    _hodge_right_sides,
     _shuffle_sign,
     _verify_hodge,
     brute_compose,
@@ -503,7 +504,7 @@ def test_hodge_reverification_names_the_oracle_alpha(weights):
             witness = hodge_verify_oracle(f, bad, vol)
             assert witness is not None
             with pytest.raises(SingularPairing) as caught:
-                _verify_hodge(f, bad, vol)
+                _verify_hodge(bad, _hodge_right_sides(f, vol))
             assert str(caught.value) == witness
             witnesses.add(witness)
         assert len(witnesses) > 3

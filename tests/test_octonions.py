@@ -111,7 +111,7 @@ def test_unit_terms_equal_the_generic_operations(weights):
     for i in range(8):
         for j in range(8):
             assert A.from_term(*A.unit_product(i, j)) == e[i] * e[j]
-            assert A.from_term(*A.unit_commutator(i, j)) == commutator(e[i], e[j])
+            assert A.from_term(i ^ j, A.commutators[i][j]) == commutator(e[i], e[j])
             assert A.from_term(*A.unit_cross(i, j)) == cross_product(e[i], e[j])
             for k in range(8):
                 want = associator(e[i], e[j], e[k])

@@ -502,15 +502,30 @@ def test_g2_moment_records_name_the_oracle_triple():
         (ql.mu_im_canonical_split_witness, mu_im_canonical_split_oracle),
     ):
         assert record(octs, mu_act) is None
-        # a diagonal entry, whose vector the table shares, and an off-diagonal one
+        # the records compare one coefficient at t = i xor j xor k and check
+        # that the rest vanish: a diagonal entry, whose vector the table
+        # shares, and an off-diagonal one, both moved at e_t = e1; one moved
+        # at e1 where t = 7; and one at k = i xor j, where t = 0 and the whole
+        # vector must vanish
         for where, witness in (
             ((2, 2, 0), "(u,v,w) = (e3, e3, e1)"),
             ((3, 5, 2), "(u,v,w) = (e4, e6, e3)"),
+            ((0, 1, 3), "(u,v,w) = (e1, e2, e4)"),
+            ((0, 1, 2), "(u,v,w) = (e1, e2, e3)"),
         ):
             moved_act = moved_mu_act(mu_act, *where)
             assert record(octs, moved_act) == oracle(octs, moved_act) == witness
         # the Workspace table is untouched
         assert record(octs, mu_act) is None
+
+
+def test_canonical_split_refuses_a_gram_that_is_not_diagonal():
+    # mu_can is one term at e_{i xor j xor k} only on a diagonal Gram
+    gram = [[ONE if r == c else ZERO for c in range(7)] for r in range(7)]
+    gram[0][1] = gram[1][0] = rat(1, 2)
+    octs = SimpleNamespace(space_im=QuadraticSpace(tuple(f"e{k}" for k in range(1, 8)), gram))
+    with pytest.raises(ShapeMismatch, match="diagonal Gram"):
+        ql.mu_im_canonical_split_witness(octs, None)
 
 
 def test_spin_cyclic_record_names_the_oracle_triple():
@@ -718,12 +733,14 @@ def test_mu_compose_psi_never_evaluates(monkeypatch):
 
 @pytest.mark.parametrize("weights", [None, (2, 3, -5)])
 def test_double_commutator_equals_two_octonion_commutators(weights):
+    # [e_k, [e_i, e_j]] as the g2 pointwise records read it: two entries of
+    # the commutator table, at e_{i xor j xor k}
     params = (L1, L2, L3) if weights is None else tuple(rat(w) for w in weights)
     octs = build_algebra(*params)
-    e = octs.imaginary_unit
+    comm, e = octs.commutators, octs.imaginary_unit
     for i, j, k in product(range(1, 8), repeat=3):
         want = commutator(e(k), commutator(e(i), e(j)))
-        assert octs.from_term(*ql.double_commutator(octs, i, j, k)) == want
+        assert octs.from_term(i ^ j ^ k, comm[i][j] * comm[k][i ^ j]) == want
 
 
 @pytest.mark.parametrize("weights", [None, (2, 3, -5)])
@@ -965,12 +982,23 @@ def hyperbolic_moved(step):
 
 def test_zero_odd_odd_scale_is_refused():
     # invariance of the form then solves the odd bracket's scale to 0, which
-    # would leave no odd-odd row and the EOO and OOO sectors empty
+    # would leave no odd-odd row and the EOO and OOO sectors empty; the
+    # forced assembly keeps the unscaled rows, so the module records still
+    # name the oracle's tuples, and the superalgebra record names the zero
+    # scale first and carries no constant
     cov = hyperbolic_moved(1)
     with pytest.raises(ShapeMismatch, match="could not normalize the odd bracket"):
         sup.build_tilde(cov, "so(T4)")
-    with pytest.raises(ShapeMismatch, match="could not normalize the odd bracket"):
-        sup.module_witnesses(cov, "so(T4)", (9, 8))
+    assert sup.build_tilde(cov, "so(T4)", force=True).odd_odd_scale == ZERO
+    out = sup.module_witnesses(cov, "so(T4)", (9, 8))
+    assert {name: out[name] for name in CLEAN} == oracle_witnesses(cov)
+    assert out["superalgebra"] == (
+        "invariance of the form leaves no nonzero scale for the odd bracket; "
+        "EEO: J(M12, M34, t2*a1) != 0; EOO: J(M34, t1*a1, t2*a1) != 0; "
+        "OOO: J(t2*a1, t3*a1, t4*a2) != 0; "
+        "B([M34,t2*a1],t1*a2) != B(M34,[t2*a1,t1*a2])",
+        None,
+    )
 
 
 def test_nonzero_odd_odd_scale_keeps_the_oracle_tuples():

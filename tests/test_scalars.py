@@ -25,6 +25,7 @@ from specialortho.scalars import (
     L3,
     ONE,
     ZERO,
+    _P_ONE,
     _p_add,
     _p_divexact,
     _p_max_exponent,
@@ -407,6 +408,54 @@ def test_fast_paths_give_the_canonical_form(x, y):
     )
     got = x - y
     assert (got.num, got.den) == (difference.num, difference.den)
+
+
+@st.composite
+def same_monomial_pairs(draw):
+    """c1*m/(e1*k) and c2*m/(e2*k): after the constructor's reduction both
+    keep the same numerator key and the same denominator key."""
+    m, k = draw(_monomial_keys), draw(_monomial_keys)
+    return tuple(
+        Frac({m: draw(_coefficients)}, {k: draw(_coefficients)}) for _ in range(2)
+    )
+
+
+_L1_HALF = Frac({1: 1}, {0: 2})  # l1/2
+_L1_OVER_L2 = Frac({1: 3}, {1 << 16: 2})  # 3*l1 / (2*l2)
+
+
+@given(same_monomial_pairs())
+@example((_L1_OVER_L2, _L1_OVER_L2))  # x - y cancels
+@example((_L1_OVER_L2, -_L1_OVER_L2))  # x + y cancels
+@example((_L1_HALF, _L1_HALF))  # x + y = l1 over the shared _P_ONE
+@example((Frac({1: 3}, {0: 2}), _L1_HALF))  # x - y = l1 over the shared _P_ONE
+@settings(max_examples=300, deadline=None)
+def test_same_monomial_sums_give_the_canonical_form(pair):
+    # the sum's fast path for equal keys: the general path's canonical form,
+    # ZERO itself when the sum cancels and the shared _P_ONE as denominator 1
+    x, y = pair
+    assert x.num.keys() == y.num.keys() and x.den.keys() == y.den.keys()
+    minus_y = {k: -c for k, c in y.num.items()}
+    for got, ny in ((x + y, y.num), (x - y, minus_y)):
+        want = Frac(_p_add(_p_mul(x.num, y.den), _p_mul(ny, x.den)), _p_mul(x.den, y.den))
+        assert (got.num, got.den) == (want.num, want.den)
+        if not got.num:
+            assert got is ZERO
+        if got.den == _P_ONE:
+            assert got.den is _P_ONE
+
+
+def test_same_monomial_sums_take_the_fast_path(monkeypatch):
+    x, y = _L1_OVER_L2, Frac({1: -5}, {1 << 16: 4})  # 3*l1/(2*l2), -5*l1/(4*l2)
+
+    def refuse(parts):
+        raise AssertionError("a same-monomial sum went through _monomial_sum")
+
+    monkeypatch.setattr(scalars_module, "_monomial_sum", refuse)
+    assert x + y == Frac({1: 1}, {1 << 16: 4})
+    assert x - y == Frac({1: 11}, {1 << 16: 4})
+    assert (_L1_HALF + _L1_HALF).den is _P_ONE
+    assert x - x is ZERO
 
 
 def test_fast_paths_need_no_polynomial_gcd(monkeypatch):

@@ -10,10 +10,11 @@ from specialortho import altmap, clifford, linalg, octonions, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
 from specialortho.exterior import K, QuadraticSpace
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
-from specialortho.scalars import L1, L2, ONE, parse, rat, render
+from specialortho.scalars import L1, L2, ONE, ZERO, parse, rat, render
 from specialortho.suites import (
     SUITE_NAMES,
     Workspace,
+    _proportionality,
     _psi_shortcut_witness,
     _quad_shortcut_witness,
     hodge_report,
@@ -666,6 +667,85 @@ def test_superalgebra_names_the_moved_moment_map_and_its_ooo_triple(
     assert records[f"{key}-superalgebra"] == NOT_SPECIAL.format(special, ooo)
     get, label, _ = suites.SUPERALGEBRAS[key]
     assert full_jacobi_scan(build_tilde(get(ws), label, force=True))["OOO"] == ooo
+
+
+def test_zero_odd_odd_scale_of_a_moved_moment_map_is_a_failing_record(monkeypatch, capsys):
+    # with mu(e1, e2) of the family moved, invariance of the form solves the
+    # odd bracket's scale to 0: the forced assembly names that in the
+    # d21-superalgebra witness, every other record still runs, and the CLI
+    # exits 1 for the failed identities
+    from specialortho import cli
+
+    names = [r.name for r in run_suite("d21", Workspace()).records]
+    real = quadlie.moment_map
+    monkeypatch.setattr(quadlie, "moment_map", lambda rep: perturbed(real(rep), (1, 2)))
+    records = run_suite("d21", Workspace()).records
+    assert [r.name for r in records] == names
+    special = "(u,v,w) = (e1, e1, e2) of VxW"
+    assert failing(records) == {
+        "d21-moment-closed-form": "the two sides differ at e_{12}",
+        "d21-equivariance": "equivariance fails at x=hV, (v,w)=(e1,e2)",
+        "d21-special": special,
+        "d21-superalgebra": (
+            f"moment map is not special orthogonal at {special}; "
+            "invariance of the form leaves no nonzero scale for the odd bracket; "
+            "forced assembly violates the graded Jacobi identity, "
+            "sector OOO: J(v1w1*a1, v1w1*a1, v1w2*a2) != 0"
+        ),
+    }
+    assert cli.main(["verify", "d21"]) == 1
+    assert "result: FAIL (12 checks: 6 hold, 2 vacuous, 4 fail)" in capsys.readouterr().out
+
+
+def proportionality_oracle(star, target):
+    """c read at the first nonzero coefficient of the target, then the whole
+    map star compared with the map c * target."""
+    for index, vec in sorted(target.coeffs.items()):
+        for k, c in enumerate(vec):
+            if c.num:
+                sv = star.coeffs.get(index)
+                ratio = sv[k] / c if sv else ZERO
+                return ratio if star == target.scale(ratio) else None
+    return None if star.coeffs else ZERO
+
+
+def test_proportionality_reads_the_constant_of_the_whole_map():
+    # c * target is recognised; a star that differs from it anywhere, or has
+    # another shape, gives None, as the whole-map comparison does
+    ws = Workspace()
+    mu, phi = ws.cov_im.mu, ws.octs.phi  # vector-valued with zero entries; sparse
+    c = rat(3) * L1
+
+    def moved(f, index, k, value):
+        vec = f.value(index)
+        vec[k] = value
+        return altmap.AltMap(f.domain, f.codomain, f.degree, {**f.coeffs, index: vec})
+
+    # a place where the target is zero: an entry of a stored vector of mu, and
+    # a multi-index that phi does not store
+    last = max(mu.coeffs)
+    zero_in_mu = last, next(t for t, x in enumerate(mu.coeffs[last]) if not x.num)
+    assert (1, 2, 4) not in phi.coeffs
+    for target, (index, t) in ((mu, zero_in_mu), (phi, ((1, 2, 4), 0))):
+        star = target.scale(c)
+        assert _proportionality(star, target) == c
+        first = min(star.coeffs)
+        k = next(k for k, x in enumerate(star.coeffs[first]) if x.num)  # c is read here
+        cases = [
+            moved(star, first, k, star.coeffs[first][k] + ONE),
+            moved(star, first, k, ZERO),  # c reads 0, the rest does not vanish
+            moved(star, max(star.coeffs), -1, star.coeffs[max(star.coeffs)][-1] + ONE),
+            moved(star, index, t, ONE),
+            altmap.AltMap(star.domain, star.codomain, star.degree, {first: star.coeffs[first]}),
+            altmap.AltMap(star.domain, star.codomain, star.degree + 1, star.coeffs),
+        ]
+        for bad in cases:
+            assert _proportionality(bad, target) is None is proportionality_oracle(bad, target)
+        zero = target.scale(ZERO)
+        assert _proportionality(zero, target) is ZERO is proportionality_oracle(zero, target)
+    empty = phi.scale(ZERO)
+    assert _proportionality(empty, empty) is ZERO
+    assert _proportionality(phi, empty) is None
 
 
 def test_clifford_c_action_names_the_moved_c_u():
