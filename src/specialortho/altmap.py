@@ -138,17 +138,13 @@ class PairingSpec:
         cls,
         algebra: QuadraticSpace,
         module: QuadraticSpace,
-        matrices: Sequence[Sequence[Sequence[Frac]]],
+        columns: Sequence[Sequence[Sequence[Frac]]],
     ) -> "PairingSpec":
-        """g x V -> V from the representing matrices of the algebra basis."""
-        if len(matrices) != algebra.dim:
-            raise ShapeMismatch("one matrix per algebra basis element required")
-        # table[i][j] is the j-th column of matrices[i]
-        table = [
-            [[m[r][j] for r in range(module.dim)] for j in range(module.dim)]
-            for m in matrices
-        ]
-        return cls(algebra, module, module, table, name=f"action on {module.name}")
+        """g x V -> V from the columns of the algebra basis: ``columns[a][j]``
+        is rho(x_a) e_j, which is the table entry (a, j) as given."""
+        if len(columns) != algebra.dim:
+            raise ShapeMismatch("one list of columns per algebra basis element required")
+        return cls(algebra, module, module, columns, name=f"action on {module.name}")
 
     @classmethod
     def alternating(cls, f: "AltMap") -> "PairingSpec":

@@ -8,8 +8,8 @@ action sends a monomial to the composition of left multiplications on the
 full octonions.  Each left multiplication by a unit is monomial in the
 (Z/2)^3 grading, e_j -> c e_{t xor j}, so the action of a monomial is stored
 as its 8 columns, one term each, composed from the octonion unit table with
-one product per column; spinor_action writes the dense 8x8 matrix of an
-element from them.
+one product per column; spinor_action writes the 8 dense columns of an
+element from them, the format of every linear action in the package.
 
 quantize identifies the exterior algebra of the imaginary space with the
 Clifford algebra as filtered vector spaces by sending an increasing wedge
@@ -30,7 +30,6 @@ from .octonions import Octonion, OctonionAlgebra
 from .scalars import Frac, ONE, ZERO, dot
 
 Vector = list[Frac]
-Matrix = list[list[Frac]]
 Columns = tuple[tuple[int, Frac], ...]
 
 PAIR_MASKS: tuple[int, ...] = tuple(
@@ -77,13 +76,6 @@ class CliffordElement:
             else:
                 out.pop(mask, None)
         return CliffordElement(self.algebra, out)
-
-    def scale(self, c: Frac) -> "CliffordElement":
-        if c.is_zero():
-            return CliffordElement(self.algebra)
-        return CliffordElement(
-            self.algebra, {m: c * v for m, v in self.coeffs.items()}
-        )
 
     def __mul__(self, other: "CliffordElement") -> "CliffordElement":
         return self.algebra.multiply(self, other)
@@ -218,12 +210,13 @@ class CliffordAlgebra:
         self._column_cache[mask] = out
         return out
 
-    def spinor_action(self, c: CliffordElement) -> Matrix:
-        """8x8 matrix of c acting on the octonions by iterated left products."""
+    def spinor_action(self, c: CliffordElement) -> list[Vector]:
+        """The 8 columns rho(c) e_j of c acting on the octonions by iterated
+        left products, summed from the one-term columns of its monomials."""
         out = linalg.zeros(8, 8)
         for mask, coeff in c.coeffs.items():
-            for j, (r, m) in enumerate(self._columns(mask)):
-                out[r][j] = out[r][j] + coeff * m
+            for col, (r, m) in zip(out, self._columns(mask)):
+                col[r] = col[r] + coeff * m
         return out
 
     @cached_property

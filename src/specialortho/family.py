@@ -48,11 +48,12 @@ def sl2_bracket_table() -> dict:
     }
 
 
-def sl2_plane_action() -> list[list[list[Frac]]]:
-    """h, e, f on the plane basis (a1, a2): h a1 = a1, e a2 = a1, f a1 = a2."""
+def sl2_plane_action() -> list[list[Vector]]:
+    """h, e, f on the plane basis (a1, a2) as their columns (x a1, x a2):
+    h a1 = a1, h a2 = -a2, e a2 = a1, f a1 = a2, and e a1 = f a2 = 0."""
     h = [[ONE, ZERO], [ZERO, -ONE]]
-    e = [[ZERO, ONE], [ZERO, ZERO]]
-    f = [[ZERO, ZERO], [ONE, ZERO]]
+    e = [[ZERO, ZERO], [ONE, ZERO]]
+    f = [[ZERO, ONE], [ZERO, ZERO]]
     return [h, e, f]
 
 
@@ -108,24 +109,17 @@ def build_family(alpha: Frac, beta: Frac) -> QuadLieRep:
         table[(i, j)] = dict(row)
         table[(3 + i, 3 + j)] = {3 + k: c for k, c in row.items()}
     plane = sl2_plane_action()
-    mats = []
-    for x in plane:  # X acting through the V factor
-        m = [[ZERO] * 4 for _ in range(4)]
-        for a in range(4):
-            ia, ja = divmod(a, 2)
-            for i in range(2):
-                if x[i][ia].num:
-                    m[2 * i + ja][a] = x[i][ia]
-        mats.append(m)
-    for y in plane:  # Y acting through the W factor
-        m = [[ZERO] * 4 for _ in range(4)]
-        for a in range(4):
-            ia, ja = divmod(a, 2)
-            for j in range(2):
-                if y[j][ja].num:
-                    m[2 * ia + j][a] = y[j][ja]
-        mats.append(m)
-    return QuadLieRep("family", algebra_space, table, mats, space)
+    # the column at v_a (x) w_b, position 2 a + b, is (x v_a) (x) w_b for X
+    # acting through the V factor, and v_a (x) (y w_b) for Y through W
+    basis = [divmod(t, 2) for t in range(4)]
+    cols = [
+        [[x[a][i] if j == b else ZERO for i, j in basis] for a, b in basis]
+        for x in plane
+    ] + [
+        [[y[b][j] if i == a else ZERO for i, j in basis] for a, b in basis]
+        for y in plane
+    ]
+    return QuadLieRep("family", algebra_space, table, cols, space)
 
 
 def mu_family_expected(rep: QuadLieRep, alpha: Frac, beta: Frac) -> AltMap:

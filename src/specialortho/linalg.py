@@ -31,15 +31,9 @@ def mat_mul(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -> Matrix:
     return [[dot(zip(row, col)) for col in columns] for row in a]
 
 
-def trace(m: Sequence[Sequence[Frac]]) -> Frac:
-    s = ZERO
-    for i, row in enumerate(m):
-        s = s + row[i]
-    return s
-
-
 def trace_of_product(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -> Frac:
-    """Tr(ab), one sum over the nonzero entries of a."""
+    """Tr(ab), one sum over the nonzero entries of a.  On the column lists
+    of two actions it is the same trace, as Tr(AB) = Tr(B^T A^T)."""
     return dot((x, b[t][r]) for r, row in enumerate(a) for t, x in enumerate(row) if x.num)
 
 

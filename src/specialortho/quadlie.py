@@ -299,10 +299,11 @@ class QuadLieRep:
     ``algebra`` is the Lie algebra as a purely even SuperAlgebra, named
     after ``algebra_space`` and with its gram matrix as the form;
     ``bracket_table`` gives the sparse rows {k: coeff} of [x_i, x_j], i < j.
-    The action, given as one matrix per algebra basis element, is stored
-    once as the PairingSpec ``act`` from g x V to V: ``act.table[a][k]`` is
-    rho(x_a) e_k, a tuple, and ``act.rows[a][k]`` its integer terms over
-    ``act.den``.  A moved action is a new QuadLieRep.
+    The action is given, for each algebra basis element x_a, as its columns
+    rho(x_a) e_k, and stored as given as the PairingSpec ``act`` from g x V
+    to V: ``act.table[a][k]`` is rho(x_a) e_k, a tuple, and
+    ``act.rows[a][k]`` its integer terms over ``act.den``.  A moved action
+    is a new QuadLieRep.
     """
 
     def __init__(
@@ -310,7 +311,7 @@ class QuadLieRep:
         name: str,
         algebra_space: QuadraticSpace,
         bracket_table: dict,
-        action: Sequence[Matrix],
+        action: Sequence[Sequence[Vector]],
         space: QuadraticSpace,
     ):
         self.name = name
@@ -356,41 +357,30 @@ def mu_can_value(space: QuadraticSpace, i: int, j: int, k: int) -> Vector:
 def build_so(space: QuadraticSpace) -> tuple[QuadLieRep, AltMap]:
     """Fundamental representation of so(V) and the canonical moment map.
 
-    The algebra basis is M_ij = mu_can(e_i, e_j) over increasing pairs, the
-    form is -Tr(xy)/2, brackets come from matrix commutators re-expressed in
-    the basis.  Returns the representation together with mu_can as a map
-    Lambda^2 V -> so(V), whose coefficients are exactly the basis vectors.
+    The algebra basis is M_ij = mu_can(e_i, e_j) over increasing pairs, whose
+    column k is mu_can_value(space, i, j, k); the form is -Tr(xy)/2, brackets
+    come from the commutators re-expressed in the basis, the columns of xy
+    being the rows of mat_mul(y, x) on column lists.  Returns the
+    representation together with mu_can as a map Lambda^2 V -> so(V), whose
+    coefficients are exactly the basis vectors.
     """
     n = space.dim
     pairs = list(combinations(range(n), 2))
-    mats = []
-    for i, j in pairs:
-        m = [[ZERO] * n for _ in range(n)]
-        for k in range(n):
-            col = mu_can_value(space, i, j, k)
-            for r in range(n):
-                if col[r].num:
-                    m[r][k] = col[r]
-        mats.append(m)
-    flat = [[m[r][c] for r in range(n) for c in range(n)] for m in mats]
+    cols = [[mu_can_value(space, i, j, k) for k in range(n)] for i, j in pairs]
+    flat = [[c for col in x for c in col] for x in cols]
     coords = linalg.SubspaceCoords(flat, label="so basis")
     table = {}
     for a, b in combinations(range(len(pairs)), 2):
-        ab, ba = linalg.mat_mul(mats[a], mats[b]), linalg.mat_mul(mats[b], mats[a])
-        vec = coords.express([ab[r][c] - ba[r][c] for r in range(n) for c in range(n)])
+        ab, ba = linalg.mat_mul(cols[b], cols[a]), linalg.mat_mul(cols[a], cols[b])
+        vec = coords.express([p - q for r, s in zip(ab, ba) for p, q in zip(r, s)])
         row = {k: c for k, c in enumerate(vec) if c.num}
         if row:
             table[(a, b)] = row
-    gram = [
-        [
-            -linalg.trace(linalg.mat_mul(mats[a], mats[b])) / rat(2)
-            for b in range(len(pairs))
-        ]
-        for a in range(len(pairs))
-    ]
+    minus_half = rat(-1, 2)
+    gram = [[minus_half * linalg.trace_of_product(x, y) for y in cols] for x in cols]
     labels = tuple(f"M{i+1}{j+1}" for i, j in pairs)
     so_space = QuadraticSpace(labels, gram, name=f"so({space.name})")
-    rep = QuadLieRep(f"so({space.name})", so_space, table, mats, space)
+    rep = QuadLieRep(f"so({space.name})", so_space, table, cols, space)
     coeffs = {}
     for t, (i, j) in enumerate(pairs):
         vec = [ZERO] * len(pairs)
@@ -731,10 +721,10 @@ def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:
         "s" + "".join(str(i) for i in _mask_to_tuple(m)) for m in PAIR_MASKS
     )
     algebra_space = QuadraticSpace(labels, gram, name="so7")
-    mats = [
+    cols = [
         cliff.spinor_action(CliffordElement(cliff, {m: ONE})) for m in PAIR_MASKS
     ]
-    return QuadLieRep("so7-spin", algebra_space, table, mats, octs.space_oct)
+    return QuadLieRep("so7-spin", algebra_space, table, cols, octs.space_oct)
 
 
 def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordElement]]:
@@ -747,8 +737,8 @@ def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordEleme
     bracket are its entries at the free columns, with no elimination; unless
     they rebuild the bracket, SingularMatrix is raised.  The invariant form
     is -(1/3) Tr of the 7-dimensional action (which equals the 8-dimensional
-    trace on the kernel); action matrices are cut from the spin action after
-    checking the unit row and column vanish.
+    trace on the kernel); the action columns are cut from the spin columns
+    after checking the unit row and column vanish.
     """
     octs = cliff.octonions
     kernel = cliff.g2_kernel()
@@ -782,13 +772,13 @@ def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordEleme
             gram[a][b] = gram[b][a] = third * _trace_pairing(cliff, kernel[a], kernel[b])
     labels = tuple(f"d{t+1}" for t in range(14))
     algebra_space = QuadraticSpace(labels, gram, name="g2")
-    mats = []
+    cols = []
     for x in kernel:
         full = cliff.spinor_action(x)
         if any(full[0][t].num or full[t][0].num for t in range(8)):
             raise WrongDimension("kernel element does not preserve the imaginary space")
-        mats.append([[full[r][c] for c in range(1, 8)] for r in range(1, 8)])
-    rep = QuadLieRep("g2-im", algebra_space, table, mats, octs.space_im)
+        cols.append([col[1:] for col in full[1:]])
+    rep = QuadLieRep("g2-im", algebra_space, table, cols, octs.space_im)
     return rep, kernel
 
 
@@ -968,31 +958,35 @@ def mu_oct_from_mu_im_witness(
     """mu_O(u, v) = (8/9) mu_Im(u, v) + (1/18) c_{u x v} inside the Clifford
     degree-2 component, and mu_O(u, 1) = (1/6) c_u, on basis elements.
 
-    c_u is linear in u, so each c_u is read off the seven c_{e_i} of
-    ``cliff.w_basis()``."""
+    The so7 basis is PAIR_MASKS, so mu_O's stored values already are
+    pair-monomial coordinates.  The right sides are read in the same
+    coordinates from the g2 ``kernel`` vectors and from the seven c_{e_i} of
+    ``cliff.w_basis()`` (c_u is linear in u), one ``dot`` per monomial that
+    has a term."""
 
-    def to_clifford(coords: Sequence[Frac], basis: list[CliffordElement]) -> CliffordElement:
-        out = CliffordElement(cliff)
-        for c, x in zip(coords, basis):
-            if c.num:
-                out = out + x.scale(c)
-        return out
+    def differs(got: Sequence[Frac], terms: dict[int, list]) -> bool:
+        want = {m: dot(pairs) for m, pairs in terms.items()}
+        return {m: c for m, c in want.items() if c.num} != {
+            m: c for m, c in zip(PAIR_MASKS, got) if c.num
+        }
 
-    pair_elements, w = cliff.pair_basis(), cliff.w_basis()
-    sixth, eight_ninths, eighteenth = rat(1, 6), rat(8, 9), rat(1, 18)
+    w = cliff.w_basis()
+    minus_sixth, eight_ninths, eighteenth = rat(-1, 6), rat(8, 9), rat(1, 18)
     for i in range(1, 8):
-        # stored coefficient is mu(1, u); the identity speaks of mu(u, 1)
-        got_unit = to_clifford(mu_oct.value((1, i + 1)), pair_elements).scale(-ONE)
-        expect_unit = w[i - 1].scale(sixth)
-        if not (got_unit - expect_unit).is_zero():
+        # stored coefficient is mu(1, u) = -mu(u, 1)
+        terms = {m: [(minus_sixth, x)] for m, x in w[i - 1].coeffs.items()}
+        if differs(mu_oct.value((1, i + 1)), terms):
             return f"mu(e{i}, 1) != (1/6) c_(e{i})"
         for j in range(i + 1, 8):
-            got = to_clifford(mu_oct.value((i + 1, j + 1)), pair_elements)
-            mu_im_cliff = to_clifford(mu_im.value((i, j)), kernel)
             t, c = octs.unit_cross(i, j)
-            c_cross = w[t - 1].scale(c)
-            expect = mu_im_cliff.scale(eight_ninths) + c_cross.scale(eighteenth)
-            if not (got - expect).is_zero():
+            c = eighteenth * c
+            terms = {m: [(c, x)] for m, x in w[t - 1].coeffs.items()}
+            for a, x in zip(mu_im.value((i, j)), kernel):
+                if a.num:
+                    a = eight_ninths * a
+                    for m, y in x.coeffs.items():
+                        terms.setdefault(m, []).append((a, y))
+            if differs(mu_oct.value((i + 1, j + 1)), terms):
                 return f"mu(e{i}, e{j}) decomposition fails"
     return None
 

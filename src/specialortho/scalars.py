@@ -63,8 +63,8 @@ superalgebra scans, the moment-action table and ``wedge_rel``).
 product of the common denominators: by one int gcd and one key minimum
 when that product is a monomial, else by ``Frac(num, den)``.
 ``eliminate`` is Gauss-Jordan over Frac, so its row updates take these
-fast paths on graded matrices; ``solve_linear`` divides on a diagonal
-matrix with no zero on its diagonal, and eliminates otherwise.
+fast paths on graded matrices; ``solve_linear`` reads its solutions off
+the reduced right-hand columns.
 """
 
 from __future__ import annotations
@@ -1107,7 +1107,6 @@ def solve_linear(
     off the reduced right-hand columns.  Raises SingularMatrix when a column
     has no pivot.  With a single vector rhs returns one solution vector; with
     a list of columns returns the list of solution vectors in the same order.
-    A diagonal A with no zero on its diagonal is solved as x_i = b_i / a_ii.
     """
     n = len(matrix)
     if n == 0:
@@ -1119,13 +1118,6 @@ def solve_linear(
     for c in columns:
         if len(c) != n:
             raise SingularMatrix("right-hand side has wrong length")
-    diagonal = [matrix[i][i] for i in range(n)]
-    if all(d.num for d in diagonal) and not any(
-        c.num for i, row in enumerate(matrix) for j, c in enumerate(row) if i != j
-    ):
-        inverse = [ONE / d for d in diagonal]
-        solutions = [[b * r if b.num else ZERO for b, r in zip(c, inverse)] for c in columns]
-        return solutions[0] if single else solutions
     reduced, pivots, _, _ = eliminate(matrix, columns, square=True)
     if len(pivots) < n:
         raise SingularMatrix(f"no pivot in column {len(pivots)}")

@@ -31,8 +31,8 @@ from .family import (
     quad_family_expected,
     swap_family_witness,
 )
-from .linalg import det, mat_vec, trace_of_product
-from .octonions import Octonion, OctonionAlgebra, bilinear_B, build_algebra
+from .linalg import det, trace_of_product
+from .octonions import OctonionAlgebra, build_algebra
 from .quadlie import (
     CheckRecord,
     Covariants,
@@ -364,21 +364,18 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
     octs, cliff = ws.octs, ws.cliff
     rep, cov = ws.so7_rep, ws.cov_oct
 
-    @cache
-    def c_matrices() -> list:
-        """The spin matrices of the c_u, built once for the checks below."""
-        return [cliff.spinor_action(c) for c in cliff.w_basis()]
+    gram = octs.space_oct.gram
 
-    def acts(matrix, x: Octonion) -> Octonion:
-        return octs.from_coeffs(mat_vec(matrix, x.coeffs))
+    @cache
+    def c_columns() -> list:
+        """The spin columns of the c_u, built once for the checks below."""
+        return [cliff.spinor_action(c) for c in cliff.w_basis()]
 
     def splitting() -> Optional[str]:
         # rho(x) vanishes on the unit row and column (build_g2_rep checks it), so
-        # the g2 action table's 7x7 columns pair with the transposed c_u blocks
+        # the g2 action table's 7x7 columns pair with the c_u columns' 7x7 blocks
         kernel = ws.g2_rep.act.table
-        w_blocks = [
-            [[c[r][t] for r in range(1, 8)] for t in range(1, 8)] for c in c_matrices()
-        ]
+        w_blocks = [[col[1:] for col in c[1:]] for c in c_columns()]
         if len(kernel) != 14 or len(w_blocks) != 7:
             return f"dims {len(kernel)} + {len(w_blocks)}"
         for t, columns in enumerate(kernel, 1):
@@ -388,39 +385,37 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
         return None
 
     def omega_action() -> Optional[str]:
-        one, omega = octs.one(), cliff.spinor_action(cliff.omega())
-        if acts(omega, one) != one.scale(rat(-7)):
+        omega = cliff.spinor_action(cliff.omega())
+        if omega[0] != octs.from_term(0, rat(-7)).coeffs:
             return "rho(Omega)(1) != -7"
         for i in range(1, 8):
-            u = octs.unit(i)
-            if acts(omega, u) != u:
+            if omega[i] != octs.unit(i).coeffs:
                 return f"rho(Omega)(e{i}) != e{i}"
         return None
 
     def c_action() -> Optional[str]:
-        one = octs.one()
+        # rho(c_e_i) e_j is one term at i xor j, plus 6 B(e_i, e_j) at the
+        # unit where that Gram entry is nonzero
         two, six, minus_six = rat(2), rat(6), rat(-6)
-        for i, cu in enumerate(c_matrices(), 1):
-            u = octs.imaginary_unit(i)
-            if acts(cu, one) != u.scale(minus_six):
+        for i, cu in enumerate(c_columns(), 1):
+            if cu[0] != octs.from_term(i, minus_six).coeffs:
                 return f"rho(c_e{i})(1) != -6 e{i}"
             for j in range(1, 8):
-                v = octs.imaginary_unit(j)
                 k, c = octs.unit_cross(i, j)
-                want = octs.from_term(k, two * c) + one.scale(six * bilinear_B(u, v))
-                if acts(cu, v) != want:
+                want = octs.from_term(k, two * c).coeffs
+                if gram[i][j].num:
+                    want[0] = want[0] + six * gram[i][j]
+                if cu[j] != want:
                     return f"rho(c_e{i})(e{j}) != 2 e{i} x e{j} + 6 B(e{i},e{j})"
         return None
 
     def trace_form() -> Optional[str]:
         minus_96 = rat(-96)
-        w_mats = c_matrices()
+        w_cols = c_columns()
         for i in range(1, 8):
-            u = octs.imaginary_unit(i)
             for j in range(i, 8):
-                v = octs.imaginary_unit(j)
-                got = trace_of_product(w_mats[i - 1], w_mats[j - 1])
-                if got != minus_96 * bilinear_B(u, v):
+                got, b = trace_of_product(w_cols[i - 1], w_cols[j - 1]), gram[i][j]
+                if got != (minus_96 * b if b.num else ZERO):
                     return f"(u,v) = (e{i}, e{j})"
         return None
 

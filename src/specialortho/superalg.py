@@ -92,11 +92,10 @@ def build_tilde(cov: Covariants, name: str, force: bool = False) -> SuperAlgebra
                 row_s = {_odd_index(g_dim, r, s): c for r, c in enumerate(col) if c.num}
                 if row_s:
                     brackets[(a, _odd_index(g_dim, i, s))] = row_s
-    plane = sl2_plane_action()
-    for t, mat in enumerate(plane):
+    for t, cols in enumerate(sl2_plane_action()):
         for i in range(v_dim):
-            for s in range(2):
-                row = {_odd_index(g_dim, i, r): mat[r][s] for r in range(2) if mat[r][s].num}
+            for s, col in enumerate(cols):
+                row = {_odd_index(g_dim, i, r): c for r, c in enumerate(col) if c.num}
                 if row:
                     brackets[(g_dim + t, _odd_index(g_dim, i, s))] = row
     # the unscaled odd-odd rows at p <= q: omega(a, b) mu(v, w), which

@@ -30,7 +30,7 @@ from specialortho.family import (
     psi_family_expected,
     quad_family_expected,
 )
-from specialortho.linalg import det, mat_vec, trace_of_product
+from specialortho.linalg import det, trace_of_product
 from specialortho.octonions import bilinear_B, cross_product
 from specialortho.quadlie import (
     check_special,
@@ -48,7 +48,7 @@ from specialortho.quadlie import (
     quad_oct_expected,
     spinor_cyclic_witness,
 )
-from specialortho.scalars import ONE, ZERO, parse, rat, render
+from specialortho.scalars import ONE, ZERO, dot, parse, rat, render
 from specialortho.suites import (
     PHI_DUAL_REFERENCE,
     QUAD_IM_REFERENCE,
@@ -59,9 +59,11 @@ from specialortho.superalg import build_tilde
 from test_altmap import b_alt
 
 def apply_to_octonion(cliff, c, x):
-    """rho(c) x: the spin matrix of c applied to the octonion x."""
-    mat = cliff.spinor_action(c)
-    return cliff.octonions.from_coeffs(mat_vec(mat, x.coeffs))
+    """rho(c) x: the spin columns of c combined by the coordinates of x."""
+    cols = cliff.spinor_action(c)
+    return cliff.octonions.from_coeffs(
+        [dot((t, col[r]) for t, col in zip(x.coeffs, cols)) for r in range(8)]
+    )
 
 
 def trace_product(cliff, a, b):

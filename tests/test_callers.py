@@ -106,6 +106,14 @@ ALLOWED = {
     "octonions.associator": "library operation; oracle of unit_associator and the g2 pointwise oracles",
     "octonions.cross_product": "library operation; oracle of unit_cross and spinor_cyclic_oracle",
     "octonions.associative_form": "library operation; test_associative_form_values_and_alternation",
+    "octonions.bilinear_B": "library form B(x, y); oracle of the Gram entries that "
+    "clifford-c-action and clifford-trace-form read (test_c_of_structure_and_action)",
+    "octonions.Octonion.__eq__": "library comparison; the dense spin oracle "
+    "apply_to_octonion is compared by it (test_c_of_structure_and_action)",
+    "octonions.Octonion.scale": "library operation; used by the generic cross product",
+    "octonions.OctonionAlgebra.from_coeffs": "library constructor; the dense spin oracle "
+    "apply_to_octonion builds its result with it",
+    "octonions.OctonionAlgebra.one": "library constructor; test_omega_spin_eigenvalues",
     # brute-force references and documented library API
     "altmap.brute_compose": "oracle of compose; test_compose_matches_brute_force",
     "altmap.brute_wedge_rel": "oracle of wedge_rel; test_wedge_matches_brute_force_small",
@@ -117,9 +125,10 @@ ALLOWED = {
     "superalg.import_superalgebra": "inverse of export; test_export_import_round_trip",
     "clifford.CliffordElement.__eq__": "Clifford algebra operation; test_generator_relations",
     "clifford.CliffordElement.__mul__": "Clifford algebra operation; test_generator_relations",
+    "clifford.CliffordElement.__sub__": "super_bracket of two parts that are not both odd, "
+    "which c_of never forms; test_quantize_antisymmetrization",
     "exterior.render_multi_index": "renders a failing comparison's witness; "
     "test_first_difference_names_the_least_differing_index",
-    "linalg.trace": "test helper for trace_of_product; test_trace_and_transpose",
     # the field operations that keep Frac a field type for library callers
     "scalars.Frac.__bool__": "field operation; test_pow_and_bool",
     "scalars.Frac.__hash__": "field operation; test_canonical_form_stable",
@@ -133,11 +142,13 @@ ALLOWED = {
     "altmap._ordered_blocks": "compose for deg f != 2, item 6 (binary cubics); "
     "test_criterion_11_oracles_and_reverification",
     "linalg.rank": "stabilizers, item 2; test_rref_pivots",
-    "linalg.mat_mul": "so(V) brackets in build_so, osp(n|2), item 2; "
+    "linalg.mat_mul": "so(V) brackets in build_so, osp(n|2), item 1; "
     "test_module_records_build_osp_from_so",
-    "linalg.SubspaceCoords.__init__": "osp(n|2), item 2; test_subspace_coords_roundtrip",
-    "linalg.SubspaceCoords.express": "osp(n|2), item 2; test_subspace_coords_roundtrip",
-    "quadlie.build_so": "osp(n|2), item 2; test_module_records_build_osp_from_so",
+    "linalg.mat_vec": "SubspaceCoords.express, osp(n|2), item 1; "
+    "test_nullspace_dimension_and_membership",
+    "linalg.SubspaceCoords.__init__": "osp(n|2), item 1; test_subspace_coords_roundtrip",
+    "linalg.SubspaceCoords.express": "osp(n|2), item 1; test_subspace_coords_roundtrip",
+    "quadlie.build_so": "osp(n|2), item 1; test_module_records_build_osp_from_so",
     "quadlie.SuperAlgebra.bracket": "Killing form, item 3; test_bracket_antisymmetry_and_guards",
     "quadlie.SuperAlgebra._rows": "the Frac rows of both orders, built by the first bracket "
     "call; Killing form, item 3; test_bracket_antisymmetry_and_guards",

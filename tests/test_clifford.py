@@ -17,14 +17,16 @@ from specialortho.altmap import AltMap, wedge_rel
 from specialortho.errors import NotImaginary, ShapeMismatch, WrongDimension
 from specialortho.exterior import K
 from specialortho.octonions import bilinear_B, build_algebra, cross_product
-from specialortho.scalars import L1, L2, L3, ONE, ZERO, rat
+from specialortho.scalars import L1, L2, L3, ONE, ZERO, dot, rat
 from test_linalg import identity
 
 
 def apply_to_octonion(cliff, c, x):
-    """rho(c) x: the spin matrix of c applied to the octonion x."""
-    mat = cliff.spinor_action(c)
-    return cliff.octonions.from_coeffs(linalg.mat_vec(mat, x.coeffs))
+    """rho(c) x: the spin columns of c combined by the coordinates of x."""
+    cols = cliff.spinor_action(c)
+    return cliff.octonions.from_coeffs(
+        [dot((t, col[r]) for t, col in zip(x.coeffs, cols)) for r in range(8)]
+    )
 
 
 def generator(cliff, i):
@@ -104,8 +106,7 @@ def test_quantize_antisymmetrization(C, A):
         )
         qx, qy = C.quantize(x), C.quantize(y)
         lhs = C.quantize(wedge_rel(x, y))
-        rhs = (qx * qy - qy * qx).scale(rat(1, 2))
-        assert lhs == rhs
+        assert lhs + lhs == qx * qy - qy * qx
 
 
 def test_spin_action_is_representation(C):
@@ -113,8 +114,9 @@ def test_spin_action_is_representation(C):
     for _ in range(4):
         a = random_element(C, rng, masks=range(32))
         b = random_element(C, rng, masks=range(32))
+        # on column lists, the columns of rho(a) rho(b) are mat_mul(cols(b), cols(a))
         left = C.spinor_action(C.multiply(a, b))
-        right = linalg.mat_mul(C.spinor_action(a), C.spinor_action(b))
+        right = linalg.mat_mul(C.spinor_action(b), C.spinor_action(a))
         assert left == right
 
 

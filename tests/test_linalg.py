@@ -16,7 +16,6 @@ from specialortho.linalg import (
     nullspace,
     rank,
     rref,
-    trace,
 )
 from specialortho.scalars import (
     ALPHA,
@@ -44,6 +43,13 @@ def identity(n):
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
+
+
+def trace(m):
+    s = ZERO
+    for i, row in enumerate(m):
+        s = s + row[i]
+    return s
 
 
 def test_rref_pivots():

@@ -18,7 +18,7 @@ from specialortho import quadlie as ql
 from specialortho import suites
 from specialortho import superalg as sup
 from specialortho.suites import Workspace
-from test_linalg import transpose
+from test_linalg import trace
 from test_superalg import full_invariance_scan, jacobi_texts
 
 
@@ -68,9 +68,9 @@ def hyperbolic_space():
     return QuadraticSpace(("t1", "t2", "t3", "t4"), g, name="T4")
 
 
-def action_matrices(rep):
-    """The matrices of rho(x_a): rep.act.table[a] holds their columns."""
-    return [transpose(rows) for rows in rep.act.table]
+def action_columns(rep):
+    """The columns rho(x_a) e_k of rep.act.table[a][k], as lists to move."""
+    return [[list(col) for col in cols] for cols in rep.act.table]
 
 
 # -- Frac scans of single identities, the oracles of module_witnesses --------
@@ -210,11 +210,11 @@ def test_bracket_antisymmetry_and_guards():
             "bad",
             rep.algebra_space,
             {(1, 0): {0: ONE}},
-            action_matrices(rep),
+            action_columns(rep),
             rep.space,
         )
     with pytest.raises(ShapeMismatch):
-        ql.QuadLieRep("bad", rep.algebra_space, {}, action_matrices(rep)[:-1], rep.space)
+        ql.QuadLieRep("bad", rep.algebra_space, {}, action_columns(rep)[:-1], rep.space)
 
 
 def test_action_table_holds_rho_of_each_basis_pair():
@@ -276,10 +276,11 @@ def test_g2_structure(g2):
 def test_g2_form_is_seven_dimensional_trace(g2):
     rep, _ = g2
     third = rat(-1, 3)
-    mats = action_matrices(rep)
+    # on column lists, mat_mul gives the transposed product, of the same trace
+    cols = action_columns(rep)
     for a in range(0, 14, 5):
         for b in range(a, 14, 4):
-            tr = linalg.trace(linalg.mat_mul(mats[a], mats[b]))
+            tr = trace(linalg.mat_mul(cols[a], cols[b]))
             assert rep.algebra_space.gram[a][b] == third * tr
 
 
@@ -853,10 +854,10 @@ def moved(cov, *, action=None, bracket=None, mu=None):
     the first coordinate of mu(e_i, e_j) moved by one for the AltMap index
     mu=(i, j), 1-based."""
     rep, mu_map = cov.rep, cov.mu
-    mats, table = action_matrices(rep), dict(rep.algebra.table)
+    cols, table = action_columns(rep), dict(rep.algebra.table)
     if action is not None:
         a, k, r = action
-        mats[a][r][k] = mats[a][r][k] + ONE
+        cols[a][k][r] = cols[a][k][r] + ONE
     if bracket is not None:
         row = table[bracket]
         k = min(row)
@@ -866,7 +867,7 @@ def moved(cov, *, action=None, bracket=None, mu=None):
         value = mu_map.value(mu)
         coeffs[mu] = [value[0] + ONE] + value[1:]
         mu_map = AltMap(mu_map.domain, mu_map.codomain, 2, coeffs)
-    rep = ql.QuadLieRep(rep.name, rep.algebra_space, table, mats, rep.space)
+    rep = ql.QuadLieRep(rep.name, rep.algebra_space, table, cols, rep.space)
     return ql.Covariants(
         rep, mu_map, cov.mu_act, cov.psi, cov.quad, cov.special, cov.witness
     )
@@ -972,9 +973,9 @@ def hyperbolic_moved(step):
     covariants are those of the unmoved module."""
     rep, _ = ql.build_so(hyperbolic_space())
     cov = ql.covariants(rep)
-    mats = action_matrices(rep)
-    mats[5][3][1] = mats[5][3][1] + rat(step)
-    moved_rep = ql.QuadLieRep(rep.name, rep.algebra_space, rep.algebra.table, mats, rep.space)
+    cols = action_columns(rep)
+    cols[5][1][3] = cols[5][1][3] + rat(step)
+    moved_rep = ql.QuadLieRep(rep.name, rep.algebra_space, rep.algebra.table, cols, rep.space)
     return ql.Covariants(
         moved_rep, cov.mu, cov.mu_act, cov.psi, cov.quad, cov.special, cov.witness
     )

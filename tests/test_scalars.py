@@ -202,16 +202,20 @@ def test_diagonal_solve_divides_and_keeps_the_singular_text(monkeypatch):
     diag = [[L1, ZERO, ZERO], [ZERO, rat(-2, 3), ZERO], [ZERO, ZERO, L2 + 1]]
     cols = [[ONE, L3, ZERO], [ZERO, ZERO, ZERO], [L2, ONE / L1, L1 + L2]]
     want = [[b / diag[i][i] for i, b in enumerate(col)] for col in cols]
+    # a diagonal system takes the one elimination path, which divides each
+    # pivot row's right sides by its pivot
+    systems, eliminate = [], scalars_module.eliminate
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a diagonal system was eliminated")
+    def recorded(matrix, *args, **kwargs):
+        systems.append(matrix)
+        return eliminate(matrix, *args, **kwargs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(scalars_module, "eliminate", refuse)
+        patched.setattr(scalars_module, "eliminate", recorded)
         assert solve_linear(diag, cols) == want
         assert solve_linear(diag, cols[2]) == want[2]
-    # one off-diagonal entry takes the elimination path, to the same values
-    # where it does not reach them
+    assert systems == [diag, diag]
+    # one off-diagonal entry gives the same values where it does not reach them
     upper = [row[:] for row in diag]
     upper[0][2] = L3
     assert solve_linear(upper, cols)[1] == want[1]

@@ -9,6 +9,7 @@ import pytest
 from specialortho import altmap, clifford, linalg, octonions, quadlie, suites
 from specialortho.errors import UnknownSuite, ZeroParameter
 from specialortho.exterior import K, QuadraticSpace
+from specialortho.octonions import bilinear_B, cross_product
 from specialortho.quadlie import decompose_quad_im, decompose_quad_oct
 from specialortho.scalars import L1, L2, ONE, ZERO, parse, rat, render
 from specialortho.suites import (
@@ -22,7 +23,6 @@ from specialortho.suites import (
     run_suite,
 )
 from specialortho.superalg import build_tilde
-from test_linalg import transpose
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +346,7 @@ def test_setup_builds_each_structure_constant_once(monkeypatch):
     for name, value in vars(Workspace).items():
         if isinstance(value, cached_property):
             getattr(ws, name)
-    # the 21 so7 and 14 g2 action matrices; the moment-action tables of
+    # the columns of the 21 so7 and 14 g2 actions; the moment-action tables of
     # so7 (28 pairs), g2 (21) and the family (6), the n vectors of each pair
     # read at once from the cleared action rows, with no PairingSpec.apply;
     # the 64 table products of basis units
@@ -373,9 +373,9 @@ def test_f4_clifford_checks_share_the_c_matrices(monkeypatch):
     monkeypatch.setattr(clifford.CliffordAlgebra, "spinor_action", counted)
     ws = Workspace()
     assert run_suite("all", ws).ok
-    # set-up builds 35; clifford-splitting the 7 c_u matrices, which it pairs
-    # with the g2 action table and clifford-c-action and clifford-trace-form
-    # reuse; clifford-omega-spin the one of Omega
+    # set-up builds 35; clifford-splitting the columns of the 7 c_u, which
+    # it pairs with the g2 action table and clifford-c-action and
+    # clifford-trace-form reuse; clifford-omega-spin the one of Omega
     assert len(calls) == 43
     w = ws.cliff.w_basis()
     assert sum(any(c is u for u in w) for c in calls) == 7
@@ -520,10 +520,10 @@ def test_splitting_names_the_failing_pair():
     rep, kernel = ws._g2
     with pytest.raises(TypeError):
         rep.act.table[4][2][3] = ONE
-    matrices = [transpose(columns) for columns in rep.act.table]
-    matrices[4][3][2] = matrices[4][3][2] + ONE
+    columns = [[list(col) for col in cols] for cols in rep.act.table]
+    columns[4][2][3] = columns[4][2][3] + ONE
     moved = quadlie.QuadLieRep(
-        rep.name, rep.algebra_space, rep.algebra.table, matrices, rep.space
+        rep.name, rep.algebra_space, rep.algebra.table, columns, rep.space
     )
     assert moved.act.table[4][2][3] == rep.act.table[4][2][3] + ONE
     ws._g2 = (moved, kernel)
@@ -757,6 +757,72 @@ def test_clifford_c_action_names_the_moved_c_u():
     moved[2] = clifford.CliffordElement(cliff, {**w[2].coeffs, mask: w[2].coeffs[mask] + ONE})
     cliff._w_basis = moved
     witness = failing(run_suite("f4", ws).records)["clifford-c-action"]
-    assert witness == "rho(c_e3)(1) != -6 e3"
+    assert witness == "rho(c_e3)(1) != -6 e3" == c_action_oracle(moved)
     # the perturbed element is a new one; c_(e3) itself is unchanged
     assert w[2].coeffs == cliff.c_of(ws.octs.imaginary_unit(3)).coeffs
+
+
+def left_products(element, x):
+    """rho(element) x by generic octonion products: each monomial's highest
+    generator multiplies x first, from the left."""
+    octs = element.algebra.octonions
+    out = octs.from_coeffs([ZERO] * 8)
+    for mask, c in element.coeffs.items():
+        y = x
+        for t in reversed([t for t in range(1, 8) if mask >> (t - 1) & 1]):
+            y = octs.unit(t) * y
+        out = out + y.scale(c)
+    return out
+
+
+def c_action_oracle(w):
+    """The first failing text of clifford-c-action for the c_u list w, from
+    the dense octonion sides, sharing no code with the spin columns."""
+    octs = w[0].algebra.octonions
+    one = octs.one()
+    for i, cu in enumerate(w, 1):
+        u = octs.imaginary_unit(i)
+        if left_products(cu, one) != u.scale(rat(-6)):
+            return f"rho(c_e{i})(1) != -6 e{i}"
+        for j in range(1, 8):
+            v = octs.imaginary_unit(j)
+            want = cross_product(u, v).scale(rat(2)) + one.scale(rat(6) * bilinear_B(u, v))
+            if left_products(cu, v) != want:
+                return f"rho(c_e{i})(e{j}) != 2 e{i} x e{j} + 6 B(e{i},e{j})"
+    return None
+
+
+def test_clifford_c_action_names_a_moved_cross_term():
+    # a g2 element annihilates the unit, so c_e3 + d keeps its unit column
+    # and first moves rho(c_e3)(e1), whose closed side is 2 e3 x e1 alone
+    ws = Workspace()
+    cliff = ws.cliff
+    w = cliff.w_basis()
+    assert c_action_oracle(w) is None
+    moved = [*w[:2], w[2] + ws.g2_kernel[0], *w[3:]]
+    assert left_products(moved[2], ws.octs.one()) == left_products(w[2], ws.octs.one())
+    cliff._w_basis = moved
+    witness = failing(run_suite("f4", ws).records)["clifford-c-action"]
+    assert witness == "rho(c_e3)(e1) != 2 e3 x e1 + 6 B(e3,e1)" == c_action_oracle(moved)
+
+
+def test_clifford_c_action_names_a_moved_unit_term():
+    # e1 and e2 e4 e7 both send the unit to e1 and e1 to the unit; the
+    # combination m that annihilates the unit moves only the unit
+    # coordinate of rho(c_e1)(e1), the 6 B(e1, e1) term
+    ws = Workspace()
+    cliff, octs = ws.cliff, ws.octs
+    w = cliff.w_basis()
+    e1, e247 = 0b1, 0b1001010
+    a1, a247 = (
+        left_products(clifford.CliffordElement(cliff, {m: ONE}), octs.one()).coeffs[1]
+        for m in (e1, e247)
+    )
+    m = clifford.CliffordElement(cliff, {e1: a247, e247: -a1})
+    assert left_products(m, octs.one()).is_zero()
+    shift = left_products(m, octs.unit(1))
+    assert shift.coeffs[0].num and not any(c.num for c in shift.coeffs[1:])
+    moved = [w[0] + m, *w[1:]]
+    cliff._w_basis = moved
+    witness = failing(run_suite("f4", ws).records)["clifford-c-action"]
+    assert witness == "rho(c_e1)(e1) != 2 e1 x e1 + 6 B(e1,e1)" == c_action_oracle(moved)
