@@ -131,22 +131,23 @@ class CliffordAlgebra:
             return cached
         mask = left
         coeff = ONE
+        odd = False
         rem = right
         while rem:
             bit = rem & -rem
             rem ^= bit
             t = bit.bit_length() - 1
             above = mask >> (t + 1)
-            swaps = bin(above).count("1")
-            if swaps & 1:
-                coeff = -coeff
+            if bin(above).count("1") & 1:
+                odd = not odd
             if mask & bit:
                 # generator squares to -q_t
-                coeff = coeff * (-self.qs[t])
+                odd = not odd
+                coeff = self.qs[t] if coeff is ONE else coeff * self.qs[t]
                 mask ^= bit
             else:
                 mask |= bit
-        out = (mask, coeff)
+        out = (mask, -coeff if odd else coeff)
         self._mono_cache[(left, right)] = out
         return out
 
@@ -212,11 +213,14 @@ class CliffordAlgebra:
 
     def spinor_action(self, c: CliffordElement) -> list[Vector]:
         """The 8 columns rho(c) e_j of c acting on the octonions by iterated
-        left products, summed from the one-term columns of its monomials."""
+        left products, summed from the one-term columns of its monomials: a
+        product only where a coefficient is not the ONE, a sum only where two
+        monomials meet in one entry."""
         out = linalg.zeros(8, 8)
         for mask, coeff in c.coeffs.items():
             for col, (r, m) in zip(out, self._columns(mask)):
-                col[r] = col[r] + coeff * m
+                x = m if coeff is ONE else coeff * m
+                col[r] = col[r] + x if col[r].num else x
         return out
 
     @cached_property
@@ -228,10 +232,9 @@ class CliffordAlgebra:
         and its trace is a sum of 8 column products.
         """
         table = {}
-        for a, x in enumerate(PAIR_MASKS):
-            cx = self._columns(x)
-            for y in PAIR_MASKS[a:]:
-                cy = self._columns(y)
+        columns = [(x, self._columns(x)) for x in PAIR_MASKS]
+        for a, (x, cx) in enumerate(columns):
+            for y, cy in columns[a:]:
                 table[(x, y)] = table[(y, x)] = (
                     dot((cx[r][1], c) for r, c in cy) if cx[0][0] == cy[0][0] else ZERO
                 )

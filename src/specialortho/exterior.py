@@ -31,18 +31,20 @@ class QuadraticSpace:
             raise ShapeMismatch(f"gram matrix shape does not match dim {self.dim}")
         for i in range(self.dim):
             for j in range(i):
-                if gram[i][j] != gram[j][i]:
+                g, h = gram[i][j], gram[j][i]
+                if (g.num or h.num) and g != h:
                     raise ShapeMismatch(f"gram matrix of {self.name} is not symmetric")
         self.gram = [list(row) for row in gram]
-        if linalg.det(self.gram).is_zero():
-            raise SingularMatrix(f"gram matrix of {self.name} is singular")
-        self.is_diagonal = all(
-            self.gram[i][j].is_zero()
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j
+        self.is_diagonal = not any(
+            g.num for i, row in enumerate(self.gram) for j, g in enumerate(row) if i != j
         )
         self.diag = [self.gram[i][i] for i in range(self.dim)] if self.is_diagonal else None
+        if self.is_diagonal:
+            singular = not all(d.num for d in self.diag)
+        else:
+            singular = linalg.det(self.gram).is_zero()
+        if singular:
+            raise SingularMatrix(f"gram matrix of {self.name} is singular")
 
     def basis_vector(self, i: int) -> list[Frac]:
         v = [ZERO] * self.dim

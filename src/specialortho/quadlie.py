@@ -399,15 +399,17 @@ def moment_map(rep: QuadLieRep) -> AltMap:
     """Solve B_g(x_a, mu(e_i, e_j)) = B_V(rho(x_a) e_i, e_j) for all pairs.
 
     On a diagonal V the right side is one entry of the action column times
-    q_j; any other Gram pairs the whole column with e_j.
+    q_j, a product only where that entry is nonzero; any other Gram pairs the
+    whole column with e_j.
     """
     space, table = rep.space, rep.act.table
     indices = all_multi_indices(space.dim, 2)
     if space.is_diagonal:
-        columns = [
-            [table[a][i - 1][j - 1] * space.diag[j - 1] for a in range(rep.dim)]
-            for i, j in indices
-        ]
+        columns = []
+        for i, j in indices:
+            q = space.diag[j - 1]
+            entries = (table[a][i - 1][j - 1] for a in range(rep.dim))
+            columns.append([c * q if c.num else ZERO for c in entries])
     else:
         columns = [
             [space.pair(table[a][i - 1], space.basis_vector(j - 1)) for a in range(rep.dim)]
@@ -418,35 +420,56 @@ def moment_map(rep: QuadLieRep) -> AltMap:
     return AltMap(space, rep.algebra_space, 2, coeffs, name=f"mu[{rep.name}]")
 
 
-MomentAction = list[list[list[Vector]]]
+class MomentAction:
+    """The vectors mu(e_i, e_j) e_k of a moment map on 0-based module indices.
+
+    mu is alternating, so only i < j is stored: ``vectors[(i, j)][k]`` is
+    mu(e_i, e_j) e_k, and a pair where mu vanishes is absent.  The (j, i)
+    vectors are the stored (i, j) ones read with the sign -1, which a reader
+    applies where it compares (``signed``); no negation is stored.  The
+    vectors are shared, read only.
+    """
+
+    def __init__(self, n: int, vectors: dict[tuple[int, int], list[Vector]]):
+        self.n = n
+        self.vectors = vectors
+
+    def signed(self, i: int, j: int) -> tuple[int, Optional[list[Vector]]]:
+        """(s, vectors) with mu(e_i, e_j) e_k = s * vectors[k] for every k,
+        vectors None where mu(e_i, e_j) = 0."""
+        if i <= j:
+            return 1, self.vectors.get((i, j))
+        return -1, self.vectors.get((j, i))
+
+    def vector(self, i: int, j: int, k: int) -> Vector:
+        """mu(e_i, e_j) e_k as a new list, the sign applied."""
+        sign, vectors = self.signed(i, j)
+        if vectors is None:
+            return [ZERO] * self.n
+        return list(vectors[k]) if sign > 0 else [-c for c in vectors[k]]
 
 
 def moment_action(rep: QuadLieRep, mu: AltMap) -> MomentAction:
-    """The table ``[i][j][k]`` of mu(e_i, e_j) e_k on 0-based module indices.
+    """The MomentAction of mu: every mu(e_i, e_j) e_k, i < j.
 
-    Each vector with i < j is the action of the stored value mu(e_i, e_j),
-    read as integer terms: mu's cleared value (``AltMap.cleared``) against
-    the cleared action rows, every column rho(x_a) e_k at once, one Frac
-    per coordinate.  mu is alternating, so the (j, i) vectors are their
-    negations and the other vectors are zero.  They are shared, read only.
+    Each stored value mu(e_i, e_j) acts as integer terms: mu's cleared value
+    (``AltMap.cleared``) against the cleared action rows, every column
+    rho(x_a) e_k at once, one Frac per coordinate.
     """
     n = rep.space.dim
-    zero = [[ZERO] * n] * n
-    table = [[zero] * n for _ in range(n)]
     den, values = mu.cleared()
     # row a holds the columns k of rho(x_a) side by side, at rows k * n + r
     act = [
         [(((k * n) << ROW_SHIFT) + t, v) for k, col in enumerate(cols) for t, v in col]
         for cols in rep.act.rows
     ]
+    vectors = {}
     for (i, j), value in values.items():
         acc: dict = {}
         add_products(acc, flat_terms(((0, value),)), act)
         flat = uncleared(acc, (den, rep.act.den), n * n)
-        vectors = [flat[k * n : (k + 1) * n] for k in range(n)]
-        table[i - 1][j - 1] = vectors
-        table[j - 1][i - 1] = [[-c if c.num else c for c in v] for v in vectors]
-    return table
+        vectors[(i - 1, j - 1)] = [flat[k * n : (k + 1) * n] for k in range(n)]
+    return MomentAction(n, vectors)
 
 
 def check_special(
@@ -456,26 +479,42 @@ def check_special(
 
     Checks mu(u,v) w + mu(u,w) v = (u,v) w + (u,w) v - 2 (v,w) u over basis
     triples in lexicographic order; returns (True, None) or (False, witness).
-    ``mu_act`` is moment_action(rep, mu), built here when not given.
+    ``mu_act`` is moment_action(rep, mu), built here when not given.  With
+    mu(u,v) w = s A and mu(u,w) v = t B for the stored vectors A and B, the
+    left side is s (A + s t B), so A + s t B is compared with s times the
+    right side, read from the Gram and -2 times it, each scaled by s once:
+    a sum only where A and B meet, a negation only where B stands alone
+    and s != t.
     """
     space = rep.space
     n = space.dim
-    gram = space.gram
-    two = rat(2)
     if mu_act is None:
         mu_act = moment_action(rep, mu)
+    forms = {
+        1: (space.gram, _scaled(space.gram, rat(-2))),
+        -1: (_scaled(space.gram, rat(-1)), _scaled(space.gram, rat(2))),
+    }
+    zero = [ZERO] * n
     for i in range(n):
+        row = [mu_act.signed(i, k) for k in range(n)]
         for j in range(n):
+            s, a = row[j]
+            gram, twice = forms[s]
+            gi, tj = gram[i], twice[j]
             for k in range(j, n):
-                pairs = zip(mu_act[i][j][k], mu_act[i][k][j])
-                lhs = [p + q if q.num else p for p, q in pairs]
+                t, b = row[k]
+                pairs = zip(a[k] if a else zero, b[j] if b else zero)
+                if s == t:
+                    lhs = [(p + q if p.num else q) if q.num else p for p, q in pairs]
+                else:
+                    lhs = [(p - q if p.num else -q) if q.num else p for p, q in pairs]
                 rhs = [ZERO] * n
-                if gram[i][j].num:
-                    rhs[k] = rhs[k] + gram[i][j]
-                if gram[i][k].num:
-                    rhs[j] = rhs[j] + gram[i][k]
-                if gram[j][k].num:
-                    rhs[i] = rhs[i] - two * gram[j][k]
+                if gi[j].num:
+                    rhs[k] = gi[j]
+                if gi[k].num:
+                    rhs[j] = rhs[j] + gi[k] if rhs[j].num else gi[k]
+                if tj[k].num:
+                    rhs[i] = rhs[i] + tj[k] if rhs[i].num else tj[k]
                 if lhs != rhs:
                     witness = (
                         f"(u,v,w) = (e{i+1}, e{j+1}, e{k+1}) of {space.name}"
@@ -484,14 +523,21 @@ def check_special(
     return True, None
 
 
+def _scaled(matrix: Matrix, c: Frac) -> Matrix:
+    """c times a matrix, a product only at its nonzero entries."""
+    return [[c * x if x.num else x for x in row] for row in matrix]
+
+
 class Covariants:
     """The moment map with its derived covariants on one representation.
 
     ``mu_act`` is the moment_action table of ``mu``, read by the special
     orthogonality check, the psi shortcut and the pointwise moment witnesses.
     ``special`` and ``witness`` are the result of check_special on ``mu``.
-    ``mu_wedge_psi`` and ``mu_compose_psi`` are computed on first access and
-    shared by the Mathews and Hodge checks.
+    The products that more than one check reads, ``mu_wedge_psi``,
+    ``mu_compose_psi``, ``quad_wedge_id``, ``quad_wedge_mu`` and
+    ``quad_wedge_quad``, are computed on first access and shared by the
+    Mathews, Hodge and decomposition checks.
     """
 
     def __init__(
@@ -521,6 +567,21 @@ class Covariants:
     def mu_compose_psi(self) -> AltMap:
         """mu o psi."""
         return compose(self.mu, self.psi)
+
+    @cached_property
+    def quad_wedge_id(self) -> AltMap:
+        """Q ^ Id."""
+        return wedge_rel(self.quad, AltMap.identity(self.rep.space))
+
+    @cached_property
+    def quad_wedge_mu(self) -> AltMap:
+        """Q ^ mu."""
+        return wedge_rel(self.quad, self.mu)
+
+    @cached_property
+    def quad_wedge_quad(self) -> AltMap:
+        """Q ^ Q."""
+        return wedge_rel(self.quad, self.quad)
 
 
 def covariants(rep: QuadLieRep) -> Covariants:
@@ -635,9 +696,8 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
     A rung whose degree exceeds the dimension of the module is vacuous and
     carries no witness.  Each record is named ``prefix`` plus the rung name.
     """
-    rep, mu, psi, quad = cov.rep, cov.mu, cov.psi, cov.quad
+    rep, psi, quad = cov.rep, cov.psi, cov.quad
     space = rep.space
-    ident = AltMap.identity(space)
 
     def rung(
         name: str, statement: str, degree: int, witness: Callable[[], Optional[str]]
@@ -646,32 +706,26 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
             return vacuous_check(prefix + name, statement)
         return run_check(prefix + name, statement, witness)
 
-    def quad_quad() -> AltMap:
-        return wedge_rel(quad, quad)
-
     return [
         rung(
             "wedge-mu-psi",
             "mu ^_rho psi = -(3/2) Q ^ Id",
             5,
-            lambda: first_difference(
-                cov.mu_wedge_psi, wedge_rel(quad, ident).scale(rat(-3, 2))
-            ),
+            lambda: first_difference(cov.mu_wedge_psi, cov.quad_wedge_id.scale(rat(-3, 2))),
         ),
         rung(
             "compose-mu-psi",
             "mu o psi = 3 Q ^ mu",
             6,
-            lambda: first_difference(
-                cov.mu_compose_psi, wedge_rel(quad, mu).scale(rat(3))
-            ),
+            lambda: first_difference(cov.mu_compose_psi, cov.quad_wedge_mu.scale(rat(3))),
         ),
         rung(
             "compose-psi-psi",
             "psi o psi = -(27/2) Q ^ Q ^ Id",
             9,
             lambda: first_difference(
-                compose(psi, psi), wedge_rel(quad_quad(), ident).scale(rat(-27, 2))
+                compose(psi, psi),
+                wedge_rel(cov.quad_wedge_quad, AltMap.identity(space)).scale(rat(-27, 2)),
             ),
         ),
         rung(
@@ -679,7 +733,7 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
             "Q o psi = -54 Q ^ Q ^ Q",
             12,
             lambda: first_difference(
-                compose(quad, psi), wedge_rel(quad_quad(), quad).scale(rat(-54))
+                compose(quad, psi), wedge_rel(cov.quad_wedge_quad, quad).scale(rat(-54))
             ),
         ),
     ]
@@ -691,14 +745,16 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
 
 
 def _trace_pairing(cliff: CliffordAlgebra, x: CliffordElement, y: CliffordElement) -> Frac:
-    """Tr(rho(x) rho(y)) for degree-2 elements via the cached monomial table."""
+    """Tr(rho(x) rho(y)) for degree-2 elements via the cached monomial table,
+    a sum only where a monomial trace is nonzero."""
     table = cliff.pair_traces
-    return dot(
-        (cx * cy, table[(mx, my)])
+    pairs = [
+        (cx * cy, t)
         for mx, cx in x.coeffs.items()
         for my, cy in y.coeffs.items()
-        if table[(mx, my)].num
-    )
+        if (t := table[(mx, my)]).num
+    ]
+    return dot(pairs) if pairs else ZERO
 
 
 def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:
@@ -711,19 +767,13 @@ def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:
     table = {
         (a, b): {u: c} for (a, b), (u, c) in cliff.pair_commutators.items() if a < b
     }
-    scale = rat(-3, 8)
-    trace = cliff.pair_traces
-    gram = [
-        [scale * trace[(PAIR_MASKS[a], PAIR_MASKS[b])] for b in range(21)]
-        for a in range(21)
-    ]
+    traces = cliff.pair_traces
+    gram = _scaled([[traces[(x, y)] for y in PAIR_MASKS] for x in PAIR_MASKS], rat(-3, 8))
     labels = tuple(
         "s" + "".join(str(i) for i in _mask_to_tuple(m)) for m in PAIR_MASKS
     )
     algebra_space = QuadraticSpace(labels, gram, name="so7")
-    cols = [
-        cliff.spinor_action(CliffordElement(cliff, {m: ONE})) for m in PAIR_MASKS
-    ]
+    cols = [cliff.spinor_action(x) for x in cliff.pair_basis()]
     return QuadLieRep("so7-spin", algebra_space, table, cols, octs.space_oct)
 
 
@@ -734,17 +784,20 @@ def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordEleme
     monomials from their commutator table, ``cliff.pair_commutators``.
     linalg.nullspace gives every kernel vector 1 at its own free column, and
     0 at the other free columns and after its own, so the coordinates of a
-    bracket are its entries at the free columns, with no elimination; unless
-    they rebuild the bracket, SingularMatrix is raised.  The invariant form
-    is -(1/3) Tr of the 7-dimensional action (which equals the 8-dimensional
-    trace on the kernel); the action columns are cut from the spin columns
-    after checking the unit row and column vanish.
+    bracket are its entries at the free columns, with no elimination, and the
+    combination of kernel vectors with those coordinates has the bracket's
+    own entry at every free column; unless it rebuilds the bracket at the
+    other columns, SingularMatrix is raised.  The invariant form is -(1/3) Tr
+    of the 7-dimensional action (which equals the 8-dimensional trace on the
+    kernel); the action columns are cut from the spin columns after checking
+    the unit row and column vanish.
     """
     octs = cliff.octonions
     kernel = cliff.g2_kernel()
     mask_pos = {m: t for t, m in enumerate(PAIR_MASKS)}
     coords = [{mask_pos[m]: c for m, c in x.coeffs.items()} for x in kernel]
     free = [max(x) for x in coords]  # each vector's last nonzero column
+    free_set = set(free)
     commutators = cliff.pair_commutators
     table = {}
     for a, b in combinations(range(14), 2):
@@ -756,20 +809,26 @@ def build_g2_rep(cliff: CliffordAlgebra) -> tuple[QuadLieRep, list[CliffordEleme
                     terms.setdefault(hit[0], []).append((cs * ct, hit[1]))
         comm = {u: dot(pairs) for u, pairs in terms.items()}
         row = {k: comm[f] for k, f in enumerate(free) if f in comm and comm[f].num}
-        # the combination of kernel vectors with these coordinates, minus comm
-        residual = {u: [(-ONE, c)] for u, c in comm.items()}
+        # the combination of kernel vectors with these coordinates, at the
+        # columns that are not free
+        spanned: dict[int, list] = {}
         for k, c in row.items():
             for u, x in coords[k].items():
-                residual.setdefault(u, []).append((c, x))
-        if any(dot(pairs).num for pairs in residual.values()):
-            raise SingularMatrix("vector outside g2 kernel span")
+                if u not in free_set:
+                    spanned.setdefault(u, []).append((c, x))
+        for u in (spanned.keys() | comm.keys()) - free_set:
+            pairs = spanned.get(u)
+            if (dot(pairs) if pairs else ZERO) != comm.get(u, ZERO):
+                raise SingularMatrix("vector outside g2 kernel span")
         if row:
             table[(a, b)] = row
     third = rat(-1, 3)
     gram = [[ZERO] * 14 for _ in range(14)]
     for a in range(14):
         for b in range(a, 14):
-            gram[a][b] = gram[b][a] = third * _trace_pairing(cliff, kernel[a], kernel[b])
+            trace = _trace_pairing(cliff, kernel[a], kernel[b])
+            if trace.num:
+                gram[a][b] = gram[b][a] = third * trace
     labels = tuple(f"d{t+1}" for t in range(14))
     algebra_space = QuadraticSpace(labels, gram, name="g2")
     cols = []
@@ -862,13 +921,19 @@ def _first_failing_term(mu_act: MomentAction, coefficient: Callable) -> Optional
     in product order, at which mu(e_i, e_j) e_k, read from the moment-action
     table ``mu_act``, is not the one term coefficient(i, j, k) e_t at
     t = i xor j xor k, or None.  At t = 0, the real unit, which Im O lacks,
-    the whole vector must vanish, and ``coefficient`` is not called."""
-    for i, j, k in product(range(1, 8), repeat=3):
-        got, t = mu_act[i - 1][j - 1][k - 1], i ^ j ^ k
-        if any(x.num for s, x in enumerate(got, 1) if s != t) or (
-            t and got[t - 1] != coefficient(i, j, k)
-        ):
-            return f"(u,v,w) = (e{i}, e{j}, e{k})"
+    the whole vector must vanish, and ``coefficient`` is not called.  A
+    vector read with the sign -1 is compared with the negated coefficient."""
+    zero = [ZERO] * 7
+    for i, j in product(range(1, 8), repeat=2):
+        sign, vectors = mu_act.signed(i - 1, j - 1)
+        for k in range(1, 8):
+            got, t = vectors[k - 1] if vectors else zero, i ^ j ^ k
+            if any(x.num for s, x in enumerate(got, 1) if s != t):
+                return f"(u,v,w) = (e{i}, e{j}, e{k})"
+            if t:
+                want = coefficient(i, j, k)
+                if got[t - 1] != (want if sign > 0 else -want):
+                    return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
 
 

@@ -71,9 +71,11 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 from .errors import (
     DenominatorVanishes,
@@ -120,10 +122,16 @@ def _key_divides(kd: int, kn: int) -> bool:
 
 
 def _key_min(k1: int, k2: int) -> int:
-    out = 0
-    for sh in (0, 16, 32, 48):
-        out |= min((k1 >> sh) & _MASK, (k2 >> sh) & _MASK) << sh
-    return out
+    # the per-slot minimum, each slot compared in place: masking the same
+    # slot of both keys orders them as that slot's exponents
+    a, b = k1 & 0xFFFF, k2 & 0xFFFF
+    out = a if a < b else b
+    a, b = k1 & 0xFFFF0000, k2 & 0xFFFF0000
+    out |= a if a < b else b
+    a, b = k1 & 0xFFFF00000000, k2 & 0xFFFF00000000
+    out |= a if a < b else b
+    a, b = k1 & 0xFFFF000000000000, k2 & 0xFFFF000000000000
+    return out | (a if a < b else b)
 
 
 def _p_max_exponent(p: dict) -> int:
@@ -407,10 +415,10 @@ class Frac:
                 den = _p_neg(den)
             self.num, self.den = num, den
 
-    @classmethod
-    def _raw(cls, num: dict, den: dict) -> "Frac":
+    @staticmethod
+    def _raw(num: dict, den: dict) -> "Frac":
         """Skip normalization; caller guarantees the pair is already canonical."""
-        self = object.__new__(cls)
+        self = object.__new__(Frac)
         self.num, self.den = num, den
         return self
 
@@ -445,6 +453,8 @@ class Frac:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ParseError(f"not a constant: {self.render()}")
+        from fractions import Fraction
+
         return Fraction(self.num.get(0, 0), self.den[0])
 
     def __bool__(self) -> bool:
@@ -609,13 +619,15 @@ class Frac:
 
         Raises DenominatorVanishes if the denominator becomes identically zero.
         """
+        if not bindings:
+            return self
+        from fractions import Fraction
+
         subs: dict[int, Fraction] = {}
         for name, value in bindings.items():
             if name not in _VAR_INDEX:
                 raise ParseError(f"unknown variable {name!r}")
             subs[_VAR_INDEX[name]] = Fraction(value)
-        if not subs:
-            return self
         dp, dd = _p_substitute(self.den, subs)
         if not dp:
             raise DenominatorVanishes(
@@ -642,6 +654,8 @@ class Frac:
 
 def _p_substitute(p: dict, subs: dict[int, Fraction]) -> tuple[dict, int]:
     """Evaluate; returns (integer polynomial, positive integer denominator)."""
+    from fractions import Fraction
+
     acc: dict[int, Fraction] = {}
     for key, c in p.items():
         val = Fraction(c)
@@ -674,10 +688,14 @@ def _monomial_sum(parts: list[tuple[dict, dict, int, int]]) -> Frac:
 
     The terms go over one common denominator, the ``_monomial_lcm`` of the
     e * x^j; the numerator sum is reduced once, by its gcd with that
-    monomial: an int gcd and a key minimum.
+    monomial: an int gcd and a key minimum.  One part is its own common
+    denominator, and its product of nonzero numerators cannot cancel.
     """
     if not parts:
         return ZERO
+    if len(parts) == 1:
+        [(n1, n2, j, e)] = parts
+        return _over_monomial(_p_mul(n1, n2), j, e)
     lk, lc = _monomial_lcm((j, e) for _, _, j, e in parts)
     total: dict = {}
     get = total.get
@@ -716,6 +734,13 @@ def _monomial_lcm(monomials: Iterable[tuple[int, int]]) -> tuple[int, int]:
 def _over_monomial(num: dict, lk: int, lc: int) -> Frac:
     """The reduced fraction num / (lc * x^lk) for a nonzero num and lc > 0:
     one int gcd and one key minimum."""
+    if len(num) == 1:
+        [(k, c)] = num.items()
+        g = _int_gcd(c, lc)
+        if k and lk:
+            m = _key_min(k, lk)
+            k, lk = k - m, lk - m
+        return Frac._raw({k: c // g}, _P_ONE if not lk and lc == g else {lk: lc // g})
     m, g = _p_monomial_gcd(num, lk, lc)
     if m or g != 1:
         num = {k - m: c // g for k, c in num.items()}
@@ -740,10 +765,15 @@ def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
     one when L is) is scaled by one int multiply and one key sum per term;
     an entry over L itself keeps its numerator.
     """
+    # each entry's denominator key is made once, in the order of the rows
     dens = {}
+    keys = []
     for row in rows.values():
         for c in row.values():
-            dens.setdefault(tuple(c.den.items()), c.den)
+            key = tuple(c.den.items())
+            if key not in dens:
+                dens[key] = c.den
+            keys.append(key)
     if all(len(d) == 1 for d in dens.values()):
         lk, lc = _monomial_lcm(d for (d,) in dens)
         den = {lk: lc}
@@ -753,15 +783,17 @@ def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
         for d in dens.values():
             den = _p_lcm(den, d)
         scale = {t: _p_divexact(den, d) for t, d in dens.items()}
+    factors = map(scale.__getitem__, keys)
     cleared = {}
     for r, row in rows.items():
         terms = []
         for i, c in row.items():
-            q = scale[tuple(c.den.items())]
+            q = next(factors)
             if len(q) == 1:
                 [(sk, sc)] = q.items()
                 sk += i << ROW_SHIFT
-                terms += [(k + sk, v * sc) for k, v in c.num.items()]
+                for k, v in c.num.items():
+                    terms.append((k + sk, v * sc))
             else:
                 terms += [((i << ROW_SHIFT) + k, v) for k, v in _p_mul(c.num, q).items()]
         cleared[r] = tuple(terms)
@@ -812,11 +844,12 @@ def uncleared(terms: Mapping[int, int], dens: Sequence[dict], dim: int) -> list[
     den = _P_ONE
     for d in dens:
         den = _p_mul(den, d)
-    for i, num in nums.items():
-        if len(den) == 1:
-            [(lk, lc)] = den.items()
+    if len(den) == 1:
+        [(lk, lc)] = den.items()
+        for i, num in nums.items():
             out[i] = _over_monomial(num, lk, lc)
-        else:
+    else:
+        for i, num in nums.items():
             out[i] = Frac(num, den)
     return out
 
@@ -825,7 +858,8 @@ def dot(pairs: Iterable[tuple[Frac, Frac]]) -> Frac:
     """The sum of a * b over the pairs, normalized once (see Fast paths).
 
     Zero operands are skipped, and a sum that cancels builds no Frac.
-    Products with a denominator that is not a monomial are added with ``+``.
+    Products with a denominator that is not a monomial are added with ``+``,
+    which is called only when both sides can be nonzero.
     """
     parts = []
     rest = ZERO
@@ -834,12 +868,14 @@ def dot(pairs: Iterable[tuple[Frac, Frac]]) -> Frac:
             continue
         d1, d2 = a.den, b.den
         if len(d1) != 1 or len(d2) != 1:
-            rest = rest + a * b
+            rest = rest + a * b if rest.num else a * b
             continue
         [(j1, e1)] = d1.items()
         [(j2, e2)] = d2.items()
         parts.append((a.num, b.num, j1 + j2, e1 * e2))
-    return rest + _monomial_sum(parts)
+    if not parts:
+        return rest
+    return rest + _monomial_sum(parts) if rest.num else _monomial_sum(parts)
 
 
 def var(name: str) -> Frac:
@@ -852,8 +888,16 @@ L1, L2, L3, ALPHA = (var(n) for n in VARS)
 
 
 def rat(p: int, q: int = 1) -> Frac:
-    """Shorthand for the rational constant p/q."""
-    return Frac.from_fraction(Fraction(p, q))
+    """The rational constant p/q, reduced by one integer gcd; ZeroDivisionError
+    at q = 0."""
+    if not q:
+        raise ZeroDivisionError(f"rat({p}, 0)")
+    if not p:
+        return ZERO
+    g = _int_gcd(p, q)
+    if q < 0:
+        g = -g
+    return Frac._raw({0: p // g}, {0: q // g})
 
 
 # ---------------------------------------------------------------------------

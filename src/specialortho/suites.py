@@ -120,7 +120,8 @@ class Workspace:
     Everything downstream of the octonion algebra is built at most once per
     workspace; suites that share objects (the two octonion representations,
     their covariants) therefore agree on space identities, which the
-    alternating-map layer requires.
+    alternating-map layer requires.  ``phi_wedge_quad`` is a method, not a
+    stage: the checks that read it build it, on first call.
     """
 
     def __init__(
@@ -136,6 +137,7 @@ class Workspace:
         self.l3 = L3 if l3 is None else l3
         self.alpha = ALPHA if alpha is None else alpha
         self.beta = (rat(-1) - self.alpha) if beta is None else beta
+        self._phi_wedge_quad: Optional[tuple[Covariants, AltMap]] = None
 
     def parameters(self) -> dict[str, str]:
         return {
@@ -186,6 +188,14 @@ class Workspace:
     def cov_family(self) -> Covariants:
         return covariants(self.family_rep)
 
+    def phi_wedge_quad(self) -> AltMap:
+        """phi ^ Q on the seven-dimensional module, computed once for each
+        ``cov_im`` the workspace holds."""
+        cov = self.cov_im
+        if self._phi_wedge_quad is None or self._phi_wedge_quad[0] is not cov:
+            self._phi_wedge_quad = (cov, wedge_rel(self.octs.phi, cov.quad))
+        return self._phi_wedge_quad[1]
+
 
 # the superalgebras g + sl2 + V (x) k^2 of the reports and of ``export``:
 # export key -> (the covariants of V in a workspace, label, dimension)
@@ -215,7 +225,7 @@ def _psi_shortcut_witness(cov: Covariants) -> Optional[str]:
         i, j, k = (t - 1 for t in index)
         want[index] = [
             three * (x - y)
-            for x, y in zip(cov.mu_act[i][j][k], mu_can_value(space, i, j, k))
+            for x, y in zip(cov.mu_act.vector(i, j, k), mu_can_value(space, i, j, k))
         ]
     return first_difference(cov.psi, AltMap(space, space, 3, want))
 
@@ -593,7 +603,7 @@ def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
         run_check(
             "mathews-im-wedge-zero",
             "Q ^ mu = 0 on the seven-dimensional module",
-            lambda: _vanishing_witness(wedge_rel(cov.quad, cov.mu)),
+            lambda: _vanishing_witness(cov.quad_wedge_mu),
         ),
     ]
 
@@ -705,13 +715,13 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
     rep, cov, octs = ws.g2_rep, ws.cov_im, ws.octs
     im = rep.space
     ident = AltMap.identity(im)
-    vol = cache(lambda: wedge_rel(octs.phi, cov.quad))
+    vol = ws.phi_wedge_quad
     star_cross = dual(octs.cross, vol)
     add(
         "hodge-im-cross-quad-id",
         "star(cross) = c (Q ^ Id) on the seven-dimensional module",
         star_cross,
-        lambda: wedge_rel(cov.quad, ident),
+        lambda: cov.quad_wedge_id,
         "147/8",
     )
     add(
@@ -745,15 +755,17 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
 
     # eight-dimensional module: volume Q ^ Q
     rep8, cov8 = ws.so7_rep, ws.cov_oct
-    oc = rep8.space
-    ident8 = AltMap.identity(oc)
-    vol8 = cache(lambda: wedge_rel(cov8.quad, cov8.quad))
+    ident8 = AltMap.identity(rep8.space)
+
+    def vol8() -> AltMap:
+        return cov8.quad_wedge_quad
+
     star_psi8, star_mu8 = dual(cov8.psi, vol8), dual(cov8.mu, vol8)
     add(
         "hodge-oct-psi-quad-id",
         "star(psi) = c (Q ^ Id) on the eight-dimensional module",
         star_psi8,
-        lambda: wedge_rel(cov8.quad, ident8),
+        lambda: cov8.quad_wedge_id,
         "-56",
     )
     add(
@@ -767,7 +779,7 @@ def hodge_rows(ws: Workspace) -> list[HodgeRow]:
         "hodge-oct-mu-quad-mu",
         "star(mu) = c (Q ^ mu) on the eight-dimensional module",
         star_mu8,
-        lambda: wedge_rel(cov8.quad, cov8.mu),
+        lambda: cov8.quad_wedge_mu,
         "-56",
     )
     add(
@@ -887,8 +899,8 @@ def _decomposition_witness(ws, terms, reference) -> Optional[str]:
 def _suite_decompositions(ws: Workspace) -> list[CheckRecord]:
     octs = ws.octs
 
-    def top(f: AltMap, g: AltMap, coeff_text: str) -> Outcome:
-        got = volume_constant(wedge_rel(f, g))
+    def top(volume: AltMap, coeff_text: str) -> Outcome:
+        got = volume_constant(volume)
         want = parse(coeff_text).substitute(_lambda_bindings(ws))
         return (None if got == want else f"got {render(got)}"), render(got)
 
@@ -917,12 +929,12 @@ def _suite_decompositions(ws: Workspace) -> list[CheckRecord]:
         run_check(
             "dec-top-phi-quad",
             "phi ^ Q (e1,...,e7) = -42 l1^2 l2^2 l3^2",
-            lambda: top(octs.phi, ws.cov_im.quad, "-42*l1^2*l2^2*l3^2"),
+            lambda: top(ws.phi_wedge_quad(), "-42*l1^2*l2^2*l3^2"),
         ),
         run_check(
             "dec-top-quad-quad",
             "Q ^ Q (e1,...,e8) = -224 l1^2 l2^2 l3^2",
-            lambda: top(ws.cov_oct.quad, ws.cov_oct.quad, "-224*l1^2*l2^2*l3^2"),
+            lambda: top(ws.cov_oct.quad_wedge_quad, "-224*l1^2*l2^2*l3^2"),
         ),
     ]
 

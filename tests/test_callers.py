@@ -134,6 +134,8 @@ ALLOWED = {
     "scalars.Frac.__hash__": "field operation; test_canonical_form_stable",
     "scalars.Frac.__rsub__": "field operation; test_fast_paths_give_the_canonical_form",
     "scalars.Frac.__rtruediv__": "field operation for int / Frac",
+    "scalars.Frac.from_fraction": "constructor from a fractions.Fraction, which the "
+    "library no longer imports on its own; oracle of rat (test_rat_matches_the_fraction_oracle)",
     "scalars.Frac._coerce": "int operands of the field operations; "
     "test_apply_and_wedge_match_pairwise_folds",
     "scalars._p_add": "sums of fractions with non-monomial denominators, which no command "

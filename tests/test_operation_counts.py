@@ -1,29 +1,64 @@
-"""Upper bounds on the field operations of one symbolic ``verify all``.
+"""Upper bounds on the field operations of one symbolic ``verify all`` and of
+the set-up before it.
 
 Counts are deterministic where times are not.  One ``run_suite("all",
-Workspace())`` runs under cProfile, and the calls of ``Frac.__mul__``,
-``__add__``, ``__sub__`` and ``_sum``, of ``scalars._monomial_sum``,
-``scalars.dot``, the polynomial gcd ``scalars._p_gcd`` and the integer
-product kernel ``scalars.add_products`` must stay at or below ``BOUNDS``, the
-counts measured when the bounds were set.  A change that needs more raises the bound and says why.
+Workspace())`` runs under cProfile, and so, apart from any check, do the
+eight set-up stages of a fresh symbolic ``Workspace``, its cached
+properties, built as ``perfbench/setup_probe.py`` builds them, so that a
+set-up regression shows on its own.  The calls of ``Frac.__mul__``,
+``__add__``, ``__sub__``, ``__neg__``, ``__eq__`` and ``_sum``, of
+``scalars._monomial_sum``, ``scalars.dot``, the polynomial gcd
+``scalars._p_gcd`` and the integer product kernel ``scalars.add_products``
+must stay at or below the bounds, the counts measured when the bounds were
+set.  A change that needs more raises the bound and says why.
 """
 
 import cProfile
 import pstats
+from functools import cached_property
 
 from specialortho import scalars
 from specialortho.suites import Workspace, run_suite
 
 BOUNDS = {
-    scalars.Frac.__mul__: 10_789,
-    scalars.Frac.__add__: 3_165,
-    scalars.Frac.__sub__: 1_609,
+    scalars.Frac.__mul__: 8_988,
+    scalars.Frac.__add__: 1_458,
+    scalars.Frac.__sub__: 1_576,
+    scalars.Frac.__neg__: 2_925,
+    scalars.Frac.__eq__: 2_520,
     scalars.Frac._sum: 1_782,
-    scalars._monomial_sum: 1_090,
-    scalars.dot: 1_075,
+    scalars._monomial_sum: 584,
+    scalars.dot: 883,
     scalars._p_gcd: 51,
-    scalars.add_products: 5_356,
+    scalars.add_products: 5_293,
 }
+
+SETUP_BOUNDS = {
+    scalars.Frac.__mul__: 1_121,
+    scalars.Frac.__add__: 533,
+    scalars.Frac.__sub__: 137,
+    scalars.Frac.__neg__: 327,
+    scalars.Frac.__eq__: 421,
+    scalars.Frac._sum: 656,
+    scalars._monomial_sum: 335,
+    scalars.dot: 351,
+    scalars._p_gcd: 12,
+    scalars.add_products: 212,
+}
+
+
+def calls_over(profile: cProfile.Profile, bounds: dict) -> dict:
+    """{name: (calls, bound)} for every function called more than its bound."""
+    stats = pstats.Stats(profile).stats
+    over = {}
+    for fn, bound in bounds.items():
+        code = fn.__code__
+        # (primitive calls, all calls, ...) under (file, first line, name)
+        calls = stats[code.co_filename, code.co_firstlineno, code.co_name][1]
+        assert calls, fn.__qualname__
+        if calls > bound:
+            over[fn.__qualname__] = (calls, bound)
+    return over
 
 
 def test_symbolic_verify_all_stays_within_the_operation_bounds():
@@ -32,13 +67,17 @@ def test_symbolic_verify_all_stays_within_the_operation_bounds():
     report = run_suite("all", Workspace())
     profile.disable()
     assert report.ok
-    stats = pstats.Stats(profile).stats
-    over = {}
-    for fn, bound in BOUNDS.items():
-        code = fn.__code__
-        # (primitive calls, all calls, ...) under (file, first line, name)
-        calls = stats[code.co_filename, code.co_firstlineno, code.co_name][1]
-        assert calls, fn.__qualname__
-        if calls > bound:
-            over[fn.__qualname__] = (calls, bound)
-    assert over == {}, "(calls, bound) above the bound"
+    assert calls_over(profile, BOUNDS) == {}, "(calls, bound) above the bound"
+
+
+def test_symbolic_workspace_setup_stays_within_the_operation_bounds():
+    ws = Workspace()
+    stages = [name for name, v in vars(Workspace).items() if isinstance(v, cached_property)]
+    assert len(stages) == 8
+    profile = cProfile.Profile()
+    profile.enable()
+    for name in stages:
+        getattr(ws, name)
+    profile.disable()
+    assert ws.cov_im.special and ws.cov_oct.special and ws.cov_family.special
+    assert calls_over(profile, SETUP_BOUNDS) == {}, "(calls, bound) above the bound"

@@ -435,7 +435,7 @@ def mu_im_pointwise_oracle(octs, mu_act):
                 expect = (
                     commutator(w, uv) + associator(e(i), e(j), w).scale(three)
                 ).scale(minus_quarter)
-                if mu_act[i - 1][j - 1][k - 1] != expect.imaginary_coeffs():
+                if mu_act.vector(i - 1, j - 1, k - 1) != expect.imaginary_coeffs():
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
 
@@ -458,7 +458,7 @@ def mu_im_canonical_split_oracle(octs, mu_act):
                     three_halves * c + e
                     for c, e in zip(canonical, expect_oct.imaginary_coeffs())
                 ]
-                if mu_act[i - 1][j - 1][k - 1] != expect:
+                if mu_act.vector(i - 1, j - 1, k - 1) != expect:
                     return f"(u,v,w) = (e{i}, e{j}, e{k})"
     return None
 
@@ -487,12 +487,17 @@ def spinor_cyclic_oracle(octs, mu):
 
 
 def moved_mu_act(mu_act, i, j, k):
-    """A copy of a moment_action table with the first coordinate of
-    mu(e_i, e_j) e_k moved by one, 0-based.  The table shares its zero
-    vectors between entries, so every vector is copied."""
-    table = [[[list(v) for v in row] for row in plane] for plane in mu_act]
-    table[i][j][k][0] = table[i][j][k][0] + ONE
-    return table
+    """A copy of a MomentAction with the first coordinate of mu(e_i, e_j) e_k
+    moved by one, 0-based.  At i > j the stored (j, i) vector moves by -1, as
+    mu(e_i, e_j) is read from it with the sign -1; at i = j a vector is
+    stored, which the table holds only when moved.  Every vector is copied,
+    so the copied table stays as it was."""
+    n = mu_act.n
+    vectors = {key: [list(v) for v in vs] for key, vs in mu_act.vectors.items()}
+    key, step = ((i, j), ONE) if i <= j else ((j, i), -ONE)
+    stored = vectors.setdefault(key, [[ZERO] * n for _ in range(n)])
+    stored[k][0] = stored[k][0] + step
+    return ql.MomentAction(n, vectors)
 
 
 def test_g2_moment_records_name_the_oracle_triple():
@@ -504,13 +509,15 @@ def test_g2_moment_records_name_the_oracle_triple():
     ):
         assert record(octs, mu_act) is None
         # the records compare one coefficient at t = i xor j xor k and check
-        # that the rest vanish: a diagonal entry, whose vector the table
-        # shares, and an off-diagonal one, both moved at e_t = e1; one moved
-        # at e1 where t = 7; and one at k = i xor j, where t = 0 and the whole
-        # vector must vanish
+        # that the rest vanish: a diagonal entry, which the table stores only
+        # when moved, and an off-diagonal one, both moved at e_t = e1; one
+        # moved through its (j, i) read, which the (i, j) triple meets first;
+        # one moved at e1 where t = 7; and one at k = i xor j, where t = 0
+        # and the whole vector must vanish
         for where, witness in (
             ((2, 2, 0), "(u,v,w) = (e3, e3, e1)"),
             ((3, 5, 2), "(u,v,w) = (e4, e6, e3)"),
+            ((5, 3, 2), "(u,v,w) = (e4, e6, e3)"),
             ((0, 1, 3), "(u,v,w) = (e1, e2, e4)"),
             ((0, 1, 2), "(u,v,w) = (e1, e2, e3)"),
         ):
@@ -518,6 +525,90 @@ def test_g2_moment_records_name_the_oracle_triple():
             assert record(octs, moved_act) == oracle(octs, moved_act) == witness
         # the Workspace table is untouched
         assert record(octs, mu_act) is None
+
+
+class DenseMomentTable:
+    """Every mu(e_i, e_j) e_k stored as its own vector, by evaluate and the
+    action's field evaluation, the (j, i) vectors as computed: the table the
+    readers of a MomentAction replaced, here the oracle of their signs."""
+
+    def __init__(self, rep, mu):
+        space = rep.space
+        basis = [space.basis_vector(k) for k in range(space.dim)]
+        self.table = [
+            [[rep.act.apply(mu.evaluate([u, v]), w) for w in basis] for v in basis]
+            for u in basis
+        ]
+
+    def vector(self, i, j, k):
+        return self.table[i][j][k]
+
+
+def check_special_oracle(rep, table):
+    """mu(u,v) w + mu(u,w) v against (u,v) w + (u,w) v - 2 (v,w) u as whole
+    vectors over a DenseMomentTable, in lexicographic order: the first
+    failing triple, or None."""
+    space = rep.space
+    n, gram = space.dim, space.gram
+    for i, j in product(range(n), repeat=2):
+        for k in range(j, n):
+            lhs = [p + q for p, q in zip(table.vector(i, j, k), table.vector(i, k, j))]
+            rhs = [ZERO] * n
+            rhs[k] = rhs[k] + gram[i][j]
+            rhs[j] = rhs[j] + gram[i][k]
+            rhs[i] = rhs[i] - rat(2) * gram[j][k]
+            if lhs != rhs:
+                return f"(u,v,w) = (e{i+1}, e{j+1}, e{k+1}) of {space.name}"
+    return None
+
+
+def moved_map(f, index):
+    """f with the first coordinate of its value at index moved by one."""
+    value = f.value(index)
+    return AltMap(f.domain, f.codomain, f.degree, {**f.coeffs, index: [value[0] + ONE] + value[1:]})
+
+
+@pytest.mark.parametrize(
+    "covariants, index, witness",
+    [
+        ("cov_im", (3, 6), "(u,v,w) = (e3, e1, e6) of ImO"),
+        ("cov_im", (2, 5), "(u,v,w) = (e2, e1, e5) of ImO"),
+        ("cov_im", (1, 7), "(u,v,w) = (e1, e1, e7) of ImO"),
+        ("cov_oct", (2, 5), "(u,v,w) = (e2, e1, e5) of O"),
+        ("cov_family", (2, 4), "(u,v,w) = (e2, e1, e4) of VxW"),
+    ],
+)
+def test_a_moved_moment_map_keeps_the_dense_witnesses(monkeypatch, covariants, index, witness):
+    # covariants() rebuilds on a fresh Workspace with one coefficient of mu
+    # moved; where the first failing triple reads mu(e_j, e_i), j > i, from
+    # the stored (i, j) vector with the sign -1, check_special and the g2
+    # pointwise records name the triples of the whole-vector loops over a
+    # dense table
+    real = ql.moment_map
+    monkeypatch.setattr(ql, "moment_map", lambda rep: moved_map(real(rep), index))
+    ws = Workspace()
+    cov = getattr(ws, covariants)
+    dense = DenseMomentTable(cov.rep, cov.mu)
+    assert not cov.special
+    assert cov.witness == check_special_oracle(cov.rep, dense) == witness
+    assert ql.check_special(cov.rep, cov.mu) == (False, witness)
+    if covariants == "cov_im":
+        for record, oracle in (
+            (ql.mu_im_pointwise_witness, mu_im_pointwise_oracle),
+            (ql.mu_im_canonical_split_witness, mu_im_canonical_split_oracle),
+        ):
+            assert record(ws.octs, cov.mu_act) == oracle(ws.octs, dense) is not None
+    # nothing moved reached a shared cache: a fresh Workspace on the real
+    # moment map holds the special mu and the table of the dense oracle
+    monkeypatch.setattr(ql, "moment_map", real)
+    clean = getattr(Workspace(), covariants)
+    assert clean.special and clean.witness is None
+    dense = DenseMomentTable(clean.rep, clean.mu)
+    n = clean.rep.space.dim
+    assert all(
+        clean.mu_act.vector(i, j, k) == dense.vector(i, j, k)
+        for i, j, k in product(range(n), repeat=3)
+    )
 
 
 def test_canonical_split_refuses_a_gram_that_is_not_diagonal():
@@ -563,7 +654,9 @@ def covariant_oracles(rep, mu):
         i, j, k = (t - 1 for t in index)
         psi[index] = [
             a + b + c
-            for a, b, c in zip(mu_act[i][j][k], mu_act[k][i][j], mu_act[j][k][i])
+            for a, b, c in zip(
+                mu_act.vector(i, j, k), mu_act.vector(k, i, j), mu_act.vector(j, k, i)
+            )
         ]
     psi = AltMap(space, space, 3, psi)
     basis = [space.basis_vector(k) for k in range(n)]
@@ -815,7 +908,7 @@ def test_moment_action_matches_evaluate_then_act(weights):
         basis = [space.basis_vector(k) for k in range(space.dim)]
         for i, j, k in product(range(space.dim), repeat=3):
             want = rep.act.apply(cov.mu.evaluate([basis[i], basis[j]]), basis[k])
-            assert cov.mu_act[i][j][k] == want
+            assert cov.mu_act.vector(i, j, k) == want
         # a table built apart from the covariants gives the same verdict
         assert ql.check_special(rep, cov.mu) == (cov.special, cov.witness)
     rep, mu_can = ql.build_so(small_space())

@@ -50,6 +50,26 @@ def test_rational_constants():
     assert rat(3, -6) == rat(-1, 2)
 
 
+_signed_ints = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@given(_signed_ints, _signed_ints)
+@example(0, -7)
+@example(6, -4)
+@example(-5, 1)
+@settings(max_examples=300, deadline=None)
+def test_rat_matches_the_fraction_oracle(p, q):
+    # rat reduces by one integer gcd; Frac.from_fraction reads a Fraction
+    if q == 0:
+        with pytest.raises(ZeroDivisionError):
+            rat(p, q)
+        return
+    got, want = rat(p, q), Frac.from_fraction(Fraction(p, q))
+    assert (got.num, got.den) == (want.num, want.den)
+    if p == 0:
+        assert got is ZERO
+
+
 def test_cancellation_to_one():
     assert L1 / L1 == ONE
     assert (L1 * L2 * L3) / (L3 * L2 * L1) == ONE
@@ -612,7 +632,7 @@ def test_library_exponents_stay_small(monkeypatch):
     from specialortho import altmap, quadlie
     from specialortho.suites import run_suite
 
-    mul, init, raw = scalars_module._p_mul, Frac.__init__, Frac._raw.__func__
+    mul, init, raw = scalars_module._p_mul, Frac.__init__, Frac._raw
 
     def checked_mul(a, b):
         assert _p_max_exponent(a) + _p_max_exponent(b) <= 65535
@@ -625,8 +645,8 @@ def test_library_exponents_stay_small(monkeypatch):
         init(self, num, den)
         check(self)
 
-    def checked_raw(cls, num, den):
-        out = raw(cls, num, den)
+    def checked_raw(num, den):
+        out = raw(num, den)
         check(out)
         return out
 
@@ -667,7 +687,7 @@ def test_library_exponents_stay_small(monkeypatch):
     key_mask = (1 << scalars_module.ROW_SHIFT) - 1
     monkeypatch.setattr(scalars_module, "_p_mul", checked_mul)
     monkeypatch.setattr(Frac, "__init__", checked_init)
-    monkeypatch.setattr(Frac, "_raw", classmethod(checked_raw))
+    monkeypatch.setattr(Frac, "_raw", staticmethod(checked_raw))
     monkeypatch.setattr(quadlie, "clear_denominators", checked_clear(calls))
     monkeypatch.setattr(altmap, "clear_denominators", checked_clear(kernel_calls))
     monkeypatch.setattr(quadlie, "add_products", checked_products)
