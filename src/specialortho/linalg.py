@@ -1,17 +1,15 @@
 """Dense exact linear algebra over the scalar field.
 
-Matrix arithmetic, and the reduced row echelon form, rank, nullspace,
-determinant and subspace coordinates built on scalars.eliminate, the
-Gauss-Jordan elimination in the field that scalars.solve_linear also uses:
-rref reads its reduced rows, det multiplies its pivots.  Matrices are plain
-lists of lists of Frac.
+The trace of a product, and the reduced row echelon form, rank, nullspace
+and determinant built on scalars.eliminate, the Gauss-Jordan elimination in
+the field that scalars.solve_linear also uses: rref reads its reduced rows,
+det multiplies its pivots.  Matrices are plain lists of lists of Frac.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import SingularMatrix
 from .scalars import Frac, ONE, ZERO, dot, eliminate
 
 Matrix = list[list[Frac]]
@@ -20,15 +18,6 @@ Vector = list[Frac]
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
-
-
-def mat_vec(m: Sequence[Sequence[Frac]], v: Sequence[Frac]) -> Vector:
-    return [dot(zip(row, v)) for row in m]
-
-
-def mat_mul(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -> Matrix:
-    columns = list(zip(*b))
-    return [[dot(zip(row, col)) for col in columns] for row in a]
 
 
 def trace_of_product(a: Sequence[Sequence[Frac]], b: Sequence[Sequence[Frac]]) -> Frac:
@@ -75,37 +64,3 @@ def det(matrix: Sequence[Sequence[Frac]]) -> Frac:
     for v in values:
         d = d * v
     return d
-
-
-class SubspaceCoords:
-    """Coordinates with respect to a fixed independent list of vectors.
-
-    Precomputes a transform T with T*A in reduced echelon form, where the
-    columns of A are the basis vectors; express() is then one matrix-vector
-    product plus a consistency check that the input lies in the span.
-    """
-
-    def __init__(self, basis: Sequence[Sequence[Frac]], label: str = ""):
-        if not basis:
-            raise SingularMatrix("empty basis")
-        self.k = len(basis)
-        self.n = len(basis[0])
-        self.label = label
-        aug = []
-        for i in range(self.n):
-            row = [basis[j][i] for j in range(self.k)]
-            row.extend(ONE if t == i else ZERO for t in range(self.n))
-            aug.append(row)
-        R, pivots = rref(aug)
-        if pivots[: self.k] != list(range(self.k)):
-            raise SingularMatrix(f"dependent basis for {label or 'subspace'}")
-        self.transform = [row[self.k :] for row in R]
-
-    def express(self, v: Sequence[Frac]) -> Vector:
-        w = mat_vec(self.transform, v)
-        for r in range(self.k, self.n):
-            if not w[r].is_zero():
-                raise SingularMatrix(
-                    f"vector outside {self.label or 'subspace'} span"
-                )
-        return w[: self.k]

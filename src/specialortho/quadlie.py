@@ -34,7 +34,6 @@ from itertools import accumulate, combinations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from . import linalg
 from .altmap import (
     AltMap,
     PairingSpec,
@@ -358,26 +357,29 @@ def build_so(space: QuadraticSpace) -> tuple[QuadLieRep, AltMap]:
     """Fundamental representation of so(V) and the canonical moment map.
 
     The algebra basis is M_ij = mu_can(e_i, e_j) over increasing pairs, whose
-    column k is mu_can_value(space, i, j, k); the form is -Tr(xy)/2, brackets
-    come from the commutators re-expressed in the basis, the columns of xy
-    being the rows of mat_mul(y, x) on column lists.  Returns the
+    column k is mu_can_value(space, i, j, k).  With M_ba = -M_ab, M_aa = 0
+    and B the Gram of V, the brackets and the form -Tr(xy)/2 are read off B:
+
+        [M_ij, M_kl] = B_il M_kj + B_ik M_jl + B_jl M_ik + B_jk M_li,
+        B_so(M_ij, M_kl) = B_ik B_jl - B_il B_jk,
+
+    at most four terms, on four distinct basis elements.  Returns the
     representation together with mu_can as a map Lambda^2 V -> so(V), whose
     coefficients are exactly the basis vectors.
     """
-    n = space.dim
+    n, B = space.dim, space.gram
     pairs = list(combinations(range(n), 2))
-    cols = [[mu_can_value(space, i, j, k) for k in range(n)] for i, j in pairs]
-    flat = [[c for col in x for c in col] for x in cols]
-    coords = linalg.SubspaceCoords(flat, label="so basis")
+    position = {pair: t for t, pair in enumerate(pairs)}
     table = {}
-    for a, b in combinations(range(len(pairs)), 2):
-        ab, ba = linalg.mat_mul(cols[b], cols[a]), linalg.mat_mul(cols[a], cols[b])
-        vec = coords.express([p - q for r, s in zip(ab, ba) for p, q in zip(r, s)])
-        row = {k: c for k, c in enumerate(vec) if c.num}
+    for (a, (i, j)), (b, (k, l)) in combinations(enumerate(pairs), 2):
+        row = {}
+        for c, p, q in ((B[i][l], k, j), (B[i][k], j, l), (B[j][l], i, k), (B[j][k], l, i)):
+            if c.num and p != q:
+                row[position[min(p, q), max(p, q)]] = c if p < q else -c
         if row:
-            table[(a, b)] = row
-    minus_half = rat(-1, 2)
-    gram = [[minus_half * linalg.trace_of_product(x, y) for y in cols] for x in cols]
+            table[(a, b)] = dict(sorted(row.items()))
+    gram = [[B[i][k] * B[j][l] - B[i][l] * B[j][k] for k, l in pairs] for i, j in pairs]
+    cols = [[mu_can_value(space, i, j, k) for k in range(n)] for i, j in pairs]
     labels = tuple(f"M{i+1}{j+1}" for i, j in pairs)
     so_space = QuadraticSpace(labels, gram, name=f"so({space.name})")
     rep = QuadLieRep(f"so({space.name})", so_space, table, cols, space)

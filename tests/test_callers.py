@@ -143,15 +143,9 @@ ALLOWED = {
     # callers come with the open roadmap items
     "altmap._ordered_blocks": "compose for deg f != 2, item 6 (binary cubics); "
     "test_criterion_11_oracles_and_reverification",
-    "linalg.rank": "stabilizers, item 2; test_rref_pivots",
-    "linalg.mat_mul": "so(V) brackets in build_so, osp(n|2), item 1; "
-    "test_module_records_build_osp_from_so",
-    "linalg.mat_vec": "SubspaceCoords.express, osp(n|2), item 1; "
-    "test_nullspace_dimension_and_membership",
-    "linalg.SubspaceCoords.__init__": "osp(n|2), item 1; test_subspace_coords_roundtrip",
-    "linalg.SubspaceCoords.express": "osp(n|2), item 1; test_subspace_coords_roundtrip",
+    "linalg.rank": "stabilizers, item 1; test_rref_pivots",
     "quadlie.build_so": "osp(n|2), item 1; test_module_records_build_osp_from_so",
-    "quadlie.SuperAlgebra.bracket": "Killing form, item 3; test_bracket_antisymmetry_and_guards",
+    "quadlie.SuperAlgebra.bracket": "Killing form, item 2; test_bracket_antisymmetry_and_guards",
     "quadlie.SuperAlgebra._rows": "the Frac rows of both orders, built by the first bracket "
-    "call; Killing form, item 3; test_bracket_antisymmetry_and_guards",
+    "call; Killing form, item 2; test_bracket_antisymmetry_and_guards",
 }

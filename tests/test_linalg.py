@@ -1,4 +1,9 @@
-"""Echelon form, rank, nullspace, determinants, subspace coordinates."""
+"""Echelon form, rank, nullspace, determinants; the dense matrix oracle.
+
+The dense matrix products and subspace coordinates below are test code: the
+oracle of build_so's closed brackets and form, of the spin action products
+and of the g2 bracket table.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +13,7 @@ from hypothesis import strategies as st
 
 from specialortho.errors import SingularMatrix
 from specialortho.exterior import all_multi_indices
-from specialortho.linalg import (
-    SubspaceCoords,
-    det,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank,
-    rref,
-)
+from specialortho.linalg import det, nullspace, rank, rref
 from specialortho.scalars import (
     ALPHA,
     L1,
@@ -25,6 +22,7 @@ from specialortho.scalars import (
     ONE,
     ZERO,
     Frac,
+    dot,
     _P_ONE,
     _P_ZERO,
     _p_divexact,
@@ -35,6 +33,47 @@ from specialortho.scalars import (
     solve_linear,
 )
 from specialortho.suites import Workspace
+
+
+def mat_vec(m, v):
+    return [dot(zip(row, v)) for row in m]
+
+
+def mat_mul(a, b):
+    columns = list(zip(*b))
+    return [[dot(zip(row, col)) for col in columns] for row in a]
+
+
+class SubspaceCoords:
+    """Coordinates with respect to a fixed independent list of vectors.
+
+    Precomputes a transform T with T*A in reduced echelon form, where the
+    columns of A are the basis vectors; express() is then one matrix-vector
+    product plus a consistency check that the input lies in the span.
+    """
+
+    def __init__(self, basis, label=""):
+        if not basis:
+            raise SingularMatrix("empty basis")
+        self.k = len(basis)
+        self.n = len(basis[0])
+        self.label = label
+        aug = []
+        for i in range(self.n):
+            row = [basis[j][i] for j in range(self.k)]
+            row.extend(ONE if t == i else ZERO for t in range(self.n))
+            aug.append(row)
+        R, pivots = rref(aug)
+        if pivots[: self.k] != list(range(self.k)):
+            raise SingularMatrix(f"dependent basis for {label or 'subspace'}")
+        self.transform = [row[self.k :] for row in R]
+
+    def express(self, v):
+        w = mat_vec(self.transform, v)
+        for r in range(self.k, self.n):
+            if not w[r].is_zero():
+                raise SingularMatrix(f"vector outside {self.label or 'subspace'} span")
+        return w[: self.k]
 
 
 def identity(n):

@@ -18,7 +18,7 @@ from specialortho import quadlie as ql
 from specialortho import suites
 from specialortho import superalg as sup
 from specialortho.suites import Workspace
-from test_linalg import trace
+from test_linalg import SubspaceCoords, mat_mul, trace
 from test_superalg import full_invariance_scan, jacobi_texts
 
 
@@ -182,6 +182,66 @@ def test_so_fundamental_moment_is_canonical(space_fn):
     assert ok and witness is None
 
 
+def dense_so(space):
+    """build_so's table, Gram, labels and columns by elimination: the
+    commutators of the dense column lists, re-expressed over the basis by
+    SubspaceCoords, and the form -Tr(xy)/2."""
+    n = space.dim
+    pairs = list(combinations(range(n), 2))
+    cols = [[ql.mu_can_value(space, i, j, k) for k in range(n)] for i, j in pairs]
+    coords = SubspaceCoords([[c for col in x for c in col] for x in cols], label="so basis")
+    table = {}
+    for a, b in combinations(range(len(pairs)), 2):
+        # on column lists, the columns of xy are the rows of mat_mul(y, x)
+        ab, ba = mat_mul(cols[b], cols[a]), mat_mul(cols[a], cols[b])
+        vec = coords.express([p - q for r, s in zip(ab, ba) for p, q in zip(r, s)])
+        row = {k: c for k, c in enumerate(vec) if c.num}
+        if row:
+            table[(a, b)] = row
+    minus_half = rat(-1, 2)
+    gram = [[minus_half * linalg.trace_of_product(x, y) for y in cols] for x in cols]
+    labels = tuple(f"M{i+1}{j+1}" for i, j in pairs)
+    return table, gram, labels, cols
+
+
+def diagonal_space(n):
+    weights = [ONE, L1, L2, L1 * L2, L3, L1 * L3][:n]
+    gram = [[w if r == c else ZERO for c, w in enumerate(weights)] for r in range(n)]
+    return QuadraticSpace(tuple(f"v{k + 1}" for k in range(n)), gram, name=f"V{n}")
+
+
+def skew_space():
+    """A non-diagonal symbolic Gram: a chain of off-diagonal entries."""
+    gram = [
+        [L1, ONE, ZERO, ZERO],
+        [ONE, L2, L3, ZERO],
+        [ZERO, L3, ONE, ALPHA],
+        [ZERO, ZERO, ALPHA, -ONE],
+    ]
+    return QuadraticSpace(("s1", "s2", "s3", "s4"), gram, name="S4")
+
+
+@pytest.mark.parametrize(
+    "space_fn",
+    [
+        *(pytest.param(lambda n=n: diagonal_space(n), id=f"V{n}") for n in range(2, 7)),
+        pytest.param(hyperbolic_space, id="T4"),
+        pytest.param(skew_space, id="S4"),
+    ],
+)
+def test_closed_so_matches_the_dense_oracle(space_fn):
+    space = space_fn()
+    rep, _ = ql.build_so(space)
+    table, gram, labels, cols = dense_so(space)
+    closed = rep.algebra.table
+    assert closed == table and list(closed) == list(table)
+    # each row's keys in ascending index order, as elimination gives them
+    assert all(list(row) == sorted(row) for row in closed.values())
+    assert rep.algebra_space.gram == gram
+    assert rep.algebra_space.labels == labels
+    assert action_columns(rep) == cols
+
+
 def test_check_special_reports_first_witness():
     rep, mu_can = ql.build_so(small_space())
     ok, witness = ql.check_special(rep, mu_can.scale(rat(2)))
@@ -280,7 +340,7 @@ def test_g2_form_is_seven_dimensional_trace(g2):
     cols = action_columns(rep)
     for a in range(0, 14, 5):
         for b in range(a, 14, 4):
-            tr = trace(linalg.mat_mul(cols[a], cols[b]))
+            tr = trace(mat_mul(cols[a], cols[b]))
             assert rep.algebra_space.gram[a][b] == third * tr
 
 
@@ -851,7 +911,7 @@ def test_spinor_brackets_match_super_bracket(weights):
 
 def g2_brackets_by_elimination(cliff, kernel):
     """The g2 bracket table as super_bracket, then coordinates over the
-    kernel from a full elimination (linalg.SubspaceCoords)."""
+    kernel from a full elimination (test_linalg.SubspaceCoords)."""
     position = {m: t for t, m in enumerate(PAIR_MASKS)}
 
     def as_coords(x):
@@ -860,7 +920,7 @@ def g2_brackets_by_elimination(cliff, kernel):
             out[position[mask]] = c
         return out
 
-    coords = linalg.SubspaceCoords([as_coords(x) for x in kernel], label="g2 kernel")
+    coords = SubspaceCoords([as_coords(x) for x in kernel], label="g2 kernel")
     table = {}
     for a, b in combinations(range(len(kernel)), 2):
         vec = coords.express(as_coords(cliff.super_bracket(kernel[a], kernel[b])))

@@ -408,11 +408,12 @@ def test_verify_all_builds_phi_once_on_the_field_constant(monkeypatch):
         assert form.codomain is K
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_module_records_build_osp_from_so(n):
     # a fourth module through the same builder: so(V) on V = k^n with the
     # weighted Gram diag(1, l1, l2, l1*l2) cut to n; its superalgebra is
-    # osp(n|2), of dimension (n(n-1)/2 + 3)|2n
+    # osp(n|2), of dimension (n(n-1)/2 + 3)|2n, and osp(1|2) at 3|2 from
+    # so(k) = 0
     weights = [rat(1), L1, L2, L1 * L2][:n]
     gram = [[w if r == c else rat(0) for c, w in enumerate(weights)] for r in range(n)]
     space = QuadraticSpace(tuple(f"v{k + 1}" for k in range(n)), gram, name=f"V{n}")
