@@ -297,6 +297,19 @@ def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> Al
     multi-indices T; each output coordinate is one Frac, over the product of
     the three common denominators.
     """
+    return _wedge_rel(f, g, pairing)
+
+
+def _wedge_rel(
+    f: AltMap,
+    g: AltMap,
+    pairing: Optional[PairingSpec] = None,
+    f_cleared: Optional[tuple] = None,
+    g_cleared: Optional[tuple] = None,
+) -> AltMap:
+    """wedge_rel, reading f.cleared() and g.cleared() from f_cleared and
+    g_cleared where they are given: a caller that wedges one map twice, or
+    has cleared it for other work, clears it once."""
     if f.domain is not g.domain:
         raise ShapeMismatch("wedge_rel needs a common domain")
     pairing = pairing or PairingSpec.scalar_multiply(g.codomain)
@@ -307,8 +320,8 @@ def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> Al
     result = AltMap(f.domain, pairing.result, p + q)
     if p + q > n or f.is_zero() or g.is_zero():
         return result
-    lf, fc = f.cleared()
-    lg, gc = (lf, fc) if g is f else g.cleared()
+    lf, fc = f_cleared or f.cleared()
+    lg, gc = (lf, fc) if g is f else g_cleared or g.cleared()
     dim = pairing.result.dim
     acc = _shuffle_terms(fc, gc, p, q, n, pairing.rows, dim)
     values = uncleared(acc, (lf, lg, pairing.den), dim << n)

@@ -11,8 +11,8 @@ Reports are byte-identical across runs with equal flags.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import ParseError, SpecialOrthoError
@@ -22,7 +22,7 @@ from .quadlie import (
     decompose_quad_oct,
 )
 from .scalars import Frac, parse, rat, render
-from .suites import SUITE_NAMES, SUPERALGEBRAS, Workspace, hodge_report, run_suite
+from .suites import SUPERALGEBRAS, Workspace, hodge_report, run_suite
 from .superalg import build_tilde, export_superalgebra
 
 
@@ -51,25 +51,15 @@ def _parse_at(text: str) -> dict[str, Frac]:
     return out
 
 
-class _Once(argparse.Action):
-    """Store a flag's value; a second occurrence is a ParseError."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            raise ParseError(f"{option_string} is given more than once")
-        setattr(namespace, self.dest, values)
-
-
-def _workspace(args: argparse.Namespace) -> Workspace:
+def _workspace(args: SimpleNamespace) -> Workspace:
     bindings: dict[str, Optional[Frac]] = {"l1": None, "l2": None, "l3": None}
-    if getattr(args, "compact", False):
+    if args.compact:
         bindings = {k: rat(1) for k in bindings}
-    elif getattr(args, "split", False):
+    elif args.split:
         bindings = {"l1": rat(1), "l2": rat(1), "l3": rat(-1)}
-    elif getattr(args, "at", None):
+    elif args.at:
         bindings.update(_parse_at(args.at))
-    alpha = getattr(args, "alpha", None)
-    beta = getattr(args, "beta", None)
+    alpha, beta = args.alpha, args.beta
     return Workspace(
         l1=bindings["l1"],
         l2=bindings["l2"],
@@ -87,14 +77,14 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     report = run_suite(args.suite, ws)
     _emit(report.to_json() if args.json else report.to_text(), args.out)
     return 0 if report.ok else 1
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     if args.target == "phi":
         terms = decompose_phi_dual(ws.octs)
@@ -115,12 +105,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hodge(args: argparse.Namespace) -> int:
+def _cmd_hodge(args: SimpleNamespace) -> int:
     _emit(hodge_report(_workspace(args)), None)
     return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: SimpleNamespace) -> int:
     ws = _workspace(args)
     if args.algebra == "g2":
         sa = ws.g2_rep.algebra
@@ -145,102 +135,109 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="specialortho",
-        description=(
-            "Exact verification of the moment-map, covariant, Hodge-dual, and "
-            "superalgebra identities of the two octonion representations and "
-            "the four-dimensional family."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: specialortho verify SUITE [--json] [--out FILE] [BINDINGS]
+       specialortho decompose TARGET [BINDINGS]
+       specialortho hodge [BINDINGS]
+       specialortho export --algebra NAME [--out FILE] [BINDINGS]
 
-    def add_bindings(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--alpha",
-            action=_Once,
-            metavar="R",
-            help="family parameter: a rational number or 'symbolic' (default)",
-        )
-        p.add_argument(
-            "--beta",
-            action=_Once,
-            metavar="R",
-            help="second family parameter; defaults to -1-alpha",
-        )
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--compact", action="store_true", help="bind l1=l2=l3=1"
-        )
-        group.add_argument(
-            "--split", action="store_true", help="bind l1=l2=1, l3=-1"
-        )
-        group.add_argument(
-            "--at",
-            action=_Once,
-            metavar="BINDINGS",
-            help="explicit bindings, e.g. l1=2,l2=3,l3=-1",
-        )
-
-    verify = sub.add_parser(
-        "verify",
-        help="run a verification suite: "
-        + ", ".join(SUITE_NAMES + ("all",)),
-    )
-    verify.add_argument("suite", help="suite name")
-    add_bindings(verify)
-    verify.add_argument("--json", action="store_true", help="emit JSON")
-    verify.add_argument("--out", default=None, metavar="FILE", help="write to FILE")
-    verify.set_defaults(fn=_cmd_verify)
-
-    decompose = sub.add_parser(
-        "decompose", help="print an annotated index-raised form"
-    )
-    decompose.add_argument("target", help="phi, q-im, or q-oct")
-    add_bindings(decompose)
-    decompose.set_defaults(fn=_cmd_decompose)
-
-    hodge = sub.add_parser("hodge", help="print the Hodge constants table")
-    add_bindings(hodge)
-    hodge.set_defaults(fn=_cmd_hodge)
-
-    export = sub.add_parser(
-        "export", help="write structure constants as canonical JSON"
-    )
-    export.add_argument(
-        "--algebra", required=True, help="g2, so7, d21, g3, or f4"
-    )
-    add_bindings(export)
-    export.add_argument("--out", default=None, metavar="FILE", help="write to FILE")
-    export.set_defaults(fn=_cmd_export)
-    return parser
+SUITE: g2, f4, d21, mathews, hodge, decompositions or all.  TARGET: phi,
+q-im or q-oct.  NAME: g2, so7, d21, g3 or f4.  BINDINGS: at most one of
+--compact (l1=l2=l3=1), --split (l1=l2=1, l3=-1) and --at L (for example
+l1=2,l2=3,l3=-1), and --alpha R (symbolic by default) and --beta R
+(-1-alpha by default).  --json prints JSON; --out writes to FILE.  A value
+follows its flag (--alpha -1/2) or is attached (--alpha=-1/2), and a
+unique prefix names a flag (--comp).  Exit 0: every check holds; 1: a
+check fails; 2: a usage or construction error.
+"""
 
 
-def _attach_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--alpha V`` and ``--beta V`` as ``--alpha=V`` and ``--beta=V``.
+def _help(args: SimpleNamespace) -> int:
+    sys.stdout.write(_USAGE)
+    return 0
 
-    argparse reads a separate value such as ``-1/2`` as an unknown flag; the
-    attached spelling is always read as the value.
+
+# each command's flags, True for a flag that takes a value
+_BINDINGS = {"alpha": True, "beta": True, "compact": False, "split": False, "at": True}
+# command: (its function, its positional argument or None, its flags)
+_COMMANDS = {
+    "verify": (_cmd_verify, "suite", {**_BINDINGS, "json": False, "out": True}),
+    "decompose": (_cmd_decompose, "target", _BINDINGS),
+    "hodge": (_cmd_hodge, None, _BINDINGS),
+    "export": (_cmd_export, None, {**_BINDINGS, "algebra": True, "out": True}),
+}
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command, then its positional argument and flags in any order, read
+    against _COMMANDS; every usage error is a ParseError.  Any unique prefix
+    names a flag, and a value that is not attached (--at=...) is the next
+    argument unless that starts with "--".  --alpha, --beta and --at may be
+    given once; a later --out or --algebra replaces an earlier one.
     """
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in ("--alpha", "--beta"):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+    command, *rest = argv or ("",)
+    if command in ("-h", "--help"):
+        return SimpleNamespace(fn=_help)
+    if command not in _COMMANDS:
+        raise ParseError(
+            (f"unknown command {command!r}" if command else "no command")
+            + "; expected one of: " + ", ".join(_COMMANDS)
+        )
+    fn, positional, flags = _COMMANDS[command]
+    args = SimpleNamespace(
+        command=command, fn=fn, **{n: None if v else False for n, v in flags.items()}
+    )
+    positionals = []
+    rest = iter(rest)
+    for arg in rest:
+        if arg[:1] != "-":
+            positionals.append(arg)
+            continue
+        text, attached, value = ("--help" if arg == "-h" else arg).partition("=")
+        names = [f"--{n}" for n in (*flags, "help") if f"--{n}".startswith(text)]
+        if len(names) != 1:
+            found = ", ".join(names) or "no flag"
+            raise ParseError(f"{text} matches {found} of {command}")
+        name = names[0][2:]
+        takes_value = flags.get(name, False)
+        if attached and not takes_value:
+            raise ParseError(f"--{name} takes no value")
+        if name == "help":
+            return SimpleNamespace(fn=_help)
+        if not takes_value:
+            setattr(args, name, True)
+            continue
+        if not attached:
+            value = next(rest, "--")
+            if value.startswith("--"):
+                raise ParseError(f"--{name} expects a value")
+        if name in ("alpha", "beta", "at") and getattr(args, name) is not None:
+            raise ParseError(f"--{name} is given more than once")
+        setattr(args, name, value)
+    if len(positionals) != (positional is not None):
+        raise ParseError(
+            f"unexpected argument {positionals[-1]!r}"
+            if positionals
+            else f"{command} expects a {positional}"
+        )
+    if positional:
+        setattr(args, positional, positionals[0])
+    if args.compact + args.split + (args.at is not None) > 1:
+        raise ParseError("--compact, --split and --at exclude each other")
+    if command == "export" and args.algebra is None:
+        raise ParseError("export expects --algebra")
+    return args
+
+
+def _build_parser() -> SimpleNamespace:
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
-    except SpecialOrthoError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except OSError as err:
+    except (SpecialOrthoError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

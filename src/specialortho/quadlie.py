@@ -41,6 +41,7 @@ from .altmap import (
     eta_inv,
     first_difference,
     wedge_rel,
+    _wedge_rel,
 )
 from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS, _mask_to_tuple
 from .errors import NotImaginary, ShapeMismatch, SingularMatrix, WrongDimension
@@ -458,8 +459,13 @@ def moment_action(rep: QuadLieRep, mu: AltMap) -> MomentAction:
     (``AltMap.cleared``) against the cleared action rows, every column
     rho(x_a) e_k at once, one Frac per coordinate.
     """
+    return _moment_action(rep, mu.cleared())
+
+
+def _moment_action(rep: QuadLieRep, mu_cleared: tuple) -> MomentAction:
+    """moment_action of the mu whose ``AltMap.cleared`` is mu_cleared."""
     n = rep.space.dim
-    den, values = mu.cleared()
+    den, values = mu_cleared
     # row a holds the columns k of rho(x_a) side by side, at rows k * n + r
     act = [
         [(((k * n) << ROW_SHIFT) + t, v) for k, col in enumerate(cols) for t, v in col]
@@ -598,10 +604,12 @@ def covariants(rep: QuadLieRep) -> Covariants:
     """
     space = rep.space
     mu = moment_map(rep)
-    mu_act = moment_action(rep, mu)
     ident = AltMap.identity(space)
-    psi = wedge_rel(mu, ident, rep.act)
-    quad = wedge_rel(ident, psi, PairingSpec.form(space))
+    # mu and Id are cleared once each, for all the work below
+    mu_cleared, ident_cleared = mu.cleared(), ident.cleared()
+    mu_act = _moment_action(rep, mu_cleared)
+    psi = _wedge_rel(mu, ident, rep.act, mu_cleared, ident_cleared)
+    quad = _wedge_rel(ident, psi, PairingSpec.form(space), ident_cleared)
     special, witness = check_special(rep, mu, mu_act)
     return Covariants(rep, mu, mu_act, psi, quad, special, witness)
 

@@ -450,13 +450,6 @@ class Frac:
             return 0
         return 1 if self.num[_lead_key(self.num)] > 0 else -1
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ParseError(f"not a constant: {self.render()}")
-        from fractions import Fraction
-
-        return Fraction(self.num.get(0, 0), self.den[0])
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -614,20 +607,30 @@ class Frac:
     def __hash__(self) -> int:
         return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
 
-    def substitute(self, bindings: Mapping[str, Union[int, str, Fraction]]) -> "Frac":
+    def substitute(
+        self, bindings: Mapping[str, Union[int, str, Fraction, "Frac"]]
+    ) -> "Frac":
         """Evaluate some variables at rational values; the rest stay symbolic.
 
-        Raises DenominatorVanishes if the denominator becomes identically zero.
+        A value is an int or a Fraction (read by its numerator and
+        denominator), a constant Frac, or a str that ``parse`` reads as one;
+        the evaluation is exact on integer pairs.  Raises DenominatorVanishes
+        if the denominator becomes identically zero.
         """
         if not bindings:
             return self
-        from fractions import Fraction
-
-        subs: dict[int, Fraction] = {}
+        subs: dict[int, tuple[int, int]] = {}
         for name, value in bindings.items():
             if name not in _VAR_INDEX:
                 raise ParseError(f"unknown variable {name!r}")
-            subs[_VAR_INDEX[name]] = Fraction(value)
+            if isinstance(value, str):
+                value = parse(value)
+            if isinstance(value, Frac):
+                if not value.is_constant():
+                    raise ParseError(f"not a constant: {value.render()}")
+                subs[_VAR_INDEX[name]] = (value.num.get(0, 0), value.den[0])
+            else:
+                subs[_VAR_INDEX[name]] = (value.numerator, value.denominator)
         dp, dd = _p_substitute(self.den, subs)
         if not dp:
             raise DenominatorVanishes(
@@ -652,31 +655,33 @@ class Frac:
         return self.render()
 
 
-def _p_substitute(p: dict, subs: dict[int, Fraction]) -> tuple[dict, int]:
-    """Evaluate; returns (integer polynomial, positive integer denominator)."""
-    from fractions import Fraction
+def _p_substitute(p: dict, subs: dict[int, tuple[int, int]]) -> tuple[dict, int]:
+    """Evaluate at the values n/d of subs, d > 0; returns (integer polynomial,
+    positive integer denominator), reduced by the gcd of all its integers.
 
-    acc: dict[int, Fraction] = {}
-    for key, c in p.items():
-        val = Fraction(c)
-        newkey = key
-        for vi, fv in subs.items():
-            sh = 16 * vi
-            e = (key >> sh) & _MASK
-            if e:
-                val *= fv**e
-                newkey -= e << sh
-        if val:
-            prev = acc.get(newkey)
-            tot = val if prev is None else prev + val
-            if tot:
-                acc[newkey] = tot
-            elif newkey in acc:
-                del acc[newkey]
+    Every term is put over one denominator D, the product of d^e over the
+    highest exponent e of each substituted variable in p: the term c x^k
+    becomes c * n^e * d^(e_max - e) per variable, over D.
+    """
+    top = {vi: max(((k >> _SHIFT * vi) & _MASK for k in p), default=0) for vi in subs}
     den = 1
-    for v in acc.values():
-        den = den * v.denominator // _int_gcd(den, v.denominator)
-    return {k: int(v * den) for k, v in acc.items()}, den
+    for vi, e in top.items():
+        den *= subs[vi][1] ** e
+    acc: dict[int, int] = {}
+    for key, c in p.items():
+        for vi, (n, d) in subs.items():
+            e = (key >> _SHIFT * vi) & _MASK
+            c *= n**e * d ** (top[vi] - e)
+            key -= e << _SHIFT * vi
+        c += acc.get(key, 0)
+        if c:
+            acc[key] = c
+        else:
+            acc.pop(key, None)
+    if not acc:
+        return {}, 1
+    g = _int_gcd(den, *acc.values())
+    return {k: v // g for k, v in acc.items()}, den // g
 
 
 ZERO = Frac._raw(_P_ZERO, _P_ONE)

@@ -873,7 +873,7 @@ QUAD_OCT_REFERENCE = {
 
 def _lambda_bindings(ws: Workspace) -> dict:
     return {
-        name: value.as_fraction()
+        name: value
         for name, value in (("l1", ws.l1), ("l2", ws.l2), ("l3", ws.l3))
         if value.is_constant()
     }

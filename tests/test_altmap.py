@@ -248,13 +248,15 @@ def wedge_rel_frac_oracle(f, g, pairing=None):
 )
 def test_verify_all_wedges_match_the_frac_oracle(monkeypatch, weights, alpha, beta):
     # psi, Q, mu ^ psi, mu o psi (through compose), the cyclic sums and the
-    # Mathews and Hodge wedges go through wedge_rel; each Hodge star is
+    # Mathews and Hodge wedges go through wedge_rel (psi and Q through its
+    # core _wedge_rel, with mu and Id cleared once); each Hodge star is
     # re-verified by one-term wedges e_I ^ star on the same kernel
-    real_wedge, real_dual = altmap.wedge_rel, altmap.hodge_dual
+    real_wedge, real_core = altmap.wedge_rel, altmap._wedge_rel
+    real_dual = altmap.hodge_dual
     seen = {"wedges": 0, "stars": 0}
 
-    def checked_wedge(f, g, pairing=None):
-        got = real_wedge(f, g, pairing)
+    def checked_wedge(f, g, pairing=None, *cleared):
+        got = real_core(f, g, pairing, *cleared)
         assert got == wedge_rel_frac_oracle(f, g, pairing)
         seen["wedges"] += 1
         return got
@@ -271,6 +273,7 @@ def test_verify_all_wedges_match_the_frac_oracle(monkeypatch, weights, alpha, be
 
     for module in (altmap, quadlie, suites):
         monkeypatch.setattr(module, "wedge_rel", checked_wedge)
+    monkeypatch.setattr(quadlie, "_wedge_rel", checked_wedge)
     monkeypatch.setattr(suites, "hodge_dual", checked_dual)
     l1, l2, l3 = weights or (None, None, None)
     run_suite("all", Workspace(l1, l2, l3, alpha, beta))

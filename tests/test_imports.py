@@ -1,10 +1,10 @@
-"""The command line loads neither ``fractions`` nor ``decimal`` on its own.
+"""The command line loads neither ``fractions`` nor ``decimal``.
 
-``import specialortho.cli`` and the symbolic ``verify all``, ``hodge`` and
-``export --algebra f4`` run in one child process, so that nothing the test
-process has imported hides a load; only a bound substitution
-(``Frac.substitute`` with bindings, ``Frac.as_fraction``) imports
-``fractions``, and ``verify all --at`` still substitutes exactly.
+``import specialortho.cli``, the symbolic ``verify all``, ``hodge``,
+``export --algebra f4`` and the bound ``verify all --at`` run in one child
+process, so that nothing the test process has imported hides a load.  A
+bound substitution (``Frac.substitute`` with bindings) is exact on integer
+numerator/denominator pairs, so ``verify all --at`` loads neither either.
 """
 
 import json
@@ -35,12 +35,12 @@ COMMANDS = (
     ["verify", "all"],
     ["hodge"],
     ["export", "--algebra", "f4"],
-    # the bound run comes last: its substitution loads fractions
+    # the bound run comes last: it is the one that substitutes
     ["verify", "all", "--at", "l1=2,l2=3,l3=-5"],
 )
 
 
-def test_fractions_loads_only_for_a_bound_substitution():
+def test_fractions_never_loads():
     done = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(COMMANDS)],
         capture_output=True,
@@ -55,4 +55,4 @@ def test_fractions_loads_only_for_a_bound_substitution():
     assert seen["verify all"][0] == seen["hodge"][0] == seen["export --algebra f4"][0] == 0
     code, modules, last = seen["verify all --at l1=2,l2=3,l3=-5"]
     assert code == 0 and last.startswith("result: ok")
-    assert "fractions" in modules
+    assert modules == []
