@@ -21,10 +21,11 @@ its re-verification reads the scalar wedge e_I ^ star of every multi-index
 I from one shuffle and compares it with vol / q(e_I) f(e_I), the right side
 that the dual itself was read from, computed once.
 The shuffle kernel runs on integer terms: a PairingSpec clears its table
-once, wedge_rel clears f and g once each, multiplies them by
+once and an AltMap its values once, on first use (so its coeffs must not
+change after that); wedge_rel multiplies the cleared f and g by
 scalars.add_products into one dict for every output multi-index, and turns
 each output coordinate back into one Frac (scalars.clear_denominators and
-uncleared); nothing cleared is cached on an AltMap, whose coeffs may change.
+uncleared).
 first_difference names the least multi-index where two maps differ.  The
 brute-force reference implementations (full symmetric-group sums divided by
 the stabilizer order, through the field evaluation PairingSpec.apply) are
@@ -36,6 +37,7 @@ on the same QuadraticSpace object.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, permutations
 from math import factorial
 from typing import Optional, Sequence
@@ -186,10 +188,11 @@ class AltMap:
         coeffs = {(i + 1,): space.basis_vector(i) for i in range(space.dim)}
         return cls(space, space, 1, coeffs, name="Id")
 
+    @cached_property
     def cleared(self) -> tuple[dict, dict]:
         """The stored values over one common denominator, as the integer
         terms of ``scalars.clear_denominators`` keyed by multi-index.  Made
-        afresh on every call: ``coeffs`` may change in place."""
+        on first use and kept: ``coeffs`` is not changed after it."""
         return clear_denominators(
             {I: {k: c for k, c in enumerate(v) if c.num} for I, v in self.coeffs.items()}
         )
@@ -292,24 +295,11 @@ def wedge_rel(f: AltMap, g: AltMap, pairing: Optional[PairingSpec] = None) -> Al
     """Shuffle wedge of f and g relative to a bilinear pairing of codomains;
     without one, f must be scalar-valued and scales the values of g.
 
-    f and g are cleared once each (``AltMap.cleared``) and every product is
+    f and g are read cleared (``AltMap.cleared``) and every product is
     taken in ``_shuffle_terms`` on integer terms, into one dict for all
     multi-indices T; each output coordinate is one Frac, over the product of
     the three common denominators.
     """
-    return _wedge_rel(f, g, pairing)
-
-
-def _wedge_rel(
-    f: AltMap,
-    g: AltMap,
-    pairing: Optional[PairingSpec] = None,
-    f_cleared: Optional[tuple] = None,
-    g_cleared: Optional[tuple] = None,
-) -> AltMap:
-    """wedge_rel, reading f.cleared() and g.cleared() from f_cleared and
-    g_cleared where they are given: a caller that wedges one map twice, or
-    has cleared it for other work, clears it once."""
     if f.domain is not g.domain:
         raise ShapeMismatch("wedge_rel needs a common domain")
     pairing = pairing or PairingSpec.scalar_multiply(g.codomain)
@@ -320,8 +310,8 @@ def _wedge_rel(
     result = AltMap(f.domain, pairing.result, p + q)
     if p + q > n or f.is_zero() or g.is_zero():
         return result
-    lf, fc = f_cleared or f.cleared()
-    lg, gc = (lf, fc) if g is f else g_cleared or g.cleared()
+    lf, fc = f.cleared
+    lg, gc = g.cleared
     dim = pairing.result.dim
     acc = _shuffle_terms(fc, gc, p, q, n, pairing.rows, dim)
     values = uncleared(acc, (lf, lg, pairing.den), dim << n)
@@ -524,7 +514,7 @@ def _verify_hodge(star: AltMap, rights: dict[MultiIndex, Vector]) -> None:
     # each at the row of the full mask
     rows = [[(((r * width + b) << ROW_SHIFT, 1),) for b in range(width)] for r in range(len(indices))]
     units = {I: ((r << ROW_SHIFT, 1),) for r, I in enumerate(indices)}
-    den, cleared = star.cleared()
+    den, cleared = star.cleared
     shift = (((1 << n) - 1) * dim) << ROW_SHIFT
     terms = _shuffle_terms(units, cleared, p, n - p, n, rows, dim)
     values = uncleared({k - shift: v for k, v in terms.items()}, (den,), dim)

@@ -22,7 +22,7 @@ from .quadlie import (
     decompose_quad_oct,
 )
 from .scalars import Frac, parse, rat, render
-from .suites import SUPERALGEBRAS, Workspace, hodge_report, run_suite
+from .suites import MODULES, Workspace, hodge_report, run_suite
 from .superalg import build_tilde, export_superalgebra
 
 
@@ -110,23 +110,24 @@ def _cmd_hodge(args: SimpleNamespace) -> int:
     return 0
 
 
+# export key -> (its module, True for g + sl2 + V (x) k^2, False for g)
+_EXPORTS = {m.key: (m, True) for m in MODULES.values()}
+_EXPORTS.update((m.g, (m, False)) for m in MODULES.values() if m.g)
+
+
 def _cmd_export(args: SimpleNamespace) -> int:
     ws = _workspace(args)
-    if args.algebra == "g2":
-        sa = ws.g2_rep.algebra
-    elif args.algebra == "so7":
-        sa = ws.so7_rep.algebra
-    elif args.algebra in SUPERALGEBRAS:
-        covariants, label, _ = SUPERALGEBRAS[args.algebra]
-        sa = build_tilde(covariants(ws), label)
-    else:
+    found = _EXPORTS.get(args.algebra)
+    if found is None:
         raise ParseError(
             f"unknown algebra {args.algebra!r}; expected one of: g2, so7, d21, g3, f4"
         )
-    if args.algebra == "d21":
-        params = {"a": render(ws.alpha), "b": render(ws.beta)}
+    module, whole = found
+    if whole:
+        sa = build_tilde(getattr(ws, module.cov), module.label)
     else:
-        params = {"l1": render(ws.l1), "l2": render(ws.l2), "l3": render(ws.l3)}
+        sa = getattr(ws, module.rep).algebra
+    params = {name: render(getattr(ws, attr)) for name, attr in module.bindings.items()}
     _emit(export_superalgebra(sa, parameters=params), args.out)
     if args.out:
         sys.stdout.write(

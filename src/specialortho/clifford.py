@@ -224,20 +224,21 @@ class CliffordAlgebra:
         return out
 
     @cached_property
-    def pair_traces(self) -> dict[tuple[int, int], Frac]:
-        """Tr(rho(x) rho(y)) for every pair (x, y) of pair-monomial masks.
+    def pair_traces(self) -> dict[int, Frac]:
+        """Tr(rho(x)^2) for every pair-monomial mask x.
 
         rho(y) moves e_j to the row j xor s(y), with s the xor of the
-        generators, so rho(x) rho(y) has a diagonal only where s(x) = s(y),
-        and its trace is a sum of 8 column products.
+        generators, so rho(x) rho(y) has a diagonal only where s(x) = s(y).
+        For x != y that product is, up to sign, a degree-4 monomial, whose
+        trace vanishes when the Gram is diagonal: Tr(rho(x) rho(y)) is zero
+        off the diagonal, and Tr(rho(x)^2) is a sum of 8 column products.
         """
+        if not self.octonions.space_oct.is_diagonal:
+            raise ShapeMismatch("pair traces need a diagonal octonion Gram")
         table = {}
-        columns = [(x, self._columns(x)) for x in PAIR_MASKS]
-        for a, (x, cx) in enumerate(columns):
-            for y, cy in columns[a:]:
-                table[(x, y)] = table[(y, x)] = (
-                    dot((cx[r][1], c) for r, c in cy) if cx[0][0] == cy[0][0] else ZERO
-                )
+        for x in PAIR_MASKS:
+            cx = self._columns(x)
+            table[x] = dot((cx[r][1], c) for r, c in cx)
         return table
 
     @cached_property

@@ -41,7 +41,6 @@ from .altmap import (
     eta_inv,
     first_difference,
     wedge_rel,
-    _wedge_rel,
 )
 from .clifford import CliffordAlgebra, CliffordElement, PAIR_MASKS, _mask_to_tuple
 from .errors import NotImaginary, ShapeMismatch, SingularMatrix, WrongDimension
@@ -459,13 +458,8 @@ def moment_action(rep: QuadLieRep, mu: AltMap) -> MomentAction:
     (``AltMap.cleared``) against the cleared action rows, every column
     rho(x_a) e_k at once, one Frac per coordinate.
     """
-    return _moment_action(rep, mu.cleared())
-
-
-def _moment_action(rep: QuadLieRep, mu_cleared: tuple) -> MomentAction:
-    """moment_action of the mu whose ``AltMap.cleared`` is mu_cleared."""
     n = rep.space.dim
-    den, values = mu_cleared
+    den, values = mu.cleared
     # row a holds the columns k of rho(x_a) side by side, at rows k * n + r
     act = [
         [(((k * n) << ROW_SHIFT) + t, v) for k, col in enumerate(cols) for t, v in col]
@@ -605,11 +599,9 @@ def covariants(rep: QuadLieRep) -> Covariants:
     space = rep.space
     mu = moment_map(rep)
     ident = AltMap.identity(space)
-    # mu and Id are cleared once each, for all the work below
-    mu_cleared, ident_cleared = mu.cleared(), ident.cleared()
-    mu_act = _moment_action(rep, mu_cleared)
-    psi = _wedge_rel(mu, ident, rep.act, mu_cleared, ident_cleared)
-    quad = _wedge_rel(ident, psi, PairingSpec.form(space), ident_cleared)
+    mu_act = moment_action(rep, mu)
+    psi = wedge_rel(mu, ident, rep.act)
+    quad = wedge_rel(ident, psi, PairingSpec.form(space))
     special, witness = check_special(rep, mu, mu_act)
     return Covariants(rep, mu, mu_act, psi, quad, special, witness)
 
@@ -755,14 +747,14 @@ def mathews_status(cov: Covariants, prefix: str = "") -> list[CheckRecord]:
 
 
 def _trace_pairing(cliff: CliffordAlgebra, x: CliffordElement, y: CliffordElement) -> Frac:
-    """Tr(rho(x) rho(y)) for degree-2 elements via the cached monomial table,
-    a sum only where a monomial trace is nonzero."""
+    """Tr(rho(x) rho(y)) for degree-2 elements via the cached monomial
+    traces, which vanish off the diagonal: a sum over the monomials x and y
+    share, where the trace is nonzero."""
     table = cliff.pair_traces
     pairs = [
         (cx * cy, t)
-        for mx, cx in x.coeffs.items()
-        for my, cy in y.coeffs.items()
-        if (t := table[(mx, my)]).num
+        for m, cx in x.coeffs.items()
+        if (cy := y.coeffs.get(m)) is not None and (t := table[m]).num
     ]
     return dot(pairs) if pairs else ZERO
 
@@ -778,7 +770,10 @@ def build_spinor_rep(cliff: CliffordAlgebra) -> QuadLieRep:
         (a, b): {u: c} for (a, b), (u, c) in cliff.pair_commutators.items() if a < b
     }
     traces = cliff.pair_traces
-    gram = _scaled([[traces[(x, y)] for y in PAIR_MASKS] for x in PAIR_MASKS], rat(-3, 8))
+    gram = _scaled(
+        [[traces[x] if x == y else ZERO for y in PAIR_MASKS] for x in PAIR_MASKS],
+        rat(-3, 8),
+    )
     labels = tuple(
         "s" + "".join(str(i) for i in _mask_to_tuple(m)) for m in PAIR_MASKS
     )

@@ -17,7 +17,6 @@ times the whole check, or from ``quadlie.vacuous_check``.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .altmap import AltMap, first_difference, hodge_dual, volume_constant, wedge_rel
@@ -197,19 +196,44 @@ class Workspace:
         return self._phi_wedge_quad[1]
 
 
-# the superalgebras g + sl2 + V (x) k^2 of the reports and of ``export``:
-# export key -> (the covariants of V in a workspace, label, dimension)
-SUPERALGEBRAS = {
-    "g3": (attrgetter("cov_im"), "G3", (17, 14)),
-    "f4": (attrgetter("cov_oct"), "F4", (24, 16)),
-    "d21": (attrgetter("cov_family"), "D(2,1;a)", (9, 8)),
+class Module:
+    """One special orthogonal module V of g, and g + sl2 + V (x) k^2.
+
+    ``key`` is the superalgebra's export key and ``g`` g's (or None);
+    ``rep`` and ``cov`` name the Workspace stages of the representation and
+    of its covariants.  Record names start with ``prefix``, and the Mathews
+    rungs' with ``mathews-{infix}-``.  The superalgebra is built as
+    ``label``, its record states ``closes`` at the paper's ``dims`` (stored,
+    not computed, so that module_witnesses' comparison can fail), and
+    ``export`` prints ``bindings``: printed name -> Workspace attribute.
+    """
+
+    def __init__(self, key, g, rep, cov, prefix, infix, label, dims, closes, bindings):
+        self.key, self.g, self.rep, self.cov = key, g, rep, cov
+        self.prefix, self.infix, self.label, self.dims = prefix, infix, label, dims
+        self.closes, self.bindings = closes, bindings
+
+
+_WEIGHTS = {"l1": "l1", "l2": "l2", "l3": "l3"}
+# Kac's list as the reports build it: export key -> module, in report order
+MODULES = {
+    m.key: m
+    for m in (
+        Module(
+            "g3", "g2", "g2_rep", "cov_im", "g2", "im", "G3", (17, 14),
+            "g + sl2 + Im(O) (x) k^2 closes as a quadratic superalgebra", _WEIGHTS,
+        ),
+        Module(
+            "f4", "so7", "so7_rep", "cov_oct", "spin", "oct", "F4", (24, 16),
+            "g + sl2 + O (x) k^2 closes as a quadratic superalgebra", _WEIGHTS,
+        ),
+        Module(
+            "d21", None, "family_rep", "cov_family", "d21", "family", "D(2,1;a)",
+            (9, 8), "sl2 (+) sl2 (+) sl2-plane assembly closes",
+            {"a": "alpha", "b": "beta"},
+        ),
+    )
 }
-
-
-def _superalgebra_args(key: str) -> dict:
-    """The superalgebra arguments of ``module_records`` for an export key."""
-    _, label, dims = SUPERALGEBRAS[key]
-    return {"superalgebra": f"{key}-superalgebra", "algebra": label, "dims": dims}
 
 
 def _vanishing_witness(f: AltMap) -> Optional[str]:
@@ -257,26 +281,22 @@ def _shortcut_records(prefix: str, cov: Covariants) -> list[CheckRecord]:
 
 
 def module_records(
-    prefix: str,
+    module: Module,
     cov: Covariants,
     *,
     before_equivariance: Callable[[], Iterable[CheckRecord]] = tuple,
     special: str = "mu(u,v)w + mu(u,w)v = (u,v)w + (u,w)v - 2(v,w)u",
     closed_forms: Callable[[], Iterable[CheckRecord]],
-    superalgebra: str,
-    closes: str,
-    algebra: str,
-    dims: tuple[int, int],
 ) -> list[CheckRecord]:
-    """The records of the orthogonal module of cov, run in report order: the
-    structure of the representation, ``before_equivariance``, equivariance
-    and special orthogonality (stated as ``special``) of the moment map, the
-    ``closed_forms``, and the record ``superalgebra`` that g + sl2 + V (x) k^2,
-    built as ``algebra``, ``closes`` at dimension ``dims``.  The Jacobi,
-    invariant-form, representation, skew-action, equivariance and
-    superalgebra records read the one build and two scans of
-    ``module_witnesses``, run by the first of them."""
-    witnesses = cache(lambda: module_witnesses(cov, algebra, dims))
+    """The records of ``module`` on cov, run in report order: the structure
+    of the representation, ``before_equivariance``, equivariance and special
+    orthogonality (stated as ``special``) of the moment map, the
+    ``closed_forms``, and the record that g + sl2 + V (x) k^2 closes at the
+    module's dimensions.  The Jacobi, invariant-form, representation,
+    skew-action, equivariance and superalgebra records read the one build
+    and two scans of ``module_witnesses``, run by the first of them."""
+    prefix, dims = module.prefix, module.dims
+    witnesses = cache(lambda: module_witnesses(cov, module.label, dims))
     return [
         run_check(
             f"{prefix}-jacobi",
@@ -311,8 +331,8 @@ def module_records(
         ),
         *closed_forms(),
         run_check(
-            superalgebra,
-            f"{closes}, dimension {dims[0]}|{dims[1]}",
+            f"{module.key}-superalgebra",
+            f"{module.closes}, dimension {dims[0]}|{dims[1]}",
             lambda: witnesses()["superalgebra"],
         ),
     ]
@@ -360,13 +380,7 @@ def _suite_g2(ws: Workspace) -> list[CheckRecord]:
             "annihilator of the unit in the degree-two component has dimension 14",
             lambda: None if rep.dim == 14 else f"dim = {rep.dim}",
         ),
-        *module_records(
-            "g2",
-            cov,
-            closed_forms=closed_forms,
-            closes="g + sl2 + Im(O) (x) k^2 closes as a quadratic superalgebra",
-            **_superalgebra_args("g3"),
-        ),
+        *module_records(MODULES["g3"], cov, closed_forms=closed_forms),
     ]
 
 
@@ -515,13 +529,7 @@ def _suite_f4(ws: Workspace) -> list[CheckRecord]:
             "Tr(rho(c_u) rho(c_v)) = -96 B(u,v)",
             trace_form,
         ),
-        *module_records(
-            "spin",
-            cov,
-            closed_forms=closed_forms,
-            closes="g + sl2 + O (x) k^2 closes as a quadratic superalgebra",
-            **_superalgebra_args("f4"),
-        ),
+        *module_records(MODULES["f4"], cov, closed_forms=closed_forms),
     ]
 
 
@@ -568,7 +576,7 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
             else f"dims {rep.dim}, {rep.space.dim}",
         ),
         *module_records(
-            "d21",
+            MODULES["d21"],
             cov,
             before_equivariance=lambda: [
                 run_check(
@@ -581,18 +589,19 @@ def _suite_d21(ws: Workspace) -> list[CheckRecord]:
             ],
             special="special orthogonality holds exactly when beta = -1 - alpha",
             closed_forms=closed_forms,
-            closes="sl2 (+) sl2 (+) sl2-plane assembly closes",
-            **_superalgebra_args("d21"),
         ),
     ]
 
 
 def _suite_mathews(ws: Workspace) -> list[CheckRecord]:
+    records = [
+        record
+        for m in MODULES.values()
+        for record in mathews_status(getattr(ws, m.cov), f"mathews-{m.infix}-")
+    ]
     cov = ws.cov_im
     return [
-        *mathews_status(cov, "mathews-im-"),
-        *mathews_status(ws.cov_oct, "mathews-oct-"),
-        *mathews_status(ws.cov_family, "mathews-family-"),
+        *records,
         run_check(
             "mathews-im-compose-zero",
             "mu o psi = 0 on the seven-dimensional module",

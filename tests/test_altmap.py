@@ -9,6 +9,7 @@ the integer-term kernel on every wedge that ``verify all`` makes.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -37,7 +38,7 @@ from specialortho.exterior import (
     all_multi_indices,
     render_multi_index,
 )
-from specialortho.scalars import L1, L2, ONE, ZERO, dot, rat
+from specialortho.scalars import L1, L2, ONE, ZERO, clear_denominators, dot, rat
 from specialortho.suites import Workspace, run_suite
 
 
@@ -248,15 +249,13 @@ def wedge_rel_frac_oracle(f, g, pairing=None):
 )
 def test_verify_all_wedges_match_the_frac_oracle(monkeypatch, weights, alpha, beta):
     # psi, Q, mu ^ psi, mu o psi (through compose), the cyclic sums and the
-    # Mathews and Hodge wedges go through wedge_rel (psi and Q through its
-    # core _wedge_rel, with mu and Id cleared once); each Hodge star is
+    # Mathews and Hodge wedges go through wedge_rel; each Hodge star is
     # re-verified by one-term wedges e_I ^ star on the same kernel
-    real_wedge, real_core = altmap.wedge_rel, altmap._wedge_rel
-    real_dual = altmap.hodge_dual
+    real_wedge, real_dual = altmap.wedge_rel, altmap.hodge_dual
     seen = {"wedges": 0, "stars": 0}
 
-    def checked_wedge(f, g, pairing=None, *cleared):
-        got = real_core(f, g, pairing, *cleared)
+    def checked_wedge(f, g, pairing=None):
+        got = real_wedge(f, g, pairing)
         assert got == wedge_rel_frac_oracle(f, g, pairing)
         seen["wedges"] += 1
         return got
@@ -273,11 +272,31 @@ def test_verify_all_wedges_match_the_frac_oracle(monkeypatch, weights, alpha, be
 
     for module in (altmap, quadlie, suites):
         monkeypatch.setattr(module, "wedge_rel", checked_wedge)
-    monkeypatch.setattr(quadlie, "_wedge_rel", checked_wedge)
     monkeypatch.setattr(suites, "hodge_dual", checked_dual)
     l1, l2, l3 = weights or (None, None, None)
     run_suite("all", Workspace(l1, l2, l3, alpha, beta))
     assert seen == {"wedges": 22, "stars": 7}
+
+
+def test_cleared_values_outlive_no_change_of_coeffs(monkeypatch):
+    # AltMap.cleared is made once per map and kept: at the end of a symbolic
+    # verify all, every map whose cleared values were read still clears to them
+    real = AltMap.__dict__["cleared"].func
+    read = []
+
+    def recorded(self):
+        read.append(self)
+        return real(self)
+
+    cleared = cached_property(recorded)
+    cleared.__set_name__(AltMap, "cleared")
+    monkeypatch.setattr(AltMap, "cleared", cleared)
+    report = run_suite("all", Workspace())
+    assert len(read) == len({id(f) for f in read}) == 25
+    for f in read:
+        rows = {I: {k: c for k, c in enumerate(v) if c.num} for I, v in f.coeffs.items()}
+        assert f.__dict__["cleared"] == clear_denominators(rows)
+    assert report.ok
 
 
 def test_wedge_over_two_term_denominators_matches_the_frac_oracle():

@@ -140,9 +140,6 @@ ALLOWED = {
     "test_apply_and_wedge_match_pairwise_folds",
     "scalars._p_add": "sums of fractions with non-monomial denominators, which no command "
     "builds; test_dot_cancellation_builds_no_fraction",
-    "quadlie.moment_action": "the MomentAction of a bare mu, which check_special "
-    "builds when it is not given one; covariants clears mu once for its table and "
-    "psi (test_g2_moment_closed_forms)",
     "cli._build_parser": "the argv reader of perfbench/setup_probe.py",
     "cli._help": "the usage text of -h and --help; "
     "test_help_names_the_commands_suites_and_flags",

@@ -130,16 +130,23 @@ def test_spin_action_generator_squares(C):
 
 @pytest.mark.parametrize("weights", [(L1, L2, L3), (rat(2), rat(3), rat(-5))])
 def test_pair_traces_match_trace_product(weights):
-    # the table reads the monomial matrices; trace_product builds both spin
-    # matrices of one-term elements
+    # the table holds the diagonal, read from the monomial columns, and is
+    # zero off it; trace_product builds both spin matrices of one-term
+    # elements, for every pair
     C = CliffordAlgebra(build_algebra(*weights))
     traces = C.pair_traces
-    assert len(traces) == 21 * 21
-    for a, x in enumerate(PAIR_MASKS):
-        for y in PAIR_MASKS[a:]:
+    assert list(traces) == list(PAIR_MASKS)
+    for x in PAIR_MASKS:
+        for y in PAIR_MASKS:
             a_x, a_y = CliffordElement(C, {x: ONE}), CliffordElement(C, {y: ONE})
-            want = trace_product(C, a_x, a_y)
-            assert traces[(x, y)] == traces[(y, x)] == want
+            assert trace_product(C, a_x, a_y) == (traces[x] if x == y else ZERO)
+
+
+def test_pair_traces_need_a_diagonal_gram(monkeypatch):
+    C = CliffordAlgebra(build_algebra(L1, L2, L3))
+    monkeypatch.setattr(C.octonions.space_oct, "is_diagonal", False)
+    with pytest.raises(ShapeMismatch, match="diagonal"):
+        C.pair_traces
 
 
 def test_w_basis_is_built_once(C, A):

@@ -28,11 +28,11 @@ BOUNDS = {
     scalars.Frac.__neg__: 2_925,
     scalars.Frac.__eq__: 2_520,
     scalars.Frac._sum: 1_782,
-    scalars._monomial_sum: 584,
-    scalars.dot: 883,
+    scalars._monomial_sum: 563,
+    scalars.dot: 862,
     scalars._p_gcd: 51,
     scalars.add_products: 5_293,
-    scalars.clear_denominators: 73,
+    scalars.clear_denominators: 53,
 }
 
 SETUP_BOUNDS = {
@@ -42,8 +42,8 @@ SETUP_BOUNDS = {
     scalars.Frac.__neg__: 327,
     scalars.Frac.__eq__: 421,
     scalars.Frac._sum: 656,
-    scalars._monomial_sum: 335,
-    scalars.dot: 351,
+    scalars._monomial_sum: 314,
+    scalars.dot: 330,
     scalars._p_gcd: 12,
     scalars.add_products: 212,
     scalars.clear_denominators: 15,

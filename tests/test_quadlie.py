@@ -980,22 +980,17 @@ def test_moment_action_matches_evaluate_then_act(weights):
 
 # -- the module records against the single-identity oracles -----------------
 
-# record prefix, covariants in a Workspace, superalgebra key
-MODULES = [("g2", "cov_im", "g3"), ("spin", "cov_oct", "f4"), ("d21", "cov_family", "d21")]
+def module_id(module):
+    """The test id of a module: record prefix, covariants stage, export key."""
+    return f"{module.prefix}-{module.cov}-{module.key}"
 
 
-def module_witness_records(prefix, cov, key):
+def module_witness_records(module, cov):
     """The jacobi, representation and equivariance witnesses, and every
     failing record, of module_records on cov."""
-    records = suites.module_records(
-        prefix,
-        cov,
-        closed_forms=tuple,
-        closes="the assembly closes",
-        **suites._superalgebra_args(key),
-    )
+    records = suites.module_records(module, cov, closed_forms=tuple)
     by_name = {r.name: r for r in records}
-    witnesses = {name: by_name[f"{prefix}-{name}"].witness for name in CLEAN}
+    witnesses = {name: by_name[f"{module.prefix}-{name}"].witness for name in CLEAN}
     failing = {r.name: r.witness for r in records if r.status == "fails"}
     return witnesses, failing
 
@@ -1029,9 +1024,9 @@ def moved(cov, *, action=None, bracket=None, mu=None):
 @pytest.mark.parametrize("weights", [None, (2, 3, -5)])
 def test_module_records_agree_with_the_oracles(weights):
     ws = Workspace() if weights is None else Workspace(*(rat(w) for w in weights))
-    for prefix, attr, key in MODULES:
-        cov = getattr(ws, attr)
-        witnesses, failing = module_witness_records(prefix, cov, key)
+    for module in suites.MODULES.values():
+        cov = getattr(ws, module.cov)
+        witnesses, failing = module_witness_records(module, cov)
         assert witnesses == oracle_witnesses(cov) == CLEAN
         assert failing == {}
 
@@ -1064,12 +1059,12 @@ INVARIANT_FORM_CONTROLS = {
 }
 
 
-@pytest.mark.parametrize("prefix,attr,key", MODULES)
-def test_perturbed_modules_name_the_oracle_tuple(prefix, attr, key):
-    cov = getattr(Workspace(), attr)
+@pytest.mark.parametrize("module", suites.MODULES.values(), ids=module_id)
+def test_perturbed_modules_name_the_oracle_tuple(module):
+    prefix, cov = module.prefix, getattr(Workspace(), module.cov)
     for kind, (where, witness) in PERTURBATIONS[prefix].items():
         broken = moved(cov, **{kind: where})
-        witnesses, failing = module_witness_records(prefix, broken, key)
+        witnesses, failing = module_witness_records(module, broken)
         assert witnesses == oracle_witnesses(broken)
         assert witnesses[BROKEN_RECORD[kind]] == witness
         for record, got in witnesses.items():
@@ -1082,14 +1077,14 @@ def test_perturbed_modules_name_the_oracle_tuple(prefix, attr, key):
         else:
             assert witnesses["invariant-form"] is None
     # the untouched module still holds
-    assert module_witness_records(prefix, cov, key)[0] == CLEAN
+    assert module_witness_records(module, cov)[0] == CLEAN
 
 
 def test_skew_action_record_names_the_moved_entry():
     # rho(d5) e3 gains e4; the imaginary Gram is diagonal, so only
     # B(rho(d5) e3, e4) + B(e3, rho(d5) e4) moves
     broken = moved(Workspace().cov_im, action=(4, 2, 3))
-    _, failing = module_witness_records("g2", broken, "g3")
+    _, failing = module_witness_records(suites.MODULES["g3"], broken)
     assert set(failing) == {
         "g2-representation",
         "g2-skew-action",
@@ -1109,16 +1104,17 @@ SKEW_CONTROLS = {
 }
 
 
-@pytest.mark.parametrize("prefix,attr,key", MODULES[1:])
-def test_skew_action_controls_name_the_oracle_entry(prefix, attr, key):
+@pytest.mark.parametrize("module", list(suites.MODULES.values())[1:], ids=module_id)
+def test_skew_action_controls_name_the_oracle_entry(module):
+    prefix = module.prefix
     where, witness = SKEW_CONTROLS[prefix]
-    broken = moved(getattr(Workspace(), attr), action=where)
-    witnesses, failing = module_witness_records(prefix, broken, key)
+    broken = moved(getattr(Workspace(), module.cov), action=where)
+    witnesses, failing = module_witness_records(module, broken)
     assert failing[f"{prefix}-skew-action"] == witness == skew_oracle(broken.rep)
     assert witnesses == oracle_witnesses(broken)
     assert set(failing) == {
         f"{prefix}-{name}" for name in ("representation", "skew-action", "equivariance")
-    } | {f"{key}-superalgebra"}
+    } | {f"{module.key}-superalgebra"}
 
 
 def hyperbolic_moved(step):

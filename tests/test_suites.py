@@ -418,24 +418,30 @@ def test_module_records_build_osp_from_so(n):
     gram = [[w if r == c else rat(0) for c, w in enumerate(weights)] for r in range(n)]
     space = QuadraticSpace(tuple(f"v{k + 1}" for k in range(n)), gram, name=f"V{n}")
     cov = quadlie.covariants(quadlie.build_so(space)[0])
+    # the fourth module is one more table entry; no Workspace stage builds it
     prefix, dims = f"so{n}", (n * (n - 1) // 2 + 3, 2 * n)
-    records = suites.module_records(
-        prefix,
-        cov,
-        closed_forms=lambda: suites._shortcut_records(prefix, cov),
-        superalgebra=f"{prefix}-superalgebra",
-        closes="so(V) + sl2 + V (x) k^2 closes as osp(n|2)",
-        algebra=f"osp({n}|2)",
+    module = suites.Module(
+        key=f"osp{n}",
+        g=f"so{n}",
+        rep=None,
+        cov=None,
+        prefix=prefix,
+        infix=f"so{n}",
+        label=f"osp({n}|2)",
         dims=dims,
+        closes="so(V) + sl2 + V (x) k^2 closes as osp(n|2)",
+        bindings={},
+    )
+    records = suites.module_records(
+        module, cov, closed_forms=lambda: suites._shortcut_records(prefix, cov)
     )
     assert [r.name for r in records] == [
         f"{prefix}-{name}"
         for name in (
             "jacobi", "invariant-form", "representation", "skew-action",
             "equivariance", "special", "psi-shortcut", "quad-shortcut",
-            "superalgebra",
         )
-    ]
+    ] + [f"osp{n}-superalgebra"]
     assert all(r.status == "holds" for r in records), [r.as_line() for r in records]
     assert records[-1].statement.endswith(f"dimension {dims[0]}|{dims[1]}")
 
@@ -666,8 +672,9 @@ def test_superalgebra_names_the_moved_moment_map_and_its_ooo_triple(
     ws = Workspace()
     records = failing(run_suite(suite, ws).records)
     assert records[f"{key}-superalgebra"] == NOT_SPECIAL.format(special, ooo)
-    get, label, _ = suites.SUPERALGEBRAS[key]
-    assert full_jacobi_scan(build_tilde(get(ws), label, force=True))["OOO"] == ooo
+    module = suites.MODULES[key]
+    sa = build_tilde(getattr(ws, module.cov), module.label, force=True)
+    assert full_jacobi_scan(sa)["OOO"] == ooo
 
 
 def test_zero_odd_odd_scale_of_a_moved_moment_map_is_a_failing_record(monkeypatch, capsys):
