@@ -48,6 +48,11 @@ class ShapeMismatch(SpecialOrthoError, ValueError):
     """Maps with incompatible domains/codomains were combined."""
 
 
+class DenominatorOutsideSet(SpecialOrthoError, ValueError):
+    """A denominator is not c * l1^i l2^j l3^k a^m (a + 1)^r: the scalar field
+    divides only by integers, the weights, alpha and alpha + 1 = -beta."""
+
+
 class DegenerateParameter(SpecialOrthoError, ValueError):
     """A structure parameter that must be nonzero vanished."""
 

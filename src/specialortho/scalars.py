@@ -4,6 +4,13 @@ Everything the library computes is a ``Frac``: a reduced fraction of sparse
 integer polynomials in the four fixed variables.  There is no floating point
 anywhere; equality of scalars is equality in the field.
 
+The denominator set.  Every denominator is c * l1^i l2^j l3^k a^m (a + 1)^r,
+as the paper divides only by the weights, alpha and beta = -1 - alpha.
+``Frac(num, den)`` and ``/`` refuse any other with DenominatorOutsideSet;
+sums, products and lcms stay in the set.  ``_p_gcd(p, den)`` strips from p
+the factors a + 1 of den (``_a1_quotient``) and takes a monomial gcd of the
+rest: there is no multivariate gcd.
+
 Representation.  A polynomial is a dict mapping a packed exponent key to a
 nonzero int coefficient.  The key packs the four exponents in 16-bit slots,
 ``e(l1) | e(l2)<<16 | e(l3)<<32 | e(a)<<48``, so monomial multiplication is
@@ -32,8 +39,9 @@ exponent stored is 24, the largest cleared one 3, the largest sum of three
 cleared keys 5.
 
 Canonical form.  gcd(num, den) is a unit, and the leading coefficient of the
-denominator is positive.  Two Fracs are equal in the field iff their dicts
-are equal, so ``==`` and ``hash`` are structural.
+denominator is positive; the denominator is stored expanded, not factored.
+Two Fracs are equal in the field iff their dicts are equal, so ``==`` and
+``hash`` are structural.
 
 Fast paths.  A product of two monomial fractions c1*m1/(e1*k1) and
 c2*m2/(e2*k2), ints and rational constants included, is reduced by one
@@ -48,7 +56,7 @@ the products with monomial denominators go over one common denominator (the
 per-slot maximum of the keys, the integer lcm of the coefficients), and the
 numerator sum is reduced by one integer gcd and one key minimum.  ``+`` and
 ``-`` of two monomial-denominator fractions are the two-term case.  None of
-these calls the polynomial gcd.  A reduced fraction with a positive leading
+these calls ``_p_gcd``.  A reduced fraction with a positive leading
 denominator coefficient is unique over the UFD Z[l1, l2, l3, a], so every
 path gives exactly the canonical form of the general path, and ``dot``
 equals the pairwise sum dict for dict.  ``clear_denominators`` puts rows of
@@ -78,6 +86,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 from .errors import (
+    DenominatorOutsideSet,
     DenominatorVanishes,
     DivisionByZero,
     ExponentOverflow,
@@ -91,9 +100,11 @@ VARS = ("l1", "l2", "l3", "a")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
+_L_MASK = (1 << 48) - 1  # the slots of l1, l2 and l3
 
 _P_ZERO: dict = {}
 _P_ONE = {0: 1}
+_A1 = {1 << 48: 1, 0: 1}  # a + 1
 
 # ---------------------------------------------------------------------------
 # polynomial layer: dict[int, int], no zero coefficients stored
@@ -150,19 +161,6 @@ def _p_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
         v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _p_sub(a: dict, b: dict) -> dict:
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) - c
         if v:
             out[k] = v
         elif k in out:
@@ -250,142 +248,64 @@ def _p_monomial_gcd(p: dict, key: int, coeff: int) -> tuple[int, int]:
     return m, g
 
 
-def _p_content(p: dict) -> tuple[int, int]:
-    """The monomial content of a nonzero p: its largest monomial divisor."""
-    return _p_monomial_gcd(p, next(iter(p)), 0)
+# -- the denominator set: c * l1^i l2^j l3^k a^m (a + 1)^r ---------------------
 
 
-def _sign_norm(p: dict) -> dict:
-    if p and p[_lead_key(p)] < 0:
-        return _p_neg(p)
-    return dict(p)
-
-
-# -- multivariate gcd: contents + primitive pseudo-remainder sequence --------
-
-
-def _vars_present(p: dict) -> int:
-    mask = 0
-    for k in p:
-        if k & _MASK:
-            mask |= 1
-        if (k >> 16) & _MASK:
-            mask |= 2
-        if (k >> 32) & _MASK:
-            mask |= 4
-        if k >> 48:
-            mask |= 8
-    return mask
-
-
-def _to_recursive(p: dict, vi: int) -> dict:
-    """Split p as a univariate poly in variable vi with packed-poly coefficients."""
-    sh = 16 * vi
-    out: dict = {}
+def _a1_quotient(p: dict) -> dict | None:
+    """p / (a + 1), or None when a + 1 does not divide p: the coefficient of
+    each l-monomial, a polynomial in a, is divided synthetically, q_i = p_i -
+    q_(i-1) from the lowest power up, exact iff p(a = -1) = 0."""
+    by_l: dict = {}
     for k, c in p.items():
-        d = (k >> sh) & _MASK
-        rest = k - (d << sh)
-        out.setdefault(d, {})[rest] = c
-    return out
+        by_l.setdefault(k & _L_MASK, {})[k >> 48] = c
+    q = {}
+    for m, col in by_l.items():
+        top = max(col)
+        carry = 0
+        for i in range(min(col), top):
+            carry = col.get(i, 0) - carry
+            if carry:
+                q[m | i << 48] = carry
+        if col[top] != carry:
+            return None
+    return q
 
 
-def _from_recursive(f: dict, vi: int) -> dict:
-    sh = 16 * vi
-    out: dict = {}
-    for d, coeff in f.items():
-        for k, c in coeff.items():
-            out[k + (d << sh)] = c
-    return out
+def _split_den(den: dict) -> tuple[int, int, int]:
+    """(r, k, c) with den = c * x^k * (a + 1)^r, or DenominatorOutsideSet."""
+    r, p = 0, den
+    while len(p) != 1:
+        p = _a1_quotient(p)
+        if p is None:
+            raise DenominatorOutsideSet(
+                f"denominator {_render_poly(den)} is not "
+                "c * l1^i l2^j l3^k a^m (a + 1)^r"
+            )
+        r += 1
+    [(k, c)] = p.items()
+    return r, k, c
 
 
-def _coeffs_gcd(f: dict) -> dict:
-    g: dict = {}
-    for coeff in f.values():
-        g = _p_gcd(g, coeff)
-        if len(g) == 1 and 0 in g and g[0] == 1:
-            return g
-    return g
-
-
-def _prem(F: dict, G: dict) -> dict:
-    """Pseudo-remainder of F by G, both univariate with packed-poly coefficients."""
-    dG = max(G)
-    lG = G[dG]
-    R = dict(F)
-    while R:
-        dR = max(R)
-        if dR < dG:
+def _p_gcd(p: dict, den: dict) -> dict:
+    """gcd of a nonzero p and a denominator of the set, with a positive
+    leading coefficient: the factors a + 1 of den that divide p, times the
+    monomial gcd of what is left of p with den's c * x^k."""
+    g = _P_ONE
+    r, k, c = _split_den(den)
+    for _ in range(r):
+        q = _a1_quotient(p)
+        if q is None:
             break
-        lR = R[dR]
-        new: dict = {}
-        for d, c in R.items():
-            if d != dR:
-                new[d] = _p_mul(c, lG)
-        for d, c in G.items():
-            if d != dG:
-                d2 = d + dR - dG
-                v = _p_sub(new.get(d2, {}), _p_mul(c, lR))
-                if v:
-                    new[d2] = v
-                elif d2 in new:
-                    del new[d2]
-        R = new
-    return R
-
-
-def _p_gcd(a: dict, b: dict) -> dict:
-    """gcd in Z[l1,l2,l3,a], sign-normalized to a positive leading coefficient."""
-    if not a:
-        return _sign_norm(b)
-    if not b:
-        return _sign_norm(a)
-    if a == b:
-        return dict(a)
-    if len(a) == 1 or len(b) == 1:
-        if len(a) != 1:
-            a, b = b, a
-        [(k, c)] = a.items()
-        k, g = _p_monomial_gcd(b, k, c)
-        return {k: g}
-    ka, ca = _p_content(a)
-    kb, cb = _p_content(b)
-    gc = _int_gcd(ca, cb)
-    gk = _key_min(ka, kb)
-    pa = {k - ka: c // ca for k, c in a.items()}
-    pb = {k - kb: c // cb for k, c in b.items()}
-    common = _vars_present(pa) & _vars_present(pb)
-    if common == 0:
-        return {gk: gc}
-    vi = (common & -common).bit_length() - 1
-    F = _to_recursive(pa, vi)
-    G = _to_recursive(pb, vi)
-    if max(F) < max(G):
-        F, G = G, F
-    contF = _coeffs_gcd(F)
-    contG = _coeffs_gcd(G)
-    cont = _p_gcd(contF, contG)
-    F = {d: _p_divexact(c, contF) for d, c in F.items()}
-    G = {d: _p_divexact(c, contG) for d, c in G.items()}
-    while True:
-        R = _prem(F, G)
-        if not R:
-            gpp = G
-            break
-        if max(R) == 0:
-            gpp = {0: _P_ONE}
-            break
-        rc = _coeffs_gcd(R)
-        F, G = G, {d: _p_divexact(c, rc) for d, c in R.items()}
-    flat = _from_recursive(gpp, vi)
-    fk, fc = _p_content(flat)
-    flat = {k - fk: c // fc for k, c in flat.items()}
-    return _sign_norm(_p_mul(_p_mul({gk: gc}, cont), flat))
+        p, g = q, _p_mul(g, _A1)
+    k, c = _p_monomial_gcd(p, k, c)
+    return _p_mul(g, {k: c})
 
 
 def _p_lcm(a: dict, b: dict) -> dict:
+    """lcm of two denominators of the set with positive leading coefficients."""
     if a == b:
         return dict(a)
-    return _sign_norm(_p_mul(a, _p_divexact(b, _p_gcd(a, b))))
+    return _p_mul(a, _p_divexact(b, _p_gcd(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +324,8 @@ class Frac:
         if not den:
             raise DivisionByZero("denominator polynomial is zero")
         if not num:
+            if len(den) != 1:
+                _split_den(den)
             self.num, self.den = _P_ZERO, _P_ONE
         else:
             g = _p_gcd(num, den)
@@ -569,6 +491,8 @@ class Frac:
         num, den = other.den, other.num
         if den[_lead_key(den)] < 0:
             num, den = _p_neg(num), _p_neg(den)
+        if len(den) != 1:
+            _split_den(den)
         return self.__mul__(Frac._raw(num, den))
 
     def __rtruediv__(self, other: ScalarLike) -> "Frac":
@@ -761,7 +685,8 @@ def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
     """Every entry of the sparse rows {i: Frac} over one common denominator.
 
     Returns (L, cleared).  L is the lcm of the entries' denominators: the
-    monomial lcm when they are all monomials, else a fold of ``_p_lcm``.
+    monomial lcm when they are all monomials, else a fold of ``_p_lcm``,
+    which divides by the set gcd ``_p_gcd``.
     ``cleared[r]`` is row r as a tuple of integer terms: the term v * x^k of
     the numerator L * c of entry c at i is the pair ``((i << ROW_SHIFT) + k,
     v)``.  A product of two terms is then one int multiply and one key sum,
@@ -1069,7 +994,8 @@ class _Parser:
 
 
 def parse(text: str) -> Frac:
-    """Parse an expression in l1, l2, l3, a with + - * / ^ and parentheses."""
+    """Parse an expression in l1, l2, l3, a with + - * / ^ and parentheses;
+    a divisor outside the denominator set raises DenominatorOutsideSet."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")

@@ -244,6 +244,14 @@ def test_non_rational_alpha_exits_2(capsys):
     assert "rational" in err
 
 
+def test_alpha_outside_the_denominator_set_exits_2(capsys):
+    assert run(capsys, "verify", "all", "--alpha", "1/(l1+1)") == (
+        2,
+        "",
+        "error: denominator l1 + 1 is not c * l1^i l2^j l3^k a^m (a + 1)^r\n",
+    )
+
+
 def test_decompose_row_counts(capsys):
     for target, count in (("phi", 7), ("q-im", 7), ("q-oct", 14)):
         code, out, _ = run(capsys, "decompose", target)
@@ -303,6 +311,16 @@ def test_export_bad_algebra(capsys):
     code, _, err = run(capsys, "export", "--algebra", "e8")
     assert code == 2
     assert err == "error: unknown algebra 'e8'; expected one of: g2, so7, d21, g3, f4\n"
+
+
+def test_export_texts_name_every_export_key(capsys):
+    # the error text and the usage text each list the keys by hand: a new
+    # suites.MODULES entry fails here until both name it
+    _, _, err = run(capsys, "export", "--algebra", "e8")
+    listed = err.rstrip("\n").partition("expected one of: ")[2]
+    assert set(listed.split(", ")) == set(cli._EXPORTS)
+    usage = " ".join(cli._USAGE.split()).partition("NAME: ")[2].partition(".")[0]
+    assert set(usage.replace(" or ", ", ").split(", ")) == set(cli._EXPORTS)
 
 
 # The argparse parser the command line used before its argv table, kept as

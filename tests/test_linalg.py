@@ -28,7 +28,6 @@ from specialortho.scalars import (
     _p_divexact,
     _p_lcm,
     _p_mul,
-    _p_sub,
     rat,
     solve_linear,
 )
@@ -113,14 +112,16 @@ def test_det_diagonal_and_singular():
 
 
 def test_det_symbolic_3x3_matches_cofactor():
+    # the second pivot is l2 * (a + 1): elimination divides only by
+    # denominators of the field's set
     m = [
         [L1, ONE, ZERO],
-        [ALPHA, L2, ONE],
+        [-L1 * L2, ALPHA * L2, ONE],
         [ONE, ZERO, L3],
     ]
     cofactor = (
-        L1 * (L2 * L3 - ZERO)
-        - ONE * (ALPHA * L3 - ONE)
+        L1 * (ALPHA * L2 * L3 - ZERO)
+        - ONE * (-L1 * L2 * L3 - ONE)
         + ZERO
     )
     assert det(m) == cofactor
@@ -163,6 +164,17 @@ def test_subspace_coords_dependent_basis():
 # expansion and with fraction-free Bareiss elimination on the cleared
 # integer-polynomial rows, the core the library used before; neither
 # shares code with it.
+
+
+def _p_sub(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
 
 
 def bareiss(matrix, columns=(), square=False):
@@ -267,14 +279,33 @@ _entries = st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=2).map(
 )
 
 
+_CONSTANTS = st.sampled_from((0, 0, 1, -1, 2, -3))
+
+
+def scaled_matrix(draw, n, scales):
+    """D1 C D2 with C an n x n integer matrix and D1, D2 diagonal, drawn
+    from scales: every minor, so every pivot, is an integer times a product
+    of scales.  Sometimes singular, yet not sparse: C's last row is then in
+    the span of its first rows."""
+    c = [[draw(_CONSTANTS) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(_CONSTANTS)
+        c[-1] = [x + k * y for x, y in zip(c[0], c[n - 2])]
+    rows = [draw(scales) for _ in range(n)]
+    cols = [draw(scales) for _ in range(n)]
+    return [[r * x * s for x, s in zip(row, cols)] for r, row in zip(rows, c)]
+
+
+# row and column scales from the denominator set, two with a + 1
+_SCALES = st.sampled_from(
+    (ONE, ONE, rat(-2), L1, L2, ONE / L1, ALPHA + 1, L2 / (ALPHA + 1) ** 2)
+)
+
+
 @st.composite
 def square_systems(draw):
     n = draw(st.integers(min_value=1, max_value=4))
-    m = [[draw(_entries) for _ in range(n)] for _ in range(n)]
-    if n > 1 and draw(st.booleans()):
-        # a last row in the span of the first rows: singular, yet not sparse
-        c = draw(_entries)
-        m[-1] = [x + c * y for x, y in zip(m[0], m[n - 2])]
+    m = scaled_matrix(draw, n, _SCALES)
     b = [draw(_entries) for _ in range(n)]
     return m, b
 
@@ -296,14 +327,9 @@ def graded_systems(draw):
     m = [[ZERO] * n for _ in range(n)]
     start = 0
     for size in sizes:
-        block = [
-            [draw(_monomials) if draw(st.integers(0, 3)) else ZERO for _ in range(size)]
-            for _ in range(size)
-        ]
-        if size > 1 and draw(st.booleans()):
-            # a monomial multiple of the first row: a singular block
-            c = draw(_monomials)
-            block[-1] = [c * x for x in block[0]]
+        # homogeneous: entry (i, j) is c_ij times the monomials of row i
+        # and column j
+        block = scaled_matrix(draw, size, _monomials)
         for i, row in enumerate(block):
             m[start + i][start : start + size] = row
         start += size

@@ -211,12 +211,17 @@ def diagonal_space(n):
 
 
 def skew_space():
-    """A non-diagonal symbolic Gram: a chain of off-diagonal entries."""
+    """A non-diagonal symbolic Gram: a chain of off-diagonal entries.
+
+    It is D C D with D = diag(l1, l2, a + 1, l3) and C a constant chain, so
+    every minor, and every denominator the oracle's elimination builds, is
+    an integer times a monomial times a power of a + 1."""
+    a1 = ALPHA + 1
     gram = [
-        [L1, ONE, ZERO, ZERO],
-        [ONE, L2, L3, ZERO],
-        [ZERO, L3, ONE, ALPHA],
-        [ZERO, ZERO, ALPHA, -ONE],
+        [L1**2, L1 * L2, ZERO, ZERO],
+        [L1 * L2, 2 * L2**2, L2 * a1, ZERO],
+        [ZERO, L2 * a1, a1**2, L3 * a1],
+        [ZERO, ZERO, L3 * a1, -(L3**2)],
     ]
     return QuadraticSpace(("s1", "s2", "s3", "s4"), gram, name="S4")
 

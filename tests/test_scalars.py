@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specialortho.errors import (
+    DenominatorOutsideSet,
     DenominatorVanishes,
     DivisionByZero,
     ExponentOverflow,
@@ -26,9 +29,14 @@ from specialortho.scalars import (
     ONE,
     ZERO,
     _P_ONE,
+    _key_min,
+    _lead_key,
     _p_add,
     _p_divexact,
+    _p_gcd,
+    _p_int_mul,
     _p_max_exponent,
+    _p_monomial_gcd,
     _p_mul,
     add_products,
     clear_denominators,
@@ -206,7 +214,7 @@ def test_pow_refuses_exponent_overflow():
     with pytest.raises(ExponentOverflow):
         (L1 * L2**2) ** 40000
     with pytest.raises(ExponentOverflow):
-        (L1 / (L3 + 1)) ** -65536
+        (L1 / (ALPHA + 1)) ** -65536
     with pytest.raises(ExponentOverflow):
         parse("(l1^2)^40000")
 
@@ -219,7 +227,7 @@ def test_solve_identity_and_diagonal():
 
 
 def test_diagonal_solve_divides_and_keeps_the_singular_text(monkeypatch):
-    diag = [[L1, ZERO, ZERO], [ZERO, rat(-2, 3), ZERO], [ZERO, ZERO, L2 + 1]]
+    diag = [[L1, ZERO, ZERO], [ZERO, rat(-2, 3), ZERO], [ZERO, ZERO, L2 * (ALPHA + 1)]]
     cols = [[ONE, L3, ZERO], [ZERO, ZERO, ZERO], [L2, ONE / L1, L1 + L2]]
     want = [[b / diag[i][i] for i, b in enumerate(col)] for col in cols]
     # a diagonal system takes the one elimination path, which divides each
@@ -258,10 +266,12 @@ def test_solve_multiple_columns():
 
 
 def test_solve_symbolic_dense():
+    # the pivots l1, a + 1 and l3 * a / (l1 * (a + 1)) are in the
+    # denominator set
     m = [
-        [L1 + 1, L2, ZERO],
+        [L1, -L1, ZERO],
         [ONE, ALPHA, L3],
-        [ZERO, ONE / L1, ONE],
+        [ZERO, ONE / L1, L3 / L1],
     ]
     rhs = [ONE, ZERO, L2]
     x = solve_linear(m, rhs)
@@ -297,21 +307,30 @@ def scalars(draw):
     shift = draw(_small)
     base = rat(num) * L1**e1 * L2**e2 + rat(shift) * ALPHA
     if draw(st.booleans()):
-        base = base + ONE / (L3 + 2)
+        base = base + ONE / (ALPHA + 1)
     return base
 
 
-@given(scalars(), scalars(), scalars())
+@st.composite
+def set_polynomials(draw):
+    """c * l1^i l2^j l3^k a^m (a + 1)^r: the polynomials a scalar may divide by."""
+    value = rat(draw(st.sampled_from([-6, -2, -1, 1, 3, 7])))
+    for v in (L1, L2, L3, ALPHA):
+        value = value * v ** draw(st.integers(min_value=0, max_value=2))
+    return value * (ALPHA + 1) ** draw(st.integers(min_value=0, max_value=3))
+
+
+@given(scalars(), scalars(), scalars(), set_polynomials())
 @settings(max_examples=60, deadline=None)
-def test_field_axioms(x, y, z):
+def test_field_axioms(x, y, z, d):
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert x * y == y * x
     assert x - x == ZERO
-    if not y.is_zero():
-        assert (x / y) * y == x
+    assert (x / d) * d == x
+    assert (x + y) / d == x / d + y / d
 
 
 @given(scalars())
@@ -330,11 +349,11 @@ _points = st.dictionaries(
 )
 
 
-@given(scalars(), scalars(), _points)
+@given(scalars(), scalars(), set_polynomials(), _points)
 @settings(max_examples=60, deadline=None)
-def test_substitute_is_a_ring_homomorphism(x, y, point):
-    # scalars() may carry the denominator l3 + 2
-    assume(point.get("l3") != -2)
+def test_substitute_is_a_ring_homomorphism(x, y, d, point):
+    # scalars() may carry the denominator a + 1
+    assume(point.get("a") != -1)
 
     def at(z):
         return z.substitute(point)
@@ -343,8 +362,8 @@ def test_substitute_is_a_ring_homomorphism(x, y, point):
     assert at(x - y) == at(x) - at(y)
     assert at(x * y) == at(x) * at(y)
     assert at(ONE) == ONE and at(ZERO) == ZERO
-    if not at(y).is_zero():
-        assert at(x / y) == at(x) / at(y)
+    if not at(d).is_zero():
+        assert at(x / d) == at(x) / at(d)
 
 
 @st.composite
@@ -370,13 +389,169 @@ def polynomials(draw):
     return p
 
 
-@given(polynomials(), polynomials(), polynomials())
-# the gcd recurses on l1; l2 + 1 is a common factor of the l1-coefficients
-@example(parse("1 - l1"), parse("l1 - 1"), parse("l2 + 1"))
+@given(polynomials(), set_polynomials(), set_polynomials())
+# a + 1 divides a * c three times, b * c three times
+@example(parse("1 - a^2"), parse("a + 1"), parse("(a + 1)^2*l2"))
 @settings(max_examples=100, deadline=None)
 def test_common_factor_cancels(a, b, c):
     # reduction must find every common factor, or equal values differ as dicts
     assert (a * c) / (b * c) == a / b
+
+
+# -- the general gcd over Z[l1, l2, l3, a]: the oracle of the set gcd ----------
+# The library divides only by c * l1^i l2^j l3^k a^m (a + 1)^r, so its gcd
+# strips factors a + 1 and takes a monomial gcd.  The primitive
+# pseudo-remainder sequence below, the gcd the library used before, shares
+# none of that code.
+
+
+def _p_sub(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _p_content(p):
+    """The monomial content of a nonzero p: its largest monomial divisor."""
+    return _p_monomial_gcd(p, next(iter(p)), 0)
+
+
+def _sign_norm(p):
+    if p and p[_lead_key(p)] < 0:
+        return {k: -c for k, c in p.items()}
+    return dict(p)
+
+
+def _vars_present(p):
+    mask = 0
+    for k in p:
+        for vi in range(4):
+            if (k >> 16 * vi) & 0xFFFF:
+                mask |= 1 << vi
+    return mask
+
+
+def _to_recursive(p, vi):
+    """Split p as a univariate poly in variable vi with packed-poly coefficients."""
+    sh = 16 * vi
+    out = {}
+    for k, c in p.items():
+        d = (k >> sh) & 0xFFFF
+        out.setdefault(d, {})[k - (d << sh)] = c
+    return out
+
+
+def _from_recursive(f, vi):
+    return {k + (d << 16 * vi): c for d, coeff in f.items() for k, c in coeff.items()}
+
+
+def _coeffs_gcd(f):
+    g = {}
+    for coeff in f.values():
+        g = prs_gcd(g, coeff)
+        if g == _P_ONE:
+            return g
+    return g
+
+
+def _prem(F, G):
+    """Pseudo-remainder of F by G, both univariate with packed-poly coefficients."""
+    dG = max(G)
+    lG = G[dG]
+    R = dict(F)
+    while R and max(R) >= dG:
+        dR = max(R)
+        lR = R[dR]
+        new = {d: _p_mul(c, lG) for d, c in R.items() if d != dR}
+        for d, c in G.items():
+            if d != dG:
+                d2 = d + dR - dG
+                v = _p_sub(new.get(d2, {}), _p_mul(c, lR))
+                if v:
+                    new[d2] = v
+                else:
+                    new.pop(d2, None)
+        R = new
+    return R
+
+
+def prs_gcd(a, b):
+    """gcd in Z[l1, l2, l3, a] with a positive leading coefficient: the
+    contents' gcd times the primitive PRS gcd in the lowest common variable."""
+    if not a:
+        return _sign_norm(b)
+    if not b:
+        return _sign_norm(a)
+    ka, ca = _p_content(a)
+    kb, cb = _p_content(b)
+    gk, gc = _key_min(ka, kb), gcd(ca, cb)
+    pa = {k - ka: c // ca for k, c in a.items()}
+    pb = {k - kb: c // cb for k, c in b.items()}
+    common = _vars_present(pa) & _vars_present(pb)
+    if common == 0:
+        return {gk: gc}
+    vi = (common & -common).bit_length() - 1
+    F, G = _to_recursive(pa, vi), _to_recursive(pb, vi)
+    if max(F) < max(G):
+        F, G = G, F
+    contF, contG = _coeffs_gcd(F), _coeffs_gcd(G)
+    cont = prs_gcd(contF, contG)
+    F = {d: _p_divexact(c, contF) for d, c in F.items()}
+    G = {d: _p_divexact(c, contG) for d, c in G.items()}
+    while True:
+        R = _prem(F, G)
+        if not R:
+            gpp = G
+            break
+        if max(R) == 0:
+            gpp = {0: _P_ONE}
+            break
+        rc = _coeffs_gcd(R)
+        F, G = G, {d: _p_divexact(c, rc) for d, c in R.items()}
+    flat = _from_recursive(gpp, vi)
+    fk, fc = _p_content(flat)
+    flat = {k - fk: c // fc for k, c in flat.items()}
+    return _sign_norm(_p_mul(_p_mul({gk: gc}, cont), flat))
+
+
+@given(polynomials(), set_polynomials(), set_polynomials())
+@example(parse("a^3 + a^2 - a - 1"), ONE, parse("-2*a^2 - 4*a - 2"))
+@settings(max_examples=300, deadline=None)
+def test_set_gcd_matches_the_prs_oracle(p, s, d):
+    # a random numerator times a set polynomial, over a set denominator
+    num, den = (p * s).num, d.num
+    g = prs_gcd(num, den)
+    assert _p_gcd(num, den) == g
+    n, e = _p_divexact(num, g), _p_divexact(den, g)
+    sign = 1 if e[_lead_key(e)] > 0 else -1
+    got = Frac(num, den)
+    assert (got.num, got.den) == (_p_int_mul(n, sign), _p_int_mul(e, sign))
+
+
+def test_denominators_outside_the_set_are_refused():
+    text = re.escape("denominator l1 + 1 is not c * l1^i l2^j l3^k a^m (a + 1)^r")
+    for build in (
+        lambda: Frac({0: 1}, (L1 + 1).num),
+        lambda: ONE / (L1 + 1),
+        lambda: 1 / (L1 + 1),
+        lambda: -(L1 + 1) ** -1,
+        lambda: parse("1/(l1+1)"),
+        lambda: Frac({}, (L1 + 1).num),
+    ):
+        with pytest.raises(DenominatorOutsideSet, match=f"^{text}$"):
+            build()
+    assert issubclass(DenominatorOutsideSet, SpecialOrthoError)
+    assert issubclass(DenominatorOutsideSet, ValueError)
+    # any integer times a monomial times a power of a + 1 is a denominator,
+    # and a numerator may have any factor
+    d = 5 * L1 * (ALPHA + 1) ** 2
+    assert (ONE / d).den == d.num
+    assert (L1 + 1) / d * d == L1 + 1
 
 
 # -- the monomial-fraction and constant fast paths -----------------------------
@@ -507,13 +682,15 @@ def test_fast_paths_need_no_polynomial_gcd(monkeypatch):
 
 # -- dot: one normalization per sum -------------------------------------------
 
-_nonzero_ints = st.integers(min_value=-3, max_value=3).filter(bool)
 _dot_operands = st.one_of(
     st.just(ZERO),
     _constants,
     monomial_fractions(),
-    # a two-term denominator: dot adds these products with +
-    st.builds(lambda m, c: m / (L1 + c), monomial_fractions(), _nonzero_ints),
+    # a two-term denominator, over which dot adds these products with +, or
+    # a two-term numerator that may cancel it
+    st.builds(
+        lambda m, r: m * (ALPHA + 1) ** r, monomial_fractions(), st.sampled_from([-3, -2, -1, 1])
+    ),
 )
 
 
@@ -533,7 +710,7 @@ def test_dot_cancellation_builds_no_fraction():
     pairs = [(x, y), (-x, y), (ZERO, x), (L1, L2 / L3), (L2, -L1 / L3)]
     assert dot(pairs) is ZERO
     assert dot([]) is ZERO
-    mixed = [(ONE / (L1 + 1), L2), (L2, -ONE / (L1 + 1))]
+    mixed = [(ONE / (ALPHA + 1), L2), (L2, -ONE / (ALPHA + 1))]
     assert dot(mixed) == ZERO
 
 

@@ -482,9 +482,9 @@ def rescaled(sa, p, s):
 
 
 def test_rescaled_odd_vector_keeps_the_checks_exact(g3):
-    # over x_p -> (1 + l1) x_p the table's common denominator is not a
-    # monomial, and the factors 1 + l1 cancel only in the field
-    sa = rescaled(g3, g3.even_dim, ONE + L1)
+    # over x_p -> (1 + a) x_p the table's common denominator is not a
+    # monomial, and the factors 1 + a cancel only in the field
+    sa = rescaled(g3, g3.even_dim, ONE + ALPHA)
     assert any(len(c.den) > 1 for row in sa.table.values() for c in row.values())
     assert not any(sa.super_jacobi_check().values())
     assert sa.form_invariance_witness() == {}
@@ -559,6 +559,18 @@ def test_import_rejects_tampering(d21):
         sup.import_superalgebra("{not json")
     with pytest.raises(ParseError):
         sup.import_superalgebra("{}")
+
+
+def test_import_refuses_a_denominator_outside_the_set(d21):
+    doc = json.loads(sup.export_superalgebra(d21))
+    row = doc["brackets"][0][2]
+    row[0][1] = "1/(l1 + 1)"
+    with pytest.raises(ParseError) as caught:
+        sup.import_superalgebra(json.dumps(doc))
+    assert str(caught.value) == (
+        "malformed superalgebra document: "
+        "denominator l1 + 1 is not c * l1^i l2^j l3^k a^m (a + 1)^r"
+    )
 
 
 @pytest.mark.parametrize("key", ["even_dim", "odd_dim"])
