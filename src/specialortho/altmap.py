@@ -73,7 +73,8 @@ class PairingSpec:
     once, at construction (``scalars.clear_denominators``): ``rows[i][j]``
     holds the nonzero entries of ``table[i][j]`` as integer terms over the
     one common denominator ``den``, which the shuffle kernel multiplies as
-    ints; both are tuples, so neither can drift from the other.  ``apply``
+    ints and hands back to ``uncleared``; both are tuples, so neither can
+    drift from the other.  ``apply``
     evaluates the table itself in the field, one ``dot`` per coordinate, and
     serves as the independent path of ``brute_wedge_rel``.
     """

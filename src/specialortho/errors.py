@@ -28,10 +28,6 @@ class TooManyDigits(SpecialOrthoError, ValueError):
     """An integer is too long for Python to convert between text and int."""
 
 
-class InexactDivision(SpecialOrthoError, ArithmeticError):
-    """An exact polynomial division had a nonzero remainder."""
-
-
 class ExponentOverflow(SpecialOrthoError, OverflowError):
     """A power would exceed the largest exponent a monomial key can hold."""
 

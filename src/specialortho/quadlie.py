@@ -301,8 +301,9 @@ class QuadLieRep:
     The action is given, for each algebra basis element x_a, as its columns
     rho(x_a) e_k, and stored as given as the PairingSpec ``act`` from g x V
     to V: ``act.table[a][k]`` is rho(x_a) e_k, a tuple, and
-    ``act.rows[a][k]`` its integer terms over ``act.den``.  A moved action
-    is a new QuadLieRep.
+    ``act.rows[a][k]`` its integer terms over the table's common
+    denominator ``act.den``, which this module only hands to
+    ``uncleared``.  A moved action is a new QuadLieRep.
     """
 
     def __init__(

@@ -1,15 +1,18 @@
 """Exact arithmetic in the rational function field Q(l1, l2, l3, a).
 
-Everything the library computes is a ``Frac``: a reduced fraction of sparse
-integer polynomials in the four fixed variables.  There is no floating point
-anywhere; equality of scalars is equality in the field.
+Everything the library computes is a ``Frac``: a reduced fraction whose
+numerator is a sparse integer polynomial in the four fixed variables.  There
+is no floating point anywhere; equality of scalars is equality in the field.
 
-The denominator set.  Every denominator is c * l1^i l2^j l3^k a^m (a + 1)^r,
-as the paper divides only by the weights, alpha and beta = -1 - alpha.
-``Frac(num, den)`` and ``/`` refuse any other with DenominatorOutsideSet;
-sums, products and lcms stay in the set.  ``_p_gcd(p, den)`` strips from p
-the factors a + 1 of den (``_a1_quotient``) and takes a monomial gcd of the
-rest: there is no multivariate gcd.
+The denominator set.  The paper divides only by the weights, alpha and
+beta = -1 - alpha, so every denominator is c * l1^i l2^j l3^k a^m (a + 1)^r,
+and a ``Frac`` stores it factored, as the triple ``den = (c, k, r)``: an int
+c > 0, the packed key k of l1^i l2^j l3^k a^m and r >= 0.  ``Frac(num, den)``
+takes an expanded denominator and ``/`` turns the divisor's numerator into
+one; both split it with ``_split_den`` and refuse any other polynomial with
+DenominatorOutsideSet.  Sums, products and lcms of triples are triples, so
+nothing else checks.  ``render``, ``substitute``, ``**`` and ``/`` expand a
+triple with ``_den_poly``.
 
 Representation.  A polynomial is a dict mapping a packed exponent key to a
 nonzero int coefficient.  The key packs the four exponents in 16-bit slots,
@@ -19,66 +22,73 @@ by the packed key itself (which makes ``a`` weigh heaviest, then l3, l2, l1).
 
 Exponent bound.  A slot holds exponents up to 65535.  ``parse`` refuses a
 larger exponent, and any ``*``, ``/``, ``+`` or ``-`` whose operands' largest
-exponents (over numerator and denominator) sum past it (ParseError);
-``Frac.__pow__`` refuses a power whose exponent in some variable would pass
-it (ExponentOverflow).  So text from outside cannot reach a wrapped exponent.
-Products inside the library stay unchecked: multiplying two polynomials whose
-exponents in one variable sum past 65535 would carry into the next slot.  The
-fast paths and ``dot`` add at most four operand keys per slot, key sums and
-common-denominator shifts alike.  The integer terms of ``clear_denominators``
-are multiplied only in ``add_products``, which adds three keys per product:
-a flat term's key is a cleared key, plus row offsets that hold no monomial
-bits (``flat_terms``) and at most one more cleared key by which its caller
-scaled it, and the table term adds the third.  ``uncleared`` adds the keys
-of up to three common denominators.  ``test_library_exponents_stay_small``
-runs the symbolic ``verify all`` with every ``_p_mul`` checked against the
-slot, every stored exponent, cleared numerator and common denominator
-against 2^14, every ``flat_terms`` offset against the monomial bits, and
-every ``add_products`` product on its flat key and table row; the largest
-exponent stored is 24, the largest cleared one 3, the largest sum of three
-cleared keys 5.
+exponents (over numerator and expanded denominator) sum past it
+(ParseError); ``Frac.__pow__`` refuses a power whose exponent in some
+variable would pass it (ExponentOverflow).  So text from outside cannot
+reach a wrapped exponent.  Products inside the library stay unchecked:
+multiplying two polynomials whose exponents in one variable sum past 65535
+would carry into the next slot.  A product adds two numerator keys, and a
+sum shifts each term by the common denominator's key less its own, so a
+term of ``*``, ``+``, ``-`` or ``dot`` holds in a slot at most two
+numerator exponents and the common denominator's.  The integer terms of
+``clear_denominators`` are multiplied only in ``add_products``, which adds
+three keys per product: a flat term's key is a cleared key, plus row
+offsets that hold no monomial bits (``flat_terms``) and at most one more
+cleared key by which its caller scaled it, and the table term adds the
+third.  ``uncleared`` adds the triples of up to three common denominators.
+``test_library_exponents_stay_small`` runs the symbolic ``verify all`` with
+every ``_p_mul`` checked against the slot, every stored exponent (a
+denominator's exponent of a is its key's plus r), cleared numerator and
+common denominator against 2^14, every ``flat_terms`` offset against the
+monomial bits, and every ``add_products`` product on its flat key and
+table row; the largest exponent stored is 24, the largest cleared one 3,
+the largest sum of three cleared keys 5.
 
-Canonical form.  gcd(num, den) is a unit, and the leading coefficient of the
-denominator is positive; the denominator is stored expanded, not factored.
-Two Fracs are equal in the field iff their dicts are equal, so ``==`` and
-``hash`` are structural.
+Canonical form.  No integer, variable or factor a + 1 divides both the
+numerator and c * x^k * (a + 1)^r, and c > 0.  A reduced fraction with a
+positive denominator coefficient c is unique over the UFD Z[l1, l2, l3, a],
+so two Fracs are equal in the field iff their numerator dicts and triples
+are equal: ``==`` and ``hash`` are structural.  A denominator of 1 is the
+shared ``_D_ONE``.
 
-Fast paths.  A product of two monomial fractions c1*m1/(e1*k1) and
-c2*m2/(e2*k2), ints and rational constants included, is reduced by one
-integer gcd of c1*c2 and e1*e2 and one per-slot exponent minimum of the key
-sums.  A sum of two such fractions with equal numerator keys and equal
-denominator keys, c1*m/(e1*k) + c2*m/(e2*k) (two rational constants
-included), is (c1*e2 + c2*e1)*m/(e1*e2*k) reduced by one integer gcd, with
-both keys kept: m and k share no variable in a reduced fraction, and a
-denominator of 1 is the shared ``_P_ONE``.  ``dot(pairs)``
-sums a * b over its pairs and normalizes once per result, not once per term:
-the products with monomial denominators go over one common denominator (the
-per-slot maximum of the keys, the integer lcm of the coefficients), and the
-numerator sum is reduced by one integer gcd and one key minimum.  ``+`` and
-``-`` of two monomial-denominator fractions are the two-term case.  None of
-these calls ``_p_gcd``.  A reduced fraction with a positive leading
-denominator coefficient is unique over the UFD Z[l1, l2, l3, a], so every
-path gives exactly the canonical form of the general path, and ``dot``
-equals the pairwise sum dict for dict.  ``clear_denominators`` puts rows of
-Fracs over one common denominator as integer terms, scaling a numerator by
-a monomial factor with one int multiply and one key sum per term, so that a
-product of two entries is one int product and one key sum.  ``flat_terms``
-reads cleared rows at row offsets as flat terms (key, row, coefficient),
-and ``add_products``, the one product loop, multiplies them with a table of
-cleared rows: one loop over the terms and one over each table row (the
-superalgebra scans, the moment-action table and ``wedge_rel``).
-``uncleared`` turns the sums back into one Frac per coordinate, over the
-product of the common denominators: by one int gcd and one key minimum
-when that product is a monomial, else by ``Frac(num, den)``.
-``eliminate`` is Gauss-Jordan over Frac, so its row updates take these
-fast paths on graded matrices; ``solve_linear`` reads its solutions off
-the reduced right-hand columns.
+One reduce.  ``_over(num, c, k, r)`` is the reduced num / (c x^k (a + 1)^r).
+A numerator of several terms is divided by its gcd with the denominator,
+itself a member of the set: the factors a + 1 that divide num, which
+``_p_gcd`` takes by synthetic division in a (``_a1_quotient``) only when
+r > 0, times the monomial gcd of what is left with c x^k
+(``_p_monomial_gcd``).  A one-term numerator goes to ``_term``: one int
+gcd and one key minimum, as a + 1 divides no monomial.  ``_split_den``
+takes the factors a + 1 of a divisor with the same ``_p_gcd``.  There is
+no multivariate gcd.
+
+One sum.  ``+``, ``-`` and ``dot(pairs)`` put their terms over ``_lcm`` of
+the denominators (the int lcm of the c, the per-slot maximum of the keys
+and the largest r), add them in one dict and reduce once with ``_over``, so
+``dot`` normalizes once per result, not once per term, and equals the
+pairwise sum dict for dict.
+
+Products.  ``*`` multiplies the triples slot by slot and has one fork: two
+one-term numerators, most products of a run, go to ``_term``; any other
+pair goes through ``_p_mul`` to ``_over``.
+
+Cleared rows.  ``clear_denominators`` puts rows of Fracs over the ``_lcm``
+of their denominators as integer terms, so that a product of two entries
+is one int product and one key sum.  ``flat_terms`` reads cleared rows at
+row offsets as flat terms (key, row, coefficient), and ``add_products``,
+the one product loop, multiplies them with a table of cleared rows: one
+loop over the terms and one over each table row (the superalgebra scans,
+the moment-action table and ``wedge_rel``).  ``uncleared`` turns the sums
+back into one Frac per coordinate with ``_over``, over the product of the
+common denominators.  ``eliminate`` is Gauss-Jordan over Frac, so its row
+updates take the one-term paths on graded matrices; ``solve_linear`` reads
+its solutions off the reduced right-hand columns.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from math import comb
 from math import gcd as _int_gcd
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
@@ -90,7 +100,6 @@ from .errors import (
     DenominatorVanishes,
     DivisionByZero,
     ExponentOverflow,
-    InexactDivision,
     ParseError,
     SingularMatrix,
     TooManyDigits,
@@ -104,7 +113,8 @@ _L_MASK = (1 << 48) - 1  # the slots of l1, l2 and l3
 
 _P_ZERO: dict = {}
 _P_ONE = {0: 1}
-_A1 = {1 << 48: 1, 0: 1}  # a + 1
+_P_MINUS_ONE = {0: -1}
+_D_ONE = (1, 0, 0)  # the denominator 1 as a triple (c, k, r)
 
 # ---------------------------------------------------------------------------
 # polynomial layer: dict[int, int], no zero coefficients stored
@@ -121,15 +131,6 @@ def _grlex(key: int) -> tuple[int, int]:
 
 def _lead_key(p: dict) -> int:
     return max(p, key=_grlex)
-
-
-def _key_divides(kd: int, kn: int) -> bool:
-    return (
-        (kd & _MASK) <= (kn & _MASK)
-        and ((kd >> 16) & _MASK) <= ((kn >> 16) & _MASK)
-        and ((kd >> 32) & _MASK) <= ((kn >> 32) & _MASK)
-        and (kd >> 48) <= (kn >> 48)
-    )
 
 
 def _key_min(k1: int, k2: int) -> int:
@@ -151,21 +152,6 @@ def _p_max_exponent(p: dict) -> int:
 
 def _p_neg(p: dict) -> dict:
     return {k: -c for k, c in p.items()}
-
-
-def _p_add(a: dict, b: dict) -> dict:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return out
 
 
 def _p_mul(a: dict, b: dict) -> dict:
@@ -197,42 +183,6 @@ def _p_int_mul(p: dict, n: int) -> dict:
     if n == 1:
         return dict(p)
     return {k: c * n for k, c in p.items()}
-
-
-def _p_divexact(num: dict, den: dict) -> dict:
-    """Exact division num / den; den must divide num in Z[l1,l2,l3,a]."""
-    if not num:
-        return {}
-    if len(den) == 1:
-        (kd, cd), = den.items()
-        if kd == 0 and cd == 1:
-            return dict(num)
-        out = {}
-        for k, c in num.items():
-            if not (_key_divides(kd, k) and c % cd == 0):
-                raise InexactDivision("inexact division")
-            out[k - kd] = c // cd
-        return out
-    kd = _lead_key(den)
-    cd = den[kd]
-    r = dict(num)
-    q: dict = {}
-    while r:
-        kr = _lead_key(r)
-        cr = r[kr]
-        if not (_key_divides(kd, kr) and cr % cd == 0):
-            raise InexactDivision("inexact division")
-        k = kr - kd
-        c = cr // cd
-        q[k] = c
-        for k2, c2 in den.items():
-            kk = k2 + k
-            v = r.get(kk, 0) - c * c2
-            if v:
-                r[kk] = v
-            elif kk in r:
-                del r[kk]
-    return q
 
 
 def _p_monomial_gcd(p: dict, key: int, coeff: int) -> tuple[int, int]:
@@ -271,41 +221,42 @@ def _a1_quotient(p: dict) -> dict | None:
     return q
 
 
-def _split_den(den: dict) -> tuple[int, int, int]:
-    """(r, k, c) with den = c * x^k * (a + 1)^r, or DenominatorOutsideSet."""
-    r, p = 0, den
-    while len(p) != 1:
-        p = _a1_quotient(p)
-        if p is None:
-            raise DenominatorOutsideSet(
-                f"denominator {_render_poly(den)} is not "
-                "c * l1^i l2^j l3^k a^m (a + 1)^r"
-            )
-        r += 1
-    [(k, c)] = p.items()
-    return r, k, c
+def _a1_power(r: int) -> dict:
+    """(a + 1)^r, expanded."""
+    return {i << 48: comb(r, i) for i in range(r + 1)}
 
 
-def _p_gcd(p: dict, den: dict) -> dict:
-    """gcd of a nonzero p and a denominator of the set, with a positive
-    leading coefficient: the factors a + 1 of den that divide p, times the
-    monomial gcd of what is left of p with den's c * x^k."""
-    g = _P_ONE
-    r, k, c = _split_den(den)
-    for _ in range(r):
+def _p_gcd(p: dict, r: int) -> tuple[dict, int]:
+    """The gcd of p with (a + 1)^r, the one factor of a set denominator that
+    is not a monomial: (p / (a + 1)^s, s) for the largest s <= r with
+    (a + 1)^s dividing p.  A monomial stops it, as a + 1 divides none."""
+    s = 0
+    while s < r and len(p) > 1:
         q = _a1_quotient(p)
         if q is None:
             break
-        p, g = q, _p_mul(g, _A1)
-    k, c = _p_monomial_gcd(p, k, c)
-    return _p_mul(g, {k: c})
+        p, s = q, s + 1
+    return p, s
 
 
-def _p_lcm(a: dict, b: dict) -> dict:
-    """lcm of two denominators of the set with positive leading coefficients."""
-    if a == b:
-        return dict(a)
-    return _p_mul(a, _p_divexact(b, _p_gcd(a, b)))
+def _split_den(den: dict) -> tuple[int, int, int]:
+    """(c, k, r) with den = c * x^k * (a + 1)^r, c of either sign, or
+    DenominatorOutsideSet: ``_p_gcd`` takes every factor a + 1 of a den of
+    several terms, and a monomial must be left."""
+    p, r = _p_gcd(den, _MASK) if len(den) > 1 else (den, 0)
+    if len(p) != 1:
+        raise DenominatorOutsideSet(
+            f"denominator {_render_poly(den)} is not "
+            "c * l1^i l2^j l3^k a^m (a + 1)^r"
+        )
+    [(k, c)] = p.items()
+    return c, k, r
+
+
+def _den_poly(den: tuple[int, int, int]) -> dict:
+    """The triple (c, k, r) as the expanded polynomial c * x^k * (a + 1)^r."""
+    c, k, r = den
+    return _p_mul({k: c}, _a1_power(r)) if r else {k: c}
 
 
 # ---------------------------------------------------------------------------
@@ -316,29 +267,26 @@ ScalarLike = Union["Frac", int]
 
 
 class Frac:
-    """A reduced fraction of integer polynomials; immutable by convention."""
+    """A reduced fraction num / (c * x^k * (a + 1)^r) with ``den = (c, k, r)``;
+    immutable by convention."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: dict, den: dict):
+        """The reduced num / den for a polynomial den of the set, expanded."""
         if not den:
             raise DivisionByZero("denominator polynomial is zero")
+        c, k, r = _split_den(den)
         if not num:
-            if len(den) != 1:
-                _split_den(den)
-            self.num, self.den = _P_ZERO, _P_ONE
-        else:
-            g = _p_gcd(num, den)
-            if len(g) != 1 or 0 not in g or g[0] != 1:
-                num = _p_divexact(num, g)
-                den = _p_divexact(den, g)
-            if den[_lead_key(den)] < 0:
-                num = _p_neg(num)
-                den = _p_neg(den)
-            self.num, self.den = num, den
+            self.num, self.den = _P_ZERO, _D_ONE
+            return
+        if c < 0:
+            num, c = _p_neg(num), -c
+        reduced = _over(num, c, k, r)
+        self.num, self.den = reduced.num, reduced.den
 
     @staticmethod
-    def _raw(num: dict, den: dict) -> "Frac":
+    def _raw(num: dict, den: tuple[int, int, int]) -> "Frac":
         """Skip normalization; caller guarantees the pair is already canonical."""
         self = object.__new__(Frac)
         self.num, self.den = num, den
@@ -350,13 +298,13 @@ class Frac:
             return ZERO
         if n == 1:
             return ONE
-        return cls._raw({0: n}, _P_ONE)
+        return cls._raw({0: n}, _D_ONE)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Frac":
         if f == 0:
             return ZERO
-        return cls._raw({0: f.numerator}, {0: f.denominator})
+        return cls._raw({0: f.numerator}, (f.denominator, 0, 0))
 
     # -- predicates ---------------------------------------------------------
 
@@ -364,7 +312,8 @@ class Frac:
         return not self.num
 
     def is_constant(self) -> bool:
-        return (not self.num or self.num.keys() == {0}) and self.den.keys() == {0}
+        _, k, r = self.den
+        return (not self.num or self.num.keys() == {0}) and not k and not r
 
     def lead_sign(self) -> int:
         """Sign of the leading numerator coefficient (denominator is positive)."""
@@ -393,41 +342,9 @@ class Frac:
             return other
         if not other.num:
             return self
-        return self._sum(other.num, other.den)
+        return _sum(((self.num, _P_ONE), (other.num, _P_ONE)), (self.den, other.den))
 
     __radd__ = __add__
-
-    def _sum(self, n2: dict, d2: dict) -> "Frac":
-        """self + n2/d2 for nonzero operands; __sub__ passes n2 negated."""
-        n1, d1 = self.num, self.den
-        if len(d1) != 1 or len(d2) != 1:
-            g0 = _p_gcd(d1, d2)
-            if g0 == _P_ONE:
-                t = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
-                return ZERO if not t else Frac._raw(t, _p_mul(d1, d2))
-            d1r = _p_divexact(d1, g0)
-            d2r = _p_divexact(d2, g0)
-            t = _p_add(_p_mul(n1, d2r), _p_mul(n2, d1r))
-            if not t:
-                return ZERO
-            g1 = _p_gcd(t, g0)
-            if g1 != _P_ONE:
-                t = _p_divexact(t, g1)
-                g0 = _p_divexact(g0, g1)
-            return Frac._raw(t, _p_mul(_p_mul(d1r, g0), d2r))
-        [(j1, e1)] = d1.items()
-        [(j2, e2)] = d2.items()
-        if j1 == j2 and len(n1) == len(n2) == 1 and n1.keys() == n2.keys():
-            # one monomial over one: x^k and x^j share no variable, so the
-            # sum reduces by the int gcd alone and keeps both keys
-            [(k, c1)] = n1.items()
-            c = c1 * e2 + n2[k] * e1
-            if not c:
-                return ZERO
-            e = e1 * e2
-            g = _int_gcd(c, e)
-            return Frac._raw({k: c // g}, _P_ONE if not j1 and e == g else {j1: e // g})
-        return _monomial_sum([(n1, _P_ONE, j1, e1), (n2, _P_ONE, j2, e2)])
 
     def __neg__(self) -> "Frac":
         if not self.num:
@@ -443,7 +360,7 @@ class Frac:
             return self
         if not self.num:
             return -other
-        return self._sum(_p_neg(other.num), other.den)
+        return _sum(((self.num, _P_ONE), (other.num, _P_MINUS_ONE)), (self.den, other.den))
 
     def __rsub__(self, other: ScalarLike) -> "Frac":
         return (-self).__add__(other)
@@ -453,31 +370,16 @@ class Frac:
             other = Frac._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not self.num or not other.num:
+        n1, n2 = self.num, other.num
+        if not n1 or not n2:
             return ZERO
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if len(n1) == len(d1) == len(n2) == len(d2) == 1:
-            [(k1, c1)] = n1.items()
-            [(j1, e1)] = d1.items()
-            [(k2, c2)] = n2.items()
-            [(j2, e2)] = d2.items()
-            c, e, k, j = c1 * c2, e1 * e2, k1 + k2, j1 + j2
-            g = _int_gcd(c, e)
-            if k and j:
-                m = _key_min(k, j)
-                k, j = k - m, j - m
-            return Frac._raw({k: c // g}, _P_ONE if not j and e == g else {j: e // g})
-        if d1 == _P_ONE and d2 == _P_ONE:
-            return Frac._raw(_p_mul(n1, n2), _P_ONE)
-        g1 = _p_gcd(n1, d2)
-        if g1 != _P_ONE:
-            n1 = _p_divexact(n1, g1)
-            d2 = _p_divexact(d2, g1)
-        g2 = _p_gcd(n2, d1)
-        if g2 != _P_ONE:
-            n2 = _p_divexact(n2, g2)
-            d1 = _p_divexact(d1, g2)
-        return Frac._raw(_p_mul(n1, n2), _p_mul(d1, d2))
+        c1, k1, r1 = self.den
+        c2, k2, r2 = other.den
+        if len(n1) == 1 == len(n2):
+            [(j1, v1)] = n1.items()
+            [(j2, v2)] = n2.items()
+            return _term(j1 + j2, v1 * v2, c1 * c2, k1 + k2, r1 + r2)
+        return _over(_p_mul(n1, n2), c1 * c2, k1 + k2, r1 + r2)
 
     __rmul__ = __mul__
 
@@ -488,12 +390,10 @@ class Frac:
                 return NotImplemented
         if not other.num:
             raise DivisionByZero(f"division by zero scalar (numerator {self.render()})")
-        num, den = other.den, other.num
+        num, den = _den_poly(other.den), other.num
         if den[_lead_key(den)] < 0:
             num, den = _p_neg(num), _p_neg(den)
-        if len(den) != 1:
-            _split_den(den)
-        return self.__mul__(Frac._raw(num, den))
+        return self.__mul__(Frac._raw(num, _split_den(den)))
 
     def __rtruediv__(self, other: ScalarLike) -> "Frac":
         other = Frac._coerce(other)
@@ -504,7 +404,8 @@ class Frac:
     def __pow__(self, n: int) -> "Frac":
         if n < 0:
             return ONE / self.__pow__(-n)
-        if max(_p_max_exponent(self.num), _p_max_exponent(self.den)) * n > _MASK:
+        top = max(_p_max_exponent(self.num), _p_max_exponent(_den_poly(self.den)))
+        if top * n > _MASK:
             raise ExponentOverflow(
                 f"({self.render()})^{n} has an exponent above {_MASK}"
             )
@@ -523,13 +424,13 @@ class Frac:
         if isinstance(other, Frac):
             return self.num == other.num and self.den == other.den
         if isinstance(other, int):
-            return self.den == _P_ONE and (
+            return self.den == _D_ONE and (
                 self.num == {0: other} if other else not self.num
             )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
+        return hash((tuple(sorted(self.num.items())), self.den))
 
     def substitute(
         self, bindings: Mapping[str, Union[int, str, Fraction, "Frac"]]
@@ -555,7 +456,7 @@ class Frac:
                 subs[_VAR_INDEX[name]] = (value.num.get(0, 0), value.den[0])
             else:
                 subs[_VAR_INDEX[name]] = (value.numerator, value.denominator)
-        dp, dd = _p_substitute(self.den, subs)
+        dp, dd = _p_substitute(_den_poly(self.den), subs)
         if not dp:
             raise DenominatorVanishes(
                 f"denominator of {self.render()} vanishes under "
@@ -566,14 +467,14 @@ class Frac:
 
     def render(self) -> str:
         num = _render_poly(self.num)
-        if self.den == _P_ONE:
+        if self.den == _D_ONE:
             return num
-        den = _render_poly(self.den)
+        den = _den_poly(self.den)
         if len(self.num) > 1:
             num = f"({num})"
-        if not _is_safe_denominator(self.den):
-            den = f"({den})"
-        return f"{num}/{den}"
+        if _is_safe_denominator(den):
+            return f"{num}/{_render_poly(den)}"
+        return f"{num}/({_render_poly(den)})"
 
     def __repr__(self) -> str:
         return self.render()
@@ -608,124 +509,116 @@ def _p_substitute(p: dict, subs: dict[int, tuple[int, int]]) -> tuple[dict, int]
     return {k: v // g for k, v in acc.items()}, den // g
 
 
-ZERO = Frac._raw(_P_ZERO, _P_ONE)
-ONE = Frac._raw(_P_ONE, _P_ONE)
+ZERO = Frac._raw(_P_ZERO, _D_ONE)
+ONE = Frac._raw(_P_ONE, _D_ONE)
 
 
-def _monomial_sum(parts: list[tuple[dict, dict, int, int]]) -> Frac:
-    """The reduced sum of n1 * n2 / (e * x^j) over parts (n1, n2, j, e), e > 0.
+def _term(key: int, v: int, c: int, k: int, r: int) -> Frac:
+    """The reduced v * x^key / (c * x^k * (a + 1)^r) for v != 0 and c > 0:
+    one int gcd and one key minimum, as a + 1 divides no monomial."""
+    g = _int_gcd(v, c)
+    if key and k:
+        m = _key_min(key, k)
+        key, k = key - m, k - m
+    return Frac._raw({key: v // g}, _D_ONE if c == g and not k and not r else (c // g, k, r))
 
-    The terms go over one common denominator, the ``_monomial_lcm`` of the
-    e * x^j; the numerator sum is reduced once, by its gcd with that
-    monomial: an int gcd and a key minimum.  One part is its own common
-    denominator, and its product of nonzero numerators cannot cancel.
+
+def _over(num: dict, c: int, k: int, r: int) -> Frac:
+    """The reduced num / (c * x^k * (a + 1)^r) for a nonzero num and c > 0:
+    the factors a + 1 they share (``_p_gcd``), then the monomial gcd of the
+    rest; a one-term num goes to ``_term``."""
+    if len(num) == 1:
+        [(key, v)] = num.items()
+        return _term(key, v, c, k, r)
+    if r:
+        num, s = _p_gcd(num, r)
+        r -= s
+    m, g = _p_monomial_gcd(num, k, c)
+    if m or g != 1:
+        num = {key - m: v // g for key, v in num.items()}
+        c, k = c // g, k - m
+    return Frac._raw(num, _D_ONE if c == 1 and not k and not r else (c, k, r))
+
+
+def _lcm(dens: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The lcm of the denominators (c, k, r): the int lcm of the c, the
+    per-slot maximum of the keys and the largest r."""
+    dens = iter(dens)
+    lc, lk, lr = next(dens, _D_ONE)
+    for c, k, r in dens:
+        if c != lc:
+            lc = lc * c // _int_gcd(lc, c)
+        if k != lk:
+            lk = lk + k - _key_min(lk, k) if lk and k else lk | k
+        if r > lr:
+            lr = r
+    return lc, lk, lr
+
+
+def _sum(parts: Sequence[tuple[dict, dict]], dens: Sequence[tuple[int, int, int]]) -> Frac:
+    """The reduced sum of n1 * n2 / den over the parts (n1, n2) and their
+    denominators.
+
+    The terms go over one common denominator, the ``_lcm`` of the
+    triples, and the numerator sum is reduced once, by ``_over``.
     """
-    if not parts:
-        return ZERO
-    if len(parts) == 1:
-        [(n1, n2, j, e)] = parts
-        return _over_monomial(_p_mul(n1, n2), j, e)
-    lk, lc = _monomial_lcm((j, e) for _, _, j, e in parts)
+    lc, lk, lr = _lcm(dens)
     total: dict = {}
     get = total.get
-    for n1, n2, j, e in parts:
-        if len(n1) == 1 == len(n2):
-            [(k1, c1)] = n1.items()
+    for (n1, n2), (c, k, r) in zip(parts, dens):
+        # a one-term factor shifts and scales the other, as the common
+        # denominator does
+        if len(n1) < len(n2):
+            n1, n2 = n2, n1
+        shift, n = lk - k, lc // c
+        if len(n2) == 1:
             [(k2, c2)] = n2.items()
-            terms: Iterable = ((k1 + k2, c1 * c2),)
+            shift, n = shift + k2, n * c2
         else:
-            terms = _p_mul(n1, n2).items()
-        shift, n = lk - j, lc // e
-        for k, c in terms:
-            k += shift
-            v = get(k, 0) + c * n
+            n1 = _p_mul(n1, n2)
+        if r != lr:
+            n1 = _p_mul(n1, _a1_power(lr - r))
+        for key, v in n1.items():
+            key += shift
+            v = get(key, 0) + v * n
             if v:
-                total[k] = v
+                total[key] = v
             else:
-                del total[k]
+                del total[key]
     if not total:
         return ZERO
-    return _over_monomial(total, lk, lc)
-
-
-def _monomial_lcm(monomials: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The lcm lc * x^lk of the monomials e * x^j given as (j, e), e > 0:
-    the per-slot maximum of the keys and the int lcm of the coefficients."""
-    lk, lc = 0, 1
-    for j, e in monomials:
-        if j != lk:
-            lk = lk + j - _key_min(lk, j) if lk and j else lk | j
-        if e != lc:
-            lc = lc * e // _int_gcd(lc, e)
-    return lk, lc
-
-
-def _over_monomial(num: dict, lk: int, lc: int) -> Frac:
-    """The reduced fraction num / (lc * x^lk) for a nonzero num and lc > 0:
-    one int gcd and one key minimum."""
-    if len(num) == 1:
-        [(k, c)] = num.items()
-        g = _int_gcd(c, lc)
-        if k and lk:
-            m = _key_min(k, lk)
-            k, lk = k - m, lk - m
-        return Frac._raw({k: c // g}, _P_ONE if not lk and lc == g else {lk: lc // g})
-    m, g = _p_monomial_gcd(num, lk, lc)
-    if m or g != 1:
-        num = {k - m: c // g for k, c in num.items()}
-        lk, lc = lk - m, lc // g
-    return Frac._raw(num, _P_ONE if not lk and lc == 1 else {lk: lc})
+    return _over(total, lc, lk, lr)
 
 
 ROW_SHIFT = 64
 KEY_MASK = (1 << ROW_SHIFT) - 1
 
 
-def clear_denominators(rows: Mapping) -> tuple[dict, dict]:
+def clear_denominators(rows: Mapping) -> tuple[tuple[int, int, int], dict]:
     """Every entry of the sparse rows {i: Frac} over one common denominator.
 
-    Returns (L, cleared).  L is the lcm of the entries' denominators: the
-    monomial lcm when they are all monomials, else a fold of ``_p_lcm``,
-    which divides by the set gcd ``_p_gcd``.
-    ``cleared[r]`` is row r as a tuple of integer terms: the term v * x^k of
-    the numerator L * c of entry c at i is the pair ``((i << ROW_SHIFT) + k,
-    v)``.  A product of two terms is then one int multiply and one key sum,
-    and a sum of two keys whose exponents stay below 2^15 keeps each slot
-    and the index.  A numerator whose factor L / den is a monomial (every
-    one when L is) is scaled by one int multiply and one key sum per term;
-    an entry over L itself keeps its numerator.
+    Returns (L, cleared).  L is the ``_lcm`` of the entries' denominators,
+    a triple.  ``cleared[r]`` is row r as a tuple of integer terms: the term
+    v * x^k of the numerator L * c of entry c at i is the pair ``((i <<
+    ROW_SHIFT) + k, v)``.  A product of two terms is then one int multiply
+    and one key sum, and a sum of two keys whose exponents stay below 2^15
+    keeps each slot and the index.  Each numerator is multiplied by its
+    factor L / den as in ``_sum``: by the missing powers of a + 1, then by
+    one int and one key shift per term, made once per denominator; an entry
+    over L itself keeps its numerator.
     """
-    # each entry's denominator key is made once, in the order of the rows
-    dens = {}
-    keys = []
-    for row in rows.values():
-        for c in row.values():
-            key = tuple(c.den.items())
-            if key not in dens:
-                dens[key] = c.den
-            keys.append(key)
-    if all(len(d) == 1 for d in dens.values()):
-        lk, lc = _monomial_lcm(d for (d,) in dens)
-        den = {lk: lc}
-        scale = {((j, e),): {lk - j: lc // e} for ((j, e),) in dens}
-    else:
-        den = _P_ONE
-        for d in dens.values():
-            den = _p_lcm(den, d)
-        scale = {t: _p_divexact(den, d) for t, d in dens.items()}
-    factors = map(scale.__getitem__, keys)
+    scale = {c.den: None for row in rows.values() for c in row.values()}
+    den = lc, lk, lr = _lcm(scale)
+    for c, k, r in scale:
+        scale[c, k, r] = lk - k, lc // c, lr - r
     cleared = {}
     for r, row in rows.items():
         terms = []
         for i, c in row.items():
-            q = next(factors)
-            if len(q) == 1:
-                [(sk, sc)] = q.items()
-                sk += i << ROW_SHIFT
-                for k, v in c.num.items():
-                    terms.append((k + sk, v * sc))
-            else:
-                terms += [((i << ROW_SHIFT) + k, v) for k, v in _p_mul(c.num, q).items()]
+            shift, n, s = scale[c.den]
+            num = _p_mul(c.num, _a1_power(s)) if s else c.num
+            shift += i << ROW_SHIFT
+            terms += [(k + shift, v * n) for k, v in num.items()]
         cleared[r] = tuple(terms)
     return den, cleared
 
@@ -757,61 +650,48 @@ def add_products(acc: dict, terms: Iterable, table: Sequence) -> None:
             acc[k] = get(k, 0) + c * v
 
 
-def uncleared(terms: Mapping[int, int], dens: Sequence[dict], dim: int) -> list[Frac]:
+def uncleared(
+    terms: Mapping[int, int], dens: Sequence[tuple[int, int, int]], dim: int
+) -> list[Frac]:
     """The inverse of ``clear_denominators`` on one row: the vector of length
     dim whose entry i is the sum of v * x^k over the integer terms
     ``((i << ROW_SHIFT) + k, v)``, divided by the product of the common
-    denominators ``dens``.
-
-    Each entry is reduced once: over a monomial product by one int gcd and
-    one key minimum, over any other product by ``Frac(num, den)``.
+    denominators ``dens``, each entry reduced once by ``_over``.
     """
     nums: dict = {}
     for mk, v in terms.items():
         if v:
             nums.setdefault(mk >> ROW_SHIFT, {})[mk & KEY_MASK] = v
     out = [ZERO] * dim
-    den = _P_ONE
-    for d in dens:
-        den = _p_mul(den, d)
-    if len(den) == 1:
-        [(lk, lc)] = den.items()
-        for i, num in nums.items():
-            out[i] = _over_monomial(num, lk, lc)
-    else:
-        for i, num in nums.items():
-            out[i] = Frac(num, den)
+    lc, lk, lr = 1, 0, 0
+    for c, k, r in dens:
+        lc, lk, lr = lc * c, lk + k, lr + r
+    for i, num in nums.items():
+        out[i] = _over(num, lc, lk, lr)
     return out
 
 
 def dot(pairs: Iterable[tuple[Frac, Frac]]) -> Frac:
-    """The sum of a * b over the pairs, normalized once (see Fast paths).
+    """The sum of a * b over the pairs, normalized once (see One sum).
 
     Zero operands are skipped, and a sum that cancels builds no Frac.
-    Products with a denominator that is not a monomial are added with ``+``,
-    which is called only when both sides can be nonzero.
     """
-    parts = []
-    rest = ZERO
+    parts, dens = [], []
     for a, b in pairs:
-        if not a.num or not b.num:
-            continue
-        d1, d2 = a.den, b.den
-        if len(d1) != 1 or len(d2) != 1:
-            rest = rest + a * b if rest.num else a * b
-            continue
-        [(j1, e1)] = d1.items()
-        [(j2, e2)] = d2.items()
-        parts.append((a.num, b.num, j1 + j2, e1 * e2))
+        if a.num and b.num:
+            c1, k1, r1 = a.den
+            c2, k2, r2 = b.den
+            parts.append((a.num, b.num))
+            dens.append((c1 * c2, k1 + k2, r1 + r2))
     if not parts:
-        return rest
-    return rest + _monomial_sum(parts) if rest.num else _monomial_sum(parts)
+        return ZERO
+    return _sum(parts, dens)
 
 
 def var(name: str) -> Frac:
     if name not in _VAR_INDEX:
         raise ParseError(f"unknown variable {name!r}")
-    return Frac._raw({1 << (16 * _VAR_INDEX[name]): 1}, _P_ONE)
+    return Frac._raw({1 << (16 * _VAR_INDEX[name]): 1}, _D_ONE)
 
 
 L1, L2, L3, ALPHA = (var(n) for n in VARS)
@@ -827,7 +707,7 @@ def rat(p: int, q: int = 1) -> Frac:
     g = _int_gcd(p, q)
     if q < 0:
         g = -g
-    return Frac._raw({0: p // g}, {0: q // g})
+    return Frac._raw({0: p // g}, _D_ONE if q == g else (q // g, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -921,8 +801,8 @@ def _refuse_carry(lhs: Frac, op: str, rhs: Frac) -> None:
     together, so the exponents of a product are bounded by the sum of the
     operands' largest exponents.
     """
-    top = max(_p_max_exponent(lhs.num), _p_max_exponent(lhs.den)) + max(
-        _p_max_exponent(rhs.num), _p_max_exponent(rhs.den)
+    top = max(_p_max_exponent(lhs.num), _p_max_exponent(_den_poly(lhs.den))) + max(
+        _p_max_exponent(rhs.num), _p_max_exponent(_den_poly(rhs.den))
     )
     if top > _MASK:
         raise ParseError(f"'{op}' could raise an exponent to {top}, above {_MASK}")
@@ -1028,8 +908,8 @@ def eliminate(
     skipped; the pivot row is divided by its pivot and the column is cleared
     from every other row.  With ``square`` the elimination stops at the first
     column without a pivot, where a square matrix is singular.  Each update
-    reads only the nonzero entries of the pivot row, so the Frac monomial
-    fast paths carry it on graded, sparse matrices.
+    reads only the nonzero entries of the pivot row, so the one-term paths
+    of Frac carry it on graded, sparse matrices.
 
     Returns ``(rows, pivots, sign, values)``: the reduced rows, the pivot
     column of each leading row, the sign of the row permutation and the

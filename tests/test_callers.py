@@ -138,8 +138,6 @@ ALLOWED = {
     "library no longer imports on its own; oracle of rat (test_rat_matches_the_fraction_oracle)",
     "scalars.Frac._coerce": "int operands of the field operations; "
     "test_apply_and_wedge_match_pairwise_folds",
-    "scalars._p_add": "sums of fractions with non-monomial denominators, which no command "
-    "builds; test_dot_cancellation_builds_no_fraction",
     "cli._build_parser": "the argv reader of perfbench/setup_probe.py",
     "cli._help": "the usage text of -h and --help; "
     "test_help_names_the_commands_suites_and_flags",

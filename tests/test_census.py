@@ -10,30 +10,31 @@ characteristics where a record's derivation may divide by zero.
 
 import pytest
 
-from specialortho.scalars import Frac, _split_den
+from specialortho.scalars import Frac
 from specialortho.suites import SUITE_NAMES, Workspace, hodge_report, run_suite
 
 
 @pytest.fixture
 def census(monkeypatch):
     """A function that returns, and forgets, the (r, c) of every denominator
-    c * x^k * (a + 1)^r built since its last call."""
+    c * x^k * (a + 1)^r built since its last call, read off its triple
+    (c, k, r)."""
     dens = set()
     raw, init = Frac._raw, Frac.__init__
 
     def recorded_raw(num, den):
-        dens.add(tuple(den.items()))
+        dens.add(den)
         return raw(num, den)
 
     def recorded_init(self, num, den):
         init(self, num, den)
-        dens.add(tuple(self.den.items()))
+        dens.add(self.den)
 
     monkeypatch.setattr(Frac, "_raw", staticmethod(recorded_raw))
     monkeypatch.setattr(Frac, "__init__", recorded_init)
 
     def read():
-        found = {_split_den(dict(d))[::2] for d in dens}
+        found = {(r, c) for c, _, r in dens}
         dens.clear()
         return found
 

@@ -25,13 +25,13 @@ from specialortho.scalars import (
     dot,
     _P_ONE,
     _P_ZERO,
-    _p_divexact,
-    _p_lcm,
+    _den_poly,
     _p_mul,
     rat,
     solve_linear,
 )
 from specialortho.suites import Workspace
+from test_scalars import _p_divexact, _p_sub, prs_gcd
 
 
 def mat_vec(m, v):
@@ -163,18 +163,13 @@ def test_subspace_coords_dependent_basis():
 # elimination in the field.  The checks below compare them with a cofactor
 # expansion and with fraction-free Bareiss elimination on the cleared
 # integer-polynomial rows, the core the library used before; neither
-# shares code with it.
+# shares code with it.  The rows are cleared by an lcm of the expanded
+# denominators through the primitive PRS gcd of tests/test_scalars.py.
 
 
-def _p_sub(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) - c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
+def _p_lcm(a, b):
+    """lcm of two polynomials with positive leading coefficients."""
+    return _p_mul(a, _p_divexact(b, prs_gcd(a, b)))
 
 
 def bareiss(matrix, columns=(), square=False):
@@ -187,11 +182,12 @@ def bareiss(matrix, columns=(), square=False):
     rows = []
     den = _P_ONE
     for row in matrix:
+        dens = [_den_poly(f.den) for f in row]
         lcm = _P_ONE
-        for f in row:
-            if f.den != _P_ONE:
-                lcm = _p_lcm(lcm, f.den)
-        rows.append([_p_mul(f.num, _p_divexact(lcm, f.den)) for f in row])
+        for d in dens:
+            if d != _P_ONE:
+                lcm = _p_lcm(lcm, d)
+        rows.append([_p_mul(f.num, _p_divexact(lcm, d)) for f, d in zip(row, dens)])
         den = _p_mul(den, lcm)
     m, width = len(rows), n + len(columns)
     pivots, sign, prev = [], 1, _P_ONE

@@ -28,16 +28,18 @@ from specialortho.scalars import (
     L3,
     ONE,
     ZERO,
+    _D_ONE,
     _P_ONE,
+    _a1_quotient,
+    _den_poly,
     _key_min,
     _lead_key,
-    _p_add,
-    _p_divexact,
     _p_gcd,
     _p_int_mul,
     _p_max_exponent,
     _p_monomial_gcd,
     _p_mul,
+    _split_den,
     add_products,
     clear_denominators,
     dot,
@@ -125,12 +127,17 @@ def test_division_by_zero():
 
 
 def test_inexact_division_is_a_library_error():
-    # a monomial divisor (3*l1 into 2*l1 over the integers) and a longer one
-    # (l1 + 1 into l1) both raise a typed error, not an assertion
-    with pytest.raises(SpecialOrthoError):
-        _p_divexact((rat(2) * L1).num, (rat(3) * L1).num)
-    with pytest.raises(SpecialOrthoError):
-        _p_divexact(L1.num, (L1 + ONE).num)
+    # the library divides a polynomial only by a + 1, and reports a remainder
+    # as None, not by an assertion; a divisor that a + 1 does not reduce to
+    # a monomial, at once (l1 + 1) or after one step (a^2 - 1 = (a + 1)(a -
+    # 1)), raises a typed error
+    assert _a1_quotient(L1.num) is None
+    assert _a1_quotient(parse("a^2 + 1").num) is None
+    assert _a1_quotient(parse("a^2 - 1").num) == parse("a - 1").num
+    for divisor in ("l1 + 1", "a^2 - 1", "2*a + 1"):
+        with pytest.raises(SpecialOrthoError):
+            _split_den(parse(divisor).num)
+    assert _split_den(parse("-3*l2*(a + 1)^2").num) == (-3, 1 << 16, 2)
 
 
 def test_partial_fraction_identity():
@@ -337,7 +344,7 @@ def test_field_axioms(x, y, z, d):
 @settings(max_examples=60, deadline=None)
 def test_canonical_form_stable(x):
     # rebuilding from the stored dicts must not change the representation
-    y = Frac(dict(x.num), dict(x.den))
+    y = Frac(dict(x.num), _den_poly(x.den))
     assert y.num == x.num and y.den == x.den
     assert parse(render(x)) == x
     assert hash(y) == hash(x)
@@ -399,10 +406,43 @@ def test_common_factor_cancels(a, b, c):
 
 
 # -- the general gcd over Z[l1, l2, l3, a]: the oracle of the set gcd ----------
-# The library divides only by c * l1^i l2^j l3^k a^m (a + 1)^r, so its gcd
-# strips factors a + 1 and takes a monomial gcd.  The primitive
-# pseudo-remainder sequence below, the gcd the library used before, shares
-# none of that code.
+# The library divides only by c * l1^i l2^j l3^k a^m (a + 1)^r, stored as the
+# triple (c, k, r), so its reduction strips factors a + 1 and takes a
+# monomial gcd.  The primitive pseudo-remainder sequence below, the gcd the
+# library used before, and the polynomial sum and exact division on expanded
+# denominators share none of that code.
+
+
+def _key_divides(kd, kn):
+    return all((kd >> sh) & 0xFFFF <= (kn >> sh) & 0xFFFF for sh in (0, 16, 32, 48))
+
+
+def _p_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        v = out.get(k, 0) + c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _p_divexact(num, den):
+    """Exact division num / den; den must divide num in Z[l1, l2, l3, a]."""
+    kd = _lead_key(den)
+    cd = den[kd]
+    r = dict(num)
+    q = {}
+    while r:
+        kr = _lead_key(r)
+        cr = r[kr]
+        if not (_key_divides(kd, kr) and cr % cd == 0):
+            raise ArithmeticError("inexact division")
+        k, c = kr - kd, cr // cd
+        q[k] = c
+        r = _p_sub(r, {k2 + k: c * c2 for k2, c2 in den.items()})
+    return q
 
 
 def _p_sub(a, b):
@@ -519,18 +559,104 @@ def prs_gcd(a, b):
     return _sign_norm(_p_mul(_p_mul({gk: gc}, cont), flat))
 
 
+def oracle_reduce(num, den):
+    """num / den over the PRS gcd, with a positive leading denominator
+    coefficient: the canonical form on expanded denominators."""
+    if not num:
+        return {}, _P_ONE
+    g = prs_gcd(num, den)
+    n, e = _p_divexact(num, g), _p_divexact(den, g)
+    sign = 1 if e[_lead_key(e)] > 0 else -1
+    return _p_int_mul(n, sign), _p_int_mul(e, sign)
+
+
+def expanded(x):
+    """A Frac as its numerator and expanded denominator."""
+    return x.num, _den_poly(x.den)
+
+
 @given(polynomials(), set_polynomials(), set_polynomials())
 @example(parse("a^3 + a^2 - a - 1"), ONE, parse("-2*a^2 - 4*a - 2"))
 @settings(max_examples=300, deadline=None)
 def test_set_gcd_matches_the_prs_oracle(p, s, d):
     # a random numerator times a set polynomial, over a set denominator
     num, den = (p * s).num, d.num
-    g = prs_gcd(num, den)
-    assert _p_gcd(num, den) == g
-    n, e = _p_divexact(num, g), _p_divexact(den, g)
-    sign = 1 if e[_lead_key(e)] > 0 else -1
     got = Frac(num, den)
-    assert (got.num, got.den) == (_p_int_mul(n, sign), _p_int_mul(e, sign))
+    assert expanded(got) == oracle_reduce(num, den)
+    c, k, r = got.den
+    assert c > 0 and r >= 0 and (got.den == _D_ONE) == (got.den is _D_ONE)
+    # the a + 1 step alone: the gcd of num with (a + 1)^r of the divisor
+    r = _split_den(den)[2]
+    q, t = _p_gcd(num, r)
+    assert prs_gcd(num, _den_poly((1, 0, r))) == _den_poly((1, 0, t))
+    assert _p_mul(q, _den_poly((1, 0, t))) == num
+
+
+@st.composite
+def set_fractions(draw):
+    """(num, den) with den a set polynomial and num a random polynomial times
+    another, so that monomials and powers of a + 1 may cancel."""
+    return (draw(polynomials()) * draw(set_polynomials())).num, draw(set_polynomials()).num
+
+
+def assert_canonical(got, num, den):
+    """got is num / den in the canonical form: the same value by
+    cross-multiplication, and reduced over c > 0.  The prime factors of
+    c * x^k * (a + 1)^r are those of c, the variables of k and a + 1, so
+    reduced means: no prime of c divides every coefficient of the
+    numerator, each variable of k is missing from some numerator term, and
+    the numerator does not vanish at a = -1 when r > 0."""
+    n, d = expanded(got)
+    assert _p_sub(_p_mul(n, den), _p_mul(num, d)) == {}
+    c, k, r = got.den
+    if not n:
+        assert got.den == _D_ONE
+        return
+    assert c > 0 and gcd(c, *n.values()) == 1
+    for sh in (0, 16, 32, 48):
+        assert not (k >> sh) & 0xFFFF or any(not (key >> sh) & 0xFFFF for key in n)
+    at_minus_one = {}
+    for key, v in n.items():
+        rest = key & ((1 << 48) - 1)
+        at_minus_one[rest] = at_minus_one.get(rest, 0) + v * (-1) ** (key >> 48)
+    assert not r or any(at_minus_one.values())
+
+
+@given(st.lists(set_fractions(), min_size=2, max_size=3), set_polynomials(), set_polynomials())
+@example([(parse("a^2 - 1").num, parse("(a + 1)^2").num), (L1.num, parse("a + 1").num)], ONE, ONE)
+@settings(max_examples=100, deadline=None)
+def test_operations_match_the_expanded_denominator_oracle(pairs, s, t):
+    # every operation on the triples gives the canonical form of the same
+    # operation on expanded numerator and denominator polynomials, and
+    # clear_denominators the lcm of the PRS gcd
+    xs = [Frac(n, d) for n, d in pairs]
+    (n1, d1), (n2, d2) = pairs[:2]
+    x, y = xs[:2]
+    assert_canonical(x, n1, d1)
+    assert_canonical(x + y, _p_add(_p_mul(n1, d2), _p_mul(n2, d1)), _p_mul(d1, d2))
+    assert_canonical(x - y, _p_sub(_p_mul(n1, d2), _p_mul(n2, d1)), _p_mul(d1, d2))
+    assert_canonical(x * y, _p_mul(n1, n2), _p_mul(d1, d2))
+    # a divisor whose numerator is in the set too
+    assert_canonical(x / (s / t), _p_mul(n1, t.num), _p_mul(d1, s.num))
+    # dot of consecutive pairs, summed on expanded denominators
+    num, den = {}, _P_ONE
+    for (na, da), (nb, db) in zip(pairs, pairs[1:]):
+        num = _p_add(_p_mul(num, _p_mul(da, db)), _p_mul(_p_mul(na, nb), den))
+        den = _p_mul(den, _p_mul(da, db))
+    assert_canonical(dot(zip(xs, xs[1:])), num, den)
+    # one row over its common denominator, the PRS lcm, and back
+    common, cleared = clear_denominators({0: dict(enumerate(xs))})
+    lcm = _P_ONE
+    for e in (_den_poly(c.den) for c in xs):
+        lcm = _p_mul(lcm, _p_divexact(e, prs_gcd(lcm, e)))
+    assert _den_poly(common) == lcm
+    key_mask = (1 << scalars_module.ROW_SHIFT) - 1
+    for i, c in enumerate(xs):
+        got = {k & key_mask: v for k, v in cleared[0] if k >> scalars_module.ROW_SHIFT == i}
+        assert got == _p_mul(c.num, _p_divexact(lcm, _den_poly(c.den)))
+    back = uncleared(dict(cleared[0]), (common,), len(xs))
+    for c, (n, d) in zip(back, pairs):
+        assert_canonical(c, n, d)
 
 
 def test_denominators_outside_the_set_are_refused():
@@ -550,7 +676,7 @@ def test_denominators_outside_the_set_are_refused():
     # any integer times a monomial times a power of a + 1 is a denominator,
     # and a numerator may have any factor
     d = 5 * L1 * (ALPHA + 1) ** 2
-    assert (ONE / d).den == d.num
+    assert (ONE / d).den == (5, 1, 2) and _den_poly((ONE / d).den) == d.num
     assert (L1 + 1) / d * d == L1 + 1
 
 
@@ -591,20 +717,15 @@ def _as_frac(x):
 def test_fast_paths_give_the_canonical_form(x, y):
     assume(isinstance(x, Frac) or isinstance(y, Frac))
     fx, fy = _as_frac(x), _as_frac(y)
-    product = Frac(_p_mul(fx.num, fy.num), _p_mul(fx.den, fy.den))
+    (nx, dx), (ny, dy) = expanded(fx), expanded(fy)
+    product = Frac(_p_mul(nx, ny), _p_mul(dx, dy))
     got = x * y
     assert (got.num, got.den) == (product.num, product.den)
-    total = Frac(
-        _p_add(_p_mul(fx.num, fy.den), _p_mul(fy.num, fx.den)),
-        _p_mul(fx.den, fy.den),
-    )
+    total = Frac(_p_add(_p_mul(nx, dy), _p_mul(ny, dx)), _p_mul(dx, dy))
     got = x + y
     assert (got.num, got.den) == (total.num, total.den)
-    minus_y = {k: -c for k, c in fy.num.items()}
-    difference = Frac(
-        _p_add(_p_mul(fx.num, fy.den), _p_mul(minus_y, fx.den)),
-        _p_mul(fx.den, fy.den),
-    )
+    minus_y = {k: -c for k, c in ny.items()}
+    difference = Frac(_p_add(_p_mul(nx, dy), _p_mul(minus_y, dx)), _p_mul(dx, dy))
     got = x - y
     assert (got.num, got.den) == (difference.num, difference.den)
 
@@ -626,34 +747,39 @@ _L1_OVER_L2 = Frac({1: 3}, {1 << 16: 2})  # 3*l1 / (2*l2)
 @given(same_monomial_pairs())
 @example((_L1_OVER_L2, _L1_OVER_L2))  # x - y cancels
 @example((_L1_OVER_L2, -_L1_OVER_L2))  # x + y cancels
-@example((_L1_HALF, _L1_HALF))  # x + y = l1 over the shared _P_ONE
-@example((Frac({1: 3}, {0: 2}), _L1_HALF))  # x - y = l1 over the shared _P_ONE
+@example((_L1_HALF, _L1_HALF))  # x + y = l1 over the shared _D_ONE
+@example((Frac({1: 3}, {0: 2}), _L1_HALF))  # x - y = l1 over the shared _D_ONE
 @settings(max_examples=300, deadline=None)
 def test_same_monomial_sums_give_the_canonical_form(pair):
-    # the sum's fast path for equal keys: the general path's canonical form,
-    # ZERO itself when the sum cancels and the shared _P_ONE as denominator 1
+    # a sum of one-term fractions with equal keys: the canonical form of the
+    # expanded oracle, ZERO itself when the sum cancels and the shared _D_ONE
+    # as denominator 1
     x, y = pair
-    assert x.num.keys() == y.num.keys() and x.den.keys() == y.den.keys()
-    minus_y = {k: -c for k, c in y.num.items()}
-    for got, ny in ((x + y, y.num), (x - y, minus_y)):
-        want = Frac(_p_add(_p_mul(x.num, y.den), _p_mul(ny, x.den)), _p_mul(x.den, y.den))
+    assert x.num.keys() == y.num.keys() and x.den[1:] == y.den[1:]
+    (nx, dx), (ny, dy) = expanded(x), expanded(y)
+    minus_y = {k: -c for k, c in ny.items()}
+    for got, n in ((x + y, ny), (x - y, minus_y)):
+        want = Frac(_p_add(_p_mul(nx, dy), _p_mul(n, dx)), _p_mul(dx, dy))
         assert (got.num, got.den) == (want.num, want.den)
         if not got.num:
             assert got is ZERO
-        if got.den == _P_ONE:
-            assert got.den is _P_ONE
+        if got.den == _D_ONE:
+            assert got.den is _D_ONE
 
 
 def test_same_monomial_sums_take_the_fast_path(monkeypatch):
+    # a sum of one-term fractions multiplies no polynomials and takes no
+    # gcd of polynomials: its one term is reduced by _term
     x, y = _L1_OVER_L2, Frac({1: -5}, {1 << 16: 4})  # 3*l1/(2*l2), -5*l1/(4*l2)
+    want = Frac({1: 1}, {1 << 16: 4}), Frac({1: 11}, {1 << 16: 4})
 
-    def refuse(parts):
-        raise AssertionError("a same-monomial sum went through _monomial_sum")
+    def refuse(*args):
+        raise AssertionError("a same-monomial sum took a polynomial path")
 
-    monkeypatch.setattr(scalars_module, "_monomial_sum", refuse)
-    assert x + y == Frac({1: 1}, {1 << 16: 4})
-    assert x - y == Frac({1: 11}, {1 << 16: 4})
-    assert (_L1_HALF + _L1_HALF).den is _P_ONE
+    monkeypatch.setattr(scalars_module, "_p_mul", refuse)
+    monkeypatch.setattr(scalars_module, "_p_gcd", refuse)
+    assert (x + y, x - y) == want
+    assert (_L1_HALF + _L1_HALF).den is _D_ONE
     assert x - x is ZERO
 
 
@@ -668,10 +794,12 @@ def test_fast_paths_need_no_polynomial_gcd(monkeypatch):
     u_minus_v = parse("(2*l1^3*l3 + 4*l1^2*l2*l3 - 3*l1*l2 + 9*a) / (12*l1*l3^2)")
     uv_plus_xy = u * v + x * y
 
-    def no_gcd(a, b):
-        raise AssertionError("the polynomial gcd was called")
+    def no_division(p):
+        raise AssertionError("a polynomial was divided by a + 1")
 
-    monkeypatch.setattr(scalars_module, "_p_gcd", no_gcd)
+    # over monomial denominators the set gcd is a monomial gcd: it never
+    # tries the polynomial division by a + 1
+    monkeypatch.setattr(scalars_module, "_a1_quotient", no_division)
     assert (x * y).num == want.num and (x * y).den == want.den
     assert rat(1, 6) + rat(-5, 12) == rat(-1, 4)
     assert rat(2, 3) + rat(-2, 3) == ZERO
@@ -721,8 +849,8 @@ def test_clear_denominators_puts_each_row_over_one_denominator(entries):
     den, cleared = clear_denominators(rows)
     assert cleared.keys() == rows.keys()
     fracs = [c for row in rows.values() for c in row.values()]
-    # a monomial lcm unless some denominator is not a monomial
-    assert (len(den) == 1) == all(len(c.den) == 1 for c in fracs)
+    # a power of a + 1 in the lcm only if some denominator has one
+    assert (den[2] > 0) == any(c.den[2] > 0 for c in fracs)
     key_mask = (1 << scalars_module.ROW_SHIFT) - 1
     for r, row in rows.items():
         for i, c in row.items():
@@ -731,7 +859,7 @@ def test_clear_denominators_puts_each_row_over_one_denominator(entries):
                 for k, v in cleared[r]
                 if k >> scalars_module.ROW_SHIFT == i
             }
-            assert Frac(num, den) == c
+            assert Frac(num, _den_poly(den)) == c
             if c.den == den:
                 assert num == c.num
 
@@ -791,9 +919,9 @@ def test_library_exponents_stay_small(monkeypatch):
     """A symbolic ``verify all`` never carries an exponent across a key slot.
 
     Every ``_p_mul`` takes operands whose largest exponents sum to at most
-    65535, and every exponent stored in a Frac stays below 2^14, so the at
-    most four operand keys that the fast paths and ``dot`` add in one slot
-    cannot carry either.  The largest exponent the run stores is 24.  Every
+    65535, and every exponent stored in a Frac stays below 2^14, a
+    denominator's exponent of a read as its key's plus r, the exponent of the
+    expanded polynomial.  The largest exponent the run stores is 24.  Every
     entry that ``clear_denominators`` hands to the superalgebra checks and
     to the shuffle kernel (``AltMap.cleared`` and the ``PairingSpec``
     tables), and each common denominator, also stays below 2^14, so the
@@ -815,8 +943,12 @@ def test_library_exponents_stay_small(monkeypatch):
         assert _p_max_exponent(a) + _p_max_exponent(b) <= 65535
         return mul(a, b)
 
+    def den_exponent(den):
+        _, k, r = den
+        return max(_p_max_exponent({k: 1}), (k >> 48) + r)
+
     def check(x):
-        assert max(_p_max_exponent(x.num), _p_max_exponent(x.den)) < 1 << 14
+        assert max(_p_max_exponent(x.num), den_exponent(x.den)) < 1 << 14
 
     def checked_init(self, num, den):
         init(self, num, den)
@@ -830,7 +962,7 @@ def test_library_exponents_stay_small(monkeypatch):
     def checked_clear(calls):
         def checked(rows):
             den, cleared = clear(rows)
-            assert _p_max_exponent(den) < 1 << 14
+            assert den_exponent(den) < 1 << 14
             keys = {k & key_mask for row in cleared.values() for k, _ in row}
             top = _p_max_exponent(dict.fromkeys(keys, 1))
             assert top < 1 << 14
